@@ -21,5 +21,7 @@ fuzz-smoke:
 	$(GO) test ./internal/artifact -run '^$$' -fuzz FuzzStoreRoundTrip -fuzztime 30s
 	$(GO) test ./internal/reqkey -run '^$$' -fuzz FuzzCanonicalKey -fuzztime 30s
 	$(GO) test ./internal/workload -run '^$$' -fuzz FuzzReadProfile -fuzztime 30s
+	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzRead -fuzztime 30s
+	$(GO) test ./internal/iw -run '^$$' -fuzz FuzzCharacteristic -fuzztime 30s
 
 check: build lint test race

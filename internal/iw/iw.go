@@ -10,10 +10,28 @@
 // structure of the benchmark. Non-unit latencies are handled afterwards via
 // Little's law (I_L = I_1/L), and a finite machine issue width clips the
 // curve at saturation (Fig. 6 / Jouppi's observation).
+//
+// The simulation is not stepped cycle by cycle. In the idealized machine an
+// instruction's issue cycle depends only on older instructions, so one
+// program-order pass assigns every issue cycle directly:
+//
+//	issue(i) = max(entry(i), finish(src1), finish(src2))
+//
+// An instruction enters the window in the cycle after a slot frees, so
+// entry(i) is 1 for i < W and otherwise 1 + the (i−W)-th smallest issue
+// cycle (0-indexed) among instructions 0..i−1. Entry cycles never decrease
+// and no later instruction issues before one, so a per-cycle issue count
+// and a forward pointer give that order statistic in amortized O(1). The
+// optional width cap issues oldest first, which is program order: younger
+// instructions never take slots from older ones, so an instruction takes the
+// first cycle at or after its candidate that still has a free slot. The
+// cycle count is the last issue cycle, and a sweep costs O(n + cycles) per
+// window size instead of O(cycles × W).
 package iw
 
 import (
 	"fmt"
+	"math"
 
 	"fomodel/internal/isa"
 	"fomodel/internal/trace"
@@ -40,8 +58,9 @@ type Options struct {
 	// Producers, when non-nil, supplies precomputed dependence links for
 	// the trace (trace.ComputeProducers), letting callers that also run
 	// other simulators share one derivation. Must have exactly one entry
-	// per instruction; nil means compute them here (once per
-	// Characteristic call, shared across its window sizes).
+	// per instruction, each link naming an earlier instruction or -1; nil
+	// means compute them here (once per Characteristic call, shared across
+	// its window sizes).
 	Producers []trace.Producer
 }
 
@@ -69,11 +88,16 @@ func Characteristic(t *trace.Trace, windows []int, opts Options) ([]Point, error
 	if len(windows) == 0 {
 		return nil, fmt.Errorf("iw: no window sizes given")
 	}
+	for _, w := range windows {
+		if w <= 0 {
+			return nil, fmt.Errorf("iw: window size %d must be positive", w)
+		}
+	}
 	prod := opts.Producers
 	if prod == nil {
 		prod = trace.ComputeProducers(t)
-	} else if len(prod) != t.Len() {
-		return nil, fmt.Errorf("iw: %d producer links for %d instructions", len(prod), t.Len())
+	} else if err := checkProducers(prod, t.Len()); err != nil {
+		return nil, err
 	}
 	lat := unitLatencies
 	if opts.Latencies != nil {
@@ -82,110 +106,102 @@ func Characteristic(t *trace.Trace, windows []int, opts Options) ([]Point, error
 			return nil, err
 		}
 	}
-	// finish is reused (re-zeroed) across the window sizes.
-	finish := make([]int64, t.Len())
+	s := newScratch(t, &lat, opts.IssueWidth)
 	points := make([]Point, 0, len(windows))
-	for i, w := range windows {
-		if w <= 0 {
-			return nil, fmt.Errorf("iw: window size %d must be positive", w)
-		}
-		if i > 0 {
-			clear(finish)
-		}
-		ipc, err := simulate(t, w, opts.IssueWidth, lat, prod, finish)
-		if err != nil {
-			return nil, err
-		}
-		points = append(points, Point{W: w, I: ipc})
+	for _, w := range windows {
+		cycles := s.simulate(t, w, opts.IssueWidth, &lat, prod)
+		points = append(points, Point{W: w, I: float64(t.Len()) / float64(cycles)})
 	}
 	return points, nil
 }
 
-// simulate runs the idealized window-limited simulation and returns the
-// average issue rate. prod and finish are supplied by Characteristic so
-// the six-window sweep shares one dependence derivation and one scratch
-// buffer; finish must be zeroed on entry.
-func simulate(t *trace.Trace, window, issueWidth int, lat isa.LatencyTable,
-	prod []trace.Producer, finish []int64) (float64, error) {
-	n := t.Len()
+// checkProducers rejects caller-supplied links the program-order pass
+// cannot honour: a wrong count, or a link to the instruction itself or a
+// younger one.
+func checkProducers(prod []trace.Producer, n int) error {
+	if len(prod) != n {
+		return fmt.Errorf("iw: %d producer links for %d instructions", len(prod), n)
+	}
+	for i, p := range prod {
+		if int(p.Src1) >= i || int(p.Src2) >= i || p.Src1 < -1 || p.Src2 < -1 {
+			return fmt.Errorf("iw: instruction %d has producer links %d,%d; want earlier instructions or -1", i, p.Src1, p.Src2)
+		}
+	}
+	return nil
+}
 
-	// slot is one window entry: the instruction index, its producer
-	// indices (-1 if none/ready), and the memoized earliest issue cycle
-	// (0 until every producer has issued).
-	type slot struct {
-		idx        int32
-		src1, src2 int32
-		readyAt    int64
-	}
-	win := make([]slot, 0, window)
-	next := 0 // fill frontier
-	issued := 0
-	var now int64 = 1
+// scratch holds the buffers one Characteristic call reuses across its
+// window sizes.
+type scratch struct {
+	// finish is, indexed by instruction+1, the cycle the instruction's
+	// result becomes available; finish[0] stays 0 so a missing producer
+	// (link -1) reads as ready. Every entry is written before a younger
+	// instruction reads it, so it needs no clearing between window sizes.
+	finish []int
+	// issued counts, per cycle, the instructions issued in it (cycle 0 is
+	// unused). simulate clears the cycles it used before returning.
+	issued []int32
+	// skip is used only under a width cap: for a full cycle c, every cycle
+	// in [c, skip[c]) is full. It is written when a cycle fills, so stale
+	// entries of cycles that are not full are never read.
+	skip []int
+}
 
-	fill := func() {
-		for len(win) < window && next < n {
-			s := slot{idx: int32(next), src1: prod[next].Src1, src2: prod[next].Src2}
-			if s.src1 < 0 && s.src2 < 0 {
-				s.readyAt = 1 // no producers: ready from the first cycle
-			}
-			win = append(win, s)
-			next++
+// newScratch sizes the buffers for every window size at once. A cycle in
+// which nothing issues lies strictly inside the execution of some issued
+// instruction — otherwise the oldest waiting instruction would be ready
+// and issue — so a run takes at most the sum of its latencies in cycles,
+// and the per-cycle buffers never grow.
+func newScratch(t *trace.Trace, lat *isa.LatencyTable, issueWidth int) *scratch {
+	cycles := t.Len()
+	if *lat != unitLatencies {
+		cycles = 0
+		for i := range t.Instrs {
+			cycles += lat[t.Instrs[i].Class]
 		}
 	}
+	s := &scratch{finish: make([]int, t.Len()+1), issued: make([]int32, cycles+2)}
+	if issueWidth > 0 {
+		s.skip = make([]int, len(s.issued))
+	}
+	return s
+}
 
-	// ready memoizes the slot's earliest issue cycle once all producers
-	// have issued; finish entries are write-once, so the memo never goes
-	// stale (see uarch.entryReady for the same pattern).
-	ready := func(s *slot) bool {
-		if s.readyAt != 0 {
-			return s.readyAt <= now
-		}
-		readyAt := int64(1)
-		if s.src1 >= 0 {
-			f := finish[s.src1]
-			if f == 0 {
-				return false
-			}
-			if f > readyAt {
-				readyAt = f
-			}
-		}
-		if s.src2 >= 0 {
-			f := finish[s.src2]
-			if f == 0 {
-				return false
-			}
-			if f > readyAt {
-				readyAt = f
-			}
-		}
-		s.readyAt = readyAt
-		return readyAt <= now
+// simulate runs the idealized window-limited simulation of t in one
+// program-order pass (see the package comment) and returns its cycle count.
+func (s *scratch) simulate(t *trace.Trace, window, issueWidth int, lat *isa.LatencyTable,
+	prod []trace.Producer) int {
+	width := int32(math.MaxInt32)
+	if issueWidth > 0 && issueWidth < math.MaxInt32 {
+		width = int32(issueWidth)
 	}
-
-	fill()
-	for issued < n {
-		// Issue every ready instruction this cycle (oldest first), up to
-		// the optional width cap.
-		kept := win[:0]
-		issuedThisCycle := 0
-		for i := range win {
-			s := &win[i]
-			if (issueWidth <= 0 || issuedThisCycle < issueWidth) && ready(s) {
-				finish[s.idx] = now + int64(lat.Latency(t.Instrs[s.idx].Class))
-				issuedThisCycle++
-				issued++
-				continue
+	finish, issued, skip := s.finish, s.issued, s.skip
+	// at is the cycle the window's entry order statistic has reached and
+	// before counts the issues in cycles before it; those cycles are final.
+	at, before := 1, 0
+	entry, last := 1, 0
+	for i, p := range prod {
+		if i >= window {
+			for k := i - window + 1; before+int(issued[at]) < k; at++ {
+				before += int(issued[at])
 			}
-			kept = append(kept, *s)
+			entry = at + 1
 		}
-		win = kept
-		fill()
-		now++
+		c := max(entry, finish[p.Src1+1], finish[p.Src2+1])
+		for issued[c] >= width {
+			next := skip[c]
+			if issued[next] >= width {
+				next = skip[next]
+				skip[c] = next
+			}
+			c = next
+		}
+		if issued[c]++; issued[c] == width {
+			skip[c] = c + 1
+		}
+		finish[i+1] = c + lat[t.Instrs[i].Class]
+		last = max(last, c)
 	}
-	cycles := now - 1
-	if cycles <= 0 {
-		return 0, fmt.Errorf("iw: degenerate simulation of %q", t.Name)
-	}
-	return float64(n) / float64(cycles), nil
+	clear(issued[:last+1])
+	return last
 }

@@ -96,6 +96,16 @@ func TestCharacteristicErrors(t *testing.T) {
 	if _, err := Characteristic(chainTrace(10), []int{4}, Options{Latencies: &bad}); err == nil {
 		t.Fatal("invalid latency table accepted")
 	}
+	prod := trace.ComputeProducers(chainTrace(10))
+	if _, err := Characteristic(chainTrace(10), []int{4}, Options{Producers: prod[:9]}); err == nil {
+		t.Fatal("short producer links accepted")
+	}
+	for _, link := range []trace.Producer{{Src1: 5, Src2: -1}, {Src1: -1, Src2: 7}, {Src1: -2, Src2: -1}} {
+		prod[5] = link
+		if _, err := Characteristic(chainTrace(10), []int{4}, Options{Producers: prod}); err == nil {
+			t.Fatalf("producer link %+v of instruction 5 accepted", link)
+		}
+	}
 }
 
 func TestFitRecoversSyntheticPowerLaw(t *testing.T) {

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"fomodel/internal/experiments"
+	"fomodel/internal/metrics/metricstest"
 	"fomodel/internal/optimize"
 	"fomodel/internal/reqkey"
 	"fomodel/internal/server"
@@ -645,6 +646,21 @@ func TestProxyOwnEndpoints(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Fatalf("/metrics is missing %q:\n%s", want, body)
 		}
+	}
+}
+
+// TestProxyMetricsExpositionParses checks that every sample line of the
+// proxy's /metrics, after proxied traffic, reads as
+// `name[{labels}] <float>`.
+func TestProxyMetricsExpositionParses(t *testing.T) {
+	_, repA := newDaemon(t)
+	_, repB := newDaemon(t)
+	_, proxy := newProxy(t, Config{Replicas: []string{repA.URL, repB.URL}})
+	for _, body := range []string{`{"bench": "gzip"}`, `{"bench": "mcf"}`, `{"bench": "gzip"}`} {
+		readAll(t, post(t, proxy.URL, "/v1/predict", body, nil))
+	}
+	if n := metricstest.Check(t, string(readAll(t, get(t, proxy.URL, "/metrics")))); n == 0 {
+		t.Fatal("proxy /metrics has no samples")
 	}
 }
 

@@ -640,7 +640,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "fomodeld_prep_cache_passes_total %d\n", prepMisses.Load())
 	fmt.Fprintf(w, "# HELP fomodeld_prep_cache_evictions_total Prep-cache entries evicted by the LRU bound or trace eviction.\n")
 	fmt.Fprintf(w, "# TYPE fomodeld_prep_cache_evictions_total counter\n")
-	fmt.Fprintf(w, "fomodeld_prep_cache_evictions_total %d\n", s.suite.Preps().Evictions())
+	fmt.Fprintf(w, "fomodeld_prep_cache_evictions_total %d\n", s.suite.Preps().Evictions().Load())
 	prepEntries, prodEntries := s.suite.Preps().Len()
 	fmt.Fprintf(w, "# HELP fomodeld_prep_cache_entries Classification passes currently cached.\n")
 	fmt.Fprintf(w, "# TYPE fomodeld_prep_cache_entries gauge\n")

@@ -11,6 +11,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"fomodel/internal/metrics/metricstest"
 )
 
 // testServer builds a small, fast server for handler tests.
@@ -349,6 +351,25 @@ func TestHealthzAndMetrics(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q\nexposition:\n%s", want, body)
 		}
+	}
+}
+
+// TestMetricsExpositionParses checks that every sample line of the
+// daemon's /metrics, after traffic through the simulator, the response
+// cache and the registry, reads as `name[{labels}] <float>`.
+func TestMetricsExpositionParses(t *testing.T) {
+	s := testServer(Config{})
+	post(s, "/v1/predict", `{"bench":"gzip","sim":true}`)
+	post(s, "/v1/predict", `{"bench":"gzip","sim":true}`)
+	rec := doReq(s, http.MethodPost, "/v1/workloads/wl", profileJSON(t, "gzip", "wl"), "alice")
+	if rec.Code != http.StatusOK {
+		t.Fatalf("register: status %d", rec.Code)
+	}
+	post(s, "/v1/predict", `{"bench":"wl"}`)
+	body := get(s, "/metrics").Body.String()
+	metricstest.Check(t, body)
+	if !strings.Contains(body, "\nfomodeld_prep_cache_evictions_total 0\n") {
+		t.Errorf("/metrics lacks a numeric prep-cache eviction count:\n%s", body)
 	}
 }
 
