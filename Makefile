@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint fuzz-smoke check
+.PHONY: build test race lint fuzz-smoke bench-smoke check
 
 build:
 	$(GO) build ./...
@@ -23,5 +23,11 @@ fuzz-smoke:
 	$(GO) test ./internal/workload -run '^$$' -fuzz FuzzReadProfile -fuzztime 30s
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzRead -fuzztime 30s
 	$(GO) test ./internal/iw -run '^$$' -fuzz FuzzCharacteristic -fuzztime 30s
+	$(GO) test ./internal/rng -run '^$$' -fuzz FuzzSampler -fuzztime 30s
+
+# Run every benchmark once, so their set-up and b.Fatal paths stay
+# working; this checks that they run, not how fast.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
 
 check: build lint test race

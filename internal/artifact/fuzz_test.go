@@ -19,7 +19,8 @@ func FuzzStoreRoundTrip(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, kind, key string, payload []byte, mutate uint8, pos int) {
 		full := fullKey(kind, key)
-		data := encodeFile(full, payload)
+		header, trailer := frame(full, payload)
+		data := append(append(header, payload...), trailer[:]...)
 
 		got, err := decodeFile(data, full)
 		if err != nil {

@@ -154,12 +154,20 @@ func (s *Store) Put(kind, key string, payload []byte) error {
 	if s == nil {
 		return nil
 	}
-	data := encodeFile(fullKey(kind, key), payload)
+	header, trailer := frame(fullKey(kind, key), payload)
 	tmp, err := os.CreateTemp(s.dir, "tmp-*")
 	if err != nil {
 		return fmt.Errorf("artifact: %w", err)
 	}
-	_, werr := tmp.Write(data)
+	// Stream the frame's three parts: a payload can be a multi-megabyte
+	// trace, and copying it into one frame buffer would double its cost.
+	_, werr := tmp.Write(header)
+	if werr == nil {
+		_, werr = tmp.Write(payload)
+	}
+	if werr == nil {
+		_, werr = tmp.Write(trailer[:])
+	}
 	cerr := tmp.Close()
 	if werr != nil || cerr != nil {
 		//folint:allow(errdrop) cleanup of the temp file after a failed write; the write error is what the caller sees
@@ -179,17 +187,17 @@ func (s *Store) Put(kind, key string, payload []byte) error {
 	return nil
 }
 
-// encodeFile frames key and payload in the on-disk format.
-func encodeFile(key string, payload []byte) []byte {
-	buf := make([]byte, 0, 4+4+4+len(key)+8+len(payload)+4)
-	buf = append(buf, storeMagic[:]...)
-	buf = binary.LittleEndian.AppendUint32(buf, FormatVersion)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(key)))
-	buf = append(buf, key...)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(payload)))
-	buf = append(buf, payload...)
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
-	return buf
+// frame returns the header and the checksum trailer that enclose
+// payload in the on-disk format.
+func frame(key string, payload []byte) (header []byte, trailer [4]byte) {
+	header = make([]byte, 0, 4+4+4+len(key)+8)
+	header = append(header, storeMagic[:]...)
+	header = binary.LittleEndian.AppendUint32(header, FormatVersion)
+	header = binary.LittleEndian.AppendUint32(header, uint32(len(key)))
+	header = append(header, key...)
+	header = binary.LittleEndian.AppendUint64(header, uint64(len(payload)))
+	binary.LittleEndian.PutUint32(trailer[:], crc32.ChecksumIEEE(payload))
+	return header, trailer
 }
 
 // decodeFile validates every field of an artifact file against the

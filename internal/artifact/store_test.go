@@ -37,6 +37,28 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPutFileBytes pins the on-disk frame byte for byte: Put streams
+// header, payload and trailer separately, and the file they make must
+// be exactly the documented format.
+func TestPutFileBytes(t *testing.T) {
+	s := open(t, 0)
+	if err := s.Put("k", "x", []byte("ab")); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(artifactFile(t, s))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []byte("FOAS" +
+		"\x01\x00\x00\x00" + // FormatVersion
+		"\x03\x00\x00\x00" + "k\x00x" + // key length, "<kind>\x00<key>"
+		"\x02\x00\x00\x00\x00\x00\x00\x00" + "ab" + // payload length, payload
+		"\x6d\x48\x83\x9e") // CRC-32 (IEEE) of "ab", little-endian
+	if !bytes.Equal(got, want) {
+		t.Fatalf("artifact file\n got %q\nwant %q", got, want)
+	}
+}
+
 func TestMissOnAbsentAndWrongKind(t *testing.T) {
 	s := open(t, 0)
 	if _, ok := s.Get("trace", "nope"); ok {

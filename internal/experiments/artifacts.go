@@ -146,9 +146,8 @@ func LoadOrGenerateTrace(store *artifact.Store, name string, n int, seed uint64)
 		return nil, err
 	}
 	if store != nil {
-		var buf bytes.Buffer
-		if trace.Write(&buf, t) == nil {
-			store.Put("trace", id, buf.Bytes())
+		if b, err := trace.Encode(t); err == nil {
+			store.Put("trace", id, b)
 		}
 	}
 	return t, nil
@@ -174,9 +173,8 @@ func LoadOrGenerateProfileTrace(store *artifact.Store, prof workload.Profile, n 
 		return nil, err
 	}
 	if store != nil {
-		var buf bytes.Buffer
-		if trace.Write(&buf, t) == nil {
-			store.Put("trace", id, buf.Bytes())
+		if b, err := trace.Encode(t); err == nil {
+			store.Put("trace", id, b)
 		}
 	}
 	return t, nil

@@ -110,42 +110,6 @@ func (p *PCG) Bool(prob float64) bool {
 	return p.Float64() < prob
 }
 
-// Geometric samples from a geometric distribution with the given mean >= 1:
-// the number of Bernoulli(1/mean) trials up to and including the first
-// success. The returned value is always >= 1.
-func (p *PCG) Geometric(mean float64) int {
-	if mean <= 1 {
-		return 1
-	}
-	// Inverse-CDF sampling: ceil(ln(1-u)/ln(1-p)) with p = 1/mean.
-	u := p.Float64()
-	q := math.Log1p(-u) / math.Log1p(-1/mean)
-	n := int(math.Ceil(q))
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// Pareto samples a bounded discrete Pareto (power-law) value in [1, max]
-// with tail exponent alpha > 0. Small alpha → heavier tail.
-func (p *PCG) Pareto(alpha float64, max int) int {
-	if max <= 1 {
-		return 1
-	}
-	// Inverse transform on the continuous Pareto, clamped.
-	u := p.Float64()
-	x := math.Pow(1-u, -1/alpha)
-	n := int(x)
-	if n < 1 {
-		n = 1
-	}
-	if n > max {
-		n = max
-	}
-	return n
-}
-
 // Normal samples from a normal distribution via the Box–Muller transform.
 func (p *PCG) Normal(mean, stddev float64) float64 {
 	u1 := p.Float64()
@@ -161,12 +125,25 @@ func (p *PCG) Normal(mean, stddev float64) float64 {
 // proportional to weights[i]. Zero or negative weights are treated as zero.
 // If all weights are zero it returns 0.
 func (p *PCG) Weighted(weights []float64) int {
+	return p.WeightedSum(weights, WeightSum(weights))
+}
+
+// WeightSum returns the total Weighted draws against: the sum of the
+// positive weights, added in index order.
+func WeightSum(weights []float64) float64 {
 	var total float64
 	for _, w := range weights {
 		if w > 0 {
 			total += w
 		}
 	}
+	return total
+}
+
+// WeightedSum is Weighted with the total precomputed by WeightSum, for a
+// caller that draws many times from fixed weights. It returns what
+// Weighted returns and consumes the same draws.
+func (p *PCG) WeightedSum(weights []float64, total float64) int {
 	if total <= 0 {
 		return 0
 	}

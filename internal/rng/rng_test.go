@@ -156,10 +156,11 @@ func TestBoolProbability(t *testing.T) {
 func TestGeometricMean(t *testing.T) {
 	p := New(19)
 	for _, mean := range []float64{1, 2, 5, 20} {
+		s := NewGeometricSampler(mean)
 		var sum float64
 		const draws = 40000
 		for i := 0; i < draws; i++ {
-			v := p.Geometric(mean)
+			v := s.Sample(p)
 			if v < 1 {
 				t.Fatalf("Geometric(%v) = %d < 1", mean, v)
 			}
@@ -175,9 +176,10 @@ func TestGeometricMean(t *testing.T) {
 func TestParetoBounds(t *testing.T) {
 	p := New(23)
 	const max = 50
+	s := NewParetoSampler(0.7, max)
 	seenLarge := false
 	for i := 0; i < 20000; i++ {
-		v := p.Pareto(0.7, max)
+		v := s.Sample(p)
 		if v < 1 || v > max {
 			t.Fatalf("Pareto out of range: %d", v)
 		}
@@ -192,10 +194,11 @@ func TestParetoBounds(t *testing.T) {
 
 func TestParetoHeavierTailForSmallerAlpha(t *testing.T) {
 	heavy, light := New(29), New(29)
+	heavyS, lightS := NewParetoSampler(0.5, 1000), NewParetoSampler(2.0, 1000)
 	var sumHeavy, sumLight float64
 	for i := 0; i < 20000; i++ {
-		sumHeavy += float64(heavy.Pareto(0.5, 1000))
-		sumLight += float64(light.Pareto(2.0, 1000))
+		sumHeavy += float64(heavyS.Sample(heavy))
+		sumLight += float64(lightS.Sample(light))
 	}
 	if sumHeavy <= sumLight {
 		t.Fatalf("alpha=0.5 mean %v not heavier than alpha=2.0 mean %v", sumHeavy/20000, sumLight/20000)
@@ -204,7 +207,8 @@ func TestParetoHeavierTailForSmallerAlpha(t *testing.T) {
 
 func TestParetoDegenerateMax(t *testing.T) {
 	p := New(31)
-	if v := p.Pareto(1, 1); v != 1 {
+	s := NewParetoSampler(1, 1)
+	if v := s.Sample(p); v != 1 {
 		t.Fatalf("Pareto(max=1) = %d, want 1", v)
 	}
 }
@@ -270,7 +274,8 @@ func TestIntnPropertyInRange(t *testing.T) {
 func TestGeometricPropertyAtLeastOne(t *testing.T) {
 	p := New(53)
 	f := func(m uint8) bool {
-		return p.Geometric(float64(m%50)+1) >= 1
+		s := NewGeometricSampler(float64(m%50) + 1)
+		return s.Sample(p) >= 1
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"fomodel/internal/artifact"
+	"fomodel/internal/workload"
 )
 
 // benchPost drives one request through the handler chain and fails the
@@ -41,6 +42,25 @@ func BenchmarkPredictCold(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		benchPost(b, s, "/v1/predict",
 			fmt.Sprintf(`{"bench":"gzip","seed":%d}`, i+2))
+	}
+}
+
+// BenchmarkPredictColdStore measures the cache-cold predict path at the
+// served size: 100000-instruction traces, a fresh seed per iteration,
+// and a store bounded at 256 MiB, so every iteration generates, encodes
+// and stores a trace and runs the full analysis pipeline.
+func BenchmarkPredictColdStore(b *testing.B) {
+	st, err := artifact.Open(b.TempDir(), 256<<20)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := testServer(Config{N: 100000, Store: st})
+	benches := workload.Names()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchPost(b, s, "/v1/predict",
+			fmt.Sprintf(`{"bench":%q,"seed":%d}`, benches[i%len(benches)], i+2))
 	}
 }
 

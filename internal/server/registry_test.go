@@ -29,6 +29,22 @@ func profileJSON(t *testing.T, builtin, name string) string {
 	return string(b)
 }
 
+// mutatedProfileJSON renders gzip's profile, named "ok", after mutate.
+func mutatedProfileJSON(t *testing.T, mutate func(*workload.Profile)) string {
+	t.Helper()
+	p, err := workload.ByName("gzip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Name = "ok"
+	mutate(&p)
+	b, err := json.Marshal(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
 // doReq runs one request with an optional tenant header through the
 // full handler chain.
 func doReq(s *Server, method, path, body, tenant string) *httptest.ResponseRecorder {
@@ -113,6 +129,13 @@ func TestWorkloadRegistryStatuses(t *testing.T) {
 		}, http.StatusBadRequest},
 		{"invalid profile", func() *httptest.ResponseRecorder {
 			return doReq(s, http.MethodPost, "/v1/workloads/ok", `{"name":"ok"}`, "")
+		}, http.StatusBadRequest},
+		// Sizes that once passed validation and crashed every predict.
+		{"data size overflow", func() *httptest.ResponseRecorder {
+			return doReq(s, http.MethodPost, "/v1/workloads/ok", mutatedProfileJSON(t, func(p *workload.Profile) { p.DataHotSize = 1 << 63 }), "")
+		}, http.StatusBadRequest},
+		{"block count overflow", func() *httptest.ResponseRecorder {
+			return doReq(s, http.MethodPost, "/v1/workloads/ok", mutatedProfileJSON(t, func(p *workload.Profile) { p.NumBlocks = 1 << 32 }), "")
 		}, http.StatusBadRequest},
 		{"cross-tenant replace", func() *httptest.ResponseRecorder {
 			register(t, s, "shared", profileJSON(t, "gzip", "shared"), "alice")

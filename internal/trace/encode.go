@@ -37,33 +37,34 @@ const maxInstrs = 1 << 31
 
 // Write encodes the trace to w in the binary trace format.
 func Write(w io.Writer, t *Trace) error {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := bw.Write(magic[:]); err != nil {
-		return fmt.Errorf("trace: write magic: %w", err)
+	b, err := Encode(t)
+	if err != nil {
+		return err
 	}
+	if _, err := w.Write(b); err != nil {
+		return fmt.Errorf("trace: write: %w", err)
+	}
+	return nil
+}
+
+// Encode returns the trace in the binary trace format, built in one
+// buffer of exactly the encoded size.
+func Encode(t *Trace) ([]byte, error) {
 	if len(t.Name) > 0xffff {
-		return fmt.Errorf("trace: name too long (%d bytes)", len(t.Name))
+		return nil, fmt.Errorf("trace: name too long (%d bytes)", len(t.Name))
 	}
-	var hdr [10]byte
-	binary.LittleEndian.PutUint16(hdr[0:2], uint16(len(t.Name)))
-	if _, err := bw.Write(hdr[0:2]); err != nil {
-		return fmt.Errorf("trace: write header: %w", err)
-	}
-	if _, err := bw.WriteString(t.Name); err != nil {
-		return fmt.Errorf("trace: write name: %w", err)
-	}
-	binary.LittleEndian.PutUint64(hdr[0:8], uint64(len(t.Instrs)))
-	if _, err := bw.Write(hdr[0:8]); err != nil {
-		return fmt.Errorf("trace: write count: %w", err)
-	}
-	var rec [recordSize]byte
+	buf := make([]byte, 0, len(magic)+2+len(t.Name)+8+recordSize*len(t.Instrs))
+	buf = append(buf, magic[:]...)
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(t.Name)))
+	buf = append(buf, t.Name...)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(t.Instrs)))
+	off := len(buf)
+	buf = buf[:cap(buf)]
 	for i := range t.Instrs {
-		encodeRecord(&rec, &t.Instrs[i])
-		if _, err := bw.Write(rec[:]); err != nil {
-			return fmt.Errorf("trace: write record %d: %w", i, err)
-		}
+		encodeRecord((*[recordSize]byte)(buf[off:]), &t.Instrs[i])
+		off += recordSize
 	}
-	return bw.Flush()
+	return buf, nil
 }
 
 func encodeRecord(rec *[recordSize]byte, in *Instruction) {

@@ -32,6 +32,40 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEncodeBytes pins the binary format byte for byte and checks that
+// Encode sizes its buffer exactly.
+func TestEncodeBytes(t *testing.T) {
+	tr := &Trace{Name: "ab", Instrs: []Instruction{
+		{PC: 0x0102, Addr: 0x0304, Class: isa.Load, Dest: 5, Src1: isa.RegNone, Src2: 0x0706},
+		{PC: 0x08, Class: isa.Branch, Dest: isa.RegNone, Src1: 1, Src2: isa.RegNone, Taken: true},
+	}}
+	got, err := Encode(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "FOT1" + "\x02\x00" + "ab" + "\x02\x00\x00\x00\x00\x00\x00\x00" +
+		"\x02\x01\x00\x00\x00\x00\x00\x00" + "\x04\x03\x00\x00\x00\x00\x00\x00" +
+		string([]byte{byte(isa.Load)}) + "\x00" + "\x05\x00" + "\xff\xff" + "\x06\x07" +
+		"\x08\x00\x00\x00\x00\x00\x00\x00" + "\x00\x00\x00\x00\x00\x00\x00\x00" +
+		string([]byte{byte(isa.Branch)}) + "\x01" + "\xff\xff" + "\x01\x00" + "\xff\xff"
+	if string(got) != want {
+		t.Fatalf("Encode\n got %q\nwant %q", got, want)
+	}
+	if cap(got) != len(got) {
+		t.Errorf("Encode buffer cap %d, len %d", cap(got), len(got))
+	}
+	var buf bytes.Buffer
+	if err := Write(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	if buf.String() != want {
+		t.Errorf("Write and Encode differ")
+	}
+	if _, err := Encode(&Trace{Name: strings.Repeat("x", 1<<16)}); err == nil {
+		t.Error("Encode accepted a name longer than the format allows")
+	}
+}
+
 func TestRoundTripEmpty(t *testing.T) {
 	tr := &Trace{Name: "empty"}
 	var buf bytes.Buffer

@@ -18,6 +18,19 @@ func FuzzReadProfile(f *testing.F) {
 	f.Add(`{"name":"x"}`)
 	f.Add(`{"name":"x","mix":{"alu":1}}`)
 	f.Add(`not json`)
+	// Sizes that once passed Validate and crashed generation.
+	for _, mutate := range []func(*Profile){
+		func(p *Profile) { p.DataHotSize = 1 << 63 },
+		func(p *Profile) { p.NumBlocks = 1 << 32 },
+	} {
+		p := baseProfile("seed")
+		mutate(&p)
+		var sb strings.Builder
+		if err := WriteProfile(&sb, p); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(sb.String())
+	}
 
 	f.Fuzz(func(t *testing.T, data string) {
 		p, err := ReadProfile(strings.NewReader(data))

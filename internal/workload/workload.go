@@ -124,15 +124,26 @@ type Profile struct {
 	ColdStride uint64
 }
 
+// Bounds on profile sizes, far above any built-in (the largest has
+// 11000 blocks and a mean block length of 7). They keep a registered
+// profile from crashing generation: a data size must fit the int64 the
+// address draw takes, and the block count and mean block length size
+// the generator's allocations.
+const (
+	maxBlockLenMean = 1 << 10
+	maxNumBlocks    = 1 << 20
+	maxDataSize     = 1 << 62
+)
+
 // Validate reports the first structural problem with the profile.
 func (p *Profile) Validate() error {
 	switch {
 	case p.Name == "":
 		return fmt.Errorf("workload: profile has no name")
-	case p.BlockLenMean < 1:
-		return fmt.Errorf("workload %s: BlockLenMean %v < 1", p.Name, p.BlockLenMean)
-	case p.NumBlocks < 2:
-		return fmt.Errorf("workload %s: NumBlocks %d < 2", p.Name, p.NumBlocks)
+	case !(p.BlockLenMean >= 1 && p.BlockLenMean <= maxBlockLenMean):
+		return fmt.Errorf("workload %s: BlockLenMean %v out of [1,%d]", p.Name, p.BlockLenMean, maxBlockLenMean)
+	case p.NumBlocks < 2 || p.NumBlocks > maxNumBlocks:
+		return fmt.Errorf("workload %s: NumBlocks %d out of [2,%d]", p.Name, p.NumBlocks, maxNumBlocks)
 	case p.HotBlocks < 1 || p.HotBlocks > p.NumBlocks:
 		return fmt.Errorf("workload %s: HotBlocks %d out of range [1,%d]", p.Name, p.HotBlocks, p.NumBlocks)
 	case p.HotJumpFrac < 0 || p.HotJumpFrac > 1:
@@ -163,6 +174,8 @@ func (p *Profile) Validate() error {
 		return fmt.Errorf("workload %s: data region fractions hot=%v warm=%v invalid", p.Name, p.DataHotFrac, p.DataWarmFrac)
 	case p.DataHotSize == 0 || p.DataWarmSize == 0 || p.DataColdSize == 0:
 		return fmt.Errorf("workload %s: data region sizes must be non-zero", p.Name)
+	case p.DataHotSize > maxDataSize || p.DataWarmSize > maxDataSize || p.DataColdSize > maxDataSize:
+		return fmt.Errorf("workload %s: data region sizes must be at most %d", p.Name, uint64(maxDataSize))
 	case p.ColdBurstMean < 1:
 		return fmt.Errorf("workload %s: ColdBurstMean %v < 1", p.Name, p.ColdBurstMean)
 	case p.ColdStride == 0:
@@ -222,7 +235,13 @@ type Generator struct {
 	coldPtr      uint64
 	coldBurstRem int
 	mixWeights   []float64
+	mixTotal     float64 // rng.WeightSum(mixWeights)
 	mixClasses   []isa.Class
+
+	// Samplers for the profile's fixed distributions, built once.
+	depShort  rng.GeometricSampler
+	depLong   rng.ParetoSampler
+	coldBurst rng.GeometricSampler
 }
 
 // NewGenerator validates the profile, builds its static CFG, and returns a
@@ -237,6 +256,9 @@ func NewGenerator(prof Profile, seed uint64) (*Generator, error) {
 		depRNG:    rng.NewStream(seed, 0x02),
 		memRNG:    rng.NewStream(seed, 0x03),
 		brRNG:     rng.NewStream(seed, 0x04),
+		depShort:  rng.NewGeometricSampler(prof.DepShortMean),
+		depLong:   rng.NewParetoSampler(prof.DepLongAlpha, prof.DepLongMax),
+		coldBurst: rng.NewGeometricSampler(prof.ColdBurstMean),
 	}
 	for i := range g.producers {
 		g.producers[i] = -1
@@ -295,6 +317,7 @@ func NewGenerator(prof Profile, seed uint64) (*Generator, error) {
 		g.mixClasses = append(g.mixClasses, c)
 		g.mixWeights = append(g.mixWeights, prof.Mix[c])
 	}
+	g.mixTotal = rng.WeightSum(g.mixWeights)
 	return g, nil
 }
 
@@ -311,20 +334,22 @@ func (g *Generator) Generate(n int) (*trace.Trace, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("workload %s: trace length %d must be positive", g.prof.Name, n)
 	}
-	t := &trace.Trace{
-		Name:   g.prof.Name,
-		Instrs: make([]trace.Instruction, 0, n+int(g.prof.BlockLenMean)+2),
-	}
+	// A block has at most int(BlockLenMean)+3 instructions and the loop
+	// starts one only while fewer than n are written, so this length is
+	// an exact bound and the loop fills it in place.
+	instrs := make([]trace.Instruction, n+int(g.prof.BlockLenMean)+2)
+	i := 0
 	bi := 0
-	for len(t.Instrs) < n {
+	for i < n {
 		b := &g.blocks[bi]
 		pc := b.start
 		for k := 0; k < b.bodyLen; k++ {
-			t.Instrs = append(t.Instrs, g.makeInstr(pc))
+			g.makeInstr(&instrs[i], pc)
+			i++
 			pc += 4
 		}
 		taken := g.brRNG.Bool(b.takenProb)
-		br := trace.Instruction{
+		instrs[i] = trace.Instruction{
 			PC:    pc,
 			Class: isa.Branch,
 			Dest:  isa.RegNone,
@@ -332,7 +357,7 @@ func (g *Generator) Generate(n int) (*trace.Trace, error) {
 			Src2:  isa.RegNone,
 			Taken: taken,
 		}
-		t.Instrs = append(t.Instrs, br)
+		i++
 		g.dynIdx++
 		if taken {
 			if g.structRNG.Bool(g.prof.EscapeFrac) {
@@ -347,13 +372,13 @@ func (g *Generator) Generate(n int) (*trace.Trace, error) {
 			}
 		}
 	}
-	return t, nil
+	return &trace.Trace{Name: g.prof.Name, Instrs: instrs[:i]}, nil
 }
 
-// makeInstr builds one non-branch instruction at pc.
-func (g *Generator) makeInstr(pc uint64) trace.Instruction {
-	c := g.mixClasses[g.structRNG.Weighted(g.mixWeights)]
-	in := trace.Instruction{
+// makeInstr writes one non-branch instruction at pc into in.
+func (g *Generator) makeInstr(in *trace.Instruction, pc uint64) {
+	c := g.mixClasses[g.structRNG.WeightedSum(g.mixWeights, g.mixTotal)]
+	*in = trace.Instruction{
 		PC:    pc,
 		Class: c,
 		Dest:  isa.RegNone,
@@ -373,7 +398,6 @@ func (g *Generator) makeInstr(pc uint64) trace.Instruction {
 		g.producers[in.Dest] = g.dynIdx
 	}
 	g.dynIdx++
-	return in
 }
 
 // allocDest assigns destination registers round-robin so the last
@@ -395,32 +419,41 @@ func (g *Generator) sampleSource() int16 {
 	}
 	var dist int
 	if g.depRNG.Bool(g.prof.DepShortFrac) {
-		dist = g.depRNG.Geometric(g.prof.DepShortMean)
+		dist = g.depShort.Sample(g.depRNG)
 	} else {
-		dist = g.depRNG.Pareto(g.prof.DepLongAlpha, g.prof.DepLongMax)
+		dist = g.depLong.Sample(g.depRNG)
 	}
 	// Find the most recent producer at dynamic distance >= dist. Because
 	// destinations are allocated round-robin, the producer that is k
 	// dest-writes back holds register (nextDestReg-1-k) mod NumArchRegs.
-	// Scan from the most recent producer outward until the distance
-	// constraint is met; give up at the ring's horizon (the operand is
-	// then ready anyway, equivalent to RegNone at window sizes <= 64).
+	// Going back in k, producer indices strictly decrease down to the -1
+	// of registers never written, so "written at or before want, or
+	// never written" holds from some k on: binary-search the first such
+	// k. Past the ring's horizon the operand is ready anyway, equivalent
+	// to RegNone at window sizes <= 64.
 	want := g.dynIdx - int64(dist)
-	reg := int(g.nextDestReg) - 1
-	for k := 0; k < isa.NumArchRegs; k++ {
-		if reg < 0 {
-			reg += isa.NumArchRegs
-		}
-		idx := g.producers[reg]
-		if idx < 0 {
-			return isa.RegNone
-		}
-		if idx <= want {
-			return int16(reg)
-		}
-		reg--
+	if want < -1 {
+		want = -1 // never written (-1) still ends the search
 	}
-	return isa.RegNone
+	k := 0
+	for step := isa.NumArchRegs / 2; step > 0; step /= 2 {
+		if g.producers[g.ringReg(k+step-1)] > want {
+			k += step
+		}
+	}
+	if k == isa.NumArchRegs-1 && g.producers[g.ringReg(k)] > want {
+		return isa.RegNone
+	}
+	reg := g.ringReg(k)
+	if g.producers[reg] < 0 {
+		return isa.RegNone
+	}
+	return int16(reg)
+}
+
+// ringReg returns the register of the producer k dest-writes back.
+func (g *Generator) ringReg(k int) int {
+	return int(uint(int(g.nextDestReg)-1-k+isa.NumArchRegs) % isa.NumArchRegs)
 }
 
 // sampleAddr draws a data address from the three-tier working set.
@@ -436,7 +469,7 @@ func (g *Generator) sampleAddr() uint64 {
 	case u < g.prof.DataHotFrac+g.prof.DataWarmFrac:
 		return warmBase + uint64(g.memRNG.Int63n(int64(g.prof.DataWarmSize)))&^7
 	default:
-		g.coldBurstRem = g.memRNG.Geometric(g.prof.ColdBurstMean) - 1
+		g.coldBurstRem = g.coldBurst.Sample(g.memRNG) - 1
 		return g.nextColdAddr()
 	}
 }

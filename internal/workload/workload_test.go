@@ -244,6 +244,41 @@ func TestValidateRejections(t *testing.T) {
 	}
 }
 
+// TestValidateBoundsSizes is the regression test for profiles that
+// passed Validate and then crashed generation: a data size of 1<<63
+// made the address draw panic, and a block count of 1<<32 asked for a
+// ~170 GB block table. Sizes at the bounds must still generate.
+func TestValidateBoundsSizes(t *testing.T) {
+	rejected := map[string]func(*Profile){
+		"hot size 1<<63":      func(p *Profile) { p.DataHotSize = 1 << 63 },
+		"warm size 1<<63":     func(p *Profile) { p.DataWarmSize = 1 << 63 },
+		"cold size max":       func(p *Profile) { p.DataColdSize = ^uint64(0) },
+		"blocks 1<<32":        func(p *Profile) { p.NumBlocks = 1 << 32 },
+		"blocks 1<<20+1":      func(p *Profile) { p.NumBlocks = 1<<20 + 1 },
+		"block length 1e12":   func(p *Profile) { p.BlockLenMean = 1e12 },
+		"data size just over": func(p *Profile) { p.DataHotSize = 1<<62 + 1 },
+	}
+	for name, mutate := range rejected {
+		p := testProfile()
+		mutate(&p)
+		if err := p.Validate(); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	p := testProfile()
+	p.DataHotSize, p.DataWarmSize, p.DataColdSize = 1<<62, 1<<62, 1<<62
+	p.DataHotFrac, p.DataWarmFrac = 0.4, 0.4
+	p.NumBlocks = 1 << 20
+	p.BlockLenMean = 1 << 10
+	tr, err := mustGen(t, p, 3).Generate(5000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestNewGeneratorRejectsInvalidProfile(t *testing.T) {
 	p := testProfile()
 	p.Name = ""
