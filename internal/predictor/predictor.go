@@ -61,6 +61,21 @@ type Spec struct {
 // DefaultSpec returns the paper's 8K gshare.
 func DefaultSpec() Spec { return Spec{Kind: KindGshare, IndexBits: 13} }
 
+// Validate reports the error New would return, without allocating a
+// table.
+func (s Spec) Validate() error {
+	switch s.Kind {
+	case KindGshare, KindBimodal:
+		if s.IndexBits == 0 || s.IndexBits > 28 {
+			return fmt.Errorf("predictor: %v index bits %d out of range [1,28]", s.Kind, s.IndexBits)
+		}
+	case KindAlwaysTaken, KindAlwaysNotTaken:
+	default:
+		return fmt.Errorf("predictor: unknown kind %d", int(s.Kind))
+	}
+	return nil
+}
+
 // New instantiates a fresh, untrained predictor from the spec.
 func (s Spec) New() (Predictor, error) {
 	switch s.Kind {

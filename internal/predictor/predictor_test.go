@@ -41,6 +41,21 @@ func TestNewGshareValidation(t *testing.T) {
 	}
 }
 
+// TestSpecValidateMatchesNew pins that Validate rejects exactly the
+// specs New fails on, with the same message.
+func TestSpecValidateMatchesNew(t *testing.T) {
+	for kind := Kind(0); kind <= KindAlwaysNotTaken+1; kind++ {
+		for _, bits := range []uint{0, 1, 13, 29} {
+			s := Spec{Kind: kind, IndexBits: bits}
+			_, newErr := s.New()
+			err := s.Validate()
+			if (err == nil) != (newErr == nil) || (err != nil && err.Error() != newErr.Error()) {
+				t.Errorf("%+v: Validate() = %v, New() error = %v", s, err, newErr)
+			}
+		}
+	}
+}
+
 func TestGshareLearnsBias(t *testing.T) {
 	g := DefaultGshare()
 	var stats Stats

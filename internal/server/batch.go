@@ -88,11 +88,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			return nil
 		})
 	if err != nil {
-		s.finishComputeState(sw, 0, nil, "", err)
+		s.finishComputeState(sw, nil, "", err)
 		return
 	}
 	body, err := EncodeIndented(BatchResponse{Items: items})
-	s.finishComputeState(sw, http.StatusOK, body, "", err)
+	s.finishComputeState(sw, body, "", err)
 }
 
 // badItem is a 400 outcome for one batch item.
@@ -141,22 +141,22 @@ func (s *Server) batchItem(ctx context.Context, req PredictRequest) (item BatchI
 	if err != nil {
 		return BatchItem{Status: http.StatusInternalServerError, Error: err.Error()}, nil
 	}
-	status, body, hit, err := s.cache.Do(key, func() (int, []byte, error) {
+	body, hit, err := s.cache.Do(key, func() ([]byte, error) {
 		if s.panicHook != nil {
 			s.panicHook(req.Bench)
 		}
 		if err := ctx.Err(); err != nil {
-			return 0, nil, err
+			return nil, err
 		}
 		rec, err := s.predictRecord(req, machine, ucfg, mode)
 		if err != nil {
-			return 0, nil, err
+			return nil, err
 		}
 		body, err := EncodeIndented(rec)
 		if err != nil {
-			return 0, nil, err
+			return nil, err
 		}
-		return http.StatusOK, body, nil
+		return body, nil
 	})
 	switch {
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
@@ -169,5 +169,5 @@ func (s *Server) batchItem(ctx context.Context, req PredictRequest) (item BatchI
 	if hit {
 		cache = "hit"
 	}
-	return BatchItem{Status: status, Cache: cache, Body: string(body)}, nil
+	return BatchItem{Status: http.StatusOK, Cache: cache, Body: string(body)}, nil
 }

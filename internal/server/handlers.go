@@ -197,22 +197,22 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ctx := r.Context()
-	status, body, hit, err := s.cache.Do(key, func() (int, []byte, error) {
+	body, hit, err := s.cache.Do(key, func() ([]byte, error) {
 		if err := ctx.Err(); err != nil {
-			return 0, nil, err
+			return nil, err
 		}
 		rec, err := s.predictRecord(req, machine, ucfg, mode)
 		if err != nil {
-			return 0, nil, err
+			return nil, err
 		}
 		body, err := EncodeIndented(rec)
 		if err != nil {
-			return 0, nil, err
+			return nil, err
 		}
-		return http.StatusOK, body, nil
+		return body, nil
 	})
 	s.noteRegisteredUse(req.Bench, hit)
-	s.finishCompute(sw, status, body, hit, err)
+	s.finishCompute(sw, body, hit, err)
 }
 
 // SweepResponse is the /v1/sweep body: the structured sweep points plus
@@ -271,13 +271,13 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ctx := r.Context()
-	status, body, hit, err := s.cache.Do(key, func() (int, []byte, error) {
+	body, hit, err := s.cache.Do(key, func() ([]byte, error) {
 		if s.panicHook != nil {
 			s.panicHook(spec.Param)
 		}
 		res, err := experiments.Sweep(ctx, s.suite, spec)
 		if err != nil {
-			return 0, nil, err
+			return nil, err
 		}
 		body, err := EncodeIndented(SweepResponse{
 			SweepResult: res,
@@ -285,11 +285,11 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			CSV:         res.CSV(),
 		})
 		if err != nil {
-			return 0, nil, err
+			return nil, err
 		}
-		return http.StatusOK, body, nil
+		return body, nil
 	})
-	s.finishCompute(sw, status, body, hit, err)
+	s.finishCompute(sw, body, hit, err)
 }
 
 // streamSweep is the NDJSON sweep mode: one compact SweepPoint row per
@@ -340,7 +340,7 @@ func (s *Server) streamSweep(sw *statusWriter, r *http.Request, spec experiments
 	if err != nil {
 		if !wroteRow {
 			// Nothing sent yet: fail the request with its real status.
-			s.finishCompute(sw, 0, nil, false, err)
+			s.finishCompute(sw, nil, false, err)
 			return
 		}
 		if ctx.Err() == nil {
@@ -389,7 +389,7 @@ type WorkloadsResponse struct {
 
 func (s *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
 	sw := w.(*statusWriter)
-	status, body, hit, err := s.cache.Do(WorkloadsCacheKey, func() (int, []byte, error) {
+	body, hit, err := s.cache.Do(WorkloadsCacheKey, func() ([]byte, error) {
 		infos, err := experiments.MapWorkloads(s.suite, func(wl *experiments.Workload) (WorkloadInfo, error) {
 			sum := wl.Summary
 			ki := float64(sum.Instructions) / 1000
@@ -410,13 +410,13 @@ func (s *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
 			}, nil
 		})
 		if err != nil {
-			return 0, nil, err
+			return nil, err
 		}
 		body, err := EncodeIndented(WorkloadsResponse{N: s.cfg.N, Seed: s.cfg.Seed, Workloads: infos})
 		if err != nil {
-			return 0, nil, err
+			return nil, err
 		}
-		return http.StatusOK, body, nil
+		return body, nil
 	})
-	s.finishCompute(sw, status, body, hit, err)
+	s.finishCompute(sw, body, hit, err)
 }

@@ -1,112 +1,11 @@
 package server
 
 import (
-	"container/list"
-	"sync"
-
 	"fomodel/internal/core"
 	"fomodel/internal/experiments"
 	"fomodel/internal/iw"
-	"fomodel/internal/metrics"
 	"fomodel/internal/uarch"
 )
-
-// analysisCache is the daemon's in-memory bundle cache: analysis
-// artifacts (IW points, power-law fit, stats summary) keyed by *content*
-// — the trace's generation recipe plus the machine configuration
-// projection — so any two requests that need the same analysis share one
-// computation regardless of which trace pointer they arrived with.
-// Bounded LRU with single-flight admission, following respCache: only
-// successful results are retained, failures are shared with waiters and
-// forgotten, and eviction skips in-flight entries.
-type analysisCache struct {
-	mu      sync.Mutex
-	cap     int
-	entries map[string]*analysisEntry
-	order   *list.List // front = most recently used
-
-	hits, misses metrics.Counter
-}
-
-type analysisEntry struct {
-	key  string
-	elem *list.Element
-	once sync.Once
-	// finished is set under the cache mutex after once completed;
-	// eviction skips unfinished entries.
-	finished bool
-	a        *experiments.AnalysisArtifact
-	err      error
-}
-
-func newAnalysisCache(capacity int) *analysisCache {
-	return &analysisCache{
-		cap:     capacity,
-		entries: make(map[string]*analysisEntry),
-		order:   list.New(),
-	}
-}
-
-// do returns the cached bundle for key, or runs compute once and caches
-// its result. Concurrent callers for the same key block on one
-// computation.
-func (c *analysisCache) do(key string, compute func() (*experiments.AnalysisArtifact, error)) (*experiments.AnalysisArtifact, error) {
-	c.mu.Lock()
-	e, ok := c.entries[key]
-	if ok {
-		c.order.MoveToFront(e.elem)
-		c.mu.Unlock()
-	} else {
-		e = &analysisEntry{key: key}
-		e.elem = c.order.PushFront(e)
-		c.entries[key] = e
-		c.evictLocked()
-		c.mu.Unlock()
-	}
-	joined := true
-	e.once.Do(func() {
-		joined = false
-		c.misses.Inc()
-		e.a, e.err = compute()
-		c.mu.Lock()
-		e.finished = true
-		if e.err != nil && c.entries[key] == e {
-			c.order.Remove(e.elem)
-			delete(c.entries, key)
-		}
-		c.mu.Unlock()
-	})
-	if joined && e.err == nil {
-		c.hits.Inc()
-	}
-	return e.a, e.err
-}
-
-// evictLocked trims toward capacity, least recently used first, skipping
-// in-flight entries.
-func (c *analysisCache) evictLocked() {
-	for elem := c.order.Back(); elem != nil && len(c.entries) > c.cap; {
-		prev := elem.Prev()
-		e := elem.Value.(*analysisEntry)
-		if e.finished {
-			c.order.Remove(elem)
-			delete(c.entries, e.key)
-		}
-		elem = prev
-	}
-}
-
-// Len returns the number of cached entries (including in-flight ones).
-func (c *analysisCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
-// Stats returns the hit and miss counts.
-func (c *analysisCache) Stats() (hits, misses int64) {
-	return c.hits.Load(), c.misses.Load()
-}
 
 // predictRecord is the daemon's predict pipeline. The analysis bundle is
 // resolved by content, cheapest source first: the in-memory analysis
@@ -124,7 +23,7 @@ func (s *Server) predictRecord(req PredictRequest, machine core.Machine, ucfg ua
 		return PredictRecord{}, err
 	}
 	key := experiments.AnalysisKey(rw.contentID, iw.DefaultWindows(), scfg)
-	an, err := s.analysis.do(key, func() (*experiments.AnalysisArtifact, error) {
+	an, _, err := s.analysis.Do(key, func() (*experiments.AnalysisArtifact, error) {
 		if a, ok := experiments.LookupAnalysis(s.cfg.Store, rw.contentID, req.N, iw.DefaultWindows(), scfg); ok {
 			return a, nil
 		}

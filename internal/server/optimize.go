@@ -96,19 +96,19 @@ func (s *Server) optimizeEval(spec optimize.Spec) optimize.EvalFunc {
 		if err := ucfg.Validate(); err != nil {
 			return 0, err
 		}
-		_, body, hit, err := s.cache.Do(key, func() (int, []byte, error) {
+		body, hit, err := s.cache.Do(key, func() ([]byte, error) {
 			if err := ctx.Err(); err != nil {
-				return 0, nil, err
+				return nil, err
 			}
 			rec, err := s.predictRecord(req, machine, ucfg, core.BranchMidpoint)
 			if err != nil {
-				return 0, nil, err
+				return nil, err
 			}
 			b, err := EncodeIndented(rec)
 			if err != nil {
-				return 0, nil, err
+				return nil, err
 			}
-			return http.StatusOK, b, nil
+			return b, nil
 		})
 		if err != nil {
 			return 0, err
@@ -187,19 +187,19 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := optimizeDeadline(r.Context(), spec)
 	defer cancel()
-	status, body, hit, err := s.cache.Do(key, func() (int, []byte, error) {
+	body, hit, err := s.cache.Do(key, func() ([]byte, error) {
 		if s.panicHook != nil {
 			s.panicHook(spec.Title)
 		}
 		res, err := s.Optimize(ctx, spec, nil)
 		if err != nil {
-			return 0, nil, err
+			return nil, err
 		}
 		body, err := EncodeIndented(OptimizeResponse{Result: res, Render: res.Render(), CSV: res.CSV()})
 		if err != nil {
-			return 0, nil, err
+			return nil, err
 		}
-		return http.StatusOK, body, nil
+		return body, nil
 	})
 	// The spec's own deadline expiring is the client's doing, not the
 	// server's computation limit: report it precisely.
@@ -208,7 +208,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 			"search exceeded the spec's %dms deadline", spec.DeadlineMS)
 		return
 	}
-	s.finishCompute(sw, status, body, hit, err)
+	s.finishCompute(sw, body, hit, err)
 }
 
 // streamOptimize is the NDJSON optimize mode: one compact Point row per
@@ -262,7 +262,7 @@ func (s *Server) streamOptimize(sw *statusWriter, r *http.Request, spec optimize
 					"search exceeded the spec's %dms deadline", spec.DeadlineMS)
 				return
 			}
-			s.finishCompute(sw, 0, nil, false, err)
+			s.finishCompute(sw, nil, false, err)
 			return
 		}
 		if r.Context().Err() == nil {

@@ -104,7 +104,7 @@ func (s *Server) handleWorkloadRegister(w http.ResponseWriter, r *http.Request) 
 	// backstop, not the primary staleness defense.
 	s.suite.Forget(name)
 	body, err := EncodeIndented(registrationBody(e))
-	s.finishComputeState(w.(*statusWriter), http.StatusOK, body, "", err)
+	s.finishComputeState(w.(*statusWriter), body, "", err)
 }
 
 func (s *Server) handleWorkloadGet(w http.ResponseWriter, r *http.Request) {
@@ -115,7 +115,7 @@ func (s *Server) handleWorkloadGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	body, err := EncodeIndented(registrationBody(e))
-	s.finishComputeState(w.(*statusWriter), http.StatusOK, body, "", err)
+	s.finishComputeState(w.(*statusWriter), body, "", err)
 }
 
 func (s *Server) handleWorkloadDelete(w http.ResponseWriter, r *http.Request) {
@@ -131,7 +131,7 @@ func (s *Server) handleWorkloadDelete(w http.ResponseWriter, r *http.Request) {
 	}
 	s.suite.Forget(name)
 	body, err := EncodeIndented(WorkloadDeletion{Name: name, Deleted: true})
-	s.finishComputeState(w.(*statusWriter), http.StatusOK, body, "", err)
+	s.finishComputeState(w.(*statusWriter), body, "", err)
 }
 
 // knownWorkload reports whether bench is acceptable wherever a

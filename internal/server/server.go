@@ -1,7 +1,6 @@
 package server
 
 import (
-	"container/list"
 	"context"
 	"encoding/json"
 	"errors"
@@ -19,6 +18,7 @@ import (
 
 	"fomodel/internal/artifact"
 	"fomodel/internal/experiments"
+	"fomodel/internal/flight"
 	"fomodel/internal/metrics"
 	"fomodel/internal/registry"
 	"fomodel/internal/trace"
@@ -91,13 +91,27 @@ const statusCodeClientGone = 499
 
 // Server is the fomodeld daemon: HTTP handlers plus the shared state
 // they serve from (the experiment suite with its workload and prep
-// caches, the response cache, and the metrics counters).
+// caches, the response, analysis and trace caches, and the metrics
+// counters).
 type Server struct {
 	cfg   Config
 	log   *slog.Logger
 	suite *experiments.Suite
-	cache *respCache
 	start time.Time
+
+	// cache is the canonical-request response cache: finished response
+	// bodies keyed by the canonicalized request. A response hit skips
+	// everything; a miss still reuses the analysis, trace and prep
+	// caches underneath.
+	cache *flight.Cache[string, []byte]
+	// analysis holds the in-memory analysis bundles keyed by content:
+	// the trace's generation recipe plus the machine configuration
+	// projection.
+	analysis *flight.Cache[string, *experiments.AnalysisArtifact]
+	// traces holds the non-default traces, keyed by content ID (recipe
+	// for built-ins, profile content hash + recipe for registered
+	// workloads). Evicting a trace releases its prep-cache entries.
+	traces *flight.Cache[string, *trace.Trace]
 
 	inflight metrics.Gauge
 	shed     metrics.Counter
@@ -112,16 +126,6 @@ type Server struct {
 
 	reqMu    sync.Mutex
 	requests map[requestKey]*metrics.Counter
-
-	// traces is the bounded LRU of non-default traces, keyed by content
-	// ID (recipe for built-ins, profile content hash + recipe for
-	// registered workloads); analysis holds the in-memory analysis
-	// bundles keyed by content.
-	traceMu        sync.Mutex
-	traces         map[string]*traceEntry
-	traceOrder     *list.List // front = most recently used
-	traceEvictions metrics.Counter
-	analysis       *analysisCache
 
 	// Per-registered-workload request/hit accounting, keyed by workload
 	// name; populated only for names present in the registry, so the
@@ -153,17 +157,6 @@ type requestKey struct {
 	code int
 }
 
-type traceEntry struct {
-	key  string // content ID
-	elem *list.Element
-	once sync.Once
-	// finished is set under traceMu after once completed; eviction skips
-	// unfinished entries so a waiter is never detached from its entry.
-	finished bool
-	t        *trace.Trace
-	err      error
-}
-
 // New builds a server. A nil logger discards logs.
 func New(cfg Config, log *slog.Logger) *Server {
 	cfg = cfg.withDefaults()
@@ -178,17 +171,20 @@ func New(cfg Config, log *slog.Logger) *Server {
 	}
 	suite.Lookup = cfg.Registry.Snapshot
 	return &Server{
-		cfg:         cfg,
-		log:         log,
-		suite:       suite,
-		cache:       newRespCache(cfg.CacheEntries),
-		start:       time.Now(),
+		cfg:      cfg,
+		log:      log,
+		suite:    suite,
+		start:    time.Now(),
+		cache:    flight.New[string, []byte](cfg.CacheEntries, nil),
+		analysis: flight.New[string, *experiments.AnalysisArtifact](cfg.AnalysisCacheEntries, nil),
+		// The evicted trace is about to become unreachable, so the prep
+		// entries keyed to it could never be hit again.
+		traces: flight.New(cfg.TraceCacheEntries, func(_ string, t *trace.Trace) {
+			suite.Preps().Forget(t)
+		}),
 		latency:     metrics.NewHistogram(metrics.DefaultLatencyBounds()...),
 		slots:       make(chan struct{}, cfg.MaxInflight),
 		requests:    make(map[requestKey]*metrics.Counter),
-		traces:      make(map[string]*traceEntry),
-		traceOrder:  list.New(),
-		analysis:    newAnalysisCache(cfg.AnalysisCacheEntries),
 		regRequests: make(map[string]*metrics.Counter),
 		regHits:     make(map[string]*metrics.Counter),
 	}
@@ -379,22 +375,21 @@ func (s *Server) writeError(w http.ResponseWriter, code int, format string, args
 	w.Write(append(body, '\n'))
 }
 
-// finishCompute maps a computation outcome onto the response: 200 bodies
-// are written as-is, context errors become 499 (client gone, nothing
-// written) or 503 (deadline), and other failures pass through with their
-// computed status.
-func (s *Server) finishCompute(w *statusWriter, status int, body []byte, hit bool, err error) {
+// finishCompute maps a computation outcome onto the response: a body is
+// written as-is with 200, context errors become 499 (client gone,
+// nothing written) or 503 (deadline), and other failures become 500.
+func (s *Server) finishCompute(w *statusWriter, body []byte, hit bool, err error) {
 	cacheState := "miss"
 	if hit {
 		cacheState = "hit"
 	}
-	s.finishComputeState(w, status, body, cacheState, err)
+	s.finishComputeState(w, body, cacheState, err)
 }
 
 // finishComputeState is finishCompute with an explicit cache state; an
 // empty state omits the X-Cache header (batch responses report cache
 // participation per item instead).
-func (s *Server) finishComputeState(w *statusWriter, status int, body []byte, cacheState string, err error) {
+func (s *Server) finishComputeState(w *statusWriter, body []byte, cacheState string, err error) {
 	switch {
 	case errors.Is(err, context.Canceled):
 		// The client disconnected; there is no one to write to. Record
@@ -410,7 +405,7 @@ func (s *Server) finishComputeState(w *statusWriter, status int, body []byte, ca
 			w.Header().Set("X-Cache", cacheState)
 		}
 		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(status)
+		w.WriteHeader(http.StatusOK)
 		//folint:allow(errdrop) response-body write: the client may already be gone, and there is no fallback channel
 		w.Write(body)
 	}
@@ -466,64 +461,13 @@ func (s *Server) traceFor(rw resolvedWorkload) (*trace.Trace, error) {
 		}
 		return w.Trace, nil
 	}
-	k := rw.contentID
-	s.traceMu.Lock()
-	e, ok := s.traces[k]
-	if ok {
-		s.traceOrder.MoveToFront(e.elem)
-	} else {
-		e = &traceEntry{key: k}
-		e.elem = s.traceOrder.PushFront(e)
-		s.traces[k] = e
-		s.evictTracesLocked()
-	}
-	s.traceMu.Unlock()
-	e.once.Do(func() {
+	t, _, err := s.traces.Do(rw.contentID, func() (*trace.Trace, error) {
 		if rw.prof != nil {
-			e.t, e.err = experiments.LoadOrGenerateProfileTrace(s.cfg.Store, *rw.prof, rw.n, rw.seed)
-		} else {
-			e.t, e.err = experiments.LoadOrGenerateTrace(s.cfg.Store, rw.bench, rw.n, rw.seed)
+			return experiments.LoadOrGenerateProfileTrace(s.cfg.Store, *rw.prof, rw.n, rw.seed)
 		}
-		s.traceMu.Lock()
-		e.finished = true
-		if e.err != nil && s.traces[k] == e {
-			// Failed loads leave the cache immediately so they cannot
-			// occupy capacity; waiters already joined on once share the
-			// error regardless.
-			s.traceOrder.Remove(e.elem)
-			delete(s.traces, k)
-		}
-		s.traceMu.Unlock()
+		return experiments.LoadOrGenerateTrace(s.cfg.Store, rw.bench, rw.n, rw.seed)
 	})
-	return e.t, e.err
-}
-
-// evictTracesLocked trims the trace cache toward capacity, least
-// recently used first, skipping in-flight entries (a waiter may be
-// blocked on them). Each evicted trace releases its prep-cache entries:
-// the trace is about to become unreachable, so preps keyed to it could
-// never be hit again.
-func (s *Server) evictTracesLocked() {
-	for elem := s.traceOrder.Back(); elem != nil && len(s.traces) > s.cfg.TraceCacheEntries; {
-		prev := elem.Prev()
-		e := elem.Value.(*traceEntry)
-		if e.finished {
-			s.traceOrder.Remove(elem)
-			delete(s.traces, e.key)
-			s.traceEvictions.Inc()
-			if e.t != nil {
-				s.suite.Preps().Forget(e.t)
-			}
-		}
-		elem = prev
-	}
-}
-
-// traceCacheLen reports the dedicated trace cache's current size.
-func (s *Server) traceCacheLen() int {
-	s.traceMu.Lock()
-	defer s.traceMu.Unlock()
-	return len(s.traces)
+	return t, err
 }
 
 // healthzResponse is the /healthz body.
@@ -582,6 +526,26 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// writeCacheMetrics renders one flight cache's hit, miss, eviction and
+// entry series as fomodeld_<name>_*; what names the cached things in
+// the HELP text.
+func writeCacheMetrics[K comparable, V any](w io.Writer, name, what string, c *flight.Cache[K, V]) {
+	hits, misses, evictions := c.Stats()
+	for _, m := range []struct {
+		suffix, typ, help string
+		v                 int64
+	}{
+		{"hits_total", "counter", "served from the cache, joins of a successful in-flight computation included.", hits},
+		{"misses_total", "counter", "computed or loaded from the store because the cache had no entry.", misses},
+		{"evictions_total", "counter", "evicted by the cache's LRU bound.", evictions},
+		{"entries", "gauge", "currently cached, in-flight computations included.", int64(c.Len())},
+	} {
+		fmt.Fprintf(w, "# HELP fomodeld_%s_%s %s %s\n", name, m.suffix, what, m.help)
+		fmt.Fprintf(w, "# TYPE fomodeld_%s_%s %s\n", name, m.suffix, m.typ)
+		fmt.Fprintf(w, "fomodeld_%s_%s %d\n", name, m.suffix, m.v)
+	}
+}
+
 // handleMetrics renders every counter in the Prometheus text exposition
 // format. The prep-cache and suite counters are the very same
 // metrics.Counter values the CLI's -timing flag prints — one counter
@@ -620,46 +584,24 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# TYPE fomodeld_requests_shed_total counter\n")
 	fmt.Fprintf(w, "fomodeld_requests_shed_total %d\n", s.shed.Load())
 
-	cacheHits, cacheMisses := s.cache.Stats()
-	fmt.Fprintf(w, "# HELP fomodeld_response_cache_hits_total Responses served from the canonical-request cache.\n")
-	fmt.Fprintf(w, "# TYPE fomodeld_response_cache_hits_total counter\n")
-	fmt.Fprintf(w, "fomodeld_response_cache_hits_total %d\n", cacheHits)
-	fmt.Fprintf(w, "# HELP fomodeld_response_cache_misses_total Responses computed because the cache had no entry.\n")
-	fmt.Fprintf(w, "# TYPE fomodeld_response_cache_misses_total counter\n")
-	fmt.Fprintf(w, "fomodeld_response_cache_misses_total %d\n", cacheMisses)
-	fmt.Fprintf(w, "# HELP fomodeld_response_cache_entries Entries currently cached.\n")
-	fmt.Fprintf(w, "# TYPE fomodeld_response_cache_entries gauge\n")
-	fmt.Fprintf(w, "fomodeld_response_cache_entries %d\n", s.cache.Len())
+	writeCacheMetrics(w, "response_cache", "Responses", s.cache)
+	writeCacheMetrics(w, "analysis_cache", "Predict analyses", s.analysis)
+	writeCacheMetrics(w, "trace_cache", "Non-default traces", s.traces)
 
-	prepHits, prepMisses := s.suite.Preps().Counters()
+	prepHits, prepMisses := s.suite.Preps().Stats()
 	fmt.Fprintf(w, "# HELP fomodeld_prep_cache_reuses_total Simulator runs that reused a cached classification pass.\n")
 	fmt.Fprintf(w, "# TYPE fomodeld_prep_cache_reuses_total counter\n")
-	fmt.Fprintf(w, "fomodeld_prep_cache_reuses_total %d\n", prepHits.Load())
+	fmt.Fprintf(w, "fomodeld_prep_cache_reuses_total %d\n", prepHits)
 	fmt.Fprintf(w, "# HELP fomodeld_prep_cache_passes_total Classification passes computed.\n")
 	fmt.Fprintf(w, "# TYPE fomodeld_prep_cache_passes_total counter\n")
-	fmt.Fprintf(w, "fomodeld_prep_cache_passes_total %d\n", prepMisses.Load())
+	fmt.Fprintf(w, "fomodeld_prep_cache_passes_total %d\n", prepMisses)
 	fmt.Fprintf(w, "# HELP fomodeld_prep_cache_evictions_total Prep-cache entries evicted by the LRU bound or trace eviction.\n")
 	fmt.Fprintf(w, "# TYPE fomodeld_prep_cache_evictions_total counter\n")
-	fmt.Fprintf(w, "fomodeld_prep_cache_evictions_total %d\n", s.suite.Preps().Evictions().Load())
+	fmt.Fprintf(w, "fomodeld_prep_cache_evictions_total %d\n", s.suite.Preps().Evictions())
 	prepEntries, prodEntries := s.suite.Preps().Len()
-	fmt.Fprintf(w, "# HELP fomodeld_prep_cache_entries Classification passes currently cached.\n")
+	fmt.Fprintf(w, "# HELP fomodeld_prep_cache_entries Classification passes and producer-link sets currently cached.\n")
 	fmt.Fprintf(w, "# TYPE fomodeld_prep_cache_entries gauge\n")
 	fmt.Fprintf(w, "fomodeld_prep_cache_entries %d\n", prepEntries+prodEntries)
-
-	fmt.Fprintf(w, "# HELP fomodeld_trace_cache_entries Non-default traces currently cached.\n")
-	fmt.Fprintf(w, "# TYPE fomodeld_trace_cache_entries gauge\n")
-	fmt.Fprintf(w, "fomodeld_trace_cache_entries %d\n", s.traceCacheLen())
-	fmt.Fprintf(w, "# HELP fomodeld_trace_cache_evictions_total Traces evicted from the bounded trace cache.\n")
-	fmt.Fprintf(w, "# TYPE fomodeld_trace_cache_evictions_total counter\n")
-	fmt.Fprintf(w, "fomodeld_trace_cache_evictions_total %d\n", s.traceEvictions.Load())
-
-	anHits, anMisses := s.analysis.Stats()
-	fmt.Fprintf(w, "# HELP fomodeld_analysis_cache_hits_total Predict analyses served from the in-memory content-keyed cache.\n")
-	fmt.Fprintf(w, "# TYPE fomodeld_analysis_cache_hits_total counter\n")
-	fmt.Fprintf(w, "fomodeld_analysis_cache_hits_total %d\n", anHits)
-	fmt.Fprintf(w, "# HELP fomodeld_analysis_cache_misses_total Predict analyses computed or loaded from the store.\n")
-	fmt.Fprintf(w, "# TYPE fomodeld_analysis_cache_misses_total counter\n")
-	fmt.Fprintf(w, "fomodeld_analysis_cache_misses_total %d\n", anMisses)
 
 	fmt.Fprintf(w, "# HELP fomodeld_optimize_evaluations_total Model evaluations (candidate x workload) run by design-space searches.\n")
 	fmt.Fprintf(w, "# TYPE fomodeld_optimize_evaluations_total counter\n")

@@ -124,7 +124,7 @@ func TestPredictCache(t *testing.T) {
 	if got := first.Header().Get("X-Cache"); got != "miss" {
 		t.Errorf("first request X-Cache = %q, want miss", got)
 	}
-	if hits, misses := s.cache.Stats(); hits != 0 || misses != 1 {
+	if hits, misses, _ := s.cache.Stats(); hits != 0 || misses != 1 {
 		t.Errorf("after first request: hits=%d misses=%d, want 0/1", hits, misses)
 	}
 
@@ -135,7 +135,7 @@ func TestPredictCache(t *testing.T) {
 	if got := second.Header().Get("X-Cache"); got != "hit" {
 		t.Errorf("second request X-Cache = %q, want hit", got)
 	}
-	if hits, misses := s.cache.Stats(); hits != 1 || misses != 1 {
+	if hits, misses, _ := s.cache.Stats(); hits != 1 || misses != 1 {
 		t.Errorf("after second request: hits=%d misses=%d, want 1/1", hits, misses)
 	}
 	if first.Body.String() != second.Body.String() {
@@ -289,7 +289,7 @@ func TestConcurrentIdenticalPredicts(t *testing.T) {
 			t.Errorf("client %d received a different body", i)
 		}
 	}
-	if hits, misses := s.cache.Stats(); misses != 1 || hits != clients-1 {
+	if hits, misses, _ := s.cache.Stats(); misses != 1 || hits != clients-1 {
 		t.Errorf("cache hits=%d misses=%d, want %d/1", hits, misses, clients-1)
 	}
 }
@@ -370,6 +370,14 @@ func TestMetricsExpositionParses(t *testing.T) {
 	metricstest.Check(t, body)
 	if !strings.Contains(body, "\nfomodeld_prep_cache_evictions_total 0\n") {
 		t.Errorf("/metrics lacks a numeric prep-cache eviction count:\n%s", body)
+	}
+	// Every flight-backed cache layer exposes the same four series.
+	for _, layer := range []string{"response_cache", "analysis_cache", "trace_cache"} {
+		for _, series := range []string{"hits_total", "misses_total", "evictions_total", "entries"} {
+			if name := "fomodeld_" + layer + "_" + series; !strings.Contains(body, "\n"+name+" ") {
+				t.Errorf("/metrics lacks %s", name)
+			}
+		}
 	}
 }
 

@@ -132,7 +132,7 @@ func TestTraceCacheBounded(t *testing.T) {
 		if rec.Code != http.StatusOK {
 			t.Fatalf("seed %d: status %d: %s", seed, rec.Code, rec.Body.String())
 		}
-		if got := s.traceCacheLen(); got > 4 {
+		if got := s.traces.Len(); got > 4 {
 			t.Fatalf("seed %d: trace cache grew to %d entries (cap 4)", seed, got)
 		}
 		if preps, prods := s.suite.Preps().Len(); preps > 5 || prods > 5 {
@@ -140,7 +140,7 @@ func TestTraceCacheBounded(t *testing.T) {
 				seed, preps, prods)
 		}
 	}
-	if s.traceEvictions.Load() == 0 {
+	if _, _, evictions := s.traces.Stats(); evictions == 0 {
 		t.Error("20-seed sweep through a 4-entry cache evicted nothing")
 	}
 	// The sweep's analyses are content-keyed and bounded too.

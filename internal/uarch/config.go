@@ -151,6 +151,11 @@ func (c Config) Validate() error {
 	if c.PredictorBits == 0 || c.PredictorBits > 28 {
 		return fmt.Errorf("uarch: predictor bits %d out of range [1,28]", c.PredictorBits)
 	}
+	if c.Predictor != nil {
+		if err := c.Predictor.Validate(); err != nil {
+			return err
+		}
+	}
 	for cl, n := range c.FUCounts {
 		if n < 0 {
 			return fmt.Errorf("uarch: negative FU count %d for %v", n, isa.Class(cl))

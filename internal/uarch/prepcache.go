@@ -1,14 +1,13 @@
 package uarch
 
 import (
-	"container/list"
 	"encoding/binary"
 	"fmt"
-	"sync"
+	"sync/atomic"
 
 	"fomodel/internal/artifact"
 	"fomodel/internal/cache"
-	"fomodel/internal/metrics"
+	"fomodel/internal/flight"
 	"fomodel/internal/predictor"
 	"fomodel/internal/trace"
 )
@@ -96,31 +95,6 @@ type prepsKey struct {
 	key classKey
 }
 
-// prepsEntry is one single-flight cache slot: the first caller classifies
-// inside once, every later or concurrent caller blocks on it and shares
-// the outcome. Errors are cached too — classification is deterministic,
-// so retrying cannot change the result.
-type prepsEntry struct {
-	key  prepsKey
-	elem *list.Element
-	once sync.Once
-	// finished is set under the cache mutex after once completed;
-	// eviction only considers finished entries, so a caller blocked on
-	// the computation can never be detached from it.
-	finished bool
-	preps    []prep
-	err      error
-}
-
-// prodEntry single-flights the per-trace producer-link computation.
-type prodEntry struct {
-	id       traceID
-	elem     *list.Element
-	once     sync.Once
-	finished bool
-	prod     []trace.Producer
-}
-
 // Default entry bounds. Entries are large — a preps slice holds one
 // record per dynamic instruction — so the bounds are what keep a client
 // sweeping seeds (each sweep step a fresh content key) from growing the
@@ -142,8 +116,8 @@ const (
 //
 // Entries are keyed by trace *content* (trace.Trace.ContentID) when the
 // trace carries it, falling back to pointer identity for anonymous
-// traces, and both maps are bounded LRUs: a workload population of
-// unbounded size (seed sweeps, per-user workloads) recycles slots
+// traces, and both maps are bounded flight LRUs: a workload population
+// of unbounded size (seed sweeps, per-user workloads) recycles slots
 // instead of growing without bound. With a Store attached, evicted or
 // never-computed classifications are served from disk when a valid
 // artifact exists, and fresh computations are written back — that is
@@ -158,52 +132,23 @@ const (
 //
 // A nil *PrepCache is valid and simply disables caching.
 type PrepCache struct {
-	mu        sync.Mutex
-	preps     map[prepsKey]*prepsEntry
-	prods     map[traceID]*prodEntry
-	prepOrder *list.List // front = most recently used
-	prodOrder *list.List
-	maxPreps  int
-	maxProds  int
-	store     *artifact.Store
-
-	// hits and misses use the shared metrics counter type so the CLI's
-	// -timing report and the daemon's /metrics endpoint read the same
-	// source (see Counters). A request served from the artifact store
-	// counts as a miss for these (no in-memory entry existed) and as a
-	// hit in the store's own counters.
-	hits, misses metrics.Counter
-	evictions    metrics.Counter
+	preps *flight.Cache[prepsKey, []prep]
+	prods *flight.Cache[traceID, []trace.Producer]
+	store atomic.Pointer[artifact.Store]
 }
 
 // NewPrepCache returns an empty cache with the default entry bounds.
 func NewPrepCache() *PrepCache {
-	return &PrepCache{
-		preps:     make(map[prepsKey]*prepsEntry),
-		prods:     make(map[traceID]*prodEntry),
-		prepOrder: list.New(),
-		prodOrder: list.New(),
-		maxPreps:  defaultMaxPreps,
-		maxProds:  defaultMaxProds,
-	}
+	return newPrepCache(defaultMaxPreps, defaultMaxProds)
 }
 
-// SetLimits bounds the two entry maps (preps, producer links).
-// Non-positive values keep the current bound. Safe to call at any time;
-// shrinking evicts immediately.
-func (pc *PrepCache) SetLimits(maxPreps, maxProds int) {
-	if pc == nil {
-		return
+// newPrepCache returns an empty cache holding at most maxPreps
+// classifications and maxProds producer-link sets.
+func newPrepCache(maxPreps, maxProds int) *PrepCache {
+	return &PrepCache{
+		preps: flight.New[prepsKey, []prep](maxPreps, nil),
+		prods: flight.New[traceID, []trace.Producer](maxProds, nil),
 	}
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	if maxPreps > 0 {
-		pc.maxPreps = maxPreps
-	}
-	if maxProds > 0 {
-		pc.maxProds = maxProds
-	}
-	pc.evictLocked()
 }
 
 // SetStore attaches the persistent artifact store: classifications and
@@ -214,14 +159,16 @@ func (pc *PrepCache) SetStore(s *artifact.Store) {
 	if pc == nil {
 		return
 	}
-	pc.mu.Lock()
-	pc.store = s
-	pc.mu.Unlock()
+	pc.store.Store(s)
 }
 
 // Simulate is Simulate with the preparation work served from the cache.
 // It returns results identical to the package-level Simulate for every
 // (trace, config) pair.
+//
+// Config errors are rejected here, before the cache is consulted, so a
+// classification can fail only by panicking; like every flight cache,
+// the prep cache shares a failure with its waiters and then forgets it.
 func (pc *PrepCache) Simulate(t *trace.Trace, cfg Config) (*Result, error) {
 	if pc == nil {
 		return Simulate(t, cfg)
@@ -232,41 +179,21 @@ func (pc *PrepCache) Simulate(t *trace.Trace, cfg Config) (*Result, error) {
 	if t.Len() == 0 {
 		return nil, fmt.Errorf("uarch: empty trace %q", t.Name)
 	}
-	preps, err := pc.classified(t, cfg)
+	store := pc.store.Load()
+	k := prepsKey{id: idOf(t), key: classificationKey(cfg)}
+	preps, _, err := pc.preps.Do(k, func() ([]prep, error) {
+		return loadOrClassify(store, t, cfg, k.key)
+	})
 	if err != nil {
 		return nil, err
 	}
-	return run(t, cfg, preps, pc.producers(t))
-}
-
-// classified returns the cached classification of (t, cfg), computing it
-// (or loading it from the artifact store) on first use.
-func (pc *PrepCache) classified(t *trace.Trace, cfg Config) ([]prep, error) {
-	k := prepsKey{id: idOf(t), key: classificationKey(cfg)}
-	pc.mu.Lock()
-	e, ok := pc.preps[k]
-	if ok {
-		pc.prepOrder.MoveToFront(e.elem)
-	} else {
-		e = &prepsEntry{key: k}
-		e.elem = pc.prepOrder.PushFront(e)
-		pc.preps[k] = e
-		pc.evictLocked()
-	}
-	store := pc.store
-	pc.mu.Unlock()
-	if ok {
-		pc.hits.Inc()
-	} else {
-		pc.misses.Inc()
-	}
-	e.once.Do(func() {
-		e.preps, e.err = loadOrClassify(store, t, cfg, k.key)
-		pc.mu.Lock()
-		e.finished = true
-		pc.mu.Unlock()
+	prod, _, err := pc.prods.Do(k.id, func() ([]trace.Producer, error) {
+		return loadOrComputeProducers(store, t), nil
 	})
-	return e.preps, e.err
+	if err != nil {
+		return nil, err
+	}
+	return run(t, cfg, preps, prod)
 }
 
 // loadOrClassify serves the classification from the artifact store when
@@ -291,31 +218,6 @@ func loadOrClassify(store *artifact.Store, t *trace.Trace, cfg Config, k classKe
 	return preps, err
 }
 
-// producers returns the cached producer links of t, computing them on
-// first use.
-func (pc *PrepCache) producers(t *trace.Trace) []trace.Producer {
-	id := idOf(t)
-	pc.mu.Lock()
-	e, ok := pc.prods[id]
-	if ok {
-		pc.prodOrder.MoveToFront(e.elem)
-	} else {
-		e = &prodEntry{id: id}
-		e.elem = pc.prodOrder.PushFront(e)
-		pc.prods[id] = e
-		pc.evictLocked()
-	}
-	store := pc.store
-	pc.mu.Unlock()
-	e.once.Do(func() {
-		e.prod = loadOrComputeProducers(store, t)
-		pc.mu.Lock()
-		e.finished = true
-		pc.mu.Unlock()
-	})
-	return e.prod
-}
-
 func loadOrComputeProducers(store *artifact.Store, t *trace.Trace) []trace.Producer {
 	if store != nil && t.ContentID != "" {
 		if b, ok := store.Get("prods", t.ContentID); ok {
@@ -331,58 +233,20 @@ func loadOrComputeProducers(store *artifact.Store, t *trace.Trace) []trace.Produ
 	return prod
 }
 
-// evictLocked trims both maps toward their bounds, least-recently-used
-// first, skipping entries whose computation is still in flight: those
-// may have callers blocked on them, and every entry must stay reachable
-// until its fate is decided. An in-flight overshoot is bounded by the
-// number of concurrent computations.
-func (pc *PrepCache) evictLocked() {
-	for elem := pc.prepOrder.Back(); elem != nil && len(pc.preps) > pc.maxPreps; {
-		prev := elem.Prev()
-		e := elem.Value.(*prepsEntry)
-		if e.finished {
-			pc.prepOrder.Remove(elem)
-			delete(pc.preps, e.key)
-			pc.evictions.Inc()
-		}
-		elem = prev
-	}
-	for elem := pc.prodOrder.Back(); elem != nil && len(pc.prods) > pc.maxProds; {
-		prev := elem.Prev()
-		e := elem.Value.(*prodEntry)
-		if e.finished {
-			pc.prodOrder.Remove(elem)
-			delete(pc.prods, e.id)
-			pc.evictions.Inc()
-		}
-		elem = prev
-	}
-}
-
 // Forget drops every cached entry derived from t — its producer links
-// and all classifications, for any config. Callers that evict a trace
-// from their own cache (the daemon's bounded trace cache) use it to
-// release the prep entries that trace populated; with a store attached,
-// the artifacts remain on disk, so a later request for the same content
-// re-warms cheaply instead of recomputing.
+// and all classifications, for any config — and counts them as
+// evictions. Callers that evict a trace from their own cache (the
+// daemon's bounded trace cache) use it to release the prep entries that
+// trace populated; with a store attached, the artifacts remain on disk,
+// so a later request for the same content re-warms cheaply instead of
+// recomputing.
 func (pc *PrepCache) Forget(t *trace.Trace) {
 	if pc == nil || t == nil {
 		return
 	}
 	id := idOf(t)
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	if e, ok := pc.prods[id]; ok && e.finished {
-		pc.prodOrder.Remove(e.elem)
-		delete(pc.prods, id)
-	}
-	//folint:allow(detrand) conditional delete of matching entries; which order they go in is unobservable
-	for k, e := range pc.preps {
-		if k.id == id && e.finished {
-			pc.prepOrder.Remove(e.elem)
-			delete(pc.preps, k)
-		}
-	}
+	pc.prods.DeleteFunc(func(k traceID, _ []trace.Producer) bool { return k == id })
+	pc.preps.DeleteFunc(func(k prepsKey, _ []prep) bool { return k.id == id })
 }
 
 // Len reports the current entry counts of the two maps (including
@@ -391,39 +255,33 @@ func (pc *PrepCache) Len() (preps, prods int) {
 	if pc == nil {
 		return 0, 0
 	}
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	return len(pc.preps), len(pc.prods)
+	return pc.preps.Len(), pc.prods.Len()
 }
 
 // Stats reports how many classification requests were served from the
 // cache (hits) versus computed or loaded from the store (misses). A
 // request that joins an in-flight computation counts as a hit: it
-// performed no work of its own. Safe for concurrent use; zero on a nil
-// cache.
+// performed no work of its own. A request served from the artifact
+// store counts as a miss here and as a hit in the store's own counters.
+// Safe for concurrent use; zero on a nil cache.
 func (pc *PrepCache) Stats() (hits, misses int64) {
 	if pc == nil {
 		return 0, 0
 	}
-	return pc.hits.Load(), pc.misses.Load()
+	hits, misses, _ = pc.preps.Stats()
+	return hits, misses
 }
 
-// Counters exposes the live hit/miss counters themselves (not copies),
-// so a metrics exporter can register them once and always report the
-// same values Stats prints. Nil on a nil cache.
-func (pc *PrepCache) Counters() (hits, misses *metrics.Counter) {
+// Evictions reports how many entries, classifications and producer-link
+// sets together, the cache has dropped by its LRU bounds or by Forget.
+// Zero on a nil cache.
+func (pc *PrepCache) Evictions() int64 {
 	if pc == nil {
-		return nil, nil
+		return 0
 	}
-	return &pc.hits, &pc.misses
-}
-
-// Evictions exposes the live eviction counter; nil on a nil cache.
-func (pc *PrepCache) Evictions() *metrics.Counter {
-	if pc == nil {
-		return nil
-	}
-	return &pc.evictions
+	_, _, preps := pc.preps.Stats()
+	_, _, prods := pc.prods.Stats()
+	return preps + prods
 }
 
 // Packed preps format (artifact payloads): magic, count, then one byte

@@ -310,8 +310,7 @@ func TestPrepCacheContentKeySharing(t *testing.T) {
 // TestPrepCacheBounded sweeps many distinct contents through a small
 // cache and checks both maps respect their LRU bounds.
 func TestPrepCacheBounded(t *testing.T) {
-	pc := NewPrepCache()
-	pc.SetLimits(4, 3)
+	pc := newPrepCache(4, 3)
 	cfg := DefaultConfig()
 	for seed := uint64(1); seed <= 12; seed++ {
 		tr, err := workload.Generate("gzip", 1500, seed)
@@ -326,13 +325,9 @@ func TestPrepCacheBounded(t *testing.T) {
 			t.Fatalf("seed %d: cache grew past its bounds (%d preps, %d prods)", seed, preps, prods)
 		}
 	}
-	if pc.Evictions().Load() == 0 {
-		t.Error("sweep over 12 contents evicted nothing")
-	}
-	// Shrinking the limits evicts immediately.
-	pc.SetLimits(1, 1)
-	if preps, prods := pc.Len(); preps != 1 || prods != 1 {
-		t.Errorf("after shrink: %d preps, %d prods entries; want 1 and 1", preps, prods)
+	// 12 contents through bounds of 4 and 3 evict 8 and 9 entries.
+	if got := pc.Evictions(); got != 17 {
+		t.Errorf("evictions = %d after the sweep, want 17", got)
 	}
 }
 
@@ -373,6 +368,52 @@ func TestPrepCacheForget(t *testing.T) {
 	}
 	if _, missesAfter := pc.Stats(); missesAfter != missesBefore {
 		t.Error("Forget of one trace invalidated another trace's entries")
+	}
+}
+
+// TestPrepCacheForgetCountsEvictions pins that entries released by
+// Forget are counted as evictions, as the daemon's
+// fomodeld_prep_cache_evictions_total ("LRU bound or trace eviction")
+// promises.
+func TestPrepCacheForgetCountsEvictions(t *testing.T) {
+	tr, err := workload.Generate("gzip", 1500, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc := NewPrepCache()
+	cfgB := DefaultConfig()
+	cfgB.Warmup = !cfgB.Warmup
+	for _, cfg := range []Config{DefaultConfig(), cfgB} {
+		if _, err := pc.Simulate(tr, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pc.Forget(tr)
+	// Two classifications and one producer-link set.
+	if got := pc.Evictions(); got != 3 {
+		t.Errorf("evictions = %d after Forget, want 3", got)
+	}
+}
+
+// TestPrepCacheRejectsConfigErrorsFirst pins that a config classify
+// would fail on is rejected before the cache is consulted, so the
+// cache never sees a classification error.
+func TestPrepCacheRejectsConfigErrorsFirst(t *testing.T) {
+	tr := randomTrace(5, 500)
+	pc := NewPrepCache()
+	for _, spec := range []predictor.Spec{
+		{Kind: predictor.KindGshare, IndexBits: 0},
+		{Kind: predictor.KindBimodal, IndexBits: 29},
+		{Kind: predictor.Kind(99)},
+	} {
+		cfg := DefaultConfig()
+		cfg.Predictor = &spec
+		if _, err := pc.Simulate(tr, cfg); err == nil {
+			t.Errorf("predictor %+v accepted", spec)
+		}
+	}
+	if hits, misses := pc.Stats(); hits != 0 || misses != 0 {
+		t.Errorf("rejected configs reached the cache: %d hits, %d misses", hits, misses)
 	}
 }
 
