@@ -2,8 +2,8 @@
 // fomodeld replicas: consistent-hash request routing (each canonical
 // request key has one home replica, so the fleet's response caches
 // partition instead of duplicating), replica health probing with
-// ejection and re-admission, transport-failure failover to ring
-// successors, and P99-derived request hedging. See internal/router for
+// ejection and re-admission, and sequential failover to ring successors
+// on transport errors, shedding, and ejection. See internal/router for
 // the routing core and internal/cli.Fomodelproxy for the flags.
 package main
 

@@ -31,10 +31,6 @@ func Fomodelproxy(ctx context.Context, args []string, out io.Writer) error {
 	loadFactor := fs.Float64("load-factor", 1.25, "bounded-load factor (≤0 disables the bound)")
 	n := fs.Int("n", 500000, "replicas' default dynamic instructions per workload (must match the fleet)")
 	seed := fs.Uint64("seed", 1, "replicas' default workload generation seed (must match the fleet)")
-	hedge := fs.Bool("hedge", true, "hedge slow requests to the next ring replica")
-	hedgeQuantile := fs.Float64("hedge-quantile", 0.99, "upstream latency quantile that arms the hedge timer")
-	hedgeMin := fs.Duration("hedge-min", time.Millisecond, "hedge delay floor")
-	hedgeMax := fs.Duration("hedge-max", time.Second, "hedge delay ceiling")
 	probeInterval := fs.Duration("probe-interval", 2*time.Second, "replica /readyz probe period")
 	probeTimeout := fs.Duration("probe-timeout", time.Second, "per-probe deadline")
 	ejectAfter := fs.Int("eject-after", 3, "consecutive transport failures before passive ejection")
@@ -66,10 +62,6 @@ func Fomodelproxy(ctx context.Context, args []string, out io.Writer) error {
 		VNodes:          *vnodes,
 		RoundRobin:      *route == "roundrobin",
 		LoadFactor:      *loadFactor,
-		DisableHedge:    !*hedge,
-		HedgeQuantile:   *hedgeQuantile,
-		HedgeMin:        *hedgeMin,
-		HedgeMax:        *hedgeMax,
 		ProbeInterval:   *probeInterval,
 		ProbeTimeout:    *probeTimeout,
 		EjectAfter:      *ejectAfter,

@@ -61,15 +61,6 @@ type Client struct {
 	BaseBackoff time.Duration
 	MaxBackoff  time.Duration
 
-	// AttemptObserver, if non-nil, is called after every individual HTTP
-	// attempt inside the retry loop with the attempt's wall-clock
-	// duration, the response status (0 on transport error), and the
-	// transport error. It fires before any backoff or Retry-After sleep,
-	// so observed durations measure upstream service time only, never
-	// the retry schedule — the fomodelproxy router derives its hedge
-	// delay from these. Must be safe for concurrent use.
-	AttemptObserver func(d time.Duration, status int, err error)
-
 	// sleep parks between retries; tests replace it to observe the
 	// schedule without waiting it out. nil means a context-aware sleep.
 	sleep func(ctx context.Context, d time.Duration) error
@@ -239,91 +230,31 @@ func apiError(resp *http.Response) error {
 // do runs one request through the retry loop and returns a 200
 // response whose body the caller must close. stream requests skip the
 // per-attempt timeout (rows may flow for a long time); buffered
-// attempts each carry RequestTimeout. Non-200 terminal responses become
-// *APIError.
+// attempts each carry RequestTimeout. Transport errors and 429/503
+// responses are retried per the schedule; non-200 terminal responses
+// become *APIError.
 func (c *Client) do(ctx context.Context, method, path string, body []byte, stream bool) (*http.Response, error) {
-	resp, err := c.doRetry(ctx, method, path, body, nil, stream, true)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, apiError(resp) // drains and closes the body
-	}
-	return resp, nil
-}
-
-// DoRaw runs one request through the 429/503 retry schedule and returns
-// the terminal response — whatever its status — with its body intact for
-// the caller to relay. It is the proxying entry point: the fomodelproxy
-// router forwards the terminal status line, headers, and body verbatim,
-// which is what keeps proxied responses byte-equal to a daemon's own.
-// Two deliberate differences from the consumer methods:
-//
-//   - Exhausted retries return the final shedding response itself (so
-//     the proxy can relay the daemon's authoritative 429 body and
-//     Retry-After) instead of an *APIError.
-//   - Transport errors are returned immediately, never retried: a dead
-//     replica should fail over to its ring successor at once, not be
-//     backed off against. Status-based retries (429/503) still back off
-//     per the client's schedule, honoring Retry-After — and because the
-//     router's hedge timer runs concurrently, a long Retry-After from a
-//     shedding replica stalls only this attempt, never the hedge.
-//
-// hdr entries (may be nil) are added to the request headers — the router
-// uses this to forward X-Request-ID and Accept.
-func (c *Client) DoRaw(ctx context.Context, method, path string, body []byte, hdr http.Header, stream bool) (*http.Response, error) {
-	return c.doRetry(ctx, method, path, body, hdr, stream, false)
-}
-
-// doRetry is the shared retry loop. retryTransport selects whether
-// transport-level failures are retried (consumer mode) or surfaced
-// immediately (proxy mode); in both modes 429/503 responses are retried
-// until the schedule is exhausted, after which the final response is
-// returned as-is.
-func (c *Client) doRetry(ctx context.Context, method, path string, body []byte, hdr http.Header, stream, retryTransport bool) (*http.Response, error) {
 	backoff := c.baseBackoff()
 	retries := c.maxRetries()
 	for attempt := 0; ; attempt++ {
-		actx, cancel := ctx, context.CancelFunc(nil)
-		if t := c.requestTimeout(); t > 0 && !stream {
-			actx, cancel = context.WithTimeout(ctx, t)
-		}
-		begin := time.Now()
-		resp, err := c.attempt(actx, method, path, body, hdr, stream)
-		if c.AttemptObserver != nil {
-			status := 0
-			if resp != nil {
-				status = resp.StatusCode
-			}
-			c.AttemptObserver(time.Since(begin), status, err)
-		}
-		if err != nil {
-			if cancel != nil {
-				cancel()
-			}
-			if !retryTransport || attempt >= retries {
+		resp, err := c.DoRaw(ctx, method, path, body, nil, stream)
+		var delay time.Duration
+		switch {
+		case err != nil:
+			if attempt >= retries {
 				return nil, err
 			}
-			if err := c.sleepFn(ctx, c.jitterFn(backoff)); err != nil {
-				return nil, err
-			}
-			backoff = c.nextBackoff(backoff)
-			continue
-		}
-		if !retryable(resp.StatusCode) || attempt >= retries {
-			if cancel != nil {
-				resp.Body = &cancelingBody{ReadCloser: resp.Body, cancel: cancel}
+		case !retryable(resp.StatusCode) || attempt >= retries:
+			if resp.StatusCode != http.StatusOK {
+				return nil, apiError(resp) // drains and closes the body
 			}
 			return resp, nil
-		}
-
-		// Retryable status with attempts remaining: honor Retry-After,
-		// release this attempt's resources, back off, go again.
-		delay := c.retryAfter(resp)
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
-		resp.Body.Close()
-		if cancel != nil {
-			cancel()
+		default:
+			// Retryable status with attempts remaining: honor
+			// Retry-After and release this attempt's resources.
+			delay = c.retryAfter(resp)
+			io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
+			resp.Body.Close()
 		}
 		if delay == 0 {
 			delay = c.jitterFn(backoff)
@@ -335,23 +266,31 @@ func (c *Client) doRetry(ctx context.Context, method, path string, body []byte, 
 	}
 }
 
-// nextBackoff doubles the backoff up to the configured ceiling.
-func (c *Client) nextBackoff(backoff time.Duration) time.Duration {
-	backoff *= 2
-	if max := c.maxBackoff(); backoff > max {
-		backoff = max
+// DoRaw makes exactly one attempt and returns its response — whatever
+// its status — with the body intact for the caller to relay. It is the
+// proxying entry point: the fomodelproxy router forwards the status
+// line, headers, and body verbatim, which is what keeps proxied
+// responses byte-equal to a daemon's own. Nothing is retried: a
+// transport error comes back at once, so a dead replica fails over to
+// its ring successor instead of being backed off against, and a 429 or
+// 503 comes back with its Retry-After for the router to spill or relay.
+// A buffered attempt carries RequestTimeout, released when the caller
+// closes the response body; the retry loop in do is built on it.
+//
+// hdr entries (may be nil) are added to the request headers — the router
+// uses this to forward X-Request-ID and X-Tenant.
+func (c *Client) DoRaw(ctx context.Context, method, path string, body []byte, hdr http.Header, stream bool) (*http.Response, error) {
+	cancel := context.CancelFunc(func() {})
+	if t := c.requestTimeout(); t > 0 && !stream {
+		ctx, cancel = context.WithTimeout(ctx, t)
 	}
-	return backoff
-}
-
-// attempt issues a single HTTP request.
-func (c *Client) attempt(ctx context.Context, method, path string, body []byte, hdr http.Header, stream bool) (*http.Response, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, rd)
 	if err != nil {
+		cancel()
 		return nil, err
 	}
 	if body != nil {
@@ -368,7 +307,22 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte, 
 			req.Header.Add(k, v)
 		}
 	}
-	return c.httpClient().Do(req)
+	resp, err := c.httpClient().Do(req)
+	if err != nil {
+		cancel()
+		return nil, err
+	}
+	resp.Body = &cancelingBody{ReadCloser: resp.Body, cancel: cancel}
+	return resp, nil
+}
+
+// nextBackoff doubles the backoff up to the configured ceiling.
+func (c *Client) nextBackoff(backoff time.Duration) time.Duration {
+	backoff *= 2
+	if max := c.maxBackoff(); backoff > max {
+		backoff = max
+	}
+	return backoff
 }
 
 // cancelingBody ties a per-attempt context to the response body's

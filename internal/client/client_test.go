@@ -371,10 +371,10 @@ func TestSweepStreamServerError(t *testing.T) {
 }
 
 // TestDoRawRelaysTerminalResponse pins the proxying contract: DoRaw
-// retries 429s per schedule, but when the schedule is exhausted the
-// final shedding response itself comes back — status, Retry-After, and
-// body intact — so a proxy can relay the daemon's authoritative answer
-// instead of synthesizing its own.
+// makes one attempt and returns a shedding response itself — status,
+// Retry-After, and body intact, with no retry and no sleep even when
+// MaxRetries allows them — so a proxy can spill to another replica or
+// relay the daemon's authoritative answer instead of waiting it out.
 func TestDoRawRelaysTerminalResponse(t *testing.T) {
 	var calls atomic.Int32
 	c, delays := testClient(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -399,54 +399,8 @@ func TestDoRawRelaysTerminalResponse(t *testing.T) {
 	if !strings.Contains(string(body), "server saturated") {
 		t.Errorf("terminal body %q lost the server message", body)
 	}
-	if calls.Load() != 3 || len(*delays) != 2 {
-		t.Errorf("attempts = %d, sleeps = %d; want 3 attempts, 2 sleeps", calls.Load(), len(*delays))
-	}
-}
-
-// TestAttemptObserverFiresPerAttemptBeforeBackoff pins the hedge-feed
-// contract: the observer is called once per individual HTTP attempt,
-// before that attempt's backoff sleep — so a router histogram fed from
-// it measures upstream service time, never the retry schedule.
-func TestAttemptObserverFiresPerAttemptBeforeBackoff(t *testing.T) {
-	var calls atomic.Int32
-	c, delays := testClient(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) == 1 {
-			http.Error(w, `{"error":"warming"}`, http.StatusServiceUnavailable)
-			return
-		}
-		w.Write([]byte(`{}`))
-	}))
-	c.MaxRetries = 1
-	type obs struct {
-		status      int
-		err         error
-		sleepsSoFar int
-	}
-	var seen []obs
-	c.AttemptObserver = func(d time.Duration, status int, err error) {
-		seen = append(seen, obs{status: status, err: err, sleepsSoFar: len(*delays)})
-	}
-
-	resp, err := c.DoRaw(context.Background(), http.MethodGet, "/v1/workloads", nil, nil, false)
-	if err != nil {
-		t.Fatalf("DoRaw: %v", err)
-	}
-	resp.Body.Close()
-	if len(seen) != 2 {
-		t.Fatalf("observer fired %d times, want once per attempt (2)", len(seen))
-	}
-	if seen[0].status != http.StatusServiceUnavailable || seen[0].err != nil {
-		t.Errorf("first attempt observed as (%d, %v), want the 503", seen[0].status, seen[0].err)
-	}
-	if seen[1].status != http.StatusOK || seen[1].err != nil {
-		t.Errorf("second attempt observed as (%d, %v), want the 200", seen[1].status, seen[1].err)
-	}
-	// The first observation happens before the inter-attempt backoff
-	// sleep: the sleep is between the attempts, not inside either one.
-	if seen[0].sleepsSoFar != 0 || seen[1].sleepsSoFar != 1 {
-		t.Errorf("sleeps seen at observation time = %d/%d, want 0/1",
-			seen[0].sleepsSoFar, seen[1].sleepsSoFar)
+	if calls.Load() != 1 || len(*delays) != 0 {
+		t.Errorf("attempts = %d, sleeps = %d; want 1 attempt, 0 sleeps", calls.Load(), len(*delays))
 	}
 }
 
@@ -497,7 +451,7 @@ func TestDoRawNoTransportRetry(t *testing.T) {
 	}
 }
 
-// TestStreamRetryNoDuplicateRows pins the hedge/retry × streaming
+// TestStreamRetryNoDuplicateRows pins the retry × streaming
 // interaction: a replica that sheds the streaming request with 503
 // fails over (via the retry loop) to a successful attempt, and every
 // NDJSON row is delivered exactly once — the retry happens before any

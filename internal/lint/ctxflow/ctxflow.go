@@ -2,7 +2,7 @@
 // function that accepts a context.Context must actually thread it
 // into the work it does, and fresh root contexts must not be minted
 // in library code. A dropped context is an invisible bug here — the
-// daemon's deadline, the proxy's hedging cancellation, and the
+// daemon's deadline, the proxy's failover cancellation, and the
 // client-disconnect propagation all ride on ctx reaching every
 // blocking call, and a context.Background() buried in a library
 // silently detaches everything below it from cancellation.

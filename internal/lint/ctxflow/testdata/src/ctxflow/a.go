@@ -32,7 +32,7 @@ func detachedRequest(ctx context.Context) {
 	_, _, _ = req, err, ctx
 }
 
-func detachedGet(ctx context.Context) {
+func detachedFetch(ctx context.Context) {
 	resp, err := http.Get("http://replica") // want `http\.Get uses the background context`
 	_, _, _ = resp, err, ctx
 }

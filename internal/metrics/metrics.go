@@ -95,46 +95,10 @@ func NewHistogram(bounds ...float64) *Histogram {
 }
 
 // DefaultLatencyBounds are request-latency bucket bounds in seconds,
-// spanning cache hits (sub-millisecond) to long cold sweeps.
+// spanning cache hits (a hot hit answers in about 0.1ms) to long cold
+// sweeps.
 func DefaultLatencyBounds() []float64 {
-	return []float64{0.001, 0.005, 0.025, 0.1, 0.25, 1, 2.5, 10, 30}
-}
-
-// HedgeLatencyBounds are finer-grained latency bucket bounds in seconds
-// for routing decisions: the fomodelproxy derives its hedge delay from a
-// high quantile of observed upstream latency, and cache-hot responses
-// live well under the 1ms floor of DefaultLatencyBounds, so the hedge
-// histogram needs sub-millisecond resolution to produce a useful P99.
-func HedgeLatencyBounds() []float64 {
-	return []float64{0.0002, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 10}
-}
-
-// Quantile returns an upper-bound estimate of the q-th quantile
-// (0 < q ≤ 1) of the observed values: the smallest bucket bound whose
-// cumulative count covers at least a q fraction of all observations.
-// With no observations it returns 0; when the quantile falls in the
-// overflow (+Inf) bucket it returns +Inf — callers clamp to their own
-// ceiling. The estimate is conservative (never below the true
-// quantile), which is the right bias for hedge delays: hedging slightly
-// late wastes less than hedging everything.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	snap := h.Snapshot()
-	if snap.Count == 0 {
-		return 0
-	}
-	target := int64(math.Ceil(q * float64(snap.Count)))
-	if target < 1 {
-		target = 1
-	}
-	for i, bound := range snap.Bounds {
-		if snap.Cumulative[i] >= target {
-			return bound
-		}
-	}
-	return math.Inf(1)
+	return []float64{0.0001, 0.00025, 0.0005, 0.001, 0.005, 0.025, 0.1, 0.25, 1, 2.5, 10, 30}
 }
 
 // Observe records one observation.

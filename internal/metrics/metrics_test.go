@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"math"
 	"sync"
 	"testing"
 )
@@ -86,34 +85,5 @@ func TestHistogramBoundaryInclusive(t *testing.T) {
 	h.Observe(1) // exactly on the bound counts in that bucket
 	if s := h.Snapshot(); s.Cumulative[0] != 1 {
 		t.Fatalf("boundary observation not ≤ bound: %v", s.Cumulative)
-	}
-}
-
-// TestQuantile pins the bucket-quantile contract: the estimate is the
-// smallest bound covering the requested fraction, empty histograms give
-// 0, and overflow observations give +Inf.
-func TestQuantile(t *testing.T) {
-	h := NewHistogram(0.001, 0.01, 0.1)
-	if got := h.Quantile(0.99); got != 0 {
-		t.Errorf("empty Quantile = %v, want 0", got)
-	}
-	for i := 0; i < 98; i++ {
-		h.Observe(0.0005) // ≤ 0.001
-	}
-	h.Observe(0.05) // ≤ 0.1
-	h.Observe(0.05)
-	if got := h.Quantile(0.5); got != 0.001 {
-		t.Errorf("P50 = %v, want 0.001", got)
-	}
-	if got := h.Quantile(0.99); got != 0.1 {
-		t.Errorf("P99 = %v, want 0.1 (the bucket holding the 99th observation)", got)
-	}
-	h.Observe(5) // overflow bucket
-	if got := h.Quantile(1); !math.IsInf(got, 1) {
-		t.Errorf("P100 with an overflow observation = %v, want +Inf", got)
-	}
-	var nilH *Histogram
-	if got := nilH.Quantile(0.99); got != 0 {
-		t.Errorf("nil Quantile = %v, want 0", got)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"fomodel/internal/reqkey"
 	"fomodel/internal/server"
 )
 
@@ -85,7 +86,7 @@ func (w *statusWriter) Flush() {
 
 // instrument wraps a handler with request-ID issuance (satellite of the
 // routed design: every request entering the fleet carries an ID from
-// here on, echoed by whichever replicas serve or lose the race for it),
+// here on, echoed by every replica it is tried on),
 // the latency histogram, per-path/per-code counters, and one structured
 // log line.
 func (rt *Router) instrument(path string, h http.HandlerFunc) http.HandlerFunc {
@@ -139,10 +140,10 @@ func (rt *Router) writeError(w http.ResponseWriter, r *http.Request, code int, f
 	w.Write(append(body, '\n'))
 }
 
-// writeForwardError maps a forward failure onto a proxy-originated
-// response: 503 (with Retry-After) when no replica could be tried, 502
-// when every attempt failed at the transport, 499-for-the-log when the
-// client itself vanished.
+// writeForwardError maps a forward or fanout failure onto a
+// proxy-originated response: 502 when every attempt failed at the
+// transport, 499-for-the-log when the client itself vanished, and 503
+// (with Retry-After) for a fanout's errNoReplicas guard.
 func (rt *Router) writeForwardError(w http.ResponseWriter, r *http.Request, err error) {
 	switch {
 	case errors.Is(err, context.Canceled):
@@ -294,13 +295,14 @@ type batchGroup struct {
 }
 
 // itemKey derives one batch item's canonical key, falling back to its
-// raw bytes for items the daemon will reject anyway.
+// raw bytes for items the daemon will reject anyway. The fallback is not
+// counted in rawKeyRoutes, which counts routed bodies, not batch items.
 func (rt *Router) itemKey(item server.PredictRequest) string {
 	key, err := server.PredictCacheKey(item, rt.cfg.Defaults)
 	if err != nil {
 		//folint:allow(errdrop) a failed Marshal leaves b empty; the raw key is still deterministic
 		b, _ := json.Marshal(item)
-		return rawKey("predict", b)
+		return reqkey.Raw("predict", b)
 	}
 	return key
 }
@@ -311,17 +313,20 @@ func (rt *Router) itemKey(item server.PredictRequest) string {
 // response is byte-equal to a single daemon's. Requests the proxy cannot
 // decode — and whole-batch shape errors (empty, oversized) — are
 // forwarded intact so the daemon's error responses stay authoritative.
-// In round-robin mode batches are not split: the baseline policy is
-// deliberately cache-oblivious.
+// In round-robin mode batches are not split (nor keyed): the baseline
+// policy is deliberately cache-oblivious.
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	body, ok := rt.readBody(w, r, maxBatchBodyBytes)
 	if !ok {
 		return
 	}
+	if rt.cfg.RoundRobin {
+		rt.proxyOne(w, r, http.MethodPost, "/v1/batch", body, false, "")
+		return
+	}
 	var breq server.BatchRequest
-	if err := strictDecode(body, &breq); err != nil ||
-		len(breq.Items) == 0 || len(breq.Items) > maxBatchItems || rt.cfg.RoundRobin {
-		rt.proxyOne(w, r, http.MethodPost, "/v1/batch", body, false, rawKey("batch", body))
+	if err := strictDecode(body, &breq); err != nil || len(breq.Items) == 0 || len(breq.Items) > maxBatchItems {
+		rt.proxyOne(w, r, http.MethodPost, "/v1/batch", body, false, rt.rawKey("batch", body))
 		return
 	}
 

@@ -3,9 +3,12 @@ package router
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"time"
+
+	"fomodel/internal/metrics"
 )
 
 // healthzReplica is one replica's state in the proxy's /healthz body.
@@ -15,19 +18,17 @@ type healthzReplica struct {
 	InFlight int64  `json:"in_flight"`
 	Requests int64  `json:"requests"`
 	Hits     int64  `json:"hits"`
-	Hedges   int64  `json:"hedges"`
 	Failures int64  `json:"failures"`
 	Ejects   int64  `json:"ejects"`
 	Readmits int64  `json:"readmits"`
 }
 
-// healthzResponse is the proxy's /healthz body: the routing mode, the
-// live hedge delay, and the per-replica view the router is acting on.
+// healthzResponse is the proxy's /healthz body: the routing mode and
+// the per-replica view the router is acting on.
 type healthzResponse struct {
 	Status        string           `json:"status"`
 	Mode          string           `json:"mode"`
 	UptimeSeconds float64          `json:"uptime_seconds"`
-	HedgeDelayMS  float64          `json:"hedge_delay_ms"`
 	Replicas      []healthzReplica `json:"replicas"`
 }
 
@@ -36,7 +37,6 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Status:        "ok",
 		Mode:          rt.Mode(),
 		UptimeSeconds: time.Since(rt.start).Seconds(),
-		HedgeDelayMS:  float64(rt.hedgeDelay()) / float64(time.Millisecond),
 	}
 	for _, rep := range rt.reps {
 		resp.Replicas = append(resp.Replicas, healthzReplica{
@@ -45,7 +45,6 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			InFlight: rep.inflight.Load(),
 			Requests: rep.requests.Load(),
 			Hits:     rep.hits.Load(),
-			Hedges:   rep.hedges.Load(),
 			Failures: rep.failures.Load(),
 			Ejects:   rep.ejects.Load(),
 			Readmits: rep.readmits.Load(),
@@ -118,8 +117,6 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			func(r *replica) int64 { return r.requests.Load() }},
 		{"fomodelproxy_replica_cache_hits_total", "Relayed responses the replica served from its cache.",
 			func(r *replica) int64 { return r.hits.Load() }},
-		{"fomodelproxy_replica_hedges_total", "Hedged (second) attempts sent to the replica.",
-			func(r *replica) int64 { return r.hedges.Load() }},
 		{"fomodelproxy_replica_failures_total", "Transport-level failures talking to the replica.",
 			func(r *replica) int64 { return r.failures.Load() }},
 		{"fomodelproxy_replica_ejections_total", "Times the replica was removed from rotation.",
@@ -152,31 +149,27 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# TYPE fomodelproxy_workload_mirror_size gauge\n")
 	fmt.Fprintf(w, "fomodelproxy_workload_mirror_size %d\n", rt.mirror.size())
 
-	fmt.Fprintf(w, "# HELP fomodelproxy_hedge_wins_total Requests won by the hedged (second) attempt.\n")
-	fmt.Fprintf(w, "# TYPE fomodelproxy_hedge_wins_total counter\n")
-	fmt.Fprintf(w, "fomodelproxy_hedge_wins_total %d\n", rt.hedgeWins.Load())
-
-	fmt.Fprintf(w, "# HELP fomodelproxy_hedge_delay_seconds Current hedge timer, derived from upstream latency.\n")
-	fmt.Fprintf(w, "# TYPE fomodelproxy_hedge_delay_seconds gauge\n")
-	fmt.Fprintf(w, "fomodelproxy_hedge_delay_seconds %.6f\n", rt.hedgeDelay().Seconds())
-
-	upstream := rt.upstream.Snapshot()
-	fmt.Fprintf(w, "# HELP fomodelproxy_upstream_duration_seconds Per-attempt upstream latency (hedge-delay source).\n")
-	fmt.Fprintf(w, "# TYPE fomodelproxy_upstream_duration_seconds histogram\n")
-	for i, bound := range upstream.Bounds {
-		fmt.Fprintf(w, "fomodelproxy_upstream_duration_seconds_bucket{le=\"%g\"} %d\n", bound, upstream.Cumulative[i])
+	for _, c := range []struct {
+		name, help string
+		value      int64
+	}{
+		{"fomodelproxy_fail_open_total", "Routings that fell back to ejected replicas because none was in rotation.", rt.failOpen.Load()},
+		{"fomodelproxy_raw_key_routes_total", "Request bodies routed by their raw bytes because no canonical key could be derived.", rt.rawKeyRoutes.Load()},
+	} {
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", c.name, c.help, c.name, c.name, c.value)
 	}
-	fmt.Fprintf(w, "fomodelproxy_upstream_duration_seconds_bucket{le=\"+Inf\"} %d\n", upstream.Count)
-	fmt.Fprintf(w, "fomodelproxy_upstream_duration_seconds_sum %.6f\n", upstream.Sum)
-	fmt.Fprintf(w, "fomodelproxy_upstream_duration_seconds_count %d\n", upstream.Count)
 
-	latency := rt.latency.Snapshot()
-	fmt.Fprintf(w, "# HELP fomodelproxy_request_duration_seconds End-to-end proxy request latency.\n")
-	fmt.Fprintf(w, "# TYPE fomodelproxy_request_duration_seconds histogram\n")
-	for i, bound := range latency.Bounds {
-		fmt.Fprintf(w, "fomodelproxy_request_duration_seconds_bucket{le=\"%g\"} %d\n", bound, latency.Cumulative[i])
+	writeHistogram(w, "fomodelproxy_upstream_duration_seconds", "Time each forwarded request waited on replicas for response headers, summed over its attempts.", rt.upstream.Snapshot())
+	writeHistogram(w, "fomodelproxy_request_duration_seconds", "End-to-end proxy request latency.", rt.latency.Snapshot())
+}
+
+// writeHistogram renders one histogram in the Prometheus text format.
+func writeHistogram(w io.Writer, name, help string, snap metrics.HistogramSnapshot) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
+	for i, bound := range snap.Bounds {
+		fmt.Fprintf(w, "%s_bucket{le=\"%g\"} %d\n", name, bound, snap.Cumulative[i])
 	}
-	fmt.Fprintf(w, "fomodelproxy_request_duration_seconds_bucket{le=\"+Inf\"} %d\n", latency.Count)
-	fmt.Fprintf(w, "fomodelproxy_request_duration_seconds_sum %.6f\n", latency.Sum)
-	fmt.Fprintf(w, "fomodelproxy_request_duration_seconds_count %d\n", latency.Count)
+	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, snap.Count)
+	fmt.Fprintf(w, "%s_sum %.6f\n", name, snap.Sum)
+	fmt.Fprintf(w, "%s_count %d\n", name, snap.Count)
 }

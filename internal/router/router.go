@@ -4,13 +4,14 @@
 // same canonical key the daemon's response cache uses (internal/reqkey +
 // internal/server's typed key functions — one code path, so proxy and
 // daemon can never shard by different keys), via a bounded-load
-// consistent-hash ring. On top of the per-replica clients' 429/503
-// retry schedule the router adds what a single client cannot: replica
-// health (active /readyz probes plus passive failure counting, with
-// ejection and re-admission), instant failover to the key's ring
-// successor on transport errors, and latency hedging — a second attempt
-// at the next ring replica once the first has outlived the observed P99,
-// first response wins, loser canceled.
+// consistent-hash ring. The router adds what a single client cannot:
+// replica health (active /readyz probes plus passive failure counting,
+// with ejection and re-admission) and sequential failover along the
+// key's ring sequence — on a transport error, on a 429 while another
+// replica remains, and on an ejection that catches an attempt still
+// waiting for response headers. The proxy itself never retries or
+// sleeps: the daemon's terminal answer, Retry-After included, reaches
+// the client.
 package router
 
 import (
@@ -57,24 +58,15 @@ type Config struct {
 	// successor, trading one request's cache locality for tail latency.
 	// 0 = 1.25; negative disables the bound.
 	LoadFactor float64
-	// DisableHedge turns latency hedging off (it is on by default when
-	// there are ≥2 replicas).
-	DisableHedge bool
-	// HedgeQuantile is the upstream-latency quantile that arms the hedge
-	// timer (0 = 0.99).
-	HedgeQuantile float64
-	// HedgeMin and HedgeMax clamp the derived hedge delay
-	// (0 = 1ms and 1s). Until HedgeMinSamples (0 = 50) upstream latencies
-	// have been observed, the delay conservatively sits at HedgeMax.
-	HedgeMin        time.Duration
-	HedgeMax        time.Duration
-	HedgeMinSamples int
 	// EjectAfter is the consecutive-transport-failure count that passively
 	// ejects a replica from rotation (0 = 3); an ejected replica rejoins
 	// only when a /readyz probe succeeds.
 	EjectAfter int
 	// ProbeInterval is the /readyz probe period (0 = 2s) and ProbeTimeout
-	// each probe's deadline (0 = 1s).
+	// each probe's deadline (0 = 1s). A replica that hangs is ejected by
+	// the first probe that times out, and the ejection fails its waiting
+	// requests over, so together they bound how long a hung replica holds
+	// a request.
 	ProbeInterval time.Duration
 	ProbeTimeout  time.Duration
 	// UpstreamTimeout bounds each buffered upstream attempt; streaming
@@ -82,11 +74,6 @@ type Config struct {
 	// (0 = 150s) sits above the daemon's 2-minute computation deadline so
 	// the daemon's own 503 arrives before the proxy gives up.
 	UpstreamTimeout time.Duration
-	// UpstreamRetries is each replica client's 429/503 retry budget
-	// (0 = 2, negative disables): deliberately smaller than the consumer
-	// default, because the router's hedging and failover already provide
-	// the second chances.
-	UpstreamRetries int
 	// MaxIdleConns bounds each replica's keep-alive connection pool
 	// (0 = 32).
 	MaxIdleConns int
@@ -100,18 +87,6 @@ func (c Config) withDefaults() Config {
 	if c.LoadFactor == 0 {
 		c.LoadFactor = 1.25
 	}
-	if c.HedgeQuantile <= 0 || c.HedgeQuantile > 1 {
-		c.HedgeQuantile = 0.99
-	}
-	if c.HedgeMin <= 0 {
-		c.HedgeMin = time.Millisecond
-	}
-	if c.HedgeMax <= 0 {
-		c.HedgeMax = time.Second
-	}
-	if c.HedgeMinSamples <= 0 {
-		c.HedgeMinSamples = 50
-	}
 	if c.EjectAfter <= 0 {
 		c.EjectAfter = 3
 	}
@@ -124,9 +99,6 @@ func (c Config) withDefaults() Config {
 	if c.UpstreamTimeout == 0 {
 		c.UpstreamTimeout = 150 * time.Second
 	}
-	if c.UpstreamRetries == 0 {
-		c.UpstreamRetries = 2
-	}
 	if c.MaxIdleConns <= 0 {
 		c.MaxIdleConns = 32
 	}
@@ -138,12 +110,6 @@ func (c Config) withDefaults() Config {
 type replica struct {
 	url string
 	cl  *client.Client
-	// probeCl shares cl's connection pool but never retries and has no
-	// per-attempt timeout of its own: a warming replica's /readyz 503
-	// must come back as a clean "not ready" within ProbeTimeout, not
-	// burn the probe window on cl's 429/503 backoff schedule and
-	// surface as a misleading context-deadline error.
-	probeCl *client.Client
 
 	// healthy is flipped false by EjectAfter consecutive transport
 	// failures or a failed /readyz probe, and true only by a successful
@@ -152,10 +118,14 @@ type replica struct {
 	healthy     atomic.Bool
 	consecFails atomic.Int32
 
+	// waiting holds the cancel functions of attempts still waiting for
+	// response headers; an ejection cancels them all.
+	waitMu  sync.Mutex
+	waiting map[*waiter]struct{}
+
 	inflight metrics.Gauge
 	requests metrics.Counter
 	hits     metrics.Counter
-	hedges   metrics.Counter
 	failures metrics.Counter
 	ejects   metrics.Counter
 	readmits metrics.Counter
@@ -170,15 +140,19 @@ type Router struct {
 	reps  []*replica
 	start time.Time
 
-	// upstream feeds the hedge delay: per-attempt upstream latency on
-	// sub-millisecond buckets, so the P99 of a cache-hot fleet is a few
-	// hundred microseconds, not "somewhere under 1ms".
+	// upstream times each forward call's wait on replicas (its attempts'
+	// time to response headers, summed), and latency each proxied request
+	// end to end; for a request that makes one forward call, their
+	// difference is the proxy's own cost. Workload-write fanouts are not
+	// timed upstream.
 	upstream *metrics.Histogram
-	// latency is the proxy-side end-to-end request histogram for /metrics.
-	latency *metrics.Histogram
+	latency  *metrics.Histogram
 
-	hedgeWins  metrics.Counter
-	noCands    metrics.Counter
+	// failOpen counts routings that fell back to ejected replicas, and
+	// rawKeyRoutes bodies routed by their raw bytes for want of a key.
+	failOpen     metrics.Counter
+	rawKeyRoutes metrics.Counter
+
 	rrCursor   atomic.Uint64
 	reqIDSeq   atomic.Uint64
 	reqMu      sync.Mutex
@@ -217,32 +191,17 @@ func New(cfg Config, log *slog.Logger) (*Router, error) {
 		ring:     newRing(cfg.Replicas, cfg.VNodes),
 		reps:     make([]*replica, len(cfg.Replicas)),
 		start:    time.Now(),
-		upstream: metrics.NewHistogram(metrics.HedgeLatencyBounds()...),
+		upstream: metrics.NewHistogram(metrics.DefaultLatencyBounds()...),
 		latency:  metrics.NewHistogram(metrics.DefaultLatencyBounds()...),
 		requests: make(map[requestKey]*metrics.Counter),
 		mirror:   mirror,
 	}
 	for i, url := range cfg.Replicas {
+		// The router only calls DoRaw, which makes one attempt: the
+		// proxy never retries, and never sleeps on a Retry-After.
 		cl := client.NewPooled(url, cfg.MaxIdleConns)
 		cl.RequestTimeout = cfg.UpstreamTimeout
-		cl.MaxRetries = cfg.UpstreamRetries
-		// Per-attempt upstream latency feeds the hedge delay. The hook
-		// fires inside the client's retry loop, before any backoff sleep,
-		// so Retry-After waits from a shedding replica can never ratchet
-		// the observed "service time" toward HedgeMax and suppress
-		// hedging long after the episode. Shedding responses themselves
-		// (429/503) are excluded too: they describe the replica's refusal
-		// latency, not how long a served request takes.
-		cl.AttemptObserver = func(d time.Duration, status int, err error) {
-			if err == nil && status != http.StatusTooManyRequests && status != http.StatusServiceUnavailable {
-				rt.upstream.Observe(d.Seconds())
-			}
-		}
-		probeCl := client.New(url)
-		probeCl.HTTPClient = cl.HTTPClient
-		probeCl.MaxRetries = -1
-		probeCl.RequestTimeout = -1 // the probe context carries the deadline
-		rep := &replica{url: url, cl: cl, probeCl: probeCl}
+		rep := &replica{url: url, cl: cl, waiting: make(map[*waiter]struct{})}
 		// Replicas start in rotation; the first probe pass corrects this
 		// within one ProbeInterval, and passive ejection corrects it after
 		// EjectAfter failed requests even with probes disabled.
@@ -297,7 +256,7 @@ func (rt *Router) ProbeOnce(ctx context.Context) {
 func (rt *Router) probe(ctx context.Context, rep *replica) {
 	pctx, cancel := context.WithTimeout(ctx, rt.cfg.ProbeTimeout)
 	defer cancel()
-	resp, err := rep.probeCl.DoRaw(pctx, http.MethodGet, "/readyz", nil, nil, false)
+	resp, err := rep.cl.DoRaw(pctx, http.MethodGet, "/readyz", nil, nil, false)
 	ready := false
 	if err == nil {
 		//folint:allow(errdrop) best-effort probe-body drain for connection reuse; only the status code matters
@@ -313,14 +272,37 @@ func (rt *Router) probe(ctx context.Context, rep *replica) {
 		}
 		return
 	}
-	if rep.healthy.CompareAndSwap(true, false) {
-		rep.ejects.Inc()
-		reason := "not ready"
-		if err != nil {
-			reason = err.Error()
-		}
-		rt.log.Info("replica ejected", "replica", rep.url, "reason", reason)
+	reason := "not ready"
+	if err != nil {
+		reason = err.Error()
 	}
+	rt.eject(rep, reason)
+}
+
+// waiter is one upstream attempt's entry in its replica's waiting set.
+type waiter struct{ cancel context.CancelCauseFunc }
+
+// errEjected is the cause an ejection cancels a waiting attempt with.
+var errEjected = errors.New("replica ejected while the request waited for response headers")
+
+// eject takes rep out of rotation, if it is in, and cancels its attempts
+// still waiting for response headers so forward fails them over: a
+// replica that hangs holds a request only until a probe times out. An
+// attempt whose headers have arrived (a streaming relay) is left alone,
+// as is any attempt launched after the ejection (fail-open routing to an
+// ejected replica), since only the healthy-to-ejected transition cancels.
+func (rt *Router) eject(rep *replica, reason string) {
+	if !rep.healthy.CompareAndSwap(true, false) {
+		return
+	}
+	rep.ejects.Inc()
+	rep.waitMu.Lock()
+	for w := range rep.waiting {
+		w.cancel(errEjected)
+		delete(rep.waiting, w)
+	}
+	rep.waitMu.Unlock()
+	rt.log.Info("replica ejected", "replica", rep.url, "reason", reason)
 }
 
 // noteFailure records a transport-level failure against rep, ejecting it
@@ -329,10 +311,7 @@ func (rt *Router) probe(ctx context.Context, rep *replica) {
 func (rt *Router) noteFailure(rep *replica, err error) {
 	rep.failures.Inc()
 	if int(rep.consecFails.Add(1)) >= rt.cfg.EjectAfter {
-		if rep.healthy.CompareAndSwap(true, false) {
-			rep.ejects.Inc()
-			rt.log.Info("replica ejected", "replica", rep.url, "reason", err.Error())
-		}
+		rt.eject(rep, err.Error())
 	}
 }
 
@@ -368,6 +347,7 @@ func (rt *Router) candidates(key string) []*replica {
 		}
 	}
 	if len(cands) == 0 {
+		rt.failOpen.Inc()
 		for _, i := range order {
 			cands = append(cands, rt.reps[i])
 		}
@@ -395,181 +375,109 @@ func (rt *Router) candidates(key string) []*replica {
 	return cands
 }
 
-// hedgeDelay derives the current hedge timer from observed upstream
-// latency: the configured quantile of the per-attempt histogram, clamped
-// to [HedgeMin, HedgeMax]. Zero means "do not hedge" (hedging disabled
-// or a single replica); before HedgeMinSamples observations it sits at
-// HedgeMax, hedging only clearly-stuck requests until the latency
-// profile is learned.
-func (rt *Router) hedgeDelay() time.Duration {
-	if rt.cfg.DisableHedge || len(rt.reps) < 2 {
-		return 0
-	}
-	snap := rt.upstream.Snapshot()
-	if snap.Count < int64(rt.cfg.HedgeMinSamples) {
-		return rt.cfg.HedgeMax
-	}
-	q := rt.upstream.Quantile(rt.cfg.HedgeQuantile)
-	if math.IsInf(q, 1) {
-		return rt.cfg.HedgeMax
-	}
-	d := time.Duration(q * float64(time.Second))
-	if d < rt.cfg.HedgeMin {
-		d = rt.cfg.HedgeMin
-	}
-	if d > rt.cfg.HedgeMax {
-		d = rt.cfg.HedgeMax
-	}
-	return d
-}
-
-// errNoReplicas means the replica set is empty after filtering — only
-// possible when the router was built with zero replicas, which New
-// rejects; kept as a guard.
-var errNoReplicas = errors.New("no replicas available")
-
-// upstreamResult is one attempt's outcome.
-type upstreamResult struct {
-	idx    int
-	rep    *replica
-	resp   *http.Response
-	err    error
-	hedged bool
-}
-
-// forward routes one request to the replica set and returns the winning
+// forward routes one request to the replica set and returns the first
 // terminal response (any status, body intact — the caller relays it
 // verbatim) and the replica that produced it.
 //
-// The attempt machinery: the key's first candidate is tried immediately;
-// a hedge timer armed at the observed-P99 delay launches a concurrent
-// attempt at the next candidate (first response wins, loser canceled);
-// a transport error with no other attempt in flight fails over to the
-// next candidate at once. The hedge timer runs in this goroutine,
-// concurrent with any Retry-After backoff inside an attempt's client —
-// a shedding replica can stall its own attempt, never the hedge.
+// The candidates are tried one at a time, in order. A transport error,
+// an ejection that cancels the attempt before its headers arrive, or a
+// 429 while a candidate remains moves on to the next candidate at once.
+// Anything else is the answer, including the last candidate's 429 with
+// its Retry-After and a daemon's 503: the proxy never retries the same
+// replica and never sleeps, so shedding advice reaches the client. A
+// spilled 429 is kept, buffered, and relayed if every later candidate
+// fails, so a retryable shed never turns into the proxy's own 502.
 func (rt *Router) forward(ctx context.Context, method, path string, body []byte, hdr http.Header, stream bool, key string) (*http.Response, *replica, error) {
 	cands := rt.candidates(key)
-	if len(cands) == 0 {
-		rt.noCands.Inc()
-		return nil, nil, errNoReplicas
-	}
-	results := make(chan upstreamResult, len(cands))
-	cancels := make([]context.CancelFunc, len(cands))
-	next, inflight := 0, 0
-	launch := func(hedged bool) {
-		idx := next
-		rep := cands[idx]
-		next++
-		inflight++
-		actx, cancel := context.WithCancel(ctx)
-		cancels[idx] = cancel
-		rep.requests.Inc()
-		if hedged {
-			rep.hedges.Inc()
+	var (
+		err    error
+		waited time.Duration
+		shed   *http.Response
+		shedBy *replica
+	)
+	for i, rep := range cands {
+		var resp *http.Response
+		begin := time.Now()
+		resp, err = rt.try(ctx, rep, method, path, body, hdr, stream)
+		waited += time.Since(begin)
+		if err != nil {
+			if ctx.Err() != nil {
+				return nil, nil, ctx.Err()
+			}
+			continue
 		}
-		rep.inflight.Add(1)
-		go func() {
-			// Upstream latency is observed per HTTP attempt by the
-			// client's AttemptObserver (wired in New), not here: timing
-			// the whole DoRaw would fold retry backoff sleeps into the
-			// hedge histogram.
-			resp, err := rep.cl.DoRaw(actx, method, path, body, hdr, stream)
-			rep.inflight.Add(-1)
-			results <- upstreamResult{idx: idx, rep: rep, resp: resp, err: err, hedged: hedged}
-		}()
-	}
-	launch(false)
-
-	var hedgeC <-chan time.Time
-	if d := rt.hedgeDelay(); d > 0 && next < len(cands) {
-		t := time.NewTimer(d)
-		defer t.Stop()
-		hedgeC = t.C
-	}
-
-	var firstErr error
-	for inflight > 0 {
-		select {
-		case res := <-results:
-			inflight--
-			if res.err != nil {
-				cancels[res.idx]()
-				// A canceled attempt (client gone, or a losing hedge
-				// being reaped elsewhere) says nothing about the replica.
-				if ctx.Err() == nil && !errors.Is(res.err, context.Canceled) {
-					rt.noteFailure(res.rep, res.err)
-					if firstErr == nil {
-						firstErr = res.err
-					}
-				}
-				if inflight > 0 {
-					continue
-				}
-				if err := ctx.Err(); err != nil {
-					return nil, nil, err
-				}
-				if next < len(cands) {
-					launch(false)
-					continue
-				}
-				return nil, nil, firstErr
+		if resp.StatusCode == http.StatusTooManyRequests && i < len(cands)-1 {
+			b, rerr := io.ReadAll(io.LimitReader(resp.Body, maxShedBody))
+			resp.Body.Close() //folint:allow(errdrop) read-side close after buffering; the next candidate serves
+			if rerr == nil {
+				resp.Body = io.NopCloser(bytes.NewReader(b))
+				shed, shedBy = resp, rep
 			}
-
-			// Winner. Cancel the other in-flight attempts and drain their
-			// results in the background, closing any bodies; tie the
-			// winner's per-attempt context to its body so resources are
-			// released when the caller finishes relaying.
-			rt.noteSuccess(res.rep)
-			if res.hedged {
-				rt.hedgeWins.Inc()
-			}
-			for i, c := range cancels {
-				if c != nil && i != res.idx {
-					c()
-				}
-			}
-			if inflight > 0 {
-				go func(n int) {
-					for i := 0; i < n; i++ {
-						r := <-results
-						if r.resp != nil {
-							//folint:allow(errdrop) closing a hedge loser's body; its response is already discarded
-							r.resp.Body.Close()
-						}
-					}
-				}(inflight)
-			}
-			res.resp.Body = &cancelOnClose{ReadCloser: res.resp.Body, cancel: cancels[res.idx]}
-			return res.resp, res.rep, nil
-
-		case <-hedgeC:
-			hedgeC = nil
-			// The timer was armed when a spare candidate existed, but a
-			// fast transport failure may have consumed it as a failover
-			// before the timer fired — with nothing left to hedge at,
-			// the firing is a no-op.
-			if next < len(cands) {
-				launch(true)
-			}
+			continue
 		}
+		rt.upstream.Observe(waited.Seconds())
+		return resp, rep, nil
 	}
-	if firstErr == nil {
-		firstErr = errNoReplicas
+	if shed != nil {
+		rt.upstream.Observe(waited.Seconds())
+		return shed, shedBy, nil
 	}
-	return nil, nil, firstErr
+	return nil, nil, err
+}
+
+// maxShedBody bounds how much of a spilled 429 forward buffers; a
+// daemon's shed answer is a one-line JSON error.
+const maxShedBody = 1 << 16
+
+// try makes one upstream call to rep and returns when its response
+// headers arrive. Until then the call sits in rep's waiting set, where
+// an ejection cancels it with errEjected.
+func (rt *Router) try(ctx context.Context, rep *replica, method, path string, body []byte, hdr http.Header, stream bool) (*http.Response, error) {
+	actx, cancel := context.WithCancelCause(ctx)
+	w := &waiter{cancel: cancel}
+	rep.waitMu.Lock()
+	rep.waiting[w] = struct{}{}
+	rep.waitMu.Unlock()
+
+	rep.requests.Inc()
+	rep.inflight.Add(1)
+	resp, err := rep.cl.DoRaw(actx, method, path, body, hdr, stream)
+	rep.inflight.Add(-1)
+
+	rep.waitMu.Lock()
+	_, waited := rep.waiting[w]
+	delete(rep.waiting, w)
+	rep.waitMu.Unlock()
+	if !waited {
+		// The ejection won the race with the headers: fail over even if
+		// a response slipped in, so the outcome depends on one event.
+		if err == nil {
+			resp.Body.Close() //folint:allow(errdrop) discarding a response its ejection already canceled
+		}
+		return nil, errEjected
+	}
+	if err != nil {
+		cancel(err)
+		if ctx.Err() == nil {
+			rt.noteFailure(rep, err)
+		}
+		return nil, err
+	}
+	rt.noteSuccess(rep)
+	resp.Body = &cancelOnClose{ReadCloser: resp.Body, cancel: cancel}
+	return resp, nil
 }
 
 // cancelOnClose releases an attempt's context when the relayed body is
 // done, mirroring the client's cancelingBody.
 type cancelOnClose struct {
 	io.ReadCloser
-	cancel context.CancelFunc
+	cancel context.CancelCauseFunc
 }
 
 func (b *cancelOnClose) Close() error {
 	err := b.ReadCloser.Close()
-	b.cancel()
+	b.cancel(nil)
 	return err
 }
 
@@ -590,10 +498,11 @@ func strictDecode(b []byte, v any) error {
 	return nil
 }
 
-// rawKey routes an unkeyable body by its bytes; the derivation lives in
-// reqkey.Raw so the fallback keyspace is defined next to the canonical
-// one it must stay disjoint from.
-func rawKey(endpoint string, body []byte) string {
+// rawKey routes an unkeyable body by its bytes, counting the fallback;
+// the derivation lives in reqkey.Raw so the fallback keyspace is defined
+// next to the canonical one it must stay disjoint from.
+func (rt *Router) rawKey(endpoint string, body []byte) string {
+	rt.rawKeyRoutes.Inc()
 	return reqkey.Raw(endpoint, body)
 }
 
@@ -602,11 +511,11 @@ func rawKey(endpoint string, body []byte) string {
 func (rt *Router) predictKey(body []byte) string {
 	var req server.PredictRequest
 	if err := strictDecode(body, &req); err != nil {
-		return rawKey("predict", body)
+		return rt.rawKey("predict", body)
 	}
 	key, err := server.PredictCacheKey(req, rt.cfg.Defaults)
 	if err != nil {
-		return rawKey("predict", body)
+		return rt.rawKey("predict", body)
 	}
 	return key
 }
@@ -616,11 +525,11 @@ func (rt *Router) predictKey(body []byte) string {
 func (rt *Router) sweepKey(body []byte) string {
 	var spec experiments.SweepSpec
 	if err := strictDecode(body, &spec); err != nil {
-		return rawKey("sweep", body)
+		return rt.rawKey("sweep", body)
 	}
 	key, err := server.SweepCacheKey(spec, rt.cfg.Defaults)
 	if err != nil {
-		return rawKey("sweep", body)
+		return rt.rawKey("sweep", body)
 	}
 	return key
 }
@@ -632,11 +541,11 @@ func (rt *Router) sweepKey(body []byte) string {
 func (rt *Router) optimizeKey(body []byte) string {
 	var spec optimize.Spec
 	if err := strictDecode(body, &spec); err != nil {
-		return rawKey("optimize", body)
+		return rt.rawKey("optimize", body)
 	}
 	key, err := server.OptimizeCacheKey(spec, rt.cfg.Defaults)
 	if err != nil {
-		return rawKey("optimize", body)
+		return rt.rawKey("optimize", body)
 	}
 	return key
 }

@@ -1,6 +1,7 @@
 package router
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -10,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -147,8 +149,7 @@ func TestProxyByteEquality(t *testing.T) {
 	_, repA := newDaemon(t)
 	_, repB := newDaemon(t)
 	rt, proxy := newProxy(t, Config{
-		Replicas:     []string{repA.URL, repB.URL},
-		DisableHedge: true,
+		Replicas: []string{repA.URL, repB.URL},
 	})
 
 	// Predict: single-shot, repeated for the cache-hit path.
@@ -270,9 +271,8 @@ func TestShardStability(t *testing.T) {
 	_, repA := newDaemon(t)
 	_, repB := newDaemon(t)
 	rt, proxy := newProxy(t, Config{
-		Replicas:     []string{repA.URL, repB.URL},
-		DisableHedge: true,
-		LoadFactor:   -1, // no bounded-load diversion: pure ring routing
+		Replicas:   []string{repA.URL, repB.URL},
+		LoadFactor: -1, // no bounded-load diversion: pure ring routing
 	})
 
 	bodies := make([]string, 0, 16)
@@ -345,106 +345,297 @@ func fakeReplicas(t *testing.T, n int, cfg Config) ([]*httptest.Server, []*http.
 	return servers, handlers, rt
 }
 
-// TestHedgedRequestWinsAndCancelsLoser: the key's owner stalls, the
-// hedge timer fires, the ring successor answers, and the stalled
-// attempt is canceled — first response wins.
-func TestHedgedRequestWinsAndCancelsLoser(t *testing.T) {
-	_, handlers, rt := fakeReplicas(t, 2, Config{
-		HedgeMax:        20 * time.Millisecond, // pre-sample hedge delay
-		HedgeMinSamples: 1 << 30,               // pin delay at HedgeMax
-		UpstreamRetries: -1,
-	})
+// TestEjectionFailsOverStalledOwner: the key's owner hangs — predict
+// and /readyz alike — so the next probe times out and ejects it; the
+// ejection cancels the attempt still waiting for headers, and the ring
+// successor serves the request.
+func TestEjectionFailsOverStalledOwner(t *testing.T) {
+	// The upstream timeout only bounds a regression: the ejection must
+	// fail the attempt over long before it.
+	_, handlers, rt := fakeReplicas(t, 2, Config{ProbeTimeout: 50 * time.Millisecond, UpstreamTimeout: 10 * time.Second})
 	body := []byte(`{"bench": "gzip"}`)
 	key := rt.predictKey(body)
 	owner := rt.ring.owner(key)
 
-	loserCanceled := make(chan struct{}, 1)
-	slow := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	arrived := make(chan struct{}, 1)
+	canceled := make(chan struct{}, 1)
+	*handlers[owner] = func(w http.ResponseWriter, r *http.Request) {
 		// Drain the body so the server's background connection-close
-		// watcher is armed; the canceled client aborts the connection,
-		// which cancels this request's context.
+		// watcher is armed; a canceled client then cancels r.Context().
 		io.Copy(io.Discard, r.Body)
-		select {
-		case <-r.Context().Done():
-			loserCanceled <- struct{}{}
-		case <-time.After(10 * time.Second):
-			w.Write([]byte("too late"))
+		if r.URL.Path == "/v1/predict" {
+			arrived <- struct{}{}
 		}
-	})
-	fast := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		w.Write([]byte(`{"winner": true}`))
-	})
-	*handlers[owner] = slow
-	*handlers[1-owner] = fast
+		<-r.Context().Done()
+		if r.URL.Path == "/v1/predict" {
+			canceled <- struct{}{}
+		}
+	}
+	*handlers[1-owner] = func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte(`{"served": true}`))
+	}
 
-	begin := time.Now()
-	resp, rep, err := rt.forward(context.Background(), http.MethodPost, "/v1/predict", body, nil, false, key)
-	if err != nil {
-		t.Fatal(err)
+	type result struct {
+		body []byte
+		rep  *replica
+		err  error
 	}
-	got, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if string(got) != `{"winner": true}` {
-		t.Fatalf("winner body = %q", got)
+	done := make(chan result, 1)
+	go func() {
+		resp, rep, err := rt.forward(context.Background(), http.MethodPost, "/v1/predict", body, nil, false, key)
+		if err != nil {
+			done <- result{err: err}
+			return
+		}
+		b, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		done <- result{body: b, rep: rep, err: err}
+	}()
+	select {
+	case <-arrived:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the request never reached the owner")
 	}
-	if rep != rt.reps[1-owner] {
-		t.Fatalf("winner replica = %s, want the ring successor", rep.url)
-	}
-	if elapsed := time.Since(begin); elapsed > 5*time.Second {
-		t.Fatalf("hedged request took %v; hedge timer did not fire", elapsed)
-	}
-	if rt.hedgeWins.Load() != 1 {
-		t.Fatalf("hedge wins = %d, want 1", rt.hedgeWins.Load())
-	}
-	if rt.reps[1-owner].hedges.Load() != 1 {
-		t.Fatalf("successor hedge count = %d, want 1", rt.reps[1-owner].hedges.Load())
+	rt.ProbeOnce(context.Background())
+	if rt.reps[owner].healthy.Load() {
+		t.Fatal("a probe that timed out left the hung owner in rotation")
 	}
 	select {
-	case <-loserCanceled:
+	case res := <-done:
+		if res.err != nil {
+			t.Fatal(res.err)
+		}
+		if string(res.body) != `{"served": true}` || res.rep != rt.reps[1-owner] {
+			t.Fatalf("body %q from %s, want the successor's answer", res.body, res.rep.url)
+		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("losing attempt was never canceled")
+		t.Fatal("the ejection did not fail the stalled attempt over")
+	}
+	select {
+	case <-canceled:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the stalled attempt's context was never canceled")
 	}
 }
 
-// TestRetryAfterDoesNotStallHedge: a shedding owner advertising a long
-// Retry-After delays only its own attempt; the hedge timer still fires
-// and the successor serves the request promptly.
-func TestRetryAfterDoesNotStallHedge(t *testing.T) {
-	_, handlers, rt := fakeReplicas(t, 2, Config{
-		HedgeMax:        20 * time.Millisecond,
-		HedgeMinSamples: 1 << 30,
-	})
+// shed answers 429 with the given Retry-After and a JSON error body.
+func shed(retryAfter, msg string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Retry-After", retryAfter)
+		w.WriteHeader(http.StatusTooManyRequests)
+		fmt.Fprintf(w, `{"error": %q}`, msg)
+	}
+}
+
+// TestSheddingOwnerSpillsToSuccessor: an owner shedding with a long
+// Retry-After is not waited out; the successor answers at once.
+func TestSheddingOwnerSpillsToSuccessor(t *testing.T) {
+	_, handlers, rt := fakeReplicas(t, 2, Config{})
 	body := []byte(`{"bench": "gzip"}`)
 	key := rt.predictKey(body)
 	owner := rt.ring.owner(key)
-
-	shedding := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Retry-After", "30")
-		w.WriteHeader(http.StatusTooManyRequests)
-		w.Write([]byte(`{"error": "saturated"}`))
-	})
-	ok := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	*handlers[owner] = shed("30", "saturated")
+	*handlers[1-owner] = func(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte(`{"served": true}`))
-	})
-	*handlers[owner] = shedding
-	*handlers[1-owner] = ok
+	}
 
 	begin := time.Now()
 	resp, rep, err := rt.forward(context.Background(), http.MethodPost, "/v1/predict", body, nil, false, key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || string(got) != `{"served": true}` {
-		t.Fatalf("status %d body %q, want the successor's 200", resp.StatusCode, got)
+	got := readAll(t, resp)
+	if elapsed := time.Since(begin); elapsed > 500*time.Millisecond {
+		t.Fatalf("request took %v; the owner's Retry-After was waited out", elapsed)
 	}
-	if rep != rt.reps[1-owner] {
-		t.Fatalf("winner = %s, want the ring successor", rep.url)
+	if resp.StatusCode != http.StatusOK || string(got) != `{"served": true}` || rep != rt.reps[1-owner] {
+		t.Fatalf("status %d body %q from %s, want the successor's 200", resp.StatusCode, got, rep.url)
 	}
-	if elapsed := time.Since(begin); elapsed > 5*time.Second {
-		t.Fatalf("request took %v; the owner's 30s Retry-After stalled the hedge", elapsed)
+	if n := rt.reps[owner].requests.Load(); n != 1 {
+		t.Fatalf("owner saw %d attempts, want 1 (no proxy-side retry)", n)
+	}
+	if n := rt.upstream.Snapshot().Count; n != 1 {
+		t.Fatalf("upstream histogram has %d observations, want 1 per forward", n)
+	}
+}
+
+// TestAllCandidatesShedRelaysLast429: when every candidate sheds, the
+// client gets the last one's 429 verbatim, Retry-After included.
+func TestAllCandidatesShedRelaysLast429(t *testing.T) {
+	_, handlers, rt := fakeReplicas(t, 2, Config{})
+	proxy := httptest.NewServer(rt.Handler())
+	t.Cleanup(proxy.Close)
+	body := `{"bench": "gzip"}`
+	owner := rt.ring.owner(rt.predictKey([]byte(body)))
+	*handlers[owner] = shed("30", "owner saturated")
+	*handlers[1-owner] = shed("7", "successor saturated")
+
+	resp := post(t, proxy.URL, "/v1/predict", body, nil)
+	got := readAll(t, resp)
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("status %d, want 429: %s", resp.StatusCode, got)
+	}
+	if ra := resp.Header.Get("Retry-After"); ra != "7" {
+		t.Fatalf("Retry-After = %q, want the last candidate's 7", ra)
+	}
+	if string(got) != `{"error": "successor saturated"}` {
+		t.Fatalf("body %q, want the last candidate's", got)
+	}
+	for i, rep := range rt.reps {
+		if n := rep.requests.Load(); n != 1 {
+			t.Fatalf("replica %d saw %d attempts, want 1", i, n)
+		}
+	}
+}
+
+// TestShedThenFailedSuccessorRelaysShed: the owner sheds and the
+// successor is unreachable, so the client gets the owner's 429 and its
+// Retry-After — a retryable answer — not the proxy's 502.
+func TestShedThenFailedSuccessorRelaysShed(t *testing.T) {
+	servers, handlers, rt := fakeReplicas(t, 2, Config{})
+	proxy := httptest.NewServer(rt.Handler())
+	t.Cleanup(proxy.Close)
+	body := `{"bench": "gzip"}`
+	owner := rt.ring.owner(rt.predictKey([]byte(body)))
+	*handlers[owner] = shed("30", "owner saturated")
+	servers[1-owner].Close()
+
+	resp := post(t, proxy.URL, "/v1/predict", body, nil)
+	got := readAll(t, resp)
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("status %d, want the owner's 429: %s", resp.StatusCode, got)
+	}
+	if ra := resp.Header.Get("Retry-After"); ra != "30" {
+		t.Fatalf("Retry-After = %q, want the owner's 30", ra)
+	}
+	if string(got) != `{"error": "owner saturated"}` {
+		t.Fatalf("body %q, want the owner's", got)
+	}
+	if n := rt.reps[1-owner].failures.Load(); n != 1 {
+		t.Fatalf("successor recorded %d failures, want 1 (it was tried)", n)
+	}
+}
+
+// TestEjectionDoesNotCutStreamedRelay: once a streamed answer's headers
+// have arrived, ejecting its replica leaves the relay running to the end.
+func TestEjectionDoesNotCutStreamedRelay(t *testing.T) {
+	_, handlers, rt := fakeReplicas(t, 2, Config{})
+	proxy := httptest.NewServer(rt.Handler())
+	t.Cleanup(proxy.Close)
+	body := `{"param": "rob", "benches": ["gzip"], "values": [64, 128]}`
+	owner := rt.ring.owner(rt.sweepKey([]byte(body)))
+
+	release := make(chan struct{})
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	defer unblock()
+	*handlers[owner] = func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/readyz" {
+			w.WriteHeader(http.StatusServiceUnavailable)
+			return
+		}
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		fmt.Fprintln(w, `{"row": 1}`)
+		w.(http.Flusher).Flush()
+		<-release
+		fmt.Fprintln(w, `{"row": 2}`)
+	}
+
+	resp := post(t, proxy.URL, "/v1/sweep", body, http.Header{"Accept": []string{"application/x-ndjson"}})
+	defer resp.Body.Close()
+	rd := bufio.NewReader(resp.Body)
+	first, err := rd.ReadString('\n')
+	if err != nil || first != "{\"row\": 1}\n" {
+		t.Fatalf("first row %q, %v", first, err)
+	}
+	rt.ProbeOnce(context.Background())
+	if rt.reps[owner].healthy.Load() {
+		t.Fatal("the owner answered /readyz 503 but stayed in rotation")
+	}
+	unblock()
+	rest, err := io.ReadAll(rd)
+	if err != nil || string(rest) != "{\"row\": 2}\n" {
+		t.Fatalf("rest of stream %q, %v; want the second row and a clean end", rest, err)
+	}
+}
+
+// TestFailOpenAttemptSurvivesEjection: with every replica ejected the
+// router fails open, counts it, and an attempt launched after the
+// ejection is not canceled when later probes keep failing.
+func TestFailOpenAttemptSurvivesEjection(t *testing.T) {
+	_, handlers, rt := fakeReplicas(t, 1, Config{})
+	proxy := httptest.NewServer(rt.Handler())
+	t.Cleanup(proxy.Close)
+	arrived := make(chan struct{}, 1)
+	release := make(chan struct{})
+	*handlers[0] = func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/readyz" {
+			w.WriteHeader(http.StatusServiceUnavailable)
+			return
+		}
+		arrived <- struct{}{}
+		<-release
+		w.Write([]byte(`{"served": true}`))
+	}
+	rt.ProbeOnce(context.Background())
+	if rt.reps[0].healthy.Load() {
+		t.Fatal("warming replica still in rotation")
+	}
+
+	type result struct {
+		code int
+		body string
+		err  error
+	}
+	done := make(chan result, 1)
+	go func() {
+		resp, err := http.Post(proxy.URL+"/v1/predict", "application/json", strings.NewReader(`{"bench": "gzip"}`))
+		if err != nil {
+			done <- result{err: err}
+			return
+		}
+		b, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		done <- result{code: resp.StatusCode, body: string(b), err: err}
+	}()
+	select {
+	case <-arrived:
+	case <-time.After(5 * time.Second):
+		close(release)
+		t.Fatal("the fail-open attempt never reached the ejected replica")
+	}
+	rt.ProbeOnce(context.Background())
+	close(release)
+	res := <-done
+	if res.err != nil || res.code != http.StatusOK || res.body != `{"served": true}` {
+		t.Fatalf("fail-open request = (%d, %q, %v), want the replica's 200", res.code, res.body, res.err)
+	}
+	metricsBody := string(readAll(t, get(t, proxy.URL, "/metrics")))
+	metricstest.Check(t, metricsBody)
+	if !strings.Contains(metricsBody, "\nfomodelproxy_fail_open_total 1\n") {
+		t.Fatalf("/metrics lacks fomodelproxy_fail_open_total 1:\n%s", metricsBody)
+	}
+}
+
+// TestRawKeyRouteCounted: a body the proxy cannot key is still forwarded
+// — the daemon's rejection stays authoritative — and the fallback shows
+// on /metrics.
+func TestRawKeyRouteCounted(t *testing.T) {
+	_, repA := newDaemon(t)
+	_, proxy := newProxy(t, Config{Replicas: []string{repA.URL}})
+	readAll(t, post(t, proxy.URL, "/v1/predict", `{"bench": "gzip"}`, nil))
+	resp := post(t, proxy.URL, "/v1/predict", `{"bench": "gzip", "bogus": 1}`, nil)
+	if got := readAll(t, resp); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("unkeyable body: status %d, want the daemon's 400: %s", resp.StatusCode, got)
+	}
+	// A keyable batch whose items the daemon will reject routes by item
+	// keys; the raw fallback for those items is not a routed body.
+	readAll(t, post(t, proxy.URL, "/v1/batch", `{"items": [{"bench": "nosuch"}, {"bench": "gzip", "n": -1}]}`, nil))
+	metricsBody := string(readAll(t, get(t, proxy.URL, "/metrics")))
+	metricstest.Check(t, metricsBody)
+	if !strings.Contains(metricsBody, "\nfomodelproxy_raw_key_routes_total 1\n") {
+		t.Fatalf("/metrics lacks fomodelproxy_raw_key_routes_total 1:\n%s", metricsBody)
 	}
 }
 
@@ -467,9 +658,8 @@ func TestFailoverEjectAndReadmit(t *testing.T) {
 	go srvB.Serve(lnB)
 
 	rt, proxy := newProxy(t, Config{
-		Replicas:     []string{repA.URL, "http://" + addrB},
-		DisableHedge: true,
-		EjectAfter:   1,
+		Replicas:   []string{repA.URL, "http://" + addrB},
+		EjectAfter: 1,
 	})
 	idxB := 1
 
@@ -569,8 +759,7 @@ func TestProbeEjectsWarmingReplica(t *testing.T) {
 	srvA, repA := newDaemon(t)
 	_, repB := newDaemon(t)
 	rt, proxy := newProxy(t, Config{
-		Replicas:     []string{repA.URL, repB.URL},
-		DisableHedge: true,
+		Replicas: []string{repA.URL, repB.URL},
 	})
 
 	srvA.SetReady(false)
@@ -609,7 +798,7 @@ func TestProbeEjectsWarmingReplica(t *testing.T) {
 // surface: /healthz shape, /readyz transitions, /metrics exposition.
 func TestProxyOwnEndpoints(t *testing.T) {
 	_, repA := newDaemon(t)
-	rt, proxy := newProxy(t, Config{Replicas: []string{repA.URL}, DisableHedge: true})
+	rt, proxy := newProxy(t, Config{Replicas: []string{repA.URL}})
 
 	resp := get(t, proxy.URL, "/healthz")
 	var hz healthzResponse
@@ -640,7 +829,6 @@ func TestProxyOwnEndpoints(t *testing.T) {
 		"fomodelproxy_requests_total{path=\"/v1/predict\",code=\"200\"} 1",
 		"fomodelproxy_replica_requests_total",
 		"fomodelproxy_replica_healthy",
-		"fomodelproxy_hedge_delay_seconds",
 		"fomodelproxy_upstream_duration_seconds_count",
 	} {
 		if !strings.Contains(body, want) {
@@ -670,9 +858,8 @@ func TestRoundRobinSpreads(t *testing.T) {
 	_, repA := newDaemon(t)
 	_, repB := newDaemon(t)
 	rt, proxy := newProxy(t, Config{
-		Replicas:     []string{repA.URL, repB.URL},
-		RoundRobin:   true,
-		DisableHedge: true,
+		Replicas:   []string{repA.URL, repB.URL},
+		RoundRobin: true,
 	})
 	for i := 0; i < 4; i++ {
 		resp := post(t, proxy.URL, "/v1/predict", `{"bench": "gzip"}`, nil)
@@ -690,7 +877,7 @@ func TestRoundRobinSpreads(t *testing.T) {
 // echoes it, and a client-supplied ID survives untouched.
 func TestRequestIDFlowsThroughFleet(t *testing.T) {
 	_, repA := newDaemon(t)
-	_, proxy := newProxy(t, Config{Replicas: []string{repA.URL}, DisableHedge: true})
+	_, proxy := newProxy(t, Config{Replicas: []string{repA.URL}})
 
 	resp := post(t, proxy.URL, "/v1/predict", `{"bench": "gzip"}`, nil)
 	if resp.Header.Get("X-Request-ID") == "" {
@@ -718,57 +905,9 @@ func TestRequestIDFlowsThroughFleet(t *testing.T) {
 	}
 }
 
-// TestHedgeFiresAfterFailoverExhaustedCandidates: with two replicas, the
-// key's owner dies at the transport (connection refused) before the
-// hedge timer fires, so the error branch consumes the last candidate as
-// an instant failover; the still-armed hedge timer then fires while that
-// attempt is in flight. Regression: launch() used to index past the
-// candidate slice and panic, aborting the request.
-func TestHedgeFiresAfterFailoverExhaustedCandidates(t *testing.T) {
-	// The survivor answers slower than the hedge delay, guaranteeing the
-	// timer fires while the failover attempt is still in flight.
-	survivor := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		time.Sleep(100 * time.Millisecond)
-		w.Write([]byte(`{"served": true}`))
-	}))
-	t.Cleanup(survivor.Close)
-
-	// A closed listener's address refuses connections instantly.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dead := "http://" + ln.Addr().String()
-	ln.Close()
-
-	rt, err := New(Config{
-		Replicas:        []string{dead, survivor.URL},
-		Defaults:        testDefaults(),
-		HedgeMax:        5 * time.Millisecond,
-		HedgeMinSamples: 1 << 30, // pin the hedge delay at HedgeMax
-		UpstreamRetries: -1,
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Any key homed on the dead replica exercises the race.
-	key := "k"
-	for i := 0; rt.ring.owner(key) != 0; i++ {
-		key = fmt.Sprintf("k%d", i)
-	}
-	resp, rep, err := rt.forward(context.Background(), http.MethodPost, "/v1/predict", []byte(`{"bench": "gzip"}`), nil, false, key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := readAll(t, resp); string(got) != `{"served": true}` || rep != rt.reps[1] {
-		t.Fatalf("body %q from %s, want the survivor's response", got, rep.url)
-	}
-}
-
 // TestProbeDoesNotRetryNotReady: a warming replica's /readyz 503 must
-// resolve as one clean not-ready probe per pass — not be retried on the
-// request client's 429/503 backoff schedule until the probe deadline
-// converts it into a misleading timeout error.
+// resolve as one clean not-ready probe per pass — not be retried until
+// the probe deadline converts it into a misleading timeout error.
 func TestProbeDoesNotRetryNotReady(t *testing.T) {
 	var hits atomic.Int32
 	warming := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -817,8 +956,7 @@ func TestOptimizeProxyByteEquality(t *testing.T) {
 	_, repA := newDaemon(t)
 	_, repB := newDaemon(t)
 	_, proxy := newProxy(t, Config{
-		Replicas:     []string{repA.URL, repB.URL},
-		DisableHedge: true,
+		Replicas: []string{repA.URL, repB.URL},
 	})
 
 	optBody := `{"workloads":[{"bench":"gzip"}],"bounds":{"width":{"min":1,"max":4}},"budget":6}`

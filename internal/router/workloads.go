@@ -2,6 +2,7 @@ package router
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -68,6 +69,7 @@ const maxWorkloadRelayBytes = 1 << 20
 type fanoutResult struct {
 	status      int
 	contentType string
+	retryAfter  string
 	body        []byte
 	err         error
 }
@@ -83,16 +85,11 @@ func (rt *Router) fanout(r *http.Request, method, path string, body []byte) []fa
 		wg.Add(1)
 		go func(i int, rep *replica) {
 			defer wg.Done()
-			rep.requests.Inc()
-			rep.inflight.Add(1)
-			defer rep.inflight.Add(-1)
-			resp, err := rep.cl.DoRaw(r.Context(), method, path, body, hdr, false)
+			resp, err := rt.try(r.Context(), rep, method, path, body, hdr, false)
 			if err != nil {
-				rt.noteFailure(rep, err)
 				out[i] = fanoutResult{err: fmt.Errorf("replica %s: %w", rep.url, err)}
 				return
 			}
-			rt.noteSuccess(rep)
 			b, err := io.ReadAll(io.LimitReader(resp.Body, maxWorkloadRelayBytes))
 			resp.Body.Close() //folint:allow(errdrop) read-side close after a full read; there is nothing to act on
 			if err != nil {
@@ -102,6 +99,7 @@ func (rt *Router) fanout(r *http.Request, method, path string, body []byte) []fa
 			out[i] = fanoutResult{
 				status:      resp.StatusCode,
 				contentType: resp.Header.Get("Content-Type"),
+				retryAfter:  resp.Header.Get("Retry-After"),
 				body:        b,
 			}
 		}(i, rep)
@@ -110,15 +108,25 @@ func (rt *Router) fanout(r *http.Request, method, path string, body []byte) []fa
 	return out
 }
 
-// relayBuffered writes one buffered fanout answer to the client.
+// relayBuffered writes one buffered fanout answer to the client. A shed
+// registration carries the daemon's Retry-After: the proxy does not
+// retry, so the client must.
 func relayBuffered(w http.ResponseWriter, res fanoutResult) {
 	if res.contentType != "" {
 		w.Header().Set("Content-Type", res.contentType)
+	}
+	if res.retryAfter != "" {
+		w.Header().Set("Retry-After", res.retryAfter)
 	}
 	w.WriteHeader(res.status)
 	//folint:allow(errdrop) response write: the client may already be gone, and there is no fallback channel
 	w.Write(res.body)
 }
+
+// errNoReplicas means a fanout had no replica to ask — only possible
+// when the router was built with zero replicas, which New rejects; kept
+// as a guard.
+var errNoReplicas = errors.New("no replicas available")
 
 // pickFanoutAnswer chooses which replica's answer speaks for the fleet:
 // the lowest-index non-200 if any replica refused (the fleet is only
@@ -201,7 +209,7 @@ func (rt *Router) handleWorkloadGet(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	key, err := server.WorkloadItemKey(name)
 	if err != nil {
-		key = rawKey("workload", []byte(name))
+		key = rt.rawKey("workload", []byte(name))
 	}
 	rt.proxyOne(w, r, http.MethodGet, workloadPath(name), nil, false, key)
 }

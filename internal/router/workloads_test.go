@@ -145,6 +145,25 @@ func TestWorkloadRegisterRefusalWins(t *testing.T) {
 	}
 }
 
+// TestWorkloadRegisterShedRelaysRetryAfter: a replica shedding the
+// registration speaks for the fleet with its Retry-After intact, since
+// the proxy does not retry on the client's behalf.
+func TestWorkloadRegisterShedRelaysRetryAfter(t *testing.T) {
+	shedding := httptest.NewServer(shed("7", "server saturated"))
+	t.Cleanup(shedding.Close)
+	_, accepting := newDaemon(t)
+	_, proxy := newProxy(t, Config{Replicas: []string{accepting.URL, shedding.URL}})
+
+	resp := post(t, proxy.URL, "/v1/workloads/wl", profileBody(t, "gzip", "wl"), nil)
+	body := readAll(t, resp)
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("status %d, want the shedding replica's 429\n%s", resp.StatusCode, body)
+	}
+	if ra := resp.Header.Get("Retry-After"); ra != "7" {
+		t.Fatalf("Retry-After = %q, want 7", ra)
+	}
+}
+
 // TestWorkloadRegisterTransportErrorIs502 pins the partial-write answer:
 // a replica that cannot be reached at all turns the write into a 502 so
 // the client knows the fleet state is not uniform.

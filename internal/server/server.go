@@ -234,7 +234,8 @@ type statusWriter struct {
 	// reqID is the request's X-Request-ID header, when the client (the
 	// fomodelproxy router, typically) sent one; it is echoed into the
 	// response headers, the structured request log, and error bodies so
-	// one hedged or retried request can be traced across replicas.
+	// one request that failed over or was retried can be traced across
+	// replicas.
 	reqID string
 }
 

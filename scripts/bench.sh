@@ -133,7 +133,7 @@ if [ "${1:-}" = "optimize" ]; then
     for port in 8797 8798; do wait_ready "http://127.0.0.1:$port"; done
     "$bin/fomodelproxy" -addr 127.0.0.1:8790 \
         -replicas http://127.0.0.1:8797,http://127.0.0.1:8798 \
-        -route hash -hedge=false >"$bin/proxy.log" 2>&1 &
+        -route hash >"$bin/proxy.log" 2>&1 &
     pids+=($!)
     wait_ready http://127.0.0.1:8790
     "$bin/fomodelload" -url http://127.0.0.1:8790 -duration "$dur" \
@@ -237,7 +237,7 @@ if [ "${1:-}" = "proxy" ]; then
     echo "== phase 2: hash-routed fleet, constrained caches" >&2
     start_replicas $cache
     "$bin/fomodelproxy" -addr 127.0.0.1:8790 $replicas_flag \
-        -route hash -hedge=false >"$bin/proxy-hash.log" 2>&1 &
+        -route hash >"$bin/proxy-hash.log" 2>&1 &
     pids+=($!)
     wait_ready http://127.0.0.1:8790
     "$bin/fomodelload" -url http://127.0.0.1:8790 -duration "$dur" \
@@ -247,7 +247,7 @@ if [ "${1:-}" = "proxy" ]; then
     echo "== phase 3: round-robin fleet, constrained caches" >&2
     start_replicas $cache
     "$bin/fomodelproxy" -addr 127.0.0.1:8790 $replicas_flag \
-        -route roundrobin -hedge=false >"$bin/proxy-rr.log" 2>&1 &
+        -route roundrobin >"$bin/proxy-rr.log" 2>&1 &
     pids+=($!)
     wait_ready http://127.0.0.1:8790
     "$bin/fomodelload" -url http://127.0.0.1:8790 -duration "$dur" \

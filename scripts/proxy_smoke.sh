@@ -5,9 +5,13 @@
 # front of it, then asserts the tentpole contract end to end over real
 # sockets: every response through the proxy — /v1/predict, a
 # shard-splitting /v1/batch, /v1/sweep buffered AND streamed NDJSON,
-# /v1/workloads — is byte-equal to the reference daemon's. It then kills
-# one replica and verifies requests keep succeeding (failover to the
-# ring successor), and tears everything down via the trap.
+# /v1/workloads — is byte-equal to the reference daemon's. It then
+# freezes one replica (SIGSTOP: it accepts connections but never
+# answers) and verifies requests keep succeeding, because the probe that
+# times out ejects it and the ejection fails its waiting requests over.
+# Finally it kills one replica and verifies requests keep succeeding
+# (failover to the ring successor), and tears everything down via the
+# trap.
 #
 # Uses a small -n so the whole run stays in CI-seconds territory; byte
 # equivalence does not depend on trace length.
@@ -18,6 +22,8 @@ N=${N:-20000}
 bin=$(mktemp -d)
 pids=()
 cleanup() {
+    # SIGCONT first: a stopped process would hold its SIGTERM pending.
+    for pid in "${pids[@]:-}"; do kill -CONT "$pid" 2>/dev/null || true; done
     for pid in "${pids[@]:-}"; do kill "$pid" 2>/dev/null || true; done
     wait 2>/dev/null || true
     rm -rf "$bin"
@@ -41,7 +47,8 @@ echo "== boot: reference daemon, 2 replicas, proxy" >&2
 "$bin/fomodeld" -addr 127.0.0.1:8781 -n "$N" -warm=false >"$bin/ref.log" 2>&1 &
 pids+=($!)
 "$bin/fomodeld" -addr 127.0.0.1:8782 -n "$N" -warm=false >"$bin/rep1.log" 2>&1 &
-pids+=($!)
+rep1_pid=$!
+pids+=($rep1_pid)
 "$bin/fomodeld" -addr 127.0.0.1:8783 -n "$N" -warm=false >"$bin/rep2.log" 2>&1 &
 rep2_pid=$!
 pids+=($rep2_pid)
@@ -86,6 +93,17 @@ check_equal "sweep (buffered)" /v1/sweep "$sweep"
 check_equal "sweep (NDJSON stream)" /v1/sweep "$sweep" -H 'Accept: application/x-ndjson'
 check_equal "workloads" /v1/workloads ""
 
+echo "== hung replica: freeze one replica, requests must keep succeeding" >&2
+kill -STOP "$rep1_pid"
+for i in $(seq 1 6); do
+    curl -fsS --max-time 10 -X POST -H 'Content-Type: application/json' \
+        -d "{\"bench\": \"gcc\", \"machine\": {\"rob\": $((32 * i + 32))}}" \
+        "$proxy/v1/predict" >/dev/null
+done
+kill -CONT "$rep1_pid"
+wait_ready http://127.0.0.1:8782
+echo "ok: 6/6 requests served with a hung replica" >&2
+
 echo "== failover: kill one replica, requests must keep succeeding" >&2
 { kill -9 "$rep2_pid" && wait "$rep2_pid"; } 2>/dev/null || true
 for i in $(seq 1 6); do
@@ -95,6 +113,9 @@ for i in $(seq 1 6); do
 done
 echo "ok: 6/6 requests served with a dead replica" >&2
 
-curl -fsS "$proxy/metrics" | grep -q '^fomodelproxy_requests_total' \
+# Fetch to a file first: grep -q exits at its first match, and under
+# pipefail a curl still writing a multi-chunk body would fail the check.
+curl -fsS "$proxy/metrics" >"$bin/metrics"
+grep -q '^fomodelproxy_requests_total' "$bin/metrics" \
     || { echo "proxy /metrics missing counters" >&2; exit 1; }
 echo "proxy smoke passed" >&2
