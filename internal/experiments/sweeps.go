@@ -76,25 +76,43 @@ type SweepSpec struct {
 	Values []int `json:"values"`
 }
 
-// sweepCell computes one (benchmark, value) grid cell.
-type sweepCell func(s *Suite, w *Workload, v int) (SweepPoint, error)
+// sweepCell computes one (benchmark, value) grid cell's model side and
+// point from the cell's simulation.
+type sweepCell func(s *Suite, w *Workload, v int, sim *uarch.Result) (SweepPoint, error)
 
-// sweepCells maps each supported parameter to its cell computation. The
+// sweepParam is one supported sweep dimension: how a value sets the
+// simulator's configuration, and how a grid cell is computed from the
+// simulation at that value.
+type sweepParam struct {
+	set  func(c *uarch.Config, v int)
+	cell sweepCell
+}
+
+// sweepParams maps each supported parameter to its dimension. The
 // window and ROB cells re-derive the model inputs that depend on the
 // swept size (the measured IW point and the equation-(8) miss grouping
 // respectively); width and depth only move timing-side machine
 // parameters, so the cached workload inputs are reused as-is.
-var sweepCells = map[string]sweepCell{
-	"window": windowCell,
-	"rob":    robCell,
-	"width":  widthCell,
-	"depth":  depthCell,
+var sweepParams = map[string]sweepParam{
+	"window": {setWindow, windowCell},
+	"rob":    {func(c *uarch.Config, v int) { c.ROBSize = v }, robCell},
+	"width":  {func(c *uarch.Config, v int) { c.Width = v }, widthCell},
+	"depth":  {func(c *uarch.Config, v int) { c.FrontEndDepth = v }, depthCell},
+}
+
+// setWindow sets the issue window, bumping the ROB when it would fall
+// below it.
+func setWindow(c *uarch.Config, win int) {
+	c.WindowSize = win
+	if c.ROBSize < win {
+		c.ROBSize = win
+	}
 }
 
 // SweepParams returns the supported sweep parameter names, sorted.
 func SweepParams() []string {
-	params := make([]string, 0, len(sweepCells))
-	for p := range sweepCells {
+	params := make([]string, 0, len(sweepParams))
+	for p := range sweepParams {
 		params = append(params, p)
 	}
 	sort.Strings(params)
@@ -102,15 +120,21 @@ func SweepParams() []string {
 }
 
 // Validate reports the first structural problem with the spec,
-// accepting only built-in benchmark names. Servers with a workload
+// accepting only built-in benchmark names and checking values against
+// the baseline simulator configuration. Servers with a workload
 // registry use ValidateFor so registered names pass too.
 func (sp SweepSpec) Validate() error { return sp.ValidateFor(nil) }
 
-// ValidateFor is Validate against a suite's workload universe: a bench
-// name is acceptable when it is built-in or when s resolves it through
-// its registered-workload lookup. A nil s accepts built-ins only.
+// ValidateFor is Validate against a suite: a bench name is acceptable
+// when it is built-in or when s resolves it through its
+// registered-workload lookup, and every value must give a valid
+// simulator configuration (uarch.Config.Validate, whose upper bounds
+// keep one request from exhausting memory) when applied to s's baseline.
+// A nil s accepts built-ins only and checks against
+// uarch.DefaultConfig.
 func (sp SweepSpec) ValidateFor(s *Suite) error {
-	if _, ok := sweepCells[sp.Param]; !ok {
+	param, ok := sweepParams[sp.Param]
+	if !ok {
 		return fmt.Errorf("experiments: unknown sweep parameter %q (known: %s)",
 			sp.Param, strings.Join(SweepParams(), ", "))
 	}
@@ -128,9 +152,18 @@ func (sp SweepSpec) ValidateFor(s *Suite) error {
 	if len(sp.Values) == 0 {
 		return fmt.Errorf("experiments: sweep needs at least one %s value", sp.Param)
 	}
+	base := uarch.DefaultConfig()
+	if s != nil {
+		base = s.Sim
+	}
 	for _, v := range sp.Values {
 		if v < 1 {
 			return fmt.Errorf("experiments: sweep value %d < 1", v)
+		}
+		cfg := base
+		param.set(&cfg, v)
+		if err := cfg.Validate(); err != nil {
+			return fmt.Errorf("experiments: sweep %s value %d: %w", sp.Param, v, err)
 		}
 	}
 	return nil
@@ -161,7 +194,7 @@ func SweepStream(ctx context.Context, s *Suite, spec SweepSpec, emit func(SweepP
 			spec.Param, strings.Join(spec.Benches, ", "))
 	}
 	res := &SweepResult{Title: title, Param: spec.Param}
-	cell := sweepCells[spec.Param]
+	param := sweepParams[spec.Param]
 	jobs := sweepGrid(spec.Benches, spec.Values)
 	err := RunOrdered(s.workers(), len(jobs), func(i int) (SweepPoint, error) {
 		if err := ctx.Err(); err != nil {
@@ -171,7 +204,12 @@ func SweepStream(ctx context.Context, s *Suite, spec SweepSpec, emit func(SweepP
 		if err != nil {
 			return SweepPoint{}, err
 		}
-		return cell(s, w, jobs[i].value)
+		v := jobs[i].value
+		sim, err := s.Simulate(w, func(c *uarch.Config) { param.set(c, v) })
+		if err != nil {
+			return SweepPoint{}, err
+		}
+		return param.cell(s, w, v, sim)
 	}, func(_ int, pt SweepPoint) error {
 		res.Points = append(res.Points, pt)
 		if emit != nil {
@@ -207,17 +245,8 @@ func sweepGrid(benches []string, values []int) []sweepJob {
 // windowCell shrinks or grows the issue window, re-deriving the measured
 // steady-state IW point at the new size (the ROB is bumped when it would
 // fall below the window).
-func windowCell(s *Suite, w *Workload, win int) (SweepPoint, error) {
+func windowCell(s *Suite, w *Workload, win int, sim *uarch.Result) (SweepPoint, error) {
 	var zero SweepPoint
-	sim, err := s.Simulate(w, func(c *uarch.Config) {
-		c.WindowSize = win
-		if c.ROBSize < win {
-			c.ROBSize = win
-		}
-	})
-	if err != nil {
-		return zero, err
-	}
 	m := s.Machine
 	m.WindowSize = win
 	if m.ROBSize < win {
@@ -243,12 +272,8 @@ func windowCell(s *Suite, w *Workload, win int) (SweepPoint, error) {
 
 // robCell resizes the reorder buffer, re-analyzing the trace so the
 // equation-(8) long-miss grouping uses the new horizon.
-func robCell(s *Suite, w *Workload, rob int) (SweepPoint, error) {
+func robCell(s *Suite, w *Workload, rob int, sim *uarch.Result) (SweepPoint, error) {
 	var zero SweepPoint
-	sim, err := s.Simulate(w, func(c *uarch.Config) { c.ROBSize = rob })
-	if err != nil {
-		return zero, err
-	}
 	// Re-analyze with the new grouping horizon.
 	scfg := stats.DefaultConfig()
 	scfg.Hierarchy = s.Sim.Hierarchy
@@ -281,12 +306,8 @@ func robCell(s *Suite, w *Workload, rob int) (SweepPoint, error) {
 
 // widthCell varies the fetch/dispatch/issue/retire width; the workload
 // inputs are width-independent, so the cached bundle is reused.
-func widthCell(s *Suite, w *Workload, width int) (SweepPoint, error) {
+func widthCell(s *Suite, w *Workload, width int, sim *uarch.Result) (SweepPoint, error) {
 	var zero SweepPoint
-	sim, err := s.Simulate(w, func(c *uarch.Config) { c.Width = width })
-	if err != nil {
-		return zero, err
-	}
 	m := s.Machine
 	m.Width = width
 	est, err := m.Estimate(w.Inputs, modelOptions())
@@ -304,12 +325,8 @@ func widthCell(s *Suite, w *Workload, width int) (SweepPoint, error) {
 
 // depthCell varies the front-end pipeline depth ΔP, which only moves the
 // branch misprediction penalty.
-func depthCell(s *Suite, w *Workload, depth int) (SweepPoint, error) {
+func depthCell(s *Suite, w *Workload, depth int, sim *uarch.Result) (SweepPoint, error) {
 	var zero SweepPoint
-	sim, err := s.Simulate(w, func(c *uarch.Config) { c.FrontEndDepth = depth })
-	if err != nil {
-		return zero, err
-	}
 	m := s.Machine
 	m.FrontEndDepth = depth
 	est, err := m.Estimate(w.Inputs, modelOptions())

@@ -28,6 +28,7 @@ import (
 
 	"fomodel/internal/experiments"
 	"fomodel/internal/rng"
+	"fomodel/internal/uarch"
 	"fomodel/internal/workload"
 )
 
@@ -72,6 +73,15 @@ var axisNames = []string{"width", "depth", "window", "rob", "clusters", "fetch_b
 // axisFloor is the smallest legal bound minimum per axis.
 var axisFloor = map[string]int{
 	"width": 1, "depth": 1, "window": 1, "rob": 1, "clusters": 1, "fetch_buffer": 0,
+}
+
+// axisCeil is the largest legal bound maximum per axis: the detailed
+// simulator's configuration bounds (uarch.Config.Validate), which every
+// candidate must pass. Clusters must divide the width, so the width's
+// bound caps them too.
+var axisCeil = map[string]int{
+	"width": uarch.MaxWidth, "depth": uarch.MaxFrontEndDepth, "window": uarch.MaxWindowSize,
+	"rob": uarch.MaxROBSize, "clusters": uarch.MaxWidth, "fetch_buffer": uarch.MaxFetchBufferSize,
 }
 
 // Params returns the supported bound-parameter names, sorted. Error
@@ -369,6 +379,9 @@ func (s Spec) ValidateWith(known func(string) bool) error {
 		}
 		if b.Max < b.Min {
 			return fmt.Errorf("optimize: %s bound max %d below min %d", k, b.Max, b.Min)
+		}
+		if b.Max > axisCeil[k] {
+			return fmt.Errorf("optimize: %s bound max %d above the parameter maximum %d", k, b.Max, axisCeil[k])
 		}
 		if (b.Max-b.Min)%step != 0 {
 			return fmt.Errorf("optimize: %s bound max %d not reachable from min %d by step %d", k, b.Max, b.Min, step)

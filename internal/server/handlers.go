@@ -253,12 +253,13 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.writeRequestError(w, err)
 		return
 	}
-	if err := spec.ValidateFor(s.suite); err != nil {
-		s.writeError(w, http.StatusBadRequest, "%s", err)
-		return
-	}
+	// The cheap size cap comes before the per-value config checks.
 	if cells := len(spec.Benches) * len(spec.Values); cells > 256 {
 		s.writeError(w, http.StatusBadRequest, "sweep grid of %d cells exceeds the 256-cell limit", cells)
+		return
+	}
+	if err := spec.ValidateFor(s.suite); err != nil {
+		s.writeError(w, http.StatusBadRequest, "%s", err)
 		return
 	}
 	if wantsNDJSON(r) {

@@ -29,6 +29,8 @@ func TestOptimizeBadRequests(t *testing.T) {
 			"unknown objective"},
 		{"n out of range", `{"workloads":[{"bench":"gzip"}],"bounds":{"width":{"min":1,"max":4}},"budget":4,"n":10}`,
 			"outside"},
+		{"width above the simulator's bound", `{"workloads":[{"bench":"gzip"}],"bounds":{"width":{"min":60,"max":70}},"budget":4}`,
+			"width bound max 70 above the parameter maximum 64"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

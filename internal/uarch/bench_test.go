@@ -107,3 +107,47 @@ func BenchmarkSimulateIdealSweep(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRunConfigs times the timing pass alone — classification is
+// served from a warm PrepCache — at 100k instructions for three
+// benchmarks under six machines: the baseline, width 8, a 128-entry
+// window, a 256-entry ROB, in-order issue, and two clusters. The
+// benchmarks span the simulator's regimes (mcf stalls on long misses,
+// vortex and gzip keep the window busy), so a slowdown confined to one
+// regime shows up in its own row.
+func BenchmarkRunConfigs(b *testing.B) {
+	configs := []struct {
+		name   string
+		mutate func(*uarch.Config)
+	}{
+		{"base", func(*uarch.Config) {}},
+		{"width8", func(c *uarch.Config) { c.Width = 8 }},
+		{"window128", func(c *uarch.Config) { c.WindowSize = 128 }},
+		{"rob256", func(c *uarch.Config) { c.ROBSize = 256 }},
+		{"inorder", func(c *uarch.Config) { c.InOrder = true }},
+		{"clusters2", func(c *uarch.Config) { c.Clusters, c.BypassLatency = 2, 1 }},
+	}
+	for _, bench := range []string{"mcf", "vortex", "gzip"} {
+		t, err := workload.Generate(bench, 100000, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pc := uarch.NewPrepCache()
+		for _, c := range configs {
+			cfg := uarch.DefaultConfig()
+			c.mutate(&cfg)
+			b.Run(bench+"/"+c.name, func(b *testing.B) {
+				if _, err := pc.Simulate(t, cfg); err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := pc.Simulate(t, cfg); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}

@@ -18,6 +18,18 @@
 // analytical model and the simulator in exact agreement on miss-event
 // *counts*, so evaluation differences isolate the model's *timing*
 // approximations, which is what the paper evaluates.
+//
+// The timing pass steps cycle by cycle, but its issue stage is
+// event-driven rather than a scan of every window slot. A dispatched
+// instruction waits on its unissued producers' wakeup lists; when the
+// last of them issues it is filed in a timing wheel at its ready cycle
+// (cross-cluster operands arrive BypassLatency later); each cycle drains
+// one wheel bucket into a ready bitset over a ROB-sized ring, and issue
+// takes the oldest ready instructions under the width, FU, cluster and
+// in-order caps. Every latency is at least one cycle, so nothing woken
+// by an issue can issue in the same cycle, which makes the result
+// identical to the full scan, kept in the tests as the oracle. Cycles in
+// which nothing can change are skipped in one step, to the next event.
 package uarch
 
 import (
@@ -130,23 +142,50 @@ func DefaultConfig() Config {
 	}
 }
 
+// Upper bounds enforced by Validate. A simulation sizes its per-run
+// buffers from Width, WindowSize, ROBSize and FrontEndDepth×Width +
+// FetchBufferSize, so without them one request could ask a serving
+// process for more memory than it has. Every latency — per class, the
+// hierarchy's miss latencies, the TLB walk and the cluster bypass — is
+// capped at MaxLatency, the simulator's deadlock horizon: a single wait
+// longer than that is reported as a deadlock anyway.
+const (
+	MaxWidth           = 64
+	MaxWindowSize      = 1 << 16
+	MaxROBSize         = 1 << 16
+	MaxFrontEndDepth   = 1 << 12
+	MaxFetchBufferSize = 1 << 12
+	MaxLatency         = maxIdleCycles
+)
+
 // Validate reports the first structural problem with the configuration.
 func (c Config) Validate() error {
 	switch {
-	case c.FrontEndDepth < 1:
-		return fmt.Errorf("uarch: front-end depth %d < 1", c.FrontEndDepth)
-	case c.Width < 1:
-		return fmt.Errorf("uarch: width %d < 1", c.Width)
-	case c.WindowSize < 1:
-		return fmt.Errorf("uarch: window size %d < 1", c.WindowSize)
+	case c.FrontEndDepth < 1 || c.FrontEndDepth > MaxFrontEndDepth:
+		return fmt.Errorf("uarch: front-end depth %d outside [1, %d]", c.FrontEndDepth, MaxFrontEndDepth)
+	case c.Width < 1 || c.Width > MaxWidth:
+		return fmt.Errorf("uarch: width %d outside [1, %d]", c.Width, MaxWidth)
+	case c.WindowSize < 1 || c.WindowSize > MaxWindowSize:
+		return fmt.Errorf("uarch: window size %d outside [1, %d]", c.WindowSize, MaxWindowSize)
 	case c.ROBSize < c.WindowSize:
 		return fmt.Errorf("uarch: ROB size %d smaller than window %d", c.ROBSize, c.WindowSize)
+	case c.ROBSize > MaxROBSize:
+		return fmt.Errorf("uarch: ROB size %d above %d", c.ROBSize, MaxROBSize)
 	}
 	if err := c.Latencies.Validate(); err != nil {
 		return err
 	}
+	for cl, lat := range c.Latencies {
+		if lat > MaxLatency {
+			return fmt.Errorf("uarch: %v latency %d above %d", isa.Class(cl), lat, MaxLatency)
+		}
+	}
 	if err := c.Hierarchy.Validate(); err != nil {
 		return err
+	}
+	if c.Hierarchy.ShortMissLatency > MaxLatency || c.Hierarchy.LongMissLatency > MaxLatency {
+		return fmt.Errorf("uarch: miss latencies (%d, %d) above %d",
+			c.Hierarchy.ShortMissLatency, c.Hierarchy.LongMissLatency, MaxLatency)
 	}
 	if c.PredictorBits == 0 || c.PredictorBits > 28 {
 		return fmt.Errorf("uarch: predictor bits %d out of range [1,28]", c.PredictorBits)
@@ -161,12 +200,15 @@ func (c Config) Validate() error {
 			return fmt.Errorf("uarch: negative FU count %d for %v", n, isa.Class(cl))
 		}
 	}
-	if c.FetchBufferSize < 0 {
-		return fmt.Errorf("uarch: negative fetch buffer size %d", c.FetchBufferSize)
+	if c.FetchBufferSize < 0 || c.FetchBufferSize > MaxFetchBufferSize {
+		return fmt.Errorf("uarch: fetch buffer size %d outside [0, %d]", c.FetchBufferSize, MaxFetchBufferSize)
 	}
 	if c.TLB != nil {
 		if err := c.TLB.Validate(); err != nil {
 			return err
+		}
+		if c.TLB.MissLatency > MaxLatency {
+			return fmt.Errorf("uarch: TLB miss latency %d above %d", c.TLB.MissLatency, MaxLatency)
 		}
 	}
 	if c.Clusters > 1 {
@@ -176,8 +218,8 @@ func (c Config) Validate() error {
 		if c.WindowSize%c.Clusters != 0 {
 			return fmt.Errorf("uarch: window %d not divisible by %d clusters", c.WindowSize, c.Clusters)
 		}
-		if c.BypassLatency < 0 {
-			return fmt.Errorf("uarch: negative bypass latency %d", c.BypassLatency)
+		if c.BypassLatency < 0 || c.BypassLatency > MaxLatency {
+			return fmt.Errorf("uarch: bypass latency %d outside [0, %d]", c.BypassLatency, MaxLatency)
 		}
 	}
 	return nil

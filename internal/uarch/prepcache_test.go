@@ -498,3 +498,41 @@ func TestPrepsCodecRoundTrip(t *testing.T) {
 		t.Error("invalid record byte not rejected")
 	}
 }
+
+// TestPrepCacheSimulateAllocs pins a warm PrepCache.Simulate at two
+// allocations — the Result and its IssueHistogram. Every per-run buffer
+// of the timing pass, the scheduler's included, comes from the scratch
+// pool; the configs reach the clustered, in-order and overflow paths.
+func TestPrepCacheSimulateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops entries at random under the race detector")
+	}
+	tr, err := workload.Generate("mcf", 5000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clustered := DefaultConfig()
+	clustered.Clusters, clustered.BypassLatency = 2, 1
+	inOrder := DefaultConfig()
+	inOrder.InOrder = true
+	far := DefaultConfig()
+	far.Hierarchy.LongMissLatency = 5000
+	tlb := cache.DefaultTLB()
+	far.TLB = &tlb
+	pc := NewPrepCache()
+	for name, cfg := range map[string]Config{
+		"base": DefaultConfig(), "clustered": clustered, "in-order": inOrder, "past-horizon": far,
+	} {
+		if _, err := pc.Simulate(tr, cfg); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := pc.Simulate(tr, cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 2 {
+			t.Errorf("%s: %v allocations per warm run, want 2 (the Result and its histogram)", name, allocs)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package uarch
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"fomodel/internal/cache"
@@ -123,20 +124,6 @@ func classify(t *trace.Trace, cfg Config) ([]prep, error) {
 	return preps, nil
 }
 
-// winEntry is one issue-window slot: the instruction index, the indices
-// of its producers (-1 when an operand is ready at dispatch), the
-// instruction's class and steered cluster (both fixed at dispatch, cached
-// here so the per-cycle scan avoids a modulo and an instruction load per
-// slot), and the memoized earliest issue cycle (0 until every producer
-// has issued).
-type winEntry struct {
-	idx        int32
-	src1, src2 int32
-	class      uint8
-	cluster    uint8
-	readyAt    int64
-}
-
 // scratch holds the per-run working buffers. Runs borrow one from
 // scratchPool and return it on exit, so a sweep of many simulations reuses
 // the same arenas instead of reallocating them per config; each pool entry
@@ -144,33 +131,34 @@ type winEntry struct {
 type scratch struct {
 	finish          []int64
 	feReady         []int64
-	window          []winEntry
 	outstanding     []int64
 	winCount        []int
 	issuedByCluster []int
+	sched           sched
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-// grownInt64 returns buf resized to n zeroed entries, reallocating only
-// when the capacity is insufficient.
-func grownInt64(buf []int64, n int) []int64 {
-	if cap(buf) < n {
-		return make([]int64, n)
+// operandsReady returns the first cycle instruction i may issue, once
+// every producer in p has issued: the latest producer finish, where an
+// operand produced in another cluster arrives bypass cycles later.
+func operandsReady(i int, p trace.Producer, finish []int64, clusters int, bypass int64) int64 {
+	at := int64(1)
+	if p.Src1 >= 0 {
+		f := finish[p.Src1]
+		if clusters > 1 && int(p.Src1)%clusters != i%clusters {
+			f += bypass
+		}
+		at = max(at, f)
 	}
-	buf = buf[:n]
-	clear(buf)
-	return buf
-}
-
-// grownInts is grownInt64 for []int.
-func grownInts(buf []int, n int) []int {
-	if cap(buf) < n {
-		return make([]int, n)
+	if p.Src2 >= 0 {
+		f := finish[p.Src2]
+		if clusters > 1 && int(p.Src2)%clusters != i%clusters {
+			f += bypass
+		}
+		at = max(at, f)
 	}
-	buf = buf[:n]
-	clear(buf)
-	return buf
+	return at
 }
 
 // run executes the timing simulation proper. preps and prod are read-only
@@ -186,18 +174,21 @@ func run(t *trace.Trace, cfg Config, preps []prep, prod []trace.Producer) (*Resu
 
 	// finish[i] is the cycle instruction i's result becomes available;
 	// 0 means not yet issued (cycles start at 1).
-	finish := grownInt64(sc.finish, n)
+	finish := grown(sc.finish, n)
 
 	// Front-end pipeline: instructions [dispatched, fetched) are in
 	// flight; feReady is a ring of their dispatch-ready cycles. An
 	// optional fetch buffer adds capacity beyond the pipeline stages.
 	feCap := cfg.FrontEndDepth*cfg.Width + cfg.FetchBufferSize
-	feReady := grownInt64(sc.feReady, feCap)
+	feReady := grown(sc.feReady, feCap)
 
-	window := sc.window[:0]
-	if cap(window) < cfg.WindowSize {
-		window = make([]winEntry, 0, cfg.WindowSize)
-	}
+	// The issue window is held by the scheduler (see sched): waiting
+	// instructions sit on wakeup lists or in the timing wheel, ready
+	// ones in a bitset over the ROB ring.
+	s := &sc.sched
+	s.reset(cfg.ROBSize, cfg.WindowSize)
+	ringMask := s.ringMask
+	readyWords := len(s.ready)
 
 	// Clustering (§7 extension #3): instructions steer round-robin to
 	// clusters by dispatch order, so an instruction's cluster is simply
@@ -209,8 +200,8 @@ func run(t *trace.Trace, cfg Config, preps []prep, prod []trace.Producer) (*Resu
 	clusterWidth := cfg.Width / clusters
 	clusterWindow := cfg.WindowSize / clusters
 	bypass := int64(cfg.BypassLatency)
-	winCount := grownInts(sc.winCount, clusters)
-	issuedByCluster := grownInts(sc.issuedByCluster, clusters)
+	winCount := grown(sc.winCount, clusters)
+	issuedByCluster := grown(sc.issuedByCluster, clusters)
 
 	// outstanding holds the finish cycles of in-flight long data misses,
 	// for overlap accounting and the serialize option. Pre-sized so
@@ -221,7 +212,7 @@ func run(t *trace.Trace, cfg Config, preps []prep, prod []trace.Producer) (*Resu
 	}
 
 	defer func() {
-		sc.finish, sc.feReady, sc.window = finish, feReady, window
+		sc.finish, sc.feReady = finish, feReady
 		sc.outstanding, sc.winCount, sc.issuedByCluster = outstanding, winCount, issuedByCluster
 		scratchPool.Put(sc)
 	}()
@@ -232,6 +223,11 @@ func run(t *trace.Trace, cfg Config, preps []prep, prod []trace.Producer) (*Resu
 		dispatched int   // next instruction to dispatch
 		retired    int   // next instruction to retire
 		robCount   int
+		winLen     int // dispatched, not yet issued
+		// inOrderNext is the next instruction to issue under InOrder:
+		// issue is in program order there, so the window is exactly
+		// [inOrderNext, dispatched).
+		inOrderNext int
 
 		// fetchStallUntil blocks fetch for I-cache misses; fetchHalted
 		// blocks it for an in-flight mispredicted branch, cleared when
@@ -279,59 +275,54 @@ func run(t *trace.Trace, cfg Config, preps []prep, prod []trace.Producer) (*Resu
 
 		// --- Issue (oldest first, up to Width ready instructions; at
 		// most FUCounts[class] per class where limited, and at most
-		// Width/Clusters per cluster when partitioned).
+		// Width/Clusters per cluster when partitioned). The ready bitset
+		// is walked in program order from the oldest in-flight
+		// instruction, wrapping once around the ring.
+		s.advance(cycle)
 		issuedThisCycle := 0
-		// nextReady is the earliest known ready cycle among entries that
-		// were blocked purely on operand readiness this cycle; it bounds
-		// the next possible issue when the cycle turns out quiescent.
-		var nextReady int64
 		var issuedByClass [isa.NumClasses]int
-		for c := range issuedByCluster {
-			issuedByCluster[c] = 0
-		}
-		if len(window) > 0 {
-			kept := window[:0]
-			stalled := false
-			for wi := range window {
-				e := &window[wi]
-				class := e.class
-				cluster := int(e.cluster)
-				ok := !stalled &&
-					issuedThisCycle < cfg.Width &&
-					(clusters == 1 || issuedByCluster[cluster] < clusterWidth) &&
-					(cfg.FUCounts[class] == 0 || issuedByClass[class] < cfg.FUCounts[class])
-				if ok {
-					// Check the memoized ready cycle inline — most slots
-					// hit it every cycle while waiting — and fall back to
-					// the producer scan only until it is computed.
-					r := e.readyAt
-					if r == 0 {
-						ok = entryReady(e, finish, cycle, clusters, bypass)
-						r = e.readyAt // memoized by the call when computable
-					} else {
-						ok = r <= cycle
-					}
-					if !ok && r != 0 && (nextReady == 0 || r < nextReady) {
-						nextReady = r
+		clear(issuedByCluster)
+		base := retired & ringMask
+		w0 := base >> 6
+	scan:
+		for k := 0; k <= readyWords; k++ {
+			wi := (w0 + k) & (readyWords - 1)
+			word := s.ready[wi]
+			switch k {
+			case 0:
+				word &= ^uint64(0) << (base & 63)
+			case readyWords:
+				word &= 1<<(base&63) - 1
+			}
+			for word != 0 {
+				slot := wi<<6 | bits.TrailingZeros64(word)
+				word &= word - 1
+				idx := retired + (slot-retired)&ringMask
+				// In-order issue stalls at the first instruction that
+				// cannot go, whatever the reason.
+				if cfg.InOrder && idx != inOrderNext {
+					break scan
+				}
+				in := &t.Instrs[idx]
+				class := in.Class
+				cluster := 0
+				if clusters > 1 {
+					cluster = idx % clusters
+					if issuedByCluster[cluster] >= clusterWidth {
+						if cfg.InOrder {
+							break scan
+						}
+						continue
 					}
 				}
-				if !ok {
-					// kept is a prefix of window; while no entry has
-					// issued the slot is already in place, so extend
-					// instead of copying the entry onto itself.
-					if len(kept) == wi {
-						kept = window[:wi+1]
-					} else {
-						kept = append(kept, *e)
+				if cfg.FUCounts[class] != 0 && issuedByClass[class] >= cfg.FUCounts[class] {
+					if cfg.InOrder {
+						break scan
 					}
-					// In-order issue stalls at the first instruction
-					// that cannot go, whatever the reason.
-					stalled = stalled || cfg.InOrder
 					continue
 				}
-				idx := int(e.idx)
-				in := &t.Instrs[idx]
-				lat := int64(cfg.Latencies.Latency(in.Class))
+				s.ready[wi] &^= 1 << (slot & 63)
+				lat := int64(cfg.Latencies.Latency(class))
 				if in.IsMem() && preps[idx].tlbMiss {
 					lat += int64(cfg.TLB.MissLatency)
 					res.TLBMisses++
@@ -356,15 +347,31 @@ func run(t *trace.Trace, cfg Config, preps []prep, prod []trace.Producer) (*Resu
 				issuedByClass[class]++
 				issuedByCluster[cluster]++
 				winCount[cluster]--
-				if in.Class == isa.Branch && preps[idx].misp && !cfg.IdealPredictor {
+				winLen--
+				inOrderNext = idx + 1
+				if class == isa.Branch && preps[idx].misp && !cfg.IdealPredictor {
 					res.Mispredicts++
 					if len(outstanding) > 0 {
 						res.MispredictsOverlapped++
 					}
 					branchResume = cycle + latBranch
 				}
+				// Wake the dependents. lat ≥ 1, so none of them can be
+				// ready before the next cycle.
+				for e := s.wakeHead[slot]; e != 0; {
+					edge := int(e - 1)
+					e = s.edgeNext[edge]
+					cs := edge >> 1
+					if s.pending[cs]--; s.pending[cs] == 0 {
+						c := retired + (cs-retired)&ringMask
+						s.schedule(cs, operandsReady(c, prod[c], finish, clusters, bypass), cycle)
+					}
+				}
+				s.wakeHead[slot] = 0
+				if issuedThisCycle == cfg.Width {
+					break scan
+				}
 			}
-			window = kept
 		}
 		res.IssueHistogram[issuedThisCycle]++
 		if cfg.RecordIssueTrace && len(res.IssueTrace) < 1<<22 {
@@ -373,6 +380,8 @@ func run(t *trace.Trace, cfg Config, preps []prep, prod []trace.Producer) (*Resu
 
 		// --- Dispatch (in order, up to Width; the steered cluster's
 		// window slice, the whole window, and the ROB must have room).
+		// An instruction whose producers have all issued is scheduled at
+		// its ready cycle; otherwise it waits on the unissued ones.
 		prevDispatched, prevFetched, prevCharged := dispatched, fetched, chargedFetch
 		for k := 0; k < cfg.Width && dispatched < fetched; k++ {
 			cl := 0
@@ -380,21 +389,22 @@ func run(t *trace.Trace, cfg Config, preps []prep, prod []trace.Producer) (*Resu
 				cl = dispatched % clusters
 			}
 			if feReady[dispSlot] > cycle ||
-				len(window) >= cfg.WindowSize || robCount >= cfg.ROBSize ||
+				winLen >= cfg.WindowSize || robCount >= cfg.ROBSize ||
 				(clusters > 1 && winCount[cl] >= clusterWindow) {
 				break
 			}
-			e := winEntry{
-				idx:     int32(dispatched),
-				src1:    prod[dispatched].Src1,
-				src2:    prod[dispatched].Src2,
-				class:   uint8(t.Instrs[dispatched].Class),
-				cluster: uint8(cl),
+			slot := dispatched & ringMask
+			p := prod[dispatched]
+			if p.Src1 >= 0 && finish[p.Src1] == 0 {
+				s.waitOn(slot, 0, p.Src1)
 			}
-			if e.src1 < 0 && e.src2 < 0 {
-				e.readyAt = 1 // no producers: ready from the first cycle
+			if p.Src2 >= 0 && finish[p.Src2] == 0 {
+				s.waitOn(slot, 1, p.Src2)
 			}
-			window = append(window, e)
+			if s.pending[slot] == 0 {
+				s.schedule(slot, operandsReady(dispatched, p, finish, clusters, bypass), cycle)
+			}
+			winLen++
 			winCount[cl]++
 			robCount++
 			dispatched++
@@ -444,7 +454,7 @@ func run(t *trace.Trace, cfg Config, preps []prep, prod []trace.Producer) (*Resu
 			}
 		}
 
-		res.WindowOccupancySum += uint64(len(window))
+		res.WindowOccupancySum += uint64(winLen)
 		res.ROBOccupancySum += uint64(robCount)
 		res.FrontEndOccupancySum += uint64(fetched - dispatched)
 
@@ -471,7 +481,7 @@ func run(t *trace.Trace, cfg Config, preps []prep, prod []trace.Producer) (*Resu
 			if retired < dispatched {
 				consider(finish[retired]) // 0 (unissued) is ignored
 			}
-			consider(nextReady)
+			consider(s.nextEvent(cycle))
 			if dispatched < fetched {
 				consider(feReady[dispSlot])
 			}
@@ -495,7 +505,7 @@ func run(t *trace.Trace, cfg Config, preps []prep, prod []trace.Producer) (*Resu
 						res.IssueTrace = append(res.IssueTrace, 0)
 					}
 				}
-				res.WindowOccupancySum += uint64(len(window)) * uint64(skip)
+				res.WindowOccupancySum += uint64(winLen) * uint64(skip)
 				res.ROBOccupancySum += uint64(robCount) * uint64(skip)
 				res.FrontEndOccupancySum += uint64(fetched-dispatched) * uint64(skip)
 				cycle += skip
@@ -511,45 +521,6 @@ func run(t *trace.Trace, cfg Config, preps []prep, prod []trace.Producer) (*Resu
 
 	res.Cycles = cycle - 1
 	return res, nil
-}
-
-// entryReady reports whether every producer of e has finished by now.
-// Once all producers have issued, the entry's earliest issue cycle is
-// memoized in e.readyAt — finish entries are write-once, so the memo can
-// never go stale, and later cycles reduce to a single comparison instead
-// of re-reading finish[]. With clustering, an operand produced in a
-// different cluster arrives bypass cycles later.
-func entryReady(e *winEntry, finish []int64, now int64, clusters int, bypass int64) bool {
-	if e.readyAt != 0 {
-		return e.readyAt <= now
-	}
-	readyAt := int64(1)
-	if e.src1 >= 0 {
-		f := finish[e.src1]
-		if f == 0 {
-			return false
-		}
-		if clusters > 1 && int(e.src1)%clusters != int(e.cluster) {
-			f += bypass
-		}
-		if f > readyAt {
-			readyAt = f
-		}
-	}
-	if e.src2 >= 0 {
-		f := finish[e.src2]
-		if f == 0 {
-			return false
-		}
-		if clusters > 1 && int(e.src2)%clusters != int(e.cluster) {
-			f += bypass
-		}
-		if f > readyAt {
-			readyAt = f
-		}
-	}
-	e.readyAt = readyAt
-	return readyAt <= now
 }
 
 // newPredictor instantiates the configured predictor: the spec when
