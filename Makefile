@@ -1,9 +1,12 @@
 GO ?= go
 
-.PHONY: build test race lint fuzz-smoke bench-smoke check
+.PHONY: build vet test race lint fuzz-smoke bench-smoke bench-driver check
 
 build:
 	$(GO) build ./...
+
+vet:
+	$(GO) vet ./...
 
 test:
 	$(GO) test -shuffle=on ./...
@@ -32,4 +35,9 @@ fuzz-smoke:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
 
-check: build lint test race
+# The benchmark driver's own tests, as the bench-driver CI job runs them;
+# -short skips TestSmoke, which starts real daemons and a proxy.
+bench-driver:
+	cd bench && $(GO) test -short ./...
+
+check: build vet lint test race

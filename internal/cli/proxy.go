@@ -26,8 +26,6 @@ func Fomodelproxy(ctx context.Context, args []string, out io.Writer) error {
 	fs.SetOutput(out)
 	addr := fs.String("addr", "127.0.0.1:8760", "listen address")
 	replicas := fs.String("replicas", "", "comma-separated fomodeld base URLs (required)")
-	route := fs.String("route", "hash", "routing policy: hash (consistent, cache-aware) or roundrobin (baseline)")
-	vnodes := fs.Int("vnodes", 64, "ring points per replica")
 	loadFactor := fs.Float64("load-factor", 1.25, "bounded-load factor (≤0 disables the bound)")
 	n := fs.Int("n", 500000, "replicas' default dynamic instructions per workload (must match the fleet)")
 	seed := fs.Uint64("seed", 1, "replicas' default workload generation seed (must match the fleet)")
@@ -51,16 +49,11 @@ func Fomodelproxy(ctx context.Context, args []string, out io.Writer) error {
 	if len(urls) == 0 {
 		return errors.New("fomodelproxy: -replicas requires at least one fomodeld base URL")
 	}
-	if *route != "hash" && *route != "roundrobin" {
-		return fmt.Errorf("fomodelproxy: unknown -route %q (want hash or roundrobin)", *route)
-	}
 
 	logger := slog.New(slog.NewJSONHandler(out, nil))
 	rt, err := router.New(router.Config{
 		Replicas:        urls,
 		Defaults:        reqkey.Defaults{N: *n, Seed: *seed},
-		VNodes:          *vnodes,
-		RoundRobin:      *route == "roundrobin",
 		LoadFactor:      *loadFactor,
 		ProbeInterval:   *probeInterval,
 		ProbeTimeout:    *probeTimeout,
@@ -84,7 +77,7 @@ func Fomodelproxy(ctx context.Context, args []string, out io.Writer) error {
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 	logger.Info("fomodelproxy listening",
-		"addr", ln.Addr().String(), "mode", rt.Mode(), "replicas", len(urls))
+		"addr", ln.Addr().String(), "replicas", len(urls))
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.Serve(ln) }()

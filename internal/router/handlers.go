@@ -27,14 +27,6 @@ const (
 // statusCodeClientGone mirrors the daemon's 499 log convention.
 const statusCodeClientGone = 499
 
-// Mode names the active routing policy.
-func (rt *Router) Mode() string {
-	if rt.cfg.RoundRobin {
-		return "roundrobin"
-	}
-	return "hash"
-}
-
 // Handler returns the proxy's routing table: the daemon's /v1 surface
 // verbatim, plus the proxy's own health, readiness, and metrics.
 func (rt *Router) Handler() http.Handler {
@@ -313,15 +305,9 @@ func (rt *Router) itemKey(item server.PredictRequest) string {
 // response is byte-equal to a single daemon's. Requests the proxy cannot
 // decode — and whole-batch shape errors (empty, oversized) — are
 // forwarded intact so the daemon's error responses stay authoritative.
-// In round-robin mode batches are not split (nor keyed): the baseline
-// policy is deliberately cache-oblivious.
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	body, ok := rt.readBody(w, r, maxBatchBodyBytes)
 	if !ok {
-		return
-	}
-	if rt.cfg.RoundRobin {
-		rt.proxyOne(w, r, http.MethodPost, "/v1/batch", body, false, "")
 		return
 	}
 	var breq server.BatchRequest

@@ -23,11 +23,10 @@ type healthzReplica struct {
 	Readmits int64  `json:"readmits"`
 }
 
-// healthzResponse is the proxy's /healthz body: the routing mode and
-// the per-replica view the router is acting on.
+// healthzResponse is the proxy's /healthz body: the per-replica view
+// the router is acting on.
 type healthzResponse struct {
 	Status        string           `json:"status"`
-	Mode          string           `json:"mode"`
 	UptimeSeconds float64          `json:"uptime_seconds"`
 	Replicas      []healthzReplica `json:"replicas"`
 }
@@ -35,7 +34,6 @@ type healthzResponse struct {
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	resp := healthzResponse{
 		Status:        "ok",
-		Mode:          rt.Mode(),
 		UptimeSeconds: time.Since(rt.start).Seconds(),
 	}
 	for _, rep := range rt.reps {
@@ -155,6 +153,7 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}{
 		{"fomodelproxy_fail_open_total", "Routings that fell back to ejected replicas because none was in rotation.", rt.failOpen.Load()},
 		{"fomodelproxy_raw_key_routes_total", "Request bodies routed by their raw bytes because no canonical key could be derived.", rt.rawKeyRoutes.Load()},
+		{"fomodelproxy_load_diversions_total", "Routings where the bounded-load cap put a ring successor ahead of the key's owner.", rt.loadDiversions.Load()},
 	} {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", c.name, c.help, c.name, c.name, c.value)
 	}

@@ -31,6 +31,9 @@ type ringPoint struct {
 	replica int
 }
 
+// vnodes is the number of ring points per replica.
+const vnodes = 64
+
 // newRing hashes each replica URL at vnodes points.
 func newRing(replicaURLs []string, vnodes int) *ring {
 	r := &ring{

@@ -47,12 +47,6 @@ type Config struct {
 	// an explicit {"n":500000} and an implicit default land on the same
 	// shard. Zero fields fall back to reqkey.StandardDefaults.
 	Defaults reqkey.Defaults
-	// VNodes is the number of ring points per replica (0 = 64).
-	VNodes int
-	// RoundRobin selects the cache-oblivious baseline policy instead of
-	// consistent hashing — kept for benchmarking the difference, which is
-	// the point of this proxy.
-	RoundRobin bool
 	// LoadFactor is the bounded-load factor c: a replica already carrying
 	// more than c×(mean in-flight) is skipped in favor of its ring
 	// successor, trading one request's cache locality for tail latency.
@@ -74,16 +68,13 @@ type Config struct {
 	// (0 = 150s) sits above the daemon's 2-minute computation deadline so
 	// the daemon's own 503 arrives before the proxy gives up.
 	UpstreamTimeout time.Duration
-	// MaxIdleConns bounds each replica's keep-alive connection pool
-	// (0 = 32).
-	MaxIdleConns int
 }
+
+// maxIdleConns bounds each replica's keep-alive connection pool.
+const maxIdleConns = 32
 
 func (c Config) withDefaults() Config {
 	c.Defaults = c.Defaults.WithFallback()
-	if c.VNodes <= 0 {
-		c.VNodes = 64
-	}
 	if c.LoadFactor == 0 {
 		c.LoadFactor = 1.25
 	}
@@ -98,9 +89,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.UpstreamTimeout == 0 {
 		c.UpstreamTimeout = 150 * time.Second
-	}
-	if c.MaxIdleConns <= 0 {
-		c.MaxIdleConns = 32
 	}
 	return c
 }
@@ -148,12 +136,14 @@ type Router struct {
 	upstream *metrics.Histogram
 	latency  *metrics.Histogram
 
-	// failOpen counts routings that fell back to ejected replicas, and
-	// rawKeyRoutes bodies routed by their raw bytes for want of a key.
-	failOpen     metrics.Counter
-	rawKeyRoutes metrics.Counter
+	// failOpen counts routings that fell back to ejected replicas,
+	// rawKeyRoutes bodies routed by their raw bytes for want of a key, and
+	// loadDiversions routings where the bounded-load cap put a successor
+	// ahead of the key's owner.
+	failOpen       metrics.Counter
+	rawKeyRoutes   metrics.Counter
+	loadDiversions metrics.Counter
 
-	rrCursor   atomic.Uint64
 	reqIDSeq   atomic.Uint64
 	reqMu      sync.Mutex
 	requests   map[requestKey]*metrics.Counter
@@ -170,11 +160,21 @@ type requestKey struct {
 	code int
 }
 
-// New builds a router over cfg.Replicas. A nil logger discards logs.
+// New builds a router over cfg.Replicas, which must be distinct: a URL
+// listed twice would be one daemon counted twice by the bounded-load
+// mean and exported twice under one label set. A nil logger discards
+// logs.
 func New(cfg Config, log *slog.Logger) (*Router, error) {
 	cfg = cfg.withDefaults()
 	if len(cfg.Replicas) == 0 {
 		return nil, errors.New("router: at least one replica URL is required")
+	}
+	seen := make(map[string]bool, len(cfg.Replicas))
+	for _, url := range cfg.Replicas {
+		if seen[url] {
+			return nil, fmt.Errorf("router: replica %s is listed more than once", url)
+		}
+		seen[url] = true
 	}
 	if log == nil {
 		log = slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -188,7 +188,7 @@ func New(cfg Config, log *slog.Logger) (*Router, error) {
 	rt := &Router{
 		cfg:      cfg,
 		log:      log,
-		ring:     newRing(cfg.Replicas, cfg.VNodes),
+		ring:     newRing(cfg.Replicas, vnodes),
 		reps:     make([]*replica, len(cfg.Replicas)),
 		start:    time.Now(),
 		upstream: metrics.NewHistogram(metrics.DefaultLatencyBounds()...),
@@ -199,7 +199,7 @@ func New(cfg Config, log *slog.Logger) (*Router, error) {
 	for i, url := range cfg.Replicas {
 		// The router only calls DoRaw, which makes one attempt: the
 		// proxy never retries, and never sleeps on a Retry-After.
-		cl := client.NewPooled(url, cfg.MaxIdleConns)
+		cl := client.NewPooled(url, maxIdleConns)
 		cl.RequestTimeout = cfg.UpstreamTimeout
 		rep := &replica{url: url, cl: cl, waiting: make(map[*waiter]struct{})}
 		// Replicas start in rotation; the first probe pass corrects this
@@ -323,23 +323,13 @@ func (rt *Router) noteSuccess(rep *replica) {
 }
 
 // candidates returns the replicas to try for key, in preference order:
-// the key's ring sequence (or the rotating round-robin order), healthy
-// replicas first. With every replica ejected it falls back to the full
-// sequence — attempting a probably-dead upstream beats refusing outright
-// when there is nothing better. In hash mode the bounded-load check may
-// rotate an overloaded owner behind its first un-crowded successor.
+// the key's ring sequence, healthy replicas first. With every replica
+// ejected it falls back to the full sequence — attempting a
+// probably-dead upstream beats refusing outright when there is nothing
+// better. The bounded-load check may rotate an overloaded owner behind
+// its first un-crowded successor.
 func (rt *Router) candidates(key string) []*replica {
-	var order []int
-	if rt.cfg.RoundRobin {
-		n := len(rt.reps)
-		start := int(rt.rrCursor.Add(1)-1) % n
-		order = make([]int, 0, n)
-		for i := 0; i < n; i++ {
-			order = append(order, (start+i)%n)
-		}
-	} else {
-		order = rt.ring.sequence(key)
-	}
+	order := rt.ring.sequence(key)
 	cands := make([]*replica, 0, len(order))
 	for _, i := range order {
 		if rt.reps[i].healthy.Load() {
@@ -353,7 +343,7 @@ func (rt *Router) candidates(key string) []*replica {
 		}
 		return cands
 	}
-	if !rt.cfg.RoundRobin && rt.cfg.LoadFactor > 0 && len(cands) > 1 {
+	if rt.cfg.LoadFactor > 0 && len(cands) > 1 {
 		var total int64
 		for _, rep := range rt.reps {
 			total += rep.inflight.Load()
@@ -364,6 +354,7 @@ func (rt *Router) candidates(key string) []*replica {
 		for j, rep := range cands {
 			if rep.inflight.Load() < capacity {
 				if j > 0 {
+					rt.loadDiversions.Inc()
 					picked := cands[j]
 					copy(cands[1:j+1], cands[:j])
 					cands[0] = picked

@@ -805,7 +805,7 @@ func TestProxyOwnEndpoints(t *testing.T) {
 	if err := json.Unmarshal(readAll(t, resp), &hz); err != nil {
 		t.Fatal(err)
 	}
-	if hz.Status != "ok" || hz.Mode != "hash" || len(hz.Replicas) != 1 {
+	if hz.Status != "ok" || len(hz.Replicas) != 1 {
 		t.Fatalf("healthz = %+v", hz)
 	}
 
@@ -847,29 +847,52 @@ func TestProxyMetricsExpositionParses(t *testing.T) {
 	for _, body := range []string{`{"bench": "gzip"}`, `{"bench": "mcf"}`, `{"bench": "gzip"}`} {
 		readAll(t, post(t, proxy.URL, "/v1/predict", body, nil))
 	}
-	if n := metricstest.Check(t, string(readAll(t, get(t, proxy.URL, "/metrics")))); n == 0 {
+	body := string(readAll(t, get(t, proxy.URL, "/metrics")))
+	if n := metricstest.Check(t, body); n == 0 {
 		t.Fatal("proxy /metrics has no samples")
+	}
+	if !strings.Contains(body, "\nfomodelproxy_load_diversions_total 0\n") {
+		t.Fatalf("/metrics lacks fomodelproxy_load_diversions_total:\n%s", body)
 	}
 }
 
-// TestRoundRobinSpreads pins the baseline policy: consecutive identical
-// requests alternate replicas (which is exactly why it thrashes caches).
-func TestRoundRobinSpreads(t *testing.T) {
-	_, repA := newDaemon(t)
-	_, repB := newDaemon(t)
-	rt, proxy := newProxy(t, Config{
-		Replicas:   []string{repA.URL, repB.URL},
-		RoundRobin: true,
-	})
-	for i := 0; i < 4; i++ {
-		resp := post(t, proxy.URL, "/v1/predict", `{"bench": "gzip"}`, nil)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("predict %d status %d", i, resp.StatusCode)
-		}
-		readAll(t, resp)
+// TestNewRejectsDuplicateReplicas: one URL listed twice would be one
+// daemon counted twice by the bounded-load mean and exported twice under
+// the same replica label.
+func TestNewRejectsDuplicateReplicas(t *testing.T) {
+	_, err := New(Config{Replicas: []string{"http://a", "http://b", "http://a"}}, nil)
+	if err == nil || !strings.Contains(err.Error(), "http://a") {
+		t.Fatalf("err = %v, want a duplicate-replica error naming http://a", err)
 	}
-	if a, b := rt.reps[0].requests.Load(), rt.reps[1].requests.Load(); a != 2 || b != 2 {
-		t.Fatalf("round-robin split = %d/%d, want 2/2", a, b)
+}
+
+// TestBoundedLoadDiversion pins the bounded-load cap over 2 healthy
+// replicas: capacity = ceil(1.25 × (in-flight+1) / 2). An owner at 2 with
+// its successor idle is at capacity (ceil(1.875) = 2), so the successor
+// goes first and the diversion is counted; an owner at 1 is under
+// capacity (ceil(1.25) = 2) and keeps the key.
+func TestBoundedLoadDiversion(t *testing.T) {
+	_, _, rt := fakeReplicas(t, 2, Config{})
+	const key = "some-key"
+	seq := rt.ring.sequence(key)
+	owner, successor := rt.reps[seq[0]], rt.reps[seq[1]]
+
+	owner.inflight.Add(1)
+	if got := rt.candidates(key); got[0] != owner {
+		t.Fatalf("owner at 1 in flight: first candidate %s, want the owner %s", got[0].url, owner.url)
+	}
+	if n := rt.loadDiversions.Load(); n != 0 {
+		t.Fatalf("diversions = %d with the owner under capacity, want 0", n)
+	}
+
+	owner.inflight.Add(1)
+	got := rt.candidates(key)
+	if got[0] != successor || got[1] != owner {
+		t.Fatalf("owner at 2 in flight: candidates %s, %s; want the successor %s first",
+			got[0].url, got[1].url, successor.url)
+	}
+	if n := rt.loadDiversions.Load(); n != 1 {
+		t.Fatalf("diversions = %d, want 1", n)
 	}
 }
 
