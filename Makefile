@@ -29,6 +29,7 @@ fuzz-smoke:
 	$(GO) test ./internal/rng -run '^$$' -fuzz FuzzSampler -fuzztime 30s
 	$(GO) test ./internal/flight -run '^$$' -fuzz FuzzCache -fuzztime 30s
 	$(GO) test ./internal/uarch -run '^$$' -fuzz FuzzRun -fuzztime 30s
+	$(GO) test ./internal/experiments -run '^$$' -fuzz FuzzAnalysisArtifact -fuzztime 30s
 
 # Run every benchmark once, so their set-up and b.Fatal paths stay
 # working; this checks that they run, not how fast.

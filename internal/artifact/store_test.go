@@ -3,6 +3,7 @@ package artifact
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -231,22 +232,45 @@ func TestNilStoreIsDisabled(t *testing.T) {
 	}
 }
 
-func TestGobRoundTrip(t *testing.T) {
-	type payload struct {
-		F float64
-		M map[int]int
-		S []int32
+// binPayload is a minimal encoding.BinaryMarshaler for the codec
+// wrappers.
+type binPayload struct{ b []byte }
+
+func (p *binPayload) MarshalBinary() ([]byte, error) { return append([]byte(nil), p.b...), nil }
+
+func (p *binPayload) UnmarshalBinary(b []byte) error {
+	if len(b) == 0 {
+		return errors.New("empty")
 	}
-	in := payload{F: 0.1 + 0.2, M: map[int]int{3: 4}, S: []int32{1, -1}}
+	p.b = append([]byte(nil), b...)
+	return nil
+}
+
+// TestGobRoundTrip pins the two gob-named wrappers to the value's own
+// binary codec: they round-trip through MarshalBinary/UnmarshalBinary,
+// pass its errors on, and reject a value without the methods instead of
+// falling back to another encoding.
+func TestGobRoundTrip(t *testing.T) {
+	in := &binPayload{b: []byte("FOA2 payload")}
 	b, err := EncodeGob(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out payload
+	var out binPayload
 	if err := DecodeGob(b, &out); err != nil {
 		t.Fatal(err)
 	}
-	if out.F != in.F || out.M[3] != 4 || len(out.S) != 2 {
-		t.Errorf("round trip mismatch: %+v", out)
+	if !bytes.Equal(out.b, in.b) {
+		t.Errorf("round trip mismatch: %q -> %q", in.b, out.b)
+	}
+	if err := DecodeGob(nil, &out); err == nil {
+		t.Error("UnmarshalBinary's error was dropped")
+	}
+	plain := struct{ F float64 }{0.3}
+	if _, err := EncodeGob(plain); err == nil {
+		t.Error("value without MarshalBinary encoded")
+	}
+	if err := DecodeGob(b, &plain); err == nil {
+		t.Error("value without UnmarshalBinary decoded")
 	}
 }

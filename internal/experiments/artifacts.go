@@ -25,14 +25,14 @@ import (
 
 // analysisFormatVersion versions the analysis artifact payloads; part of
 // every analysis key, so schema changes invalidate instead of
-// misinterpreting.
-const analysisFormatVersion = 1
+// misinterpreting. The payload layout is in codec.go.
+const analysisFormatVersion = 2
 
 // AnalysisArtifact bundles the derived per-trace model inputs that
 // /v1/predict and the experiment suite both consume: the measured IW
 // characteristic, its power-law fit, and the functional miss statistics.
-// All fields are exported and gob-serializable, and gob round-trips
-// float64 bits exactly, so a store-served artifact yields responses
+// MarshalBinary and UnmarshalBinary (codec.go) round-trip every field,
+// float64 bits included, so a store-served artifact yields responses
 // byte-identical to a fresh computation.
 type AnalysisArtifact struct {
 	Points  []iw.Point
@@ -40,18 +40,13 @@ type AnalysisArtifact struct {
 	Summary *stats.Summary
 }
 
-// valid checks a decoded artifact against the trace it claims to
-// describe, rejecting stale or mismatched payloads.
-func (a *AnalysisArtifact) valid(t *trace.Trace, windows []int) bool {
-	return a.Summary != nil &&
-		a.Summary.Instructions == t.Len() &&
-		len(a.Points) == len(windows)
-}
-
 // AnalysisKey builds the canonical content key of an analysis artifact:
 // the trace's content identity, the window sweep, and the projection of
 // the stats configuration. Pointer fields are dereferenced so the key
-// reflects configuration values, never addresses.
+// reflects configuration values, never addresses. The key still carries
+// the ROB size although Summary.WithROB can regroup any artifact for
+// another ROB: the fleet-store benchmark relies on its 96 keys (12
+// workloads × 8 ROB sizes) overflowing each replica's analysis cache.
 func AnalysisKey(contentID string, windows []int, scfg stats.Config) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "a%d|%s|w=%v|h=%+v|pb=%d|lat=%v|rob=%d|bbh=%d|warm=%t",
@@ -67,6 +62,24 @@ func AnalysisKey(contentID string, windows []int, scfg stats.Config) string {
 	return b.String()
 }
 
+// storedAnalysis reads and decodes the artifact stored under key and
+// checks its shape: a summary of at least n instructions and one point
+// per window. n is a lower bound because a generated trace may run a
+// few instructions past its requested length (the generator finishes
+// its last basic block). ok is false on a miss, a payload that does not
+// decode (an older format included), or a wrong shape.
+func storedAnalysis(store *artifact.Store, key string, n int, windows []int) (*AnalysisArtifact, bool) {
+	b, ok := store.Get("analysis", key)
+	if !ok {
+		return nil, false
+	}
+	var a AnalysisArtifact
+	if a.UnmarshalBinary(b) != nil || a.Summary.Instructions < n || len(a.Points) != len(windows) {
+		return nil, false
+	}
+	return &a, true
+}
+
 // LookupAnalysis returns the stored analysis bundle for a generation
 // recipe without materializing its trace — the daemon's restart fast
 // path: a model-only prediction needs the bundle, not the instructions.
@@ -79,16 +92,7 @@ func LookupAnalysis(store *artifact.Store, contentID string, n int, windows []in
 	if store == nil || contentID == "" {
 		return nil, false
 	}
-	b, ok := store.Get("analysis", AnalysisKey(contentID, windows, scfg))
-	if !ok {
-		return nil, false
-	}
-	var a AnalysisArtifact
-	if artifact.DecodeGob(b, &a) != nil || a.Summary == nil ||
-		a.Summary.Instructions < n || len(a.Points) != len(windows) {
-		return nil, false
-	}
-	return &a, true
+	return storedAnalysis(store, AnalysisKey(contentID, windows, scfg), n, windows)
 }
 
 // ComputeAnalysis returns the analysis bundle of t under scfg, serving
@@ -99,11 +103,8 @@ func ComputeAnalysis(store *artifact.Store, t *trace.Trace, windows []int, scfg 
 	key := ""
 	if t.ContentID != "" && store != nil {
 		key = AnalysisKey(t.ContentID, windows, scfg)
-		if b, ok := store.Get("analysis", key); ok {
-			var a AnalysisArtifact
-			if artifact.DecodeGob(b, &a) == nil && a.valid(t, windows) {
-				return &a, nil
-			}
+		if a, ok := storedAnalysis(store, key, t.Len(), windows); ok {
+			return a, nil
 		}
 	}
 	points, err := iw.Characteristic(t, windows, iw.Options{})
@@ -120,7 +121,7 @@ func ComputeAnalysis(store *artifact.Store, t *trace.Trace, windows []int, scfg 
 	}
 	a := &AnalysisArtifact{Points: points, Law: law, Summary: sum}
 	if key != "" {
-		if b, err := artifact.EncodeGob(a); err == nil {
+		if b, err := a.MarshalBinary(); err == nil {
 			store.Put("analysis", key, b)
 		}
 	}

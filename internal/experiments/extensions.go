@@ -204,12 +204,7 @@ func ExtensionTLB(s *Suite) (*ExtensionResult, error) {
 		}
 		// Re-analyze with the TLB so the model sees miss rates and
 		// clustering.
-		scfg := stats.DefaultConfig()
-		scfg.Hierarchy = s.Sim.Hierarchy
-		scfg.PredictorBits = s.Sim.PredictorBits
-		scfg.Latencies = s.Sim.Latencies
-		scfg.ROBSize = s.Machine.ROBSize
-		scfg.Warmup = s.Sim.Warmup
+		scfg := s.statsConfig()
 		scfg.TLB = &tlbCfg
 		sum, err := stats.Analyze(w.Trace, scfg)
 		if err != nil {

@@ -61,11 +61,7 @@ func PredictorStudy(s *Suite) (*PredictorStudyResult, error) {
 		if err != nil {
 			return zero, err
 		}
-		scfg := stats.DefaultConfig()
-		scfg.Hierarchy = s.Sim.Hierarchy
-		scfg.Latencies = s.Sim.Latencies
-		scfg.ROBSize = s.Machine.ROBSize
-		scfg.Warmup = s.Sim.Warmup
+		scfg := s.statsConfig()
 		scfg.Predictor = &spec
 		sum, err := stats.Analyze(w.Trace, scfg)
 		if err != nil {

@@ -239,16 +239,24 @@ func (s *Suite) computeCustomWorkload(prof workload.Profile) (*Workload, error) 
 	return s.analyzeTrace(prof.Name, t)
 }
 
-// analyzeTrace runs the shared analysis tail: IW characteristic,
-// power-law fit, miss statistics, and model inputs.
-func (s *Suite) analyzeTrace(name string, t *trace.Trace) (*Workload, error) {
+// statsConfig is the functional-analysis configuration matching the
+// suite's simulator: its hierarchy, predictor, latencies and warmup,
+// with the model machine's ROB for the miss grouping. Experiments that
+// re-analyze under another predictor or a TLB start from it.
+func (s *Suite) statsConfig() stats.Config {
 	scfg := stats.DefaultConfig()
 	scfg.Hierarchy = s.Sim.Hierarchy
 	scfg.PredictorBits = s.Sim.PredictorBits
 	scfg.Latencies = s.Sim.Latencies
 	scfg.ROBSize = s.Machine.ROBSize
 	scfg.Warmup = s.Sim.Warmup
-	an, err := ComputeAnalysis(s.Store, t, iw.DefaultWindows(), scfg)
+	return scfg
+}
+
+// analyzeTrace runs the shared analysis tail: IW characteristic,
+// power-law fit, miss statistics, and model inputs.
+func (s *Suite) analyzeTrace(name string, t *trace.Trace) (*Workload, error) {
+	an, err := ComputeAnalysis(s.Store, t, iw.DefaultWindows(), s.statsConfig())
 	if err != nil {
 		return nil, err
 	}

@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"fomodel/internal/core"
-	"fomodel/internal/stats"
 	"fomodel/internal/uarch"
 	"fomodel/internal/workload"
 )
@@ -243,17 +242,20 @@ func sweepGrid(benches []string, values []int) []sweepJob {
 }
 
 // windowCell shrinks or grows the issue window, re-deriving the measured
-// steady-state IW point at the new size (the ROB is bumped when it would
-// fall below the window).
+// steady-state IW point at the new size. When the window outgrows the
+// ROB, the ROB is bumped to match (as setWindow does for the simulator)
+// and the equation-(8) miss grouping is redone for it.
 func windowCell(s *Suite, w *Workload, win int, sim *uarch.Result) (SweepPoint, error) {
 	var zero SweepPoint
 	m := s.Machine
 	m.WindowSize = win
+	sum := w.Summary
 	if m.ROBSize < win {
 		m.ROBSize = win
+		sum = sum.WithROB(win)
 	}
 	// Re-derive the measured steady point at this window size.
-	in, err := core.InputsFromCurve(w.Law, w.Points, win, w.Summary)
+	in, err := core.InputsFromCurve(w.Law, w.Points, win, sum)
 	if err != nil {
 		return zero, err
 	}
@@ -270,24 +272,13 @@ func windowCell(s *Suite, w *Workload, win int, sim *uarch.Result) (SweepPoint, 
 	}, nil
 }
 
-// robCell resizes the reorder buffer, re-analyzing the trace so the
-// equation-(8) long-miss grouping uses the new horizon.
+// robCell resizes the reorder buffer, regrouping the recorded miss
+// positions so the equation-(8) long-miss grouping uses the new horizon.
 func robCell(s *Suite, w *Workload, rob int, sim *uarch.Result) (SweepPoint, error) {
 	var zero SweepPoint
-	// Re-analyze with the new grouping horizon.
-	scfg := stats.DefaultConfig()
-	scfg.Hierarchy = s.Sim.Hierarchy
-	scfg.PredictorBits = s.Sim.PredictorBits
-	scfg.Latencies = s.Sim.Latencies
-	scfg.ROBSize = rob
-	scfg.Warmup = s.Sim.Warmup
-	sum, err := stats.Analyze(w.Trace, scfg)
-	if err != nil {
-		return zero, err
-	}
 	m := s.Machine
 	m.ROBSize = rob
-	in, err := core.InputsFromCurve(w.Law, w.Points, m.WindowSize, sum)
+	in, err := core.InputsFromCurve(w.Law, w.Points, m.WindowSize, w.Summary.WithROB(rob))
 	if err != nil {
 		return zero, err
 	}

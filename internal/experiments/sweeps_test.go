@@ -5,6 +5,9 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"fomodel/internal/core"
+	"fomodel/internal/stats"
 )
 
 func TestSweepValidate(t *testing.T) {
@@ -94,6 +97,47 @@ func TestSweepWidthAndDepth(t *testing.T) {
 		}
 		if res.Title == "" || !strings.Contains(res.Render(), param) {
 			t.Fatalf("%s: render missing param:\n%s", param, res.Render())
+		}
+	}
+}
+
+// TestWindowSweepAboveROBRegroups pins the model side of a window cell
+// that outgrows the baseline ROB: the ROB is raised to the window for
+// the simulator, so the model's miss grouping must follow it. Each
+// cell's model CPI must equal the one built from a fresh analysis at
+// the raised ROB.
+func TestWindowSweepAboveROBRegroups(t *testing.T) {
+	s := smallSuite()
+	res, err := Sweep(context.Background(), s, SweepSpec{
+		Param: "window", Benches: s.Names, Values: []int{192, 256},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pt := range res.Points {
+		w, err := s.Workload(pt.Bench)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scfg := s.statsConfig()
+		scfg.ROBSize = pt.Value
+		sum, err := stats.Analyze(w.Trace, scfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in, err := core.InputsFromCurve(w.Law, w.Points, pt.Value, sum)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := s.Machine
+		m.WindowSize, m.ROBSize = pt.Value, pt.Value
+		est, err := m.Estimate(in, modelOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pt.ModelCPI != est.CPI {
+			t.Errorf("%s window %d: model CPI %v, want %v from an analysis at ROB %d",
+				pt.Bench, pt.Value, pt.ModelCPI, est.CPI, pt.Value)
 		}
 	}
 }

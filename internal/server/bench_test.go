@@ -3,18 +3,22 @@ package server
 import (
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
+	"strings"
 	"testing"
 
 	"fomodel/internal/artifact"
 	"fomodel/internal/workload"
 )
 
-// benchPost drives one request through the handler chain and fails the
-// benchmark on a non-200.
-func benchPost(b *testing.B, s *Server, path, body string) {
+// benchPost drives one request through h, a server's handler chain
+// built once per benchmark (building it per request would time the
+// mux construction too), and fails the benchmark on a non-200.
+func benchPost(b *testing.B, h http.Handler, path, body string) {
 	b.Helper()
-	rec := post(s, path, body)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
 	if rec.Code != http.StatusOK {
 		b.Fatalf("%s: status = %d\nbody: %s", path, rec.Code, rec.Body.String())
 	}
@@ -24,12 +28,12 @@ func benchPost(b *testing.B, s *Server, path, body string) {
 // after the first is served from the response cache, so this is the
 // daemon's steady-state throughput ceiling for repeated queries.
 func BenchmarkPredictHot(b *testing.B) {
-	s := testServer(Config{N: 20000})
+	h := testServer(Config{N: 20000}).Handler()
 	const body = `{"bench":"gzip","sim":true}`
-	benchPost(b, s, "/v1/predict", body)
+	benchPost(b, h, "/v1/predict", body)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchPost(b, s, "/v1/predict", body)
+		benchPost(b, h, "/v1/predict", body)
 	}
 }
 
@@ -37,10 +41,10 @@ func BenchmarkPredictHot(b *testing.B) {
 // uses a fresh seed, so every iteration generates a trace and runs the
 // full analysis pipeline (IW characteristic, fit, miss statistics, model).
 func BenchmarkPredictCold(b *testing.B) {
-	s := testServer(Config{N: 20000})
+	h := testServer(Config{N: 20000}).Handler()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchPost(b, s, "/v1/predict",
+		benchPost(b, h, "/v1/predict",
 			fmt.Sprintf(`{"bench":"gzip","seed":%d}`, i+2))
 	}
 }
@@ -54,12 +58,12 @@ func BenchmarkPredictColdStore(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s := testServer(Config{N: 100000, Store: st})
+	h := testServer(Config{N: 100000, Store: st}).Handler()
 	benches := workload.Names()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchPost(b, s, "/v1/predict",
+		benchPost(b, h, "/v1/predict",
 			fmt.Sprintf(`{"bench":%q,"seed":%d}`, benches[i%len(benches)], i+2))
 	}
 }
@@ -67,8 +71,9 @@ func BenchmarkPredictColdStore(b *testing.B) {
 // BenchmarkPredictColdWarmStore measures the restart path the artifact
 // store exists for: every iteration boots a fresh server — empty
 // response, trace, analysis, and prep caches, as after a process
-// restart — on a shared warm store, and serves the same request
-// BenchmarkPredictCold pays the full pipeline for. The gap between this
+// restart — on a shared warm store, builds its handler once, and serves
+// the same request BenchmarkPredictCold pays the full pipeline for.
+// Building the server is part of the restart cost. The gap between this
 // and BenchmarkPredictCold is what persistence buys.
 func BenchmarkPredictColdWarmStore(b *testing.B) {
 	st, err := artifact.Open(b.TempDir(), 0)
@@ -76,12 +81,10 @@ func BenchmarkPredictColdWarmStore(b *testing.B) {
 		b.Fatal(err)
 	}
 	const body = `{"bench":"gzip","seed":2}`
-	warm := testServer(Config{N: 20000, Store: st})
-	benchPost(b, warm, "/v1/predict", body)
+	benchPost(b, testServer(Config{N: 20000, Store: st}).Handler(), "/v1/predict", body)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := testServer(Config{N: 20000, Store: st})
-		benchPost(b, s, "/v1/predict", body)
+		benchPost(b, testServer(Config{N: 20000, Store: st}).Handler(), "/v1/predict", body)
 	}
 }
 
@@ -90,14 +93,14 @@ func BenchmarkPredictColdWarmStore(b *testing.B) {
 // runs the full 12-cell grid (workload analyses are shared, the detailed
 // simulations are not).
 func benchmarkSweep(b *testing.B, workers int) {
-	s := testServer(Config{N: 20000, Workers: workers})
+	h := testServer(Config{N: 20000, Workers: workers}).Handler()
 	// Warm the workload cache so iterations measure sweep execution, not
 	// first-touch trace analysis.
-	benchPost(b, s, "/v1/sweep",
+	benchPost(b, h, "/v1/sweep",
 		`{"title":"warm","param":"width","benches":["gzip","mcf","vortex"],"values":[2,4,6,8]}`)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchPost(b, s, "/v1/sweep", fmt.Sprintf(
+		benchPost(b, h, "/v1/sweep", fmt.Sprintf(
 			`{"title":"run %d","param":"width","benches":["gzip","mcf","vortex"],"values":[2,4,6,8]}`, i))
 	}
 }

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
 	"net/http"
 	"os"
@@ -9,6 +11,10 @@ import (
 	"testing"
 
 	"fomodel/internal/artifact"
+	"fomodel/internal/experiments"
+	"fomodel/internal/iw"
+	"fomodel/internal/stats"
+	"fomodel/internal/workload"
 )
 
 // openTestStore opens an artifact store in a per-test directory.
@@ -182,5 +188,65 @@ func TestRequestBodyTooLarge(t *testing.T) {
 	body := small + strings.Repeat(" ", maxBodyBytes-len(small))
 	if rec := post(s, "/v1/predict", body); rec.Code != http.StatusOK {
 		t.Errorf("exactly-at-limit body rejected: status %d: %s", rec.Code, rec.Body.String())
+	}
+}
+
+// TestStoreGobAnalysisRecomputes covers the switch from gob to the
+// binary analysis codec: a format-1 (gob) payload found under an
+// analysis key must read as a miss, and the daemon must recompute the
+// analysis, answer byte-identically and overwrite the payload with one
+// the current codec decodes.
+func TestStoreGobAnalysisRecomputes(t *testing.T) {
+	const reqBody = `{"bench": "gzip"}`
+	want := post(testServer(Config{N: 8000}), "/v1/predict", reqBody)
+	if want.Code != http.StatusOK {
+		t.Fatalf("storeless: status %d: %s", want.Code, want.Body.String())
+	}
+
+	machine, err := MachineSpec{}.Machine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ucfg, err := MachineSpec{}.SimConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	scfg := predictStatsConfig(machine, ucfg)
+	tr, err := workload.Generate("gzip", 8000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	an, err := experiments.ComputeAnalysis(nil, tr, iw.DefaultWindows(), scfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The version-1 payload: gob of the artifact's fields. A mirror type
+	// without the binary methods keeps gob from delegating to them.
+	type gobArtifact struct {
+		Points  []iw.Point
+		Law     iw.PowerLaw
+		Summary *stats.Summary
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(gobArtifact{an.Points, an.Law, an.Summary}); err != nil {
+		t.Fatal(err)
+	}
+	st := openTestStore(t, t.TempDir())
+	key := experiments.AnalysisKey(workload.ContentID("gzip", 8000, 1), iw.DefaultWindows(), scfg)
+	if err := st.Put("analysis", key, buf.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+
+	s := testServer(Config{N: 8000, Store: st})
+	rec := post(s, "/v1/predict", reqBody)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+	}
+	if rec.Body.String() != want.Body.String() {
+		t.Errorf("body after a gob payload differs from the storeless body\nwant: %s\ngot:  %s",
+			want.Body.String(), rec.Body.String())
+	}
+	if _, ok := experiments.LookupAnalysis(st, workload.ContentID("gzip", 8000, 1), 8000, iw.DefaultWindows(), scfg); !ok {
+		t.Error("the recomputed analysis was not written back in the current format")
 	}
 }

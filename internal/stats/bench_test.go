@@ -39,3 +39,17 @@ func BenchmarkAnalyze(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkWithROB times regrouping an analysis for another ROB size,
+// the step a ROB sweep cell pays instead of a fresh Analyze.
+func BenchmarkWithROB(b *testing.B) {
+	sum, err := stats.Analyze(benchTrace(b), stats.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sum.WithROB(256)
+	}
+}

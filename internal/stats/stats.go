@@ -8,6 +8,7 @@ package stats
 
 import (
 	"fmt"
+	"math"
 
 	"fomodel/internal/cache"
 	"fomodel/internal/isa"
@@ -61,6 +62,12 @@ type Summary struct {
 	LongMissGroups map[int]int
 	// ROBSize is the reorder-buffer size used for grouping.
 	ROBSize int
+	// LongMissPositions records the dynamic-instruction index of every
+	// long data miss, in trace order. The ROB size enters the analysis
+	// only through the grouping above, so WithROB regroups these
+	// positions for another ROB instead of re-running the cache
+	// simulation.
+	LongMissPositions []int32
 
 	// ICacheMissGaps records, for every I-cache miss (short or long), the
 	// dynamic-instruction distance to the previous I-cache miss (the
@@ -73,9 +80,11 @@ type Summary struct {
 	// DTLBMisses counts data-TLB misses and TLBMissGroups clusters them
 	// exactly like LongMissGroups (the paper's §7: TLB misses act much
 	// like long data cache misses). Both are zero when no TLB is
-	// configured.
-	DTLBMisses    uint64
-	TLBMissGroups map[int]int
+	// configured. TLBMissPositions records where the TLB misses fall,
+	// like LongMissPositions.
+	DTLBMisses       uint64
+	TLBMissGroups    map[int]int
+	TLBMissPositions []int32
 
 	// AvgLatency is the mix-weighted average execution latency with short
 	// data-cache misses folded into load latency (the paper's Table 1
@@ -138,6 +147,9 @@ func Analyze(t *trace.Trace, cfg Config) (*Summary, error) {
 	if t.Len() == 0 {
 		return nil, fmt.Errorf("stats: empty trace %q", t.Name)
 	}
+	if t.Len() > math.MaxInt32 {
+		return nil, fmt.Errorf("stats: trace %q has %d instructions, more than miss positions can index", t.Name, t.Len())
+	}
 	if cfg.ROBSize <= 0 {
 		return nil, fmt.Errorf("stats: ROB size %d must be positive", cfg.ROBSize)
 	}
@@ -168,9 +180,6 @@ func Analyze(t *trace.Trace, cfg Config) (*Summary, error) {
 		Name:             t.Name,
 		Instructions:     t.Len(),
 		Mix:              t.Mix(),
-		ROBSize:          cfg.ROBSize,
-		LongMissGroups:   make(map[int]int),
-		TLBMissGroups:    make(map[int]int),
 		MispredictGroups: make(map[int]int),
 	}
 
@@ -179,8 +188,6 @@ func Analyze(t *trace.Trace, cfg Config) (*Summary, error) {
 		burstHorizon = 12
 	}
 	var latSum float64
-	longClusters := newClusterCounter(cfg.ROBSize, s.LongMissGroups)
-	tlbClusters := newClusterCounter(cfg.ROBSize, s.TLBMissGroups)
 	mispClusters := newClusterCounter(burstHorizon, s.MispredictGroups)
 	lastIMiss := -1 << 30
 
@@ -215,7 +222,7 @@ func Analyze(t *trace.Trace, cfg Config) (*Summary, error) {
 		case isa.Load, isa.Store:
 			if tlb != nil && !tlb.Access(in.Addr) {
 				s.DTLBMisses++
-				tlbClusters.note(i)
+				s.TLBMissPositions = append(s.TLBMissPositions, int32(i))
 			}
 			dr := h.Data(in.Addr)
 			switch dr {
@@ -228,16 +235,47 @@ func Analyze(t *trace.Trace, cfg Config) (*Summary, error) {
 				}
 			case cache.LongMiss:
 				s.DCacheLong++
-				longClusters.note(i)
+				s.LongMissPositions = append(s.LongMissPositions, int32(i))
 			}
 		}
 		latSum += lat
 	}
-	longClusters.finish()
-	tlbClusters.finish()
 	mispClusters.finish()
 	s.AvgLatency = latSum / float64(t.Len())
+	s.groupByROB(cfg.ROBSize)
 	return s, nil
+}
+
+// WithROB returns a copy of s with LongMissGroups, TLBMissGroups and
+// ROBSize rebuilt for a rob-entry reorder buffer from the recorded miss
+// positions. The result equals what Analyze returns with Config.ROBSize
+// set to rob, without repeating the cache and predictor simulations.
+// The copy shares s's slices and its MispredictGroups map; treat both
+// as read-only.
+func (s *Summary) WithROB(rob int) *Summary {
+	c := *s
+	c.groupByROB(rob)
+	return &c
+}
+
+// groupByROB sets ROBSize and rebuilds the two ROB-dependent groupings
+// from the miss positions.
+func (s *Summary) groupByROB(rob int) {
+	s.ROBSize = rob
+	s.LongMissGroups = groupPositions(s.LongMissPositions, rob)
+	s.TLBMissGroups = groupPositions(s.TLBMissPositions, rob)
+}
+
+// groupPositions clusters miss events at the given trace positions
+// within horizon instructions of their group leader.
+func groupPositions(positions []int32, horizon int) map[int]int {
+	groups := make(map[int]int)
+	c := newClusterCounter(horizon, groups)
+	for _, p := range positions {
+		c.note(int(p))
+	}
+	c.finish()
+	return groups
 }
 
 // clusterCounter implements the leader-based grouping of miss events
