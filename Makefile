@@ -22,6 +22,7 @@ lint:
 
 fuzz-smoke:
 	$(GO) test ./internal/artifact -run '^$$' -fuzz FuzzStoreRoundTrip -fuzztime 30s
+	$(GO) test ./internal/artifact -run '^$$' -fuzz FuzzStoreOps -fuzztime 30s
 	$(GO) test ./internal/reqkey -run '^$$' -fuzz FuzzCanonicalKey -fuzztime 30s
 	$(GO) test ./internal/workload -run '^$$' -fuzz FuzzReadProfile -fuzztime 30s
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzRead -fuzztime 30s

@@ -34,11 +34,13 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"time"
 
@@ -62,25 +64,37 @@ const maxKeyBytes = 1 << 16
 // length field to allocate arbitrarily).
 const maxPayloadBytes = 1 << 30
 
+// reconcileDivisor sets how often a bounded store rescans its
+// directory: once per maxBytes/reconcileDivisor bytes it writes. Other
+// processes sharing the directory write files this Store's index does
+// not hold, so with k processes the directory can exceed maxBytes by at
+// most (k-1)·maxBytes/reconcileDivisor between scans (DESIGN.md §6c).
+const reconcileDivisor = 8
+
 // Store is a content-keyed artifact directory. The zero value is not
 // usable; call Open. A nil *Store is valid and disables persistence:
 // Get always misses and Put discards.
 type Store struct {
 	dir      string
 	maxBytes int64
+	fsys     fileSystem
 
-	// mu serializes eviction scans; reads and writes of individual
-	// artifacts need no lock (rename is atomic, partially evicted reads
-	// degrade to misses).
-	mu sync.Mutex
+	// mu guards idx and sinceScan and is never held across file I/O:
+	// reads and writes of individual artifacts need no lock (rename is
+	// atomic, partially evicted reads degrade to misses), and eviction
+	// and rescans update the index before or after their syscalls.
+	mu        sync.Mutex
+	idx       *index
+	sinceScan int64 // bytes this Store has written since its last directory scan
 
-	hits, misses, corrupt, writes, evictions metrics.Counter
+	hits, misses, corrupt, writes, evictions, putErrors metrics.Counter
 }
 
-// Open prepares the store rooted at dir, creating it when absent.
-// maxBytes bounds the store's total size: after each write, the
-// least-recently-written artifacts are evicted until the total is under
-// the bound again. Zero means unbounded.
+// Open prepares the store rooted at dir, creating it when absent, and
+// indexes the files already there with one directory scan. maxBytes
+// bounds the store's total size: after each write, the least-recently-
+// used artifacts are evicted until the total is under the bound again.
+// Zero means unbounded.
 func Open(dir string, maxBytes int64) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("artifact: empty store directory")
@@ -88,7 +102,16 @@ func Open(dir string, maxBytes int64) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("artifact: %w", err)
 	}
-	return &Store{dir: dir, maxBytes: maxBytes}, nil
+	return openFS(osFS{}, dir, maxBytes)
+}
+
+// openFS is Open over an explicit file system.
+func openFS(fsys fileSystem, dir string, maxBytes int64) (*Store, error) {
+	files, err := fsys.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("artifact: %w", err)
+	}
+	return &Store{dir: dir, maxBytes: maxBytes, fsys: fsys, idx: newIndex(files)}, nil
 }
 
 // Dir returns the store's root directory; empty on a nil store.
@@ -103,12 +126,12 @@ func (s *Store) Dir() string {
 // against) every artifact file.
 func fullKey(kind, key string) string { return kind + "\x00" + key }
 
-// path maps a (kind, key) pair to its file: the kind plus a SHA-256 of
-// the full key, so arbitrary key strings never meet the filesystem and
-// two kinds can never collide.
-func (s *Store) path(kind, key string) string {
-	sum := sha256.Sum256([]byte(fullKey(kind, key)))
-	return filepath.Join(s.dir, kind+"-"+hex.EncodeToString(sum[:])+".foa")
+// fileName maps a kind and its full key to the artifact's file name: the
+// kind plus a SHA-256 of the full key, so arbitrary key strings never
+// meet the filesystem and two kinds can never collide.
+func fileName(kind, full string) string {
+	sum := sha256.Sum256([]byte(full))
+	return kind + "-" + hex.EncodeToString(sum[:]) + ".foa"
 }
 
 // Get returns the payload stored under (kind, key), or ok=false when the
@@ -120,71 +143,113 @@ func (s *Store) Get(kind, key string) ([]byte, bool) {
 	if s == nil {
 		return nil, false
 	}
-	data, err := os.ReadFile(s.path(kind, key))
+	full := fullKey(kind, key)
+	name := fileName(kind, full)
+	path := filepath.Join(s.dir, name)
+	data, err := s.fsys.ReadFile(path)
 	if err != nil {
 		s.misses.Inc()
 		return nil, false
 	}
-	payload, err := decodeFile(data, fullKey(kind, key))
+	payload, err := decodeFile(data, full)
 	if err != nil {
 		// Invalid on disk: delete so the slot is rewritten cleanly.
 		s.corrupt.Inc()
 		s.misses.Inc()
-		//folint:allow(errdrop) best-effort delete of a corrupt artifact; the miss is already being returned
-		os.Remove(s.path(kind, key))
+		if err := s.fsys.Remove(path); err == nil || errors.Is(err, fs.ErrNotExist) {
+			s.mu.Lock()
+			s.idx.drop(name)
+			s.mu.Unlock()
+		}
 		return nil, false
 	}
 	s.hits.Inc()
-	// Eviction is documented as mtime-ordered, which is only true if a
-	// verified hit refreshes the file's mtime; without this a hot
-	// artifact written early is evicted before a cold one written later
-	// (insertion-order FIFO).
+	// Eviction is least-recently-used: a verified hit moves the file to
+	// most recent in the index, and its mtime bump carries that order
+	// across restarts, whose index is built in mtime order.
 	now := time.Now()
-	//folint:allow(errdrop) best-effort recency bump; a failed Chtimes only weakens eviction ordering
-	os.Chtimes(s.path(kind, key), now, now)
+	//folint:allow(errdrop) best-effort recency bump; a failed Chtimes only weakens eviction ordering after a restart
+	s.fsys.Chtimes(path, now, now)
+	s.mu.Lock()
+	s.idx.touch(name)
+	s.mu.Unlock()
 	return payload, true
 }
 
 // Put stores payload under (kind, key), atomically replacing any
-// previous artifact, then evicts oldest artifacts while the store
-// exceeds its size bound. Put failures are returned but are always safe
-// to ignore: the store is a cache, and a failed write only costs a
-// future recomputation.
+// previous artifact, then evicts least-recently-used artifacts while the
+// store exceeds its size bound. Put failures are returned (and counted,
+// see PutErrors) but are always safe to ignore: the store is a cache,
+// and a failed write only costs a future recomputation. A failed Put
+// leaves no temp file behind, as far as the file system allows, and no
+// index entry.
 func (s *Store) Put(kind, key string, payload []byte) error {
 	if s == nil {
 		return nil
 	}
-	header, trailer := frame(fullKey(kind, key), payload)
-	tmp, err := os.CreateTemp(s.dir, "tmp-*")
+	if err := s.put(kind, key, payload); err != nil {
+		s.putErrors.Inc()
+		return err
+	}
+	return nil
+}
+
+func (s *Store) put(kind, key string, payload []byte) error {
+	full := fullKey(kind, key)
+	header, trailer := frame(full, payload)
+	tmp, err := s.fsys.CreateTemp(s.dir, "tmp-*")
 	if err != nil {
 		return fmt.Errorf("artifact: %w", err)
 	}
 	// Stream the frame's three parts: a payload can be a multi-megabyte
 	// trace, and copying it into one frame buffer would double its cost.
-	_, werr := tmp.Write(header)
+	werr := writeAll(tmp, header)
 	if werr == nil {
-		_, werr = tmp.Write(payload)
+		werr = writeAll(tmp, payload)
 	}
 	if werr == nil {
-		_, werr = tmp.Write(trailer[:])
+		werr = writeAll(tmp, trailer[:])
 	}
 	cerr := tmp.Close()
 	if werr != nil || cerr != nil {
 		//folint:allow(errdrop) cleanup of the temp file after a failed write; the write error is what the caller sees
-		os.Remove(tmp.Name())
+		s.fsys.Remove(tmp.Name())
 		if werr == nil {
 			werr = cerr
 		}
 		return fmt.Errorf("artifact: write %s: %w", kind, werr)
 	}
-	if err := os.Rename(tmp.Name(), s.path(kind, key)); err != nil {
+	name := fileName(kind, full)
+	if err := s.fsys.Rename(tmp.Name(), filepath.Join(s.dir, name)); err != nil {
 		//folint:allow(errdrop) cleanup of the temp file after a failed rename; the rename error is what the caller sees
-		os.Remove(tmp.Name())
+		s.fsys.Remove(tmp.Name())
 		return fmt.Errorf("artifact: %w", err)
 	}
 	s.writes.Inc()
-	s.enforceLimit()
+	size := int64(len(header) + len(payload) + len(trailer))
+	s.mu.Lock()
+	s.idx.add(name, size)
+	s.sinceScan += size
+	rescan := s.maxBytes > 0 && s.sinceScan >= s.maxBytes/reconcileDivisor
+	if rescan {
+		s.sinceScan = 0
+	}
+	s.mu.Unlock()
+	if rescan {
+		s.reconcile()
+	}
+	s.evict()
 	return nil
+}
+
+// writeAll writes b to w, turning a short write that reports no error
+// into io.ErrShortWrite.
+func writeAll(w io.Writer, b []byte) error {
+	n, err := w.Write(b)
+	if err == nil && n != len(b) {
+		err = io.ErrShortWrite
+	}
+	return err
 }
 
 // frame returns the header and the checksum trailer that enclose
@@ -231,68 +296,80 @@ func decodeFile(data []byte, wantKey string) ([]byte, error) {
 	return payload, nil
 }
 
-// enforceLimit evicts the oldest artifacts (by modification time) until
-// the store fits its size bound.
-func (s *Store) enforceLimit() {
-	if s.maxBytes <= 0 {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	type file struct {
-		path string
-		size int64
-		mod  int64
-	}
-	//folint:allow(lockheld) eviction is deliberately serialized under s.mu; Get/Put never take this lock, so no request waits on the scan
-	entries, err := os.ReadDir(s.dir)
+// reconcile replaces the index with a fresh scan of the directory,
+// picking up files that other processes sharing it wrote or deleted. A
+// failed scan keeps the current index. A file this Store renames into
+// place while the scan runs may miss the new index until the next scan,
+// like another process's write.
+func (s *Store) reconcile() {
+	files, err := s.fsys.ReadDir(s.dir)
 	if err != nil {
 		return
 	}
-	var files []file
-	var total int64
-	for _, e := range entries {
-		info, err := e.Info()
-		if err != nil || !info.Mode().IsRegular() {
-			continue
-		}
-		files = append(files, file{
-			path: filepath.Join(s.dir, e.Name()),
-			size: info.Size(),
-			mod:  info.ModTime().UnixNano(),
-		})
-		total += info.Size()
+	idx := newIndex(files)
+	s.mu.Lock()
+	s.idx = idx
+	s.mu.Unlock()
+}
+
+// evict removes least-recently-used artifacts until the index total fits
+// the size bound. A victim already gone (deleted behind the index's
+// back) is dropped without counting as an eviction. A victim that cannot
+// be removed stays counted, as most recent so that one undeletable file
+// cannot stall eviction, and this round stops; the next Put retries.
+// A scan counts temp files like any other file, so in a store that
+// turns over faster than one write completes, an in-flight Put's temp
+// file can be the victim; that Put then fails, and only its write is
+// lost.
+func (s *Store) evict() {
+	if s.maxBytes <= 0 {
+		return
 	}
-	sort.Slice(files, func(i, j int) bool { return files[i].mod < files[j].mod })
-	for _, f := range files {
-		if total <= s.maxBytes {
+	for {
+		s.mu.Lock()
+		var victim *indexEntry
+		if s.idx.total > s.maxBytes {
+			victim = s.idx.popOldest()
+		}
+		s.mu.Unlock()
+		if victim == nil {
 			return
 		}
-		//folint:allow(lockheld) same deliberate serialization as the ReadDir above; only a concurrent eviction would wait
-		if os.Remove(f.path) == nil {
-			total -= f.size
+		err := s.fsys.Remove(filepath.Join(s.dir, victim.name))
+		switch {
+		case err == nil:
 			s.evictions.Inc()
+		case errors.Is(err, fs.ErrNotExist):
+		default:
+			s.mu.Lock()
+			if _, ok := s.idx.files[victim.name]; !ok {
+				s.idx.add(victim.name, victim.size)
+			}
+			s.mu.Unlock()
+			return
 		}
 	}
 }
 
-// SizeBytes reports the store's current on-disk size; zero on a nil
-// store.
+// SizeBytes reports the store's size as its index holds it: the
+// directory's bytes at the last scan, plus what this Store has written
+// and minus what it has removed since; zero on a nil store.
 func (s *Store) SizeBytes() int64 {
 	if s == nil {
 		return 0
 	}
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.idx.total
+}
+
+// PutErrors reports how many Puts failed (a full or read-only disk, say);
+// zero on a nil store.
+func (s *Store) PutErrors() int64 {
+	if s == nil {
 		return 0
 	}
-	var total int64
-	for _, e := range entries {
-		if info, err := e.Info(); err == nil && info.Mode().IsRegular() {
-			total += info.Size()
-		}
-	}
-	return total
+	return s.putErrors.Load()
 }
 
 // Stats reports the store's hit/miss/corrupt/write/eviction counts; all

@@ -143,7 +143,7 @@ func TestKeyMismatchDetected(t *testing.T) {
 	src := artifactFile(t, s)
 	// Simulate a filename collision: key-b's slot holds key-a's file.
 	data, _ := os.ReadFile(src)
-	os.WriteFile(s.path("trace", "key-b"), data, 0o644)
+	os.WriteFile(filepath.Join(s.Dir(), fileName("trace", fullKey("trace", "key-b"))), data, 0o644)
 	if _, ok := s.Get("trace", "key-b"); ok {
 		t.Fatal("artifact with a mismatched embedded key served")
 	}

@@ -17,7 +17,8 @@ import (
 // per-benchmark preparation steps — trace generation and the analysis
 // pass (IW characteristic, power-law fit, miss statistics) — are read
 // from the store when a valid artifact exists and written back after a
-// fresh computation. Everything here is content-keyed: a trace by its
+// fresh computation (a trace only when its caller asks for it to
+// persist). Everything here is content-keyed: a trace by its
 // generation recipe (workload.ContentID), an analysis by the recipe plus
 // the projection of the analysis configuration that determines its
 // output. A nil store disables persistence and every function degrades
@@ -100,13 +101,19 @@ func LookupAnalysis(store *artifact.Store, contentID string, n int, windows []in
 // the artifact is a pure function of the trace content and the
 // configuration projection in its key.
 func ComputeAnalysis(store *artifact.Store, t *trace.Trace, windows []int, scfg stats.Config) (*AnalysisArtifact, error) {
-	key := ""
 	if t.ContentID != "" && store != nil {
-		key = AnalysisKey(t.ContentID, windows, scfg)
-		if a, ok := storedAnalysis(store, key, t.Len(), windows); ok {
+		if a, ok := storedAnalysis(store, AnalysisKey(t.ContentID, windows, scfg), t.Len(), windows); ok {
 			return a, nil
 		}
 	}
+	return AnalyzeAndStore(store, t, windows, scfg)
+}
+
+// AnalyzeAndStore computes the analysis bundle of t under scfg and
+// writes it to the store (when t has a content ID), without reading the
+// store first: the daemon calls it after LookupAnalysis has already
+// missed on the same key.
+func AnalyzeAndStore(store *artifact.Store, t *trace.Trace, windows []int, scfg stats.Config) (*AnalysisArtifact, error) {
 	points, err := iw.Characteristic(t, windows, iw.Options{})
 	if err != nil {
 		return nil, err
@@ -120,9 +127,9 @@ func ComputeAnalysis(store *artifact.Store, t *trace.Trace, windows []int, scfg 
 		return nil, err
 	}
 	a := &AnalysisArtifact{Points: points, Law: law, Summary: sum}
-	if key != "" {
+	if t.ContentID != "" && store != nil {
 		if b, err := a.MarshalBinary(); err == nil {
-			store.Put("analysis", key, b)
+			store.Put("analysis", AnalysisKey(t.ContentID, windows, scfg), b)
 		}
 	}
 	return a, nil
@@ -130,28 +137,13 @@ func ComputeAnalysis(store *artifact.Store, t *trace.Trace, windows []int, scfg 
 
 // LoadOrGenerateTrace returns the (name, n, seed) trace, reading its
 // serialized form (the binary trace format of internal/trace) from the
-// store when a valid artifact exists and generating + storing it
-// otherwise. The returned trace always carries its ContentID.
-func LoadOrGenerateTrace(store *artifact.Store, name string, n int, seed uint64) (*trace.Trace, error) {
+// store when a valid artifact exists and generating it otherwise; a
+// generated trace is written to the store when persist is set. The
+// returned trace always carries its ContentID.
+func LoadOrGenerateTrace(store *artifact.Store, name string, n int, seed uint64, persist bool) (*trace.Trace, error) {
 	id := workload.ContentID(name, n, seed)
-	if b, ok := store.Get("trace", id); ok {
-		if t, err := trace.Read(bytes.NewReader(b)); err == nil && t.Name == name && t.Len() >= n {
-			t.ContentID = id
-			return t, nil
-		}
-		// A structurally valid trace for the wrong recipe (or a decode
-		// failure): fall through and regenerate.
-	}
-	t, err := workload.Generate(name, n, seed)
-	if err != nil {
-		return nil, err
-	}
-	if store != nil {
-		if b, err := trace.Encode(t); err == nil {
-			store.Put("trace", id, b)
-		}
-	}
-	return t, nil
+	return loadOrGenerate(store, id, n, persist, func(t *trace.Trace) bool { return t.Name == name },
+		func() (*trace.Trace, error) { return workload.Generate(name, n, seed) })
 }
 
 // LoadOrGenerateProfileTrace is LoadOrGenerateTrace for an explicit
@@ -160,20 +152,32 @@ func LoadOrGenerateTrace(store *artifact.Store, name string, n int, seed uint64)
 // content share one stored trace; the trace's Name is restamped to the
 // profile's on a hit, because the stored copy may have been produced
 // under a different name for the same content.
-func LoadOrGenerateProfileTrace(store *artifact.Store, prof workload.Profile, n int, seed uint64) (*trace.Trace, error) {
+func LoadOrGenerateProfileTrace(store *artifact.Store, prof workload.Profile, n int, seed uint64, persist bool) (*trace.Trace, error) {
 	id := workload.CustomContentID(prof.ContentHash(), n, seed)
+	return loadOrGenerate(store, id, n, persist, func(t *trace.Trace) bool { t.Name = prof.Name; return true },
+		func() (*trace.Trace, error) { return workload.GenerateProfile(prof, n, seed) })
+}
+
+// loadOrGenerate is the one trace loader behind both. A stored trace
+// under id is served when it holds at least n instructions and adopt,
+// which checks it against the recipe and restamps its name, returns
+// true; otherwise generate runs, and its trace is stored when persist is
+// set.
+func loadOrGenerate(store *artifact.Store, id string, n int, persist bool,
+	adopt func(*trace.Trace) bool, generate func() (*trace.Trace, error)) (*trace.Trace, error) {
 	if b, ok := store.Get("trace", id); ok {
-		if t, err := trace.Read(bytes.NewReader(b)); err == nil && t.Len() >= n {
-			t.Name = prof.Name
+		if t, err := trace.Read(bytes.NewReader(b)); err == nil && t.Len() >= n && adopt(t) {
 			t.ContentID = id
 			return t, nil
 		}
+		// A structurally valid trace for the wrong recipe (or a decode
+		// failure): fall through and regenerate.
 	}
-	t, err := workload.GenerateProfile(prof, n, seed)
+	t, err := generate()
 	if err != nil {
 		return nil, err
 	}
-	if store != nil {
+	if persist && store != nil {
 		if b, err := trace.Encode(t); err == nil {
 			store.Put("trace", id, b)
 		}

@@ -221,7 +221,7 @@ func (s *Suite) KnowsWorkload(name string) bool {
 // serving the trace and the analysis pass from the artifact store when
 // one is configured and warm.
 func (s *Suite) computeWorkload(name string) (*Workload, error) {
-	t, err := LoadOrGenerateTrace(s.Store, name, s.N, s.Seed)
+	t, err := LoadOrGenerateTrace(s.Store, name, s.N, s.Seed, true)
 	if err != nil {
 		return nil, err
 	}
@@ -232,7 +232,7 @@ func (s *Suite) computeWorkload(name string) (*Workload, error) {
 // the trace comes from the profile's content-keyed artifact slot, and
 // everything downstream is identical to a built-in.
 func (s *Suite) computeCustomWorkload(prof workload.Profile) (*Workload, error) {
-	t, err := LoadOrGenerateProfileTrace(s.Store, prof, s.N, s.Seed)
+	t, err := LoadOrGenerateProfileTrace(s.Store, prof, s.N, s.Seed, true)
 	if err != nil {
 		return nil, err
 	}

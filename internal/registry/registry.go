@@ -44,9 +44,11 @@ const (
 // indexKind and indexKey locate the persisted registry index in the
 // artifact store. The index is one JSON blob rewritten per mutation:
 // registrations are small (quota-bounded), and a single blob keeps the
-// load path one read and the crash semantics one atomic rename.
+// load path one read and the crash semantics one atomic rename. The
+// store never evicts this kind, so a bounded store that cycles its
+// other artifacts keeps the registrations.
 const (
-	indexKind = "registry"
+	indexKind = artifact.PinnedKind
 	indexKey  = "index"
 )
 

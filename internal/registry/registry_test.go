@@ -2,6 +2,7 @@ package registry
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"fomodel/internal/artifact"
@@ -195,6 +196,38 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	}
 	if _, ok := r2.Get("other"); ok {
 		t.Error("deleted entry resurrected by Load")
+	}
+}
+
+// TestBoundedStoreKeepsIndex is the regression test for eviction
+// deleting the registry's index: once a bounded store cycles, the index
+// is its oldest file, and evicting it dropped every registration at the
+// next restart.
+func TestBoundedStoreKeepsIndex(t *testing.T) {
+	dir := t.TempDir()
+	store, err := artifact.Open(dir, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := New(Config{Store: store})
+	if _, err := r.Register("alice", "mine", testProfile(t, "mine")); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		if err := store.Put("trace", fmt.Sprint(i), make([]byte, 100_000)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, _, _, evictions := store.Stats(); evictions == 0 {
+		t.Fatal("the store never evicted; the test exercises nothing")
+	}
+
+	store2, err := artifact.Open(dir, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := New(Config{Store: store2}).Load(); err != nil || n != 1 {
+		t.Fatalf("restored %d registrations (err %v), want 1", n, err)
 	}
 }
 

@@ -13,8 +13,10 @@ import (
 // model-only prediction needs the bundle, not the 24-bytes-per-
 // instruction trace — this is what makes a restarted daemon's first
 // requests fast), and only then the trace caches and the full analysis
-// pipeline. The trace itself is loaded solely when the request asks for
-// a detailed simulator run.
+// pipeline. After LookupAnalysis misses on a dedicated-cache trace, the
+// analysis is computed and stored without a second read of the same
+// key. The trace is written to the store only for a request that
+// simulates (see traceFor).
 func (s *Server) predictRecord(req PredictRequest, machine core.Machine, ucfg uarch.Config,
 	mode core.BranchPenaltyMode) (PredictRecord, error) {
 	scfg := predictStatsConfig(machine, ucfg)
@@ -27,11 +29,16 @@ func (s *Server) predictRecord(req PredictRequest, machine core.Machine, ucfg ua
 		if a, ok := experiments.LookupAnalysis(s.cfg.Store, rw.contentID, req.N, iw.DefaultWindows(), scfg); ok {
 			return a, nil
 		}
-		t, err := s.traceFor(rw)
+		t, err := s.traceFor(rw, req.Sim)
 		if err != nil {
 			return nil, err
 		}
-		return experiments.ComputeAnalysis(s.cfg.Store, t, iw.DefaultWindows(), scfg)
+		if s.suiteTrace(rw) {
+			// Loading the suite's workload may have just stored this
+			// analysis key, so read it once more.
+			return experiments.ComputeAnalysis(s.cfg.Store, t, iw.DefaultWindows(), scfg)
+		}
+		return experiments.AnalyzeAndStore(s.cfg.Store, t, iw.DefaultWindows(), scfg)
 	})
 	if err != nil {
 		return PredictRecord{}, err
@@ -46,7 +53,7 @@ func (s *Server) predictRecord(req PredictRequest, machine core.Machine, ucfg ua
 	}
 	rec := PredictRecord{Bench: req.Bench, Inputs: inputs, Estimate: est}
 	if req.Sim {
-		t, err := s.traceFor(rw)
+		t, err := s.traceFor(rw, true)
 		if err != nil {
 			return PredictRecord{}, err
 		}

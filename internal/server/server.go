@@ -451,9 +451,13 @@ func (s *Server) resolveWorkload(req PredictRequest) (resolvedWorkload, error) {
 // cache is a bounded LRU keyed by content ID: evicting a trace also
 // releases the prep-cache entries it pinned, so sweeping many (n, seed)
 // pairs cannot grow the server's footprint without bound. Traces load
-// through the artifact store when one is configured.
-func (s *Server) traceFor(rw resolvedWorkload) (*trace.Trace, error) {
-	if rw.n == s.cfg.N && rw.seed == s.cfg.Seed {
+// through the artifact store when one is configured; a trace the
+// dedicated cache generates is written back only when persist is set,
+// which callers set for simulator runs: a model-only request needs the
+// trace once, for its analysis, and the store keeps that analysis
+// instead. The suite's default-seed traces always persist.
+func (s *Server) traceFor(rw resolvedWorkload, persist bool) (*trace.Trace, error) {
+	if s.suiteTrace(rw) {
 		// The suite resolves registered names through its own Lookup, so
 		// this path serves built-ins and registered workloads alike.
 		w, err := s.suite.Workload(rw.bench)
@@ -464,11 +468,17 @@ func (s *Server) traceFor(rw resolvedWorkload) (*trace.Trace, error) {
 	}
 	t, _, err := s.traces.Do(rw.contentID, func() (*trace.Trace, error) {
 		if rw.prof != nil {
-			return experiments.LoadOrGenerateProfileTrace(s.cfg.Store, *rw.prof, rw.n, rw.seed)
+			return experiments.LoadOrGenerateProfileTrace(s.cfg.Store, *rw.prof, rw.n, rw.seed, persist)
 		}
-		return experiments.LoadOrGenerateTrace(s.cfg.Store, rw.bench, rw.n, rw.seed)
+		return experiments.LoadOrGenerateTrace(s.cfg.Store, rw.bench, rw.n, rw.seed, persist)
 	})
 	return t, err
+}
+
+// suiteTrace reports whether traceFor serves rw from the suite, which
+// it does for the server's default length and seed.
+func (s *Server) suiteTrace(rw resolvedWorkload) bool {
+	return rw.n == s.cfg.N && rw.seed == s.cfg.Seed
 }
 
 // healthzResponse is the /healthz body.
@@ -687,6 +697,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "# HELP fomodeld_artifact_store_evictions_total Artifacts evicted by the store size bound.\n")
 		fmt.Fprintf(w, "# TYPE fomodeld_artifact_store_evictions_total counter\n")
 		fmt.Fprintf(w, "fomodeld_artifact_store_evictions_total %d\n", evictions)
+		fmt.Fprintf(w, "# HELP fomodeld_artifact_store_put_errors_total Artifact writes that failed (a full or read-only disk, say).\n")
+		fmt.Fprintf(w, "# TYPE fomodeld_artifact_store_put_errors_total counter\n")
+		fmt.Fprintf(w, "fomodeld_artifact_store_put_errors_total %d\n", st.PutErrors())
 		fmt.Fprintf(w, "# HELP fomodeld_artifact_store_bytes Bytes currently stored on disk.\n")
 		fmt.Fprintf(w, "# TYPE fomodeld_artifact_store_bytes gauge\n")
 		fmt.Fprintf(w, "fomodeld_artifact_store_bytes %d\n", st.SizeBytes())

@@ -250,3 +250,70 @@ func TestStoreGobAnalysisRecomputes(t *testing.T) {
 		t.Error("the recomputed analysis was not written back in the current format")
 	}
 }
+
+// storeKinds counts the artifact files in dir by kind.
+func storeKinds(t *testing.T, dir string) map[string]int {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*.foa"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := map[string]int{}
+	for _, f := range files {
+		kind, _, _ := strings.Cut(filepath.Base(f), "-")
+		kinds[kind]++
+	}
+	return kinds
+}
+
+// TestColdModelPredictWritesOnlyAnalysis pins the store traffic of a
+// cold model-only predict on a non-default seed: two lookups (the
+// analysis, then the trace), both misses, and one write — the analysis.
+// The trace is never read back on that path, so it is not stored; a
+// simulating predict still stores its trace.
+func TestColdModelPredictWritesOnlyAnalysis(t *testing.T) {
+	dir := t.TempDir()
+	st := openTestStore(t, dir)
+	s := testServer(Config{N: 8000, Store: st})
+
+	if rec := post(s, "/v1/predict", `{"bench": "gzip", "seed": 7}`); rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+	}
+	if hits, misses, corrupt, writes, _ := st.Stats(); hits != 0 || misses != 2 || corrupt != 0 || writes != 1 {
+		t.Errorf("store stats after one cold predict = (hits %d, misses %d, corrupt %d, writes %d), want (0, 2, 0, 1)",
+			hits, misses, corrupt, writes)
+	}
+	if got := storeKinds(t, dir); len(got) != 1 || got["analysis"] != 1 {
+		t.Errorf("artifacts on disk = %v, want one analysis", got)
+	}
+
+	if rec := post(s, "/v1/predict", `{"bench": "mcf", "seed": 7, "sim": true}`); rec.Code != http.StatusOK {
+		t.Fatalf("sim: status %d: %s", rec.Code, rec.Body.String())
+	}
+	if got := storeKinds(t, dir); got["trace"] != 1 || got["analysis"] != 2 || got["preps"] == 0 || got["prods"] != 1 {
+		t.Errorf("artifacts on disk after a sim predict = %v, want its trace, analysis, preps and prods added", got)
+	}
+}
+
+// TestStorePutErrorsCounted removes the store directory under a running
+// daemon: every write then fails, the daemon keeps answering
+// byte-identically, and the failures show on /metrics.
+func TestStorePutErrorsCounted(t *testing.T) {
+	const reqBody = `{"bench": "gzip", "seed": 9}`
+	want := post(testServer(Config{N: 8000}), "/v1/predict", reqBody)
+	dir := t.TempDir()
+	s := testServer(Config{N: 8000, Store: openTestStore(t, dir)})
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	rec := post(s, "/v1/predict", reqBody)
+	if rec.Code != http.StatusOK || rec.Body.String() != want.Body.String() {
+		t.Fatalf("status %d, body differs from the storeless one: %s", rec.Code, rec.Body.String())
+	}
+	if got := s.cfg.Store.PutErrors(); got != 1 {
+		t.Errorf("PutErrors = %d, want 1", got)
+	}
+	if m := get(s, "/metrics").Body.String(); !strings.Contains(m, "fomodeld_artifact_store_put_errors_total 1\n") {
+		t.Error("/metrics does not report the failed write")
+	}
+}
