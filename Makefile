@@ -33,9 +33,12 @@ fuzz-smoke:
 	$(GO) test ./internal/experiments -run '^$$' -fuzz FuzzAnalysisArtifact -fuzztime 30s
 
 # Run every benchmark once, so their set-up and b.Fatal paths stay
-# working; this checks that they run, not how fast.
+# working; this checks that they run, not how fast. Of the root
+# package's experiment benchmarks, only the detailed simulator and
+# Fig. 14, the one that serializes long misses, are included.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
+	$(GO) test -run '^$$' -bench 'DetailedSimulator|Figure14$$' -benchtime 1x .
 
 # The benchmark driver's own tests, as the bench-driver CI job runs them;
 # -short skips TestSmoke, which starts real daemons and a proxy.

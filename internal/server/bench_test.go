@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"fomodel/internal/artifact"
+	"fomodel/internal/rng"
 	"fomodel/internal/workload"
 )
 
@@ -108,3 +110,68 @@ func benchmarkSweep(b *testing.B, workers int) {
 func BenchmarkSweepWorkers1(b *testing.B) { benchmarkSweep(b, 1) }
 
 func BenchmarkSweepWorkersN(b *testing.B) { benchmarkSweep(b, runtime.GOMAXPROCS(0)) }
+
+// servedSweepValues are the values a served sweep draws per parameter,
+// the ranges fobench's sweep-sim workload draws from.
+var servedSweepValues = []struct {
+	param        string
+	lo, hi, step int
+}{
+	{"depth", 2, 20, 1},
+	{"rob", 48, 256, 16},
+	{"width", 1, 8, 1},
+	{"window", 8, 128, 8},
+}
+
+// pickSorted returns k distinct values of lo, lo+step, …, hi in
+// ascending order.
+func pickSorted(r *rng.PCG, lo, hi, step, k int) []int {
+	n := (hi-lo)/step + 1
+	picked := make([]bool, n)
+	for left := k; left > 0; {
+		if j := r.Intn(n); !picked[j] {
+			picked[j] = true
+			left--
+		}
+	}
+	var out []int
+	for j, ok := range picked {
+		if ok {
+			out = append(out, lo+j*step)
+		}
+	}
+	return out
+}
+
+// BenchmarkSweepServed measures one /v1/sweep request at the size the
+// daemon serves: 100000-instruction traces and, per iteration, a fresh
+// grid of 3 built-ins × 4 values of one parameter, cycling depth, rob,
+// width and window the way fobench's sweep-sim traffic draws them. Every
+// built-in's analysis is warmed first, so iterations time the 12
+// detailed simulations and the model evaluations of the grid.
+func BenchmarkSweepServed(b *testing.B) {
+	h := testServer(Config{N: 100000}).Handler()
+	names := workload.Names()
+	for k := 0; k < len(names); k += 3 {
+		benchPost(b, h, "/v1/sweep", fmt.Sprintf(
+			`{"title":"warm %d","param":"width","benches":[%q,%q,%q],"values":[4]}`,
+			k, names[k], names[(k+1)%len(names)], names[(k+2)%len(names)]))
+	}
+	r := rng.New(1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sv := servedSweepValues[i%len(servedSweepValues)]
+		var benches []string
+		for _, j := range pickSorted(r, 0, len(names)-1, 1, 3) {
+			benches = append(benches, names[j])
+		}
+		body, err := json.Marshal(map[string]any{
+			"title": fmt.Sprintf("served %d", i), "param": sv.param,
+			"benches": benches, "values": pickSorted(r, sv.lo, sv.hi, sv.step, 4),
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchPost(b, h, "/v1/sweep", string(body))
+	}
+}

@@ -21,6 +21,11 @@ import (
 // Src1/Src2 are isa.RegNone when absent. PC and Addr are byte addresses used
 // by the instruction and data caches; Taken records the branch outcome used
 // by predictor simulation.
+//
+// The field order keeps the struct at 24 bytes: Taken fills the byte after
+// Class that alignment would otherwise pad, so every in-memory trace is a
+// quarter smaller than with Taken last. The binary format writes each
+// field explicitly and does not depend on the layout.
 type Instruction struct {
 	// PC is the instruction's byte address (used by the I-cache and the
 	// branch predictor index).
@@ -29,13 +34,13 @@ type Instruction struct {
 	Addr uint64
 	// Class is the operation class.
 	Class isa.Class
+	// Taken is the branch outcome (branches only).
+	Taken bool
 	// Dest is the destination architectural register, or isa.RegNone.
 	Dest int16
 	// Src1 and Src2 are source registers, or isa.RegNone.
 	Src1 int16
 	Src2 int16
-	// Taken is the branch outcome (branches only).
-	Taken bool
 }
 
 // HasDest reports whether the instruction writes a register.

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"fomodel/internal/isa"
@@ -106,5 +107,14 @@ func TestHelpers(t *testing.T) {
 	}
 	if tr.Len() != 4 {
 		t.Fatalf("Len %d", tr.Len())
+	}
+}
+
+// TestInstructionSize pins the in-memory layout at 24 bytes: every trace
+// the daemon caches is n of these, so a field reordering that brings
+// back the padding grows every cached trace by a third.
+func TestInstructionSize(t *testing.T) {
+	if got := reflect.TypeOf(Instruction{}).Size(); got != 24 {
+		t.Fatalf("trace.Instruction is %d bytes, want 24", got)
 	}
 }

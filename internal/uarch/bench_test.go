@@ -110,8 +110,9 @@ func BenchmarkSimulateIdealSweep(b *testing.B) {
 
 // BenchmarkRunConfigs times the timing pass alone — classification is
 // served from a warm PrepCache — at 100k instructions for three
-// benchmarks under six machines: the baseline, width 8, a 128-entry
-// window, a 256-entry ROB, in-order issue, and two clusters. The
+// benchmarks under seven machines: the baseline, width 8, a 128-entry
+// window, a 256-entry ROB, in-order issue, two clusters, and serialized
+// long misses, the one option the cycle-stepping scan runs. The
 // benchmarks span the simulator's regimes (mcf stalls on long misses,
 // vortex and gzip keep the window busy), so a slowdown confined to one
 // regime shows up in its own row.
@@ -126,6 +127,7 @@ func BenchmarkRunConfigs(b *testing.B) {
 		{"rob256", func(c *uarch.Config) { c.ROBSize = 256 }},
 		{"inorder", func(c *uarch.Config) { c.InOrder = true }},
 		{"clusters2", func(c *uarch.Config) { c.Clusters, c.BypassLatency = 2, 1 }},
+		{"serialize", func(c *uarch.Config) { c.SerializeLongMisses = true }},
 	}
 	for _, bench := range []string{"mcf", "vortex", "gzip"} {
 		t, err := workload.Generate(bench, 100000, 1)

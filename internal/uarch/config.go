@@ -19,17 +19,20 @@
 // *counts*, so evaluation differences isolate the model's *timing*
 // approximations, which is what the paper evaluates.
 //
-// The timing pass steps cycle by cycle, but its issue stage is
-// event-driven rather than a scan of every window slot. A dispatched
-// instruction waits on its unissued producers' wakeup lists; when the
-// last of them issues it is filed in a timing wheel at its ready cycle
-// (cross-cluster operands arrive BypassLatency later); each cycle drains
-// one wheel bucket into a ready bitset over a ROB-sized ring, and issue
-// takes the oldest ready instructions under the width, FU, cluster and
-// in-order caps. Every latency is at least one cycle, so nothing woken
-// by an issue can issue in the same cycle, which makes the result
-// identical to the full scan, kept in the tests as the oracle. Cycles in
-// which nothing can change are skipped in one step, to the next event.
+// The timing pass runs in program order rather than cycle by cycle: each
+// instruction in turn is assigned its fetch, dispatch, issue and retire
+// cycle from the cycles of older instructions alone. Fetch, dispatch and
+// retire are in order under the width, front-end, window and ROB
+// limits; issue takes the first cycle at or after dispatch + 1 and
+// operand readiness (cross-cluster operands arrive BypassLatency later)
+// whose width, FU and cluster slots older instructions have left free.
+// Issue is oldest first and every latency is at least one cycle, so a
+// younger instruction can never change an older one's timing, which
+// makes the result identical to stepping the machine. The one exception
+// is SerializeLongMisses: whether a long miss is demoted depends on
+// long misses outstanding at its issue, younger ones that issued first
+// included, so that option runs the cycle-stepping scan, which is also
+// the oracle the pass is tested against.
 package uarch
 
 import (
@@ -80,7 +83,8 @@ type Config struct {
 	// SerializeLongMisses reproduces the paper's §4.3 isolation
 	// experiment: while one long data miss is outstanding, subsequent
 	// long misses are demoted to hits, so every long miss is observed in
-	// isolation.
+	// isolation. Only the cycle-stepping scan can run it (see the
+	// package comment), so it is slower than any other option.
 	SerializeLongMisses bool
 
 	// FUCounts, when any entry is positive, limits how many instructions

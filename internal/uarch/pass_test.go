@@ -1,0 +1,184 @@
+package uarch
+
+import (
+	"reflect"
+	"runtime"
+	"testing"
+
+	"fomodel/internal/cache"
+	"fomodel/internal/isa"
+	"fomodel/internal/trace"
+	"fomodel/internal/workload"
+)
+
+// TestPassMemoryIndependentOfCycles runs a dependence chain whose every
+// latency sits just under MaxLatency: each link retires inside the
+// deadlock horizon, so the run completes, after ~5·10^7 cycles. The pass
+// must match the scan and allocate only a few MiB — a buffer with an
+// entry per cycle would need tens of MiB.
+func TestPassMemoryIndependentOfCycles(t *testing.T) {
+	tr := chain(50)
+	cfg := testConfig()
+	cfg.Latencies[isa.ALU] = MaxLatency - 8
+	preps := make([]prep, tr.Len())
+	prod := trace.ComputeProducers(tr)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := pass(tr, cfg, preps, prod)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Cycles < 50*int64(MaxLatency-8) {
+		t.Fatalf("chain ran %d cycles, want at least %d", res.Cycles, 50*int64(MaxLatency-8))
+	}
+	const bound = 4 << 20
+	if got := after.TotalAlloc - before.TotalAlloc; got > bound {
+		t.Fatalf("pass allocated %d bytes over %d cycles, want at most %d", got, res.Cycles, bound)
+	}
+	checkAgainstReference(t, "long chain", tr, cfg, preps, prod)
+}
+
+// handRun simulates instrs with the given miss events on cfg, requires
+// the pass to match the scan, and returns the scan's result.
+func handRun(t *testing.T, instrs []trace.Instruction, events []Event, cfg Config) *Result {
+	t.Helper()
+	tr := &trace.Trace{Name: "hand", Instrs: instrs}
+	preps := make([]prep, len(events))
+	for i, ev := range events {
+		preps[i] = prep{ires: ev.ICache, dres: ev.DCache, misp: ev.Mispredict, tlbMiss: ev.TLBMiss}
+	}
+	prod := trace.ComputeProducers(tr)
+	checkAgainstReference(t, "hand", tr, cfg, preps, prod)
+	res, err := scan(tr, cfg, preps, prod)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestOverlapCountersAtBoundaries pins MispredictsOverlapped and
+// ICacheOverlapped on hand-built traces where the answer hinges on the
+// order of stages within a cycle or on an instruction younger than the
+// one being counted. The counts are the scan's; the pass must agree.
+func TestOverlapCountersAtBoundaries(t *testing.T) {
+	cfg := testConfig()
+	cfg.IdealICache, cfg.IdealDCache, cfg.IdealPredictor = false, false, false
+	alu := func(dest, src int16) trace.Instruction {
+		return trace.Instruction{PC: hotPC, Class: isa.ALU, Dest: dest, Src1: src, Src2: isa.RegNone}
+	}
+	load := func(dest int16) trace.Instruction {
+		return trace.Instruction{PC: hotPC, Class: isa.Load, Addr: 0x8000, Dest: dest, Src1: isa.RegNone, Src2: isa.RegNone}
+	}
+	branch := func(src int16) trace.Instruction {
+		return trace.Instruction{PC: hotPC, Class: isa.Branch, Dest: isa.RegNone, Src1: src, Src2: isa.RegNone}
+	}
+	div := trace.Instruction{PC: hotPC, Class: isa.Div, Dest: 1, Src1: isa.RegNone, Src2: isa.RegNone}
+	longMiss := Event{DCache: cache.LongMiss}
+	misp := Event{Mispredict: true}
+
+	cases := []struct {
+		name       string
+		instrs     []trace.Instruction
+		events     []Event
+		misp, icov uint64
+	}{{
+		// The branch waits 12 cycles on the divide. The younger load is
+		// independent and would issue long before the branch, but fetch
+		// stops at the mispredicted branch, so the load is fetched only
+		// after the branch resolves: nothing is outstanding then.
+		name:   "younger long miss behind a mispredicted branch",
+		instrs: []trace.Instruction{div, branch(1), load(2)},
+		events: []Event{{}, misp, longMiss},
+	}, {
+		// Load and branch issue in the same cycle; the older load goes
+		// first and is outstanding when the branch issues.
+		name:   "older long miss in the branch's cycle",
+		instrs: []trace.Instruction{load(2), branch(isa.RegNone)},
+		events: []Event{longMiss, misp},
+		misp:   1,
+	}, {
+		// The younger load is fetched only once the branch resolves, so
+		// it cannot share the branch's issue cycle.
+		name:   "younger long miss after the branch",
+		instrs: []trace.Instruction{branch(isa.RegNone), load(2)},
+		events: []Event{misp, longMiss},
+	}, {
+		// The branch consumes the load: it issues in the cycle the data
+		// returns, when the miss no longer counts as outstanding.
+		name:   "branch on the returning miss",
+		instrs: []trace.Instruction{load(2), branch(2)},
+		events: []Event{longMiss, misp},
+	}}
+	// I-cache misses at instruction m of a stream that starts with a long
+	// load. Fetch reaches instruction m in cycle 1 + m/4. The load issues
+	// in cycle 7, before fetch runs in that cycle.
+	for _, c := range []struct {
+		name string
+		m    int
+		icov uint64
+	}{
+		{"I-cache miss charged before the long miss issues", 20, 0},
+		{"I-cache miss charged in the long miss's issue cycle", 24, 1},
+		{"I-cache miss charged while the long miss is outstanding", 40, 1},
+	} {
+		instrs := []trace.Instruction{load(2)}
+		events := []Event{longMiss}
+		for i := 1; i <= 60; i++ {
+			instrs = append(instrs, alu(int16(3+i%8), isa.RegNone))
+			events = append(events, Event{})
+		}
+		events[c.m].ICache = cache.ShortMiss
+		cases = append(cases, struct {
+			name       string
+			instrs     []trace.Instruction
+			events     []Event
+			misp, icov uint64
+		}{c.name, instrs, events, 0, c.icov})
+	}
+	for _, c := range cases {
+		res := handRun(t, c.instrs, c.events, cfg)
+		if res.MispredictsOverlapped != c.misp || res.ICacheOverlapped != c.icov {
+			t.Errorf("%s: overlapped mispredicts %d, I-cache misses %d; want %d, %d",
+				c.name, res.MispredictsOverlapped, res.ICacheOverlapped, c.misp, c.icov)
+		}
+	}
+}
+
+// TestSerializeTakesScan checks that run hands a SerializeLongMisses
+// config to the scan: the pass has no notion of demotion, so on a
+// benchmark with overlapping long misses its result differs, and run's
+// must be the scan's.
+func TestSerializeTakesScan(t *testing.T) {
+	tr, err := workload.Generate("mcf", 5000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.SerializeLongMisses = true
+	preps, err := classify(tr, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prod := trace.ComputeProducers(tr)
+	got, err := run(tr, cfg, preps, prod)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := scan(tr, cfg, preps, prod)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("run with serialized long misses differs from the scan\n got  %+v\n want %+v", got, want)
+	}
+	unserialized, err := pass(tr, cfg, preps, prod)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if unserialized.DCacheLong <= want.DCacheLong {
+		t.Fatalf("pass charged %d long misses, scan %d: the trace demotes none, so it cannot tell the engines apart",
+			unserialized.DCacheLong, want.DCacheLong)
+	}
+}
