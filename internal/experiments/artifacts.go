@@ -50,10 +50,9 @@ type AnalysisArtifact struct {
 // workloads × 8 ROB sizes) overflowing each replica's analysis cache.
 func AnalysisKey(contentID string, windows []int, scfg stats.Config) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "a%d|%s|w=%v|h=%+v|pb=%d|lat=%v|rob=%d|bbh=%d|warm=%t",
+	fmt.Fprintf(&b, "a%d|%s|w=%v|h=%+v|pb=%d|lat=%v|rob=%d|warm=%t",
 		analysisFormatVersion, contentID, windows, scfg.Hierarchy,
-		scfg.PredictorBits, scfg.Latencies, scfg.ROBSize,
-		scfg.BranchBurstHorizon, scfg.Warmup)
+		scfg.PredictorBits, scfg.Latencies, scfg.ROBSize, scfg.Warmup)
 	if scfg.Predictor != nil {
 		fmt.Fprintf(&b, "|pred=%+v", *scfg.Predictor)
 	}

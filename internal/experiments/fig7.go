@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"fomodel/internal/isa"
+	"fomodel/internal/stats"
 	"fomodel/internal/uarch"
 )
 
@@ -44,7 +45,7 @@ func Figure7(s *Suite) (*Figure7Result, error) {
 	t := w.Trace
 
 	// All events clear, except one mispredicted branch near the middle.
-	events := make([]uarch.Event, t.Len())
+	events := make([]stats.Event, t.Len())
 	target := -1
 	for i := t.Len() / 2; i < t.Len(); i++ {
 		if t.Instrs[i].Class == isa.Branch {

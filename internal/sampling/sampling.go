@@ -5,12 +5,13 @@
 // sampled simulation times only periodically selected windows of the real
 // trace and extrapolates.
 //
-// The implementation reuses the repository's decoupled design: one
-// functional pass over the whole trace classifies every miss event (so
-// cache and predictor state is exact at every window boundary — "functional
-// warming" in the sampling literature), and the cycle-level simulator then
-// times only the sampled windows via uarch.SimulateWithEvents. The
-// estimate is the instruction-weighted mean CPI of the sampled windows.
+// The implementation reuses the repository's decoupled design: the one
+// functional pass (uarch.Classify, which is stats.Classify) runs over the
+// whole trace and classifies every miss event, so cache and predictor
+// state is exact at every window boundary — "functional warming" in the
+// sampling literature — and the detailed simulator then times only the
+// sampled windows via uarch.SimulateWithEvents. The estimate is the
+// instruction-weighted mean CPI of the sampled windows.
 //
 // Three standard sampling biases remain, by design: register dependences
 // that cross a window's starting boundary are treated as ready (slightly
@@ -25,10 +26,6 @@ package sampling
 import (
 	"fmt"
 
-	"fomodel/internal/cache"
-	"fomodel/internal/isa"
-	"fomodel/internal/predictor"
-	"fomodel/internal/stats"
 	"fomodel/internal/trace"
 	"fomodel/internal/uarch"
 )
@@ -91,9 +88,9 @@ func Estimate(t *trace.Trace, cfg uarch.Config, sc Config) (*Result, error) {
 		return nil, fmt.Errorf("sampling: empty trace %q", t.Name)
 	}
 
-	// Functional warming: classify every instruction of the full trace,
-	// exactly as the reference simulator's own functional pass does.
-	events, err := classifyAll(t, cfg)
+	// Functional warming: classify every instruction of the full trace
+	// with the reference simulator's own functional pass.
+	events, err := uarch.Classify(t, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -119,49 +116,4 @@ func Estimate(t *trace.Trace, cfg uarch.Config, sc Config) (*Result, error) {
 	}
 	res.CPI = weightedCycles / float64(res.SampledInstructions)
 	return res, nil
-}
-
-// classifyAll performs the program-order functional pass over the whole
-// trace and returns per-instruction events.
-func classifyAll(t *trace.Trace, cfg uarch.Config) ([]uarch.Event, error) {
-	h, err := cache.NewHierarchy(cfg.Hierarchy)
-	if err != nil {
-		return nil, err
-	}
-	var gs predictor.Predictor
-	if cfg.Predictor != nil {
-		gs, err = cfg.Predictor.New()
-	} else {
-		gs, err = predictor.NewGshare(cfg.PredictorBits)
-	}
-	if err != nil {
-		return nil, err
-	}
-	var tlb *cache.TLB
-	if cfg.TLB != nil {
-		tlb, err = cache.NewTLB(*cfg.TLB)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if cfg.Warmup {
-		stats.WarmHierarchy(h, t)
-	}
-	events := make([]uarch.Event, t.Len())
-	for i := range t.Instrs {
-		in := &t.Instrs[i]
-		ev := &events[i]
-		ev.ICache = h.Fetch(in.PC)
-		switch in.Class {
-		case isa.Branch:
-			ev.Mispredict = gs.Predict(in.PC) != in.Taken
-			gs.Update(in.PC, in.Taken)
-		case isa.Load, isa.Store:
-			if tlb != nil {
-				ev.TLBMiss = !tlb.Access(in.Addr)
-			}
-			ev.DCache = h.Data(in.Addr)
-		}
-	}
-	return events, nil
 }

@@ -30,7 +30,7 @@ type Summary struct {
 	Branches    uint64
 	Mispredicts uint64
 	// MispredictGroups clusters mispredictions the way LongMissGroups
-	// clusters long misses, but within Config.BranchBurstHorizon
+	// clusters long misses, but within branchBurstHorizon (12)
 	// instructions of the cluster leader: mispredictions that arrive
 	// before the previous transient's ramp-up completes share one
 	// drain+ramp cost (the paper's equation 3, and its §7 refinement #3
@@ -110,14 +110,6 @@ type Config struct {
 	// TLB, when non-nil, simulates a data TLB alongside the caches (the
 	// paper's §7 TLB extension).
 	TLB *cache.TLBConfig
-	// BranchBurstHorizon groups mispredictions into bursts: a
-	// misprediction within this many dynamic instructions of its burst
-	// leader shares the leader's drain and ramp-up (the paper's eq. 3).
-	// Sharing only happens when the second mispredicted branch enters
-	// the window before the first transient's ramp completes, i.e. when
-	// the branches are nearly back to back; the default (12) reflects
-	// that (ablated in BenchmarkAblationBranchBurst).
-	BranchBurstHorizon int
 	// Warmup, when true, replays the trace's instruction fetches through
 	// the hierarchy once before measuring, so I-cache miss rates are
 	// steady-state (capacity and conflict) rates without cold-start
@@ -133,16 +125,111 @@ type Config struct {
 // DefaultConfig returns the paper's baseline analysis configuration.
 func DefaultConfig() Config {
 	return Config{
-		Hierarchy:          cache.DefaultHierarchy(),
-		PredictorBits:      13,
-		Latencies:          isa.DefaultLatencies(),
-		ROBSize:            128,
-		BranchBurstHorizon: 12,
+		Hierarchy:     cache.DefaultHierarchy(),
+		PredictorBits: 13,
+		Latencies:     isa.DefaultLatencies(),
+		ROBSize:       128,
 	}
 }
 
+// branchBurstHorizon groups mispredictions into bursts: a misprediction
+// within this many dynamic instructions of its burst leader shares the
+// leader's drain and ramp-up (the paper's eq. 3). Sharing only happens
+// when the second mispredicted branch enters the window before the first
+// transient's ramp completes, i.e. when the branches are nearly back to
+// back (ablated in BenchmarkAblationBranchBurst). Changing it changes
+// every stored Summary, so it must bump the experiments package's
+// analysisFormatVersion.
+const branchBurstHorizon = 12
+
+// Event is the functional classification of one instruction: its fetch
+// and data-access results, whether the predictor missed it, and whether
+// the data TLB missed it. Only loads and stores have a data result or a
+// TLB miss; only branches mispredict.
+type Event struct {
+	ICache, DCache cache.Result
+	Mispredict     bool
+	TLBMiss        bool
+}
+
+// classifier is the functional pass: it walks a trace in program order
+// through the cache hierarchy, the branch predictor and the optional data
+// TLB. It is the only code that does, so the model's statistics and the
+// detailed simulator's miss events agree by construction.
+type classifier struct {
+	h   *cache.Hierarchy
+	bp  predictor.Predictor
+	tlb *cache.TLB
+}
+
+// newClassifier builds the structures cfg describes: the predictor from
+// its spec when one is given, otherwise a gshare of PredictorBits. With
+// Warmup set it replays t's fetches and then clears the hierarchy's
+// counters, leaving warmed I-side contents (see Config.Warmup for why
+// only the instruction side is warmed).
+func newClassifier(t *trace.Trace, cfg Config) (classifier, error) {
+	h, err := cache.NewHierarchy(cfg.Hierarchy)
+	if err != nil {
+		return classifier{}, err
+	}
+	c := classifier{h: h}
+	if cfg.Predictor != nil {
+		c.bp, err = cfg.Predictor.New()
+	} else {
+		c.bp, err = predictor.NewGshare(cfg.PredictorBits)
+	}
+	if err != nil {
+		return classifier{}, err
+	}
+	if cfg.TLB != nil {
+		if c.tlb, err = cache.NewTLB(*cfg.TLB); err != nil {
+			return classifier{}, err
+		}
+	}
+	if cfg.Warmup {
+		for i := range t.Instrs {
+			h.Fetch(t.Instrs[i].PC)
+		}
+		h.ResetStats()
+	}
+	return c, nil
+}
+
+// next classifies the next instruction in program order: its fetch, then
+// the branch prediction and update, then the TLB, then the data access.
+func (c *classifier) next(in *trace.Instruction) Event {
+	ev := Event{ICache: c.h.Fetch(in.PC)}
+	switch in.Class {
+	case isa.Branch:
+		ev.Mispredict = c.bp.Predict(in.PC) != in.Taken
+		c.bp.Update(in.PC, in.Taken)
+	case isa.Load, isa.Store:
+		if c.tlb != nil {
+			ev.TLBMiss = !c.tlb.Access(in.Addr)
+		}
+		ev.DCache = c.h.Data(in.Addr)
+	}
+	return ev
+}
+
+// Classify runs the functional pass over t and returns every
+// instruction's events. Only the classification fields of cfg are read:
+// Hierarchy, PredictorBits, Predictor, TLB and Warmup.
+func Classify(t *trace.Trace, cfg Config) ([]Event, error) {
+	c, err := newClassifier(t, cfg)
+	if err != nil {
+		return nil, err
+	}
+	events := make([]Event, t.Len())
+	for i := range t.Instrs {
+		events[i] = c.next(&t.Instrs[i])
+	}
+	return events, nil
+}
+
 // Analyze runs the functional cache and predictor simulations over t and
-// collects the model inputs.
+// collects the model inputs. It steps the classifier instead of
+// materializing the events, so it allocates nothing per instruction.
 func Analyze(t *trace.Trace, cfg Config) (*Summary, error) {
 	if t.Len() == 0 {
 		return nil, fmt.Errorf("stats: empty trace %q", t.Name)
@@ -156,45 +243,26 @@ func Analyze(t *trace.Trace, cfg Config) (*Summary, error) {
 	if err := cfg.Latencies.Validate(); err != nil {
 		return nil, err
 	}
-	h, err := cache.NewHierarchy(cfg.Hierarchy)
+	c, err := newClassifier(t, cfg)
 	if err != nil {
 		return nil, err
-	}
-	gs, err := newPredictor(cfg.Predictor, cfg.PredictorBits)
-	if err != nil {
-		return nil, err
-	}
-
-	var tlb *cache.TLB
-	if cfg.TLB != nil {
-		tlb, err = cache.NewTLB(*cfg.TLB)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if cfg.Warmup {
-		WarmHierarchy(h, t)
 	}
 
 	s := &Summary{
 		Name:             t.Name,
 		Instructions:     t.Len(),
-		Mix:              t.Mix(),
 		MispredictGroups: make(map[int]int),
 	}
 
-	burstHorizon := cfg.BranchBurstHorizon
-	if burstHorizon <= 0 {
-		burstHorizon = 12
-	}
 	var latSum float64
-	mispClusters := newClusterCounter(burstHorizon, s.MispredictGroups)
+	var classes [isa.NumClasses]int
+	mispClusters := newClusterCounter(branchBurstHorizon, s.MispredictGroups)
 	lastIMiss := -1 << 30
 
 	for i := range t.Instrs {
 		in := &t.Instrs[i]
-		fr := h.Fetch(in.PC)
-		if fr != cache.Hit {
+		ev := c.next(in)
+		if ev.ICache != cache.Hit {
 			gap := i - lastIMiss
 			if gap > 1<<29 {
 				gap = 1 << 29
@@ -202,46 +270,48 @@ func Analyze(t *trace.Trace, cfg Config) (*Summary, error) {
 			s.ICacheMissGaps = append(s.ICacheMissGaps, int32(gap))
 			lastIMiss = i
 		}
-		switch fr {
+		switch ev.ICache {
 		case cache.ShortMiss:
 			s.ICacheShort++
 		case cache.LongMiss:
 			s.ICacheLong++
 		}
 
+		// Count classes and branch on the events, not on the class
+		// again: the class switch in next is the pass's one poorly
+		// predicted branch. The counts give Mix and Branches, so the
+		// trace is walked once.
+		classes[in.Class]++
 		lat := float64(cfg.Latencies.Latency(in.Class))
-		switch in.Class {
-		case isa.Branch:
-			pred := gs.Predict(in.PC)
-			gs.Update(in.PC, in.Taken)
-			s.Branches++
-			if pred != in.Taken {
-				s.Mispredicts++
-				mispClusters.note(i)
+		if ev.Mispredict {
+			s.Mispredicts++
+			mispClusters.note(i)
+		}
+		if ev.TLBMiss {
+			s.DTLBMisses++
+			s.TLBMissPositions = append(s.TLBMissPositions, int32(i))
+		}
+		switch ev.DCache {
+		case cache.ShortMiss:
+			s.DCacheShort++
+			if in.Class == isa.Load {
+				// Short misses act like long-latency functional
+				// units (paper §4.3), lengthening L.
+				lat += float64(cfg.Hierarchy.ShortMissLatency)
 			}
-		case isa.Load, isa.Store:
-			if tlb != nil && !tlb.Access(in.Addr) {
-				s.DTLBMisses++
-				s.TLBMissPositions = append(s.TLBMissPositions, int32(i))
-			}
-			dr := h.Data(in.Addr)
-			switch dr {
-			case cache.ShortMiss:
-				s.DCacheShort++
-				if in.Class == isa.Load {
-					// Short misses act like long-latency functional
-					// units (paper §4.3), lengthening L.
-					lat += float64(cfg.Hierarchy.ShortMissLatency)
-				}
-			case cache.LongMiss:
-				s.DCacheLong++
-				s.LongMissPositions = append(s.LongMissPositions, int32(i))
-			}
+		case cache.LongMiss:
+			s.DCacheLong++
+			s.LongMissPositions = append(s.LongMissPositions, int32(i))
 		}
 		latSum += lat
 	}
 	mispClusters.finish()
-	s.AvgLatency = latSum / float64(t.Len())
+	n := float64(t.Len())
+	for c, k := range classes {
+		s.Mix[c] = float64(k) / n
+	}
+	s.Branches = uint64(classes[isa.Branch])
+	s.AvgLatency = latSum / n
 	s.groupByROB(cfg.ROBSize)
 	return s, nil
 }
@@ -311,18 +381,6 @@ func (c *clusterCounter) finish() {
 		c.groups[c.size]++
 		c.size = 0
 	}
-}
-
-// WarmHierarchy replays the trace's instruction fetches through h and then
-// clears h's statistics, leaving warmed I-side cache contents (see
-// Config.Warmup for why only the instruction side is warmed). Both the
-// analyzer and the detailed simulator use this, so model and simulator see
-// identical steady-state cache behaviour.
-func WarmHierarchy(h *cache.Hierarchy, t *trace.Trace) {
-	for i := range t.Instrs {
-		h.Fetch(t.Instrs[i].PC)
-	}
-	h.ResetStats()
 }
 
 // MispredictsPerInstr returns branch mispredictions per dynamic instruction.
@@ -426,13 +484,4 @@ func (s *Summary) IsolatedICacheFrac(minGap int) float64 {
 		}
 	}
 	return float64(isolated) / float64(len(s.ICacheMissGaps))
-}
-
-// newPredictor instantiates the configured predictor: the spec when
-// given, otherwise the default gshare with the given index width.
-func newPredictor(spec *predictor.Spec, bits uint) (predictor.Predictor, error) {
-	if spec != nil {
-		return spec.New()
-	}
-	return predictor.NewGshare(bits)
 }

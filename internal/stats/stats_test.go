@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"fomodel/internal/cache"
@@ -374,7 +375,6 @@ func TestAnalyzeRejectsBadTLB(t *testing.T) {
 
 func TestBranchBurstFactor(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.BranchBurstHorizon = 10
 	// Mispredicted branches: gshare counters start weakly-taken, so a
 	// never-taken branch at a fresh PC mispredicts exactly once (its
 	// first execution). Place four distinct such branches: two back to
@@ -415,5 +415,75 @@ func TestBranchBurstFactorNoMispredicts(t *testing.T) {
 	}
 	if sum.BranchBurstFactor() != 1 {
 		t.Fatalf("burst factor %v with no mispredicts, want 1", sum.BranchBurstFactor())
+	}
+}
+
+// TestClassifyMatchesAnalyze checks that Classify's events are the ones
+// Analyze counts: the same totals and the same miss positions.
+func TestClassifyMatchesAnalyze(t *testing.T) {
+	tr := &trace.Trace{Name: "mixed"}
+	for i := 0; i < 3000; i++ {
+		switch i % 4 {
+		case 0:
+			tr.Instrs = append(tr.Instrs, loadAt(uint64(i)*4096))
+		case 1:
+			in := branch(i%3 == 0)
+			in.PC = 0x2000 + uint64(i%64)*4
+			tr.Instrs = append(tr.Instrs, in)
+		default:
+			tr.Instrs = append(tr.Instrs, alu())
+		}
+	}
+	cfg := DefaultConfig()
+	tlb := cache.DefaultTLB()
+	cfg.TLB = &tlb
+	events, err := Classify(tr, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := Analyze(tr, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got Summary
+	for i, ev := range events {
+		switch ev.ICache {
+		case cache.ShortMiss:
+			got.ICacheShort++
+		case cache.LongMiss:
+			got.ICacheLong++
+		}
+		if ev.Mispredict {
+			got.Mispredicts++
+		}
+		if ev.TLBMiss {
+			got.TLBMissPositions = append(got.TLBMissPositions, int32(i))
+		}
+		switch ev.DCache {
+		case cache.ShortMiss:
+			got.DCacheShort++
+		case cache.LongMiss:
+			got.LongMissPositions = append(got.LongMissPositions, int32(i))
+		}
+	}
+	if got.ICacheShort != sum.ICacheShort || got.ICacheLong != sum.ICacheLong ||
+		got.Mispredicts != sum.Mispredicts || got.DCacheShort != sum.DCacheShort {
+		t.Errorf("event counts %+v differ from the summary %+v", got, sum)
+	}
+	if !slices.Equal(got.LongMissPositions, sum.LongMissPositions) || len(got.LongMissPositions) == 0 {
+		t.Errorf("long-miss positions differ: %d events vs %d in the summary",
+			len(got.LongMissPositions), len(sum.LongMissPositions))
+	}
+	if !slices.Equal(got.TLBMissPositions, sum.TLBMissPositions) || len(got.TLBMissPositions) == 0 {
+		t.Errorf("TLB-miss positions differ: %d events vs %d in the summary",
+			len(got.TLBMissPositions), len(sum.TLBMissPositions))
+	}
+	if sum.Mispredicts == 0 {
+		t.Error("the trace produced no mispredictions to compare")
+	}
+
+	cfg.TLB = &cache.TLBConfig{}
+	if _, err := Classify(tr, cfg); err == nil {
+		t.Error("invalid TLB config accepted")
 	}
 }

@@ -32,8 +32,8 @@ import (
 
 	"fomodel/internal/cache"
 	"fomodel/internal/isa"
-	"fomodel/internal/predictor"
 	"fomodel/internal/rng"
+	"fomodel/internal/stats"
 	"fomodel/internal/trace"
 	"fomodel/internal/uarch"
 )
@@ -127,47 +127,31 @@ func Measure(t *trace.Trace, cfg uarch.Config) (*Profile, error) {
 		}
 	}
 
-	// Miss events via the same functional pass as the reference: reuse
-	// the simulator's classifier through a zero-cost full run? The
-	// classifier is unexported; replicate its sequence with the shared
-	// building blocks.
-	h, err := cache.NewHierarchy(cfg.Hierarchy)
+	// Miss events from the reference simulator's own functional pass.
+	events, err := uarch.Classify(t, cfg)
 	if err != nil {
 		return nil, err
-	}
-	gs, err := predictorFor(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Warmup {
-		for i := range t.Instrs {
-			h.Fetch(t.Instrs[i].PC)
-		}
-		h.ResetStats()
 	}
 	var branches, misp, iShort, iLong uint64
 	var memAccesses, shortMisses uint64
 	var longAfterLong, longAfterOther, afterLong, afterOther uint64
 	prevLong := false
-	for i := range t.Instrs {
-		in := &t.Instrs[i]
-		switch h.Fetch(in.PC) {
+	for i, ev := range events {
+		switch ev.ICache {
 		case cache.ShortMiss:
 			iShort++
 		case cache.LongMiss:
 			iLong++
 		}
-		switch in.Class {
+		switch t.Instrs[i].Class {
 		case isa.Branch:
 			branches++
-			if gs.Predict(in.PC) != in.Taken {
+			if ev.Mispredict {
 				misp++
 			}
-			gs.Update(in.PC, in.Taken)
 		case isa.Load, isa.Store:
 			memAccesses++
-			res := h.Data(in.Addr)
-			long := res == cache.LongMiss
+			long := ev.DCache == cache.LongMiss
 			if prevLong {
 				afterLong++
 				if long {
@@ -179,7 +163,7 @@ func Measure(t *trace.Trace, cfg uarch.Config) (*Profile, error) {
 					longAfterOther++
 				}
 			}
-			if res == cache.ShortMiss {
+			if ev.DCache == cache.ShortMiss {
 				shortMisses++
 			}
 			prevLong = long
@@ -205,7 +189,7 @@ func Measure(t *trace.Trace, cfg uarch.Config) (*Profile, error) {
 // Synthesize generates a random trace of n instructions exhibiting the
 // profile's statistics, together with the per-instruction miss events for
 // uarch.SimulateWithEvents.
-func (p *Profile) Synthesize(n int, seed uint64) (*trace.Trace, []uarch.Event, error) {
+func (p *Profile) Synthesize(n int, seed uint64) (*trace.Trace, []stats.Event, error) {
 	if n <= 0 {
 		return nil, nil, fmt.Errorf("statsim: length %d must be positive", n)
 	}
@@ -222,7 +206,7 @@ func (p *Profile) Synthesize(n int, seed uint64) (*trace.Trace, []uarch.Event, e
 	}
 
 	t := &trace.Trace{Name: p.Name + "-synth", Instrs: make([]trace.Instruction, 0, n)}
-	events := make([]uarch.Event, 0, n)
+	events := make([]stats.Event, 0, n)
 
 	var producers [isa.NumArchRegs]int
 	for i := range producers {
@@ -255,7 +239,7 @@ func (p *Profile) Synthesize(n int, seed uint64) (*trace.Trace, []uarch.Event, e
 			}
 		}
 
-		var ev uarch.Event
+		var ev stats.Event
 		switch {
 		case evRNG.Bool(p.ICacheShortPerInstr):
 			ev.ICache = cache.ShortMiss
@@ -333,12 +317,4 @@ func Simulate(t *trace.Trace, cfg uarch.Config, seed uint64) (*uarch.Result, *Pr
 		return nil, nil, err
 	}
 	return r, p, nil
-}
-
-// predictorFor instantiates the predictor cfg describes.
-func predictorFor(cfg uarch.Config) (predictor.Predictor, error) {
-	if cfg.Predictor != nil {
-		return cfg.Predictor.New()
-	}
-	return predictor.NewGshare(cfg.PredictorBits)
 }

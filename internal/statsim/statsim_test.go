@@ -6,6 +6,7 @@ import (
 
 	"fomodel/internal/cache"
 	"fomodel/internal/isa"
+	"fomodel/internal/stats"
 	"fomodel/internal/trace"
 	"fomodel/internal/uarch"
 	"fomodel/internal/workload"
@@ -178,10 +179,10 @@ func TestSimulateWithEventsValidation(t *testing.T) {
 	if _, err := uarch.SimulateWithEvents(tr, nil, cfg); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
-	if _, err := uarch.SimulateWithEvents(tr, []uarch.Event{{TLBMiss: true}}, cfg); err == nil {
+	if _, err := uarch.SimulateWithEvents(tr, []stats.Event{{TLBMiss: true}}, cfg); err == nil {
 		t.Fatal("TLB-miss event without TLB accepted")
 	}
-	r, err := uarch.SimulateWithEvents(tr, []uarch.Event{{}}, cfg)
+	r, err := uarch.SimulateWithEvents(tr, []stats.Event{{}}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

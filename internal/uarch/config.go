@@ -12,12 +12,13 @@
 // blocks retirement until its data returns.
 //
 // Miss-event classification (cache hit/short/long, branch mispredicted or
-// not) is precomputed with a single functional pass in program order — the
-// same pass the stats package performs — and the timing simulation charges
-// the precomputed outcomes. Decoupling classification from timing keeps the
-// analytical model and the simulator in exact agreement on miss-event
-// *counts*, so evaluation differences isolate the model's *timing*
-// approximations, which is what the paper evaluates.
+// not, TLB miss or not) is precomputed in program order by stats.Classify,
+// the one functional pass, which stats.Analyze also steps for the model's
+// inputs; the timing simulation charges the precomputed events.
+// Decoupling classification from timing, with one pass for both sides,
+// keeps the analytical model and the simulator in exact agreement on
+// miss-event *counts*, so evaluation differences isolate the model's
+// *timing* approximations, which is what the paper evaluates.
 //
 // The timing pass runs in program order rather than cycle by cycle: each
 // instruction in turn is assigned its fetch, dispatch, issue and retire

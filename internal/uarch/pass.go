@@ -7,6 +7,7 @@ import (
 
 	"fomodel/internal/cache"
 	"fomodel/internal/isa"
+	"fomodel/internal/stats"
 	"fomodel/internal/trace"
 )
 
@@ -19,7 +20,7 @@ const minIssueSlots = 1024
 // and may be shared with concurrent runs. Serialized long misses need the
 // cycle-stepping scan (see scan); every other machine takes the
 // program-order pass.
-func run(t *trace.Trace, cfg Config, preps []prep, prod []trace.Producer) (*Result, error) {
+func run(t *trace.Trace, cfg Config, preps []stats.Event, prod []trace.Producer) (*Result, error) {
 	if cfg.SerializeLongMisses {
 		return scan(t, cfg, preps, prod)
 	}
@@ -62,7 +63,7 @@ type missSpan struct{ issue, finish int64 }
 // dispatch−fetch cycles in the front end, issue−dispatch in the window,
 // and retire−dispatch in the ROB. The issue histogram is kept per issued
 // cycle; cycles in which nothing issued make up the rest of the run.
-func pass(t *trace.Trace, cfg Config, preps []prep, prod []trace.Producer) (*Result, error) {
+func pass(t *trace.Trace, cfg Config, preps []stats.Event, prod []trace.Producer) (*Result, error) {
 	n := t.Len()
 	width := cfg.Width
 	res := &Result{
@@ -289,12 +290,12 @@ const numEventKeys = 1 << 9
 // the event table: the class in bits 0-2, the I-side and D-side
 // cache.Result in bits 3-4 and 5-6, the mispredict flag in bit 7 and the
 // TLB-miss flag in bit 8.
-func eventKey(class isa.Class, p *prep) int {
-	k := int(class) | int(p.ires)<<3 | int(p.dres)<<5
-	if p.misp {
+func eventKey(class isa.Class, p *stats.Event) int {
+	k := int(class) | int(p.ICache)<<3 | int(p.DCache)<<5
+	if p.Mispredict {
 		k |= 1 << 7
 	}
-	if p.tlbMiss {
+	if p.TLBMiss {
 		k |= 1 << 8
 	}
 	return k

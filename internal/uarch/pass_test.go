@@ -7,6 +7,7 @@ import (
 
 	"fomodel/internal/cache"
 	"fomodel/internal/isa"
+	"fomodel/internal/stats"
 	"fomodel/internal/trace"
 	"fomodel/internal/workload"
 )
@@ -20,7 +21,7 @@ func TestPassMemoryIndependentOfCycles(t *testing.T) {
 	tr := chain(50)
 	cfg := testConfig()
 	cfg.Latencies[isa.ALU] = MaxLatency - 8
-	preps := make([]prep, tr.Len())
+	preps := make([]stats.Event, tr.Len())
 	prod := trace.ComputeProducers(tr)
 
 	var before, after runtime.MemStats
@@ -42,16 +43,12 @@ func TestPassMemoryIndependentOfCycles(t *testing.T) {
 
 // handRun simulates instrs with the given miss events on cfg, requires
 // the pass to match the scan, and returns the scan's result.
-func handRun(t *testing.T, instrs []trace.Instruction, events []Event, cfg Config) *Result {
+func handRun(t *testing.T, instrs []trace.Instruction, events []stats.Event, cfg Config) *Result {
 	t.Helper()
 	tr := &trace.Trace{Name: "hand", Instrs: instrs}
-	preps := make([]prep, len(events))
-	for i, ev := range events {
-		preps[i] = prep{ires: ev.ICache, dres: ev.DCache, misp: ev.Mispredict, tlbMiss: ev.TLBMiss}
-	}
 	prod := trace.ComputeProducers(tr)
-	checkAgainstReference(t, "hand", tr, cfg, preps, prod)
-	res, err := scan(tr, cfg, preps, prod)
+	checkAgainstReference(t, "hand", tr, cfg, events, prod)
+	res, err := scan(tr, cfg, events, prod)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,13 +72,13 @@ func TestOverlapCountersAtBoundaries(t *testing.T) {
 		return trace.Instruction{PC: hotPC, Class: isa.Branch, Dest: isa.RegNone, Src1: src, Src2: isa.RegNone}
 	}
 	div := trace.Instruction{PC: hotPC, Class: isa.Div, Dest: 1, Src1: isa.RegNone, Src2: isa.RegNone}
-	longMiss := Event{DCache: cache.LongMiss}
-	misp := Event{Mispredict: true}
+	longMiss := stats.Event{DCache: cache.LongMiss}
+	misp := stats.Event{Mispredict: true}
 
 	cases := []struct {
 		name       string
 		instrs     []trace.Instruction
-		events     []Event
+		events     []stats.Event
 		misp, icov uint64
 	}{{
 		// The branch waits 12 cycles on the divide. The younger load is
@@ -90,26 +87,26 @@ func TestOverlapCountersAtBoundaries(t *testing.T) {
 		// after the branch resolves: nothing is outstanding then.
 		name:   "younger long miss behind a mispredicted branch",
 		instrs: []trace.Instruction{div, branch(1), load(2)},
-		events: []Event{{}, misp, longMiss},
+		events: []stats.Event{{}, misp, longMiss},
 	}, {
 		// Load and branch issue in the same cycle; the older load goes
 		// first and is outstanding when the branch issues.
 		name:   "older long miss in the branch's cycle",
 		instrs: []trace.Instruction{load(2), branch(isa.RegNone)},
-		events: []Event{longMiss, misp},
+		events: []stats.Event{longMiss, misp},
 		misp:   1,
 	}, {
 		// The younger load is fetched only once the branch resolves, so
 		// it cannot share the branch's issue cycle.
 		name:   "younger long miss after the branch",
 		instrs: []trace.Instruction{branch(isa.RegNone), load(2)},
-		events: []Event{misp, longMiss},
+		events: []stats.Event{misp, longMiss},
 	}, {
 		// The branch consumes the load: it issues in the cycle the data
 		// returns, when the miss no longer counts as outstanding.
 		name:   "branch on the returning miss",
 		instrs: []trace.Instruction{load(2), branch(2)},
-		events: []Event{longMiss, misp},
+		events: []stats.Event{longMiss, misp},
 	}}
 	// I-cache misses at instruction m of a stream that starts with a long
 	// load. Fetch reaches instruction m in cycle 1 + m/4. The load issues
@@ -124,16 +121,16 @@ func TestOverlapCountersAtBoundaries(t *testing.T) {
 		{"I-cache miss charged while the long miss is outstanding", 40, 1},
 	} {
 		instrs := []trace.Instruction{load(2)}
-		events := []Event{longMiss}
+		events := []stats.Event{longMiss}
 		for i := 1; i <= 60; i++ {
 			instrs = append(instrs, alu(int16(3+i%8), isa.RegNone))
-			events = append(events, Event{})
+			events = append(events, stats.Event{})
 		}
 		events[c.m].ICache = cache.ShortMiss
 		cases = append(cases, struct {
 			name       string
 			instrs     []trace.Instruction
-			events     []Event
+			events     []stats.Event
 			misp, icov uint64
 		}{c.name, instrs, events, 0, c.icov})
 	}
@@ -157,7 +154,7 @@ func TestSerializeTakesScan(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.SerializeLongMisses = true
-	preps, err := classify(tr, cfg)
+	preps, err := Classify(tr, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

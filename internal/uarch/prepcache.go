@@ -9,18 +9,19 @@ import (
 	"fomodel/internal/cache"
 	"fomodel/internal/flight"
 	"fomodel/internal/predictor"
+	"fomodel/internal/stats"
 	"fomodel/internal/trace"
 )
 
 // classKey is the classification-relevant subset of Config. Two configs
-// with equal keys produce bit-identical classify results on the same
+// with equal keys produce bit-identical Classify results on the same
 // trace, so the prep cache may share one classification between them.
 //
 // Deliberately excluded — they affect only the timing pass, never the
 // functional classification: Width, FrontEndDepth, WindowSize, ROBSize,
 // Latencies, FUCounts, FetchBufferSize, InOrder, RecordIssueTrace,
 // Clusters, BypassLatency, SerializeLongMisses, the three Ideal* toggles
-// (classify always runs the full functional pass; run decides whether to
+// (Classify always runs the full functional pass; run decides whether to
 // charge the events), the hierarchy's Short/LongMissLatency, and the
 // TLB's MissLatency. The Ideal-toggle exclusion is what lets the paper's
 // five-simulation experiments (Fig. 2, Fig. 9, …) share one prep.
@@ -48,25 +49,27 @@ func (k classKey) artifactKey() string {
 	return fmt.Sprintf("c%d|%+v", classFormatVersion, k)
 }
 
-// classificationKey projects cfg onto its classification-relevant subset.
+// classificationKey keys cfg's classification: the fields of its
+// classification projection that the pass's outcomes depend on.
 func classificationKey(cfg Config) classKey {
+	c := classification(cfg)
 	k := classKey{
-		l1i:    cfg.Hierarchy.L1I,
-		l1d:    cfg.Hierarchy.L1D,
-		l2:     cfg.Hierarchy.L2,
-		warmup: cfg.Warmup,
+		l1i:    c.Hierarchy.L1I,
+		l1d:    c.Hierarchy.L1D,
+		l2:     c.Hierarchy.L2,
+		warmup: c.Warmup,
 	}
-	if cfg.Predictor != nil {
+	if c.Predictor != nil {
 		// The spec overrides the gshare default, so PredictorBits is
 		// irrelevant and must not fragment the key.
-		k.hasSpec, k.spec = true, *cfg.Predictor
+		k.hasSpec, k.spec = true, *c.Predictor
 	} else {
-		k.predBits = cfg.PredictorBits
+		k.predBits = c.PredictorBits
 	}
-	if cfg.TLB != nil {
+	if c.TLB != nil {
 		k.hasTLB = true
-		k.tlbEntries = cfg.TLB.Entries
-		k.tlbPageBytes = cfg.TLB.PageBytes
+		k.tlbEntries = c.TLB.Entries
+		k.tlbPageBytes = c.TLB.PageBytes
 	}
 	return k
 }
@@ -132,7 +135,7 @@ const (
 //
 // A nil *PrepCache is valid and simply disables caching.
 type PrepCache struct {
-	preps *flight.Cache[prepsKey, []prep]
+	preps *flight.Cache[prepsKey, []stats.Event]
 	prods *flight.Cache[traceID, []trace.Producer]
 	store atomic.Pointer[artifact.Store]
 }
@@ -146,7 +149,7 @@ func NewPrepCache() *PrepCache {
 // classifications and maxProds producer-link sets.
 func newPrepCache(maxPreps, maxProds int) *PrepCache {
 	return &PrepCache{
-		preps: flight.New[prepsKey, []prep](maxPreps, nil),
+		preps: flight.New[prepsKey, []stats.Event](maxPreps, nil),
 		prods: flight.New[traceID, []trace.Producer](maxProds, nil),
 	}
 }
@@ -181,7 +184,7 @@ func (pc *PrepCache) Simulate(t *trace.Trace, cfg Config) (*Result, error) {
 	}
 	store := pc.store.Load()
 	k := prepsKey{id: idOf(t), key: classificationKey(cfg)}
-	preps, _, err := pc.preps.Do(k, func() ([]prep, error) {
+	preps, _, err := pc.preps.Do(k, func() ([]stats.Event, error) {
 		return loadOrClassify(store, t, cfg, k.key)
 	})
 	if err != nil {
@@ -199,7 +202,7 @@ func (pc *PrepCache) Simulate(t *trace.Trace, cfg Config) (*Result, error) {
 // loadOrClassify serves the classification from the artifact store when
 // the trace is content-identified and a valid artifact exists, and
 // computes (and stores) it otherwise.
-func loadOrClassify(store *artifact.Store, t *trace.Trace, cfg Config, k classKey) ([]prep, error) {
+func loadOrClassify(store *artifact.Store, t *trace.Trace, cfg Config, k classKey) ([]stats.Event, error) {
 	akey := ""
 	if store != nil && t.ContentID != "" {
 		akey = t.ContentID + "|" + k.artifactKey()
@@ -211,7 +214,7 @@ func loadOrClassify(store *artifact.Store, t *trace.Trace, cfg Config, k classKe
 			// different trace length): recompute and overwrite below.
 		}
 	}
-	preps, err := classify(t, cfg)
+	preps, err := Classify(t, cfg)
 	if err == nil && akey != "" {
 		store.Put("preps", akey, encodePreps(preps))
 	}
@@ -246,7 +249,7 @@ func (pc *PrepCache) Forget(t *trace.Trace) {
 	}
 	id := idOf(t)
 	pc.prods.DeleteFunc(func(k traceID, _ []trace.Producer) bool { return k == id })
-	pc.preps.DeleteFunc(func(k prepsKey, _ []prep) bool { return k.id == id })
+	pc.preps.DeleteFunc(func(k prepsKey, _ []stats.Event) bool { return k.id == id })
 }
 
 // Len reports the current entry counts of the two maps (including
@@ -289,17 +292,17 @@ func (pc *PrepCache) Evictions() int64 {
 // D-side result, bit 4 the mispredict flag, bit 5 the TLB-miss flag.
 var prepsMagic = [4]byte{'F', 'O', 'C', '1'}
 
-func encodePreps(preps []prep) []byte {
+func encodePreps(preps []stats.Event) []byte {
 	buf := make([]byte, 0, 4+8+len(preps))
 	buf = append(buf, prepsMagic[:]...)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(preps)))
 	for i := range preps {
 		p := &preps[i]
-		b := uint8(p.ires)&3 | (uint8(p.dres)&3)<<2
-		if p.misp {
+		b := uint8(p.ICache)&3 | (uint8(p.DCache)&3)<<2
+		if p.Mispredict {
 			b |= 1 << 4
 		}
-		if p.tlbMiss {
+		if p.TLBMiss {
 			b |= 1 << 5
 		}
 		buf = append(buf, b)
@@ -307,7 +310,7 @@ func encodePreps(preps []prep) []byte {
 	return buf
 }
 
-func decodePreps(data []byte, wantLen int) ([]prep, error) {
+func decodePreps(data []byte, wantLen int) ([]stats.Event, error) {
 	if len(data) < 12 || [4]byte(data[:4]) != prepsMagic {
 		return nil, fmt.Errorf("uarch: bad preps header")
 	}
@@ -316,7 +319,7 @@ func decodePreps(data []byte, wantLen int) ([]prep, error) {
 		return nil, fmt.Errorf("uarch: preps length mismatch (count %d, want %d, %d bytes)",
 			count, wantLen, len(data))
 	}
-	preps := make([]prep, count)
+	preps := make([]stats.Event, count)
 	for i := range preps {
 		b := data[12+i]
 		ires := cache.Result(b & 3)
@@ -324,11 +327,11 @@ func decodePreps(data []byte, wantLen int) ([]prep, error) {
 		if ires > cache.LongMiss || dres > cache.LongMiss || b>>6 != 0 {
 			return nil, fmt.Errorf("uarch: invalid preps record %d (0x%02x)", i, b)
 		}
-		preps[i] = prep{
-			ires:    ires,
-			dres:    dres,
-			misp:    b&(1<<4) != 0,
-			tlbMiss: b&(1<<5) != 0,
+		preps[i] = stats.Event{
+			ICache:     ires,
+			DCache:     dres,
+			Mispredict: b&(1<<4) != 0,
+			TLBMiss:    b&(1<<5) != 0,
 		}
 	}
 	return preps, nil

@@ -1,6 +1,7 @@
 package uarch
 
 import (
+	"bytes"
 	"reflect"
 	"sync"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"fomodel/internal/cache"
 	"fomodel/internal/predictor"
 	"fomodel/internal/rng"
+	"fomodel/internal/stats"
 	"fomodel/internal/trace"
 	"fomodel/internal/workload"
 )
@@ -395,7 +397,7 @@ func TestPrepCacheForgetCountsEvictions(t *testing.T) {
 	}
 }
 
-// TestPrepCacheRejectsConfigErrorsFirst pins that a config classify
+// TestPrepCacheRejectsConfigErrorsFirst pins that a config Classify
 // would fail on is rejected before the cache is consulted, so the
 // cache never sees a classification error.
 func TestPrepCacheRejectsConfigErrorsFirst(t *testing.T) {
@@ -466,19 +468,30 @@ func TestPrepCacheStoreRoundTrip(t *testing.T) {
 }
 
 // TestPrepsCodecRoundTrip exercises the packed preps encoding across all
-// flag combinations, plus its rejection of damaged payloads.
+// flag combinations, plus its rejection of damaged payloads. The packed
+// bytes are pinned: artifacts stored under the current classFormatVersion
+// must keep decoding to the same events.
 func TestPrepsCodecRoundTrip(t *testing.T) {
-	var preps []prep
+	var preps []stats.Event
 	for ires := cache.Hit; ires <= cache.LongMiss; ires++ {
 		for dres := cache.Hit; dres <= cache.LongMiss; dres++ {
 			for _, misp := range []bool{false, true} {
 				for _, tlbMiss := range []bool{false, true} {
-					preps = append(preps, prep{ires: ires, dres: dres, misp: misp, tlbMiss: tlbMiss})
+					preps = append(preps, stats.Event{ICache: ires, DCache: dres, Mispredict: misp, TLBMiss: tlbMiss})
 				}
 			}
 		}
 	}
 	enc := encodePreps(preps)
+	want := []byte{
+		'F', 'O', 'C', '1', 36, 0, 0, 0, 0, 0, 0, 0,
+		0x00, 0x20, 0x10, 0x30, 0x04, 0x24, 0x14, 0x34, 0x08, 0x28, 0x18, 0x38,
+		0x01, 0x21, 0x11, 0x31, 0x05, 0x25, 0x15, 0x35, 0x09, 0x29, 0x19, 0x39,
+		0x02, 0x22, 0x12, 0x32, 0x06, 0x26, 0x16, 0x36, 0x0a, 0x2a, 0x1a, 0x3a,
+	}
+	if !bytes.Equal(enc, want) {
+		t.Errorf("packed preps changed:\n got  % x\n want % x", enc, want)
+	}
 	dec, err := decodePreps(enc, len(preps))
 	if err != nil {
 		t.Fatal(err)

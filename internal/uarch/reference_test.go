@@ -9,6 +9,7 @@ import (
 	"fomodel/internal/cache"
 	"fomodel/internal/isa"
 	"fomodel/internal/rng"
+	"fomodel/internal/stats"
 	"fomodel/internal/trace"
 	"fomodel/internal/workload"
 )
@@ -17,7 +18,7 @@ import (
 // same inputs and requires identical Results, or identical errors. The
 // pass cannot serialize long misses, so a config that does is checked
 // through run instead, which must hand it to the scan.
-func checkAgainstReference(t *testing.T, name string, tr *trace.Trace, cfg Config, preps []prep, prod []trace.Producer) {
+func checkAgainstReference(t *testing.T, name string, tr *trace.Trace, cfg Config, preps []stats.Event, prod []trace.Producer) {
 	t.Helper()
 	engine := pass
 	if cfg.SerializeLongMisses {
@@ -128,7 +129,7 @@ func TestRunMatchesReference(t *testing.T) {
 				if err := nc.cfg.Validate(); err != nil {
 					t.Fatalf("%s: %v", nc.name, err)
 				}
-				preps, err := classify(tr, nc.cfg)
+				preps, err := Classify(tr, nc.cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -147,13 +148,10 @@ func TestSimulateWithEventsMatchesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := rng.New(7)
-	events := make([]Event, tr.Len())
-	preps := make([]prep, tr.Len())
+	events := make([]stats.Event, tr.Len())
 	for i := range events {
-		ev := Event{ICache: cache.Result(r.Intn(3)), DCache: cache.Result(r.Intn(3)),
+		events[i] = stats.Event{ICache: cache.Result(r.Intn(3)), DCache: cache.Result(r.Intn(3)),
 			Mispredict: r.Bool(0.1), TLBMiss: r.Bool(0.05)}
-		events[i] = ev
-		preps[i] = prep{ires: ev.ICache, dres: ev.DCache, misp: ev.Mispredict, tlbMiss: ev.TLBMiss}
 	}
 	prod := trace.ComputeProducers(tr)
 	for _, nc := range differentialConfigs() {
@@ -166,7 +164,7 @@ func TestSimulateWithEventsMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", nc.name, err)
 		}
-		want, err := scan(tr, cfg, preps, prod)
+		want, err := scan(tr, cfg, events, prod)
 		if err != nil {
 			t.Fatalf("%s: oracle: %v", nc.name, err)
 		}
@@ -182,7 +180,7 @@ func TestRunDeadlockMatchesReference(t *testing.T) {
 	tr := chain(50)
 	cfg := testConfig()
 	cfg.Latencies[isa.ALU] = maxIdleCycles
-	preps, err := classify(tr, cfg)
+	preps, err := Classify(tr, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +252,7 @@ func FuzzRun(f *testing.F) {
 			return int16(b % 8)
 		}
 		tr := &trace.Trace{Name: "fuzz"}
-		preps := make([]prep, n)
+		preps := make([]stats.Event, n)
 		for i := 0; i < n; i++ {
 			b := body[5*i : 5*i+5]
 			in := trace.Instruction{
@@ -263,12 +261,12 @@ func FuzzRun(f *testing.F) {
 			}
 			tr.Instrs = append(tr.Instrs, in)
 			ev := b[4]
-			preps[i].ires = cache.Result(ev & 3 % 3)
+			preps[i].ICache = cache.Result(ev & 3 % 3)
 			if in.IsMem() {
-				preps[i].dres = cache.Result(ev >> 2 & 3 % 3)
-				preps[i].tlbMiss = cfg.TLB != nil && ev&0x40 != 0
+				preps[i].DCache = cache.Result(ev >> 2 & 3 % 3)
+				preps[i].TLBMiss = cfg.TLB != nil && ev&0x40 != 0
 			}
-			preps[i].misp = in.Class == isa.Branch && ev&0x10 != 0
+			preps[i].Mispredict = in.Class == isa.Branch && ev&0x10 != 0
 		}
 		checkAgainstReference(t, "fuzz", tr, cfg, preps, trace.ComputeProducers(tr))
 	})

@@ -4,7 +4,9 @@ import (
 	"math"
 	"testing"
 
+	"fomodel/internal/cache"
 	"fomodel/internal/isa"
+	"fomodel/internal/predictor"
 	"fomodel/internal/stats"
 	"fomodel/internal/trace"
 	"fomodel/internal/workload"
@@ -304,36 +306,63 @@ func TestSerializeLongMisses(t *testing.T) {
 	}
 }
 
+// classificationConfigs varies every input of the functional pass once
+// from the baseline: warmup, TLB, predictor spec and L1D geometry.
+func classificationConfigs() []namedConfig {
+	base := DefaultConfig()
+	noWarm := base
+	noWarm.Warmup = false
+	withTLB := base
+	tlb := cache.DefaultTLB()
+	withTLB.TLB = &tlb
+	bimodal := base
+	bimodal.Predictor = &predictor.Spec{Kind: predictor.KindBimodal, IndexBits: 10}
+	taken := base
+	taken.Predictor = &predictor.Spec{Kind: predictor.KindAlwaysTaken}
+	bigL1D := base
+	bigL1D.Hierarchy.L1D.SizeBytes = 8 << 10
+	return []namedConfig{
+		{"default", base}, {"no-warmup", noWarm}, {"tlb", withTLB},
+		{"bimodal-10", bimodal}, {"always-taken", taken}, {"l1d-8k", bigL1D},
+	}
+}
+
 func TestClassificationMatchesStats(t *testing.T) {
 	// The simulator's miss-event counts must equal the functional
 	// analyzer's — the decoupling invariant the model evaluation relies
-	// on.
+	// on — under every classification input.
 	tr, err := workload.Generate("gzip", 60000, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig()
-	r, err := Simulate(tr, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scfg := stats.DefaultConfig()
-	scfg.Warmup = cfg.Warmup
-	sum, err := stats.Analyze(tr, scfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Mispredicts != sum.Mispredicts {
-		t.Errorf("mispredicts: sim %d vs stats %d", r.Mispredicts, sum.Mispredicts)
-	}
-	if got, want := r.ICacheShort+r.ICacheLong, sum.ICacheShort+sum.ICacheLong; got != want {
-		t.Errorf("I-cache misses: sim %d vs stats %d", got, want)
-	}
-	if r.DCacheShort != sum.DCacheShort {
-		t.Errorf("short D-misses: sim %d vs stats %d", r.DCacheShort, sum.DCacheShort)
-	}
-	if r.DCacheLong != sum.DCacheLong {
-		t.Errorf("long D-misses: sim %d vs stats %d", r.DCacheLong, sum.DCacheLong)
+	for _, nc := range classificationConfigs() {
+		cfg := nc.cfg
+		r, err := Simulate(tr, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scfg := stats.DefaultConfig()
+		scfg.Hierarchy, scfg.PredictorBits, scfg.Predictor = cfg.Hierarchy, cfg.PredictorBits, cfg.Predictor
+		scfg.TLB, scfg.Warmup = cfg.TLB, cfg.Warmup
+		sum, err := stats.Analyze(tr, scfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Mispredicts != sum.Mispredicts {
+			t.Errorf("%s: mispredicts: sim %d vs stats %d", nc.name, r.Mispredicts, sum.Mispredicts)
+		}
+		if got, want := r.ICacheShort+r.ICacheLong, sum.ICacheShort+sum.ICacheLong; got != want {
+			t.Errorf("%s: I-cache misses: sim %d vs stats %d", nc.name, got, want)
+		}
+		if r.DCacheShort != sum.DCacheShort {
+			t.Errorf("%s: short D-misses: sim %d vs stats %d", nc.name, r.DCacheShort, sum.DCacheShort)
+		}
+		if r.DCacheLong != sum.DCacheLong {
+			t.Errorf("%s: long D-misses: sim %d vs stats %d", nc.name, r.DCacheLong, sum.DCacheLong)
+		}
+		if r.TLBMisses != sum.DTLBMisses {
+			t.Errorf("%s: TLB misses: sim %d vs stats %d", nc.name, r.TLBMisses, sum.DTLBMisses)
+		}
 	}
 }
 
