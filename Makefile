@@ -25,6 +25,7 @@ fuzz-smoke:
 	$(GO) test ./internal/artifact -run '^$$' -fuzz FuzzStoreOps -fuzztime 30s
 	$(GO) test ./internal/reqkey -run '^$$' -fuzz FuzzCanonicalKey -fuzztime 30s
 	$(GO) test ./internal/workload -run '^$$' -fuzz FuzzReadProfile -fuzztime 30s
+	$(GO) test ./internal/workload -run '^$$' -fuzz FuzzGenerateSources -fuzztime 30s
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzRead -fuzztime 30s
 	$(GO) test ./internal/iw -run '^$$' -fuzz FuzzCharacteristic -fuzztime 30s
 	$(GO) test ./internal/rng -run '^$$' -fuzz FuzzSampler -fuzztime 30s

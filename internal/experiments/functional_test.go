@@ -96,6 +96,7 @@ func TestGoldenFunctional(t *testing.T) {
 			fmt.Fprintf(&b, "profile misp=%.17g ishort=%.17g ilong=%.17g pll=%.17g plo=%.17g pshort=%.17g\n",
 				p.MispredictPerBranch, p.ICacheShortPerInstr, p.ICacheLongPerInstr,
 				p.PLongAfterLong, p.PLongAfterOther, p.PShort)
+			fmt.Fprintf(&b, "profile tlb=%.17g\n", p.TLBMissPerAccess)
 		}
 	}
 	compareGolden(t, "functional", b.String())

@@ -42,17 +42,9 @@ func benchCharacteristic(b *testing.B, t *trace.Trace, windows []int, opts iw.Op
 	}
 }
 
-// BenchmarkCharacteristic times the full six-window IW sweep, including
-// the one-shot producer-link derivation.
+// BenchmarkCharacteristic times the full six-window IW sweep.
 func BenchmarkCharacteristic(b *testing.B) {
 	benchCharacteristic(b, benchTrace(b, 50000), iw.DefaultWindows(), iw.Options{})
-}
-
-// BenchmarkCharacteristicSharedProducers times the sweep when the caller
-// supplies precomputed dependence links (the suite's configuration).
-func BenchmarkCharacteristicSharedProducers(b *testing.B) {
-	t := benchTrace(b, 50000)
-	benchCharacteristic(b, t, iw.DefaultWindows(), iw.Options{Producers: trace.ComputeProducers(t)})
 }
 
 // BenchmarkCharacteristicServed times the sweep a cold /v1/predict runs:

@@ -17,6 +17,12 @@
 //
 //	issue(i) = max(entry(i), finish(src1), finish(src2))
 //
+// finish(r) is the cycle the latest older writer of register r makes its
+// result available. The pass visits writers in program order, so a table
+// of the 64 architectural registers, updated after each instruction's
+// sources are read, holds exactly that value: no producer links or
+// per-instruction finish array are needed.
+//
 // An instruction enters the window in the cycle after a slot frees, so
 // entry(i) is 1 for i < W and otherwise 1 + the (i−W)-th smallest issue
 // cycle (0-indexed) among instructions 0..i−1. Entry cycles never decrease
@@ -55,13 +61,6 @@ type Options struct {
 	// IssueWidth, when positive, caps instructions issued per cycle
 	// (oldest first). Zero means unbounded (the paper's ideal case).
 	IssueWidth int
-	// Producers, when non-nil, supplies precomputed dependence links for
-	// the trace (trace.ComputeProducers), letting callers that also run
-	// other simulators share one derivation. Must have exactly one entry
-	// per instruction, each link naming an earlier instruction or -1; nil
-	// means compute them here (once per Characteristic call, shared across
-	// its window sizes).
-	Producers []trace.Producer
 }
 
 // unitLatencies is the all-ones table of the paper's idealized simulation,
@@ -79,8 +78,8 @@ var unitLatencies = func() isa.LatencyTable {
 func DefaultWindows() []int { return []int{2, 4, 8, 16, 32, 64} }
 
 // Characteristic measures the IW curve of t at each window size. The
-// per-trace preparation (dependence links, scratch buffers) is shared
-// across the window sizes.
+// per-cycle scratch buffers are sized once and shared across the window
+// sizes.
 func Characteristic(t *trace.Trace, windows []int, opts Options) ([]Point, error) {
 	if t.Len() == 0 {
 		return nil, fmt.Errorf("iw: empty trace %q", t.Name)
@@ -93,12 +92,6 @@ func Characteristic(t *trace.Trace, windows []int, opts Options) ([]Point, error
 			return nil, fmt.Errorf("iw: window size %d must be positive", w)
 		}
 	}
-	prod := opts.Producers
-	if prod == nil {
-		prod = trace.ComputeProducers(t)
-	} else if err := checkProducers(prod, t.Len()); err != nil {
-		return nil, err
-	}
 	lat := unitLatencies
 	if opts.Latencies != nil {
 		lat = *opts.Latencies
@@ -109,35 +102,27 @@ func Characteristic(t *trace.Trace, windows []int, opts Options) ([]Point, error
 	s := newScratch(t, &lat, opts.IssueWidth)
 	points := make([]Point, 0, len(windows))
 	for _, w := range windows {
-		cycles := s.simulate(t, w, opts.IssueWidth, &lat, prod)
+		cycles := s.simulate(t, w, opts.IssueWidth, &lat)
 		points = append(points, Point{W: w, I: float64(t.Len()) / float64(cycles)})
 	}
 	return points, nil
 }
 
-// checkProducers rejects caller-supplied links the program-order pass
-// cannot honour: a wrong count, or a link to the instruction itself or a
-// younger one.
-func checkProducers(prod []trace.Producer, n int) error {
-	if len(prod) != n {
-		return fmt.Errorf("iw: %d producer links for %d instructions", len(prod), n)
-	}
-	for i, p := range prod {
-		if int(p.Src1) >= i || int(p.Src2) >= i || p.Src1 < -1 || p.Src2 < -1 {
-			return fmt.Errorf("iw: instruction %d has producer links %d,%d; want earlier instructions or -1", i, p.Src1, p.Src2)
-		}
-	}
-	return nil
-}
+// The register finish table of one simulate run: slot r+1 holds the cycle
+// the last instruction so far to write register r makes its result
+// available (0 before any write). Slot 0 is never written, so a RegNone
+// source (-1) reads it as ready, and instructions without a destination
+// write the scratch slot noDestSlot, which no source reads. With both
+// sentinels the source lookup and the destination write take no branch on
+// an absent operand.
+const (
+	finishSlots = isa.NumArchRegs + 2
+	noDestSlot  = finishSlots - 1
+)
 
 // scratch holds the buffers one Characteristic call reuses across its
 // window sizes.
 type scratch struct {
-	// finish is, indexed by instruction+1, the cycle the instruction's
-	// result becomes available; finish[0] stays 0 so a missing producer
-	// (link -1) reads as ready. Every entry is written before a younger
-	// instruction reads it, so it needs no clearing between window sizes.
-	finish []int
 	// issued counts, per cycle, the instructions issued in it (cycle 0 is
 	// unused). simulate clears the cycles it used before returning.
 	issued []int32
@@ -160,7 +145,7 @@ func newScratch(t *trace.Trace, lat *isa.LatencyTable, issueWidth int) *scratch 
 			cycles += lat[t.Instrs[i].Class]
 		}
 	}
-	s := &scratch{finish: make([]int, t.Len()+1), issued: make([]int32, cycles+2)}
+	s := &scratch{issued: make([]int32, cycles+2)}
 	if issueWidth > 0 {
 		s.skip = make([]int, len(s.issued))
 	}
@@ -169,25 +154,27 @@ func newScratch(t *trace.Trace, lat *isa.LatencyTable, issueWidth int) *scratch 
 
 // simulate runs the idealized window-limited simulation of t in one
 // program-order pass (see the package comment) and returns its cycle count.
-func (s *scratch) simulate(t *trace.Trace, window, issueWidth int, lat *isa.LatencyTable,
-	prod []trace.Producer) int {
+func (s *scratch) simulate(t *trace.Trace, window, issueWidth int, lat *isa.LatencyTable) int {
 	width := int32(math.MaxInt32)
 	if issueWidth > 0 && issueWidth < math.MaxInt32 {
 		width = int32(issueWidth)
 	}
-	finish, issued, skip := s.finish, s.issued, s.skip
+	issued, skip := s.issued, s.skip
+	var finish [finishSlots]int
 	// at is the cycle the window's entry order statistic has reached and
 	// before counts the issues in cycles before it; those cycles are final.
 	at, before := 1, 0
 	entry, last := 1, 0
-	for i, p := range prod {
+	instrs := t.Instrs
+	for i := range instrs {
+		in := &instrs[i]
 		if i >= window {
 			for k := i - window + 1; before+int(issued[at]) < k; at++ {
 				before += int(issued[at])
 			}
 			entry = at + 1
 		}
-		c := max(entry, finish[p.Src1+1], finish[p.Src2+1])
+		c := max(entry, finish[int(in.Src1)+1], finish[int(in.Src2)+1])
 		for issued[c] >= width {
 			next := skip[c]
 			if issued[next] >= width {
@@ -199,7 +186,11 @@ func (s *scratch) simulate(t *trace.Trace, window, issueWidth int, lat *isa.Late
 		if issued[c]++; issued[c] == width {
 			skip[c] = c + 1
 		}
-		finish[i+1] = c + lat[t.Instrs[i].Class]
+		d := int(in.Dest) + 1
+		if d == 0 {
+			d = noDestSlot
+		}
+		finish[d] = c + lat[in.Class]
 		last = max(last, c)
 	}
 	clear(issued[:last+1])

@@ -2,6 +2,7 @@ package iw
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"fomodel/internal/isa"
@@ -102,10 +103,7 @@ func referenceSimulate(t *trace.Trace, window, issueWidth int, lat isa.LatencyTa
 // referenceCharacteristic measures the IW curve with referenceSimulate.
 func referenceCharacteristic(tb testing.TB, t *trace.Trace, windows []int, opts Options) []Point {
 	tb.Helper()
-	prod := opts.Producers
-	if prod == nil {
-		prod = trace.ComputeProducers(t)
-	}
+	prod := trace.ComputeProducers(t)
 	lat := unitLatencies
 	if opts.Latencies != nil {
 		lat = *opts.Latencies
@@ -164,11 +162,10 @@ func TestMatchesReferenceBuiltins(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			prod := trace.ComputeProducers(tr)
 			for _, width := range differentialWidths {
 				for _, lat := range latencyChoices() {
 					checkAgainstReference(t, tr, differentialWindows,
-						Options{IssueWidth: width, Latencies: lat, Producers: prod})
+						Options{IssueWidth: width, Latencies: lat})
 				}
 			}
 		})
@@ -177,40 +174,40 @@ func TestMatchesReferenceBuiltins(t *testing.T) {
 
 // TestMatchesReferenceEdgeCases covers the shapes the built-ins do not:
 // a single instruction, windows as large as the trace, pure chains,
-// independent streams and caller-supplied producer links.
+// independent streams and a strided dependence pattern.
 func TestMatchesReferenceEdgeCases(t *testing.T) {
 	gzip, err := workload.Generate("gzip", 500, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Links that ignore the register fields: every instruction waits for
-	// the one three before it, whatever it reads.
-	strided := make([]trace.Producer, gzip.Len())
-	for i := range strided {
-		strided[i] = trace.Producer{Src1: int32(i - 3), Src2: -1}
-		if i < 3 {
-			strided[i].Src1 = -1
+	// gzip's classes over four rotating registers: instruction i writes
+	// i mod 4 and reads (i−3) mod 4, last written by instruction i−3, so
+	// every instruction waits for the one three before it.
+	strided := &trace.Trace{Name: "strided", Instrs: slices.Clone(gzip.Instrs)}
+	for i := range strided.Instrs {
+		in := &strided.Instrs[i]
+		in.Dest, in.Src1, in.Src2 = int16(i%4), isa.RegNone, isa.RegNone
+		if i >= 3 {
+			in.Src1 = int16((i - 3) % 4)
 		}
 	}
 	cases := []struct {
 		name    string
 		tr      *trace.Trace
 		windows []int
-		prod    []trace.Producer
 	}{
-		{"single", chainTrace(1), []int{1, 2, 64}, nil},
-		{"window>=n", gzip, []int{499, 500, 501, 4096}, nil},
-		{"window=1", gzip, []int{1}, nil},
-		{"chain", chainTrace(700), []int{1, 2, 3, 64, 1024}, nil},
-		{"independent", independentTrace(700), []int{1, 2, 3, 64, 1024}, nil},
-		{"producers", gzip, differentialWindows, strided},
+		{"single", chainTrace(1), []int{1, 2, 64}},
+		{"window>=n", gzip, []int{499, 500, 501, 4096}},
+		{"window=1", gzip, []int{1}},
+		{"chain", chainTrace(700), []int{1, 2, 3, 64, 1024}},
+		{"independent", independentTrace(700), []int{1, 2, 3, 64, 1024}},
+		{"producers", strided, differentialWindows},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			for _, width := range differentialWidths {
 				for _, lat := range latencyChoices() {
-					checkAgainstReference(t, c.tr, c.windows,
-						Options{IssueWidth: width, Latencies: lat, Producers: c.prod})
+					checkAgainstReference(t, c.tr, c.windows, Options{IssueWidth: width, Latencies: lat})
 				}
 			}
 		})
@@ -244,7 +241,9 @@ func FuzzCharacteristic(f *testing.F) {
 			lat = &tab
 		}
 		// Each instruction takes four bytes: class, destination and two
-		// sources over eight registers, where a high bit means no register.
+		// sources over all 64 registers, where a high bit means no
+		// register, so every register sits next to the finish table's
+		// sentinel slots.
 		body := data[4:]
 		n := min(512, len(body)/4)
 		if n == 0 {
@@ -254,7 +253,7 @@ func FuzzCharacteristic(f *testing.F) {
 			if b&0x80 != 0 {
 				return isa.RegNone
 			}
-			return int16(b % 8)
+			return int16(b % isa.NumArchRegs)
 		}
 		tr := &trace.Trace{Name: "fuzz"}
 		for i := 0; i < n; i++ {

@@ -24,7 +24,9 @@
 //   - I-cache misses Bernoulli per instruction at the measured rates;
 //   - data-cache outcomes from a two-state Markov chain over memory
 //     accesses fitted to the measured long-miss run structure, preserving
-//     the burstiness that drives the overlap behaviour of §4.3.
+//     the burstiness that drives the overlap behaviour of §4.3;
+//   - data-TLB misses Bernoulli per memory access at the measured rate,
+//     when the configuration has a TLB.
 package statsim
 
 import (
@@ -73,6 +75,10 @@ type Profile struct {
 	PLongAfterLong  float64
 	PLongAfterOther float64
 	PShort          float64
+
+	// TLBMissPerAccess is the data-TLB miss probability per memory
+	// access; zero when the configuration has no TLB.
+	TLBMissPerAccess float64
 }
 
 // Measure extracts a statistical profile from t using the same cache
@@ -133,7 +139,7 @@ func Measure(t *trace.Trace, cfg uarch.Config) (*Profile, error) {
 		return nil, err
 	}
 	var branches, misp, iShort, iLong uint64
-	var memAccesses, shortMisses uint64
+	var memAccesses, shortMisses, tlbMisses uint64
 	var longAfterLong, longAfterOther, afterLong, afterOther uint64
 	prevLong := false
 	for i, ev := range events {
@@ -166,6 +172,9 @@ func Measure(t *trace.Trace, cfg uarch.Config) (*Profile, error) {
 			if ev.DCache == cache.ShortMiss {
 				shortMisses++
 			}
+			if ev.TLBMiss {
+				tlbMisses++
+			}
 			prevLong = long
 		}
 	}
@@ -182,6 +191,7 @@ func Measure(t *trace.Trace, cfg uarch.Config) (*Profile, error) {
 	}
 	if memAccesses > 0 {
 		p.PShort = float64(shortMisses) / float64(memAccesses)
+		p.TLBMissPerAccess = float64(tlbMisses) / float64(memAccesses)
 	}
 	return p, nil
 }
@@ -199,6 +209,7 @@ func (p *Profile) Synthesize(n int, seed uint64) (*trace.Trace, []stats.Event, e
 	classRNG := rng.NewStream(seed, 0x11)
 	depRNG := rng.NewStream(seed, 0x12)
 	evRNG := rng.NewStream(seed, 0x13)
+	tlbRNG := rng.NewStream(seed, 0x14)
 
 	mixWeights := make([]float64, isa.NumClasses)
 	for c := range p.Mix {
@@ -263,6 +274,11 @@ func (p *Profile) Synthesize(n int, seed uint64) (*trace.Trace, []stats.Event, e
 				if evRNG.Bool(p.PShort) {
 					ev.DCache = cache.ShortMiss
 				}
+			}
+			// TLB misses draw from their own stream, and only under a
+			// TLB, so the other events stay what they are without one.
+			if p.TLBMissPerAccess > 0 {
+				ev.TLBMiss = tlbRNG.Bool(p.TLBMissPerAccess)
 			}
 		}
 		t.Instrs = append(t.Instrs, in)

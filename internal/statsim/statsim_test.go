@@ -171,6 +171,42 @@ func TestStatisticalSimulationAccuracy(t *testing.T) {
 	}
 }
 
+// TestStatisticalSimulationTLBMisses checks that statistical simulation
+// charges data-TLB misses: on mcf with the default TLB, its miss count
+// lands within ±50 % of full simulation's, and the measured rate is
+// zero without a TLB.
+func TestStatisticalSimulationTLBMisses(t *testing.T) {
+	tr, err := workload.Generate("mcf", 50000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := uarch.DefaultConfig()
+	tlb := cache.DefaultTLB()
+	cfg.TLB = &tlb
+	ref, err := uarch.Simulate(tr, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss, p, err := Simulate(tr, cfg, 99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.TLBMisses == 0 || p.TLBMissPerAccess <= 0 {
+		t.Fatalf("full simulation %d TLB misses, measured rate %v: want both nonzero", ref.TLBMisses, p.TLBMissPerAccess)
+	}
+	t.Logf("TLB misses: statistical %d (CPI %.3f), full %d (CPI %.3f)", ss.TLBMisses, ss.CPI(), ref.TLBMisses, ref.CPI())
+	if got, want := float64(ss.TLBMisses), float64(ref.TLBMisses); math.Abs(got-want) > 0.5*want {
+		t.Fatalf("statistical simulation %v TLB misses, full simulation %v", got, want)
+	}
+	noTLB, err := Measure(tr, uarch.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if noTLB.TLBMissPerAccess != 0 {
+		t.Fatalf("TLB miss rate %v without a TLB", noTLB.TLBMissPerAccess)
+	}
+}
+
 func TestSimulateWithEventsValidation(t *testing.T) {
 	tr := &trace.Trace{Name: "t", Instrs: []trace.Instruction{
 		{PC: 1, Class: isa.ALU, Dest: 1, Src1: isa.RegNone, Src2: isa.RegNone},

@@ -9,9 +9,9 @@ import "fomodel/internal/isa"
 // written before the trace began).
 //
 // The links are a pure function of program order and the register fields,
-// so they are implementation independent: the idealized IW simulations and
-// the detailed cycle-level simulator consume the exact same links instead
-// of each rebuilding a last-writer table per run.
+// so they are implementation independent: every timing run of the detailed
+// cycle-level simulator consumes the same links instead of rebuilding a
+// last-writer table per run.
 type Producer struct {
 	Src1, Src2 int32
 }

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"fomodel/internal/isa"
@@ -63,9 +64,9 @@ func baseProfile(name string) Profile {
 	}
 }
 
-// Profiles returns the twelve synthetic SPECint2000-like profiles in
-// alphabetical order.
-func Profiles() []Profile {
+// builtins is the profile table in alphabetical order, built once:
+// ByName runs on every predict and must not rebuild and sort it.
+var builtins = func() []Profile {
 	ps := []Profile{
 		bzip2Profile(),
 		craftyProfile(),
@@ -82,23 +83,26 @@ func Profiles() []Profile {
 	}
 	sort.Slice(ps, func(i, j int) bool { return ps[i].Name < ps[j].Name })
 	return ps
-}
+}()
+
+// Profiles returns the twelve synthetic SPECint2000-like profiles in
+// alphabetical order. The slice is a fresh copy the caller may modify.
+func Profiles() []Profile { return slices.Clone(builtins) }
 
 // Names returns the profile names in alphabetical order.
 func Names() []string {
-	ps := Profiles()
-	names := make([]string, len(ps))
-	for i := range ps {
-		names[i] = ps[i].Name
+	names := make([]string, len(builtins))
+	for i := range builtins {
+		names[i] = builtins[i].Name
 	}
 	return names
 }
 
 // ByName returns the named profile.
 func ByName(name string) (Profile, error) {
-	for _, p := range Profiles() {
-		if p.Name == name {
-			return p, nil
+	for i := range builtins {
+		if builtins[i].Name == name {
+			return builtins[i], nil
 		}
 	}
 	return Profile{}, fmt.Errorf("workload: unknown profile %q (known: %v)", name, Names())

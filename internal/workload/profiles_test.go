@@ -52,6 +52,36 @@ func TestByName(t *testing.T) {
 	}
 }
 
+// TestProfilesReturnsCopy checks that the built-in table is private:
+// writing through Profiles' result changes neither a later Profiles call
+// nor ByName.
+func TestProfilesReturnsCopy(t *testing.T) {
+	ps := Profiles()
+	want := ps[0]
+	ps[0].Name = "mutated"
+	ps[0].Mix[isa.ALU] = -1
+	ps[0].DepLongMax = 1 << 20
+	ps[len(ps)-1] = Profile{}
+	if again := Profiles(); again[0] != want || again[len(again)-1].Name == "" {
+		t.Fatalf("mutating Profiles' result leaked: %+v", again[0])
+	}
+	if p, err := ByName(want.Name); err != nil || p != want {
+		t.Fatalf("ByName(%q) = %+v, %v after mutating Profiles' result", want.Name, p, err)
+	}
+}
+
+// TestByNameAllocatesNothing pins the hot predict path's profile lookup,
+// which runs more than once per request, at zero allocations.
+func TestByNameAllocatesNothing(t *testing.T) {
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := ByName("vpr"); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("ByName allocates %v times per call, want 0", allocs)
+	}
+}
+
 func TestProfileCharacterDistinctions(t *testing.T) {
 	// The paper-facing contrasts that the profiles are built around.
 	byName := map[string]Profile{}

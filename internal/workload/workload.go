@@ -229,9 +229,15 @@ type Generator struct {
 	// producers is a ring of the dynamic indices of the most recent
 	// NumArchRegs destination-writing instructions. producers[k] holds the
 	// dynamic index of the producer whose destination register is k.
-	producers    [isa.NumArchRegs]int64
-	nextDestReg  int16
-	dynIdx       int64
+	producers   [isa.NumArchRegs]int64
+	nextDestReg int16
+	dynIdx      int64
+	// writes counts the destination writes so far, and writesAt holds,
+	// at dynamic index x mod writeRing, the count after instruction x for
+	// the last writeRing instructions. Together they resolve a source
+	// draw in O(1) (see sourceAt).
+	writes       int64
+	writesAt     [writeRing]int64
 	coldPtr      uint64
 	coldBurstRem int
 	mixWeights   []float64
@@ -358,7 +364,7 @@ func (g *Generator) Generate(n int) (*trace.Trace, error) {
 			Taken: taken,
 		}
 		i++
-		g.dynIdx++
+		g.retire()
 		if taken {
 			if g.structRNG.Bool(g.prof.EscapeFrac) {
 				bi = g.structRNG.Intn(g.prof.NumBlocks)
@@ -396,7 +402,15 @@ func (g *Generator) makeInstr(in *trace.Instruction, pc uint64) {
 	}
 	if in.Dest >= 0 {
 		g.producers[in.Dest] = g.dynIdx
+		g.writes++
 	}
+	g.retire()
+}
+
+// retire ends the current dynamic instruction: it records the write
+// count after it and moves on to the next index.
+func (g *Generator) retire() {
+	g.writesAt[g.dynIdx&(writeRing-1)] = g.writes
 	g.dynIdx++
 }
 
@@ -411,6 +425,12 @@ func (g *Generator) allocDest() int16 {
 	return r
 }
 
+// writeRing is the number of recent dynamic instructions whose write
+// counts the generator keeps. A power of two above every built-in's
+// DepLongMax of 200, so only registered profiles with longer dependences
+// (or a geometric draw in the far tail) ever look further back.
+const writeRing = 256
+
 // sampleSource draws a source register that realizes a dependence at a
 // controlled dynamic distance, or RegNone for a ready operand.
 func (g *Generator) sampleSource() int16 {
@@ -423,18 +443,39 @@ func (g *Generator) sampleSource() int16 {
 	} else {
 		dist = g.depLong.Sample(g.depRNG)
 	}
-	// Find the most recent producer at dynamic distance >= dist. Because
-	// destinations are allocated round-robin, the producer that is k
-	// dest-writes back holds register (nextDestReg-1-k) mod NumArchRegs.
-	// Going back in k, producer indices strictly decrease down to the -1
-	// of registers never written, so "written at or before want, or
-	// never written" holds from some k on: binary-search the first such
-	// k. Past the ring's horizon the operand is ready anyway, equivalent
-	// to RegNone at window sizes <= 64.
+	return g.sourceAt(dist)
+}
+
+// sourceAt returns the register of the most recent producer at dynamic
+// distance >= dist (dist >= 1), or RegNone when there is none in the
+// ring. Destinations are allocated round-robin, so the producer that is
+// k dest-writes back holds register ringReg(k); the latest write at or
+// before want = dynIdx−dist is k = writes − writesAt[want] writes back.
+// A zero count at want means nothing was written by then, and k >= 64
+// lies past the ring's horizon, where the operand is ready anyway —
+// equivalent to RegNone at window sizes <= 64. Distances older than the
+// write-count ring fall back to searchSource.
+func (g *Generator) sourceAt(dist int) int16 {
 	want := g.dynIdx - int64(dist)
-	if want < -1 {
-		want = -1 // never written (-1) still ends the search
+	if want < 0 {
+		return isa.RegNone
 	}
+	if dist > writeRing {
+		return g.searchSource(want)
+	}
+	c := g.writesAt[want&(writeRing-1)]
+	k := g.writes - c
+	if c == 0 || k >= isa.NumArchRegs {
+		return isa.RegNone
+	}
+	return int16(g.ringReg(int(k)))
+}
+
+// searchSource is sourceAt for any want >= 0 without the write-count
+// ring. Going back in k, producer indices strictly decrease down to the
+// -1 of registers never written, so "written at or before want, or never
+// written" holds from some k on: it binary-searches the first such k.
+func (g *Generator) searchSource(want int64) int16 {
 	k := 0
 	for step := isa.NumArchRegs / 2; step > 0; step /= 2 {
 		if g.producers[g.ringReg(k+step-1)] > want {
