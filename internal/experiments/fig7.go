@@ -63,7 +63,7 @@ func Figure7(s *Suite) (*Figure7Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	events[target].Mispredict = true
+	events[target] |= stats.EventMispredict
 	dirty, err := uarch.SimulateWithEvents(t, events, cfg)
 	if err != nil {
 		return nil, err

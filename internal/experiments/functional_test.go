@@ -96,7 +96,7 @@ func TestGoldenFunctional(t *testing.T) {
 			fmt.Fprintf(&b, "profile misp=%.17g ishort=%.17g ilong=%.17g pll=%.17g plo=%.17g pshort=%.17g\n",
 				p.MispredictPerBranch, p.ICacheShortPerInstr, p.ICacheLongPerInstr,
 				p.PLongAfterLong, p.PLongAfterOther, p.PShort)
-			fmt.Fprintf(&b, "profile tlb=%.17g\n", p.TLBMissPerAccess)
+			fmt.Fprintf(&b, "profile tlb=%.17g/%.17g\n", p.TLBMissPerLongMiss, p.TLBMissPerOtherAccess)
 		}
 	}
 	compareGolden(t, "functional", b.String())

@@ -50,8 +50,8 @@ type Config struct {
 	// (0 = 2 minutes).
 	RequestTimeout time.Duration
 	// Store, when non-nil, is the persistent workload-artifact store;
-	// traces, analyses, classification preps, and producer links are
-	// served from and written to it, surviving restarts.
+	// traces, analyses and classification preps are served from and
+	// written to it, surviving restarts.
 	Store *artifact.Store
 	// Registry holds named custom workloads (POST /v1/workloads/{name});
 	// nil selects a fresh registry with default quotas, persisted
@@ -609,10 +609,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# HELP fomodeld_prep_cache_evictions_total Prep-cache entries evicted by the LRU bound or trace eviction.\n")
 	fmt.Fprintf(w, "# TYPE fomodeld_prep_cache_evictions_total counter\n")
 	fmt.Fprintf(w, "fomodeld_prep_cache_evictions_total %d\n", s.suite.Preps().Evictions())
-	prepEntries, prodEntries := s.suite.Preps().Len()
-	fmt.Fprintf(w, "# HELP fomodeld_prep_cache_entries Classification passes and producer-link sets currently cached.\n")
+	fmt.Fprintf(w, "# HELP fomodeld_prep_cache_entries Classifications currently cached, one per trace and classification config.\n")
 	fmt.Fprintf(w, "# TYPE fomodeld_prep_cache_entries gauge\n")
-	fmt.Fprintf(w, "fomodeld_prep_cache_entries %d\n", prepEntries+prodEntries)
+	fmt.Fprintf(w, "fomodeld_prep_cache_entries %d\n", s.suite.Preps().Len())
 
 	fmt.Fprintf(w, "# HELP fomodeld_optimize_evaluations_total Model evaluations (candidate x workload) run by design-space searches.\n")
 	fmt.Fprintf(w, "# TYPE fomodeld_optimize_evaluations_total counter\n")

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"net/http"
@@ -14,6 +15,7 @@ import (
 	"fomodel/internal/experiments"
 	"fomodel/internal/iw"
 	"fomodel/internal/stats"
+	"fomodel/internal/trace"
 	"fomodel/internal/workload"
 )
 
@@ -141,9 +143,9 @@ func TestTraceCacheBounded(t *testing.T) {
 		if got := s.traces.Len(); got > 4 {
 			t.Fatalf("seed %d: trace cache grew to %d entries (cap 4)", seed, got)
 		}
-		if preps, prods := s.suite.Preps().Len(); preps > 5 || prods > 5 {
-			t.Fatalf("seed %d: prep cache holds %d preps, %d prods — evicted traces did not release them",
-				seed, preps, prods)
+		if preps := s.suite.Preps().Len(); preps > 5 {
+			t.Fatalf("seed %d: prep cache holds %d classifications — evicted traces did not release them",
+				seed, preps)
 		}
 	}
 	if _, _, evictions := s.traces.Stats(); evictions == 0 {
@@ -270,7 +272,8 @@ func storeKinds(t *testing.T, dir string) map[string]int {
 // cold model-only predict on a non-default seed: two lookups (the
 // analysis, then the trace), both misses, and one write — the analysis.
 // The trace is never read back on that path, so it is not stored; a
-// simulating predict still stores its trace.
+// simulating predict still stores its trace and its classification, and
+// nothing else: the simulator keeps no per-trace producer links.
 func TestColdModelPredictWritesOnlyAnalysis(t *testing.T) {
 	dir := t.TempDir()
 	st := openTestStore(t, dir)
@@ -290,8 +293,56 @@ func TestColdModelPredictWritesOnlyAnalysis(t *testing.T) {
 	if rec := post(s, "/v1/predict", `{"bench": "mcf", "seed": 7, "sim": true}`); rec.Code != http.StatusOK {
 		t.Fatalf("sim: status %d: %s", rec.Code, rec.Body.String())
 	}
-	if got := storeKinds(t, dir); got["trace"] != 1 || got["analysis"] != 2 || got["preps"] == 0 || got["prods"] != 1 {
-		t.Errorf("artifacts on disk after a sim predict = %v, want its trace, analysis, preps and prods added", got)
+	if got := storeKinds(t, dir); len(got) != 3 || got["trace"] != 1 || got["analysis"] != 2 || got["preps"] == 0 {
+		t.Errorf("artifacts on disk after a sim predict = %v, want its trace, analysis and preps added, and nothing else", got)
+	}
+}
+
+// TestStoreWithLegacyProducerLinks opens a store that an older binary
+// filled with "prods" artifacts — the per-trace producer links its
+// simulator kept, in their "FOP1" encoding — and checks that simulating
+// predicts are answered byte-identically to a storeless daemon's, both
+// fresh and after a restart, and that the legacy files are neither read
+// nor touched.
+func TestStoreWithLegacyProducerLinks(t *testing.T) {
+	reqs := []struct {
+		bench string
+		seed  uint64
+	}{{"gzip", 1}, {"mcf", 7}}
+	dir := t.TempDir()
+	st := openTestStore(t, dir)
+	for _, r := range reqs {
+		tr, err := workload.Generate(r.bench, 8000, r.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The old binary's encoding: magic, count, then the two source
+		// producers of each instruction as int32s.
+		buf := binary.LittleEndian.AppendUint64([]byte("FOP1"), uint64(tr.Len()))
+		for _, p := range trace.ComputeProducers(tr) {
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(p.Src1))
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(p.Src2))
+		}
+		if err := st.Put("prods", workload.ContentID(r.bench, 8000, r.seed), buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	legacy := storeKinds(t, dir)["prods"]
+	ref := testServer(Config{N: 8000})
+	for restart := range 2 {
+		s := testServer(Config{N: 8000, Store: openTestStore(t, dir)})
+		for _, r := range reqs {
+			body := fmt.Sprintf(`{"bench": %q, "seed": %d, "sim": true}`, r.bench, r.seed)
+			want := post(ref, "/v1/predict", body)
+			got := post(s, "/v1/predict", body)
+			if got.Code != http.StatusOK || got.Body.String() != want.Body.String() {
+				t.Errorf("restart %d, %s seed %d: status %d, body differs from the storeless daemon's:\n got  %s\n want %s",
+					restart, r.bench, r.seed, got.Code, got.Body.String(), want.Body.String())
+			}
+		}
+	}
+	if got := storeKinds(t, dir); got["prods"] != legacy || got["preps"] == 0 {
+		t.Errorf("artifacts on disk = %v, want the %d legacy prods files untouched beside new preps", got, legacy)
 	}
 }
 

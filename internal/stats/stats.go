@@ -142,14 +142,49 @@ func DefaultConfig() Config {
 // analysisFormatVersion.
 const branchBurstHorizon = 12
 
-// Event is the functional classification of one instruction: its fetch
-// and data-access results, whether the predictor missed it, and whether
-// the data TLB missed it. Only loads and stores have a data result or a
-// TLB miss; only branches mispredict.
-type Event struct {
-	ICache, DCache cache.Result
-	Mispredict     bool
-	TLBMiss        bool
+// Event is the functional classification of one instruction, packed in
+// one byte: bits 0-1 hold its fetch cache.Result, bits 2-3 its
+// data-access result, bit 4 is set when the predictor missed it and bit
+// 5 when the data TLB missed it. Only loads and stores have a data
+// result or a TLB miss; only branches mispredict. The layout is the one
+// the simulator's stored classifications (the "FOC1" payloads) use.
+type Event uint8
+
+// The flag bits of an Event.
+const (
+	EventMispredict Event = 1 << 4
+	EventTLBMiss    Event = 1 << 5
+)
+
+// NewEvent packs one instruction's classification.
+func NewEvent(icache, dcache cache.Result, mispredict, tlbMiss bool) Event {
+	ev := Event(icache&3) | Event(dcache&3)<<2
+	if mispredict {
+		ev |= EventMispredict
+	}
+	if tlbMiss {
+		ev |= EventTLBMiss
+	}
+	return ev
+}
+
+// ICache returns the instruction fetch's cache result.
+func (e Event) ICache() cache.Result { return cache.Result(e & 3) }
+
+// DCache returns the data access's cache result (Hit for non-memory
+// instructions).
+func (e Event) DCache() cache.Result { return cache.Result(e >> 2 & 3) }
+
+// Mispredict reports whether the branch predictor missed the instruction.
+func (e Event) Mispredict() bool { return e&EventMispredict != 0 }
+
+// TLBMiss reports whether the data TLB missed the instruction's access.
+func (e Event) TLBMiss() bool { return e&EventTLBMiss != 0 }
+
+// Valid reports whether e sets only the layout's six bits and holds no
+// cache result past LongMiss.
+func (e Event) Valid() bool {
+	return e>>6 == 0 && e.ICache() <= cache.LongMiss && e.DCache() <= cache.LongMiss
 }
 
 // classifier is the functional pass: it walks a trace in program order
@@ -198,16 +233,18 @@ func newClassifier(t *trace.Trace, cfg Config) (classifier, error) {
 // next classifies the next instruction in program order: its fetch, then
 // the branch prediction and update, then the TLB, then the data access.
 func (c *classifier) next(in *trace.Instruction) Event {
-	ev := Event{ICache: c.h.Fetch(in.PC)}
+	ev := Event(c.h.Fetch(in.PC))
 	switch in.Class {
 	case isa.Branch:
-		ev.Mispredict = c.bp.Predict(in.PC) != in.Taken
+		if c.bp.Predict(in.PC) != in.Taken {
+			ev |= EventMispredict
+		}
 		c.bp.Update(in.PC, in.Taken)
 	case isa.Load, isa.Store:
-		if c.tlb != nil {
-			ev.TLBMiss = !c.tlb.Access(in.Addr)
+		if c.tlb != nil && !c.tlb.Access(in.Addr) {
+			ev |= EventTLBMiss
 		}
-		ev.DCache = c.h.Data(in.Addr)
+		ev |= Event(c.h.Data(in.Addr)) << 2
 	}
 	return ev
 }
@@ -262,7 +299,7 @@ func Analyze(t *trace.Trace, cfg Config) (*Summary, error) {
 	for i := range t.Instrs {
 		in := &t.Instrs[i]
 		ev := c.next(in)
-		if ev.ICache != cache.Hit {
+		if ev.ICache() != cache.Hit {
 			gap := i - lastIMiss
 			if gap > 1<<29 {
 				gap = 1 << 29
@@ -270,7 +307,7 @@ func Analyze(t *trace.Trace, cfg Config) (*Summary, error) {
 			s.ICacheMissGaps = append(s.ICacheMissGaps, int32(gap))
 			lastIMiss = i
 		}
-		switch ev.ICache {
+		switch ev.ICache() {
 		case cache.ShortMiss:
 			s.ICacheShort++
 		case cache.LongMiss:
@@ -283,15 +320,15 @@ func Analyze(t *trace.Trace, cfg Config) (*Summary, error) {
 		// trace is walked once.
 		classes[in.Class]++
 		lat := float64(cfg.Latencies.Latency(in.Class))
-		if ev.Mispredict {
+		if ev.Mispredict() {
 			s.Mispredicts++
 			mispClusters.note(i)
 		}
-		if ev.TLBMiss {
+		if ev.TLBMiss() {
 			s.DTLBMisses++
 			s.TLBMissPositions = append(s.TLBMissPositions, int32(i))
 		}
-		switch ev.DCache {
+		switch ev.DCache() {
 		case cache.ShortMiss:
 			s.DCacheShort++
 			if in.Class == isa.Load {

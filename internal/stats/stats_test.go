@@ -447,19 +447,19 @@ func TestClassifyMatchesAnalyze(t *testing.T) {
 	}
 	var got Summary
 	for i, ev := range events {
-		switch ev.ICache {
+		switch ev.ICache() {
 		case cache.ShortMiss:
 			got.ICacheShort++
 		case cache.LongMiss:
 			got.ICacheLong++
 		}
-		if ev.Mispredict {
+		if ev.Mispredict() {
 			got.Mispredicts++
 		}
-		if ev.TLBMiss {
+		if ev.TLBMiss() {
 			got.TLBMissPositions = append(got.TLBMissPositions, int32(i))
 		}
-		switch ev.DCache {
+		switch ev.DCache() {
 		case cache.ShortMiss:
 			got.DCacheShort++
 		case cache.LongMiss:

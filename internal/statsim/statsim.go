@@ -25,8 +25,11 @@
 //   - data-cache outcomes from a two-state Markov chain over memory
 //     accesses fitted to the measured long-miss run structure, preserving
 //     the burstiness that drives the overlap behaviour of §4.3;
-//   - data-TLB misses Bernoulli per memory access at the measured rate,
-//     when the configuration has a TLB.
+//   - data-TLB misses Bernoulli per memory access, at the rate measured
+//     for accesses with the same long-miss outcome, when the
+//     configuration has a TLB: a page the TLB misses is usually one the
+//     caches miss too, and a TLB miss drawn apart from the long misses
+//     would overlap nothing they do.
 package statsim
 
 import (
@@ -76,9 +79,11 @@ type Profile struct {
 	PLongAfterOther float64
 	PShort          float64
 
-	// TLBMissPerAccess is the data-TLB miss probability per memory
-	// access; zero when the configuration has no TLB.
-	TLBMissPerAccess float64
+	// TLBMissPerLongMiss and TLBMissPerOtherAccess are the data-TLB miss
+	// probabilities of a memory access that misses L2 and of any other
+	// memory access; both are zero when the configuration has no TLB.
+	TLBMissPerLongMiss    float64
+	TLBMissPerOtherAccess float64
 }
 
 // Measure extracts a statistical profile from t using the same cache
@@ -139,11 +144,12 @@ func Measure(t *trace.Trace, cfg uarch.Config) (*Profile, error) {
 		return nil, err
 	}
 	var branches, misp, iShort, iLong uint64
-	var memAccesses, shortMisses, tlbMisses uint64
+	var memAccesses, shortMisses, longMisses uint64
+	var tlbLong, tlbOther uint64
 	var longAfterLong, longAfterOther, afterLong, afterOther uint64
 	prevLong := false
 	for i, ev := range events {
-		switch ev.ICache {
+		switch ev.ICache() {
 		case cache.ShortMiss:
 			iShort++
 		case cache.LongMiss:
@@ -152,12 +158,12 @@ func Measure(t *trace.Trace, cfg uarch.Config) (*Profile, error) {
 		switch t.Instrs[i].Class {
 		case isa.Branch:
 			branches++
-			if ev.Mispredict {
+			if ev.Mispredict() {
 				misp++
 			}
 		case isa.Load, isa.Store:
 			memAccesses++
-			long := ev.DCache == cache.LongMiss
+			long := ev.DCache() == cache.LongMiss
 			if prevLong {
 				afterLong++
 				if long {
@@ -169,11 +175,17 @@ func Measure(t *trace.Trace, cfg uarch.Config) (*Profile, error) {
 					longAfterOther++
 				}
 			}
-			if ev.DCache == cache.ShortMiss {
+			if ev.DCache() == cache.ShortMiss {
 				shortMisses++
 			}
-			if ev.TLBMiss {
-				tlbMisses++
+			switch {
+			case long:
+				longMisses++
+				if ev.TLBMiss() {
+					tlbLong++
+				}
+			case ev.TLBMiss():
+				tlbOther++
 			}
 			prevLong = long
 		}
@@ -191,7 +203,12 @@ func Measure(t *trace.Trace, cfg uarch.Config) (*Profile, error) {
 	}
 	if memAccesses > 0 {
 		p.PShort = float64(shortMisses) / float64(memAccesses)
-		p.TLBMissPerAccess = float64(tlbMisses) / float64(memAccesses)
+	}
+	if longMisses > 0 {
+		p.TLBMissPerLongMiss = float64(tlbLong) / float64(longMisses)
+	}
+	if others := memAccesses - longMisses; others > 0 {
+		p.TLBMissPerOtherAccess = float64(tlbOther) / float64(others)
 	}
 	return p, nil
 }
@@ -250,39 +267,45 @@ func (p *Profile) Synthesize(n int, seed uint64) (*trace.Trace, []stats.Event, e
 			}
 		}
 
-		var ev stats.Event
+		var ires, dres cache.Result
+		var misp, tlbMiss bool
 		switch {
 		case evRNG.Bool(p.ICacheShortPerInstr):
-			ev.ICache = cache.ShortMiss
+			ires = cache.ShortMiss
 		case evRNG.Bool(p.ICacheLongPerInstr):
-			ev.ICache = cache.LongMiss
+			ires = cache.LongMiss
 		}
 		switch c {
 		case isa.Branch:
 			in.Taken = evRNG.Bool(0.5)
-			ev.Mispredict = evRNG.Bool(p.MispredictPerBranch)
+			misp = evRNG.Bool(p.MispredictPerBranch)
 		case isa.Load, isa.Store:
 			pl := p.PLongAfterOther
 			if prevLong {
 				pl = p.PLongAfterLong
 			}
 			if evRNG.Bool(pl) {
-				ev.DCache = cache.LongMiss
+				dres = cache.LongMiss
 				prevLong = true
 			} else {
 				prevLong = false
 				if evRNG.Bool(p.PShort) {
-					ev.DCache = cache.ShortMiss
+					dres = cache.ShortMiss
 				}
 			}
-			// TLB misses draw from their own stream, and only under a
-			// TLB, so the other events stay what they are without one.
-			if p.TLBMissPerAccess > 0 {
-				ev.TLBMiss = tlbRNG.Bool(p.TLBMissPerAccess)
+			// TLB misses draw from their own stream, and only at a
+			// nonzero rate, so the other events stay what they are
+			// without a TLB.
+			pt := p.TLBMissPerOtherAccess
+			if dres == cache.LongMiss {
+				pt = p.TLBMissPerLongMiss
+			}
+			if pt > 0 {
+				tlbMiss = tlbRNG.Bool(pt)
 			}
 		}
 		t.Instrs = append(t.Instrs, in)
-		events = append(events, ev)
+		events = append(events, stats.NewEvent(ires, dres, misp, tlbMiss))
 	}
 	return t, events, nil
 }

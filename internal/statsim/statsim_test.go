@@ -88,12 +88,12 @@ func TestSynthesizePreservesStatistics(t *testing.T) {
 		switch synth.Instrs[i].Class {
 		case isa.Branch:
 			branches++
-			if events[i].Mispredict {
+			if events[i].Mispredict() {
 				misp++
 			}
 		case isa.Load, isa.Store:
 			mem++
-			if events[i].DCache == cache.LongMiss {
+			if events[i].DCache() == cache.LongMiss {
 				long++
 			}
 		}
@@ -191,8 +191,9 @@ func TestStatisticalSimulationTLBMisses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ref.TLBMisses == 0 || p.TLBMissPerAccess <= 0 {
-		t.Fatalf("full simulation %d TLB misses, measured rate %v: want both nonzero", ref.TLBMisses, p.TLBMissPerAccess)
+	if ref.TLBMisses == 0 || p.TLBMissPerLongMiss <= 0 {
+		t.Fatalf("full simulation %d TLB misses, measured rate per long miss %v: want both nonzero",
+			ref.TLBMisses, p.TLBMissPerLongMiss)
 	}
 	t.Logf("TLB misses: statistical %d (CPI %.3f), full %d (CPI %.3f)", ss.TLBMisses, ss.CPI(), ref.TLBMisses, ref.CPI())
 	if got, want := float64(ss.TLBMisses), float64(ref.TLBMisses); math.Abs(got-want) > 0.5*want {
@@ -202,8 +203,45 @@ func TestStatisticalSimulationTLBMisses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if noTLB.TLBMissPerAccess != 0 {
-		t.Fatalf("TLB miss rate %v without a TLB", noTLB.TLBMissPerAccess)
+	if noTLB.TLBMissPerLongMiss != 0 || noTLB.TLBMissPerOtherAccess != 0 {
+		t.Fatalf("TLB miss rates %v, %v without a TLB", noTLB.TLBMissPerLongMiss, noTLB.TLBMissPerOtherAccess)
+	}
+}
+
+// TestStatisticalSimulationTLBCost checks what the TLB misses cost, not
+// just how many there are: on the four benchmarks whose TLB misses all
+// fall on long-miss accesses, the CPI that adding the default TLB costs
+// under statistical simulation lands within 2× of what it costs under
+// full simulation. Drawing TLB misses independently of the long misses
+// charged about a tenth of it, as they then rarely overlapped.
+func TestStatisticalSimulationTLBCost(t *testing.T) {
+	for _, bench := range []string{"mcf", "gap", "twolf", "vpr"} {
+		tr, err := workload.Generate(bench, 50000, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := uarch.DefaultConfig()
+		withTLB := base
+		tlb := cache.DefaultTLB()
+		withTLB.TLB = &tlb
+		cpi := func(cfg uarch.Config) (full, statistical float64) {
+			ref, err := uarch.Simulate(tr, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ss, _, err := Simulate(tr, cfg, 99)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ref.CPI(), ss.CPI()
+		}
+		full0, ss0 := cpi(base)
+		full1, ss1 := cpi(withTLB)
+		full, statistical := full1-full0, ss1-ss0
+		t.Logf("%s: TLB ΔCPI statistical %.4f, full %.4f", bench, statistical, full)
+		if full <= 0 || statistical < full/2 || statistical > 2*full {
+			t.Errorf("%s: TLB ΔCPI statistical %.4f, full %.4f: want within 2×", bench, statistical, full)
+		}
 	}
 }
 
@@ -215,10 +253,15 @@ func TestSimulateWithEventsValidation(t *testing.T) {
 	if _, err := uarch.SimulateWithEvents(tr, nil, cfg); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
-	if _, err := uarch.SimulateWithEvents(tr, []stats.Event{{TLBMiss: true}}, cfg); err == nil {
+	if _, err := uarch.SimulateWithEvents(tr, []stats.Event{stats.EventTLBMiss}, cfg); err == nil {
 		t.Fatal("TLB-miss event without TLB accepted")
 	}
-	r, err := uarch.SimulateWithEvents(tr, []stats.Event{{}}, cfg)
+	for _, bad := range []stats.Event{3, 3 << 2, 1 << 6, 1 << 7} {
+		if _, err := uarch.SimulateWithEvents(tr, []stats.Event{bad}, cfg); err == nil {
+			t.Fatalf("invalid event 0x%02x accepted", uint8(bad))
+		}
+	}
+	r, err := uarch.SimulateWithEvents(tr, []stats.Event{0}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -143,47 +143,6 @@ func Read(r io.Reader) (*Trace, error) {
 	return t, nil
 }
 
-// Producer-link binary format, used for artifact-store payloads:
-//
-//	magic [4]byte "FOP1"
-//	count uint64  number of links
-//	count × record: src1 int32, src2 int32
-//
-// Little-endian throughout, like the trace format above.
-
-var producersMagic = [4]byte{'F', 'O', 'P', '1'}
-
-// EncodeProducers serializes producer links for the artifact store.
-func EncodeProducers(prod []Producer) []byte {
-	buf := make([]byte, 0, 4+8+8*len(prod))
-	buf = append(buf, producersMagic[:]...)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(prod)))
-	for i := range prod {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(prod[i].Src1))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(prod[i].Src2))
-	}
-	return buf
-}
-
-// DecodeProducers deserializes producer links written by EncodeProducers,
-// verifying the record count against the framing.
-func DecodeProducers(data []byte) ([]Producer, error) {
-	if len(data) < 12 || [4]byte(data[:4]) != producersMagic {
-		return nil, fmt.Errorf("trace: bad producers header")
-	}
-	count := binary.LittleEndian.Uint64(data[4:12])
-	if count > maxInstrs || uint64(len(data)) != 12+8*count {
-		return nil, fmt.Errorf("trace: producers length mismatch (count %d, %d bytes)", count, len(data))
-	}
-	prod := make([]Producer, count)
-	for i := range prod {
-		off := 12 + 8*i
-		prod[i].Src1 = int32(binary.LittleEndian.Uint32(data[off : off+4]))
-		prod[i].Src2 = int32(binary.LittleEndian.Uint32(data[off+4 : off+8]))
-	}
-	return prod, nil
-}
-
 func decodeRecord(rec *[recordSize]byte, in *Instruction) {
 	in.PC = binary.LittleEndian.Uint64(rec[0:8])
 	in.Addr = binary.LittleEndian.Uint64(rec[8:16])

@@ -166,42 +166,3 @@ func TestRoundTripProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestProducersRoundTrip(t *testing.T) {
-	tr := validTrace()
-	prod := ComputeProducers(tr)
-	got, err := DecodeProducers(EncodeProducers(prod))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(prod) {
-		t.Fatalf("len %d, want %d", len(got), len(prod))
-	}
-	for i := range prod {
-		if got[i] != prod[i] {
-			t.Fatalf("link %d: %+v != %+v", i, got[i], prod[i])
-		}
-	}
-	// Negative links (no producer) must survive the uint32 round trip.
-	neg, err := DecodeProducers(EncodeProducers([]Producer{{Src1: -1, Src2: 41}}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if neg[0].Src1 != -1 || neg[0].Src2 != 41 {
-		t.Fatalf("negative link mangled: %+v", neg[0])
-	}
-}
-
-func TestProducersDecodeRejectsDamage(t *testing.T) {
-	enc := EncodeProducers([]Producer{{1, 2}, {3, 4}})
-	for _, cut := range []int{0, 3, 11, len(enc) - 1} {
-		if _, err := DecodeProducers(enc[:cut]); err == nil {
-			t.Errorf("truncation at %d accepted", cut)
-		}
-	}
-	bad := append([]byte(nil), enc...)
-	bad[0] = 'X'
-	if _, err := DecodeProducers(bad); err == nil {
-		t.Error("bad magic accepted")
-	}
-}

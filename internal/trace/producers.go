@@ -8,10 +8,10 @@ import "fomodel/internal/isa"
 // operand has no in-trace producer (no register, or the register was last
 // written before the trace began).
 //
-// The links are a pure function of program order and the register fields,
-// so they are implementation independent: every timing run of the detailed
-// cycle-level simulator consumes the same links instead of rebuilding a
-// last-writer table per run.
+// The links are a pure function of program order and the register fields.
+// The timing engines that hold a window of instructions in flight — the
+// simulator's cycle-stepping scan and the reference oracles — follow
+// them; the program-order passes read a register finish table instead.
 type Producer struct {
 	Src1, Src2 int32
 }

@@ -60,7 +60,7 @@ type Trace struct {
 	// seed, generator version) that fully determines every instruction.
 	// Two traces with equal ContentIDs are bit-identical even across
 	// processes and restarts, so caches and the artifact store may key
-	// derived products (producer links, classification preps, IW fits)
+	// derived products (classification preps, IW fits, analyses)
 	// by it instead of by pointer identity. Traces of unknown provenance
 	// (hand-built, or read from an external file) leave it empty and are
 	// keyed by identity instead.

@@ -16,32 +16,46 @@ import (
 // far list stays empty unless a config stretches the latencies.
 const minIssueSlots = 1024
 
-// run executes the timing simulation proper. preps and prod are read-only
-// and may be shared with concurrent runs. Serialized long misses need the
+// run executes the timing simulation proper. preps is read-only and may
+// be shared with concurrent runs. Serialized long misses need the
 // cycle-stepping scan (see scan); every other machine takes the
 // program-order pass.
-func run(t *trace.Trace, cfg Config, preps []stats.Event, prod []trace.Producer) (*Result, error) {
+func run(t *trace.Trace, cfg Config, preps []stats.Event) (*Result, error) {
 	if cfg.SerializeLongMisses {
-		return scan(t, cfg, preps, prod)
+		return scan(t, cfg, preps, trace.ComputeProducers(t))
 	}
-	return pass(t, cfg, preps, prod)
+	return pass(t, cfg, preps)
 }
 
 // passScratch holds the per-run working buffers of pass. Runs borrow one
 // from passPool and return it on exit, so a sweep of many simulations
 // reuses the same arenas instead of reallocating them per config; each
 // pool entry is only ever used by one run at a time, so the reuse is
-// race-free. Every buffer is O(n + ROB + front end), whatever the
-// latencies: none is indexed by cycle except the fixed-size slot ring.
+// race-free. Every buffer is O(ROB + front end + window + width),
+// whatever the trace length or the latencies: none is indexed by
+// instruction, and none by cycle except the fixed-size slot ring.
 type passScratch struct {
-	finish     []int64
 	dispatchAt []int64
 	retireAt   []int64
 	long       []missSpan
 	slots      issueSlots
 	events     [numEventKeys]event
 	keys       [numEventKeys]int64
+	// The width rings: the fetch, dispatch and retire cycles of the last
+	// Width instructions.
+	fetchLast, dispLast, retireLast [MaxWidth]int64
 }
+
+// The register tables of one pass: slot r+1 holds the cycle the latest
+// instruction so far to write register r makes its result available,
+// and that instruction's cluster. Slot 0 is never written, so a RegNone
+// source (-1) reads it as ready, from cluster -1, which charges no
+// bypass; instructions without a destination write the scratch slot
+// noDestSlot, which no source reads. These are internal/iw's sentinels.
+const (
+	regSlots   = isa.NumArchRegs + 2
+	noDestSlot = regSlots - 1
+)
 
 var passPool = sync.Pool{New: func() any { return new(passScratch) }}
 
@@ -59,11 +73,17 @@ type missSpan struct{ issue, finish int64 }
 // issue, dispatch, fetch, as in scan, so a slot freed by one stage is
 // usable by the next stage in the same cycle.
 //
+// Per instruction, the pass reads its trace record, its event byte and
+// the register tables: an operand is ready when the register's latest
+// writer so far finishes. Each in-order stage keeps a ring of its last
+// Width cycles; as the stage's cycles never decrease, "at most Width per
+// cycle" is exactly cycle[i] ≥ cycle[i−Width] + 1.
+//
 // Per-cycle results come out as interval sums: an instruction spends
 // dispatch−fetch cycles in the front end, issue−dispatch in the window,
 // and retire−dispatch in the ROB. The issue histogram is kept per issued
 // cycle; cycles in which nothing issued make up the rest of the run.
-func pass(t *trace.Trace, cfg Config, preps []stats.Event, prod []trace.Producer) (*Result, error) {
+func pass(t *trace.Trace, cfg Config, preps []stats.Event) (*Result, error) {
 	n := t.Len()
 	width := cfg.Width
 	res := &Result{
@@ -84,8 +104,6 @@ func pass(t *trace.Trace, cfg Config, preps []stats.Event, prod []trace.Producer
 	bypass := int64(cfg.BypassLatency)
 	fuCapped := cfg.FUCounts != [isa.NumClasses]int{}
 
-	// finish[i] is the cycle instruction i's result becomes available.
-	finish := grown(sc.finish, n)
 	// dispatchAt and retireAt are rings of the dispatch cycles of the
 	// last feCap instructions and the retire cycles of the last ROBSize:
 	// instruction i may be fetched once i−feCap has left the front end,
@@ -102,18 +120,28 @@ func pass(t *trace.Trace, cfg Config, preps []stats.Event, prod []trace.Producer
 	events, keys := &sc.events, &sc.keys
 	buildEvents(events, cfg)
 	clear(keys[:])
+	fetchLast, dispLast, retireLast := sc.fetchLast[:width], sc.dispLast[:width], sc.retireLast[:width]
+	clear(fetchLast)
+	clear(dispLast)
+	clear(retireLast)
+	var regFinish [regSlots]int64
+	var regCluster [regSlots]int8
+	for r := range regCluster {
+		regCluster[r] = -1
+	}
 
 	defer func() {
-		sc.finish, sc.dispatchAt, sc.retireAt = finish, dispatchAt, retireAt
+		sc.dispatchAt, sc.retireAt = dispatchAt, retireAt
 		sc.long = long
 		passPool.Put(sc)
 	}()
 
 	var (
-		// Each in-order stage remembers the cycle of its last instruction
-		// and how many it handled in that cycle, for its width limit.
+		// Each in-order stage remembers the cycle of its last
+		// instruction; its width ring, indexed by w, holds the cycle of
+		// the instruction Width before.
 		fetchCycle, dispCycle, retireCycle int64 = 1, 1, 1
-		fetchCount, dispCount, retireCount int
+		w                                  int
 
 		// resume is the first cycle fetch may run after a mispredicted
 		// branch: the branch stops fetch until it resolves at issue.
@@ -128,11 +156,10 @@ func pass(t *trace.Trace, cfg Config, preps []stats.Event, prod []trace.Producer
 	depth := int64(cfg.FrontEndDepth)
 	latBranch := int64(cfg.Latencies.Latency(isa.Branch))
 
-	for i := 0; i < n; i++ {
+	for i, p := range preps[:n] {
 		in := &t.Instrs[i]
-		p := &preps[i]
 
-		key := eventKey(in.Class, p)
+		key := int(in.Class) | int(p)<<3
 		keys[key]++
 		ev := &events[key]
 
@@ -140,11 +167,7 @@ func pass(t *trace.Trace, cfg Config, preps []stats.Event, prod []trace.Producer
 		// and fetch is not halted. An I-cache miss is charged in the
 		// cycle fetch reaches the instruction, which arrives the miss
 		// delay later.
-		f := fetchCycle
-		if fetchCount == width {
-			f++
-		}
-		f = max(f, resume, dispatchAt[feSlot])
+		f := max(fetchCycle, fetchLast[w]+1, resume, dispatchAt[feSlot])
 		if ev.fetch != 0 {
 			var hit bool
 			if long, hit = outstandingAt(long, f); hit {
@@ -152,21 +175,13 @@ func pass(t *trace.Trace, cfg Config, preps []stats.Event, prod []trace.Producer
 			}
 			f += int64(ev.fetch)
 		}
-		if f != fetchCycle {
-			fetchCount = 0
-		}
-		fetchCycle = f
-		fetchCount++
+		fetchCycle, fetchLast[w] = f, f
 
 		// --- Dispatch: in order, up to Width per cycle, DeltaP cycles
 		// after fetch, once the ROB and the cluster's window slice have
 		// room. The window has room at the first cycle by which all but
 		// clusterWindow−1 of the slice's entries have issued.
-		d := max(f+depth, dispCycle)
-		if d == dispCycle && dispCount == width {
-			d++
-		}
-		d = max(d, retireAt[robSlot])
+		d := max(f+depth, dispCycle, dispLast[w]+1, retireAt[robSlot])
 		if d >= slots.frontier {
 			slots.advance(d + 1)
 		}
@@ -174,11 +189,7 @@ func pass(t *trace.Trace, cfg Config, preps []stats.Event, prod []trace.Producer
 			d = slots.earliest()
 			slots.advance(d + 1)
 		}
-		if d != dispCycle {
-			dispCount = 0
-		}
-		dispCycle = d
-		dispCount++
+		dispCycle, dispLast[w] = d, d
 		dispatchAt[feSlot] = d
 		if feSlot++; feSlot == feCap {
 			feSlot = 0
@@ -186,9 +197,20 @@ func pass(t *trace.Trace, cfg Config, preps []stats.Event, prod []trace.Producer
 
 		// --- Issue: the first cycle after dispatch, with the operands
 		// ready, whose width, FU-class and cluster slots older
-		// instructions have left room in.
+		// instructions have left room in. An operand produced in
+		// another cluster arrives bypass cycles later.
 		class := in.Class
-		e := max(d+1, operandsReady(i, prod[i], finish, clusters, bypass))
+		s1, s2 := int(in.Src1)+1, int(in.Src2)+1
+		r1, r2 := regFinish[s1], regFinish[s2]
+		if clusters > 1 {
+			if c := regCluster[s1]; c >= 0 && int(c) != cl {
+				r1 += bypass
+			}
+			if c := regCluster[s2]; c >= 0 && int(c) != cl {
+				r2 += bypass
+			}
+		}
+		e := max(d+1, r1, r2)
 		if cfg.InOrder {
 			e = max(e, lastIssue)
 		}
@@ -227,7 +249,11 @@ func pass(t *trace.Trace, cfg Config, preps []stats.Event, prod []trace.Producer
 		lastIssue = e
 
 		x := e + int64(ev.lat)
-		finish[i] = x
+		dest := int(in.Dest) + 1
+		if dest == 0 {
+			dest = noDestSlot
+		}
+		regFinish[dest], regCluster[dest] = x, int8(cl)
 		if ev.kind != 0 {
 			if ev.kind == longMiss {
 				if len(long) >= longPrune {
@@ -246,24 +272,20 @@ func pass(t *trace.Trace, cfg Config, preps []stats.Event, prod []trace.Producer
 		}
 
 		// --- Retire: in order, up to Width per cycle, once finished.
-		r := max(x, retireCycle)
-		if r == retireCycle && retireCount == width {
-			r++
-		}
+		r := max(x, retireCycle, retireLast[w]+1)
 		if r > retireCycle+maxIdleCycles+1 {
 			return nil, fmt.Errorf("uarch: no retirement for %d cycles at cycle %d (retired %d/%d) — machine deadlocked",
 				maxIdleCycles, retireCycle+maxIdleCycles+1, i, n)
 		}
-		if r != retireCycle {
-			retireCount = 0
-		}
-		retireCycle = r
-		retireCount++
+		retireCycle, retireLast[w] = r, r
 		retireAt[robSlot] = r
 		if robSlot++; robSlot == cfg.ROBSize {
 			robSlot = 0
 		}
 
+		if w++; w == width {
+			w = 0
+		}
 		if cl++; cl == clusters {
 			cl = 0
 		}
@@ -283,23 +305,11 @@ func pass(t *trace.Trace, cfg Config, preps []stats.Event, prod []trace.Producer
 	return res, nil
 }
 
-// numEventKeys is the number of distinct eventKey values.
+// numEventKeys is the number of distinct event keys. An instruction's
+// key is its class in bits 0-2 and its stats.Event above them: the I-side
+// and D-side cache.Result in bits 3-4 and 5-6, the mispredict flag in
+// bit 7 and the TLB-miss flag in bit 8.
 const numEventKeys = 1 << 9
-
-// eventKey packs an instruction's class and miss events into an index of
-// the event table: the class in bits 0-2, the I-side and D-side
-// cache.Result in bits 3-4 and 5-6, the mispredict flag in bit 7 and the
-// TLB-miss flag in bit 8.
-func eventKey(class isa.Class, p *stats.Event) int {
-	k := int(class) | int(p.ICache)<<3 | int(p.DCache)<<5
-	if p.Mispredict {
-		k |= 1 << 7
-	}
-	if p.TLBMiss {
-		k |= 1 << 8
-	}
-	return k
-}
 
 // Event kinds that need more than a latency.
 const (
@@ -330,9 +340,9 @@ type event struct {
 // MaxLatency, so the sums fit an int32.
 func buildEvents(events *[numEventKeys]event, cfg Config) {
 	for k := range events {
-		class := isa.Class(k & 7)
-		ires, dres := cache.Result(k>>3&3), cache.Result(k>>5&3)
-		misp, tlbMiss := k&(1<<7) != 0, k&(1<<8) != 0
+		class, p := isa.Class(k&7), stats.Event(k>>3)
+		ires, dres := p.ICache(), p.DCache()
+		misp, tlbMiss := p.Mispredict(), p.TLBMiss()
 		ev := event{}
 		if class < isa.NumClasses {
 			ev.lat = int32(cfg.Latencies.Latency(class))
@@ -402,28 +412,6 @@ func outstandingAt(long []missSpan, c int64) ([]missSpan, bool) {
 		}
 	}
 	return kept, hit
-}
-
-// operandsReady returns the first cycle instruction i may issue, once
-// every producer in p has issued: the latest producer finish, where an
-// operand produced in another cluster arrives bypass cycles later.
-func operandsReady(i int, p trace.Producer, finish []int64, clusters int, bypass int64) int64 {
-	at := int64(1)
-	if p.Src1 >= 0 {
-		f := finish[p.Src1]
-		if clusters > 1 && int(p.Src1)%clusters != i%clusters {
-			f += bypass
-		}
-		at = max(at, f)
-	}
-	if p.Src2 >= 0 {
-		f := finish[p.Src2]
-		if clusters > 1 && int(p.Src2)%clusters != i%clusters {
-			f += bypass
-		}
-		at = max(at, f)
-	}
-	return at
 }
 
 // issueSlots counts, per cycle, the instructions issued in it: in

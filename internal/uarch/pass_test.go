@@ -22,11 +22,10 @@ func TestPassMemoryIndependentOfCycles(t *testing.T) {
 	cfg := testConfig()
 	cfg.Latencies[isa.ALU] = MaxLatency - 8
 	preps := make([]stats.Event, tr.Len())
-	prod := trace.ComputeProducers(tr)
 
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	res, err := pass(tr, cfg, preps, prod)
+	res, err := pass(tr, cfg, preps)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
@@ -38,7 +37,7 @@ func TestPassMemoryIndependentOfCycles(t *testing.T) {
 	if got := after.TotalAlloc - before.TotalAlloc; got > bound {
 		t.Fatalf("pass allocated %d bytes over %d cycles, want at most %d", got, res.Cycles, bound)
 	}
-	checkAgainstReference(t, "long chain", tr, cfg, preps, prod)
+	checkAgainstReference(t, "long chain", tr, cfg, preps)
 }
 
 // handRun simulates instrs with the given miss events on cfg, requires
@@ -46,9 +45,8 @@ func TestPassMemoryIndependentOfCycles(t *testing.T) {
 func handRun(t *testing.T, instrs []trace.Instruction, events []stats.Event, cfg Config) *Result {
 	t.Helper()
 	tr := &trace.Trace{Name: "hand", Instrs: instrs}
-	prod := trace.ComputeProducers(tr)
-	checkAgainstReference(t, "hand", tr, cfg, events, prod)
-	res, err := scan(tr, cfg, events, prod)
+	checkAgainstReference(t, "hand", tr, cfg, events)
+	res, err := scan(tr, cfg, events, trace.ComputeProducers(tr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,8 +70,8 @@ func TestOverlapCountersAtBoundaries(t *testing.T) {
 		return trace.Instruction{PC: hotPC, Class: isa.Branch, Dest: isa.RegNone, Src1: src, Src2: isa.RegNone}
 	}
 	div := trace.Instruction{PC: hotPC, Class: isa.Div, Dest: 1, Src1: isa.RegNone, Src2: isa.RegNone}
-	longMiss := stats.Event{DCache: cache.LongMiss}
-	misp := stats.Event{Mispredict: true}
+	longMiss := stats.NewEvent(cache.Hit, cache.LongMiss, false, false)
+	misp := stats.EventMispredict
 
 	cases := []struct {
 		name       string
@@ -87,7 +85,7 @@ func TestOverlapCountersAtBoundaries(t *testing.T) {
 		// after the branch resolves: nothing is outstanding then.
 		name:   "younger long miss behind a mispredicted branch",
 		instrs: []trace.Instruction{div, branch(1), load(2)},
-		events: []stats.Event{{}, misp, longMiss},
+		events: []stats.Event{0, misp, longMiss},
 	}, {
 		// Load and branch issue in the same cycle; the older load goes
 		// first and is outstanding when the branch issues.
@@ -124,9 +122,9 @@ func TestOverlapCountersAtBoundaries(t *testing.T) {
 		events := []stats.Event{longMiss}
 		for i := 1; i <= 60; i++ {
 			instrs = append(instrs, alu(int16(3+i%8), isa.RegNone))
-			events = append(events, stats.Event{})
+			events = append(events, 0)
 		}
-		events[c.m].ICache = cache.ShortMiss
+		events[c.m] = stats.NewEvent(cache.ShortMiss, cache.Hit, false, false)
 		cases = append(cases, struct {
 			name       string
 			instrs     []trace.Instruction
@@ -158,24 +156,59 @@ func TestSerializeTakesScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prod := trace.ComputeProducers(tr)
-	got, err := run(tr, cfg, preps, prod)
+	got, err := run(tr, cfg, preps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := scan(tr, cfg, preps, prod)
+	want, err := scan(tr, cfg, preps, trace.ComputeProducers(tr))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("run with serialized long misses differs from the scan\n got  %+v\n want %+v", got, want)
 	}
-	unserialized, err := pass(tr, cfg, preps, prod)
+	unserialized, err := pass(tr, cfg, preps)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if unserialized.DCacheLong <= want.DCacheLong {
 		t.Fatalf("pass charged %d long misses, scan %d: the trace demotes none, so it cannot tell the engines apart",
 			unserialized.DCacheLong, want.DCacheLong)
+	}
+}
+
+// TestPassRegisterSentinels pins the register tables' sentinel slots on
+// a two-cluster machine whose bypass costs 600 cycles, against the scan:
+// a RegNone source and a never-written register are ready at once and
+// charge no bypass, and an instruction without a destination — a store
+// or a branch, here of latency 300 — never changes a register's ready
+// cycle. Instructions alternate clusters, so a wrong sentinel shows as a
+// run of over 600 cycles.
+func TestPassRegisterSentinels(t *testing.T) {
+	cfg := testConfig()
+	cfg.Clusters, cfg.BypassLatency = 2, 600
+	cfg.Latencies[isa.Store], cfg.Latencies[isa.Branch] = 300, 300
+	none := isa.RegNone
+	alu := func(dest, src1, src2 int16) trace.Instruction {
+		return trace.Instruction{PC: hotPC, Class: isa.ALU, Dest: dest, Src1: src1, Src2: src2}
+	}
+	noDest := func(class isa.Class) trace.Instruction {
+		return trace.Instruction{PC: hotPC, Class: class, Addr: 0x8000, Dest: none, Src1: none, Src2: none}
+	}
+	for _, c := range []struct {
+		name   string
+		instrs []trace.Instruction
+	}{
+		{"RegNone sources", []trace.Instruction{alu(0, none, none), alu(1, none, none)}},
+		{"never-written registers", []trace.Instruction{alu(0, none, none), alu(1, 63, 5)}},
+		{"store, then RegNone sources", []trace.Instruction{noDest(isa.Store), alu(1, none, none)}},
+		{"branch, then RegNone sources", []trace.Instruction{noDest(isa.Branch), alu(1, none, none)}},
+		{"store between a write and its read", []trace.Instruction{alu(63, none, none), noDest(isa.Store), alu(2, 63, none)}},
+		{"branch between a write and its read", []trace.Instruction{alu(63, none, none), noDest(isa.Branch), alu(2, none, 63)}},
+	} {
+		res := handRun(t, c.instrs, make([]stats.Event, len(c.instrs)), cfg)
+		if res.Cycles >= int64(cfg.BypassLatency) {
+			t.Errorf("%s: %d cycles, want under the %d-cycle bypass", c.name, res.Cycles, cfg.BypassLatency)
+		}
 	}
 }

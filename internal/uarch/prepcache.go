@@ -98,30 +98,27 @@ type prepsKey struct {
 	key classKey
 }
 
-// Default entry bounds. Entries are large — a preps slice holds one
-// record per dynamic instruction — so the bounds are what keep a client
+// defaultMaxPreps is the default entry bound. An entry holds one event
+// byte per dynamic instruction, so the bound is what keeps a client
 // sweeping seeds (each sweep step a fresh content key) from growing the
 // cache without limit. At the daemon's default 500k instructions, 64
-// preps entries cap that cache's footprint at roughly half a gigabyte.
-const (
-	defaultMaxPreps = 64
-	defaultMaxProds = 32
-)
+// entries cap the cache's footprint at about 32 MB.
+const defaultMaxPreps = 64
 
 // PrepCache memoizes the expensive one-time preparation work of Simulate
 // across configs and runs: the functional classification pass (caches,
-// predictor, TLB, warmup) keyed on the classification-relevant subset of
-// Config, and the per-trace producer dependence links keyed on the trace
-// alone. Multi-config studies — the paper's five-simulation independence
+// predictor, TLB, warmup), keyed on the classification-relevant subset of
+// Config. Multi-config studies — the paper's five-simulation independence
 // experiments, predictor studies, ROB/window sweeps — vary only
 // timing-side parameters, so with the cache they classify each trace once
-// instead of once per config.
+// instead of once per config. The timing pass needs nothing else per
+// trace: it reads register dependences from the trace as it goes.
 //
 // Entries are keyed by trace *content* (trace.Trace.ContentID) when the
 // trace carries it, falling back to pointer identity for anonymous
-// traces, and both maps are bounded flight LRUs: a workload population
-// of unbounded size (seed sweeps, per-user workloads) recycles slots
-// instead of growing without bound. With a Store attached, evicted or
+// traces, and the map is a bounded flight LRU: a workload population of
+// unbounded size (seed sweeps, per-user workloads) recycles slots instead
+// of growing without bound. With a Store attached, evicted or
 // never-computed classifications are served from disk when a valid
 // artifact exists, and fresh computations are written back — that is
 // what carries prep work across daemon restarts.
@@ -129,35 +126,29 @@ const (
 // The cache is safe for concurrent use and single-flight: concurrent
 // requests for the same key block on one computation and share its
 // result, so a parallel sweep performs exactly the same number of
-// classifications as a sequential one. run never mutates preps or
-// producer links, so sharing one slice across concurrent simulations is
-// race-free.
+// classifications as a sequential one. run never mutates preps, so
+// sharing one slice across concurrent simulations is race-free.
 //
 // A nil *PrepCache is valid and simply disables caching.
 type PrepCache struct {
 	preps *flight.Cache[prepsKey, []stats.Event]
-	prods *flight.Cache[traceID, []trace.Producer]
 	store atomic.Pointer[artifact.Store]
 }
 
-// NewPrepCache returns an empty cache with the default entry bounds.
+// NewPrepCache returns an empty cache with the default entry bound.
 func NewPrepCache() *PrepCache {
-	return newPrepCache(defaultMaxPreps, defaultMaxProds)
+	return newPrepCache(defaultMaxPreps)
 }
 
 // newPrepCache returns an empty cache holding at most maxPreps
-// classifications and maxProds producer-link sets.
-func newPrepCache(maxPreps, maxProds int) *PrepCache {
-	return &PrepCache{
-		preps: flight.New[prepsKey, []stats.Event](maxPreps, nil),
-		prods: flight.New[traceID, []trace.Producer](maxProds, nil),
-	}
+// classifications.
+func newPrepCache(maxPreps int) *PrepCache {
+	return &PrepCache{preps: flight.New[prepsKey, []stats.Event](maxPreps, nil)}
 }
 
-// SetStore attaches the persistent artifact store: classifications and
-// producer links of content-identified traces are read from it before
-// being computed, and written back after a computation. A nil store
-// detaches.
+// SetStore attaches the persistent artifact store: classifications of
+// content-identified traces are read from it before being computed, and
+// written back after a computation. A nil store detaches.
 func (pc *PrepCache) SetStore(s *artifact.Store) {
 	if pc == nil {
 		return
@@ -190,13 +181,7 @@ func (pc *PrepCache) Simulate(t *trace.Trace, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	prod, _, err := pc.prods.Do(k.id, func() ([]trace.Producer, error) {
-		return loadOrComputeProducers(store, t), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return run(t, cfg, preps, prod)
+	return run(t, cfg, preps)
 }
 
 // loadOrClassify serves the classification from the artifact store when
@@ -221,44 +206,27 @@ func loadOrClassify(store *artifact.Store, t *trace.Trace, cfg Config, k classKe
 	return preps, err
 }
 
-func loadOrComputeProducers(store *artifact.Store, t *trace.Trace) []trace.Producer {
-	if store != nil && t.ContentID != "" {
-		if b, ok := store.Get("prods", t.ContentID); ok {
-			if prod, err := trace.DecodeProducers(b); err == nil && len(prod) == t.Len() {
-				return prod
-			}
-		}
-	}
-	prod := trace.ComputeProducers(t)
-	if store != nil && t.ContentID != "" {
-		store.Put("prods", t.ContentID, trace.EncodeProducers(prod))
-	}
-	return prod
-}
-
-// Forget drops every cached entry derived from t — its producer links
-// and all classifications, for any config — and counts them as
-// evictions. Callers that evict a trace from their own cache (the
-// daemon's bounded trace cache) use it to release the prep entries that
-// trace populated; with a store attached, the artifacts remain on disk,
-// so a later request for the same content re-warms cheaply instead of
-// recomputing.
+// Forget drops every cached entry derived from t — its classifications,
+// for any config — and counts them as evictions. Callers that evict a
+// trace from their own cache (the daemon's bounded trace cache) use it
+// to release the prep entries that trace populated; with a store
+// attached, the artifacts remain on disk, so a later request for the
+// same content re-warms cheaply instead of recomputing.
 func (pc *PrepCache) Forget(t *trace.Trace) {
 	if pc == nil || t == nil {
 		return
 	}
 	id := idOf(t)
-	pc.prods.DeleteFunc(func(k traceID, _ []trace.Producer) bool { return k == id })
 	pc.preps.DeleteFunc(func(k prepsKey, _ []stats.Event) bool { return k.id == id })
 }
 
-// Len reports the current entry counts of the two maps (including
-// in-flight entries). Zero on a nil cache.
-func (pc *PrepCache) Len() (preps, prods int) {
+// Len reports the number of cached classifications, in-flight ones
+// included. Zero on a nil cache.
+func (pc *PrepCache) Len() int {
 	if pc == nil {
-		return 0, 0
+		return 0
 	}
-	return pc.preps.Len(), pc.prods.Len()
+	return pc.preps.Len()
 }
 
 // Stats reports how many classification requests were served from the
@@ -275,37 +243,28 @@ func (pc *PrepCache) Stats() (hits, misses int64) {
 	return hits, misses
 }
 
-// Evictions reports how many entries, classifications and producer-link
-// sets together, the cache has dropped by its LRU bounds or by Forget.
-// Zero on a nil cache.
+// Evictions reports how many classifications the cache has dropped by
+// its LRU bound or by Forget. Zero on a nil cache.
 func (pc *PrepCache) Evictions() int64 {
 	if pc == nil {
 		return 0
 	}
-	_, _, preps := pc.preps.Stats()
-	_, _, prods := pc.prods.Stats()
-	return preps + prods
+	_, _, evictions := pc.preps.Stats()
+	return evictions
 }
 
-// Packed preps format (artifact payloads): magic, count, then one byte
-// per instruction — bits 0-1 the I-side cache.Result, bits 2-3 the
-// D-side result, bit 4 the mispredict flag, bit 5 the TLB-miss flag.
+// Packed preps format (artifact payloads): magic, count, then each
+// instruction's stats.Event byte — bits 0-1 the I-side cache.Result,
+// bits 2-3 the D-side result, bit 4 the mispredict flag, bit 5 the
+// TLB-miss flag.
 var prepsMagic = [4]byte{'F', 'O', 'C', '1'}
 
 func encodePreps(preps []stats.Event) []byte {
-	buf := make([]byte, 0, 4+8+len(preps))
-	buf = append(buf, prepsMagic[:]...)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(preps)))
-	for i := range preps {
-		p := &preps[i]
-		b := uint8(p.ICache)&3 | (uint8(p.DCache)&3)<<2
-		if p.Mispredict {
-			b |= 1 << 4
-		}
-		if p.TLBMiss {
-			b |= 1 << 5
-		}
-		buf = append(buf, b)
+	buf := make([]byte, 12+len(preps))
+	copy(buf, prepsMagic[:])
+	binary.LittleEndian.PutUint64(buf[4:12], uint64(len(preps)))
+	for i, p := range preps {
+		buf[12+i] = byte(p)
 	}
 	return buf
 }
@@ -320,19 +279,12 @@ func decodePreps(data []byte, wantLen int) ([]stats.Event, error) {
 			count, wantLen, len(data))
 	}
 	preps := make([]stats.Event, count)
-	for i := range preps {
-		b := data[12+i]
-		ires := cache.Result(b & 3)
-		dres := cache.Result(b >> 2 & 3)
-		if ires > cache.LongMiss || dres > cache.LongMiss || b>>6 != 0 {
+	for i, b := range data[12:] {
+		p := stats.Event(b)
+		if !p.Valid() {
 			return nil, fmt.Errorf("uarch: invalid preps record %d (0x%02x)", i, b)
 		}
-		preps[i] = stats.Event{
-			ICache:     ires,
-			DCache:     dres,
-			Mispredict: b&(1<<4) != 0,
-			TLBMiss:    b&(1<<5) != 0,
-		}
+		preps[i] = p
 	}
 	return preps, nil
 }

@@ -2,6 +2,7 @@ package uarch
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
 	"sync"
 	"testing"
@@ -304,15 +305,15 @@ func TestPrepCacheContentKeySharing(t *testing.T) {
 	if hits != 1 || misses != 1 {
 		t.Errorf("got %d hits, %d misses; want 1 hit, 1 miss (shared content entry)", hits, misses)
 	}
-	if preps, prods := pc.Len(); preps != 1 || prods != 1 {
-		t.Errorf("cache holds %d preps, %d prods entries; want 1 and 1", preps, prods)
+	if preps := pc.Len(); preps != 1 {
+		t.Errorf("cache holds %d classifications; want 1", preps)
 	}
 }
 
 // TestPrepCacheBounded sweeps many distinct contents through a small
-// cache and checks both maps respect their LRU bounds.
+// cache and checks it respects its LRU bound.
 func TestPrepCacheBounded(t *testing.T) {
-	pc := newPrepCache(4, 3)
+	pc := newPrepCache(4)
 	cfg := DefaultConfig()
 	for seed := uint64(1); seed <= 12; seed++ {
 		tr, err := workload.Generate("gzip", 1500, seed)
@@ -322,20 +323,19 @@ func TestPrepCacheBounded(t *testing.T) {
 		if _, err := pc.Simulate(tr, cfg); err != nil {
 			t.Fatal(err)
 		}
-		preps, prods := pc.Len()
-		if preps > 4 || prods > 3 {
-			t.Fatalf("seed %d: cache grew past its bounds (%d preps, %d prods)", seed, preps, prods)
+		if preps := pc.Len(); preps > 4 {
+			t.Fatalf("seed %d: cache grew past its bound (%d classifications)", seed, preps)
 		}
 	}
-	// 12 contents through bounds of 4 and 3 evict 8 and 9 entries.
-	if got := pc.Evictions(); got != 17 {
-		t.Errorf("evictions = %d after the sweep, want 17", got)
+	// 12 contents through a bound of 4 evict 8 entries.
+	if got := pc.Evictions(); got != 8 {
+		t.Errorf("evictions = %d after the sweep, want 8", got)
 	}
 }
 
 // TestPrepCacheForget checks Forget releases every entry derived from a
-// trace — producer links and classifications under every config — while
-// leaving other traces' entries alone.
+// trace — its classifications under every config — while leaving other
+// traces' entries alone.
 func TestPrepCacheForget(t *testing.T) {
 	tr1, err := workload.Generate("gzip", 1500, 3)
 	if err != nil {
@@ -356,12 +356,12 @@ func TestPrepCacheForget(t *testing.T) {
 			}
 		}
 	}
-	if preps, prods := pc.Len(); preps != 4 || prods != 2 {
-		t.Fatalf("setup: %d preps, %d prods entries; want 4 and 2", preps, prods)
+	if preps := pc.Len(); preps != 4 {
+		t.Fatalf("setup: %d classifications; want 4", preps)
 	}
 	pc.Forget(tr1)
-	if preps, prods := pc.Len(); preps != 2 || prods != 1 {
-		t.Errorf("after Forget: %d preps, %d prods entries; want 2 and 1", preps, prods)
+	if preps := pc.Len(); preps != 2 {
+		t.Errorf("after Forget: %d classifications; want 2", preps)
 	}
 	// The surviving trace still hits.
 	_, missesBefore := pc.Stats()
@@ -391,9 +391,8 @@ func TestPrepCacheForgetCountsEvictions(t *testing.T) {
 		}
 	}
 	pc.Forget(tr)
-	// Two classifications and one producer-link set.
-	if got := pc.Evictions(); got != 3 {
-		t.Errorf("evictions = %d after Forget, want 3", got)
+	if got := pc.Evictions(); got != 2 {
+		t.Errorf("evictions = %d after Forget, want 2", got)
 	}
 }
 
@@ -420,8 +419,9 @@ func TestPrepCacheRejectsConfigErrorsFirst(t *testing.T) {
 }
 
 // TestPrepCacheStoreRoundTrip checks that a second cache attached to the
-// same artifact store serves classifications and producer links from
-// disk with results identical to the fresh computation.
+// same artifact store serves classifications from disk with results
+// identical to the fresh computation. Classifications are the only
+// artifacts the cache writes.
 func TestPrepCacheStoreRoundTrip(t *testing.T) {
 	st, err := artifact.Open(t.TempDir(), 0)
 	if err != nil {
@@ -441,8 +441,8 @@ func TestPrepCacheStoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, writes, _ := st.Stats(); writes < 2 {
-		t.Fatalf("expected preps and prods artifacts written, got %d writes", writes)
+	if _, _, _, writes, _ := st.Stats(); writes != 1 {
+		t.Fatalf("expected one preps artifact written, got %d writes", writes)
 	}
 
 	// A fresh cache (a new process, in effect) with the same store and a
@@ -462,8 +462,8 @@ func TestPrepCacheStoreRoundTrip(t *testing.T) {
 		t.Error("store-served simulation differs from fresh computation")
 	}
 	hitsAfter, _, _, _, _ := st.Stats()
-	if hitsAfter < hitsBefore+2 {
-		t.Errorf("expected preps and prods store hits, got %d new hits", hitsAfter-hitsBefore)
+	if hitsAfter != hitsBefore+1 {
+		t.Errorf("expected one preps store hit, got %d new hits", hitsAfter-hitsBefore)
 	}
 }
 
@@ -477,7 +477,7 @@ func TestPrepsCodecRoundTrip(t *testing.T) {
 		for dres := cache.Hit; dres <= cache.LongMiss; dres++ {
 			for _, misp := range []bool{false, true} {
 				for _, tlbMiss := range []bool{false, true} {
-					preps = append(preps, stats.Event{ICache: ires, DCache: dres, Mispredict: misp, TLBMiss: tlbMiss})
+					preps = append(preps, stats.NewEvent(ires, dres, misp, tlbMiss))
 				}
 			}
 		}
@@ -505,11 +505,47 @@ func TestPrepsCodecRoundTrip(t *testing.T) {
 	if _, err := decodePreps(enc[:len(enc)-1], len(preps)); err == nil {
 		t.Error("truncated payload not rejected")
 	}
-	bad := append([]byte(nil), enc...)
-	bad[12] = 0xff
-	if _, err := decodePreps(bad, len(preps)); err == nil {
-		t.Error("invalid record byte not rejected")
+	for _, b := range []byte{0x03, 0x0c, 0x40, 0x80, 0xff} {
+		bad := append([]byte(nil), enc...)
+		bad[12] = b
+		if _, err := decodePreps(bad, len(preps)); err == nil {
+			t.Errorf("invalid record byte 0x%02x not rejected", b)
+		}
 	}
+}
+
+// FuzzDecodePreps decodes arbitrary payloads, at the length their
+// header claims and one off it. Decoding never panics; it rejects a
+// record with bit 6 or 7 set or a cache result of 3; and every payload
+// it accepts re-encodes to the same bytes.
+func FuzzDecodePreps(f *testing.F) {
+	f.Add(encodePreps([]stats.Event{0, 0x01, 0x3a}))
+	f.Add(encodePreps(nil))
+	f.Add([]byte{'F', 'O', 'C', '1', 2, 0, 0, 0, 0, 0, 0, 0, 0x03, 0x40})
+	f.Add([]byte{'F', 'O', 'C', '1', 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		want := 0
+		if len(data) >= 12 {
+			want = int(binary.LittleEndian.Uint64(data[4:12]) & (1<<31 - 1))
+		}
+		for _, n := range []int{want, want + 1} {
+			preps, err := decodePreps(data, n)
+			if err != nil {
+				continue
+			}
+			for i, b := range data[12:] {
+				if b>>6 != 0 || b&3 == 3 || b>>2&3 == 3 {
+					t.Fatalf("record %d (0x%02x) accepted", i, b)
+				}
+			}
+			if len(preps) != n {
+				t.Fatalf("decoded %d records, want %d", len(preps), n)
+			}
+			if enc := encodePreps(preps); !bytes.Equal(enc, data) {
+				t.Fatalf("accepted payload re-encodes differently:\n got  % x\n want % x", enc, data)
+			}
+		}
+	})
 }
 
 // TestPrepCacheSimulateAllocs pins a warm PrepCache.Simulate at two

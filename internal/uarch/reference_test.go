@@ -17,15 +17,16 @@ import (
 // checkAgainstReference runs the program-order pass and the scan on the
 // same inputs and requires identical Results, or identical errors. The
 // pass cannot serialize long misses, so a config that does is checked
-// through run instead, which must hand it to the scan.
-func checkAgainstReference(t *testing.T, name string, tr *trace.Trace, cfg Config, preps []stats.Event, prod []trace.Producer) {
+// through run instead, which must hand it to the scan. The scan follows
+// producer links; the pass never sees them.
+func checkAgainstReference(t *testing.T, name string, tr *trace.Trace, cfg Config, preps []stats.Event) {
 	t.Helper()
 	engine := pass
 	if cfg.SerializeLongMisses {
 		engine = run
 	}
-	got, gotErr := engine(tr, cfg, preps, prod)
-	want, wantErr := scan(tr, cfg, preps, prod)
+	got, gotErr := engine(tr, cfg, preps)
+	want, wantErr := scan(tr, cfg, preps, trace.ComputeProducers(tr))
 	if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
 		t.Fatalf("%s: error %v, oracle %v", name, gotErr, wantErr)
 	}
@@ -124,7 +125,6 @@ func TestRunMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			prod := trace.ComputeProducers(tr)
 			for _, nc := range configs {
 				if err := nc.cfg.Validate(); err != nil {
 					t.Fatalf("%s: %v", nc.name, err)
@@ -133,7 +133,7 @@ func TestRunMatchesReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				checkAgainstReference(t, nc.name, tr, nc.cfg, preps, prod)
+				checkAgainstReference(t, nc.name, tr, nc.cfg, preps)
 			}
 		})
 	}
@@ -150,8 +150,7 @@ func TestSimulateWithEventsMatchesReference(t *testing.T) {
 	r := rng.New(7)
 	events := make([]stats.Event, tr.Len())
 	for i := range events {
-		events[i] = stats.Event{ICache: cache.Result(r.Intn(3)), DCache: cache.Result(r.Intn(3)),
-			Mispredict: r.Bool(0.1), TLBMiss: r.Bool(0.05)}
+		events[i] = stats.NewEvent(cache.Result(r.Intn(3)), cache.Result(r.Intn(3)), r.Bool(0.1), r.Bool(0.05))
 	}
 	prod := trace.ComputeProducers(tr)
 	for _, nc := range differentialConfigs() {
@@ -184,10 +183,10 @@ func TestRunDeadlockMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := run(tr, cfg, preps, trace.ComputeProducers(tr)); err == nil || !strings.Contains(err.Error(), "deadlocked") {
+	if _, err := run(tr, cfg, preps); err == nil || !strings.Contains(err.Error(), "deadlocked") {
 		t.Fatalf("want a deadlock error, got %v", err)
 	}
-	checkAgainstReference(t, "deadlock", tr, cfg, preps, trace.ComputeProducers(tr))
+	checkAgainstReference(t, "deadlock", tr, cfg, preps)
 }
 
 // FuzzRun decodes arbitrary bytes into a small machine, a trace and its
@@ -238,8 +237,9 @@ func FuzzRun(f *testing.F) {
 		}
 
 		// Each instruction takes five bytes: class, destination and two
-		// sources over eight registers (a high bit means no register),
-		// and its miss events.
+		// sources over all 64 registers, where a high bit means no
+		// register, so every register sits next to the register tables'
+		// sentinel slots; and its miss events.
 		body := data[header:]
 		n := min(256, len(body)/5)
 		if n == 0 {
@@ -249,7 +249,7 @@ func FuzzRun(f *testing.F) {
 			if b&0x80 != 0 {
 				return isa.RegNone
 			}
-			return int16(b % 8)
+			return int16(b % isa.NumArchRegs)
 		}
 		tr := &trace.Trace{Name: "fuzz"}
 		preps := make([]stats.Event, n)
@@ -261,13 +261,14 @@ func FuzzRun(f *testing.F) {
 			}
 			tr.Instrs = append(tr.Instrs, in)
 			ev := b[4]
-			preps[i].ICache = cache.Result(ev & 3 % 3)
+			var dres cache.Result
+			var tlbMiss bool
 			if in.IsMem() {
-				preps[i].DCache = cache.Result(ev >> 2 & 3 % 3)
-				preps[i].TLBMiss = cfg.TLB != nil && ev&0x40 != 0
+				dres = cache.Result(ev >> 2 & 3 % 3)
+				tlbMiss = cfg.TLB != nil && ev&0x40 != 0
 			}
-			preps[i].Mispredict = in.Class == isa.Branch && ev&0x10 != 0
+			preps[i] = stats.NewEvent(cache.Result(ev&3%3), dres, in.Class == isa.Branch && ev&0x10 != 0, tlbMiss)
 		}
-		checkAgainstReference(t, "fuzz", tr, cfg, preps, trace.ComputeProducers(tr))
+		checkAgainstReference(t, "fuzz", tr, cfg, preps)
 	})
 }

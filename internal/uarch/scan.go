@@ -158,12 +158,12 @@ func scan(t *trace.Trace, cfg Config, preps []stats.Event, prod []trace.Producer
 				idx := int(e.idx)
 				in := &t.Instrs[idx]
 				lat := int64(cfg.Latencies.Latency(in.Class))
-				if in.IsMem() && preps[idx].TLBMiss {
+				if in.IsMem() && preps[idx].TLBMiss() {
 					lat += int64(cfg.TLB.MissLatency)
 					res.TLBMisses++
 				}
 				if in.IsMem() && !cfg.IdealDCache {
-					switch preps[idx].DCache {
+					switch preps[idx].DCache() {
 					case cache.ShortMiss:
 						lat += int64(cfg.Hierarchy.ShortMissLatency)
 						res.DCacheShort++
@@ -182,7 +182,7 @@ func scan(t *trace.Trace, cfg Config, preps []stats.Event, prod []trace.Producer
 				issuedByClass[class]++
 				issuedByCluster[cluster]++
 				winCount[cluster]--
-				if in.Class == isa.Branch && preps[idx].Mispredict && !cfg.IdealPredictor {
+				if in.Class == isa.Branch && preps[idx].Mispredict() && !cfg.IdealPredictor {
 					res.Mispredicts++
 					if len(outstanding) > 0 {
 						res.MispredictsOverlapped++
@@ -237,13 +237,13 @@ func scan(t *trace.Trace, cfg Config, preps []stats.Event, prod []trace.Producer
 		if !fetchHalted && cycle >= fetchStallUntil {
 			for k := 0; k < cfg.Width && fetched < n && fetched-dispatched < feCap; k++ {
 				in := &t.Instrs[fetched]
-				if !cfg.IdealICache && fetched > chargedFetch && preps[fetched].ICache != cache.Hit {
+				if !cfg.IdealICache && fetched > chargedFetch && preps[fetched].ICache() != cache.Hit {
 					// The missing instruction (and everything after it)
 					// arrives only after the miss delay; charge it once,
 					// recording the charge so the retry after the stall
 					// proceeds.
-					delay := int64(cfg.Hierarchy.Latency(preps[fetched].ICache))
-					if preps[fetched].ICache == cache.ShortMiss {
+					delay := int64(cfg.Hierarchy.Latency(preps[fetched].ICache()))
+					if preps[fetched].ICache() == cache.ShortMiss {
 						res.ICacheShort++
 					} else {
 						res.ICacheLong++
@@ -260,7 +260,7 @@ func scan(t *trace.Trace, cfg Config, preps []stats.Event, prod []trace.Producer
 					fetchSlot = 0
 				}
 				fetched++
-				if in.Class == isa.Branch && preps[fetched-1].Mispredict && !cfg.IdealPredictor {
+				if in.Class == isa.Branch && preps[fetched-1].Mispredict() && !cfg.IdealPredictor {
 					// Fetch of useful instructions stops until the
 					// branch resolves at issue.
 					fetchHalted = true

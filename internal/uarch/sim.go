@@ -25,7 +25,7 @@ func Simulate(t *trace.Trace, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return run(t, cfg, events, trace.ComputeProducers(t))
+	return run(t, cfg, events)
 }
 
 // Classify runs the functional pass, stats.Classify, under the
@@ -64,9 +64,12 @@ func SimulateWithEvents(t *trace.Trace, events []stats.Event, cfg Config) (*Resu
 		return nil, fmt.Errorf("uarch: %d events for %d instructions", len(events), t.Len())
 	}
 	for i, ev := range events {
-		if ev.TLBMiss && cfg.TLB == nil {
+		if !ev.Valid() {
+			return nil, fmt.Errorf("uarch: event %d (0x%02x) is not a valid classification", i, uint8(ev))
+		}
+		if ev.TLBMiss() && cfg.TLB == nil {
 			return nil, fmt.Errorf("uarch: event %d has a TLB miss but no TLB is configured", i)
 		}
 	}
-	return run(t, cfg, events, trace.ComputeProducers(t))
+	return run(t, cfg, events)
 }
