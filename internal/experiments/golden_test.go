@@ -87,3 +87,13 @@ func TestGoldenSweeps(t *testing.T) {
 		})
 	}
 }
+
+// TestGoldenFigure14 locks down Fig. 14 on the small suite: the
+// simulated, eq. 8 and isolated long-miss penalties per benchmark.
+func TestGoldenFigure14(t *testing.T) {
+	res, err := Figure14(smallSuite())
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareGolden(t, "fig14", res.Render())
+}
