@@ -37,7 +37,8 @@ fuzz-smoke:
 # Run every benchmark once, so their set-up and b.Fatal paths stay
 # working; this checks that they run, not how fast. Of the root
 # package's experiment benchmarks, only the detailed simulator and
-# Fig. 14, the one that serializes long misses, are included.
+# Fig. 14, the only caller of the long-miss isolation transform
+# (stats.IsolateLongMisses), are included.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
 	$(GO) test -run '^$$' -bench 'DetailedSimulator|Figure14$$' -benchtime 1x .

@@ -16,7 +16,7 @@ import (
 // order. It costs O(cycles × W) and is kept only as the oracle the
 // program-order pass is checked against. finish must be zeroed on entry.
 func referenceSimulate(t *trace.Trace, window, issueWidth int, lat isa.LatencyTable,
-	prod []trace.Producer, finish []int64) (float64, error) {
+	finish []int64) (float64, error) {
 	n := t.Len()
 
 	// slot is one window entry: the instruction index, its producer
@@ -32,11 +32,28 @@ func referenceSimulate(t *trace.Trace, window, issueWidth int, lat isa.LatencyTa
 	issued := 0
 	var now int64 = 1
 
+	// lastWriter holds, per register, the index of the latest filled
+	// instruction to write it, or -1: slots fill in program order, so it
+	// resolves each source's producer.
+	var lastWriter [isa.NumArchRegs]int32
+	for r := range lastWriter {
+		lastWriter[r] = -1
+	}
+	producer := func(r int16) int32 {
+		if r < 0 {
+			return -1
+		}
+		return lastWriter[r]
+	}
 	fill := func() {
 		for len(win) < window && next < n {
-			s := slot{idx: int32(next), src1: prod[next].Src1, src2: prod[next].Src2}
+			in := &t.Instrs[next]
+			s := slot{idx: int32(next), src1: producer(in.Src1), src2: producer(in.Src2)}
 			if s.src1 < 0 && s.src2 < 0 {
 				s.readyAt = 1 // no producers: ready from the first cycle
+			}
+			if in.Dest >= 0 {
+				lastWriter[in.Dest] = int32(next)
 			}
 			win = append(win, s)
 			next++
@@ -103,14 +120,13 @@ func referenceSimulate(t *trace.Trace, window, issueWidth int, lat isa.LatencyTa
 // referenceCharacteristic measures the IW curve with referenceSimulate.
 func referenceCharacteristic(tb testing.TB, t *trace.Trace, windows []int, opts Options) []Point {
 	tb.Helper()
-	prod := trace.ComputeProducers(t)
 	lat := unitLatencies
 	if opts.Latencies != nil {
 		lat = *opts.Latencies
 	}
 	points := make([]Point, 0, len(windows))
 	for _, w := range windows {
-		ipc, err := referenceSimulate(t, w, opts.IssueWidth, lat, prod, make([]int64, t.Len()))
+		ipc, err := referenceSimulate(t, w, opts.IssueWidth, lat, make([]int64, t.Len()))
 		if err != nil {
 			tb.Fatal(err)
 		}

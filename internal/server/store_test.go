@@ -15,7 +15,6 @@ import (
 	"fomodel/internal/experiments"
 	"fomodel/internal/iw"
 	"fomodel/internal/stats"
-	"fomodel/internal/trace"
 	"fomodel/internal/workload"
 )
 
@@ -317,11 +316,11 @@ func TestStoreWithLegacyProducerLinks(t *testing.T) {
 			t.Fatal(err)
 		}
 		// The old binary's encoding: magic, count, then the two source
-		// producers of each instruction as int32s.
+		// producers of each instruction as int32s. The daemon never
+		// reads the links, so every one is -1 (no producer).
 		buf := binary.LittleEndian.AppendUint64([]byte("FOP1"), uint64(tr.Len()))
-		for _, p := range trace.ComputeProducers(tr) {
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(p.Src1))
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(p.Src2))
+		for range 2 * tr.Len() {
+			buf = binary.LittleEndian.AppendUint32(buf, ^uint32(0))
 		}
 		if err := st.Put("prods", workload.ContentID(r.bench, 8000, r.seed), buf); err != nil {
 			t.Fatal(err)

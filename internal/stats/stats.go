@@ -9,6 +9,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"fomodel/internal/cache"
 	"fomodel/internal/isa"
@@ -385,6 +386,40 @@ func groupPositions(positions []int32, horizon int) map[int]int {
 	return groups
 }
 
+// IsolateLongMisses returns a copy of events for the paper's §4.3
+// isolation experiment: a long data miss keeps its LongMiss result only
+// when it leads a group of eq. 8's grouping (Summary.LongMissGroups),
+// that is, when it lies more than robSize instructions after the last
+// kept miss. Every other long miss becomes a hit. Only loads and stores
+// count: a long-miss result on any other instruction, which the
+// simulator ignores, neither leads a group nor changes. The I-cache,
+// mispredict and TLB bits are left as they are. events is only read, so
+// it may be shared with concurrent users.
+func IsolateLongMisses(t *trace.Trace, events []Event, robSize int) []Event {
+	out := slices.Clone(events)
+	leader := -1
+	for i, ev := range out {
+		if ev.DCache() != cache.LongMiss || !t.Instrs[i].IsMem() {
+			continue
+		}
+		if leads(leader, i, robSize) {
+			leader = i
+			continue
+		}
+		out[i] = NewEvent(ev.ICache(), cache.Hit, ev.Mispredict(), ev.TLBMiss())
+	}
+	return out
+}
+
+// leads reports whether a miss event at dynamic instruction index i
+// starts a new group rather than joining the one led by the event at
+// index leader (-1 when there is none): it lies more than horizon
+// instructions after the leader. It is eq. 8's grouping rule, shared by
+// the model's clustering and the isolation experiment.
+func leads(leader, i, horizon int) bool {
+	return leader < 0 || i-leader > horizon
+}
+
 // clusterCounter implements the leader-based grouping of miss events
 // within a ROB window (see Summary.LongMissGroups).
 type clusterCounter struct {
@@ -401,7 +436,7 @@ func newClusterCounter(robSize int, groups map[int]int) *clusterCounter {
 // note records a miss event at dynamic instruction index i; indices must
 // be non-decreasing.
 func (c *clusterCounter) note(i int) {
-	if c.leader >= 0 && i-c.leader <= c.robSize {
+	if !leads(c.leader, i, c.robSize) {
 		c.size++
 		return
 	}

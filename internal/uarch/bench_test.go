@@ -112,10 +112,10 @@ func BenchmarkSimulateIdealSweep(b *testing.B) {
 // served from a warm PrepCache — at 100k instructions for three
 // benchmarks under seven machines: the baseline, width 8, a 128-entry
 // window, a 256-entry ROB, in-order issue, two clusters, and serialized
-// long misses, the one option the cycle-stepping scan runs. The
-// benchmarks span the simulator's regimes (mcf stalls on long misses,
-// vortex and gzip keep the window busy), so a slowdown confined to one
-// regime shows up in its own row.
+// long misses, the one option that copies the events before the pass
+// (stats.IsolateLongMisses). The benchmarks span the simulator's
+// regimes (mcf stalls on long misses, vortex and gzip keep the window
+// busy), so a slowdown confined to one regime shows up in its own row.
 func BenchmarkRunConfigs(b *testing.B) {
 	configs := []struct {
 		name   string

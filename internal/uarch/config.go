@@ -29,11 +29,10 @@
 // whose width, FU and cluster slots older instructions have left free.
 // Issue is oldest first and every latency is at least one cycle, so a
 // younger instruction can never change an older one's timing, which
-// makes the result identical to stepping the machine. The one exception
-// is SerializeLongMisses: whether a long miss is demoted depends on
-// long misses outstanding at its issue, younger ones that issued first
-// included, so that option runs the cycle-stepping scan, which is also
-// the oracle the pass is tested against.
+// makes the result identical to stepping the machine; a cycle-stepping
+// simulator is kept in the tests as the oracle the pass is checked
+// against. SerializeLongMisses changes only the events the pass charges
+// (stats.IsolateLongMisses), not the pass.
 package uarch
 
 import (
@@ -82,10 +81,12 @@ type Config struct {
 	Warmup bool
 
 	// SerializeLongMisses reproduces the paper's §4.3 isolation
-	// experiment: while one long data miss is outstanding, subsequent
-	// long misses are demoted to hits, so every long miss is observed in
-	// isolation. Only the cycle-stepping scan can run it (see the
-	// package comment), so it is slower than any other option.
+	// experiment: only the long data misses that lead a group of eq. 8's
+	// grouping — more than ROBSize instructions after the last kept
+	// miss — are charged, and the rest are demoted to hits
+	// (stats.IsolateLongMisses). A kept miss cannot dispatch until the
+	// previous one retires, so every charged miss is observed in
+	// isolation.
 	SerializeLongMisses bool
 
 	// FUCounts, when any entry is positive, limits how many instructions

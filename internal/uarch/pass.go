@@ -17,12 +17,12 @@ import (
 const minIssueSlots = 1024
 
 // run executes the timing simulation proper. preps is read-only and may
-// be shared with concurrent runs. Serialized long misses need the
-// cycle-stepping scan (see scan); every other machine takes the
-// program-order pass.
+// be shared with concurrent runs. SerializeLongMisses runs the pass on a
+// copy of preps that keeps only the long misses leading an eq. 8 group
+// (stats.IsolateLongMisses).
 func run(t *trace.Trace, cfg Config, preps []stats.Event) (*Result, error) {
 	if cfg.SerializeLongMisses {
-		return scan(t, cfg, preps, trace.ComputeProducers(t))
+		preps = stats.IsolateLongMisses(t, preps, cfg.ROBSize)
 	}
 	return pass(t, cfg, preps)
 }
@@ -70,8 +70,8 @@ type missSpan struct{ issue, finish int64 }
 // instruction never takes a slot an older one could use; every latency
 // is at least one cycle, so nothing issued in a cycle can wake another
 // instruction in that cycle. Within a cycle the stages run retire,
-// issue, dispatch, fetch, as in scan, so a slot freed by one stage is
-// usable by the next stage in the same cycle.
+// issue, dispatch, fetch, so a slot freed by one stage is usable by the
+// next stage in the same cycle.
 //
 // Per instruction, the pass reads its trace record, its event byte and
 // the register tables: an operand is ready when the register's latest

@@ -1,7 +1,6 @@
 package uarch
 
 import (
-	"reflect"
 	"runtime"
 	"testing"
 
@@ -9,7 +8,6 @@ import (
 	"fomodel/internal/isa"
 	"fomodel/internal/stats"
 	"fomodel/internal/trace"
-	"fomodel/internal/workload"
 )
 
 // TestPassMemoryIndependentOfCycles runs a dependence chain whose every
@@ -46,7 +44,7 @@ func handRun(t *testing.T, instrs []trace.Instruction, events []stats.Event, cfg
 	t.Helper()
 	tr := &trace.Trace{Name: "hand", Instrs: instrs}
 	checkAgainstReference(t, "hand", tr, cfg, events)
-	res, err := scan(tr, cfg, events, trace.ComputeProducers(tr))
+	res, err := reference(tr, cfg, events)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,42 +136,6 @@ func TestOverlapCountersAtBoundaries(t *testing.T) {
 			t.Errorf("%s: overlapped mispredicts %d, I-cache misses %d; want %d, %d",
 				c.name, res.MispredictsOverlapped, res.ICacheOverlapped, c.misp, c.icov)
 		}
-	}
-}
-
-// TestSerializeTakesScan checks that run hands a SerializeLongMisses
-// config to the scan: the pass has no notion of demotion, so on a
-// benchmark with overlapping long misses its result differs, and run's
-// must be the scan's.
-func TestSerializeTakesScan(t *testing.T) {
-	tr, err := workload.Generate("mcf", 5000, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	cfg.SerializeLongMisses = true
-	preps, err := Classify(tr, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := run(tr, cfg, preps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := scan(tr, cfg, preps, trace.ComputeProducers(tr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("run with serialized long misses differs from the scan\n got  %+v\n want %+v", got, want)
-	}
-	unserialized, err := pass(tr, cfg, preps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if unserialized.DCacheLong <= want.DCacheLong {
-		t.Fatalf("pass charged %d long misses, scan %d: the trace demotes none, so it cannot tell the engines apart",
-			unserialized.DCacheLong, want.DCacheLong)
 	}
 }
 

@@ -20,7 +20,8 @@ import (
 // Deliberately excluded — they affect only the timing pass, never the
 // functional classification: Width, FrontEndDepth, WindowSize, ROBSize,
 // Latencies, FUCounts, FetchBufferSize, InOrder, RecordIssueTrace,
-// Clusters, BypassLatency, SerializeLongMisses, the three Ideal* toggles
+// Clusters, BypassLatency, SerializeLongMisses (run derives the isolated
+// events from the shared classification), the three Ideal* toggles
 // (Classify always runs the full functional pass; run decides whether to
 // charge the events), the hierarchy's Short/LongMissLatency, and the
 // TLB's MissLatency. The Ideal-toggle exclusion is what lets the paper's

@@ -14,19 +14,23 @@ import (
 	"fomodel/internal/workload"
 )
 
-// checkAgainstReference runs the program-order pass and the scan on the
-// same inputs and requires identical Results, or identical errors. The
-// pass cannot serialize long misses, so a config that does is checked
-// through run instead, which must hand it to the scan. The scan follows
-// producer links; the pass never sees them.
+// reference runs the scan on what run simulates: under
+// SerializeLongMisses, the isolated events with the option off.
+func reference(tr *trace.Trace, cfg Config, preps []stats.Event) (*Result, error) {
+	if cfg.SerializeLongMisses {
+		preps = stats.IsolateLongMisses(tr, preps, cfg.ROBSize)
+		cfg.SerializeLongMisses = false
+	}
+	res, _, err := scan(tr, cfg, preps)
+	return res, err
+}
+
+// checkAgainstReference runs run and its reference on the same inputs
+// and requires identical Results, or identical errors.
 func checkAgainstReference(t *testing.T, name string, tr *trace.Trace, cfg Config, preps []stats.Event) {
 	t.Helper()
-	engine := pass
-	if cfg.SerializeLongMisses {
-		engine = run
-	}
-	got, gotErr := engine(tr, cfg, preps)
-	want, wantErr := scan(tr, cfg, preps, trace.ComputeProducers(tr))
+	got, gotErr := run(tr, cfg, preps)
+	want, wantErr := reference(tr, cfg, preps)
 	if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
 		t.Fatalf("%s: error %v, oracle %v", name, gotErr, wantErr)
 	}
@@ -139,6 +143,41 @@ func TestRunMatchesReference(t *testing.T) {
 	}
 }
 
+// TestIsolatedLongMissesNeverOverlap checks the paper's §4.3 property
+// behind SerializeLongMisses on every built-in workload across the
+// differential grid: on the isolated events, the scan never charges a
+// long data miss while another is outstanding.
+func TestIsolatedLongMissesNeverOverlap(t *testing.T) {
+	n := 20000
+	if testing.Short() {
+		n = 3000
+	}
+	configs := differentialConfigs()
+	for _, name := range workload.Names() {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			tr, err := workload.Generate(name, n, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, nc := range configs {
+				preps, err := Classify(tr, nc.cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, stacked, err := scan(tr, nc.cfg, stats.IsolateLongMisses(tr, preps, nc.cfg.ROBSize))
+				if err != nil {
+					t.Fatalf("%s: %v", nc.name, err)
+				}
+				if stacked != 0 {
+					t.Errorf("%s: %d of %d isolated long misses charged while another was outstanding",
+						nc.name, stacked, res.DCacheLong)
+				}
+			}
+		})
+	}
+}
+
 // TestSimulateWithEventsMatchesReference drives the pass through
 // SimulateWithEvents with synthetic events, denser than any built-in's,
 // including TLB misses.
@@ -152,7 +191,6 @@ func TestSimulateWithEventsMatchesReference(t *testing.T) {
 	for i := range events {
 		events[i] = stats.NewEvent(cache.Result(r.Intn(3)), cache.Result(r.Intn(3)), r.Bool(0.1), r.Bool(0.05))
 	}
-	prod := trace.ComputeProducers(tr)
 	for _, nc := range differentialConfigs() {
 		cfg := nc.cfg
 		if cfg.TLB == nil {
@@ -163,7 +201,7 @@ func TestSimulateWithEventsMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", nc.name, err)
 		}
-		want, err := scan(tr, cfg, events, prod)
+		want, err := reference(tr, cfg, events)
 		if err != nil {
 			t.Fatalf("%s: oracle: %v", nc.name, err)
 		}
