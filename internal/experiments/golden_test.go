@@ -97,3 +97,29 @@ func TestGoldenFigure14(t *testing.T) {
 	}
 	compareGolden(t, "fig14", res.Render())
 }
+
+// TestGoldenIWFigures locks down the IW characteristic figures on the
+// small suite: Fig. 4's curves, Table 1's power-law fits, Fig. 5's
+// measured-vs-fit rows (gzip, vortex, vpr) and Fig. 6's width-capped
+// curves (gcc), so a change to the IW kernel shows in rendered bytes.
+func TestGoldenIWFigures(t *testing.T) {
+	s := smallSuite()
+	cases := []struct {
+		name string
+		run  func(*Suite) (Renderable, error)
+	}{
+		{"fig4", func(s *Suite) (Renderable, error) { return Figure4(s) }},
+		{"table1", func(s *Suite) (Renderable, error) { return Table1(s) }},
+		{"fig5", func(s *Suite) (Renderable, error) { return Figure5(s) }},
+		{"fig6", func(s *Suite) (Renderable, error) { return Figure6(s) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := tc.run(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			compareGolden(t, tc.name, res.Render())
+		})
+	}
+}
