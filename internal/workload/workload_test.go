@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"fomodel/internal/isa"
+	"fomodel/internal/rng"
 )
 
 func testProfile() Profile {
@@ -342,6 +343,34 @@ func TestNoSelfLoops(t *testing.T) {
 	for i := range g.blocks {
 		if g.blocks[i].takenTarget == i {
 			t.Fatalf("block %d targets itself", i)
+		}
+	}
+}
+
+// TestDrawMixMatchesWeightedSum checks the generator's cumulative class
+// draw against rng.WeightedSum on the same weights and stream, for
+// mixes with zero weights, one class, and weights far apart in size.
+func TestDrawMixMatchesWeightedSum(t *testing.T) {
+	mixes := [][isa.NumClasses]float64{
+		baseProfile("base").Mix,
+		{isa.ALU: 1},
+		{isa.Load: 0.3, isa.Store: 0.7},
+		{isa.ALU: 1e-12, isa.Mul: 1e12, isa.Div: 3, isa.FPU: 1e-300, isa.Load: 0.5, isa.Store: 2},
+	}
+	for mi, mix := range mixes {
+		p := testProfile()
+		p.Mix = mix
+		g := mustGen(t, p, uint64(mi+1))
+		var weights []float64
+		for _, c := range g.mixClasses {
+			weights = append(weights, mix[c])
+		}
+		ref := rng.NewStream(uint64(mi+1), 0x01)
+		total := rng.WeightSum(weights)
+		for i := 0; i < 10000; i++ {
+			if got, want := g.drawMix(), ref.WeightedSum(weights, total); got != want {
+				t.Fatalf("mix %d draw %d: drawMix %d, WeightedSum %d", mi, i, got, want)
+			}
 		}
 	}
 }
