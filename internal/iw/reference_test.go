@@ -218,6 +218,7 @@ func TestMatchesReferenceEdgeCases(t *testing.T) {
 		{"chain", chainTrace(700), []int{1, 2, 3, 64, 1024}},
 		{"independent", independentTrace(700), []int{1, 2, 3, 64, 1024}},
 		{"producers", strided, differentialWindows},
+		{"unsorted-duplicates", gzip, []int{64, 2, 8, 2, 1, 501, 8, 3}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -230,18 +231,46 @@ func TestMatchesReferenceEdgeCases(t *testing.T) {
 	}
 }
 
-// FuzzCharacteristic decodes arbitrary bytes into a small trace, a window,
-// an issue-width cap and a latency table, and checks the program-order
-// pass against the cycle-by-cycle oracle.
+// TestMatchesReferenceLongLatency uses latencies longer than a window's
+// starting per-cycle buffer, so the buffers start larger and still grow
+// and slide under long dependence chains.
+func TestMatchesReferenceLongLatency(t *testing.T) {
+	gzip, err := workload.Generate("gzip", 400, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lat := isa.DefaultLatencies()
+	lat[isa.Load] = 700
+	lat[isa.Mul] = 90
+	for _, width := range []int{0, 1, 3} {
+		checkAgainstReference(t, gzip, []int{1, 4, 64, 4, 500}, Options{IssueWidth: width, Latencies: &lat})
+		checkAgainstReference(t, chainTrace(300), []int{2, 300}, Options{IssueWidth: width, Latencies: &lat})
+	}
+}
+
+// FuzzCharacteristic decodes arbitrary bytes into a small trace, one to
+// four windows (unsorted, repeats allowed), an issue-width cap and a
+// latency table, and checks every point of the one-walk pass against the
+// cycle-by-cycle oracle.
 func FuzzCharacteristic(f *testing.F) {
 	f.Add([]byte{0, 3, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add([]byte{127, 0, 8, 1, 1, 0xff, 0xff, 2, 0, 0, 0, 3, 1, 1, 1})
 	f.Add([]byte{1, 2, 4, 2, 7, 3, 1, 9, 5, 5, 5, 5, 6, 2, 2, 2})
+	f.Add([]byte{0xc5, 1, 1, 4, 9, 63, 1, 9, 0, 0, 0, 3, 1, 1, 1, 2, 2, 0x80, 0x81, 4, 3, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 4 {
 			return
 		}
-		window := 1 + int(data[0])%128
+		// The top two bits of the first byte give the number of windows
+		// beyond the first; each window takes a byte of its own.
+		windows := []int{1 + int(data[0]&0x3f)%128}
+		extra := int(data[0] >> 6)
+		if len(data) < 4+extra {
+			return
+		}
+		for _, b := range data[4 : 4+extra] {
+			windows = append(windows, 1+int(b)%128)
+		}
 		width := int(data[1]) % 9
 		var lat *isa.LatencyTable
 		switch data[2] % 3 {
@@ -260,7 +289,7 @@ func FuzzCharacteristic(f *testing.F) {
 		// sources over all 64 registers, where a high bit means no
 		// register, so every register sits next to the finish table's
 		// sentinel slots.
-		body := data[4:]
+		body := data[4+extra:]
 		n := min(512, len(body)/4)
 		if n == 0 {
 			return
@@ -279,6 +308,6 @@ func FuzzCharacteristic(f *testing.F) {
 				Dest: reg(b[1]), Src1: reg(b[2]), Src2: reg(b[3]),
 			})
 		}
-		checkAgainstReference(t, tr, []int{window}, Options{IssueWidth: width, Latencies: lat})
+		checkAgainstReference(t, tr, windows, Options{IssueWidth: width, Latencies: lat})
 	})
 }
