@@ -1,7 +1,7 @@
 // Package artifact implements the persistent workload-artifact store:
 // a directory of checksummed, versioned files holding the expensive
-// per-benchmark preparation products (serialized traces, producer links,
-// classification preps, IW characteristic fits and miss statistics),
+// per-benchmark preparation products (serialized traces, classification
+// preps, IW characteristic fits and miss statistics),
 // keyed by *content* — the generation recipe and the configuration
 // projection that determines the artifact — never by in-memory identity.
 //

@@ -2,16 +2,14 @@ package cli
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log/slog"
-	"net"
-	"net/http"
 	"time"
 
 	"fomodel/internal/artifact"
+	"fomodel/internal/httpfront"
 	"fomodel/internal/registry"
 	"fomodel/internal/server"
 )
@@ -96,32 +94,7 @@ func Fomodeld(ctx context.Context, args []string, out io.Writer) error {
 		}()
 	}
 
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return err
-	}
-	httpSrv := &http.Server{
-		Handler:           srv.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-	logger.Info("fomodeld listening", "addr", ln.Addr().String(), "n", *n, "seed", *seed)
-
-	errCh := make(chan error, 1)
-	go func() { errCh <- httpSrv.Serve(ln) }()
-	select {
-	case err := <-errCh:
-		return err
-	case <-ctx.Done():
-	}
-
-	logger.Info("shutting down, draining in-flight requests", "timeout", (*drain).String())
-	//folint:allow(ctxflow) the parent ctx is already cancelled here; the drain deadline needs a fresh context
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-		return fmt.Errorf("fomodeld: drain incomplete: %w", err)
-	}
-	if err := <-errCh; err != nil && !errors.Is(err, http.ErrServerClosed) {
+	if err := httpfront.Serve(ctx, "fomodeld", *addr, srv.Handler(), *drain, logger, "n", *n, "seed", *seed); err != nil {
 		return err
 	}
 	logger.Info("fomodeld stopped")

@@ -7,11 +7,10 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"net"
-	"net/http"
 	"strings"
 	"time"
 
+	"fomodel/internal/httpfront"
 	"fomodel/internal/reqkey"
 	"fomodel/internal/router"
 )
@@ -68,33 +67,7 @@ func Fomodelproxy(ctx context.Context, args []string, out io.Writer) error {
 	defer stopProbes()
 	rt.Start(probeCtx)
 
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return err
-	}
-	httpSrv := &http.Server{
-		Handler:           rt.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-	logger.Info("fomodelproxy listening",
-		"addr", ln.Addr().String(), "replicas", len(urls))
-
-	errCh := make(chan error, 1)
-	go func() { errCh <- httpSrv.Serve(ln) }()
-	select {
-	case err := <-errCh:
-		return err
-	case <-ctx.Done():
-	}
-
-	logger.Info("shutting down, draining in-flight requests", "timeout", (*drain).String())
-	//folint:allow(ctxflow) the parent ctx is already cancelled here; the drain deadline needs a fresh context
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-		return fmt.Errorf("fomodelproxy: drain incomplete: %w", err)
-	}
-	if err := <-errCh; err != nil && !errors.Is(err, http.ErrServerClosed) {
+	if err := httpfront.Serve(ctx, "fomodelproxy", *addr, rt.Handler(), *drain, logger, "replicas", len(urls)); err != nil {
 		return err
 	}
 	stopProbes()

@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"fomodel/internal/experiments"
+	"fomodel/internal/httpfront"
 	"fomodel/internal/optimize"
 	"fomodel/internal/server"
 	"fomodel/internal/workload"
@@ -214,17 +215,11 @@ func (c *Client) retryAfter(resp *http.Response) time.Duration {
 func apiError(resp *http.Response) error {
 	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
 	resp.Body.Close()
-	var e struct {
-		Error string `json:"error"`
+	var e httpfront.ErrorBody
+	if json.Unmarshal(body, &e) != nil || e.Error == "" {
+		e.Error = http.StatusText(resp.StatusCode)
 	}
-	msg := ""
-	if json.Unmarshal(body, &e) == nil {
-		msg = e.Error
-	}
-	if msg == "" {
-		msg = http.StatusText(resp.StatusCode)
-	}
-	return &APIError{Status: resp.StatusCode, Message: msg}
+	return &APIError{Status: resp.StatusCode, Message: e.Error}
 }
 
 // do runs one request through the retry loop and returns a 200

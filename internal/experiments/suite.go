@@ -46,8 +46,8 @@ type Suite struct {
 	// deterministic at any setting.
 	Workers int
 	// Store, when non-nil, persists the expensive per-benchmark prep
-	// products (traces, analyses, classification preps, producer links)
-	// across processes; see internal/artifact. Set it before the first
+	// products (traces, analyses, classification preps) across
+	// processes; see internal/artifact. Set it before the first
 	// Workload call — it is read without synchronization.
 	Store *artifact.Store
 	// Timings, when non-nil, receives one "workload" sample per computed
@@ -61,9 +61,9 @@ type Suite struct {
 
 	mu    sync.Mutex
 	cache map[string]*workloadEntry
-	// preps memoizes the simulator's classification pass and producer
-	// links across configs (see uarch.PrepCache); multi-config studies
-	// share one functional pass per distinct classification key.
+	// preps memoizes the simulator's classification pass across configs
+	// (see uarch.PrepCache); multi-config studies share one functional
+	// pass per distinct classification key.
 	preps *uarch.PrepCache
 	// workloadComputes and simRuns count the suite's two expensive
 	// operations (see Counters). They use the shared metrics counter type
@@ -129,9 +129,8 @@ func (s *Suite) PrepCounters() (hits, misses int64) {
 	return s.preps.Stats()
 }
 
-// Preps exposes the suite's classification cache so callers that run the
-// simulator outside Suite.Simulate (the serving daemon's predict path)
-// can share its memoized functional passes and its hit/miss counters.
+// Preps exposes the suite's classification cache: its hit/miss and
+// eviction counters, and Forget for a trace the caller is dropping.
 // Nil when the suite was built without NewSuite.
 func (s *Suite) Preps() *uarch.PrepCache { return s.preps }
 
@@ -327,8 +326,16 @@ func (s *Suite) Simulate(w *Workload, mutate func(*uarch.Config)) (*uarch.Result
 	if mutate != nil {
 		mutate(&cfg)
 	}
+	return s.SimulateTrace(w.Trace, cfg)
+}
+
+// SimulateTrace runs the detailed simulator on t with cfg through the
+// suite's classification cache. Every simulator run the suite (or the
+// daemon serving from it) makes goes through here, so the simulator-run
+// counter counts each one.
+func (s *Suite) SimulateTrace(t *trace.Trace, cfg uarch.Config) (*uarch.Result, error) {
 	s.simRuns.Inc()
-	return s.preps.Simulate(w.Trace, cfg)
+	return s.preps.Simulate(t, cfg)
 }
 
 // Estimate runs the analytical model on w with the paper's default

@@ -1,7 +1,8 @@
 // Package errdrop forbids silently discarded errors on the serving
 // and persistence paths: HTTP handlers (internal/server), the proxy
-// forward path (internal/router), and the artifact store
-// (internal/artifact). These are exactly the places where a dropped
+// forward path (internal/router), the HTTP front both serve through
+// (internal/httpfront), the artifact store (internal/artifact), and the
+// workload registry (internal/registry). These are exactly the places where a dropped
 // error turns into a wrong response or silent data loss — a Marshal
 // error swallowed in a handler serves an empty body with a 200, a
 // dropped write error persists a truncated artifact — and where PR 6
@@ -33,10 +34,11 @@ import (
 
 // Packages scopes the analyzer to the error-critical paths.
 var Packages = map[string]bool{
-	"fomodel/internal/server":   true,
-	"fomodel/internal/router":   true,
-	"fomodel/internal/artifact": true,
-	"fomodel/internal/registry": true,
+	"fomodel/internal/server":    true,
+	"fomodel/internal/router":    true,
+	"fomodel/internal/httpfront": true,
+	"fomodel/internal/artifact":  true,
+	"fomodel/internal/registry":  true,
 }
 
 // Analyzer is the errdrop pass.

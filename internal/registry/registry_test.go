@@ -3,6 +3,9 @@ package registry
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 
 	"fomodel/internal/artifact"
@@ -196,6 +199,80 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	}
 	if _, ok := r2.Get("other"); ok {
 		t.Error("deleted entry resurrected by Load")
+	}
+}
+
+// TestTornIndexWriteKeepsPreviousIndex simulates a crash while the
+// index is rewritten: the store writes a temp file and renames it over
+// the index, so a crash between the two leaves a partial temp file
+// beside the previous index. A fresh process must load the previous
+// index exactly, whatever prefix of the new one reached the disk, and
+// must still persist later registrations.
+func TestTornIndexWriteKeepsPreviousIndex(t *testing.T) {
+	// The bytes of the index write that crashes: the same registrations
+	// plus one more, persisted through a store in another directory.
+	nextDir := t.TempDir()
+	nextStore, err := artifact.Open(nextDir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := New(Config{Store: nextStore})
+	for _, name := range []string{"mine", "theirs", "late"} {
+		if _, err := next.Register("alice", name, testProfile(t, name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	files, err := filepath.Glob(filepath.Join(nextDir, "*"))
+	if err != nil || len(files) != 1 {
+		t.Fatalf("want the index as the only file, got %v (err %v)", files, err)
+	}
+	full, err := os.ReadFile(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, cut := range []int{0, 1, len(full) / 2, len(full) - 1, len(full)} {
+		t.Run(fmt.Sprint(cut), func(t *testing.T) {
+			dir := t.TempDir()
+			store, err := artifact.Open(dir, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := New(Config{Store: store})
+			for _, name := range []string{"mine", "theirs"} {
+				if _, err := r.Register("alice", name, testProfile(t, name)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want := r.List()
+			if err := os.WriteFile(filepath.Join(dir, "tmp-torn"), full[:cut], 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			reopened, err := artifact.Open(dir, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r2 := New(Config{Store: reopened})
+			if n, err := r2.Load(); err != nil || n != len(want) {
+				t.Fatalf("Load restored %d entries (err %v), want %d", n, err, len(want))
+			}
+			if got := r2.List(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("reloaded registry differs from the previous index:\n got %+v\nwant %+v", got, want)
+			}
+
+			// The torn file does not shadow later writes.
+			if _, err := r2.Register("alice", "late", testProfile(t, "late")); err != nil {
+				t.Fatal(err)
+			}
+			again, err := artifact.Open(dir, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n, err := New(Config{Store: again}).Load(); err != nil || n != 3 {
+				t.Fatalf("after a later registration, Load restored %d entries (err %v), want 3", n, err)
+			}
+		})
 	}
 }
 

@@ -17,7 +17,6 @@ package router
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -30,6 +29,7 @@ import (
 
 	"fomodel/internal/client"
 	"fomodel/internal/experiments"
+	"fomodel/internal/httpfront"
 	"fomodel/internal/metrics"
 	"fomodel/internal/optimize"
 	"fomodel/internal/reqkey"
@@ -129,12 +129,12 @@ type Router struct {
 	start time.Time
 
 	// upstream times each forward call's wait on replicas (its attempts'
-	// time to response headers, summed), and latency each proxied request
-	// end to end; for a request that makes one forward call, their
+	// time to response headers, summed), and front.Latency each proxied
+	// request end to end; for a request that makes one forward call, their
 	// difference is the proxy's own cost. Workload-write fanouts are not
 	// timed upstream.
 	upstream *metrics.Histogram
-	latency  *metrics.Histogram
+	front    *httpfront.Front
 
 	// failOpen counts routings that fell back to ejected replicas,
 	// rawKeyRoutes bodies routed by their raw bytes for want of a key, and
@@ -145,19 +145,12 @@ type Router struct {
 	loadDiversions metrics.Counter
 
 	reqIDSeq   atomic.Uint64
-	reqMu      sync.Mutex
-	requests   map[requestKey]*metrics.Counter
 	probeGroup sync.WaitGroup
 
 	// mirror tracks name → content hash for workload registrations the
 	// proxy has replicated, so registered names canonicalize to the same
 	// content-carrying keys on the proxy as on the daemons.
 	mirror *workloadMirror
-}
-
-type requestKey struct {
-	path string
-	code int
 }
 
 // New builds a router over cfg.Replicas, which must be distinct: a URL
@@ -192,10 +185,9 @@ func New(cfg Config, log *slog.Logger) (*Router, error) {
 		reps:     make([]*replica, len(cfg.Replicas)),
 		start:    time.Now(),
 		upstream: metrics.NewHistogram(metrics.DefaultLatencyBounds()...),
-		latency:  metrics.NewHistogram(metrics.DefaultLatencyBounds()...),
-		requests: make(map[requestKey]*metrics.Counter),
 		mirror:   mirror,
 	}
+	rt.front = httpfront.New(log, rt.nextRequestID)
 	for i, url := range cfg.Replicas {
 		// The router only calls DoRaw, which makes one attempt: the
 		// proxy never retries, and never sleeps on a Retry-After.
@@ -472,23 +464,6 @@ func (b *cancelOnClose) Close() error {
 	return err
 }
 
-// strictDecode parses b exactly the way the daemon parses request
-// bodies: unknown fields and trailing data are errors. The proxy uses it
-// only to derive routing keys — a body it cannot decode still gets
-// forwarded (routed by its raw bytes) so the daemon's own error response
-// stays authoritative.
-func strictDecode(b []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(b))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	if dec.More() {
-		return errors.New("trailing data")
-	}
-	return nil
-}
-
 // rawKey routes an unkeyable body by its bytes, counting the fallback;
 // the derivation lives in reqkey.Raw so the fallback keyspace is defined
 // next to the canonical one it must stay disjoint from.
@@ -501,7 +476,7 @@ func (rt *Router) rawKey(endpoint string, body []byte) string {
 // response-cache key, normalization included.
 func (rt *Router) predictKey(body []byte) string {
 	var req server.PredictRequest
-	if err := strictDecode(body, &req); err != nil {
+	if err := httpfront.DecodeStrict(body, &req); err != nil {
 		return rt.rawKey("predict", body)
 	}
 	key, err := server.PredictCacheKey(req, rt.cfg.Defaults)
@@ -515,7 +490,7 @@ func (rt *Router) predictKey(body []byte) string {
 // buffered-sweep cache key.
 func (rt *Router) sweepKey(body []byte) string {
 	var spec experiments.SweepSpec
-	if err := strictDecode(body, &spec); err != nil {
+	if err := httpfront.DecodeStrict(body, &spec); err != nil {
 		return rt.rawKey("sweep", body)
 	}
 	key, err := server.SweepCacheKey(spec, rt.cfg.Defaults)
@@ -531,7 +506,7 @@ func (rt *Router) sweepKey(body []byte) string {
 // evaluations warmed).
 func (rt *Router) optimizeKey(body []byte) string {
 	var spec optimize.Spec
-	if err := strictDecode(body, &spec); err != nil {
+	if err := httpfront.DecodeStrict(body, &spec); err != nil {
 		return rt.rawKey("optimize", body)
 	}
 	key, err := server.OptimizeCacheKey(spec, rt.cfg.Defaults)
@@ -547,17 +522,4 @@ func (rt *Router) optimizeKey(body []byte) string {
 // staying cheap and allocation-free to generate.
 func (rt *Router) nextRequestID() string {
 	return fmt.Sprintf("%x-%x", rt.start.UnixNano(), rt.reqIDSeq.Add(1))
-}
-
-// requestCounter returns the live counter for one (path, status) pair.
-func (rt *Router) requestCounter(path string, code int) *metrics.Counter {
-	rt.reqMu.Lock()
-	defer rt.reqMu.Unlock()
-	k := requestKey{path: path, code: code}
-	c := rt.requests[k]
-	if c == nil {
-		c = &metrics.Counter{}
-		rt.requests[k] = c
-	}
-	return c
 }

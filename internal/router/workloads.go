@@ -9,6 +9,7 @@ import (
 	"net/url"
 	"sync"
 
+	"fomodel/internal/httpfront"
 	"fomodel/internal/server"
 )
 
@@ -169,16 +170,16 @@ func workloadPath(name string) string {
 	return "/v1/workloads/" + url.PathEscape(name)
 }
 
-func (rt *Router) handleWorkloadRegister(w http.ResponseWriter, r *http.Request) {
+func (rt *Router) handleWorkloadRegister(w *httpfront.Writer, r *http.Request) {
 	name := r.PathValue("name")
-	body, ok := rt.readBody(w, r, maxBodyBytes)
+	body, ok := httpfront.ReadBody(w, r, server.MaxBodyBytes)
 	if !ok {
 		return
 	}
 	results := rt.fanout(r, http.MethodPost, workloadPath(name), body)
 	answer, err := pickFanoutAnswer(results)
 	if err != nil {
-		rt.writeForwardError(w, r, err)
+		writeForwardError(w, err)
 		return
 	}
 	if answer.status == http.StatusOK {
@@ -190,7 +191,7 @@ func (rt *Router) handleWorkloadRegister(w http.ResponseWriter, r *http.Request)
 	relayBuffered(w, answer)
 }
 
-func (rt *Router) handleWorkloadDelete(w http.ResponseWriter, r *http.Request) {
+func (rt *Router) handleWorkloadDelete(w *httpfront.Writer, r *http.Request) {
 	name := r.PathValue("name")
 	results := rt.fanout(r, http.MethodDelete, workloadPath(name), nil)
 	// Whatever the replicas said, the proxy must stop resolving the name:
@@ -199,13 +200,13 @@ func (rt *Router) handleWorkloadDelete(w http.ResponseWriter, r *http.Request) {
 	rt.mirror.remove(name)
 	answer, err := pickFanoutAnswer(results)
 	if err != nil {
-		rt.writeForwardError(w, r, err)
+		writeForwardError(w, err)
 		return
 	}
 	relayBuffered(w, answer)
 }
 
-func (rt *Router) handleWorkloadGet(w http.ResponseWriter, r *http.Request) {
+func (rt *Router) handleWorkloadGet(w *httpfront.Writer, r *http.Request) {
 	name := r.PathValue("name")
 	key, err := server.WorkloadItemKey(name)
 	if err != nil {

@@ -7,17 +7,18 @@ import (
 	"net/http"
 
 	"fomodel/internal/experiments"
+	"fomodel/internal/httpfront"
 )
 
-// maxBatchItems bounds one /v1/batch request. A batch occupies a single
+// MaxBatchItems bounds one /v1/batch request. A batch occupies a single
 // admission slot regardless of size, so the item bound (together with
 // the worker pool) is what keeps one request from monopolizing the
 // server.
-const maxBatchItems = 256
+const MaxBatchItems = 256
 
-// maxBatchBodyBytes bounds the /v1/batch request body; a full batch of
-// maxBatchItems small JSON objects fits comfortably.
-const maxBatchBodyBytes = 1 << 20
+// MaxBatchBodyBytes bounds the /v1/batch request body; a full batch of
+// MaxBatchItems small JSON objects fits comfortably.
+const MaxBatchBodyBytes = 1 << 20
 
 // BatchRequest is the /v1/batch body: many independent predict requests
 // evaluated in one round trip.
@@ -54,20 +55,18 @@ type BatchResponse struct {
 // pool. Each item participates in the response cache under the same key
 // as the equivalent /v1/predict request, and item failures — including
 // panics inside pooled workers — are isolated to the item's slot.
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	sw := w.(*statusWriter)
+func (s *Server) handleBatch(w *httpfront.Writer, r *http.Request) {
 	var req BatchRequest
-	if err := decodeRequestLimit(r, &req, maxBatchBodyBytes); err != nil {
-		s.writeRequestError(w, err)
+	if !decodeRequest(w, r, MaxBatchBodyBytes, &req) {
 		return
 	}
 	if len(req.Items) == 0 {
-		s.writeError(w, http.StatusBadRequest, "batch needs at least one item")
+		httpfront.WriteError(w, http.StatusBadRequest, "batch needs at least one item")
 		return
 	}
-	if len(req.Items) > maxBatchItems {
-		s.writeError(w, http.StatusBadRequest,
-			"batch of %d items exceeds the %d-item limit", len(req.Items), maxBatchItems)
+	if len(req.Items) > MaxBatchItems {
+		httpfront.WriteError(w, http.StatusBadRequest,
+			"batch of %d items exceeds the %d-item limit", len(req.Items), MaxBatchItems)
 		return
 	}
 
@@ -88,11 +87,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			return nil
 		})
 	if err != nil {
-		s.finishComputeState(sw, nil, "", err)
+		s.finishComputeState(w, nil, "", err)
 		return
 	}
 	body, err := EncodeIndented(BatchResponse{Items: items})
-	s.finishComputeState(sw, body, "", err)
+	s.finishComputeState(w, body, "", err)
 }
 
 // badItem is a 400 outcome for one batch item.

@@ -3,20 +3,21 @@ package server
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 
 	"fomodel/internal/experiments"
+	"fomodel/internal/httpfront"
 	"fomodel/internal/reqkey"
 	"fomodel/internal/workload"
 )
 
-// Request sizes are bounded: every valid request body is a small JSON
-// object, so anything bigger is rejected before decoding.
-const maxBodyBytes = 1 << 16
+// MaxBodyBytes bounds request bodies: every valid request body is a
+// small JSON object, so anything bigger is rejected before decoding. The
+// fomodelproxy router reads bodies under the same bounds, so a client
+// sees the same 413 whether or not a proxy sits in front.
+const MaxBodyBytes = 1 << 16
 
 // Instruction-count bounds per request, keeping a single request's
 // memory and CPU within reason.
@@ -25,59 +26,19 @@ const (
 	maxTraceLen = 5_000_000
 )
 
-// statusError is a request-decoding failure that dictates its own HTTP
-// status (e.g. 413 for an oversized body); plain errors map to 400.
-type statusError struct {
-	code int
-	msg  string
-}
-
-func (e *statusError) Error() string { return e.msg }
-
-// writeRequestError writes a decoding failure with its proper status:
-// the statusError's own code when it carries one, 400 otherwise.
-func (s *Server) writeRequestError(w http.ResponseWriter, err error) {
-	code := http.StatusBadRequest
-	var se *statusError
-	if errors.As(err, &se) {
-		code = se.code
+// decodeRequest reads the request body, bounded by limit, and parses it
+// strictly into v (unknown fields and trailing data are errors),
+// answering 413 or 400 itself when it cannot.
+func decodeRequest(w *httpfront.Writer, r *http.Request, limit int64, v any) bool {
+	raw, ok := httpfront.ReadBody(w, r, limit)
+	if !ok {
+		return false
 	}
-	s.writeError(w, code, "%s", err)
-}
-
-// decodeRequest parses a JSON request body strictly (unknown fields are
-// errors, as is trailing garbage).
-func decodeRequest(r *http.Request, v any) error {
-	return decodeRequestLimit(r, v, maxBodyBytes)
-}
-
-// decodeRequestLimit is decodeRequest with an explicit body bound;
-// /v1/batch allows a larger body than the single-object endpoints. A
-// body over the bound is an explicit 413 naming the limit — never a
-// silent truncation misreported as malformed JSON.
-func decodeRequestLimit(r *http.Request, v any, limit int64) error {
-	// Read the whole (bounded) body first: an over-limit body must
-	// always surface as a 413, even when its prefix happens to parse.
-	raw, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, limit))
-	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			return &statusError{
-				code: http.StatusRequestEntityTooLarge,
-				msg:  fmt.Sprintf("request body exceeds the %d-byte limit", limit),
-			}
-		}
-		return fmt.Errorf("invalid request body: %v", err)
+	if err := httpfront.DecodeStrict(raw, v); err != nil {
+		httpfront.WriteError(w, http.StatusBadRequest, "invalid request body: %v", err)
+		return false
 	}
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("invalid request body: %v", err)
-	}
-	if dec.More() {
-		return fmt.Errorf("invalid request body: trailing data after the JSON object")
-	}
-	return nil
+	return true
 }
 
 // EncodeIndented marshals v exactly the way the CLI's -json mode does
@@ -154,46 +115,44 @@ func (req *PredictRequest) Normalize(d reqkey.Defaults) error {
 	return nil
 }
 
-func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	sw := w.(*statusWriter)
+func (s *Server) handlePredict(w *httpfront.Writer, r *http.Request) {
 	var req PredictRequest
-	if err := decodeRequest(r, &req); err != nil {
-		s.writeRequestError(w, err)
+	if !decodeRequest(w, r, MaxBodyBytes, &req) {
 		return
 	}
 	if err := req.Normalize(s.cfg.KeyDefaults()); err != nil {
-		s.writeError(w, http.StatusBadRequest, "%s", err)
+		httpfront.WriteError(w, http.StatusBadRequest, "%s", err)
 		return
 	}
 	mode, err := ParseBranchMode(req.BranchMode)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "%s", err)
+		httpfront.WriteError(w, http.StatusBadRequest, "%s", err)
 		return
 	}
 	machine, err := req.Machine.Machine()
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "%s", err)
+		httpfront.WriteError(w, http.StatusBadRequest, "%s", err)
 		return
 	}
 	ucfg, err := req.Machine.SimConfig()
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "%s", err)
+		httpfront.WriteError(w, http.StatusBadRequest, "%s", err)
 		return
 	}
 	// Reject structurally invalid machines up front, so configuration
 	// mistakes are 400s and only genuine computation failures become 500s.
 	if err := machine.Validate(); err != nil {
-		s.writeError(w, http.StatusBadRequest, "%s", err)
+		httpfront.WriteError(w, http.StatusBadRequest, "%s", err)
 		return
 	}
 	if err := ucfg.Validate(); err != nil {
-		s.writeError(w, http.StatusBadRequest, "%s", err)
+		httpfront.WriteError(w, http.StatusBadRequest, "%s", err)
 		return
 	}
 
 	key, err := PredictCacheKey(req, s.cfg.KeyDefaults())
 	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, "%s", err)
+		httpfront.WriteError(w, http.StatusInternalServerError, "%s", err)
 		return
 	}
 	ctx := r.Context()
@@ -212,7 +171,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return body, nil
 	})
 	s.noteRegisteredUse(req.Bench, hit)
-	s.finishCompute(sw, body, hit, err)
+	s.finishCompute(w, body, hit, err)
 }
 
 // SweepResponse is the /v1/sweep body: the structured sweep points plus
@@ -246,29 +205,45 @@ func wantsNDJSON(r *http.Request) bool {
 	return strings.Contains(r.Header.Get("Accept"), ndjsonContentType)
 }
 
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	sw := w.(*statusWriter)
+// writeRow writes v as one row of a streamed NDJSON response and flushes
+// it; the first row sends the 200 and the content type.
+func writeRow(w *httpfront.Writer, v any) error {
+	row, err := json.Marshal(v)
+	if err != nil {
+		return err
+	}
+	if w.Code == 0 {
+		w.Header().Set("Content-Type", ndjsonContentType)
+		w.WriteHeader(http.StatusOK)
+	}
+	if _, err := w.Write(append(row, '\n')); err != nil {
+		return err
+	}
+	w.Flush()
+	return nil
+}
+
+func (s *Server) handleSweep(w *httpfront.Writer, r *http.Request) {
 	var spec experiments.SweepSpec
-	if err := decodeRequest(r, &spec); err != nil {
-		s.writeRequestError(w, err)
+	if !decodeRequest(w, r, MaxBodyBytes, &spec) {
 		return
 	}
 	// The cheap size cap comes before the per-value config checks.
 	if cells := len(spec.Benches) * len(spec.Values); cells > 256 {
-		s.writeError(w, http.StatusBadRequest, "sweep grid of %d cells exceeds the 256-cell limit", cells)
+		httpfront.WriteError(w, http.StatusBadRequest, "sweep grid of %d cells exceeds the 256-cell limit", cells)
 		return
 	}
 	if err := spec.ValidateFor(s.suite); err != nil {
-		s.writeError(w, http.StatusBadRequest, "%s", err)
+		httpfront.WriteError(w, http.StatusBadRequest, "%s", err)
 		return
 	}
 	if wantsNDJSON(r) {
-		s.streamSweep(sw, r, spec)
+		s.streamSweep(w, r, spec)
 		return
 	}
 	key, err := SweepCacheKey(spec, s.cfg.KeyDefaults())
 	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, "%s", err)
+		httpfront.WriteError(w, http.StatusInternalServerError, "%s", err)
 		return
 	}
 	ctx := r.Context()
@@ -290,7 +265,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}
 		return body, nil
 	})
-	s.finishCompute(sw, body, hit, err)
+	s.finishCompute(w, body, hit, err)
 }
 
 // streamSweep is the NDJSON sweep mode: one compact SweepPoint row per
@@ -301,25 +276,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 // remaining grid cells through the request context; a failure after the
 // first row has been sent is reported as a final {"error": ...} row,
 // since the 200 header is already on the wire.
-func (s *Server) streamSweep(sw *statusWriter, r *http.Request, spec experiments.SweepSpec) {
+func (s *Server) streamSweep(w *httpfront.Writer, r *http.Request, spec experiments.SweepSpec) {
 	ctx := r.Context()
-	wroteRow := false
-	writeRow := func(v any) error {
-		row, err := json.Marshal(v)
-		if err != nil {
-			return err
-		}
-		if !wroteRow {
-			sw.Header().Set("Content-Type", ndjsonContentType)
-			sw.WriteHeader(http.StatusOK)
-			wroteRow = true
-		}
-		if _, err := sw.Write(append(row, '\n')); err != nil {
-			return err
-		}
-		sw.Flush()
-		return nil
-	}
 	res, err := func() (res *experiments.SweepResult, err error) {
 		// The streamed path runs outside the response cache, so it needs
 		// its own panic net: worker panics arrive here as PanicError via
@@ -335,24 +293,24 @@ func (s *Server) streamSweep(sw *statusWriter, r *http.Request, spec experiments
 			s.panicHook(spec.Param)
 		}
 		return experiments.SweepStream(ctx, s.suite, spec, func(pt experiments.SweepPoint) error {
-			return writeRow(pt)
+			return writeRow(w, pt)
 		})
 	}()
 	if err != nil {
-		if !wroteRow {
+		if w.Code == 0 {
 			// Nothing sent yet: fail the request with its real status.
-			s.finishCompute(sw, nil, false, err)
+			s.finishCompute(w, nil, false, err)
 			return
 		}
 		if ctx.Err() == nil {
 			// Mid-stream failure with a live client: the status line is
 			// gone, so the error travels as the final row.
 			//folint:allow(errdrop) final error row on a dying stream; a failed write means the client is gone too
-			writeRow(errorResponse{Error: err.Error()})
+			writeRow(w, httpfront.ErrorBody{Error: err.Error()})
 		}
 		return
 	}
-	writeRow(SweepTrailer{ //folint:allow(errdrop) trailer ends the stream; a failed write means the client is gone and there is nothing left to send
+	writeRow(w, SweepTrailer{ //folint:allow(errdrop) trailer ends the stream; a failed write means the client is gone and there is nothing left to send
 		Title:      res.Title,
 		Param:      res.Param,
 		MeanAbsErr: res.MeanAbsErr,
@@ -388,8 +346,7 @@ type WorkloadsResponse struct {
 	Workloads []WorkloadInfo `json:"workloads"`
 }
 
-func (s *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
-	sw := w.(*statusWriter)
+func (s *Server) handleWorkloads(w *httpfront.Writer, r *http.Request) {
 	body, hit, err := s.cache.Do(WorkloadsCacheKey, func() ([]byte, error) {
 		infos, err := experiments.MapWorkloads(s.suite, func(wl *experiments.Workload) (WorkloadInfo, error) {
 			sum := wl.Summary
@@ -419,5 +376,5 @@ func (s *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
 		}
 		return body, nil
 	})
-	s.finishCompute(sw, body, hit, err)
+	s.finishCompute(w, body, hit, err)
 }

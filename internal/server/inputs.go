@@ -57,7 +57,7 @@ func (s *Server) predictRecord(req PredictRequest, machine core.Machine, ucfg ua
 		if err != nil {
 			return PredictRecord{}, err
 		}
-		r, err := s.suite.Preps().Simulate(t, ucfg)
+		r, err := s.suite.SimulateTrace(t, ucfg)
 		if err != nil {
 			return PredictRecord{}, err
 		}

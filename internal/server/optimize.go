@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"fomodel/internal/core"
+	"fomodel/internal/httpfront"
 	"fomodel/internal/optimize"
 )
 
@@ -161,28 +162,26 @@ func optimizeDeadline(ctx context.Context, spec optimize.Spec) (context.Context,
 	return context.WithTimeout(ctx, time.Duration(spec.DeadlineMS)*time.Millisecond)
 }
 
-func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
-	sw := w.(*statusWriter)
+func (s *Server) handleOptimize(w *httpfront.Writer, r *http.Request) {
 	var spec optimize.Spec
-	if err := decodeRequest(r, &spec); err != nil {
-		s.writeRequestError(w, err)
+	if !decodeRequest(w, r, MaxBodyBytes, &spec) {
 		return
 	}
 	if err := spec.NormalizeWith(s.cfg.N, s.cfg.Seed, s.knownWorkload); err != nil {
-		s.writeError(w, http.StatusBadRequest, "%s", err)
+		httpfront.WriteError(w, http.StatusBadRequest, "%s", err)
 		return
 	}
 	if spec.N < minTraceLen || spec.N > maxTraceLen {
-		s.writeError(w, http.StatusBadRequest, "n %d outside [%d, %d]", spec.N, minTraceLen, maxTraceLen)
+		httpfront.WriteError(w, http.StatusBadRequest, "n %d outside [%d, %d]", spec.N, minTraceLen, maxTraceLen)
 		return
 	}
 	if wantsNDJSON(r) {
-		s.streamOptimize(sw, r, spec)
+		s.streamOptimize(w, r, spec)
 		return
 	}
 	key, err := OptimizeCacheKey(spec, s.cfg.KeyDefaults())
 	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, "%s", err)
+		httpfront.WriteError(w, http.StatusInternalServerError, "%s", err)
 		return
 	}
 	ctx, cancel := optimizeDeadline(r.Context(), spec)
@@ -204,11 +203,11 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	// The spec's own deadline expiring is the client's doing, not the
 	// server's computation limit: report it precisely.
 	if errors.Is(err, context.DeadlineExceeded) && spec.DeadlineMS > 0 && r.Context().Err() == nil {
-		s.writeError(sw, http.StatusServiceUnavailable,
+		httpfront.WriteError(w, http.StatusServiceUnavailable,
 			"search exceeded the spec's %dms deadline", spec.DeadlineMS)
 		return
 	}
-	s.finishCompute(sw, body, hit, err)
+	s.finishCompute(w, body, hit, err)
 }
 
 // streamOptimize is the NDJSON optimize mode: one compact Point row per
@@ -219,26 +218,9 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 // predict response cache. Mid-stream failures follow the established
 // convention: a final {"error": ...} row, since the 200 header is
 // already on the wire.
-func (s *Server) streamOptimize(sw *statusWriter, r *http.Request, spec optimize.Spec) {
+func (s *Server) streamOptimize(w *httpfront.Writer, r *http.Request, spec optimize.Spec) {
 	ctx, cancel := optimizeDeadline(r.Context(), spec)
 	defer cancel()
-	wroteRow := false
-	writeRow := func(v any) error {
-		row, err := json.Marshal(v)
-		if err != nil {
-			return err
-		}
-		if !wroteRow {
-			sw.Header().Set("Content-Type", ndjsonContentType)
-			sw.WriteHeader(http.StatusOK)
-			wroteRow = true
-		}
-		if _, err := sw.Write(append(row, '\n')); err != nil {
-			return err
-		}
-		sw.Flush()
-		return nil
-	}
 	res, err := func() (res *optimize.Result, err error) {
 		// Worker panics arrive as PanicError via the engine's guard; this
 		// recover catches the handler goroutine itself, turning both into
@@ -252,26 +234,26 @@ func (s *Server) streamOptimize(sw *statusWriter, r *http.Request, spec optimize
 			s.panicHook(spec.Title)
 		}
 		return s.Optimize(ctx, spec, func(pt optimize.Point) error {
-			return writeRow(pt)
+			return writeRow(w, pt)
 		})
 	}()
 	if err != nil {
-		if !wroteRow {
+		if w.Code == 0 {
 			if errors.Is(err, context.DeadlineExceeded) && spec.DeadlineMS > 0 && r.Context().Err() == nil {
-				s.writeError(sw, http.StatusServiceUnavailable,
+				httpfront.WriteError(w, http.StatusServiceUnavailable,
 					"search exceeded the spec's %dms deadline", spec.DeadlineMS)
 				return
 			}
-			s.finishCompute(sw, nil, false, err)
+			s.finishCompute(w, nil, false, err)
 			return
 		}
 		if r.Context().Err() == nil {
 			//folint:allow(errdrop) final error row on a dying stream; a failed write means the client is gone too
-			writeRow(errorResponse{Error: err.Error()})
+			writeRow(w, httpfront.ErrorBody{Error: err.Error()})
 		}
 		return
 	}
-	writeRow(OptimizeTrailer{ //folint:allow(errdrop) trailer ends the stream; a failed write means the client is gone and there is nothing left to send
+	writeRow(w, OptimizeTrailer{ //folint:allow(errdrop) trailer ends the stream; a failed write means the client is gone and there is nothing left to send
 		Spec:        res.Spec,
 		Frontier:    res.Frontier,
 		Evaluations: res.Evaluations,

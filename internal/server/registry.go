@@ -4,6 +4,7 @@ import (
 	"errors"
 	"net/http"
 
+	"fomodel/internal/httpfront"
 	"fomodel/internal/metrics"
 	"fomodel/internal/registry"
 	"fomodel/internal/workload"
@@ -82,21 +83,20 @@ func registryStatus(err error) int {
 	}
 }
 
-func (s *Server) handleWorkloadRegister(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleWorkloadRegister(w *httpfront.Writer, r *http.Request) {
 	tenant, err := tenantOf(r)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "%s", err)
+		httpfront.WriteError(w, http.StatusBadRequest, "%s", err)
 		return
 	}
 	name := r.PathValue("name")
 	var prof workload.Profile
-	if err := decodeRequest(r, &prof); err != nil {
-		s.writeRequestError(w, err)
+	if !decodeRequest(w, r, MaxBodyBytes, &prof) {
 		return
 	}
 	e, err := s.cfg.Registry.Register(tenant, name, prof)
 	if err != nil {
-		s.writeError(w, registryStatus(err), "%s", err)
+		httpfront.WriteError(w, registryStatus(err), "%s", err)
 		return
 	}
 	// Drop any suite bundles computed under a previous registration of
@@ -104,34 +104,34 @@ func (s *Server) handleWorkloadRegister(w http.ResponseWriter, r *http.Request) 
 	// backstop, not the primary staleness defense.
 	s.suite.Forget(name)
 	body, err := EncodeIndented(registrationBody(e))
-	s.finishComputeState(w.(*statusWriter), body, "", err)
+	s.finishComputeState(w, body, "", err)
 }
 
-func (s *Server) handleWorkloadGet(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleWorkloadGet(w *httpfront.Writer, r *http.Request) {
 	name := r.PathValue("name")
 	e, ok := s.cfg.Registry.Get(name)
 	if !ok {
-		s.writeError(w, http.StatusNotFound, "no workload registered under %q", name)
+		httpfront.WriteError(w, http.StatusNotFound, "no workload registered under %q", name)
 		return
 	}
 	body, err := EncodeIndented(registrationBody(e))
-	s.finishComputeState(w.(*statusWriter), body, "", err)
+	s.finishComputeState(w, body, "", err)
 }
 
-func (s *Server) handleWorkloadDelete(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleWorkloadDelete(w *httpfront.Writer, r *http.Request) {
 	tenant, err := tenantOf(r)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "%s", err)
+		httpfront.WriteError(w, http.StatusBadRequest, "%s", err)
 		return
 	}
 	name := r.PathValue("name")
 	if err := s.cfg.Registry.Delete(tenant, name); err != nil {
-		s.writeError(w, registryStatus(err), "%s", err)
+		httpfront.WriteError(w, registryStatus(err), "%s", err)
 		return
 	}
 	s.suite.Forget(name)
 	body, err := EncodeIndented(WorkloadDeletion{Name: name, Deleted: true})
-	s.finishComputeState(w.(*statusWriter), body, "", err)
+	s.finishComputeState(w, body, "", err)
 }
 
 // knownWorkload reports whether bench is acceptable wherever a

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"math"
 	"net/http"
@@ -19,6 +18,7 @@ import (
 	"fomodel/internal/artifact"
 	"fomodel/internal/experiments"
 	"fomodel/internal/flight"
+	"fomodel/internal/httpfront"
 	"fomodel/internal/metrics"
 	"fomodel/internal/registry"
 	"fomodel/internal/trace"
@@ -85,17 +85,12 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// statusCodeClientGone is the nginx-convention code logged when the
-// client disconnected before a response could be written.
-const statusCodeClientGone = 499
-
 // Server is the fomodeld daemon: HTTP handlers plus the shared state
 // they serve from (the experiment suite with its workload and prep
 // caches, the response, analysis and trace caches, and the metrics
 // counters).
 type Server struct {
 	cfg   Config
-	log   *slog.Logger
 	suite *experiments.Suite
 	start time.Time
 
@@ -113,9 +108,9 @@ type Server struct {
 	// workloads). Evicting a trace releases its prep-cache entries.
 	traces *flight.Cache[string, *trace.Trace]
 
+	front    *httpfront.Front
 	inflight metrics.Gauge
 	shed     metrics.Counter
-	latency  *metrics.Histogram
 	slots    chan struct{}
 
 	// notReady is set while the daemon should be kept out of routing
@@ -123,9 +118,6 @@ type Server struct {
 	// clears. Inverted so the zero value — ready — matches servers that
 	// never warm.
 	notReady atomic.Bool
-
-	reqMu    sync.Mutex
-	requests map[requestKey]*metrics.Counter
 
 	// Per-registered-workload request/hit accounting, keyed by workload
 	// name; populated only for names present in the registry, so the
@@ -152,17 +144,9 @@ type Server struct {
 	panicHook func(name string)
 }
 
-type requestKey struct {
-	path string
-	code int
-}
-
 // New builds a server. A nil logger discards logs.
 func New(cfg Config, log *slog.Logger) *Server {
 	cfg = cfg.withDefaults()
-	if log == nil {
-		log = slog.New(slog.NewTextHandler(io.Discard, nil))
-	}
 	suite := experiments.NewSuite(cfg.N, cfg.Seed)
 	suite.Workers = cfg.Workers
 	suite.SetStore(cfg.Store)
@@ -172,7 +156,6 @@ func New(cfg Config, log *slog.Logger) *Server {
 	suite.Lookup = cfg.Registry.Snapshot
 	return &Server{
 		cfg:      cfg,
-		log:      log,
 		suite:    suite,
 		start:    time.Now(),
 		cache:    flight.New[string, []byte](cfg.CacheEntries, nil),
@@ -182,17 +165,16 @@ func New(cfg Config, log *slog.Logger) *Server {
 		traces: flight.New(cfg.TraceCacheEntries, func(_ string, t *trace.Trace) {
 			suite.Preps().Forget(t)
 		}),
-		latency:     metrics.NewHistogram(metrics.DefaultLatencyBounds()...),
+		front:       httpfront.New(log, nil),
 		slots:       make(chan struct{}, cfg.MaxInflight),
-		requests:    make(map[requestKey]*metrics.Counter),
 		regRequests: make(map[string]*metrics.Counter),
 		regHits:     make(map[string]*metrics.Counter),
 	}
 }
 
 // Warm precomputes every default workload bundle, filling the suite's
-// caches and — when a store is configured — persisting the trace,
-// analysis, producer, and prep artifacts so the next process boots warm.
+// caches and — when a store is configured — persisting the trace and
+// analysis artifacts so the next process boots warm.
 // It stops early when ctx is done.
 func (s *Server) Warm(ctx context.Context) error {
 	for _, name := range s.suite.Names {
@@ -211,94 +193,46 @@ func (s *Server) Warm(ctx context.Context) error {
 // per-request deadline; /healthz and /metrics always answer.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/predict", s.instrument("/v1/predict", true, s.handlePredict))
-	mux.HandleFunc("POST /v1/batch", s.instrument("/v1/batch", true, s.handleBatch))
-	mux.HandleFunc("POST /v1/sweep", s.instrument("/v1/sweep", true, s.handleSweep))
-	mux.HandleFunc("POST /v1/optimize", s.instrument("/v1/optimize", true, s.handleOptimize))
-	mux.HandleFunc("GET /v1/workloads", s.instrument("/v1/workloads", true, s.handleWorkloads))
-	mux.HandleFunc("POST /v1/workloads/{name}", s.instrument("/v1/workloads/{name}", true, s.handleWorkloadRegister))
-	mux.HandleFunc("GET /v1/workloads/{name}", s.instrument("/v1/workloads/{name}", true, s.handleWorkloadGet))
-	mux.HandleFunc("DELETE /v1/workloads/{name}", s.instrument("/v1/workloads/{name}", true, s.handleWorkloadDelete))
-	mux.HandleFunc("GET /healthz", s.instrument("/healthz", false, s.handleHealthz))
-	mux.HandleFunc("GET /readyz", s.instrument("/readyz", false, s.handleReadyz))
-	mux.HandleFunc("GET /metrics", s.instrument("/metrics", false, s.handleMetrics))
+	api := func(pattern string, h httpfront.HandlerFunc) { s.front.Handle(mux, pattern, s.admit(h)) }
+	api("POST /v1/predict", s.handlePredict)
+	api("POST /v1/batch", s.handleBatch)
+	api("POST /v1/sweep", s.handleSweep)
+	api("POST /v1/optimize", s.handleOptimize)
+	api("GET /v1/workloads", s.handleWorkloads)
+	api("POST /v1/workloads/{name}", s.handleWorkloadRegister)
+	api("GET /v1/workloads/{name}", s.handleWorkloadGet)
+	api("DELETE /v1/workloads/{name}", s.handleWorkloadDelete)
+	s.front.Handle(mux, "GET /healthz", s.handleHealthz)
+	s.front.Handle(mux, "GET /readyz", s.handleReadyz)
+	s.front.Handle(mux, "GET /metrics", s.handleMetrics)
 	return mux
 }
 
-// statusWriter records the status code a handler wrote (or 499 when the
-// client vanished first).
-type statusWriter struct {
-	http.ResponseWriter
-	code  int
-	bytes int
-	// reqID is the request's X-Request-ID header, when the client (the
-	// fomodelproxy router, typically) sent one; it is echoed into the
-	// response headers, the structured request log, and error bodies so
-	// one request that failed over or was retried can be traced across
-	// replicas.
-	reqID string
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.code == 0 {
-		w.code = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(p []byte) (int, error) {
-	if w.code == 0 {
-		w.code = http.StatusOK
-	}
-	n, err := w.ResponseWriter.Write(p)
-	w.bytes += n
-	return n, err
-}
-
-// Flush forwards to the underlying writer so streamed NDJSON rows reach
-// the client per grid cell rather than buffering until the sweep ends.
-func (w *statusWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-// instrument wraps a handler with admission control (when limited),
-// per-request deadline, the latency histogram, per-path/per-code request
-// counters, and one structured log line per request.
-func (s *Server) instrument(path string, limited bool, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		startReq := time.Now()
-		sw := &statusWriter{ResponseWriter: w}
-		if id := r.Header.Get("X-Request-ID"); id != "" {
-			sw.reqID = id
-			w.Header().Set("X-Request-ID", id)
+// admit wraps an API handler with admission control, shedding with 429
+// when MaxInflight requests are already executing, and the per-request
+// computation deadline.
+func (s *Server) admit(h httpfront.HandlerFunc) httpfront.HandlerFunc {
+	return func(w *httpfront.Writer, r *http.Request) {
+		select {
+		case s.slots <- struct{}{}:
+			s.inflight.Add(1)
+			defer func() {
+				<-s.slots
+				s.inflight.Add(-1)
+			}()
+		default:
+			s.shed.Inc()
+			w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
+			httpfront.WriteError(w, http.StatusTooManyRequests,
+				"server saturated: %d requests already in flight", s.cfg.MaxInflight)
+			return
 		}
-		if limited {
-			select {
-			case s.slots <- struct{}{}:
-				s.inflight.Add(1)
-				defer func() {
-					<-s.slots
-					s.inflight.Add(-1)
-				}()
-			default:
-				s.shed.Inc()
-				w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-				s.writeError(sw, http.StatusTooManyRequests,
-					"server saturated: %d requests already in flight", s.cfg.MaxInflight)
-				s.finish(path, sw, startReq, "")
-				return
-			}
-			if s.gate != nil {
-				<-s.gate
-			}
-			ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-			defer cancel()
-			r = r.WithContext(ctx)
+		if s.gate != nil {
+			<-s.gate
 		}
-		h(sw, r)
-		s.finish(path, sw, startReq, w.Header().Get("X-Cache"))
+		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+		defer cancel()
+		h(w, r.WithContext(ctx))
 	}
 }
 
@@ -308,7 +242,7 @@ func (s *Server) instrument(path string, limited bool, h http.HandlerFunc) http.
 // proportionally to how long requests are actually taking instead of
 // hammering a saturated server once per second.
 func (s *Server) retryAfterSeconds() int {
-	snap := s.latency.Snapshot()
+	snap := s.front.Latency.Snapshot()
 	if snap.Count == 0 {
 		return 1
 	}
@@ -319,67 +253,10 @@ func (s *Server) retryAfterSeconds() int {
 	return secs
 }
 
-// finish records the request in the metrics and the structured log.
-func (s *Server) finish(path string, sw *statusWriter, start time.Time, cacheState string) {
-	if sw.code == 0 {
-		sw.code = http.StatusOK
-	}
-	elapsed := time.Since(start)
-	s.latency.Observe(elapsed.Seconds())
-	s.requestCounter(path, sw.code).Inc()
-	attrs := []any{
-		"path", path,
-		"status", sw.code,
-		"dur_ms", elapsed.Milliseconds(),
-		"bytes", sw.bytes,
-	}
-	if cacheState != "" {
-		attrs = append(attrs, "cache", cacheState)
-	}
-	if sw.reqID != "" {
-		attrs = append(attrs, "request_id", sw.reqID)
-	}
-	s.log.Info("request", attrs...)
-}
-
-// requestCounter returns the live counter for one (path, status) pair.
-func (s *Server) requestCounter(path string, code int) *metrics.Counter {
-	s.reqMu.Lock()
-	defer s.reqMu.Unlock()
-	k := requestKey{path: path, code: code}
-	c := s.requests[k]
-	if c == nil {
-		c = &metrics.Counter{}
-		s.requests[k] = c
-	}
-	return c
-}
-
-// errorResponse is the structured error body of every non-200 response.
-// RequestID is present only when the request carried an X-Request-ID
-// header, so direct (headerless) requests keep their historical bodies.
-type errorResponse struct {
-	Error     string `json:"error"`
-	RequestID string `json:"request_id,omitempty"`
-}
-
-func (s *Server) writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	resp := errorResponse{Error: fmt.Sprintf(format, args...)}
-	if sw, ok := w.(*statusWriter); ok {
-		resp.RequestID = sw.reqID
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	//folint:allow(errdrop) errorResponse is two plain strings; Marshal cannot fail on it
-	body, _ := json.Marshal(resp)
-	//folint:allow(errdrop) error-response write: the client may already be gone, and there is no fallback channel
-	w.Write(append(body, '\n'))
-}
-
 // finishCompute maps a computation outcome onto the response: a body is
 // written as-is with 200, context errors become 499 (client gone,
 // nothing written) or 503 (deadline), and other failures become 500.
-func (s *Server) finishCompute(w *statusWriter, body []byte, hit bool, err error) {
+func (s *Server) finishCompute(w *httpfront.Writer, body []byte, hit bool, err error) {
 	cacheState := "miss"
 	if hit {
 		cacheState = "hit"
@@ -388,22 +265,23 @@ func (s *Server) finishCompute(w *statusWriter, body []byte, hit bool, err error
 }
 
 // finishComputeState is finishCompute with an explicit cache state; an
-// empty state omits the X-Cache header (batch responses report cache
-// participation per item instead).
-func (s *Server) finishComputeState(w *statusWriter, body []byte, cacheState string, err error) {
+// empty state omits the X-Cache header and log field (batch responses
+// report cache participation per item instead).
+func (s *Server) finishComputeState(w *httpfront.Writer, body []byte, cacheState string, err error) {
 	switch {
 	case errors.Is(err, context.Canceled):
 		// The client disconnected; there is no one to write to. Record
 		// the conventional 499 for the log and metrics.
-		w.code = statusCodeClientGone
+		w.Code = httpfront.StatusClientGone
 	case errors.Is(err, context.DeadlineExceeded):
-		s.writeError(w, http.StatusServiceUnavailable,
+		httpfront.WriteError(w, http.StatusServiceUnavailable,
 			"request exceeded the %s computation deadline", s.cfg.RequestTimeout)
 	case err != nil:
-		s.writeError(w, http.StatusInternalServerError, "%s", err)
+		httpfront.WriteError(w, http.StatusInternalServerError, "%s", err)
 	default:
 		if cacheState != "" {
 			w.Header().Set("X-Cache", cacheState)
+			w.Cache = cacheState
 		}
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusOK)
@@ -514,7 +392,7 @@ type readyzResponse struct {
 // a live daemon that is still running its boot warm-up answers 503 here
 // (and 200 on /healthz), telling the router "alive, but route my shard
 // elsewhere for now".
-func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleReadyz(w *httpfront.Writer, r *http.Request) {
 	resp := readyzResponse{Status: "ready", UptimeSeconds: time.Since(s.start).Seconds()}
 	w.Header().Set("Content-Type", "application/json")
 	if !s.Ready() {
@@ -525,7 +403,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(resp)
 }
 
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleHealthz(w *httpfront.Writer, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.Encode(healthzResponse{ //folint:allow(errdrop) healthz encode: the client may already be gone, and there is no fallback channel
@@ -540,106 +418,48 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // writeCacheMetrics renders one flight cache's hit, miss, eviction and
 // entry series as fomodeld_<name>_*; what names the cached things in
 // the HELP text.
-func writeCacheMetrics[K comparable, V any](w io.Writer, name, what string, c *flight.Cache[K, V]) {
+func writeCacheMetrics[K comparable, V any](x metrics.Exposition, name, what string, c *flight.Cache[K, V]) {
 	hits, misses, evictions := c.Stats()
-	for _, m := range []struct {
-		suffix, typ, help string
-		v                 int64
-	}{
-		{"hits_total", "counter", "served from the cache, joins of a successful in-flight computation included.", hits},
-		{"misses_total", "counter", "computed or loaded from the store because the cache had no entry.", misses},
-		{"evictions_total", "counter", "evicted by the cache's LRU bound.", evictions},
-		{"entries", "gauge", "currently cached, in-flight computations included.", int64(c.Len())},
-	} {
-		fmt.Fprintf(w, "# HELP fomodeld_%s_%s %s %s\n", name, m.suffix, what, m.help)
-		fmt.Fprintf(w, "# TYPE fomodeld_%s_%s %s\n", name, m.suffix, m.typ)
-		fmt.Fprintf(w, "fomodeld_%s_%s %d\n", name, m.suffix, m.v)
-	}
+	x.Counter(name+"_hits_total", what+" served from the cache, joins of a successful in-flight computation included.", hits)
+	x.Counter(name+"_misses_total", what+" computed or loaded from the store because the cache had no entry.", misses)
+	x.Counter(name+"_evictions_total", what+" evicted by the cache's LRU bound.", evictions)
+	x.Gauge(name+"_entries", what+" currently cached, in-flight computations included.", int64(c.Len()))
 }
 
 // handleMetrics renders every counter in the Prometheus text exposition
 // format. The prep-cache and suite counters are the very same
 // metrics.Counter values the CLI's -timing flag prints — one counter
 // type, one source, two surfaces.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleMetrics(w *httpfront.Writer, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+	x := metrics.NewExposition(w, "fomodeld_")
+	x.Uptime("Time since the server started.", s.start)
+	x.Requests(&s.front.Requests)
+	x.Gauge("requests_in_flight", "API requests currently executing.", s.inflight.Load())
+	x.Counter("requests_shed_total", "Requests rejected with 429 by the in-flight limiter.", s.shed.Load())
 
-	fmt.Fprintf(w, "# HELP fomodeld_uptime_seconds Time since the server started.\n")
-	fmt.Fprintf(w, "# TYPE fomodeld_uptime_seconds gauge\n")
-	fmt.Fprintf(w, "fomodeld_uptime_seconds %.3f\n", time.Since(s.start).Seconds())
+	writeCacheMetrics(x, "response_cache", "Responses", s.cache)
+	writeCacheMetrics(x, "analysis_cache", "Predict analyses", s.analysis)
+	writeCacheMetrics(x, "trace_cache", "Non-default traces", s.traces)
 
-	fmt.Fprintf(w, "# HELP fomodeld_requests_total Requests served, by path and status code.\n")
-	fmt.Fprintf(w, "# TYPE fomodeld_requests_total counter\n")
-	s.reqMu.Lock()
-	keys := make([]requestKey, 0, len(s.requests))
-	for k := range s.requests {
-		keys = append(keys, k)
-	}
-	s.reqMu.Unlock()
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].path != keys[j].path {
-			return keys[i].path < keys[j].path
-		}
-		return keys[i].code < keys[j].code
-	})
-	for _, k := range keys {
-		fmt.Fprintf(w, "fomodeld_requests_total{path=%q,code=\"%d\"} %d\n",
-			k.path, k.code, s.requestCounter(k.path, k.code).Load())
-	}
+	preps := s.suite.Preps()
+	prepHits, prepMisses := preps.Stats()
+	x.Counter("prep_cache_reuses_total", "Simulator runs that reused a cached classification pass.", prepHits)
+	x.Counter("prep_cache_passes_total", "Classification passes computed.", prepMisses)
+	x.Counter("prep_cache_evictions_total", "Prep-cache entries evicted by the LRU bound or trace eviction.", preps.Evictions())
+	x.Gauge("prep_cache_entries", "Classifications currently cached, one per trace and classification config.", int64(preps.Len()))
 
-	fmt.Fprintf(w, "# HELP fomodeld_requests_in_flight API requests currently executing.\n")
-	fmt.Fprintf(w, "# TYPE fomodeld_requests_in_flight gauge\n")
-	fmt.Fprintf(w, "fomodeld_requests_in_flight %d\n", s.inflight.Load())
-
-	fmt.Fprintf(w, "# HELP fomodeld_requests_shed_total Requests rejected with 429 by the in-flight limiter.\n")
-	fmt.Fprintf(w, "# TYPE fomodeld_requests_shed_total counter\n")
-	fmt.Fprintf(w, "fomodeld_requests_shed_total %d\n", s.shed.Load())
-
-	writeCacheMetrics(w, "response_cache", "Responses", s.cache)
-	writeCacheMetrics(w, "analysis_cache", "Predict analyses", s.analysis)
-	writeCacheMetrics(w, "trace_cache", "Non-default traces", s.traces)
-
-	prepHits, prepMisses := s.suite.Preps().Stats()
-	fmt.Fprintf(w, "# HELP fomodeld_prep_cache_reuses_total Simulator runs that reused a cached classification pass.\n")
-	fmt.Fprintf(w, "# TYPE fomodeld_prep_cache_reuses_total counter\n")
-	fmt.Fprintf(w, "fomodeld_prep_cache_reuses_total %d\n", prepHits)
-	fmt.Fprintf(w, "# HELP fomodeld_prep_cache_passes_total Classification passes computed.\n")
-	fmt.Fprintf(w, "# TYPE fomodeld_prep_cache_passes_total counter\n")
-	fmt.Fprintf(w, "fomodeld_prep_cache_passes_total %d\n", prepMisses)
-	fmt.Fprintf(w, "# HELP fomodeld_prep_cache_evictions_total Prep-cache entries evicted by the LRU bound or trace eviction.\n")
-	fmt.Fprintf(w, "# TYPE fomodeld_prep_cache_evictions_total counter\n")
-	fmt.Fprintf(w, "fomodeld_prep_cache_evictions_total %d\n", s.suite.Preps().Evictions())
-	fmt.Fprintf(w, "# HELP fomodeld_prep_cache_entries Classifications currently cached, one per trace and classification config.\n")
-	fmt.Fprintf(w, "# TYPE fomodeld_prep_cache_entries gauge\n")
-	fmt.Fprintf(w, "fomodeld_prep_cache_entries %d\n", s.suite.Preps().Len())
-
-	fmt.Fprintf(w, "# HELP fomodeld_optimize_evaluations_total Model evaluations (candidate x workload) run by design-space searches.\n")
-	fmt.Fprintf(w, "# TYPE fomodeld_optimize_evaluations_total counter\n")
-	fmt.Fprintf(w, "fomodeld_optimize_evaluations_total %d\n", s.optEvals.Load())
-	fmt.Fprintf(w, "# HELP fomodeld_optimize_evaluation_cache_hits_total Optimize evaluations answered by the response cache.\n")
-	fmt.Fprintf(w, "# TYPE fomodeld_optimize_evaluation_cache_hits_total counter\n")
-	fmt.Fprintf(w, "fomodeld_optimize_evaluation_cache_hits_total %d\n", s.optEvalHits.Load())
-	fmt.Fprintf(w, "# HELP fomodeld_optimize_refinement_rounds_total Refinement rounds run by design-space searches.\n")
-	fmt.Fprintf(w, "# TYPE fomodeld_optimize_refinement_rounds_total counter\n")
-	fmt.Fprintf(w, "fomodeld_optimize_refinement_rounds_total %d\n", s.optRounds.Load())
-	fmt.Fprintf(w, "# HELP fomodeld_optimize_frontier_size Frontier size of the most recent completed search.\n")
-	fmt.Fprintf(w, "# TYPE fomodeld_optimize_frontier_size gauge\n")
-	fmt.Fprintf(w, "fomodeld_optimize_frontier_size %d\n", s.optFrontier.Load())
+	x.Counter("optimize_evaluations_total", "Model evaluations (candidate x workload) run by design-space searches.", s.optEvals.Load())
+	x.Counter("optimize_evaluation_cache_hits_total", "Optimize evaluations answered by the response cache.", s.optEvalHits.Load())
+	x.Counter("optimize_refinement_rounds_total", "Refinement rounds run by design-space searches.", s.optRounds.Load())
+	x.Gauge("optimize_frontier_size", "Frontier size of the most recent completed search.", s.optFrontier.Load())
 
 	if reg := s.cfg.Registry; reg != nil {
 		registers, deletes, rejects, persistErrors := reg.Stats()
-		fmt.Fprintf(w, "# HELP fomodeld_registry_registrations_total Custom workloads registered (including replacements).\n")
-		fmt.Fprintf(w, "# TYPE fomodeld_registry_registrations_total counter\n")
-		fmt.Fprintf(w, "fomodeld_registry_registrations_total %d\n", registers)
-		fmt.Fprintf(w, "# HELP fomodeld_registry_deletions_total Custom workloads deleted.\n")
-		fmt.Fprintf(w, "# TYPE fomodeld_registry_deletions_total counter\n")
-		fmt.Fprintf(w, "fomodeld_registry_deletions_total %d\n", deletes)
-		fmt.Fprintf(w, "# HELP fomodeld_registry_rejections_total Registrations rejected by validation, collision, or quota.\n")
-		fmt.Fprintf(w, "# TYPE fomodeld_registry_rejections_total counter\n")
-		fmt.Fprintf(w, "fomodeld_registry_rejections_total %d\n", rejects)
-		fmt.Fprintf(w, "# HELP fomodeld_registry_persist_errors_total Failed writes of the registry index to the artifact store.\n")
-		fmt.Fprintf(w, "# TYPE fomodeld_registry_persist_errors_total counter\n")
-		fmt.Fprintf(w, "fomodeld_registry_persist_errors_total %d\n", persistErrors)
+		x.Counter("registry_registrations_total", "Custom workloads registered (including replacements).", registers)
+		x.Counter("registry_deletions_total", "Custom workloads deleted.", deletes)
+		x.Counter("registry_rejections_total", "Registrations rejected by validation, collision, or quota.", rejects)
+		x.Counter("registry_persist_errors_total", "Failed writes of the registry index to the artifact store.", persistErrors)
 
 		usage := reg.TenantUsage()
 		tenants := make([]string, 0, len(usage))
@@ -647,16 +467,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			tenants = append(tenants, t)
 		}
 		sort.Strings(tenants)
-		fmt.Fprintf(w, "# HELP fomodeld_registry_workloads Registered workloads currently held, by tenant.\n")
-		fmt.Fprintf(w, "# TYPE fomodeld_registry_workloads gauge\n")
-		for _, t := range tenants {
-			fmt.Fprintf(w, "fomodeld_registry_workloads{tenant=%q} %d\n", t, usage[t].Count)
-		}
-		fmt.Fprintf(w, "# HELP fomodeld_registry_bytes Encoded profile bytes currently held, by tenant.\n")
-		fmt.Fprintf(w, "# TYPE fomodeld_registry_bytes gauge\n")
-		for _, t := range tenants {
-			fmt.Fprintf(w, "fomodeld_registry_bytes{tenant=%q} %d\n", t, usage[t].Bytes)
-		}
+		x.Labeled("registry_workloads", "gauge", "Registered workloads currently held, by tenant.", "tenant", tenants,
+			func(i int) int64 { return int64(usage[tenants[i]].Count) })
+		x.Labeled("registry_bytes", "gauge", "Encoded profile bytes currently held, by tenant.", "tenant", tenants,
+			func(i int) int64 { return usage[tenants[i]].Bytes })
 
 		s.regUseMu.Lock()
 		names := make([]string, 0, len(s.regRequests))
@@ -665,60 +479,25 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 		s.regUseMu.Unlock()
 		sort.Strings(names)
-		fmt.Fprintf(w, "# HELP fomodeld_registered_workload_requests_total Predict evaluations referencing a registered workload, by name.\n")
-		fmt.Fprintf(w, "# TYPE fomodeld_registered_workload_requests_total counter\n")
-		for _, name := range names {
-			fmt.Fprintf(w, "fomodeld_registered_workload_requests_total{workload=%q} %d\n",
-				name, s.registeredUseCounter(s.regRequests, name).Load())
-		}
-		fmt.Fprintf(w, "# HELP fomodeld_registered_workload_cache_hits_total Registered-workload evaluations served from the response cache, by name.\n")
-		fmt.Fprintf(w, "# TYPE fomodeld_registered_workload_cache_hits_total counter\n")
-		for _, name := range names {
-			fmt.Fprintf(w, "fomodeld_registered_workload_cache_hits_total{workload=%q} %d\n",
-				name, s.registeredUseCounter(s.regHits, name).Load())
-		}
+		x.Labeled("registered_workload_requests_total", "counter", "Predict evaluations referencing a registered workload, by name.", "workload", names,
+			func(i int) int64 { return s.registeredUseCounter(s.regRequests, names[i]).Load() })
+		x.Labeled("registered_workload_cache_hits_total", "counter", "Registered-workload evaluations served from the response cache, by name.", "workload", names,
+			func(i int) int64 { return s.registeredUseCounter(s.regHits, names[i]).Load() })
 	}
 
 	if st := s.cfg.Store; st != nil {
 		hits, misses, corrupt, writes, evictions := st.Stats()
-		fmt.Fprintf(w, "# HELP fomodeld_artifact_store_hits_total Artifacts served from the persistent store.\n")
-		fmt.Fprintf(w, "# TYPE fomodeld_artifact_store_hits_total counter\n")
-		fmt.Fprintf(w, "fomodeld_artifact_store_hits_total %d\n", hits)
-		fmt.Fprintf(w, "# HELP fomodeld_artifact_store_misses_total Store lookups that found no artifact.\n")
-		fmt.Fprintf(w, "# TYPE fomodeld_artifact_store_misses_total counter\n")
-		fmt.Fprintf(w, "fomodeld_artifact_store_misses_total %d\n", misses)
-		fmt.Fprintf(w, "# HELP fomodeld_artifact_store_corrupt_total Artifacts rejected by checksum or framing validation.\n")
-		fmt.Fprintf(w, "# TYPE fomodeld_artifact_store_corrupt_total counter\n")
-		fmt.Fprintf(w, "fomodeld_artifact_store_corrupt_total %d\n", corrupt)
-		fmt.Fprintf(w, "# HELP fomodeld_artifact_store_writes_total Artifacts written to the store.\n")
-		fmt.Fprintf(w, "# TYPE fomodeld_artifact_store_writes_total counter\n")
-		fmt.Fprintf(w, "fomodeld_artifact_store_writes_total %d\n", writes)
-		fmt.Fprintf(w, "# HELP fomodeld_artifact_store_evictions_total Artifacts evicted by the store size bound.\n")
-		fmt.Fprintf(w, "# TYPE fomodeld_artifact_store_evictions_total counter\n")
-		fmt.Fprintf(w, "fomodeld_artifact_store_evictions_total %d\n", evictions)
-		fmt.Fprintf(w, "# HELP fomodeld_artifact_store_put_errors_total Artifact writes that failed (a full or read-only disk, say).\n")
-		fmt.Fprintf(w, "# TYPE fomodeld_artifact_store_put_errors_total counter\n")
-		fmt.Fprintf(w, "fomodeld_artifact_store_put_errors_total %d\n", st.PutErrors())
-		fmt.Fprintf(w, "# HELP fomodeld_artifact_store_bytes Bytes currently stored on disk.\n")
-		fmt.Fprintf(w, "# TYPE fomodeld_artifact_store_bytes gauge\n")
-		fmt.Fprintf(w, "fomodeld_artifact_store_bytes %d\n", st.SizeBytes())
+		x.Counter("artifact_store_hits_total", "Artifacts served from the persistent store.", hits)
+		x.Counter("artifact_store_misses_total", "Store lookups that found no artifact.", misses)
+		x.Counter("artifact_store_corrupt_total", "Artifacts rejected by checksum or framing validation.", corrupt)
+		x.Counter("artifact_store_writes_total", "Artifacts written to the store.", writes)
+		x.Counter("artifact_store_evictions_total", "Artifacts evicted by the store size bound.", evictions)
+		x.Counter("artifact_store_put_errors_total", "Artifact writes that failed (a full or read-only disk, say).", st.PutErrors())
+		x.Gauge("artifact_store_bytes", "Bytes currently stored on disk.", st.SizeBytes())
 	}
 
 	workloads, sims := s.suite.CounterSources()
-	fmt.Fprintf(w, "# HELP fomodeld_workload_analyses_total Workload analysis bundles computed.\n")
-	fmt.Fprintf(w, "# TYPE fomodeld_workload_analyses_total counter\n")
-	fmt.Fprintf(w, "fomodeld_workload_analyses_total %d\n", workloads.Load())
-	fmt.Fprintf(w, "# HELP fomodeld_sim_runs_total Detailed simulator runs.\n")
-	fmt.Fprintf(w, "# TYPE fomodeld_sim_runs_total counter\n")
-	fmt.Fprintf(w, "fomodeld_sim_runs_total %d\n", sims.Load())
-
-	snap := s.latency.Snapshot()
-	fmt.Fprintf(w, "# HELP fomodeld_request_duration_seconds Request latency.\n")
-	fmt.Fprintf(w, "# TYPE fomodeld_request_duration_seconds histogram\n")
-	for i, bound := range snap.Bounds {
-		fmt.Fprintf(w, "fomodeld_request_duration_seconds_bucket{le=\"%g\"} %d\n", bound, snap.Cumulative[i])
-	}
-	fmt.Fprintf(w, "fomodeld_request_duration_seconds_bucket{le=\"+Inf\"} %d\n", snap.Count)
-	fmt.Fprintf(w, "fomodeld_request_duration_seconds_sum %.6f\n", snap.Sum)
-	fmt.Fprintf(w, "fomodeld_request_duration_seconds_count %d\n", snap.Count)
+	x.Counter("workload_analyses_total", "Workload analysis bundles computed.", workloads.Load())
+	x.Counter("sim_runs_total", "Detailed simulator runs.", sims.Load())
+	x.Histogram("request_duration_seconds", "Request latency.", s.front.Latency)
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"fomodel/internal/httpfront"
 	"fomodel/internal/metrics/metricstest"
 )
 
@@ -248,7 +249,7 @@ func TestClientDisconnectCancelsSweep(t *testing.T) {
 	if rec.Body.Len() != 0 {
 		t.Errorf("disconnected client still received a body: %s", rec.Body.String())
 	}
-	if got := s.requestCounter("/v1/sweep", statusCodeClientGone).Load(); got != 1 {
+	if got := s.front.Requests.Counter("/v1/sweep", httpfront.StatusClientGone).Load(); got != 1 {
 		t.Errorf("499 counter = %d, want 1", got)
 	}
 	if _, sims := s.suite.CounterSources(); sims.Load() != 0 {
@@ -354,6 +355,35 @@ func TestHealthzAndMetrics(t *testing.T) {
 	}
 }
 
+// TestSimRunsCountEverySimulation: fomodeld_sim_runs_total counts the
+// simulator runs of predicts and batch items, not only sweep cells, and
+// a response-cache hit runs nothing.
+func TestSimRunsCountEverySimulation(t *testing.T) {
+	s := testServer(Config{})
+	simRuns := func() string {
+		body := get(s, "/metrics").Body.String()
+		for _, line := range strings.Split(body, "\n") {
+			if v, ok := strings.CutPrefix(line, "fomodeld_sim_runs_total "); ok {
+				return v
+			}
+		}
+		t.Fatalf("/metrics has no fomodeld_sim_runs_total:\n%s", body)
+		return ""
+	}
+	for i, step := range []struct{ path, body, want string }{
+		{"/v1/predict", `{"bench":"gzip","sim":true}`, "1"},
+		{"/v1/predict", `{"bench":"gzip","sim":true}`, "1"},
+		{"/v1/batch", `{"items":[{"bench":"gzip","sim":true},{"bench":"mcf","sim":true}]}`, "2"},
+	} {
+		if rec := post(s, step.path, step.body); rec.Code != http.StatusOK {
+			t.Fatalf("step %d: status %d: %s", i, rec.Code, rec.Body.String())
+		}
+		if got := simRuns(); got != step.want {
+			t.Errorf("step %d (%s %s): fomodeld_sim_runs_total %s, want %s", i, step.path, step.body, got, step.want)
+		}
+	}
+}
+
 // TestMetricsExpositionParses checks that every sample line of the
 // daemon's /metrics, after traffic through the simulator, the response
 // cache and the registry, reads as `name[{labels}] <float>`.
@@ -389,15 +419,15 @@ func TestRetryAfterDerived(t *testing.T) {
 	if got := s.retryAfterSeconds(); got != 1 {
 		t.Errorf("retryAfterSeconds with no history = %d, want 1", got)
 	}
-	s.latency.Observe(0.01)
+	s.front.Latency.Observe(0.01)
 	if got := s.retryAfterSeconds(); got != 1 {
 		t.Errorf("retryAfterSeconds under fast requests = %d, want floor of 1", got)
 	}
 
 	// Slow history: mean of 2.2s and 3.0s rounds up to 3.
 	s2 := testServer(Config{MaxInflight: 1})
-	s2.latency.Observe(2.2)
-	s2.latency.Observe(3.0)
+	s2.front.Latency.Observe(2.2)
+	s2.front.Latency.Observe(3.0)
 	if got := s2.retryAfterSeconds(); got != 3 {
 		t.Errorf("retryAfterSeconds = %d, want ceil(2.6) = 3", got)
 	}
