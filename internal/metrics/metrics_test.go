@@ -1,8 +1,11 @@
 package metrics
 
 import (
+	"strings"
 	"sync"
 	"testing"
+
+	"fomodel/internal/metrics/metricstest"
 )
 
 func TestCounterConcurrent(t *testing.T) {
@@ -86,4 +89,49 @@ func TestHistogramBoundaryInclusive(t *testing.T) {
 	if s := h.Snapshot(); s.Cumulative[0] != 1 {
 		t.Fatalf("boundary observation not ≤ bound: %v", s.Cumulative)
 	}
+}
+
+func TestExposition(t *testing.T) {
+	var rc RequestCounts
+	rc.Counter("/b", 200).Add(2)
+	rc.Counter("/a", 404).Inc()
+	rc.Counter("/a", 200).Inc()
+	h := NewHistogram(0.5, 1)
+	h.Observe(0.25)
+	h.Observe(2)
+
+	var b strings.Builder
+	x := NewExposition(&b, "p_")
+	x.Counter("c_total", "A counter.", 3)
+	x.Gauge("g", "A gauge.", -1)
+	x.Labeled("l", "gauge", "A labeled gauge.", "who", []string{"x", `q"y`}, func(i int) int64 { return int64(10 + i) })
+	x.Requests(&rc)
+	x.Histogram("h_seconds", "A histogram.", h)
+	want := `# HELP p_c_total A counter.
+# TYPE p_c_total counter
+p_c_total 3
+# HELP p_g A gauge.
+# TYPE p_g gauge
+p_g -1
+# HELP p_l A labeled gauge.
+# TYPE p_l gauge
+p_l{who="x"} 10
+p_l{who="q\"y"} 11
+# HELP p_requests_total Requests served, by path and status code.
+# TYPE p_requests_total counter
+p_requests_total{path="/a",code="200"} 1
+p_requests_total{path="/a",code="404"} 1
+p_requests_total{path="/b",code="200"} 2
+# HELP p_h_seconds A histogram.
+# TYPE p_h_seconds histogram
+p_h_seconds_bucket{le="0.5"} 1
+p_h_seconds_bucket{le="1"} 1
+p_h_seconds_bucket{le="+Inf"} 2
+p_h_seconds_sum 2.250000
+p_h_seconds_count 2
+`
+	if b.String() != want {
+		t.Errorf("exposition:\n%s\nwant:\n%s", b.String(), want)
+	}
+	metricstest.Check(t, b.String())
 }
