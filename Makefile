@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race lint fuzz-smoke bench-smoke bench-driver check
+.PHONY: build vet test race lint fuzz-smoke bench-smoke bench-kernel bench-driver check
 
 build:
 	$(GO) build ./...
@@ -44,6 +44,22 @@ fuzz-smoke:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
 	$(GO) test -run '^$$' -bench 'DetailedSimulator|Figure14$$' -benchtime 1x .
+
+# The simulator kernel's timings at -cpu 1, five runs each:
+# BenchmarkRunConfigs times the timing pass per machine and
+# BenchmarkSweepServed one /v1/sweep through the daemon. To compare two
+# commits, build each one's test binary once and run the two in
+# alternation, so that drift on a shared host falls on both sides:
+#   go test -c -o old.test ./internal/uarch    # at the parent
+#   go test -c -o new.test ./internal/uarch    # at the change
+#   for i in 1 2 3 4 5 6 7 8; do for b in old new; do
+#     ./$b.test -test.run '^$' -test.bench RunConfigs -test.cpu 1 \
+#       -test.benchtime 40x | grep ns/op >> $b.txt
+#   done; done
+# then compare the per-row minima (or medians) of old.txt and new.txt.
+bench-kernel:
+	$(GO) test -run '^$$' -bench RunConfigs -cpu 1 -count 5 ./internal/uarch
+	$(GO) test -run '^$$' -bench SweepServed -cpu 1 -count 5 ./internal/server
 
 # The benchmark driver's own tests, as the bench-driver CI job runs them;
 # -short skips TestSmoke, which starts real daemons and a proxy.

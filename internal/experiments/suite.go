@@ -252,6 +252,14 @@ func (s *Suite) statsConfig() stats.Config {
 	return scfg
 }
 
+// Analysis returns the analysis bundle of w, one of the suite's
+// workloads, and the AnalysisKey it was computed under. A caller whose
+// own key is the same needs no analysis of its own.
+func (s *Suite) Analysis(w *Workload) (*AnalysisArtifact, string) {
+	an := &AnalysisArtifact{Points: w.Points, Law: w.Law, Summary: w.Summary}
+	return an, AnalysisKey(w.Trace.ContentID, iw.DefaultWindows(), s.statsConfig())
+}
+
 // analyzeTrace runs the shared analysis tail: IW characteristic,
 // power-law fit, miss statistics, and model inputs.
 func (s *Suite) analyzeTrace(name string, t *trace.Trace) (*Workload, error) {

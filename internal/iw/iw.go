@@ -48,6 +48,7 @@ import (
 	"math"
 	"slices"
 
+	"fomodel/internal/branchless"
 	"fomodel/internal/isa"
 	"fomodel/internal/trace"
 )
@@ -243,7 +244,7 @@ func simulate(t *trace.Trace, sizes []int, issueWidth int, lat *isa.LatencyTable
 // The loop keeps data-dependent branches out of the common case: with
 // unit latencies no cycle up to last is empty, so at moves at most one
 // cycle per instruction, which is done without a branch; the loop after
-// it runs only past empty cycles. Maxima go through bmax.
+// it runs only past empty cycles. Maxima go through branchless.Max.
 func (w *window) run(base int, ops []op, width int32, maxLat int) {
 	at, before, last := w.at, w.before, w.last
 	issued, skip, off := w.issued, w.skip, w.off
@@ -263,7 +264,7 @@ func (w *window) run(base int, ops []op, width int32, maxLat int) {
 			}
 			entry = at + 1
 		}
-		c := bmax(bmax(entry, finish[o.src1]), finish[o.src2])
+		c := branchless.Max(branchless.Max(entry, finish[o.src1]), finish[o.src2])
 		for issued[c-off] >= width {
 			next := skip[c-off]
 			if issued[next-off] >= width {
@@ -276,7 +277,7 @@ func (w *window) run(base int, ops []op, width int32, maxLat int) {
 			skip[c-off] = c + 1
 		}
 		finish[o.dest] = c + int(o.lat)
-		last = bmax(last, c)
+		last = branchless.Max(last, c)
 		if last+maxLat-off >= len(issued) {
 			w.at, w.last = at, last
 			w.slide(maxLat)
@@ -284,14 +285,4 @@ func (w *window) run(base int, ops []op, width int32, maxLat int) {
 		}
 	}
 	w.at, w.before, w.last = at, before, last
-}
-
-// bmax returns the larger of two cycles, which must differ by less than
-// 2^63, without a branch. The compiler turns max into a branch when its
-// result feeds a load address, as an issue cycle does, and on these
-// data-dependent comparisons that branch mispredicts often enough to
-// dominate the walk.
-func bmax(a, b int) int {
-	d := a - b
-	return a - d&(d>>63)
 }

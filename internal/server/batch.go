@@ -117,46 +117,15 @@ func (s *Server) batchItem(ctx context.Context, req PredictRequest) (item BatchI
 	if err := req.Normalize(s.cfg.KeyDefaults()); err != nil {
 		return badItem(err), nil
 	}
-	mode, err := ParseBranchMode(req.BranchMode)
+	job, err := newPredictJob(req)
 	if err != nil {
 		return badItem(err), nil
 	}
-	machine, err := req.Machine.Machine()
-	if err != nil {
-		return badItem(err), nil
-	}
-	ucfg, err := req.Machine.SimConfig()
-	if err != nil {
-		return badItem(err), nil
-	}
-	if err := machine.Validate(); err != nil {
-		return badItem(err), nil
-	}
-	if err := ucfg.Validate(); err != nil {
-		return badItem(err), nil
-	}
-
 	key, err := PredictCacheKey(req, s.cfg.KeyDefaults())
 	if err != nil {
 		return BatchItem{Status: http.StatusInternalServerError, Error: err.Error()}, nil
 	}
-	body, hit, err := s.cache.Do(key, func() ([]byte, error) {
-		if s.panicHook != nil {
-			s.panicHook(req.Bench)
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		rec, err := s.predictRecord(req, machine, ucfg, mode)
-		if err != nil {
-			return nil, err
-		}
-		body, err := EncodeIndented(rec)
-		if err != nil {
-			return nil, err
-		}
-		return body, nil
-	})
+	body, hit, err := s.predictBody(ctx, key, job)
 	switch {
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		return BatchItem{}, err

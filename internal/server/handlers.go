@@ -124,52 +124,17 @@ func (s *Server) handlePredict(w *httpfront.Writer, r *http.Request) {
 		httpfront.WriteError(w, http.StatusBadRequest, "%s", err)
 		return
 	}
-	mode, err := ParseBranchMode(req.BranchMode)
+	job, err := newPredictJob(req)
 	if err != nil {
 		httpfront.WriteError(w, http.StatusBadRequest, "%s", err)
 		return
 	}
-	machine, err := req.Machine.Machine()
-	if err != nil {
-		httpfront.WriteError(w, http.StatusBadRequest, "%s", err)
-		return
-	}
-	ucfg, err := req.Machine.SimConfig()
-	if err != nil {
-		httpfront.WriteError(w, http.StatusBadRequest, "%s", err)
-		return
-	}
-	// Reject structurally invalid machines up front, so configuration
-	// mistakes are 400s and only genuine computation failures become 500s.
-	if err := machine.Validate(); err != nil {
-		httpfront.WriteError(w, http.StatusBadRequest, "%s", err)
-		return
-	}
-	if err := ucfg.Validate(); err != nil {
-		httpfront.WriteError(w, http.StatusBadRequest, "%s", err)
-		return
-	}
-
 	key, err := PredictCacheKey(req, s.cfg.KeyDefaults())
 	if err != nil {
 		httpfront.WriteError(w, http.StatusInternalServerError, "%s", err)
 		return
 	}
-	ctx := r.Context()
-	body, hit, err := s.cache.Do(key, func() ([]byte, error) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		rec, err := s.predictRecord(req, machine, ucfg, mode)
-		if err != nil {
-			return nil, err
-		}
-		body, err := EncodeIndented(rec)
-		if err != nil {
-			return nil, err
-		}
-		return body, nil
-	})
+	body, hit, err := s.predictBody(r.Context(), key, job)
 	s.noteRegisteredUse(req.Bench, hit)
 	s.finishCompute(w, body, hit, err)
 }

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"time"
 
-	"fomodel/internal/core"
 	"fomodel/internal/httpfront"
 	"fomodel/internal/optimize"
 )
@@ -83,34 +82,11 @@ func (s *Server) optimizeEval(spec optimize.Spec) optimize.EvalFunc {
 		if err != nil {
 			return 0, err
 		}
-		machine, err := req.Machine.Machine()
+		job, err := newPredictJob(req)
 		if err != nil {
 			return 0, err
 		}
-		ucfg, err := req.Machine.SimConfig()
-		if err != nil {
-			return 0, err
-		}
-		if err := machine.Validate(); err != nil {
-			return 0, err
-		}
-		if err := ucfg.Validate(); err != nil {
-			return 0, err
-		}
-		body, hit, err := s.cache.Do(key, func() ([]byte, error) {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			rec, err := s.predictRecord(req, machine, ucfg, core.BranchMidpoint)
-			if err != nil {
-				return nil, err
-			}
-			b, err := EncodeIndented(rec)
-			if err != nil {
-				return nil, err
-			}
-			return b, nil
-		})
+		body, hit, err := s.predictBody(ctx, key, job)
 		if err != nil {
 			return 0, err
 		}

@@ -138,9 +138,9 @@ type Server struct {
 	// channel yields; tests use it to hold requests in flight
 	// deterministically.
 	gate chan struct{}
-	// panicHook, when non-nil, runs inside sweep and batch computations
-	// with the request's bench or parameter name; tests use it to inject
-	// worker panics and pin the recovery path.
+	// panicHook, when non-nil, runs inside sweep, predict, batch and
+	// optimize computations with the request's bench, parameter or title;
+	// tests use it to inject worker panics and pin the recovery path.
 	panicHook func(name string)
 }
 

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"fomodel/internal/experiments"
 	"fomodel/internal/httpfront"
 	"fomodel/internal/metrics/metricstest"
 )
@@ -153,6 +155,34 @@ func TestPredictCache(t *testing.T) {
 	}
 	if third.Body.String() == first.Body.String() {
 		t.Errorf("different benches returned the same body")
+	}
+}
+
+// TestDefaultPredictAnalysesOnce pins that a store-less daemon analyses
+// a default-(n, seed) workload once per predict, not twice: loading the
+// trace computes the suite's bundle, and the analysis cache takes that
+// bundle, which is under the same key, instead of computing it again.
+func TestDefaultPredictAnalysesOnce(t *testing.T) {
+	s := testServer(Config{})
+	if rec := post(s, "/v1/predict", `{"bench":"gzip"}`); rec.Code != http.StatusOK {
+		t.Fatalf("status = %d\nbody: %s", rec.Code, rec.Body.String())
+	}
+	if workloads, _ := s.suite.Counters(); workloads != 1 {
+		t.Fatalf("suite computed %d workload bundles, want 1", workloads)
+	}
+	w, err := s.suite.Workload("gzip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, key := s.suite.Analysis(w)
+	an, hit, err := s.analysis.Do(key, func() (*experiments.AnalysisArtifact, error) {
+		return nil, errors.New("not cached")
+	})
+	if err != nil || !hit {
+		t.Fatalf("analysis cache has no entry under the suite's key (hit %t, err %v)", hit, err)
+	}
+	if an.Summary != w.Summary {
+		t.Error("the predict analysed the workload a second time instead of taking the suite's bundle")
 	}
 }
 

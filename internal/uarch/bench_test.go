@@ -110,19 +110,24 @@ func BenchmarkSimulateIdealSweep(b *testing.B) {
 
 // BenchmarkRunConfigs times the timing pass alone — classification is
 // served from a warm PrepCache — at 100k instructions for three
-// benchmarks under seven machines: the baseline, width 8, a 128-entry
-// window, a 256-entry ROB, in-order issue, two clusters, and serialized
-// long misses, the one option that copies the events before the pass
-// (stats.IsolateLongMisses). The benchmarks span the simulator's
-// regimes (mcf stalls on long misses, vortex and gzip keep the window
-// busy), so a slowdown confined to one regime shows up in its own row.
+// benchmarks under nine machines: the baseline, widths 1 and 8, windows
+// of 8 and 128 entries, a 256-entry ROB, in-order issue, two clusters,
+// and serialized long misses, the one option that copies the events
+// before the pass (stats.IsolateLongMisses). Widths 1 and 8 and windows
+// 8 and 128 are the ends of the ranges a served sweep draws from; at
+// width 1 the issue stage passes over the most full cycles. The
+// benchmarks span the simulator's regimes (mcf stalls on long misses,
+// vortex and gzip keep the window busy), so a slowdown confined to one
+// regime shows up in its own row.
 func BenchmarkRunConfigs(b *testing.B) {
 	configs := []struct {
 		name   string
 		mutate func(*uarch.Config)
 	}{
 		{"base", func(*uarch.Config) {}},
+		{"width1", func(c *uarch.Config) { c.Width = 1 }},
 		{"width8", func(c *uarch.Config) { c.Width = 8 }},
+		{"window8", func(c *uarch.Config) { c.WindowSize = 8 }},
 		{"window128", func(c *uarch.Config) { c.WindowSize = 128 }},
 		{"rob256", func(c *uarch.Config) { c.ROBSize = 256 }},
 		{"inorder", func(c *uarch.Config) { c.InOrder = true }},

@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"sync"
 
+	"fomodel/internal/branchless"
 	"fomodel/internal/cache"
 	"fomodel/internal/isa"
 	"fomodel/internal/stats"
@@ -81,8 +82,13 @@ type missSpan struct{ issue, finish int64 }
 //
 // Per-cycle results come out as interval sums: an instruction spends
 // dispatch−fetch cycles in the front end, issue−dispatch in the window,
-// and retire−dispatch in the ROB. The issue histogram is kept per issued
-// cycle; cycles in which nothing issued make up the rest of the run.
+// and retire−dispatch in the ROB. A cycle's issue count enters the issue
+// histogram once, when the cycle leaves the window or the run ends;
+// cycles in which nothing issued make up the rest of the run.
+//
+// The stages' maxima go through branchless.Max: the compiler turns max
+// into compare-and-jump pairs, which mispredict on these data-dependent
+// comparisons.
 func pass(t *trace.Trace, cfg Config, preps []stats.Event) (*Result, error) {
 	n := t.Len()
 	width := cfg.Width
@@ -90,8 +96,6 @@ func pass(t *trace.Trace, cfg Config, preps []stats.Event) (*Result, error) {
 		Instructions:   n,
 		IssueHistogram: make([]int64, width+1),
 	}
-	hist := res.IssueHistogram
-
 	sc := passPool.Get().(*passScratch)
 
 	// Clustering (§7 extension #3): instructions steer round-robin to
@@ -116,7 +120,7 @@ func pass(t *trace.Trace, cfg Config, preps []stats.Event) (*Result, error) {
 	// see (see outstandingAt).
 	long := sc.long[:0]
 	slots := &sc.slots
-	slots.reset(cfg.WindowSize, clusters, fuCapped)
+	slots.reset(cfg.WindowSize, clusters, fuCapped, res.IssueHistogram)
 	events, keys := &sc.events, &sc.keys
 	buildEvents(events, cfg)
 	clear(keys[:])
@@ -133,6 +137,7 @@ func pass(t *trace.Trace, cfg Config, preps []stats.Event) (*Result, error) {
 	defer func() {
 		sc.dispatchAt, sc.retireAt = dispatchAt, retireAt
 		sc.long = long
+		sc.slots.hist = nil
 		passPool.Put(sc)
 	}()
 
@@ -146,13 +151,17 @@ func pass(t *trace.Trace, cfg Config, preps []stats.Event) (*Result, error) {
 		// resume is the first cycle fetch may run after a mispredicted
 		// branch: the branch stops fetch until it resolves at issue.
 		resume int64
-		// lastIssue is the previous instruction's issue cycle, the floor
-		// of in-order issue.
-		lastIssue int64
+		// issueFloor is the earliest cycle the next instruction may
+		// issue in: the previous instruction's issue cycle under in-order
+		// issue, else 0. inOrder masks the issue cycle to that floor.
+		issueFloor, inOrder int64
 
 		feSlot, robSlot, cl int
 		longPrune           = 64
 	)
+	if cfg.InOrder {
+		inOrder = -1
+	}
 	depth := int64(cfg.FrontEndDepth)
 	latBranch := int64(cfg.Latencies.Latency(isa.Branch))
 
@@ -167,7 +176,8 @@ func pass(t *trace.Trace, cfg Config, preps []stats.Event) (*Result, error) {
 		// and fetch is not halted. An I-cache miss is charged in the
 		// cycle fetch reaches the instruction, which arrives the miss
 		// delay later.
-		f := max(fetchCycle, fetchLast[w]+1, resume, dispatchAt[feSlot])
+		f := branchless.Max(branchless.Max(fetchCycle, fetchLast[w]+1),
+			branchless.Max(resume, dispatchAt[feSlot]))
 		if ev.fetch != 0 {
 			var hit bool
 			if long, hit = outstandingAt(long, f); hit {
@@ -181,7 +191,8 @@ func pass(t *trace.Trace, cfg Config, preps []stats.Event) (*Result, error) {
 		// after fetch, once the ROB and the cluster's window slice have
 		// room. The window has room at the first cycle by which all but
 		// clusterWindow−1 of the slice's entries have issued.
-		d := max(f+depth, dispCycle, dispLast[w]+1, retireAt[robSlot])
+		d := branchless.Max(branchless.Max(f+depth, dispCycle),
+			branchless.Max(dispLast[w]+1, retireAt[robSlot]))
 		if d >= slots.frontier {
 			slots.advance(d + 1)
 		}
@@ -198,27 +209,23 @@ func pass(t *trace.Trace, cfg Config, preps []stats.Event) (*Result, error) {
 		// --- Issue: the first cycle after dispatch, with the operands
 		// ready, whose width, FU-class and cluster slots older
 		// instructions have left room in. An operand produced in
-		// another cluster arrives bypass cycles later.
+		// another cluster arrives bypass cycles later. A ring cycle's
+		// slot reads zero until something issues in it, so only a cycle
+		// past the horizon needs a lookup.
 		class := in.Class
 		s1, s2 := int(in.Src1)+1, int(in.Src2)+1
 		r1, r2 := regFinish[s1], regFinish[s2]
 		if clusters > 1 {
-			if c := regCluster[s1]; c >= 0 && int(c) != cl {
-				r1 += bypass
-			}
-			if c := regCluster[s2]; c >= 0 && int(c) != cl {
-				r2 += bypass
-			}
+			r1 += bypass & crossed(regCluster[s1], cl)
+			r2 += bypass & crossed(regCluster[s2], cl)
 		}
-		e := max(d+1, r1, r2)
-		if cfg.InOrder {
-			e = max(e, lastIssue)
-		}
+		e := branchless.Max(branchless.Max(d+1, issueFloor), branchless.Max(r1, r2))
 		var s int
 		for {
-			if s = slots.find(e); s < 0 {
-				s = slots.claim(e)
-				break
+			if e < slots.horizon {
+				s = int(e & slots.mask)
+			} else {
+				s = slots.claimFar(e)
 			}
 			if int(slots.total[s]) < width &&
 				(!fuCapped || cfg.FUCounts[class] == 0 || int(slots.byClass[s*isa.NumClasses+int(class)]) < cfg.FUCounts[class]) &&
@@ -227,12 +234,10 @@ func pass(t *trace.Trace, cfg Config, preps []stats.Event) (*Result, error) {
 			}
 			e++
 		}
-		// hist[0] goes negative by one per cycle that issues anything;
-		// adding the cycle count at the end leaves the idle cycles.
-		k := slots.total[s]
-		hist[k]--
-		hist[k+1]++
-		slots.total[s] = k + 1
+		if e < slots.horizon {
+			slots.live[s>>6] |= 1 << (s & 63)
+		}
+		slots.total[s]++
 		if fuCapped {
 			slots.byClass[s*isa.NumClasses+int(class)]++
 		}
@@ -246,7 +251,7 @@ func pass(t *trace.Trace, cfg Config, preps []stats.Event) (*Result, error) {
 			}
 			res.IssueTrace[e-1]++
 		}
-		lastIssue = e
+		issueFloor = e & inOrder
 
 		x := e + int64(ev.lat)
 		dest := int(in.Dest) + 1
@@ -272,7 +277,7 @@ func pass(t *trace.Trace, cfg Config, preps []stats.Event) (*Result, error) {
 		}
 
 		// --- Retire: in order, up to Width per cycle, once finished.
-		r := max(x, retireCycle, retireLast[w]+1)
+		r := branchless.Max(branchless.Max(x, retireCycle), retireLast[w]+1)
 		if r > retireCycle+maxIdleCycles+1 {
 			return nil, fmt.Errorf("uarch: no retirement for %d cycles at cycle %d (retired %d/%d) — machine deadlocked",
 				maxIdleCycles, retireCycle+maxIdleCycles+1, i, n)
@@ -295,7 +300,7 @@ func pass(t *trace.Trace, cfg Config, preps []stats.Event) (*Result, error) {
 	}
 
 	res.Cycles = retireCycle
-	hist[0] += res.Cycles
+	slots.flush(res.Cycles)
 	countEvents(res, events, keys)
 	if cfg.RecordIssueTrace {
 		for int64(len(res.IssueTrace)) < min(res.Cycles, 1<<22) {
@@ -303,6 +308,14 @@ func pass(t *trace.Trace, cfg Config, preps []stats.Event) (*Result, error) {
 		}
 	}
 	return res, nil
+}
+
+// crossed returns −1 when an operand produced in cluster c reaches
+// cluster cl over the bypass and 0 otherwise, without a branch. A c of
+// −1, no producer, crosses nothing.
+func crossed(c int8, cl int) int64 {
+	d := int64(c) ^ int64(cl)
+	return ((d | -d) >> 63) &^ (int64(c) >> 63)
 }
 
 // numEventKeys is the number of distinct event keys. An instruction's
@@ -420,7 +433,8 @@ func outstandingAt(long []missSpan, c int64) ([]missSpan, bool) {
 // live: no later instruction can issue before it. The issues at live
 // cycles are exactly the instructions in the window, so inWindow, their
 // count per cluster, is the window's occupancy, and moving the frontier
-// past a cycle takes its issues out of the window.
+// past a cycle takes its issues out of the window and adds the cycle to
+// the issue histogram.
 //
 // A ring indexed by cycle, with a bitset of its live slots, covers
 // [frontier, horizon); a cycle at or past the horizon is kept in the far
@@ -428,6 +442,11 @@ func outstandingAt(long []missSpan, c int64) ([]missSpan, bool) {
 // WindowSize live cycles, so the far list draws its storage from
 // WindowSize spare slots past the ring. Memory is thus O(window),
 // whatever the latencies or the run's cycle count.
+//
+// Every slot that holds no live cycle reads zero: a cycle's counts are
+// cleared as it leaves the window and a spare slot's as it is freed. So
+// a ring cycle's counts are simply those of slot cycle&mask, with no
+// test of whether anything has issued in it yet.
 type issueSlots struct {
 	mask      int64
 	frontier  int64
@@ -439,6 +458,7 @@ type issueSlots struct {
 	inWindow  []int   // per cluster: issues at live cycles
 	classes   bool    // byClass is in use
 	clusters  int
+	hist      []int64 // the run's issue histogram
 
 	far    []farSlot
 	farMin int64   // earliest far cycle; 0 when far is empty
@@ -464,15 +484,16 @@ func grown[T any](buf []T, n int) []T {
 }
 
 // reset sizes the counters for a window and cluster count and empties
-// them, reusing the previous run's buffers where they fit.
-func (s *issueSlots) reset(window, clusters int, byClass bool) {
+// them, reusing the previous run's buffers where they fit. Retired
+// cycles are counted into hist.
+func (s *issueSlots) reset(window, clusters int, byClass bool, hist []int64) {
 	ring := minIssueSlots
 	for ring < window {
 		ring <<= 1
 	}
 	slots := ring + window
 	s.mask, s.frontier, s.horizon = int64(ring-1), 1, int64(ring)+1
-	s.classes, s.clusters = byClass, clusters
+	s.classes, s.clusters, s.hist = byClass, clusters, hist
 	s.live = grown(s.live, ring/64)
 	s.total = grown(s.total, slots)
 	if byClass {
@@ -489,46 +510,22 @@ func (s *issueSlots) reset(window, clusters int, byClass bool) {
 	}
 }
 
-// find returns the slot holding cycle c's counts, or -1 when nothing has
-// issued in c. c must not lie before the frontier.
-func (s *issueSlots) find(c int64) int {
-	if c < s.horizon {
-		r := c & s.mask
-		if s.live[r>>6]&(1<<(r&63)) != 0 {
-			return int(r)
-		}
-		return -1
-	}
+// claimFar returns the slot holding cycle c's counts, for a c at or past
+// the horizon, taking a spare slot, which reads zero, when nothing has
+// issued in c yet.
+func (s *issueSlots) claimFar(c int64) int {
 	for _, f := range s.far {
 		if f.cycle == c {
 			return int(f.slot)
 		}
 	}
-	return -1
-}
-
-// claim returns a zeroed slot for cycle c, which has none yet.
-func (s *issueSlots) claim(c int64) int {
-	var slot int
-	if c < s.horizon {
-		slot = int(c & s.mask)
-		s.live[slot>>6] |= 1 << (slot & 63)
-	} else {
-		slot = int(s.free[len(s.free)-1])
-		s.free = s.free[:len(s.free)-1]
-		s.far = append(s.far, farSlot{c, int32(slot)})
-		if s.farMin == 0 || c < s.farMin {
-			s.farMin = c
-		}
+	slot := s.free[len(s.free)-1]
+	s.free = s.free[:len(s.free)-1]
+	s.far = append(s.far, farSlot{c, slot})
+	if s.farMin == 0 || c < s.farMin {
+		s.farMin = c
 	}
-	s.total[slot] = 0
-	if s.classes {
-		clear(s.byClass[slot*isa.NumClasses : (slot+1)*isa.NumClasses])
-	}
-	if s.clusters > 1 {
-		clear(s.byCluster[slot*s.clusters : (slot+1)*s.clusters])
-	}
-	return slot
+	return int(slot)
 }
 
 // nextLive returns the first live ring cycle in [c, end), or end when
@@ -553,15 +550,24 @@ func (s *issueSlots) earliest() int64 {
 	return s.farMin
 }
 
-// retire takes the issues counted in slot out of the window.
+// retire takes the issues counted in slot out of the window, adds the
+// cycle to the issue histogram and zeroes the slot's counts.
 func (s *issueSlots) retire(slot int) {
+	n := s.total[slot]
+	s.hist[n]++
+	s.total[slot] = 0
+	if s.classes {
+		clear(s.byClass[slot*isa.NumClasses : (slot+1)*isa.NumClasses])
+	}
 	if s.clusters == 1 {
-		s.inWindow[0] -= int(s.total[slot])
+		s.inWindow[0] -= int(n)
 		return
 	}
-	for k, n := range s.byCluster[slot*s.clusters : (slot+1)*s.clusters] {
-		s.inWindow[k] -= int(n)
+	by := s.byCluster[slot*s.clusters : (slot+1)*s.clusters]
+	for k, m := range by {
+		s.inWindow[k] -= int(m)
 	}
+	clear(by)
 }
 
 // advance moves the frontier to f, which lies past it: the cycles it
@@ -591,17 +597,41 @@ func (s *issueSlots) advance(f int64) {
 		case e.cycle < f:
 			s.retire(from)
 		default:
+			// Slot r held a cycle before f, which has just retired, so
+			// it reads zero.
 			r := int(e.cycle & s.mask)
 			s.live[r>>6] |= 1 << (r & 63)
-			s.total[r] = s.total[from]
+			s.total[r], s.total[from] = s.total[from], 0
 			if s.classes {
-				copy(s.byClass[r*isa.NumClasses:(r+1)*isa.NumClasses], s.byClass[from*isa.NumClasses:])
+				by := s.byClass[from*isa.NumClasses : (from+1)*isa.NumClasses]
+				copy(s.byClass[r*isa.NumClasses:], by)
+				clear(by)
 			}
 			if s.clusters > 1 {
-				copy(s.byCluster[r*s.clusters:(r+1)*s.clusters], s.byCluster[from*s.clusters:])
+				by := s.byCluster[from*s.clusters : (from+1)*s.clusters]
+				copy(s.byCluster[r*s.clusters:], by)
+				clear(by)
 			}
 		}
 		s.free = append(s.free, e.slot)
 	}
 	s.far = kept
+}
+
+// flush adds the cycles still live at the end of a run of the given
+// length to the issue histogram, and the cycles in which nothing issued
+// to its bucket 0.
+func (s *issueSlots) flush(cycles int64) {
+	for k, w := range s.live {
+		for ; w != 0; w &= w - 1 {
+			s.hist[s.total[k<<6|bits.TrailingZeros64(w)]]++
+		}
+	}
+	for _, f := range s.far {
+		s.hist[s.total[f.slot]]++
+	}
+	s.hist[0] = cycles
+	for _, n := range s.hist[1:] {
+		s.hist[0] -= n
+	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"fomodel/internal/cache"
 	"fomodel/internal/isa"
+	"fomodel/internal/rng"
 	"fomodel/internal/stats"
 	"fomodel/internal/trace"
 )
@@ -173,4 +174,142 @@ func TestPassRegisterSentinels(t *testing.T) {
 			t.Errorf("%s: %d cycles, want under the %d-cycle bypass", c.name, res.Cycles, cfg.BypassLatency)
 		}
 	}
+}
+
+// TestIssueSlotsZeroOutsideWindow drives issueSlots the way the pass
+// does — issues at ring cycles and past the horizon, frontier moves of
+// every size, far cycles moving into the ring — on a clustered,
+// FU-capped layout, and checks the invariant the pass's slot lookup
+// rests on: after every advance, every slot holding no live cycle reads
+// zero in total, byClass and byCluster. It also checks the window
+// occupancy and the issue histogram against a map of the issues, and
+// that a reset of the dirty scratch zeroes every slot.
+func TestIssueSlotsZeroOutsideWindow(t *testing.T) {
+	const window, clusters = 16, 2
+	var s issueSlots
+	hist := make([]int64, window+1)
+	s.reset(window, clusters, true, hist)
+	ring := int(s.mask) + 1
+
+	issued := map[int64]int64{} // live cycle -> issues
+	want := make([]int64, window+1)
+	issue := func(c int64, class, cl int) {
+		var slot int
+		if c < s.horizon {
+			slot = int(c & s.mask)
+			s.live[slot>>6] |= 1 << (slot & 63)
+		} else {
+			slot = s.claimFar(c)
+		}
+		s.total[slot]++
+		s.byClass[slot*isa.NumClasses+class]++
+		s.byCluster[slot*clusters+cl]++
+		s.inWindow[cl]++
+		issued[c]++
+	}
+	advance := func(f int64) {
+		s.advance(f)
+		for c, n := range issued {
+			if c < f {
+				want[n]++
+				delete(issued, c)
+			}
+		}
+	}
+	check := func(step int) {
+		t.Helper()
+		held := map[int]bool{}
+		for _, f := range s.far {
+			held[int(f.slot)] = true
+		}
+		for slot := range s.total {
+			if slot < ring && s.live[slot>>6]&(1<<(slot&63)) != 0 || held[slot] {
+				continue
+			}
+			nonzero := s.total[slot] != 0
+			for _, n := range s.byClass[slot*isa.NumClasses : (slot+1)*isa.NumClasses] {
+				nonzero = nonzero || n != 0
+			}
+			for _, n := range s.byCluster[slot*clusters : (slot+1)*clusters] {
+				nonzero = nonzero || n != 0
+			}
+			if nonzero {
+				t.Fatalf("step %d: slot %d holds no live cycle but reads nonzero", step, slot)
+			}
+		}
+		var inWindow int64
+		for _, n := range issued {
+			inWindow += n
+		}
+		if got := int64(s.inWindow[0] + s.inWindow[1]); got != inWindow {
+			t.Fatalf("step %d: window holds %d issues, want %d", step, got, inWindow)
+		}
+	}
+
+	r := rng.New(7)
+	sawFar, sawMove := false, false
+	for step := 0; step < 20000; step++ {
+		if s.inWindow[0]+s.inWindow[1] < window && r.Intn(3) > 0 {
+			var c int64
+			switch r.Intn(8) {
+			case 0:
+				c = s.horizon + r.Int63n(3*int64(ring))
+				sawFar = true
+			case 1:
+				c = s.frontier + r.Int63n(int64(ring))
+			default:
+				c = s.frontier + r.Int63n(6)
+			}
+			issue(c, r.Intn(isa.NumClasses), r.Intn(clusters))
+			continue
+		}
+		farBefore := len(s.far)
+		switch r.Intn(6) {
+		case 0:
+			advance(s.frontier + int64(ring) + r.Int63n(2*int64(ring)))
+		case 1:
+			if len(issued) > 0 {
+				advance(s.earliest() + 1)
+				break
+			}
+			fallthrough
+		default:
+			advance(s.frontier + 1 + r.Int63n(4))
+		}
+		sawMove = sawMove || len(s.far) < farBefore
+		check(step)
+	}
+	if !sawFar || !sawMove {
+		t.Fatalf("walk never reached the far list (%v) or moved a far cycle (%v)", sawFar, sawMove)
+	}
+
+	// The end of a run counts the live cycles and leaves the idle rest.
+	const cycles = 1 << 40
+	want[0] = cycles
+	for _, n := range issued {
+		want[n]++
+	}
+	for _, n := range want[1:] {
+		want[0] -= n
+	}
+	s.flush(cycles)
+	for k := range want {
+		if hist[k] != want[k] {
+			t.Fatalf("issue histogram %v, want %v", hist, want)
+		}
+	}
+
+	// Reset the scratch as the pool hands it on, dirty, to a smaller
+	// window.
+	if len(issued) == 0 {
+		t.Fatal("walk ended with an empty window; the reset below checks nothing")
+	}
+	s.reset(window/2, clusters, true, make([]int64, window+1))
+	clear(issued)
+	for _, w := range s.live {
+		if w != 0 {
+			t.Fatal("reset left a live slot")
+		}
+	}
+	check(-1)
 }

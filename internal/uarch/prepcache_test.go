@@ -551,7 +551,8 @@ func FuzzDecodePreps(f *testing.F) {
 // TestPrepCacheSimulateAllocs pins a warm PrepCache.Simulate at two
 // allocations — the Result and its IssueHistogram. Every per-run buffer
 // of the timing pass, the scheduler's included, comes from the scratch
-// pool; the configs reach the clustered, in-order and overflow paths.
+// pool; the configs reach the clustered, in-order, overflow and
+// single-issue paths.
 func TestPrepCacheSimulateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops entries at random under the race detector")
@@ -568,9 +569,11 @@ func TestPrepCacheSimulateAllocs(t *testing.T) {
 	far.Hierarchy.LongMissLatency = 5000
 	tlb := cache.DefaultTLB()
 	far.TLB = &tlb
+	narrow := DefaultConfig()
+	narrow.Width = 1
 	pc := NewPrepCache()
 	for name, cfg := range map[string]Config{
-		"base": DefaultConfig(), "clustered": clustered, "in-order": inOrder, "past-horizon": far,
+		"base": DefaultConfig(), "clustered": clustered, "in-order": inOrder, "past-horizon": far, "width-1": narrow,
 	} {
 		if _, err := pc.Simulate(tr, cfg); err != nil {
 			t.Fatal(err)
