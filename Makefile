@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race lint fuzz-smoke bench-smoke bench-kernel bench-driver check
+.PHONY: build vet test race lint fuzz-smoke bench-smoke bench-kernel bench-driver loc check
 
 build:
 	$(GO) build ./...
@@ -65,5 +65,13 @@ bench-kernel:
 # -short skips TestSmoke, which starts real daemons and a proxy.
 bench-driver:
 	cd bench && $(GO) test -short ./...
+
+# Non-test .go lines of each package under internal/ and cmd/, then
+# their total: the line count a simplifying change reports before and
+# after. It prints a figure; it is not a gate.
+loc:
+	@$(GO) list -f '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}' ./internal/... ./cmd/... | \
+		while read -r pkg files; do printf '%-36s %6d\n' "$$pkg" "$$(cat $$files | wc -l)"; done | \
+		awk '{ print; total += $$2 } END { printf "%-36s %6d\n", "total", total }'
 
 check: build vet lint test race

@@ -371,9 +371,10 @@ func Fomodel(ctx context.Context, args []string, out io.Writer) error {
 		return err
 	}
 
-	// The full per-trace pipeline is server.Predict — the same function
-	// the daemon's /v1/predict handler calls, which is what keeps a
-	// server response byte-equivalent in content to this tool's output.
+	// The full per-trace pipeline is server.Predict. The daemon's
+	// /v1/predict serves its analysis from its caches but composes the
+	// answer with the same code, which is what keeps a server response
+	// byte-equivalent in content to this tool's output.
 	for _, t := range traces {
 		record, err := server.Predict(t, machine, ucfg, mode, *sim, nil)
 		if err != nil {

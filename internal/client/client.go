@@ -292,7 +292,7 @@ func (c *Client) DoRaw(ctx context.Context, method, path string, body []byte, hd
 		req.Header.Set("Content-Type", "application/json")
 	}
 	if stream {
-		req.Header.Set("Accept", "application/x-ndjson")
+		req.Header.Set("Accept", httpfront.NDJSON)
 	}
 	if c.Tenant != "" {
 		req.Header.Set("X-Tenant", c.Tenant)
@@ -333,13 +333,17 @@ func (b *cancelingBody) Close() error {
 	return err
 }
 
-// postJSON marshals req, posts it, and reads the whole 200 body.
-func (c *Client) postJSON(ctx context.Context, path string, req any) ([]byte, error) {
-	payload, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
+// fetch runs one buffered request through the retry loop and reads the
+// whole 200 body; a nil req sends no body.
+func (c *Client) fetch(ctx context.Context, method, path string, req any) ([]byte, error) {
+	var payload []byte
+	if req != nil {
+		var err error
+		if payload, err = json.Marshal(req); err != nil {
+			return nil, err
+		}
 	}
-	resp, err := c.do(ctx, http.MethodPost, path, payload, false)
+	resp, err := c.do(ctx, method, path, payload, false)
 	if err != nil {
 		return nil, err
 	}
@@ -347,62 +351,31 @@ func (c *Client) postJSON(ctx context.Context, path string, req any) ([]byte, er
 	return io.ReadAll(resp.Body)
 }
 
-// PredictRaw returns the exact /v1/predict response bytes — the same
-// bytes `fomodel -json` prints for the equivalent invocation.
-func (c *Client) PredictRaw(ctx context.Context, req server.PredictRequest) ([]byte, error) {
-	return c.postJSON(ctx, "/v1/predict", req)
-}
-
-// Predict returns one workload's decoded CPI prediction.
-func (c *Client) Predict(ctx context.Context, req server.PredictRequest) (server.PredictRecord, error) {
-	var rec server.PredictRecord
-	body, err := c.PredictRaw(ctx, req)
-	if err != nil {
-		return rec, err
-	}
-	err = json.Unmarshal(body, &rec)
-	return rec, err
-}
-
-// Batch evaluates many predict requests in one round trip. The returned
-// items are in request order; each carries its own status, cache state,
-// and either the exact per-item /v1/predict body or an error message —
-// a failing item does not fail the batch.
-func (c *Client) Batch(ctx context.Context, items []server.PredictRequest) ([]server.BatchItem, error) {
-	body, err := c.postJSON(ctx, "/v1/batch", server.BatchRequest{Items: items})
+// decode runs fetch and unmarshals the body as a T.
+func decode[T any](ctx context.Context, c *Client, method, path string, req any) (*T, error) {
+	body, err := c.fetch(ctx, method, path, req)
 	if err != nil {
 		return nil, err
 	}
-	var resp server.BatchResponse
-	if err := json.Unmarshal(body, &resp); err != nil {
+	v := new(T)
+	if err := json.Unmarshal(body, v); err != nil {
 		return nil, err
 	}
-	return resp.Items, nil
+	return v, nil
 }
 
-// Sweep runs a buffered design-space sweep.
-func (c *Client) Sweep(ctx context.Context, spec experiments.SweepSpec) (*server.SweepResponse, error) {
-	body, err := c.postJSON(ctx, "/v1/sweep", spec)
-	if err != nil {
-		return nil, err
-	}
-	var resp server.SweepResponse
-	if err := json.Unmarshal(body, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
-}
-
-// SweepStream runs a streaming sweep: onPoint is called for each grid
-// cell's row as it arrives, and the sweep-level trailer is returned
-// once the stream ends. An onPoint error abandons the stream (closing
-// the connection cancels the server's remaining cells), as does ctx.
-func (c *Client) SweepStream(ctx context.Context, spec experiments.SweepSpec, onPoint func(experiments.SweepPoint) error) (*server.SweepTrailer, error) {
+// stream posts spec to path asking for NDJSON and reads the rows as they
+// arrive: a row carrying pointKey is a P handed to onPoint, the row
+// carrying "render" is the trailer T that ends the stream, and an
+// "error" row is the daemon's failure after its 200. An onPoint error
+// abandons the stream (closing the connection cancels the daemon's
+// remaining work), as does ctx.
+func stream[P, T any](ctx context.Context, c *Client, path string, spec any, pointKey string, onPoint func(P) error) (*T, error) {
 	payload, err := json.Marshal(spec)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.do(ctx, http.MethodPost, "/v1/sweep", payload, true)
+	resp, err := c.do(ctx, http.MethodPost, path, payload, true)
 	if err != nil {
 		return nil, err
 	}
@@ -415,25 +388,25 @@ func (c *Client) SweepStream(ctx context.Context, spec experiments.SweepSpec, on
 		if len(line) == 0 {
 			continue
 		}
-		var probe struct {
-			Bench  *string `json:"bench"`
-			Render *string `json:"render"`
-			Error  *string `json:"error"`
-		}
-		if err := json.Unmarshal(line, &probe); err != nil {
+		var row map[string]json.RawMessage
+		if err := json.Unmarshal(line, &row); err != nil {
 			return nil, fmt.Errorf("client: malformed stream row %q: %v", line, err)
 		}
 		switch {
-		case probe.Error != nil:
-			return nil, &APIError{Status: http.StatusInternalServerError, Message: *probe.Error}
-		case probe.Render != nil:
-			var trailer server.SweepTrailer
-			if err := json.Unmarshal(line, &trailer); err != nil {
+		case row["error"] != nil:
+			var e httpfront.ErrorBody
+			if err := json.Unmarshal(line, &e); err != nil {
 				return nil, err
 			}
-			return &trailer, nil
-		case probe.Bench != nil:
-			var pt experiments.SweepPoint
+			return nil, &APIError{Status: http.StatusInternalServerError, Message: e.Error}
+		case row["render"] != nil:
+			trailer := new(T)
+			if err := json.Unmarshal(line, trailer); err != nil {
+				return nil, err
+			}
+			return trailer, nil
+		case row[pointKey] != nil:
+			var pt P
 			if err := json.Unmarshal(line, &pt); err != nil {
 				return nil, err
 			}
@@ -452,23 +425,55 @@ func (c *Client) SweepStream(ctx context.Context, spec experiments.SweepSpec, on
 	return nil, fmt.Errorf("client: stream ended without a trailer row")
 }
 
+// PredictRaw returns the exact /v1/predict response bytes — the same
+// bytes `fomodel -json` prints for the equivalent invocation.
+func (c *Client) PredictRaw(ctx context.Context, req server.PredictRequest) ([]byte, error) {
+	return c.fetch(ctx, http.MethodPost, "/v1/predict", req)
+}
+
+// Predict returns one workload's decoded CPI prediction.
+func (c *Client) Predict(ctx context.Context, req server.PredictRequest) (server.PredictRecord, error) {
+	rec, err := decode[server.PredictRecord](ctx, c, http.MethodPost, "/v1/predict", req)
+	if err != nil {
+		return server.PredictRecord{}, err
+	}
+	return *rec, nil
+}
+
+// Batch evaluates many predict requests in one round trip. The returned
+// items are in request order; each carries its own status, cache state,
+// and either the exact per-item /v1/predict body or an error message —
+// a failing item does not fail the batch.
+func (c *Client) Batch(ctx context.Context, items []server.PredictRequest) ([]server.BatchItem, error) {
+	resp, err := decode[server.BatchResponse](ctx, c, http.MethodPost, "/v1/batch", server.BatchRequest{Items: items})
+	if err != nil {
+		return nil, err
+	}
+	return resp.Items, nil
+}
+
+// Sweep runs a buffered design-space sweep.
+func (c *Client) Sweep(ctx context.Context, spec experiments.SweepSpec) (*server.SweepResponse, error) {
+	return decode[server.SweepResponse](ctx, c, http.MethodPost, "/v1/sweep", spec)
+}
+
+// SweepStream runs a streaming sweep: onPoint is called for each grid
+// cell's row as it arrives, and the sweep-level trailer is returned
+// once the stream ends. An onPoint error abandons the stream (closing
+// the connection cancels the server's remaining cells), as does ctx.
+func (c *Client) SweepStream(ctx context.Context, spec experiments.SweepSpec, onPoint func(experiments.SweepPoint) error) (*server.SweepTrailer, error) {
+	return stream[experiments.SweepPoint, server.SweepTrailer](ctx, c, "/v1/sweep", spec, "bench", onPoint)
+}
+
 // OptimizeRaw returns the exact buffered /v1/optimize response bytes —
 // the same bytes `fomodel -optimize -json` prints for the same spec.
 func (c *Client) OptimizeRaw(ctx context.Context, spec optimize.Spec) ([]byte, error) {
-	return c.postJSON(ctx, "/v1/optimize", spec)
+	return c.fetch(ctx, http.MethodPost, "/v1/optimize", spec)
 }
 
 // Optimize runs a buffered design-space search.
 func (c *Client) Optimize(ctx context.Context, spec optimize.Spec) (*server.OptimizeResponse, error) {
-	body, err := c.OptimizeRaw(ctx, spec)
-	if err != nil {
-		return nil, err
-	}
-	var resp server.OptimizeResponse
-	if err := json.Unmarshal(body, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return decode[server.OptimizeResponse](ctx, c, http.MethodPost, "/v1/optimize", spec)
 }
 
 // OptimizeStream runs a streaming design-space search: onPoint is called
@@ -477,73 +482,13 @@ func (c *Client) Optimize(ctx context.Context, spec optimize.Spec) (*server.Opti
 // onPoint error abandons the stream (closing the connection cancels the
 // server's remaining evaluations), as does ctx.
 func (c *Client) OptimizeStream(ctx context.Context, spec optimize.Spec, onPoint func(optimize.Point) error) (*server.OptimizeTrailer, error) {
-	payload, err := json.Marshal(spec)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.do(ctx, http.MethodPost, "/v1/optimize", payload, true)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<22)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var probe struct {
-			Eval   *int    `json:"eval"`
-			Render *string `json:"render"`
-			Error  *string `json:"error"`
-		}
-		if err := json.Unmarshal(line, &probe); err != nil {
-			return nil, fmt.Errorf("client: malformed stream row %q: %v", line, err)
-		}
-		switch {
-		case probe.Error != nil:
-			return nil, &APIError{Status: http.StatusInternalServerError, Message: *probe.Error}
-		case probe.Render != nil:
-			var trailer server.OptimizeTrailer
-			if err := json.Unmarshal(line, &trailer); err != nil {
-				return nil, err
-			}
-			return &trailer, nil
-		case probe.Eval != nil:
-			var pt optimize.Point
-			if err := json.Unmarshal(line, &pt); err != nil {
-				return nil, err
-			}
-			if onPoint != nil {
-				if err := onPoint(pt); err != nil {
-					return nil, err
-				}
-			}
-		default:
-			return nil, fmt.Errorf("client: unrecognized stream row %q", line)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return nil, fmt.Errorf("client: stream ended without a trailer row")
+	return stream[optimize.Point, server.OptimizeTrailer](ctx, c, "/v1/optimize", spec, "eval", onPoint)
 }
 
 // Workloads lists the daemon's built-in workloads and their model-facing
 // statistics.
 func (c *Client) Workloads(ctx context.Context) (*server.WorkloadsResponse, error) {
-	resp, err := c.do(ctx, http.MethodGet, "/v1/workloads", nil, false)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	var w server.WorkloadsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&w); err != nil {
-		return nil, err
-	}
-	return &w, nil
+	return decode[server.WorkloadsResponse](ctx, c, http.MethodGet, "/v1/workloads", nil)
 }
 
 // workloadPath builds the per-name workload route.
@@ -555,29 +500,12 @@ func workloadPath(name string) string {
 // under name; the registered name is then accepted anywhere a built-in
 // benchmark name is. Ownership follows the client's Tenant.
 func (c *Client) RegisterWorkload(ctx context.Context, name string, prof workload.Profile) (*server.WorkloadRegistration, error) {
-	body, err := c.postJSON(ctx, workloadPath(name), prof)
-	if err != nil {
-		return nil, err
-	}
-	var reg server.WorkloadRegistration
-	if err := json.Unmarshal(body, &reg); err != nil {
-		return nil, err
-	}
-	return &reg, nil
+	return decode[server.WorkloadRegistration](ctx, c, http.MethodPost, workloadPath(name), prof)
 }
 
 // Workload reads one registered workload back.
 func (c *Client) Workload(ctx context.Context, name string) (*server.WorkloadRegistration, error) {
-	resp, err := c.do(ctx, http.MethodGet, workloadPath(name), nil, false)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	var reg server.WorkloadRegistration
-	if err := json.NewDecoder(resp.Body).Decode(&reg); err != nil {
-		return nil, err
-	}
-	return &reg, nil
+	return decode[server.WorkloadRegistration](ctx, c, http.MethodGet, workloadPath(name), nil)
 }
 
 // DeleteWorkload removes one of the tenant's registered workloads.

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"fomodel/internal/experiments"
+	"fomodel/internal/httpfront"
 	"fomodel/internal/optimize"
 	"fomodel/internal/server"
 )
@@ -561,4 +562,51 @@ func TestOptimizeStreamServerError(t *testing.T) {
 			t.Fatalf("err = %v, want a truncated-stream error", err)
 		}
 	})
+}
+
+// TestStreamRejectsBadRows pins the stream reader's row checks on both
+// streams: a row that is not a JSON object is malformed, and an object
+// that is neither a point of that stream, its trailer, nor an error row
+// is unrecognized — each stream refuses the other's point rows.
+func TestStreamRejectsBadRows(t *testing.T) {
+	const (
+		sweepPoint    = `{"bench":"gzip","value":2,"sim_cpi":1,"model_cpi":1,"err":0}`
+		optimizePoint = `{"eval":1,"config":{"width":4},"cpi":1,"objectives":[1]}`
+	)
+	streams := []struct {
+		name    string
+		foreign string
+		run     func(c *Client) error
+	}{
+		{"sweep", optimizePoint, func(c *Client) error {
+			_, err := c.SweepStream(context.Background(), experiments.SweepSpec{}, nil)
+			return err
+		}},
+		{"optimize", sweepPoint, func(c *Client) error {
+			_, err := c.OptimizeStream(context.Background(), optimize.Spec{}, nil)
+			return err
+		}},
+	}
+	for _, st := range streams {
+		rows := []struct {
+			name, row, wantSub string
+		}{
+			{"malformed", `{"bench":`, "malformed stream row"},
+			{"not an object", `[1,2]`, "malformed stream row"},
+			{"unrecognized", `{"title":"no render"}`, "unrecognized stream row"},
+			{"other stream's point", st.foreign, "unrecognized stream row"},
+		}
+		for _, tc := range rows {
+			t.Run(st.name+"/"+tc.name, func(t *testing.T) {
+				c, _ := testClient(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+					w.Header().Set("Content-Type", httpfront.NDJSON)
+					fmt.Fprintln(w, tc.row)
+					fmt.Fprintln(w, `{"render":"unreached"}`)
+				}))
+				if err := st.run(c); err == nil || !strings.Contains(err.Error(), tc.wantSub) {
+					t.Fatalf("err = %v, want one containing %q", err, tc.wantSub)
+				}
+			})
+		}
+	}
 }

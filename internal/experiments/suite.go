@@ -290,18 +290,12 @@ func (s *Suite) Warm() {
 	if workers <= 1 || len(s.Names) <= 1 {
 		return
 	}
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for _, name := range s.Names {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(name string) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			_, _ = s.Workload(name)
-		}(name)
-	}
-	wg.Wait()
+	// compute never fails, so RunOrdered waits for every job and returns
+	// nil.
+	_ = RunOrdered(workers, len(s.Names), func(i int) (struct{}, error) {
+		_, _ = s.Workload(s.Names[i])
+		return struct{}{}, nil
+	}, nil)
 }
 
 // EachWorkload runs fn for every benchmark, in report order, stopping at

@@ -14,6 +14,10 @@
 //     499 in the log and counters when the client left first.
 //   - ReadBody and DecodeStrict are the bounded request-body read (413
 //     naming the limit) and the strict JSON decode both servers apply.
+//   - NDJSON and WantsNDJSON are the streamed responses' media type and
+//     the Accept test that opts a request into one, shared by the
+//     daemon that streams, the proxy that relays and the client that
+//     reads.
 //   - Serve listens, serves and drains on shutdown.
 //
 // What stays in each server is its own: the daemon's admission control
@@ -43,6 +47,15 @@ const StatusClientGone = 499
 
 // RequestIDHeader carries the request ID through the fleet.
 const RequestIDHeader = "X-Request-ID"
+
+// NDJSON is the media type of streamed sweep and optimize responses.
+const NDJSON = "application/x-ndjson"
+
+// WantsNDJSON reports whether r asked for a streamed response by
+// listing NDJSON in its Accept header.
+func WantsNDJSON(r *http.Request) bool {
+	return strings.Contains(r.Header.Get("Accept"), NDJSON)
+}
 
 // Writer records what a handler wrote, for the access log and the
 // per-(path, code) counters.

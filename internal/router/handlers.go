@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"sync"
 
 	"fomodel/internal/httpfront"
@@ -136,7 +135,7 @@ func (rt *Router) handlePredict(w *httpfront.Writer, r *http.Request) {
 	if !ok {
 		return
 	}
-	rt.proxyOne(w, r, http.MethodPost, "/v1/predict", body, false, rt.predictKey(body))
+	rt.proxyOne(w, r, http.MethodPost, "/v1/predict", body, false, routeKey(rt, "predict", body, server.PredictCacheKey))
 }
 
 func (rt *Router) handleSweep(w *httpfront.Writer, r *http.Request) {
@@ -144,8 +143,7 @@ func (rt *Router) handleSweep(w *httpfront.Writer, r *http.Request) {
 	if !ok {
 		return
 	}
-	stream := strings.Contains(r.Header.Get("Accept"), "application/x-ndjson")
-	rt.proxyOne(w, r, http.MethodPost, "/v1/sweep", body, stream, rt.sweepKey(body))
+	rt.proxyOne(w, r, http.MethodPost, "/v1/sweep", body, httpfront.WantsNDJSON(r), routeKey(rt, "sweep", body, server.SweepCacheKey))
 }
 
 func (rt *Router) handleOptimize(w *httpfront.Writer, r *http.Request) {
@@ -153,8 +151,7 @@ func (rt *Router) handleOptimize(w *httpfront.Writer, r *http.Request) {
 	if !ok {
 		return
 	}
-	stream := strings.Contains(r.Header.Get("Accept"), "application/x-ndjson")
-	rt.proxyOne(w, r, http.MethodPost, "/v1/optimize", body, stream, rt.optimizeKey(body))
+	rt.proxyOne(w, r, http.MethodPost, "/v1/optimize", body, httpfront.WantsNDJSON(r), routeKey(rt, "optimize", body, server.OptimizeCacheKey))
 }
 
 func (rt *Router) handleWorkloads(w *httpfront.Writer, r *http.Request) {

@@ -28,12 +28,9 @@ import (
 	"time"
 
 	"fomodel/internal/client"
-	"fomodel/internal/experiments"
 	"fomodel/internal/httpfront"
 	"fomodel/internal/metrics"
-	"fomodel/internal/optimize"
 	"fomodel/internal/reqkey"
-	"fomodel/internal/server"
 )
 
 // Config parameterizes the router. The zero value of every field (other
@@ -472,46 +469,19 @@ func (rt *Router) rawKey(endpoint string, body []byte) string {
 	return reqkey.Raw(endpoint, body)
 }
 
-// predictKey derives the /v1/predict routing key — the daemon's own
-// response-cache key, normalization included.
-func (rt *Router) predictKey(body []byte) string {
-	var req server.PredictRequest
-	if err := httpfront.DecodeStrict(body, &req); err != nil {
-		return rt.rawKey("predict", body)
+// routeKey derives body's routing key: decoded strictly as a T and keyed
+// by keyOf, the daemon's own response-cache key function (normalization
+// included), so a request routes by the key its replica caches it under
+// and repeated searches land on the replica already holding the result.
+// A body that fails to decode or to key routes by its raw bytes.
+func routeKey[T any](rt *Router, endpoint string, body []byte, keyOf func(T, reqkey.Defaults) (string, error)) string {
+	var v T
+	if err := httpfront.DecodeStrict(body, &v); err != nil {
+		return rt.rawKey(endpoint, body)
 	}
-	key, err := server.PredictCacheKey(req, rt.cfg.Defaults)
+	key, err := keyOf(v, rt.cfg.Defaults)
 	if err != nil {
-		return rt.rawKey("predict", body)
-	}
-	return key
-}
-
-// sweepKey derives the /v1/sweep routing key, shared with the daemon's
-// buffered-sweep cache key.
-func (rt *Router) sweepKey(body []byte) string {
-	var spec experiments.SweepSpec
-	if err := httpfront.DecodeStrict(body, &spec); err != nil {
-		return rt.rawKey("sweep", body)
-	}
-	key, err := server.SweepCacheKey(spec, rt.cfg.Defaults)
-	if err != nil {
-		return rt.rawKey("sweep", body)
-	}
-	return key
-}
-
-// optimizeKey derives the /v1/optimize routing key, shared with the
-// daemon's buffered-optimize cache key so repeated searches land on the
-// replica already holding the result (and the predict-cache entries its
-// evaluations warmed).
-func (rt *Router) optimizeKey(body []byte) string {
-	var spec optimize.Spec
-	if err := httpfront.DecodeStrict(body, &spec); err != nil {
-		return rt.rawKey("optimize", body)
-	}
-	key, err := server.OptimizeCacheKey(spec, rt.cfg.Defaults)
-	if err != nil {
-		return rt.rawKey("optimize", body)
+		return rt.rawKey(endpoint, body)
 	}
 	return key
 }

@@ -284,7 +284,7 @@ func TestShardStability(t *testing.T) {
 	wantPerReplica := make([]int64, 2)
 	const repeats = 3
 	for _, body := range bodies {
-		owner := rt.ring.owner(rt.predictKey([]byte(body)))
+		owner := rt.ring.owner(routeKey(rt, "predict", []byte(body), server.PredictCacheKey))
 		wantPerReplica[owner] += repeats
 	}
 	for i := 0; i < repeats; i++ {
@@ -354,7 +354,7 @@ func TestEjectionFailsOverStalledOwner(t *testing.T) {
 	// fail the attempt over long before it.
 	_, handlers, rt := fakeReplicas(t, 2, Config{ProbeTimeout: 50 * time.Millisecond, UpstreamTimeout: 10 * time.Second})
 	body := []byte(`{"bench": "gzip"}`)
-	key := rt.predictKey(body)
+	key := routeKey(rt, "predict", body, server.PredictCacheKey)
 	owner := rt.ring.owner(key)
 
 	arrived := make(chan struct{}, 1)
@@ -433,7 +433,7 @@ func shed(retryAfter, msg string) http.HandlerFunc {
 func TestSheddingOwnerSpillsToSuccessor(t *testing.T) {
 	_, handlers, rt := fakeReplicas(t, 2, Config{})
 	body := []byte(`{"bench": "gzip"}`)
-	key := rt.predictKey(body)
+	key := routeKey(rt, "predict", body, server.PredictCacheKey)
 	owner := rt.ring.owner(key)
 	*handlers[owner] = shed("30", "saturated")
 	*handlers[1-owner] = func(w http.ResponseWriter, r *http.Request) {
@@ -467,7 +467,7 @@ func TestAllCandidatesShedRelaysLast429(t *testing.T) {
 	proxy := httptest.NewServer(rt.Handler())
 	t.Cleanup(proxy.Close)
 	body := `{"bench": "gzip"}`
-	owner := rt.ring.owner(rt.predictKey([]byte(body)))
+	owner := rt.ring.owner(routeKey(rt, "predict", []byte(body), server.PredictCacheKey))
 	*handlers[owner] = shed("30", "owner saturated")
 	*handlers[1-owner] = shed("7", "successor saturated")
 
@@ -497,7 +497,7 @@ func TestShedThenFailedSuccessorRelaysShed(t *testing.T) {
 	proxy := httptest.NewServer(rt.Handler())
 	t.Cleanup(proxy.Close)
 	body := `{"bench": "gzip"}`
-	owner := rt.ring.owner(rt.predictKey([]byte(body)))
+	owner := rt.ring.owner(routeKey(rt, "predict", []byte(body), server.PredictCacheKey))
 	*handlers[owner] = shed("30", "owner saturated")
 	servers[1-owner].Close()
 
@@ -524,7 +524,7 @@ func TestEjectionDoesNotCutStreamedRelay(t *testing.T) {
 	proxy := httptest.NewServer(rt.Handler())
 	t.Cleanup(proxy.Close)
 	body := `{"param": "rob", "benches": ["gzip"], "values": [64, 128]}`
-	owner := rt.ring.owner(rt.sweepKey([]byte(body)))
+	owner := rt.ring.owner(routeKey(rt, "sweep", []byte(body), server.SweepCacheKey))
 
 	release := make(chan struct{})
 	var once sync.Once
@@ -667,7 +667,7 @@ func TestFailoverEjectAndReadmit(t *testing.T) {
 	var bodyB string
 	for _, name := range workload.Names() {
 		body := fmt.Sprintf(`{"bench": %q}`, name)
-		if rt.ring.owner(rt.predictKey([]byte(body))) == idxB {
+		if rt.ring.owner(routeKey(rt, "predict", []byte(body), server.PredictCacheKey)) == idxB {
 			bodyB = body
 			break
 		}
@@ -965,7 +965,7 @@ func TestSweepSpecKeySharing(t *testing.T) {
 		t.Fatal(err)
 	}
 	b, _ := json.Marshal(spec)
-	if got := rt.sweepKey(b); got != fromServer {
+	if got := routeKey(rt, "sweep", b, server.SweepCacheKey); got != fromServer {
 		t.Fatalf("router sweep key %q != server cache key %q", got, fromServer)
 	}
 }
@@ -1044,7 +1044,7 @@ func TestOptimizeSpecKeySharing(t *testing.T) {
 		`{"workloads":[{"bench":"gzip"}],"bounds":{"width":{"min":1,"max":4}},"budget":6}`,
 		`{"workloads":[{"bench":"gzip","weight":1}],"bounds":{"width":{"min":1,"max":4,"step":1}},"objective":"cpi","budget":6,"seed":1,"grid":3,"n":2000,"trace_seed":1}`,
 	} {
-		if got := rt.optimizeKey([]byte(body)); got != fromServer {
+		if got := routeKey(rt, "optimize", []byte(body), server.OptimizeCacheKey); got != fromServer {
 			t.Fatalf("router optimize key %q != server cache key %q for body %s", got, fromServer, body)
 		}
 	}

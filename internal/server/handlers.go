@@ -2,10 +2,12 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
-	"strings"
+	"time"
 
 	"fomodel/internal/experiments"
 	"fomodel/internal/httpfront"
@@ -161,15 +163,6 @@ type SweepTrailer struct {
 	CSV        string  `json:"csv"`
 }
 
-// ndjsonContentType is the streamed sweep's media type; requests opt in
-// by listing it in the Accept header.
-const ndjsonContentType = "application/x-ndjson"
-
-// wantsNDJSON reports whether the request asked for a streamed sweep.
-func wantsNDJSON(r *http.Request) bool {
-	return strings.Contains(r.Header.Get("Accept"), ndjsonContentType)
-}
-
 // writeRow writes v as one row of a streamed NDJSON response and flushes
 // it; the first row sends the 200 and the content type.
 func writeRow(w *httpfront.Writer, v any) error {
@@ -178,7 +171,7 @@ func writeRow(w *httpfront.Writer, v any) error {
 		return err
 	}
 	if w.Code == 0 {
-		w.Header().Set("Content-Type", ndjsonContentType)
+		w.Header().Set("Content-Type", httpfront.NDJSON)
 		w.WriteHeader(http.StatusOK)
 	}
 	if _, err := w.Write(append(row, '\n')); err != nil {
@@ -186,6 +179,103 @@ func writeRow(w *httpfront.Writer, v any) error {
 	}
 	w.Flush()
 	return nil
+}
+
+// search is one design-space search endpoint as serveSearch serves it:
+// a computation that hands each row (P) to emit as it is found and
+// returns the result (R) the response is built from.
+type search[P, R any] struct {
+	// key is the buffered response's cache key.
+	key func() (string, error)
+	// label is what panicHook receives for the search as a whole.
+	label string
+	// deadlineMS is the request's own deadline on top of the server's;
+	// 0 sets none.
+	deadlineMS int
+	// run computes the result; emit is nil on the buffered path.
+	run func(ctx context.Context, emit func(P) error) (R, error)
+	// body builds the buffered response, trailer the stream's last row.
+	body, trailer func(R) any
+}
+
+// serveSearch answers one validated search, buffered or streamed as the
+// request's Accept header asks.
+//
+// Buffered, the body is computed through the response cache, whose
+// compute guard turns a panic into a 500. Streamed (NDJSON), each row is
+// written and flushed as run emits it, then the trailer: everything the
+// buffered body carries but the rows, so reassembling the stream
+// reproduces the buffered body byte for byte. A streamed search bypasses
+// the response cache, since its rows leave before the result exists,
+// but still shares the caches underneath; a client disconnect cancels
+// the rest of the search through the request context.
+//
+// A failure before the first row is the request's status, the spec's
+// own deadline expiring being a 503 that names it. After the first row
+// the 200 is on the wire, so a live client gets the error as a final
+// {"error": ...} row instead.
+func serveSearch[P, R any](s *Server, w *httpfront.Writer, r *http.Request, q search[P, R]) {
+	ctx := r.Context()
+	if q.deadlineMS > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, time.Duration(q.deadlineMS)*time.Millisecond)
+		defer cancel()
+	}
+	compute := func(emit func(P) error) (R, error) {
+		if s.panicHook != nil {
+			s.panicHook(q.label)
+		}
+		return q.run(ctx, emit)
+	}
+	var (
+		body []byte
+		hit  bool
+		res  R
+		err  error
+	)
+	stream := httpfront.WantsNDJSON(r)
+	if stream {
+		res, err = func() (res R, err error) {
+			// The stream runs outside the response cache, so it needs its
+			// own panic net: worker panics arrive as PanicError through the
+			// engine's guard, and this recover catches the handler
+			// goroutine itself.
+			defer func() {
+				if p := recover(); p != nil {
+					err = fmt.Errorf("internal panic: %v", p)
+				}
+			}()
+			return compute(func(pt P) error { return writeRow(w, pt) })
+		}()
+	} else {
+		key, kerr := q.key()
+		if kerr != nil {
+			httpfront.WriteError(w, http.StatusInternalServerError, "%s", kerr)
+			return
+		}
+		body, hit, err = s.cache.Do(key, func() ([]byte, error) {
+			res, err := compute(nil)
+			if err != nil {
+				return nil, err
+			}
+			return EncodeIndented(q.body(res))
+		})
+	}
+	switch {
+	case err == nil && stream:
+		writeRow(w, q.trailer(res)) //folint:allow(errdrop) trailer ends the stream; a failed write means the client is gone and there is nothing left to send
+	case err != nil && w.Code != 0:
+		if r.Context().Err() == nil {
+			//folint:allow(errdrop) final error row on a dying stream; a failed write means the client is gone too
+			writeRow(w, httpfront.ErrorBody{Error: err.Error(), RequestID: w.ID})
+		}
+	case errors.Is(err, context.DeadlineExceeded) && q.deadlineMS > 0 && r.Context().Err() == nil:
+		// The spec's own deadline is the client's limit, not the server's.
+		httpfront.WriteError(w, http.StatusServiceUnavailable,
+			"search exceeded the spec's %dms deadline", q.deadlineMS)
+	default:
+		s.finishCompute(w, body, hit, err)
+	}
 }
 
 func (s *Server) handleSweep(w *httpfront.Writer, r *http.Request) {
@@ -202,85 +292,18 @@ func (s *Server) handleSweep(w *httpfront.Writer, r *http.Request) {
 		httpfront.WriteError(w, http.StatusBadRequest, "%s", err)
 		return
 	}
-	if wantsNDJSON(r) {
-		s.streamSweep(w, r, spec)
-		return
-	}
-	key, err := SweepCacheKey(spec, s.cfg.KeyDefaults())
-	if err != nil {
-		httpfront.WriteError(w, http.StatusInternalServerError, "%s", err)
-		return
-	}
-	ctx := r.Context()
-	body, hit, err := s.cache.Do(key, func() ([]byte, error) {
-		if s.panicHook != nil {
-			s.panicHook(spec.Param)
-		}
-		res, err := experiments.Sweep(ctx, s.suite, spec)
-		if err != nil {
-			return nil, err
-		}
-		body, err := EncodeIndented(SweepResponse{
-			SweepResult: res,
-			Render:      res.Render(),
-			CSV:         res.CSV(),
-		})
-		if err != nil {
-			return nil, err
-		}
-		return body, nil
-	})
-	s.finishCompute(w, body, hit, err)
-}
-
-// streamSweep is the NDJSON sweep mode: one compact SweepPoint row per
-// grid cell, flushed as the cell completes, then one SweepTrailer row
-// with the sweep-level fields. Streamed responses bypass the response
-// cache (rows leave before the result exists) but still share the
-// suite's workload and prep caches. A client disconnect cancels the
-// remaining grid cells through the request context; a failure after the
-// first row has been sent is reported as a final {"error": ...} row,
-// since the 200 header is already on the wire.
-func (s *Server) streamSweep(w *httpfront.Writer, r *http.Request, spec experiments.SweepSpec) {
-	ctx := r.Context()
-	res, err := func() (res *experiments.SweepResult, err error) {
-		// The streamed path runs outside the response cache, so it needs
-		// its own panic net: worker panics arrive here as PanicError via
-		// the engine's guard, and this recover catches the handler
-		// goroutine itself, turning both into a structured error instead
-		// of a severed connection.
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("internal panic: %v", r)
-			}
-		}()
-		if s.panicHook != nil {
-			s.panicHook(spec.Param)
-		}
-		return experiments.SweepStream(ctx, s.suite, spec, func(pt experiments.SweepPoint) error {
-			return writeRow(w, pt)
-		})
-	}()
-	if err != nil {
-		if w.Code == 0 {
-			// Nothing sent yet: fail the request with its real status.
-			s.finishCompute(w, nil, false, err)
-			return
-		}
-		if ctx.Err() == nil {
-			// Mid-stream failure with a live client: the status line is
-			// gone, so the error travels as the final row.
-			//folint:allow(errdrop) final error row on a dying stream; a failed write means the client is gone too
-			writeRow(w, httpfront.ErrorBody{Error: err.Error()})
-		}
-		return
-	}
-	writeRow(w, SweepTrailer{ //folint:allow(errdrop) trailer ends the stream; a failed write means the client is gone and there is nothing left to send
-		Title:      res.Title,
-		Param:      res.Param,
-		MeanAbsErr: res.MeanAbsErr,
-		Render:     res.Render(),
-		CSV:        res.CSV(),
+	serveSearch(s, w, r, search[experiments.SweepPoint, *experiments.SweepResult]{
+		key:   func() (string, error) { return SweepCacheKey(spec, s.cfg.KeyDefaults()) },
+		label: spec.Param,
+		run: func(ctx context.Context, emit func(experiments.SweepPoint) error) (*experiments.SweepResult, error) {
+			return experiments.SweepStream(ctx, s.suite, spec, emit)
+		},
+		body: func(res *experiments.SweepResult) any {
+			return SweepResponse{SweepResult: res, Render: res.Render(), CSV: res.CSV()}
+		},
+		trailer: func(res *experiments.SweepResult) any {
+			return SweepTrailer{Title: res.Title, Param: res.Param, MeanAbsErr: res.MeanAbsErr, Render: res.Render(), CSV: res.CSV()}
+		},
 	})
 }
 

@@ -108,26 +108,15 @@ func (s *Server) predictRecord(j predictJob) (PredictRecord, error) {
 	if err != nil {
 		return PredictRecord{}, err
 	}
-	inputs, err := core.InputsFromCurve(an.Law, an.Points, machine.WindowSize, an.Summary)
-	if err != nil {
-		return PredictRecord{}, err
-	}
-	est, err := machine.Estimate(inputs, core.Options{BranchMode: j.mode})
-	if err != nil {
-		return PredictRecord{}, err
-	}
-	rec := PredictRecord{Bench: req.Bench, Inputs: inputs, Estimate: est}
+	var simulate func() (*uarch.Result, error)
 	if req.Sim {
-		t, err := s.traceFor(rw, true)
-		if err != nil {
-			return PredictRecord{}, err
+		simulate = func() (*uarch.Result, error) {
+			t, err := s.traceFor(rw, true)
+			if err != nil {
+				return nil, err
+			}
+			return s.suite.SimulateTrace(t, ucfg)
 		}
-		r, err := s.suite.SimulateTrace(t, ucfg)
-		if err != nil {
-			return PredictRecord{}, err
-		}
-		cpi := r.CPI()
-		rec.SimCPI = &cpi
 	}
-	return rec, nil
+	return composePredict(req.Bench, an, machine, j.mode, simulate)
 }

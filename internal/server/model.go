@@ -202,24 +202,28 @@ func Analyze(store *artifact.Store, t *trace.Trace, machine core.Machine, ucfg u
 // withSim is set, a detailed simulator run for the model-error column.
 // Simulator runs go through preps when non-nil, sharing classification
 // passes across configs; a nil preps simulates directly. The CLI's
-// fomodel tool and the daemon's /v1/predict handler both call this (the
-// daemon via PredictWithAnalysis and its analysis caches), which is what
-// makes their outputs byte-equivalent in content.
+// fomodel tool calls it; the daemon resolves the analysis bundle through
+// its own caches instead, and both compose the answer with
+// composePredict, which is what makes their outputs byte-equivalent in
+// content.
 func Predict(t *trace.Trace, machine core.Machine, ucfg uarch.Config,
 	mode core.BranchPenaltyMode, withSim bool, preps *uarch.PrepCache) (PredictRecord, error) {
 	an, err := Analyze(nil, t, machine, ucfg)
 	if err != nil {
 		return PredictRecord{}, err
 	}
-	return PredictWithAnalysis(an, t, machine, ucfg, mode, withSim, preps)
+	var simulate func() (*uarch.Result, error)
+	if withSim {
+		simulate = func() (*uarch.Result, error) { return preps.Simulate(t, ucfg) }
+	}
+	return composePredict(t.Name, an, machine, mode, simulate)
 }
 
-// PredictWithAnalysis is the cheap tail of Predict: it composes the
-// model answer from an already-computed (or store-served) analysis
-// bundle. Callers that cache bundles by content key — the daemon — pay
-// only this composition per request.
-func PredictWithAnalysis(an *experiments.AnalysisArtifact, t *trace.Trace, machine core.Machine, ucfg uarch.Config,
-	mode core.BranchPenaltyMode, withSim bool, preps *uarch.PrepCache) (PredictRecord, error) {
+// composePredict is the model half of the predict pipeline: the
+// equation-(1) inputs and CPI stack from an analysis bundle, plus the
+// detailed simulator's CPI when simulate is non-nil.
+func composePredict(bench string, an *experiments.AnalysisArtifact, machine core.Machine,
+	mode core.BranchPenaltyMode, simulate func() (*uarch.Result, error)) (PredictRecord, error) {
 	inputs, err := core.InputsFromCurve(an.Law, an.Points, machine.WindowSize, an.Summary)
 	if err != nil {
 		return PredictRecord{}, err
@@ -228,9 +232,9 @@ func PredictWithAnalysis(an *experiments.AnalysisArtifact, t *trace.Trace, machi
 	if err != nil {
 		return PredictRecord{}, err
 	}
-	rec := PredictRecord{Bench: t.Name, Inputs: inputs, Estimate: est}
-	if withSim {
-		r, err := preps.Simulate(t, ucfg)
+	rec := PredictRecord{Bench: bench, Inputs: inputs, Estimate: est}
+	if simulate != nil {
+		r, err := simulate()
 		if err != nil {
 			return PredictRecord{}, err
 		}

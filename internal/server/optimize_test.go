@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -179,11 +180,7 @@ func TestOptimizeWorkerPanicIsA500(t *testing.T) {
 // postOptimizeNDJSON runs one optimize request with the streaming
 // Accept header.
 func postOptimizeNDJSON(s *Server, body string) *httptest.ResponseRecorder {
-	req := httptest.NewRequest(http.MethodPost, "/v1/optimize", strings.NewReader(body))
-	req.Header.Set("Accept", ndjsonContentType)
-	rec := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, req)
-	return rec
+	return postStream(s, "/v1/optimize", body)
 }
 
 // parseOptimizeStream splits an NDJSON optimize body into point rows and
@@ -251,6 +248,46 @@ func TestStreamedOptimizeMatchesBuffered(t *testing.T) {
 	if string(rebuilt) != buffered.Body.String() {
 		t.Errorf("reassembled stream differs from buffered response\nstream:\n%s\nbuffered:\n%s",
 			rebuilt, buffered.Body.String())
+	}
+}
+
+// TestStreamedOptimizeMidStreamErrorRow pins the failure after the
+// first row: the 200 is already on the wire, so a live client gets the
+// error as a final {"error": ...} row and no trailer. The fault is
+// injected into the second candidate's evaluation (predictBody passes
+// the hook the bench name); with one worker the first candidate has been
+// accepted and streamed by then.
+func TestStreamedOptimizeMidStreamErrorRow(t *testing.T) {
+	s := testServer(Config{Workers: 1})
+	var evals atomic.Int32
+	s.panicHook = func(name string) {
+		if name == "gzip" && evals.Add(1) == 2 {
+			panic("injected evaluation failure")
+		}
+	}
+	rec := postOptimizeNDJSON(s, optimizeBody)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status = %d, want 200 (the failure follows the first row)\nbody: %s", rec.Code, rec.Body.String())
+	}
+	lines := strings.Split(strings.TrimSuffix(rec.Body.String(), "\n"), "\n")
+	if len(lines) < 2 {
+		t.Fatalf("stream has %d rows, want points plus an error row:\n%s", len(lines), rec.Body.String())
+	}
+	for _, line := range lines[:len(lines)-1] {
+		var pt optimize.Point
+		if err := json.Unmarshal([]byte(line), &pt); err != nil || pt.Eval == 0 {
+			t.Fatalf("row %q before the error row is not a point (err %v)", line, err)
+		}
+	}
+	var last map[string]any
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &last); err != nil {
+		t.Fatalf("bad last row %q: %v", lines[len(lines)-1], err)
+	}
+	if msg, _ := last["error"].(string); !strings.Contains(msg, "injected evaluation failure") {
+		t.Errorf("last row %q should be an error row naming the panic", lines[len(lines)-1])
+	}
+	if _, ok := last["render"]; ok {
+		t.Errorf("a failed stream must not end with a trailer: %q", lines[len(lines)-1])
 	}
 }
 

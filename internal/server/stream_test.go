@@ -10,17 +10,25 @@ import (
 	"testing"
 
 	"fomodel/internal/experiments"
+	"fomodel/internal/httpfront"
 )
 
 const sweepBody = `{"param":"width","benches":["gzip"],"values":[2,4,6,8]}`
 
-// postNDJSON runs one sweep request with the streaming Accept header.
-func postNDJSON(s *Server, body string) *httptest.ResponseRecorder {
-	req := httptest.NewRequest(http.MethodPost, "/v1/sweep", strings.NewReader(body))
+const ndjsonContentType = httpfront.NDJSON
+
+// postStream runs one request with the streaming Accept header.
+func postStream(s *Server, path, body string) *httptest.ResponseRecorder {
+	req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body))
 	req.Header.Set("Accept", ndjsonContentType)
 	rec := httptest.NewRecorder()
 	s.Handler().ServeHTTP(rec, req)
 	return rec
+}
+
+// postNDJSON runs one sweep request with the streaming Accept header.
+func postNDJSON(s *Server, body string) *httptest.ResponseRecorder {
+	return postStream(s, "/v1/sweep", body)
 }
 
 // parseStream splits an NDJSON sweep body into its point rows and the
@@ -118,50 +126,74 @@ func (w *disconnectWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestStreamedSweepDisconnectStopsCells pins streamed cancellation: a
-// client that vanishes mid-stream stops the remaining grid cells — the
-// suite's simulator counter shows only the cells that ran before the
-// disconnect, not the full grid.
+// streamedEndpoints are the two streamed searches, each with the
+// counter of the work it has run — simulator runs for the sweep's grid
+// cells, model evaluations for the search's candidates — and the work
+// its whole request would run.
+var streamedEndpoints = []struct {
+	name, path, body string
+	work             func(s *Server) int64
+	total            int64
+}{
+	{"sweep", "/v1/sweep", sweepBody, func(s *Server) int64 {
+		_, sims := s.suite.CounterSources()
+		return sims.Load()
+	}, 4},
+	{"optimize", "/v1/optimize", optimizeBody, func(s *Server) int64 { return s.optEvals.Load() }, 6},
+}
+
+// TestStreamedSweepDisconnectStopsCells pins streamed cancellation on
+// both streamed endpoints: a client that vanishes mid-stream stops the
+// remaining work — the work counter shows only what ran before the
+// disconnect, not the full grid or budget.
 func TestStreamedSweepDisconnectStopsCells(t *testing.T) {
-	s := testServer(Config{Workers: 1})
+	for _, ep := range streamedEndpoints {
+		t.Run(ep.name, func(t *testing.T) {
+			s := testServer(Config{Workers: 1})
 
-	ctx, cancel := context.WithCancel(context.Background())
-	req := httptest.NewRequest(http.MethodPost, "/v1/sweep", strings.NewReader(sweepBody)).WithContext(ctx)
-	req.Header.Set("Accept", ndjsonContentType)
-	w := &disconnectWriter{header: make(http.Header), cancel: cancel}
-	s.Handler().ServeHTTP(w, req)
+			ctx, cancel := context.WithCancel(context.Background())
+			req := httptest.NewRequest(http.MethodPost, ep.path, strings.NewReader(ep.body)).WithContext(ctx)
+			req.Header.Set("Accept", ndjsonContentType)
+			w := &disconnectWriter{header: make(http.Header), cancel: cancel}
+			s.Handler().ServeHTTP(w, req)
 
-	if w.rows != 1 {
-		t.Errorf("rows after disconnect = %d, want 1", w.rows)
-	}
-	if w.flushs == 0 {
-		t.Errorf("streamed rows were not flushed")
-	}
-	_, sims := s.suite.CounterSources()
-	if got := sims.Load(); got >= 4 || got < 1 {
-		t.Errorf("simulator runs after disconnect = %d, want at least 1 but fewer than the 4-cell grid", got)
+			if w.rows != 1 {
+				t.Errorf("rows after disconnect = %d, want 1", w.rows)
+			}
+			if w.flushs == 0 {
+				t.Errorf("streamed rows were not flushed")
+			}
+			if got := ep.work(s); got >= ep.total || got < 1 {
+				t.Errorf("work after disconnect = %d, want at least 1 but less than the whole request's %d", got, ep.total)
+			}
+		})
 	}
 }
 
-// TestStreamedSweepPanicIs500 pins the streamed panic net: a panic
-// before the first row leaves becomes a structured 500, not a severed
-// connection.
+// TestStreamedSweepPanicIs500 pins the streamed panic net on both
+// streamed endpoints: a panic before the first row leaves becomes a
+// structured 500, not a severed connection.
 func TestStreamedSweepPanicIs500(t *testing.T) {
-	s := testServer(Config{})
-	s.panicHook = func(string) { panic("injected stream failure") }
-	rec := postNDJSON(s, sweepBody)
-	if rec.Code != http.StatusInternalServerError {
-		t.Fatalf("status = %d, want 500\nbody: %s", rec.Code, rec.Body.String())
-	}
-	if msg := errorBody(t, rec); !strings.Contains(msg, "internal panic") ||
-		!strings.Contains(msg, "injected stream failure") {
-		t.Errorf("error %q should name the panic", msg)
-	}
+	for _, ep := range streamedEndpoints {
+		t.Run(ep.name, func(t *testing.T) {
+			s := testServer(Config{})
+			s.panicHook = func(string) { panic("injected stream failure") }
+			rec := postStream(s, ep.path, ep.body)
+			if rec.Code != http.StatusInternalServerError {
+				t.Fatalf("status = %d, want 500\nbody: %s", rec.Code, rec.Body.String())
+			}
+			if msg := errorBody(t, rec); !strings.Contains(msg, "internal panic") ||
+				!strings.Contains(msg, "injected stream failure") {
+				t.Errorf("error %q should name the panic", msg)
+			}
 
-	// The server survives: the same sweep succeeds once the fault is gone.
-	s.panicHook = nil
-	if rec := postNDJSON(s, sweepBody); rec.Code != http.StatusOK {
-		t.Errorf("sweep after panic: status = %d, want 200", rec.Code)
+			// The server survives: the same request succeeds once the
+			// fault is gone.
+			s.panicHook = nil
+			if rec := postStream(s, ep.path, ep.body); rec.Code != http.StatusOK {
+				t.Errorf("after panic: status = %d, want 200", rec.Code)
+			}
+		})
 	}
 }
 
