@@ -436,7 +436,7 @@ func runOptimize(ctx context.Context, path string, jsonOut bool, remote string, 
 		defer cancel()
 	}
 	s := server.New(server.Config{N: n, Seed: seed}, nil)
-	res, err := s.Optimize(ctx, spec, nil)
+	res, err := s.Optimize(ctx, spec)
 	if err != nil {
 		return fmt.Errorf("fomodel: %w", err)
 	}

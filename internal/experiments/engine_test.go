@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"fomodel/internal/workload"
 )
 
 func TestRunOrderedEmitsInOrder(t *testing.T) {
@@ -224,6 +226,26 @@ func TestWorkloadSingleFlight(t *testing.T) {
 	if computes, _ := s.Counters(); computes != int64(len(s.Names)) {
 		t.Errorf("%d workload computations for %d names", computes, len(s.Names))
 	}
+}
+
+// TestWarmRepanics pins that Warm stays a pure prefetch for errors but not
+// for bugs: a panic while computing a workload (here from the custom
+// workload lookup) reaches Warm's caller as a *PanicError instead of
+// leaving a silently empty cache entry behind.
+func TestWarmRepanics(t *testing.T) {
+	s := smallSuite()
+	s.Workers = 2
+	s.Names = []string{"gzip", "custom-wl"}
+	s.Lookup = func(name string) (workload.Profile, string, bool) {
+		panic("injected lookup failure")
+	}
+	defer func() {
+		var pe *PanicError
+		if err, _ := recover().(error); !errors.As(err, &pe) || !strings.Contains(pe.Error(), "injected lookup failure") {
+			t.Fatalf("Warm recovered %v, want a *PanicError naming the injected panic", err)
+		}
+	}()
+	s.Warm()
 }
 
 func TestWorkloadCachesErrors(t *testing.T) {

@@ -284,18 +284,21 @@ func (s *Suite) analyzeTrace(name string, t *trace.Trace) (*Workload, error) {
 // Warm computes any uncached workload analyses concurrently, bounded by
 // Workers. Computation errors stay in the cache and resurface, in report
 // order, when the failing workload is next requested — so Warm itself
-// never fails and is safe to use as a pure prefetch.
+// never fails and is safe to use as a pure prefetch. A panic while
+// computing a workload is a bug and is re-raised, not swallowed.
 func (s *Suite) Warm() {
 	workers := s.workers()
 	if workers <= 1 || len(s.Names) <= 1 {
 		return
 	}
-	// compute never fails, so RunOrdered waits for every job and returns
-	// nil.
-	_ = RunOrdered(workers, len(s.Names), func(i int) (struct{}, error) {
+	// compute returns no error, so RunOrdered fails only when guard has
+	// turned a panic into a *PanicError.
+	if err := RunOrdered(workers, len(s.Names), func(i int) (struct{}, error) {
 		_, _ = s.Workload(s.Names[i])
 		return struct{}{}, nil
-	}, nil)
+	}, nil); err != nil {
+		panic(err)
+	}
 }
 
 // EachWorkload runs fn for every benchmark, in report order, stopping at

@@ -116,16 +116,16 @@ func (s *Server) normalizeOptimize(spec *optimize.Spec) error {
 // Optimize runs one design-space search through the daemon's predict
 // compute path. It is exported so the CLI's local -optimize mode runs
 // the very same code an in-process daemon would, which is what makes
-// local and remote outputs byte-identical. emit, when non-nil, receives
-// accepted points in discovery order.
-func (s *Server) Optimize(ctx context.Context, spec optimize.Spec, emit func(optimize.Point) error) (*optimize.Result, error) {
+// local and remote outputs byte-identical.
+func (s *Server) Optimize(ctx context.Context, spec optimize.Spec) (*optimize.Result, error) {
 	if err := s.normalizeOptimize(&spec); err != nil {
 		return nil, err
 	}
-	return s.runOptimize(ctx, spec, emit)
+	return s.runOptimize(ctx, spec, nil)
 }
 
 // runOptimize is Optimize for a spec normalizeOptimize has accepted.
+// emit, when non-nil, receives accepted points in discovery order.
 func (s *Server) runOptimize(ctx context.Context, spec optimize.Spec, emit func(optimize.Point) error) (*optimize.Result, error) {
 	res, err := optimize.Run(ctx, spec, s.optimizeEval(spec), optimize.Options{
 		Workers:       s.cfg.Workers,

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"fomodel/internal/httpfront"
 	"fomodel/internal/optimize"
 )
 
@@ -256,7 +257,8 @@ func TestStreamedOptimizeMatchesBuffered(t *testing.T) {
 // error as a final {"error": ...} row and no trailer. The fault is
 // injected into the second candidate's evaluation (predictBody passes
 // the hook the bench name); with one worker the first candidate has been
-// accepted and streamed by then.
+// accepted and streamed by then. The error row carries the request's
+// X-Request-ID, as a buffered error body would.
 func TestStreamedOptimizeMidStreamErrorRow(t *testing.T) {
 	s := testServer(Config{Workers: 1})
 	var evals atomic.Int32
@@ -265,7 +267,11 @@ func TestStreamedOptimizeMidStreamErrorRow(t *testing.T) {
 			panic("injected evaluation failure")
 		}
 	}
-	rec := postOptimizeNDJSON(s, optimizeBody)
+	req := httptest.NewRequest(http.MethodPost, "/v1/optimize", strings.NewReader(optimizeBody))
+	req.Header.Set("Accept", ndjsonContentType)
+	req.Header.Set(httpfront.RequestIDHeader, "req-42")
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, req)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d, want 200 (the failure follows the first row)\nbody: %s", rec.Code, rec.Body.String())
 	}
@@ -285,6 +291,9 @@ func TestStreamedOptimizeMidStreamErrorRow(t *testing.T) {
 	}
 	if msg, _ := last["error"].(string); !strings.Contains(msg, "injected evaluation failure") {
 		t.Errorf("last row %q should be an error row naming the panic", lines[len(lines)-1])
+	}
+	if id, _ := last["request_id"].(string); id != "req-42" {
+		t.Errorf("error row request_id = %q, want the request's %q", id, "req-42")
 	}
 	if _, ok := last["render"]; ok {
 		t.Errorf("a failed stream must not end with a trailer: %q", lines[len(lines)-1])
