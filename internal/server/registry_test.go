@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"fomodel/internal/artifact"
@@ -370,5 +371,57 @@ func TestRegistryMetricsExposed(t *testing.T) {
 		if !strings.Contains(m, want) {
 			t.Errorf("metrics missing %q", want)
 		}
+	}
+}
+
+// TestReregisterMidRequestNeverCachesOtherContent re-registers a name
+// after a request naming it was keyed and before its computation ran:
+// the request was keyed under gzip's content, so the daemon must not
+// answer it, or cache anything under that key, from mcf's. The
+// interrupted request answers 503, and once gzip's profile is back the
+// name answers byte-for-byte what an uninterrupted server does.
+func TestReregisterMidRequestNeverCachesOtherContent(t *testing.T) {
+	cases := []struct{ name, path, body string }{
+		{"predict", "/v1/predict", `{"bench":"wl"}`},
+		{"predict seed 7", "/v1/predict", `{"bench":"wl","seed":7}`},
+		{"sweep", "/v1/sweep", `{"param":"rob","benches":["wl"],"values":[64,128]}`},
+		{"optimize", "/v1/optimize", `{"workloads":[{"bench":"wl"}],"bounds":{"width":{"min":1,"max":2}},"budget":4}`},
+	}
+	gzipWL, mcfWL := profileJSON(t, "gzip", "wl"), profileJSON(t, "mcf", "wl")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ref := testServer(Config{})
+			register(t, ref, "wl", gzipWL, "")
+			want := post(ref, tc.path, tc.body)
+			if want.Code != http.StatusOK {
+				t.Fatalf("reference: %d\n%s", want.Code, want.Body.String())
+			}
+
+			s := testServer(Config{})
+			register(t, s, "wl", gzipWL, "")
+			// The hook runs inside the cached computation, after the
+			// request was keyed; the first call swaps the content.
+			var once sync.Once
+			s.panicHook = func(string) {
+				once.Do(func() {
+					if rec := doReq(s, http.MethodPost, "/v1/workloads/wl", mcfWL, ""); rec.Code != http.StatusOK {
+						t.Errorf("re-register mid-request: %d", rec.Code)
+					}
+				})
+			}
+			if rec := post(s, tc.path, tc.body); rec.Code != http.StatusServiceUnavailable {
+				t.Errorf("interrupted request: %d, want 503\n%s", rec.Code, rec.Body.String())
+			}
+			s.panicHook = nil
+
+			register(t, s, "wl", gzipWL, "")
+			got := post(s, tc.path, tc.body)
+			if got.Code != http.StatusOK {
+				t.Fatalf("after re-registering gzip: %d\n%s", got.Code, got.Body.String())
+			}
+			if got.Body.String() != want.Body.String() {
+				t.Errorf("gzip content answered with another profile's result:\n got %.200s\nwant %.200s", got.Body.String(), want.Body.String())
+			}
+		})
 	}
 }
