@@ -14,9 +14,7 @@ test:
 race:
 	$(GO) test -race -shuffle=on ./...
 
-# Project-invariant analyzers (internal/lint, DESIGN.md §7a). Also
-# runnable through the go command's build cache:
-#   go build -o bin/fomodelvet ./cmd/fomodelvet && go vet -vettool=bin/fomodelvet ./...
+# Project-invariant analyzers (internal/lint, DESIGN.md §7a).
 lint:
 	$(GO) run ./cmd/fomodelvet ./...
 
@@ -74,4 +72,4 @@ loc:
 		while read -r pkg files; do printf '%-36s %6d\n' "$$pkg" "$$(cat $$files | wc -l)"; done | \
 		awk '{ print; total += $$2 } END { printf "%-36s %6d\n", "total", total }'
 
-check: build vet lint test race
+check: build vet lint test race bench-driver

@@ -3,17 +3,12 @@
 // canonical request keying, context and lock discipline, and error
 // handling on the serving path.
 //
-// Two modes:
+// Usage:
 //
-//	fomodelvet [-json] [packages]     # standalone, default ./...
-//	go vet -vettool=$(which fomodelvet) ./...
+//	fomodelvet [-json] [packages]     # default ./...
 //
-// The second mode speaks the go command's vettool protocol (the
-// *.cfg unit-checking interface of x/tools' unitchecker), so the
-// suite slots into `go vet` with per-package build caching. Exit
-// status is non-zero when any diagnostic survives //folint:allow
-// filtering; see DESIGN.md §7 for the invariants and the escape
-// hatch.
+// Exit status is non-zero when any diagnostic survives //folint:allow
+// filtering; see DESIGN.md §7 for the invariants and the escape hatch.
 package main
 
 import (
@@ -21,7 +16,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"fomodel/internal/lint"
 	"fomodel/internal/lint/driver"
@@ -29,20 +23,6 @@ import (
 )
 
 func main() {
-	// The go command probes its vet tool before use: -V=full must
-	// print a fingerprint line, -flags the supported flags.
-	if len(os.Args) == 2 {
-		switch {
-		case strings.HasPrefix(os.Args[1], "-V"):
-			printVersion()
-			return
-		case os.Args[1] == "-flags":
-			fmt.Println("[]")
-			return
-		case strings.HasSuffix(os.Args[1], ".cfg"):
-			os.Exit(vetUnit(os.Args[1]))
-		}
-	}
 	os.Exit(standalone(os.Args[1:]))
 }
 

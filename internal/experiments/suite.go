@@ -201,21 +201,6 @@ func (s *Suite) Forget(name string) {
 	}
 }
 
-// KnowsWorkload reports whether name resolves to a built-in profile or
-// a registered custom workload — the validation predicate for requests
-// that reference workloads by name.
-func (s *Suite) KnowsWorkload(name string) bool {
-	if _, err := workload.ByName(name); err == nil {
-		return true
-	}
-	if s != nil && s.Lookup != nil {
-		if _, _, ok := s.Lookup(name); ok {
-			return true
-		}
-	}
-	return false
-}
-
 // computeWorkload builds the full analysis bundle for one benchmark,
 // serving the trace and the analysis pass from the artifact store when
 // one is configured and warm.

@@ -141,11 +141,13 @@ func (sp SweepSpec) ValidateFor(s *Suite) error {
 		return fmt.Errorf("experiments: sweep needs at least one benchmark")
 	}
 	for _, b := range sp.Benches {
-		if s.KnowsWorkload(b) {
-			continue
-		}
 		if _, err := workload.ByName(b); err != nil {
-			return err
+			if s == nil || s.Lookup == nil {
+				return err
+			}
+			if _, _, ok := s.Lookup(b); !ok {
+				return err
+			}
 		}
 	}
 	if len(sp.Values) == 0 {
@@ -174,6 +176,9 @@ func (sp SweepSpec) ValidateFor(s *Suite) error {
 // next grid cell; started cells run to completion but their results are
 // discarded.
 func Sweep(ctx context.Context, s *Suite, spec SweepSpec) (*SweepResult, error) {
+	if err := spec.ValidateFor(s); err != nil {
+		return nil, err
+	}
 	return SweepStream(ctx, s, spec, nil)
 }
 
@@ -183,10 +188,9 @@ func Sweep(ctx context.Context, s *Suite, spec SweepSpec) (*SweepResult, error) 
 // sweep mode is built on. An emit error stops the sweep (no new cells are
 // handed out) and is returned; cancelling ctx stops it at the next grid
 // cell. The returned result is identical to Sweep's for the same spec.
+// Unlike Sweep, it does not validate: spec must have passed
+// ValidateFor(s), as the daemon's sweep handler checks before keying.
 func SweepStream(ctx context.Context, s *Suite, spec SweepSpec, emit func(SweepPoint) error) (*SweepResult, error) {
-	if err := spec.ValidateFor(s); err != nil {
-		return nil, err
-	}
 	title := spec.Title
 	if title == "" {
 		title = fmt.Sprintf("Design-space sweep: %s across %s",

@@ -1,8 +1,8 @@
 // Package driver runs the fomodelvet analyzers over loaded packages,
 // applies //folint:allow suppressions, and returns position-resolved
-// diagnostics ready to print. It is shared by the standalone
-// fomodelvet binary, its `go vet -vettool` mode, and the test
-// harness, so suppression semantics cannot drift between them.
+// diagnostics ready to print. It is shared by the fomodelvet binary
+// and the test harness, so suppression semantics cannot drift between
+// them.
 package driver
 
 import (

@@ -104,7 +104,7 @@ func exportImporter(fset *token.FileSet, exports map[string]string) types.Import
 
 // check parses files and type-checks them as one package under
 // pkgPath, importing dependencies through imp.
-func check(fset *token.FileSet, pkgPath, goVersion string, files []string, imp types.Importer) (*Package, error) {
+func check(fset *token.FileSet, pkgPath string, files []string, imp types.Importer) (*Package, error) {
 	var syntax []*ast.File
 	for _, name := range files {
 		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
@@ -121,7 +121,7 @@ func check(fset *token.FileSet, pkgPath, goVersion string, files []string, imp t
 		Implicits:  map[ast.Node]types.Object{},
 		Scopes:     map[ast.Node]*types.Scope{},
 	}
-	conf := types.Config{Importer: imp, GoVersion: goVersion}
+	conf := types.Config{Importer: imp}
 	pkg, err := conf.Check(pkgPath, fset, syntax, info)
 	if err != nil {
 		return nil, fmt.Errorf("lint/load: type-checking %s: %v", pkgPath, err)
@@ -160,30 +160,13 @@ func Packages(dir string, patterns ...string) ([]*Package, error) {
 		for i, gf := range t.GoFiles {
 			files[i] = filepath.Join(t.Dir, gf)
 		}
-		pkg, err := check(fset, t.ImportPath, "", files, imp)
+		pkg, err := check(fset, t.ImportPath, files, imp)
 		if err != nil {
 			return nil, err
 		}
 		pkgs = append(pkgs, pkg)
 	}
 	return pkgs, nil
-}
-
-// Unit type-checks one explicit compilation unit — the go command's
-// vettool mode, where the file list and the location of every
-// dependency's export data arrive in a config file rather than from
-// `go list`. resolve maps an import path (as written in source) to
-// its export data file.
-func Unit(pkgPath, goVersion string, files []string, resolve func(path string) (string, error)) (*Package, error) {
-	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		file, err := resolve(path)
-		if err != nil {
-			return nil, err
-		}
-		return os.Open(file)
-	})
-	return check(fset, pkgPath, goVersion, files, imp)
 }
 
 // moduleRoot walks up from dir to the enclosing go.mod. Testdata
@@ -266,5 +249,5 @@ func Dir(dir, pkgPath string) (*Package, error) {
 		}
 	}
 	fset = token.NewFileSet()
-	return check(fset, pkgPath, "", files, exportImporter(fset, exports))
+	return check(fset, pkgPath, files, exportImporter(fset, exports))
 }

@@ -27,9 +27,9 @@ import (
 	"text/tabwriter"
 
 	"fomodel/internal/experiments"
+	"fomodel/internal/reqkey"
 	"fomodel/internal/rng"
 	"fomodel/internal/uarch"
-	"fomodel/internal/workload"
 )
 
 // Spec-level caps, keeping one optimize request's cost bounded.
@@ -297,41 +297,29 @@ func (s Spec) defaultTitle() string {
 	return fmt.Sprintf("minimize %s over %s", s.Objective, over)
 }
 
-// Normalize fills defaults — the search-side ones plus the serving
-// defaults for the evaluation traces — and validates, returning an error
-// fit for a 400 response. It is idempotent and is the shared
-// canonicalization step: the daemon normalizes before keying its
-// response cache, and the fomodelproxy router normalizes the same way
-// before hashing onto the ring.
-func (s *Spec) Normalize(defaultN int, defaultTraceSeed uint64) error {
-	return s.NormalizeWith(defaultN, defaultTraceSeed, nil)
-}
-
-// NormalizeWith is Normalize with an extra workload universe: known,
-// when non-nil, reports additional (registered) workload names the
-// serving side can resolve beyond the built-in profiles.
-func (s *Spec) NormalizeWith(defaultN int, defaultTraceSeed uint64, known func(string) bool) error {
+// Normalize fills defaults — the search-side ones plus d's N and Seed
+// for the evaluation traces — and validates against d.Resolver,
+// returning an error fit for a 400 response. It is idempotent and is
+// the shared canonicalization step: the daemon normalizes before keying
+// its response cache, and the fomodelproxy router normalizes the same
+// way before hashing onto the ring.
+func (s *Spec) Normalize(d reqkey.Defaults) error {
 	s.fillSearchDefaults()
 	if s.N == 0 {
-		s.N = defaultN
+		s.N = d.N
 	}
 	if s.TraceSeed == 0 {
-		s.TraceSeed = defaultTraceSeed
+		s.TraceSeed = d.Seed
 	}
-	return s.ValidateWith(known)
+	return s.Validate(d.Resolver)
 }
 
-// Validate reports the first structural problem with the spec,
-// accepting only built-in workload names. Every enumeration in an
-// error message is sorted, so the wording never depends on map
+// Validate reports the first structural problem with the spec. A mix
+// entry's bench must be built-in or registered with res (see
+// reqkey.Content); a nil res accepts built-ins only. Every enumeration
+// in an error message is sorted, so the wording never depends on map
 // iteration order.
-func (s Spec) Validate() error { return s.ValidateWith(nil) }
-
-// ValidateWith is Validate with an extra workload universe: a mix
-// entry passes when its bench is built-in or when known (non-nil)
-// reports it resolvable — the hook servers with a workload registry
-// thread through.
-func (s Spec) ValidateWith(known func(string) bool) error {
+func (s Spec) Validate(res reqkey.Resolver) error {
 	if len(s.Workloads) == 0 {
 		return fmt.Errorf("optimize: spec needs at least one workload")
 	}
@@ -340,10 +328,8 @@ func (s Spec) ValidateWith(known func(string) bool) error {
 	}
 	seen := make(map[string]bool, len(s.Workloads))
 	for _, w := range s.Workloads {
-		if _, err := workload.ByName(w.Bench); err != nil {
-			if known == nil || !known(w.Bench) {
-				return err
-			}
+		if _, err := reqkey.Content(res, w.Bench); err != nil {
+			return err
 		}
 		if seen[w.Bench] {
 			return fmt.Errorf("optimize: workload %q listed twice in the mix", w.Bench)
@@ -537,11 +523,11 @@ type Options struct {
 	// Emit, when non-nil, receives each accepted Point in discovery
 	// order, on the calling goroutine; an Emit error aborts the search.
 	Emit func(Point) error
-	// KnownWorkload, when non-nil, extends the workload universe the
+	// Resolver, when non-nil, extends the workload universe the
 	// internal re-validation accepts beyond the built-in profiles
 	// (registered custom workloads). It must match whatever universe
 	// the eval function can actually serve.
-	KnownWorkload func(string) bool
+	Resolver reqkey.Resolver
 }
 
 // searcher is one Run invocation's state.
@@ -576,7 +562,7 @@ type searchAxis struct {
 // through to eval as given.
 func Run(ctx context.Context, spec Spec, eval EvalFunc, opts Options) (*Result, error) {
 	spec.fillSearchDefaults()
-	if err := spec.ValidateWith(opts.KnownWorkload); err != nil {
+	if err := spec.Validate(opts.Resolver); err != nil {
 		return nil, err
 	}
 	_, valid := spec.gridCounts()

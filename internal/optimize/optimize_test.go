@@ -236,7 +236,7 @@ func TestValidateMessagesDeterministic(t *testing.T) {
 	}
 	want := `optimize: unknown parameter "l2_size" (known: clusters, depth, fetch_buffer, rob, width, window)`
 	for i := 0; i < 20; i++ {
-		err := spec.Validate()
+		err := spec.Validate(nil)
 		if err == nil || err.Error() != want {
 			t.Fatalf("iteration %d: err = %v, want %q", i, err, want)
 		}
@@ -278,7 +278,7 @@ func TestValidateRejects(t *testing.T) {
 	for _, tc := range cases {
 		spec := base()
 		tc.mod(&spec)
-		err := spec.Validate()
+		err := spec.Validate(nil)
 		if err == nil || !strings.Contains(err.Error(), tc.frag) {
 			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.frag)
 		}

@@ -6,12 +6,17 @@
 // A registered name works anywhere a built-in benchmark name is
 // accepted (predict, sweep, batch, optimize, the CLI's -remote mode,
 // and the proxy). The registry never serves traces itself; it resolves
-// names to profiles and to content hashes, and the existing
-// content-keyed machinery (workload.CustomContentID, internal/reqkey)
-// does the rest: two tenants registering identical profiles share one
-// trace and one cache entry, while re-registering a name with
-// different content changes every downstream key, so stale results
-// cannot be served under the new definition.
+// names to content hashes (WorkloadContent, the reqkey.Resolver every
+// request is keyed through) and to profiles (Snapshot, the suite's
+// Lookup, read only to generate a trace), and the content-keyed
+// machinery (workload.CustomContentID, internal/reqkey) does the rest:
+// two tenants registering identical profiles share one trace and one
+// cache entry, while re-registering a name with different content
+// changes every downstream key, so stale results cannot be served under
+// the new definition. The daemon computes from the hash a request was
+// keyed under and fails the request, retryably, when the profile it
+// reads no longer has that hash, so a re-registration during a request
+// cannot cache one profile's answer under another's key either.
 package registry
 
 import (
@@ -248,9 +253,9 @@ func (r *Registry) Get(name string) (Entry, bool) {
 }
 
 // Snapshot resolves name to its current profile and content hash. It
-// is the lookup hook the experiment suite and the server's request
-// normalization use; the profile is returned by value so later
-// re-registrations cannot mutate an in-flight computation.
+// is the experiment suite's Lookup, the daemon's one source of
+// profiles; the profile is returned by value so later re-registrations
+// cannot mutate an in-flight computation.
 func (r *Registry) Snapshot(name string) (workload.Profile, string, bool) {
 	if r == nil {
 		return workload.Profile{}, "", false

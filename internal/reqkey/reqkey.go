@@ -8,7 +8,11 @@
 // dependencies, so the two sides can never drift apart.
 package reqkey
 
-import "encoding/json"
+import (
+	"encoding/json"
+
+	"fomodel/internal/workload"
+)
 
 // Resolver maps a registered workload name to its current profile
 // content hash. The daemon's registry implements it directly and the
@@ -20,6 +24,25 @@ type Resolver interface {
 	// WorkloadContent returns the content hash registered under name,
 	// or ok=false when the name is not registered.
 	WorkloadContent(name string) (hash string, ok bool)
+}
+
+// Content resolves a workload name the way every canonical key does: a
+// built-in profile carries no content hash (""), a name res reports
+// registered carries its profile's hash, and any other name is an error
+// (workload.ByName's). A nil res resolves built-ins only. It is the one
+// "is this name known, and with what content?" check shared by request
+// normalization, validation and content-vector keying.
+func Content(res Resolver, name string) (string, error) {
+	_, err := workload.ByName(name)
+	if err == nil {
+		return "", nil
+	}
+	if res != nil {
+		if hash, ok := res.WorkloadContent(name); ok {
+			return hash, nil
+		}
+	}
+	return "", err
 }
 
 // Defaults are the server-side request defaults that participate in

@@ -67,3 +67,39 @@ func TestDefaultsWithFallback(t *testing.T) {
 		t.Errorf("explicit defaults overwritten: %+v", d)
 	}
 }
+
+// mapResolver is a Resolver over a fixed name → hash table.
+type mapResolver map[string]string
+
+func (m mapResolver) WorkloadContent(name string) (string, bool) {
+	hash, ok := m[name]
+	return hash, ok
+}
+
+// TestContent pins the one resolution rule: built-ins carry no hash
+// (even when a resolver also knows the name), registered names carry
+// theirs, and anything else is workload.ByName's error.
+func TestContent(t *testing.T) {
+	res := mapResolver{"mine": "abc", "gzip": "shadow"}
+	cases := []struct {
+		res      Resolver
+		name     string
+		hash     string
+		errMatch string
+	}{
+		{nil, "gzip", "", ""},
+		{res, "gzip", "", ""},
+		{res, "mine", "abc", ""},
+		{nil, "mine", "", "unknown profile"},
+		{res, "nope", "", "unknown profile"},
+	}
+	for _, tc := range cases {
+		hash, err := Content(tc.res, tc.name)
+		if hash != tc.hash {
+			t.Errorf("Content(%v, %q) hash = %q, want %q", tc.res, tc.name, hash, tc.hash)
+		}
+		if (err == nil) != (tc.errMatch == "") || (err != nil && !strings.Contains(err.Error(), tc.errMatch)) {
+			t.Errorf("Content(%v, %q) err = %v, want %q", tc.res, tc.name, err, tc.errMatch)
+		}
+	}
+}

@@ -94,11 +94,6 @@ func (s *Server) handleBatch(w *httpfront.Writer, r *http.Request) {
 	s.finishComputeState(w, body, "", err)
 }
 
-// badItem is a 400 outcome for one batch item.
-func badItem(err error) BatchItem {
-	return BatchItem{Status: http.StatusBadRequest, Error: err.Error()}
-}
-
 // batchItem evaluates one predict request, mapping every per-item
 // failure mode onto the item itself; only context errors (client gone,
 // batch deadline) escape as errors, aborting the whole batch. It
@@ -114,25 +109,13 @@ func (s *Server) batchItem(ctx context.Context, req PredictRequest) (item BatchI
 			}
 		}
 	}()
-	if err := req.Normalize(s.cfg.KeyDefaults()); err != nil {
-		return badItem(err), nil
-	}
-	job, err := newPredictJob(req)
-	if err != nil {
-		return badItem(err), nil
-	}
-	key, err := PredictCacheKey(req, s.cfg.KeyDefaults())
-	if err != nil {
-		return BatchItem{Status: http.StatusInternalServerError, Error: err.Error()}, nil
-	}
-	body, hit, err := s.predictBody(ctx, key, job)
+	body, hit, err := s.predict(ctx, req)
 	switch {
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		return BatchItem{}, err
 	case err != nil:
-		return BatchItem{Status: http.StatusInternalServerError, Error: err.Error()}, nil
+		return BatchItem{Status: errorStatus(err), Error: err.Error()}, nil
 	}
-	s.noteRegisteredUse(req.Bench, hit)
 	cache := "miss"
 	if hit {
 		cache = "hit"

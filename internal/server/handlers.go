@@ -12,7 +12,6 @@ import (
 	"fomodel/internal/experiments"
 	"fomodel/internal/httpfront"
 	"fomodel/internal/reqkey"
-	"fomodel/internal/workload"
 )
 
 // MaxBodyBytes bounds request bodies: every valid request body is a
@@ -99,18 +98,11 @@ func (req *PredictRequest) Normalize(d reqkey.Defaults) error {
 	if req.BranchMode == "" {
 		req.BranchMode = "midpoint"
 	}
-	req.Content = ""
-	if _, err := workload.ByName(req.Bench); err != nil {
-		hash := ""
-		ok := false
-		if d.Resolver != nil {
-			hash, ok = d.Resolver.WorkloadContent(req.Bench)
-		}
-		if !ok {
-			return err
-		}
-		req.Content = hash
+	content, err := reqkey.Content(d.Resolver, req.Bench)
+	if err != nil {
+		return err
 	}
+	req.Content = content
 	if req.N < minTraceLen || req.N > maxTraceLen {
 		return fmt.Errorf("n %d outside [%d, %d]", req.N, minTraceLen, maxTraceLen)
 	}
@@ -122,22 +114,7 @@ func (s *Server) handlePredict(w *httpfront.Writer, r *http.Request) {
 	if !decodeRequest(w, r, MaxBodyBytes, &req) {
 		return
 	}
-	if err := req.Normalize(s.cfg.KeyDefaults()); err != nil {
-		httpfront.WriteError(w, http.StatusBadRequest, "%s", err)
-		return
-	}
-	job, err := newPredictJob(req)
-	if err != nil {
-		httpfront.WriteError(w, http.StatusBadRequest, "%s", err)
-		return
-	}
-	key, err := PredictCacheKey(req, s.cfg.KeyDefaults())
-	if err != nil {
-		httpfront.WriteError(w, http.StatusInternalServerError, "%s", err)
-		return
-	}
-	body, hit, err := s.predictBody(r.Context(), key, job)
-	s.noteRegisteredUse(req.Bench, hit)
+	body, hit, err := s.predict(r.Context(), req)
 	s.finishCompute(w, body, hit, err)
 }
 
@@ -185,7 +162,9 @@ func writeRow(w *httpfront.Writer, v any) error {
 // a computation that hands each row (P) to emit as it is found and
 // returns the result (R) the response is built from.
 type search[P, R any] struct {
-	// key is the buffered response's cache key.
+	// key is the buffered response's cache key. It names the content
+	// of the registered workloads the spec lists as the registry holds
+	// it now, so serveSearch derives it again after computing.
 	key func() (string, error)
 	// label is what panicHook receives for the search as a whole.
 	label string
@@ -209,6 +188,10 @@ type search[P, R any] struct {
 // the response cache, since its rows leave before the result exists,
 // but still shares the caches underneath; a client disconnect cancels
 // the rest of the search through the request context.
+//
+// A buffered result is cached only when the key derived after the
+// search equals the one it was computed under; a workload re-registered
+// in between fails the request with a retryable 503 instead.
 //
 // A failure before the first row is the request's status, the spec's
 // own deadline expiring being a 503 that names it. After the first row
@@ -258,6 +241,12 @@ func serveSearch[P, R any](s *Server, w *httpfront.Writer, r *http.Request, q se
 			if err != nil {
 				return nil, err
 			}
+			// A workload re-registered or deleted while the search ran
+			// changes the key, and the result may hold the new content's
+			// numbers: it is neither served nor cached under the old key.
+			if now, err := q.key(); err != nil || now != key {
+				return nil, errWorkloadChanged
+			}
 			return EncodeIndented(q.body(res))
 		})
 	}
@@ -293,7 +282,7 @@ func (s *Server) handleSweep(w *httpfront.Writer, r *http.Request) {
 		return
 	}
 	serveSearch(s, w, r, search[experiments.SweepPoint, *experiments.SweepResult]{
-		key:   func() (string, error) { return SweepCacheKey(spec, s.cfg.KeyDefaults()) },
+		key:   func() (string, error) { return SweepCacheKey(spec, s.keys) },
 		label: spec.Param,
 		run: func(ctx context.Context, emit func(experiments.SweepPoint) error) (*experiments.SweepResult, error) {
 			return experiments.SweepStream(ctx, s.suite, spec, emit)

@@ -6,6 +6,7 @@ import (
 	"fomodel/internal/core"
 	"fomodel/internal/experiments"
 	"fomodel/internal/iw"
+	"fomodel/internal/reqkey"
 	"fomodel/internal/uarch"
 )
 
@@ -44,10 +45,26 @@ func newPredictJob(req PredictRequest) (predictJob, error) {
 	return predictJob{req: req, machine: machine, ucfg: ucfg, mode: mode}, nil
 }
 
-// predictBody answers j through the response cache under key, its
-// PredictCacheKey: the encoded PredictRecord and whether it was a hit.
-func (s *Server) predictBody(ctx context.Context, key string, j predictJob) ([]byte, bool, error) {
-	return s.cache.Do(key, func() ([]byte, error) {
+// predict answers one predict request through the response cache: the
+// encoded PredictRecord and whether it was a hit. The request is
+// normalized once, and that one normalized value is both the cache key
+// and what the computation uses, the registered workload's content hash
+// included. A mistake in the request comes back as a badRequest. Each
+// answered predict of a registered workload, hit or computed, counts in
+// the registered-use metrics; a failed one does not.
+func (s *Server) predict(ctx context.Context, req PredictRequest) ([]byte, bool, error) {
+	if err := req.Normalize(s.keys); err != nil {
+		return nil, false, badRequest{err}
+	}
+	j, err := newPredictJob(req)
+	if err != nil {
+		return nil, false, badRequest{err}
+	}
+	key, err := reqkey.Canonical("predict", req)
+	if err != nil {
+		return nil, false, err
+	}
+	body, hit, err := s.cache.Do(key, func() ([]byte, error) {
 		if s.panicHook != nil {
 			s.panicHook(j.req.Bench)
 		}
@@ -60,6 +77,10 @@ func (s *Server) predictBody(ctx context.Context, key string, j predictJob) ([]b
 		}
 		return EncodeIndented(rec)
 	})
+	if err == nil {
+		s.noteRegisteredUse(req, hit)
+	}
+	return body, hit, err
 }
 
 // predictRecord is the daemon's predict pipeline. The analysis bundle is
@@ -77,10 +98,7 @@ func (s *Server) predictBody(ctx context.Context, key string, j predictJob) ([]b
 func (s *Server) predictRecord(j predictJob) (PredictRecord, error) {
 	req, machine, ucfg := j.req, j.machine, j.ucfg
 	scfg := predictStatsConfig(machine, ucfg)
-	rw, err := s.resolveWorkload(req)
-	if err != nil {
-		return PredictRecord{}, err
-	}
+	rw := resolveWorkload(req)
 	key := experiments.AnalysisKey(rw.contentID, iw.DefaultWindows(), scfg)
 	an, _, err := s.analysis.Do(key, func() (*experiments.AnalysisArtifact, error) {
 		if a, ok := experiments.LookupAnalysis(s.cfg.Store, rw.contentID, req.N, iw.DefaultWindows(), scfg); ok {
@@ -97,7 +115,6 @@ func (s *Server) predictRecord(j predictJob) (PredictRecord, error) {
 			if a, suiteKey := s.suite.Analysis(w); suiteKey == key {
 				return a, nil
 			}
-			return experiments.AnalyzeAndStore(s.cfg.Store, w.Trace, iw.DefaultWindows(), scfg)
 		}
 		t, err := s.traceFor(rw, req.Sim)
 		if err != nil {

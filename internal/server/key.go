@@ -4,7 +4,6 @@ import (
 	"fomodel/internal/experiments"
 	"fomodel/internal/optimize"
 	"fomodel/internal/reqkey"
-	"fomodel/internal/workload"
 )
 
 // This file is the daemon's half of the shared canonical-key contract
@@ -13,21 +12,6 @@ import (
 // router calls the very same functions to pick a replica — so the key a
 // request is routed by and the key the replica caches it under are one
 // string by construction.
-
-// KeyDefaults returns the normalization defaults this configuration
-// serves under; a router configured with the same defaults shares the
-// daemon's keyspace. The daemon's workload registry rides along as the
-// resolver, so registered-workload names canonicalize to keys carrying
-// their profile content hash.
-func (c Config) KeyDefaults() reqkey.Defaults {
-	reg := c.Registry
-	c = c.withDefaults()
-	d := reqkey.Defaults{N: c.N, Seed: c.Seed}
-	if reg != nil {
-		d.Resolver = reg
-	}
-	return d
-}
 
 // PredictCacheKey canonicalizes one predict request against the given
 // defaults: the request is normalized (defaults filled, inputs
@@ -48,20 +32,16 @@ func PredictCacheKey(req PredictRequest, d reqkey.Defaults) (string, error) {
 // registry-less server — when no name resolves through the registry,
 // which is what keeps every pre-registry cache key stable.
 func contentVector(benches []string, res reqkey.Resolver) []string {
-	if res == nil {
-		return nil
-	}
 	var out []string
 	for i, b := range benches {
-		if _, err := workload.ByName(b); err == nil {
-			continue
+		hash, err := reqkey.Content(res, b)
+		if err != nil || hash == "" {
+			continue // built-in, or unknown and rejected by validation
 		}
-		if hash, ok := res.WorkloadContent(b); ok {
-			if out == nil {
-				out = make([]string, len(benches))
-			}
-			out[i] = hash
+		if out == nil {
+			out = make([]string, len(benches))
 		}
+		out[i] = hash
 	}
 	return out
 }
@@ -93,25 +73,13 @@ type keyedOptimize struct {
 	Content []string `json:"content,omitempty"`
 }
 
-// resolverKnown adapts a reqkey.Resolver to the known-workload
-// predicate optimize validation accepts; nil in, nil out.
-func resolverKnown(res reqkey.Resolver) func(string) bool {
-	if res == nil {
-		return nil
-	}
-	return func(name string) bool {
-		_, ok := res.WorkloadContent(name)
-		return ok
-	}
-}
-
 // OptimizeCacheKey canonicalizes one optimize spec against the given
 // defaults: the spec is normalized (defaults filled, inputs validated,
 // registered names accepted through the resolver) and the normalized
 // value keyed with its content vector — shared, like every key in this
 // file's contract, with the fomodelproxy router's replica selection.
 func OptimizeCacheKey(spec optimize.Spec, d reqkey.Defaults) (string, error) {
-	if err := spec.NormalizeWith(d.N, d.Seed, resolverKnown(d.Resolver)); err != nil {
+	if err := spec.Normalize(d); err != nil {
 		return "", err
 	}
 	benches := make([]string, len(spec.Workloads))

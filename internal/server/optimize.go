@@ -70,21 +70,12 @@ func optimizeMachineSpec(cfg optimize.Config, tlb bool) MachineSpec {
 // exact).
 func (s *Server) optimizeEval(spec optimize.Spec) optimize.EvalFunc {
 	return func(ctx context.Context, cfg optimize.Config, bench string) (float64, error) {
-		req := PredictRequest{
+		body, hit, err := s.predict(ctx, PredictRequest{
 			Bench:   bench,
 			N:       spec.N,
 			Seed:    spec.TraceSeed,
 			Machine: optimizeMachineSpec(cfg, spec.TLB),
-		}
-		key, err := PredictCacheKey(req, s.cfg.KeyDefaults())
-		if err != nil {
-			return 0, err
-		}
-		job, err := newPredictJob(req)
-		if err != nil {
-			return 0, err
-		}
-		body, hit, err := s.predictBody(ctx, key, job)
+		})
 		if err != nil {
 			return 0, err
 		}
@@ -92,7 +83,6 @@ func (s *Server) optimizeEval(spec optimize.Spec) optimize.EvalFunc {
 		if hit {
 			s.optEvalHits.Inc()
 		}
-		s.noteRegisteredUse(bench, hit)
 		var rec PredictRecord
 		if err := json.Unmarshal(body, &rec); err != nil {
 			return 0, fmt.Errorf("malformed cached predict body: %w", err)
@@ -104,7 +94,7 @@ func (s *Server) optimizeEval(spec optimize.Spec) optimize.EvalFunc {
 // normalizeOptimize fills spec's defaults and validates it, returning an
 // error fit for a 400 response.
 func (s *Server) normalizeOptimize(spec *optimize.Spec) error {
-	if err := spec.NormalizeWith(s.cfg.N, s.cfg.Seed, s.knownWorkload); err != nil {
+	if err := spec.Normalize(s.keys); err != nil {
 		return err
 	}
 	if spec.N < minTraceLen || spec.N > maxTraceLen {
@@ -128,9 +118,9 @@ func (s *Server) Optimize(ctx context.Context, spec optimize.Spec) (*optimize.Re
 // emit, when non-nil, receives accepted points in discovery order.
 func (s *Server) runOptimize(ctx context.Context, spec optimize.Spec, emit func(optimize.Point) error) (*optimize.Result, error) {
 	res, err := optimize.Run(ctx, spec, s.optimizeEval(spec), optimize.Options{
-		Workers:       s.cfg.Workers,
-		Emit:          emit,
-		KnownWorkload: s.knownWorkload,
+		Workers:  s.cfg.Workers,
+		Emit:     emit,
+		Resolver: s.keys.Resolver,
 	})
 	if err != nil {
 		return nil, err
@@ -150,7 +140,7 @@ func (s *Server) handleOptimize(w *httpfront.Writer, r *http.Request) {
 		return
 	}
 	serveSearch(s, w, r, search[optimize.Point, *optimize.Result]{
-		key:        func() (string, error) { return OptimizeCacheKey(spec, s.cfg.KeyDefaults()) },
+		key:        func() (string, error) { return OptimizeCacheKey(spec, s.keys) },
 		label:      spec.Title,
 		deadlineMS: spec.DeadlineMS,
 		run: func(ctx context.Context, emit func(optimize.Point) error) (*optimize.Result, error) {

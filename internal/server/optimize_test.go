@@ -85,7 +85,7 @@ func TestOptimizeBufferedAndCached(t *testing.T) {
 // TestOptimizeSpellingsCollapse pins canonicalization: explicit defaults
 // and omitted defaults produce one cache key.
 func TestOptimizeSpellingsCollapse(t *testing.T) {
-	d := Config{N: 20000}.KeyDefaults()
+	d := testServer(Config{}).keys
 	implicit := optimize.Spec{
 		Workloads: []optimize.WorkloadWeight{{Bench: "gzip"}},
 		Bounds:    map[string]optimize.Bound{"width": {Min: 1, Max: 4}},
@@ -255,7 +255,7 @@ func TestStreamedOptimizeMatchesBuffered(t *testing.T) {
 // TestStreamedOptimizeMidStreamErrorRow pins the failure after the
 // first row: the 200 is already on the wire, so a live client gets the
 // error as a final {"error": ...} row and no trailer. The fault is
-// injected into the second candidate's evaluation (predictBody passes
+// injected into the second candidate's evaluation (Server.predict passes
 // the hook the bench name); with one worker the first candidate has been
 // accepted and streamed by then. The error row carries the request's
 // X-Request-ID, as a buffered error body would.

@@ -134,27 +134,18 @@ func (s *Server) handleWorkloadDelete(w *httpfront.Writer, r *http.Request) {
 	s.finishComputeState(w, body, "", err)
 }
 
-// knownWorkload reports whether bench is acceptable wherever a
-// benchmark name is: a built-in profile or a live registration.
-func (s *Server) knownWorkload(bench string) bool {
-	return s.suite.KnowsWorkload(bench)
-}
-
-// noteRegisteredUse records one predict evaluation of a registered
-// workload for the per-workload /metrics accounting. Built-in names
-// (and names no longer registered) are not tracked, so the counter maps
+// noteRegisteredUse records one answered predict of a registered
+// workload for the per-workload /metrics accounting; req is normalized,
+// so its Content is set exactly when its name resolved to a
+// registration. Built-in names are not tracked, so the counter maps
 // stay bounded by the registered population.
-func (s *Server) noteRegisteredUse(bench string, hit bool) {
-	reg := s.cfg.Registry
-	if reg == nil {
+func (s *Server) noteRegisteredUse(req PredictRequest, hit bool) {
+	if req.Content == "" {
 		return
 	}
-	if _, ok := reg.Get(bench); !ok {
-		return
-	}
-	s.registeredUseCounter(s.regRequests, bench).Inc()
+	s.registeredUseCounter(s.regRequests, req.Bench).Inc()
 	if hit {
-		s.registeredUseCounter(s.regHits, bench).Inc()
+		s.registeredUseCounter(s.regHits, req.Bench).Inc()
 	}
 }
 

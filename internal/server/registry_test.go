@@ -360,6 +360,17 @@ func TestRegistryMetricsExposed(t *testing.T) {
 	}
 	post(s, "/v1/predict", `{"bench":"wl"}`) // cache hit
 
+	// Only answered predicts count: a failed one, single or batched,
+	// leaves the registered-use counters alone.
+	s.panicHook = func(string) { panic("injected") }
+	if rec := post(s, "/v1/predict", `{"bench":"wl","seed":9}`); rec.Code != http.StatusInternalServerError {
+		t.Errorf("failing predict: %d, want 500", rec.Code)
+	}
+	if rec := post(s, "/v1/batch", `{"items":[{"bench":"wl","seed":9}]}`); !strings.Contains(rec.Body.String(), `"status": 500`) {
+		t.Errorf("failing batch item: %s", rec.Body.String())
+	}
+	s.panicHook = nil
+
 	m := get(s, "/metrics").Body.String()
 	for _, want := range []string{
 		"fomodeld_registry_registrations_total 1",

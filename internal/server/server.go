@@ -21,6 +21,7 @@ import (
 	"fomodel/internal/httpfront"
 	"fomodel/internal/metrics"
 	"fomodel/internal/registry"
+	"fomodel/internal/reqkey"
 	"fomodel/internal/trace"
 	"fomodel/internal/workload"
 )
@@ -90,7 +91,10 @@ func (c Config) withDefaults() Config {
 // caches, the response, analysis and trace caches, and the metrics
 // counters).
 type Server struct {
-	cfg   Config
+	cfg Config
+	// keys are the defaults every request is normalized and keyed
+	// against; the registry resolves registered names to their content.
+	keys  reqkey.Defaults
 	suite *experiments.Suite
 	start time.Time
 
@@ -156,6 +160,7 @@ func New(cfg Config, log *slog.Logger) *Server {
 	suite.Lookup = cfg.Registry.Snapshot
 	return &Server{
 		cfg:      cfg,
+		keys:     reqkey.Defaults{N: cfg.N, Seed: cfg.Seed, Resolver: cfg.Registry},
 		suite:    suite,
 		start:    time.Now(),
 		cache:    flight.New[string, []byte](cfg.CacheEntries, nil),
@@ -255,7 +260,8 @@ func (s *Server) retryAfterSeconds() int {
 
 // finishCompute maps a computation outcome onto the response: a body is
 // written as-is with 200, context errors become 499 (client gone,
-// nothing written) or 503 (deadline), and other failures become 500.
+// nothing written) or 503 (deadline), and other failures take
+// errorStatus's status.
 func (s *Server) finishCompute(w *httpfront.Writer, body []byte, hit bool, err error) {
 	cacheState := "miss"
 	if hit {
@@ -277,7 +283,7 @@ func (s *Server) finishComputeState(w *httpfront.Writer, body []byte, cacheState
 		httpfront.WriteError(w, http.StatusServiceUnavailable,
 			"request exceeded the %s computation deadline", s.cfg.RequestTimeout)
 	case err != nil:
-		httpfront.WriteError(w, http.StatusInternalServerError, "%s", err)
+		httpfront.WriteError(w, errorStatus(err), "%s", err)
 	default:
 		if cacheState != "" {
 			w.Header().Set("X-Cache", cacheState)
@@ -290,36 +296,54 @@ func (s *Server) finishComputeState(w *httpfront.Writer, body []byte, cacheState
 	}
 }
 
-// resolvedWorkload is one request's workload identity after name
-// resolution: the content ID that keys every cache and artifact, plus
-// — for registered custom workloads — the profile snapshot to generate
-// from. prof is nil for built-in benchmarks.
+// errWorkloadChanged fails a computation whose registered workload was
+// re-registered or deleted after the request was keyed: the content the
+// key names is no longer the content the name resolves to, so there is
+// nothing to compute that the key would describe. It answers 503, which
+// clients retry; the retry is keyed under the current content.
+var errWorkloadChanged = errors.New("workload was re-registered or deleted during the request; retry")
+
+// badRequest marks an error as the request's own mistake, a 400.
+type badRequest struct{ error }
+
+// errorStatus is the HTTP status of a failed request whose error is not
+// a context error: 400 for the request's mistakes, 503 for a workload
+// re-registered under it, and 500 for everything else.
+func errorStatus(err error) int {
+	switch {
+	case errors.As(err, new(badRequest)):
+		return http.StatusBadRequest
+	case errors.Is(err, errWorkloadChanged):
+		return http.StatusServiceUnavailable
+	}
+	return http.StatusInternalServerError
+}
+
+// resolvedWorkload is one request's workload identity: the content hash
+// its key names ("" for a built-in) and the content ID derived from it
+// that keys every cache and artifact.
 type resolvedWorkload struct {
 	bench     string
 	n         int
 	seed      uint64
+	content   string
 	contentID string
-	prof      *workload.Profile
 }
 
 // resolveWorkload maps a normalized predict request onto its workload
 // identity: built-in names key by the classic recipe ContentID,
-// registered names by the profile's name-free CustomContentID — so two
-// names registered with identical content share traces, analyses, and
-// artifacts, while re-registered content changes every downstream key.
-func (s *Server) resolveWorkload(req PredictRequest) (resolvedWorkload, error) {
-	rw := resolvedWorkload{bench: req.Bench, n: req.N, seed: req.Seed}
-	_, nameErr := workload.ByName(req.Bench)
-	if nameErr == nil {
+// registered names by the name-free CustomContentID of the content hash
+// Normalize stamped — so two names registered with identical content
+// share traces, analyses, and artifacts, and the computation is always
+// of the content the request was keyed under.
+func resolveWorkload(req PredictRequest) resolvedWorkload {
+	rw := resolvedWorkload{bench: req.Bench, n: req.N, seed: req.Seed, content: req.Content}
+	if req.Content == "" {
 		rw.contentID = workload.ContentID(req.Bench, req.N, req.Seed)
-		return rw, nil
+	} else {
+		rw.contentID = workload.CustomContentID(req.Content, req.N, req.Seed)
 	}
-	if prof, hash, ok := s.cfg.Registry.Snapshot(req.Bench); ok {
-		rw.prof = &prof
-		rw.contentID = workload.CustomContentID(hash, req.N, req.Seed)
-		return rw, nil
-	}
-	return rw, nameErr
+	return rw
 }
 
 // traceFor returns the resolved workload's trace, sharing the suite's
@@ -334,21 +358,31 @@ func (s *Server) resolveWorkload(req PredictRequest) (resolvedWorkload, error) {
 // which callers set for simulator runs: a model-only request needs the
 // trace once, for its analysis, and the store keeps that analysis
 // instead. The suite's default-seed traces always persist.
+//
+// A registered workload's profile is read, through the suite's Lookup,
+// only to generate a trace. When the profile found, or the suite's
+// trace, is not of rw's content, the name was re-registered since the
+// request was keyed, and traceFor fails with errWorkloadChanged.
 func (s *Server) traceFor(rw resolvedWorkload, persist bool) (*trace.Trace, error) {
 	if s.suiteTrace(rw) {
-		// The suite resolves registered names through its own Lookup, so
-		// this path serves built-ins and registered workloads alike.
 		w, err := s.suite.Workload(rw.bench)
 		if err != nil {
 			return nil, err
 		}
+		if w.Trace.ContentID != rw.contentID {
+			return nil, errWorkloadChanged
+		}
 		return w.Trace, nil
 	}
 	t, _, err := s.traces.Do(rw.contentID, func() (*trace.Trace, error) {
-		if rw.prof != nil {
-			return experiments.LoadOrGenerateProfileTrace(s.cfg.Store, *rw.prof, rw.n, rw.seed, persist)
+		if rw.content == "" {
+			return experiments.LoadOrGenerateTrace(s.cfg.Store, rw.bench, rw.n, rw.seed, persist)
 		}
-		return experiments.LoadOrGenerateTrace(s.cfg.Store, rw.bench, rw.n, rw.seed, persist)
+		prof, hash, ok := s.suite.Lookup(rw.bench)
+		if !ok || hash != rw.content {
+			return nil, errWorkloadChanged
+		}
+		return experiments.LoadOrGenerateProfileTrace(s.cfg.Store, prof, rw.n, rw.seed, persist)
 	})
 	return t, err
 }
