@@ -59,10 +59,12 @@ bench-kernel:
 	$(GO) test -run '^$$' -bench RunConfigs -cpu 1 -count 5 ./internal/uarch
 	$(GO) test -run '^$$' -bench SweepServed -cpu 1 -count 5 ./internal/server
 
-# The benchmark driver's own tests, as the bench-driver CI job runs them;
-# -short skips TestSmoke, which starts real daemons and a proxy.
+# The benchmark driver's vet and own tests, as the bench-driver CI job
+# runs them. bench is a separate module, so the root `go vet ./...`
+# does not reach it; -short skips TestSmoke, which starts real daemons
+# and a proxy.
 bench-driver:
-	cd bench && $(GO) test -short ./...
+	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 
 # Non-test .go lines of each package under internal/ and cmd/, then
 # their total: the line count a simplifying change reports before and

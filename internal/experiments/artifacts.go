@@ -62,14 +62,22 @@ func AnalysisKey(contentID string, windows []int, scfg stats.Config) string {
 	return b.String()
 }
 
-// storedAnalysis reads and decodes the artifact stored under key and
-// checks its shape: a summary of at least n instructions and one point
-// per window. n is a lower bound because a generated trace may run a
-// few instructions past its requested length (the generator finishes
-// its last basic block). ok is false on a miss, a payload that does not
-// decode (an older format included), or a wrong shape.
-func storedAnalysis(store *artifact.Store, key string, n int, windows []int) (*AnalysisArtifact, bool) {
-	b, ok := store.Get("analysis", key)
+// LookupAnalysis returns the stored analysis bundle for a generation
+// recipe without materializing its trace — the restart fast path: a
+// model-only prediction needs the bundle, not the instructions. The
+// content key pins the recipe (name, n, seed, generator version) and
+// the store's checksum pins the bytes, so a decodable artifact of the
+// right shape is trustworthy without the trace at hand: a summary of
+// at least n instructions (a lower bound, because the generator
+// finishes its last basic block past the requested length) and one
+// point per window. ok is false on a miss (nil store included), a
+// payload that does not decode (an older format included), or a wrong
+// shape; callers then load the trace and use AnalyzeAndStore.
+func LookupAnalysis(store *artifact.Store, contentID string, n int, windows []int, scfg stats.Config) (*AnalysisArtifact, bool) {
+	if store == nil || contentID == "" {
+		return nil, false
+	}
+	b, ok := store.Get("analysis", AnalysisKey(contentID, windows, scfg))
 	if !ok {
 		return nil, false
 	}
@@ -80,38 +88,12 @@ func storedAnalysis(store *artifact.Store, key string, n int, windows []int) (*A
 	return &a, true
 }
 
-// LookupAnalysis returns the stored analysis bundle for a generation
-// recipe without materializing its trace — the daemon's restart fast
-// path: a model-only prediction needs the bundle, not the instructions.
-// The content key pins the recipe (name, n, seed, generator version) and
-// the store's checksum pins the bytes, so a decodable, shape-valid
-// artifact is trustworthy without the trace at hand. ok is false when no
-// valid artifact exists (nil store included); callers then load the
-// trace and use ComputeAnalysis.
-func LookupAnalysis(store *artifact.Store, contentID string, n int, windows []int, scfg stats.Config) (*AnalysisArtifact, bool) {
-	if store == nil || contentID == "" {
-		return nil, false
-	}
-	return storedAnalysis(store, AnalysisKey(contentID, windows, scfg), n, windows)
-}
-
-// ComputeAnalysis returns the analysis bundle of t under scfg, serving
-// it from the store when possible. Results are identical either way:
-// the artifact is a pure function of the trace content and the
-// configuration projection in its key.
-func ComputeAnalysis(store *artifact.Store, t *trace.Trace, windows []int, scfg stats.Config) (*AnalysisArtifact, error) {
-	if t.ContentID != "" && store != nil {
-		if a, ok := storedAnalysis(store, AnalysisKey(t.ContentID, windows, scfg), t.Len(), windows); ok {
-			return a, nil
-		}
-	}
-	return AnalyzeAndStore(store, t, windows, scfg)
-}
-
 // AnalyzeAndStore computes the analysis bundle of t under scfg and
 // writes it to the store (when t has a content ID), without reading the
-// store first: the daemon calls it after LookupAnalysis has already
-// missed on the same key.
+// store first: Suite.Analyze calls it after LookupAnalysis has already
+// missed on the same key. A nil store only computes. The bundle is a
+// pure function of the trace content and the configuration projection
+// in its key, so a stored and a computed bundle are identical.
 func AnalyzeAndStore(store *artifact.Store, t *trace.Trace, windows []int, scfg stats.Config) (*AnalysisArtifact, error) {
 	points, err := iw.Characteristic(t, windows, iw.Options{})
 	if err != nil {

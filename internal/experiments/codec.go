@@ -137,7 +137,7 @@ func appendMap(b []byte, m map[int]int) []byte {
 // bytes that remain (so a forged count cannot allocate more than the
 // payload holds), the map key order and the exact length. It does not
 // check the artifact against a trace or window sweep; see
-// storedAnalysis.
+// LookupAnalysis.
 func (a *AnalysisArtifact) UnmarshalBinary(data []byte) error {
 	d := decoder{b: data}
 	if m := d.take(len(analysisMagic)); d.err != nil || [4]byte(m) != analysisMagic {

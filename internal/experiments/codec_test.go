@@ -28,7 +28,7 @@ func realArtifacts(tb testing.TB) []*AnalysisArtifact {
 		if name == "mcf" {
 			scfg.TLB = &tlb
 		}
-		a, err := ComputeAnalysis(nil, tr, iw.DefaultWindows(), scfg)
+		a, err := AnalyzeAndStore(nil, tr, iw.DefaultWindows(), scfg)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -221,7 +221,7 @@ func BenchmarkAnalysisArtifactDecode(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	a, err := ComputeAnalysis(nil, tr, iw.DefaultWindows(), NewSuite(100000, 1).statsConfig())
+	a, err := AnalyzeAndStore(nil, tr, iw.DefaultWindows(), NewSuite(100000, 1).statsConfig())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -165,55 +165,6 @@ func MapWorkloads[T any](s *Suite, fn func(*Workload) (T, error)) ([]T, error) {
 	return out, nil
 }
 
-// Job is one named unit of engine work.
-type Job struct {
-	Name string
-	Run  func() error
-}
-
-// Engine runs independent named jobs — typically whole experiments — on a
-// bounded worker pool.
-type Engine struct {
-	// Workers bounds the pool; 0 means DefaultWorkers.
-	Workers int
-	// Timings, when non-nil, receives one "experiment" sample per job.
-	Timings *Timings
-}
-
-// NewEngine returns an engine with the given pool size (0 means
-// DefaultWorkers).
-func NewEngine(workers int) *Engine { return &Engine{Workers: workers} }
-
-// Do runs every job on the pool and waits for all of them to finish. The
-// returned error is the earliest failure in argument order, so the
-// outcome does not depend on goroutine scheduling.
-func (e *Engine) Do(jobs ...Job) error {
-	workers := normalizeWorkers(e.Workers)
-	sem := make(chan struct{}, workers)
-	errs := make([]error, len(jobs))
-	var wg sync.WaitGroup
-	for i := range jobs {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			start := time.Now()
-			_, errs[i] = guard(func(i int) (struct{}, error) {
-				return struct{}{}, jobs[i].Run()
-			}, i)
-			e.Timings.Record("experiment", jobs[i].Name, time.Since(start))
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // TimingSample is one named wall-time measurement.
 type TimingSample struct {
 	// Phase groups samples ("workload", "experiment").

@@ -150,29 +150,6 @@ func TestRunOrderedRecoversPanics(t *testing.T) {
 	}
 }
 
-// TestEngineDoRecoversPanics pins the same contract for the job-list
-// engine: a panicking job surfaces as the *PanicError result while the
-// sibling jobs still run to completion.
-func TestEngineDoRecoversPanics(t *testing.T) {
-	var ran atomic.Int32
-	eng := NewEngine(4)
-	err := eng.Do(
-		Job{Name: "ok-1", Run: func() error { ran.Add(1); return nil }},
-		Job{Name: "bad", Run: func() error { panic("job boom") }},
-		Job{Name: "ok-2", Run: func() error { ran.Add(1); return nil }},
-	)
-	var pe *PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("got %v (%T), want *PanicError", err, err)
-	}
-	if got := fmt.Sprint(pe.Value); got != "job boom" {
-		t.Errorf("panic value = %q", got)
-	}
-	if ran.Load() != 2 {
-		t.Errorf("sibling jobs ran %d times, want 2", ran.Load())
-	}
-}
-
 func TestRunOrderedZeroJobs(t *testing.T) {
 	if err := RunOrdered(4, 0, func(int) (int, error) {
 		t.Fatal("compute called with no jobs")
@@ -184,7 +161,7 @@ func TestRunOrderedZeroJobs(t *testing.T) {
 
 // TestWorkloadSingleFlight is the regression test for the duplicate-compute
 // race: many goroutines released together against the same names must share
-// one computation per name and see identical pointers.
+// one computation per name and see the identical trace and summary.
 func TestWorkloadSingleFlight(t *testing.T) {
 	s := smallSuite()
 	const goroutinesPerName = 8
@@ -192,11 +169,11 @@ func TestWorkloadSingleFlight(t *testing.T) {
 		start sync.WaitGroup
 		done  sync.WaitGroup
 		mu    sync.Mutex
-		seen  = map[string]map[*Workload]bool{}
+		seen  = map[string]map[[2]any]bool{}
 	)
 	gate := make(chan struct{})
 	for _, name := range s.Names {
-		seen[name] = map[*Workload]bool{}
+		seen[name] = map[[2]any]bool{}
 		for g := 0; g < goroutinesPerName; g++ {
 			start.Add(1)
 			done.Add(1)
@@ -210,7 +187,7 @@ func TestWorkloadSingleFlight(t *testing.T) {
 					return
 				}
 				mu.Lock()
-				seen[name][w] = true
+				seen[name][[2]any{w.Trace, w.Summary}] = true
 				mu.Unlock()
 			}(name)
 		}
@@ -220,7 +197,7 @@ func TestWorkloadSingleFlight(t *testing.T) {
 	done.Wait()
 	for name, ptrs := range seen {
 		if len(ptrs) != 1 {
-			t.Errorf("%s: %d distinct workload pointers, want 1", name, len(ptrs))
+			t.Errorf("%s: %d distinct trace or summary pointers, want 1 each", name, len(ptrs))
 		}
 	}
 	if computes, _ := s.Counters(); computes != int64(len(s.Names)) {
@@ -248,15 +225,28 @@ func TestWarmRepanics(t *testing.T) {
 	s.Warm()
 }
 
-func TestWorkloadCachesErrors(t *testing.T) {
+// TestWorkloadErrorsNotRetained pins the flight caches' failure policy
+// at the suite: a failed trace load is not cached, so the next call for
+// the same content computes again instead of reading a stored error.
+// Here the name resolves to content "h", but the profile lookup inside
+// the trace load finds other content, as after a re-registration.
+func TestWorkloadErrorsNotRetained(t *testing.T) {
 	s := smallSuite()
-	_, err1 := s.Workload("nope")
-	_, err2 := s.Workload("nope")
-	if err1 == nil || err2 == nil {
-		t.Fatal("unknown workload accepted")
+	calls := 0
+	s.Lookup = func(string) (workload.Profile, string, bool) {
+		calls++
+		if calls%2 == 1 {
+			return workload.Profile{}, "h", true
+		}
+		return workload.Profile{}, "other", true
 	}
-	if computes, _ := s.Counters(); computes != 1 {
-		t.Fatalf("failed computation ran %d times, want 1 (errors are cached)", computes)
+	for i := 1; i <= 2; i++ {
+		if _, err := s.Workload("wl"); !errors.Is(err, ErrWorkloadChanged) {
+			t.Fatalf("call %d: got %v, want ErrWorkloadChanged", i, err)
+		}
+		if computes, _ := s.Counters(); computes != int64(i) {
+			t.Fatalf("call %d: %d analyses computed, want %d (errors are not retained)", i, computes, i)
+		}
 	}
 }
 
@@ -322,40 +312,6 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 	if seqT1 != parT1 {
 		t.Errorf("Table1 differs between 1 and 8 workers:\n--- sequential ---\n%s--- parallel ---\n%s", seqT1, parT1)
-	}
-}
-
-func TestEngineDoEarliestErrorWins(t *testing.T) {
-	errA := errors.New("a")
-	errB := errors.New("b")
-	eng := NewEngine(4)
-	err := eng.Do(
-		Job{Name: "ok", Run: func() error { return nil }},
-		Job{Name: "slow-fail", Run: func() error { time.Sleep(5 * time.Millisecond); return errA }},
-		Job{Name: "fast-fail", Run: func() error { return errB }},
-	)
-	// errA comes first in argument order even though errB fails first in
-	// wall time.
-	if !errors.Is(err, errA) {
-		t.Fatalf("got %v, want the earliest job's error", err)
-	}
-}
-
-func TestEngineDoRunsEverything(t *testing.T) {
-	var ran atomic.Int32
-	eng := NewEngine(2)
-	jobs := make([]Job, 9)
-	for i := range jobs {
-		jobs[i] = Job{Name: fmt.Sprintf("job%d", i), Run: func() error {
-			ran.Add(1)
-			return nil
-		}}
-	}
-	if err := eng.Do(jobs...); err != nil {
-		t.Fatal(err)
-	}
-	if ran.Load() != 9 {
-		t.Fatalf("ran %d of 9 jobs", ran.Load())
 	}
 }
 

@@ -7,14 +7,14 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
-	"strings"
-	"sync"
 	"time"
 
 	"fomodel/internal/artifact"
 	"fomodel/internal/core"
+	"fomodel/internal/flight"
 	"fomodel/internal/iw"
 	"fomodel/internal/metrics"
 	"fomodel/internal/stats"
@@ -24,10 +24,13 @@ import (
 )
 
 // Suite owns the shared experiment inputs: the benchmark list, trace
-// length, seed, and the baseline machine. Workload analyses are computed
-// once and cached; the cache is safe for concurrent use and single-flight
-// — concurrent requests for the same benchmark block on one computation
-// and share its result.
+// length, seed, and the baseline machine. It is also the one owner of
+// workload data: decoded traces, analysis bundles and classification
+// preps live in its bounded, content-keyed flight caches, which every
+// surface (experiments, sweeps, the daemon's predicts at any length and
+// seed) reads through Trace and Analyze. The caches are safe for
+// concurrent use and single-flight: concurrent requests for the same
+// content block on one computation and share its result.
 type Suite struct {
 	// N is the dynamic instruction count per workload.
 	N int
@@ -50,8 +53,8 @@ type Suite struct {
 	// processes; see internal/artifact. Set it before the first
 	// Workload call — it is read without synchronization.
 	Store *artifact.Store
-	// Timings, when non-nil, receives one "workload" sample per computed
-	// analysis bundle.
+	// Timings, when non-nil, receives one "workload" sample per analysis
+	// bundle the analysis cache missed on.
 	Timings *Timings
 	// Lookup, when non-nil, resolves names that are not built-in
 	// profiles to registered custom profiles plus their content hash
@@ -59,28 +62,48 @@ type Suite struct {
 	// call — it is read without synchronization.
 	Lookup func(name string) (workload.Profile, string, bool)
 
-	mu    sync.Mutex
-	cache map[string]*workloadEntry
+	// traces holds decoded traces by content ID; evicting one releases
+	// its prep-cache entries. analyses holds analysis bundles by
+	// AnalysisKey.
+	traces   *flight.Cache[string, *trace.Trace]
+	analyses *flight.Cache[string, *AnalysisArtifact]
 	// preps memoizes the simulator's classification pass across configs
 	// (see uarch.PrepCache); multi-config studies share one functional
 	// pass per distinct classification key.
 	preps *uarch.PrepCache
-	// workloadComputes and simRuns count the suite's two expensive
-	// operations (see Counters). They use the shared metrics counter type
-	// so the CLI's -timing report and the daemon's /metrics endpoint read
-	// the same source.
+	// workloadComputes (analysis-cache misses) and simRuns count the
+	// suite's two expensive operations (see Counters). They use the
+	// shared metrics counter type so the CLI's -timing report and the
+	// daemon's /metrics endpoint read the same source.
 	workloadComputes metrics.Counter
 	simRuns          metrics.Counter
 }
 
-// workloadEntry is one single-flight cache slot: the first caller runs
-// the computation inside once, every later or concurrent caller blocks on
-// it and shares the outcome. Errors are cached too — the computation is
-// deterministic, so retrying cannot change the result.
-type workloadEntry struct {
-	once sync.Once
-	w    *Workload
-	err  error
+// ErrWorkloadChanged fails a trace load for a registered workload whose
+// name no longer resolves to the content hash its Source names: it was
+// re-registered or deleted after the caller resolved it, so there is
+// nothing to load that the caller's key would describe.
+var ErrWorkloadChanged = errors.New("workload was re-registered or deleted during the request; retry")
+
+// Source names one trace by content: a benchmark or registered workload
+// name at one length and seed, with the registered profile's content
+// hash ("" for a built-in) pinned when the caller resolved the name.
+type Source struct {
+	Name    string
+	N       int
+	Seed    uint64
+	Content string
+}
+
+// ContentID is the identity every cache and artifact keys src by: the
+// classic recipe for a built-in, the name-free content hash plus recipe
+// for a registered profile, so two names with identical content share
+// one trace and one analysis.
+func (src Source) ContentID() string {
+	if src.Content == "" {
+		return workload.ContentID(src.Name, src.N, src.Seed)
+	}
+	return workload.CustomContentID(src.Content, src.N, src.Seed)
 }
 
 // Workload bundles one benchmark's trace and every derived analysis the
@@ -96,19 +119,34 @@ type Workload struct {
 
 // NewSuite returns a Suite over all twelve benchmarks with the paper's
 // baseline machine. n is the per-benchmark dynamic instruction count
-// (500k gives stable statistics; the unit tests use less).
+// (500k gives stable statistics; the unit tests use less). Its caches
+// hold 64 traces and 128 analyses, the daemon's defaults.
 func NewSuite(n int, seed uint64) *Suite {
-	m := core.DefaultMachine()
-	sim := uarch.DefaultConfig()
-	return &Suite{
+	s := &Suite{
 		N:       n,
 		Seed:    seed,
 		Names:   workload.Names(),
-		Machine: m,
-		Sim:     sim,
-		cache:   make(map[string]*workloadEntry),
+		Machine: core.DefaultMachine(),
+		Sim:     uarch.DefaultConfig(),
 		preps:   uarch.NewPrepCache(),
 	}
+	s.SetCacheEntries(64, 128)
+	return s
+}
+
+// SetCacheEntries bounds the trace and analysis caches, replacing them
+// empty. Call before the first Workload, Trace or Analyze call.
+func (s *Suite) SetCacheEntries(traces, analyses int) {
+	// The evicted trace is about to become unreachable, so the prep
+	// entries keyed to it could never be hit again.
+	s.traces = flight.New(traces, func(_ string, t *trace.Trace) { s.preps.Forget(t) })
+	s.analyses = flight.New[string, *AnalysisArtifact](analyses, nil)
+}
+
+// Caches exposes the trace and analysis caches for their hit, miss,
+// eviction and entry counters.
+func (s *Suite) Caches() (*flight.Cache[string, *trace.Trace], *flight.Cache[string, *AnalysisArtifact]) {
+	return s.traces, s.analyses
 }
 
 // workers resolves the suite's effective pool size.
@@ -123,15 +161,13 @@ func (s *Suite) Counters() (workloads, simulations int64) {
 
 // PrepCounters reports the classification cache's hit/miss counts: how
 // many simulator runs reused a cached functional pass versus paying for
-// one. Safe for concurrent use; zero when the suite was built without
-// NewSuite (caching disabled).
+// one. Safe for concurrent use.
 func (s *Suite) PrepCounters() (hits, misses int64) {
 	return s.preps.Stats()
 }
 
-// Preps exposes the suite's classification cache: its hit/miss and
-// eviction counters, and Forget for a trace the caller is dropping.
-// Nil when the suite was built without NewSuite.
+// Preps exposes the suite's classification cache for its hit/miss and
+// eviction counters.
 func (s *Suite) Preps() *uarch.PrepCache { return s.preps }
 
 // SetStore points both the suite's workload pipeline and its
@@ -148,107 +184,23 @@ func (s *Suite) CounterSources() (workloads, simulations *metrics.Counter) {
 	return &s.workloadComputes, &s.simRuns
 }
 
-// Workload returns the cached analysis bundle for name, computing it on
-// first use. Concurrent callers for the same name block on a single
-// computation and share its result. Names that are not built-in
-// profiles resolve through Lookup (registered custom workloads); their
-// cache slots are keyed by name plus content hash, so re-registering a
-// name with different content computes fresh instead of serving the
-// old definition.
+// Workload returns name's analysis bundle at the suite's length and
+// seed. The name resolves to a content ID (a built-in by its recipe, a
+// registered name through Lookup by its content hash), and the trace and
+// the analysis are read from the suite's content-keyed caches, computed
+// on a miss. Concurrent callers for the same content share one
+// computation; a failure is not retained, so the next call retries.
 func (s *Suite) Workload(name string) (*Workload, error) {
-	key := name
-	var custom *workload.Profile
-	if _, err := workload.ByName(name); err != nil && s.Lookup != nil {
-		if prof, hash, ok := s.Lookup(name); ok {
-			custom = &prof
-			// NUL cannot occur in a valid profile name, so custom slots
-			// can never collide with built-in ones.
-			key = name + "\x00" + hash
-		}
-	}
-	s.mu.Lock()
-	e, ok := s.cache[key]
-	if !ok {
-		e = &workloadEntry{}
-		s.cache[key] = e
-	}
-	s.mu.Unlock()
-	e.once.Do(func() {
-		s.workloadComputes.Inc()
-		start := time.Now()
-		if custom != nil {
-			e.w, e.err = s.computeCustomWorkload(*custom)
-		} else {
-			e.w, e.err = s.computeWorkload(name)
-		}
-		s.Timings.Record("workload", name, time.Since(start))
-	})
-	return e.w, e.err
-}
-
-// Forget drops name's cached analysis bundles — both the built-in slot
-// and any content-hashed custom slots — so a deleted or re-registered
-// workload cannot be served from the suite cache. In-flight
-// computations complete on their orphaned entries and are discarded.
-func (s *Suite) Forget(name string) {
-	prefix := name + "\x00"
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for key := range s.cache {
-		if key == name || strings.HasPrefix(key, prefix) {
-			delete(s.cache, key)
-		}
-	}
-}
-
-// computeWorkload builds the full analysis bundle for one benchmark,
-// serving the trace and the analysis pass from the artifact store when
-// one is configured and warm.
-func (s *Suite) computeWorkload(name string) (*Workload, error) {
-	t, err := LoadOrGenerateTrace(s.Store, name, s.N, s.Seed, true)
+	content, err := s.content(name)
 	if err != nil {
 		return nil, err
 	}
-	return s.analyzeTrace(name, t)
-}
-
-// computeCustomWorkload is computeWorkload for a registered profile:
-// the trace comes from the profile's content-keyed artifact slot, and
-// everything downstream is identical to a built-in.
-func (s *Suite) computeCustomWorkload(prof workload.Profile) (*Workload, error) {
-	t, err := LoadOrGenerateProfileTrace(s.Store, prof, s.N, s.Seed, true)
+	src := Source{Name: name, N: s.N, Seed: s.Seed, Content: content}
+	an, err := s.Analyze(src, s.statsConfig(), true)
 	if err != nil {
 		return nil, err
 	}
-	return s.analyzeTrace(prof.Name, t)
-}
-
-// statsConfig is the functional-analysis configuration matching the
-// suite's simulator: its hierarchy, predictor, latencies and warmup,
-// with the model machine's ROB for the miss grouping. Experiments that
-// re-analyze under another predictor or a TLB start from it.
-func (s *Suite) statsConfig() stats.Config {
-	scfg := stats.DefaultConfig()
-	scfg.Hierarchy = s.Sim.Hierarchy
-	scfg.PredictorBits = s.Sim.PredictorBits
-	scfg.Latencies = s.Sim.Latencies
-	scfg.ROBSize = s.Machine.ROBSize
-	scfg.Warmup = s.Sim.Warmup
-	return scfg
-}
-
-// Analysis returns the analysis bundle of w, one of the suite's
-// workloads, and the AnalysisKey it was computed under. A caller whose
-// own key is the same needs no analysis of its own.
-func (s *Suite) Analysis(w *Workload) (*AnalysisArtifact, string) {
-	an := &AnalysisArtifact{Points: w.Points, Law: w.Law, Summary: w.Summary}
-	return an, AnalysisKey(w.Trace.ContentID, iw.DefaultWindows(), s.statsConfig())
-}
-
-// analyzeTrace runs the shared analysis tail: IW characteristic,
-// power-law fit, miss statistics, and model inputs.
-func (s *Suite) analyzeTrace(name string, t *trace.Trace) (*Workload, error) {
-	an, err := ComputeAnalysis(s.Store, t, iw.DefaultWindows(), s.statsConfig())
+	t, err := s.Trace(src, true)
 	if err != nil {
 		return nil, err
 	}
@@ -266,11 +218,88 @@ func (s *Suite) analyzeTrace(name string, t *trace.Trace) (*Workload, error) {
 	}, nil
 }
 
+// content resolves a workload name: "" for a built-in, the content hash
+// of a name Lookup knows, and workload.ByName's error otherwise. A nil
+// suite resolves built-ins only. The built-in test builds no error, so
+// only a name that is neither pays for one.
+func (s *Suite) content(name string) (string, error) {
+	if workload.IsBuiltin(name) {
+		return "", nil
+	}
+	if s != nil && s.Lookup != nil {
+		if _, hash, ok := s.Lookup(name); ok {
+			return hash, nil
+		}
+	}
+	_, err := workload.ByName(name)
+	return "", err
+}
+
+// Trace returns src's trace from the trace cache, loading it from the
+// store or generating it on a miss. A generated trace is written to the
+// store when persist is set; when callers race, the first caller's
+// persist wins. A registered profile is read through Lookup only to
+// generate its trace, and when the name no longer resolves to
+// src.Content, Trace fails with ErrWorkloadChanged.
+func (s *Suite) Trace(src Source, persist bool) (*trace.Trace, error) {
+	t, _, err := s.traces.Do(src.ContentID(), func() (*trace.Trace, error) {
+		if src.Content == "" {
+			return LoadOrGenerateTrace(s.Store, src.Name, src.N, src.Seed, persist)
+		}
+		prof, hash, ok := s.Lookup(src.Name)
+		if !ok || hash != src.Content {
+			return nil, ErrWorkloadChanged
+		}
+		return LoadOrGenerateProfileTrace(s.Store, prof, src.N, src.Seed, persist)
+	})
+	return t, err
+}
+
+// Analyze returns src's analysis bundle under scfg from the analysis
+// cache. A miss reads the store first, without materializing the trace
+// (a model-only caller needs the bundle, not the 24-bytes-per-
+// instruction trace), and only then loads the trace through Trace, with
+// persist, and computes and stores the bundle without a second read of
+// the same key.
+func (s *Suite) Analyze(src Source, scfg stats.Config, persist bool) (*AnalysisArtifact, error) {
+	id, windows := src.ContentID(), iw.DefaultWindows()
+	an, _, err := s.analyses.Do(AnalysisKey(id, windows, scfg), func() (*AnalysisArtifact, error) {
+		s.workloadComputes.Inc()
+		start := time.Now()
+		defer func() { s.Timings.Record("workload", src.Name, time.Since(start)) }()
+		if a, ok := LookupAnalysis(s.Store, id, src.N, windows, scfg); ok {
+			return a, nil
+		}
+		t, err := s.Trace(src, persist)
+		if err != nil {
+			return nil, err
+		}
+		return AnalyzeAndStore(s.Store, t, windows, scfg)
+	})
+	return an, err
+}
+
+// statsConfig is the functional-analysis configuration matching the
+// suite's simulator: its hierarchy, predictor, latencies and warmup,
+// with the model machine's ROB for the miss grouping. Experiments that
+// re-analyze under another predictor or a TLB start from it.
+func (s *Suite) statsConfig() stats.Config {
+	scfg := stats.DefaultConfig()
+	scfg.Hierarchy = s.Sim.Hierarchy
+	scfg.PredictorBits = s.Sim.PredictorBits
+	scfg.Latencies = s.Sim.Latencies
+	scfg.ROBSize = s.Machine.ROBSize
+	scfg.Warmup = s.Sim.Warmup
+	return scfg
+}
+
 // Warm computes any uncached workload analyses concurrently, bounded by
-// Workers. Computation errors stay in the cache and resurface, in report
-// order, when the failing workload is next requested — so Warm itself
-// never fails and is safe to use as a pure prefetch. A panic while
-// computing a workload is a bug and is re-raised, not swallowed.
+// Workers. A computation error is not retained: the failing workload
+// computes again, and fails in report order, when it is next requested
+// — so Warm itself never fails and is safe to use as a pure prefetch.
+// A panic while resolving a workload is a bug and is re-raised, not
+// swallowed; one inside a cache computation arrives as that workload's
+// error.
 func (s *Suite) Warm() {
 	workers := s.workers()
 	if workers <= 1 || len(s.Names) <= 1 {

@@ -8,7 +8,6 @@ import (
 
 	"fomodel/internal/core"
 	"fomodel/internal/uarch"
-	"fomodel/internal/workload"
 )
 
 // SweepPoint is one (parameter value, benchmark) sample of a machine
@@ -141,13 +140,8 @@ func (sp SweepSpec) ValidateFor(s *Suite) error {
 		return fmt.Errorf("experiments: sweep needs at least one benchmark")
 	}
 	for _, b := range sp.Benches {
-		if _, err := workload.ByName(b); err != nil {
-			if s == nil || s.Lookup == nil {
-				return err
-			}
-			if _, _, ok := s.Lookup(b); !ok {
-				return err
-			}
+		if _, err := s.content(b); err != nil {
+			return err
 		}
 	}
 	if len(sp.Values) == 0 {

@@ -143,12 +143,6 @@ func ValidName(s string) bool {
 	return true
 }
 
-// isBuiltin reports whether name is one of the built-in profiles.
-func isBuiltin(name string) bool {
-	_, err := workload.ByName(name)
-	return err == nil
-}
-
 // encodedSize returns the canonical encoded size of a profile — what
 // the byte quota charges. Profile's MarshalJSON is deterministic
 // (json.Marshal sorts the mix map's keys), so the same profile always
@@ -175,7 +169,7 @@ func (r *Registry) Register(tenant, name string, prof workload.Profile) (Entry, 
 		r.rejects.Inc()
 		return Entry{}, fmt.Errorf("registry: invalid tenant %q (need 1-64 chars of [a-zA-Z0-9._-])", tenant)
 	}
-	if isBuiltin(name) {
+	if workload.IsBuiltin(name) {
 		r.rejects.Inc()
 		return Entry{}, fmt.Errorf("%w: %q", ErrBuiltin, name)
 	}
@@ -397,7 +391,7 @@ func (r *Registry) Load() (int, error) {
 	defer r.mu.Unlock()
 	restored := 0
 	for _, ie := range idx.Entries {
-		if !ValidName(ie.Name) || !ValidName(ie.Tenant) || isBuiltin(ie.Name) {
+		if !ValidName(ie.Name) || !ValidName(ie.Tenant) || workload.IsBuiltin(ie.Name) {
 			continue
 		}
 		prof := ie.Profile

@@ -45,8 +45,8 @@ type Section struct {
 }
 
 // Generate runs the checked experiments on the suite and assembles the
-// report. The experiments are independent, so they fan out across an
-// engine pool sized by s.Workers; the checks and sections are assembled
+// report. The experiments are independent, so they fan out across a
+// worker pool sized by s.Workers; the checks and sections are assembled
 // sequentially afterwards, in the fixed report order, so the generated
 // document is identical at any parallelism.
 func Generate(s *experiments.Suite) (*Report, error) {
@@ -65,9 +65,10 @@ func Generate(s *experiments.Suite) (*Report, error) {
 		r.Sections = append(r.Sections, Section{Label: label, Body: res.Render()})
 	}
 
-	// Compute every checked experiment on the engine pool. Each job writes
-	// only its own result variable, so the fan-out needs no locks; the
-	// verdict logic below runs after all jobs finish.
+	// Compute every checked experiment on a pool sized by s.Workers. Each
+	// job writes only its own result variable, so the fan-out needs no
+	// locks; the verdict logic below runs once every job has finished,
+	// and the earliest failure in job order wins.
 	var (
 		f8  *experiments.Figure8Result
 		t1  *experiments.Table1Result
@@ -83,25 +84,30 @@ func Generate(s *experiments.Suite) (*Report, error) {
 		ss  *experiments.StatSimResult
 		rb  *experiments.RefinementResult
 	)
-	eng := &experiments.Engine{Workers: s.Workers, Timings: s.Timings}
-	job := func(name string, run func() error) experiments.Job {
-		return experiments.Job{Name: name, Run: run}
+	jobs := []struct {
+		name string
+		run  func() error
+	}{
+		{"fig8", func() (err error) { f8, err = experiments.Figure8(s); return }},
+		{"table1", func() (err error) { t1, err = experiments.Table1(s); return }},
+		{"fig2", func() (err error) { f2, err = experiments.Figure2(s); return }},
+		{"fig9", func() (err error) { f9, err = experiments.Figure9(s); return }},
+		{"fig11", func() (err error) { f11, err = experiments.Figure11(s); return }},
+		{"fig14", func() (err error) { f14, err = experiments.Figure14(s); return }},
+		{"fig15", func() (err error) { f15, err = experiments.Figure15(s); return }},
+		{"fig16", func() (err error) { f16, err = experiments.Figure16(s); return }},
+		{"fig17", func() (err error) { f17, err = experiments.Figure17(s); return }},
+		{"fig18", func() (err error) { f18, err = experiments.Figure18(s); return }},
+		{"fig19", func() (err error) { f19, err = experiments.Figure19(s); return }},
+		{"statsim", func() (err error) { ss, err = experiments.StatSimStudy(s); return }},
+		{"refine-branch", func() (err error) { rb, err = experiments.BranchBurstRefinement(s); return }},
 	}
-	err := eng.Do(
-		job("fig8", func() (err error) { f8, err = experiments.Figure8(s); return }),
-		job("table1", func() (err error) { t1, err = experiments.Table1(s); return }),
-		job("fig2", func() (err error) { f2, err = experiments.Figure2(s); return }),
-		job("fig9", func() (err error) { f9, err = experiments.Figure9(s); return }),
-		job("fig11", func() (err error) { f11, err = experiments.Figure11(s); return }),
-		job("fig14", func() (err error) { f14, err = experiments.Figure14(s); return }),
-		job("fig15", func() (err error) { f15, err = experiments.Figure15(s); return }),
-		job("fig16", func() (err error) { f16, err = experiments.Figure16(s); return }),
-		job("fig17", func() (err error) { f17, err = experiments.Figure17(s); return }),
-		job("fig18", func() (err error) { f18, err = experiments.Figure18(s); return }),
-		job("fig19", func() (err error) { f19, err = experiments.Figure19(s); return }),
-		job("statsim", func() (err error) { ss, err = experiments.StatSimStudy(s); return }),
-		job("refine-branch", func() (err error) { rb, err = experiments.BranchBurstRefinement(s); return }),
-	)
+	err := experiments.RunOrdered(s.Workers, len(jobs), func(i int) (struct{}, error) {
+		start := time.Now()
+		err := jobs[i].run()
+		s.Timings.Record("experiment", jobs[i].name, time.Since(start))
+		return struct{}{}, err
+	}, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -33,8 +33,7 @@ type Resolver interface {
 // "is this name known, and with what content?" check shared by request
 // normalization, validation and content-vector keying.
 func Content(res Resolver, name string) (string, error) {
-	_, err := workload.ByName(name)
-	if err == nil {
+	if workload.IsBuiltin(name) {
 		return "", nil
 	}
 	if res != nil {
@@ -42,6 +41,7 @@ func Content(res Resolver, name string) (string, error) {
 			return hash, nil
 		}
 	}
+	_, err := workload.ByName(name)
 	return "", err
 }
 

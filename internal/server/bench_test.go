@@ -28,14 +28,34 @@ func benchPost(b *testing.B, h http.Handler, path, body string) {
 
 // BenchmarkPredictHot measures the cache-hot predict path: every request
 // after the first is served from the response cache, so this is the
-// daemon's steady-state throughput ceiling for repeated queries.
+// daemon's steady-state throughput ceiling for repeated queries. The
+// registered row predicts a registered clone of gzip, whose name
+// resolves through the registry on every request.
 func BenchmarkPredictHot(b *testing.B) {
-	h := testServer(Config{N: 20000}).Handler()
-	const body = `{"bench":"gzip","sim":true}`
-	benchPost(b, h, "/v1/predict", body)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchPost(b, h, "/v1/predict", body)
+	prof, err := workload.ByName("gzip")
+	if err != nil {
+		b.Fatal(err)
+	}
+	prof.Name = "gzip-clone"
+	clone, err := json.Marshal(prof)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bench := range []string{"gzip", "gzip-clone"} {
+		name := "builtin"
+		if bench != "gzip" {
+			name = "registered"
+		}
+		b.Run(name, func(b *testing.B) {
+			h := testServer(Config{N: 20000}).Handler()
+			benchPost(b, h, "/v1/workloads/gzip-clone", string(clone))
+			body := fmt.Sprintf(`{"bench":%q,"sim":true}`, bench)
+			benchPost(b, h, "/v1/predict", body)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchPost(b, h, "/v1/predict", body)
+			}
+		})
 	}
 }
 

@@ -191,7 +191,8 @@ type search[P, R any] struct {
 //
 // A buffered result is cached only when the key derived after the
 // search equals the one it was computed under; a workload re-registered
-// in between fails the request with a retryable 503 instead.
+// or deleted in between fails the request with a retryable 503 instead,
+// whether the search itself succeeded or not.
 //
 // A failure before the first row is the request's status, the spec's
 // own deadline expiring being a 503 that names it. After the first row
@@ -238,14 +239,15 @@ func serveSearch[P, R any](s *Server, w *httpfront.Writer, r *http.Request, q se
 		}
 		body, hit, err = s.cache.Do(key, func() ([]byte, error) {
 			res, err := compute(nil)
+			// A workload re-registered or deleted while the search ran
+			// changes the key or leaves none to derive, and the result,
+			// or the failure, may be of other content: it is neither
+			// served nor cached under the old key.
+			if now, kerr := q.key(); kerr != nil || now != key {
+				return nil, experiments.ErrWorkloadChanged
+			}
 			if err != nil {
 				return nil, err
-			}
-			// A workload re-registered or deleted while the search ran
-			// changes the key, and the result may hold the new content's
-			// numbers: it is neither served nor cached under the old key.
-			if now, err := q.key(); err != nil || now != key {
-				return nil, errWorkloadChanged
 			}
 			return EncodeIndented(q.body(res))
 		})

@@ -5,7 +5,6 @@ import (
 
 	"fomodel/internal/core"
 	"fomodel/internal/experiments"
-	"fomodel/internal/iw"
 	"fomodel/internal/reqkey"
 	"fomodel/internal/uarch"
 )
@@ -83,52 +82,31 @@ func (s *Server) predict(ctx context.Context, req PredictRequest) ([]byte, bool,
 	return body, hit, err
 }
 
-// predictRecord is the daemon's predict pipeline. The analysis bundle is
-// resolved by content, cheapest source first: the in-memory analysis
+// predictRecord is the daemon's predict pipeline. The analysis bundle
+// comes from the suite by content, cheapest source first: its analysis
 // cache, then the artifact store *without materializing the trace* (a
 // model-only prediction needs the bundle, not the 24-bytes-per-
 // instruction trace — this is what makes a restarted daemon's first
-// requests fast), and only then the trace caches and the full analysis
-// pipeline. A request at the server's default length and seed takes the
-// suite's bundle when the suite analysed the trace under the same key,
-// so its workload is analysed once, not twice. After LookupAnalysis
-// misses, an analysis is computed and stored without a second read of
-// the same key. The trace is written to the store only for a request
-// that simulates (see traceFor).
+// requests fast), and only then its trace cache and the full analysis
+// pipeline. A default-machine predict at the default length and seed
+// has the suite's own analysis key, so it shares the bundle sweeps and
+// the warm-up use. The trace is written to the store only for a
+// request that simulates.
 func (s *Server) predictRecord(j predictJob) (PredictRecord, error) {
 	req, machine, ucfg := j.req, j.machine, j.ucfg
-	scfg := predictStatsConfig(machine, ucfg)
-	rw := resolveWorkload(req)
-	key := experiments.AnalysisKey(rw.contentID, iw.DefaultWindows(), scfg)
-	an, _, err := s.analysis.Do(key, func() (*experiments.AnalysisArtifact, error) {
-		if a, ok := experiments.LookupAnalysis(s.cfg.Store, rw.contentID, req.N, iw.DefaultWindows(), scfg); ok {
-			return a, nil
-		}
-		if s.suiteTrace(rw) {
-			w, err := s.suite.Workload(rw.bench)
-			if err != nil {
-				return nil, err
-			}
-			// Loading the suite's workload analysed it under the suite's
-			// configuration; when that is this key, as it is for the
-			// default machine, the suite's bundle is the answer.
-			if a, suiteKey := s.suite.Analysis(w); suiteKey == key {
-				return a, nil
-			}
-		}
-		t, err := s.traceFor(rw, req.Sim)
-		if err != nil {
-			return nil, err
-		}
-		return experiments.AnalyzeAndStore(s.cfg.Store, t, iw.DefaultWindows(), scfg)
-	})
+	// The content hash Normalize stamped, not a second registry read,
+	// names what is computed: two names registered with identical
+	// content share traces, analyses and artifacts, and the computation
+	// is always of the content the request was keyed under.
+	src := experiments.Source{Name: req.Bench, N: req.N, Seed: req.Seed, Content: req.Content}
+	an, err := s.suite.Analyze(src, predictStatsConfig(machine, ucfg), req.Sim)
 	if err != nil {
 		return PredictRecord{}, err
 	}
 	var simulate func() (*uarch.Result, error)
 	if req.Sim {
 		simulate = func() (*uarch.Result, error) {
-			t, err := s.traceFor(rw, true)
+			t, err := s.suite.Trace(src, true)
 			if err != nil {
 				return nil, err
 			}

@@ -15,7 +15,6 @@ import (
 	"strconv"
 	"strings"
 
-	"fomodel/internal/artifact"
 	"fomodel/internal/cache"
 	"fomodel/internal/core"
 	"fomodel/internal/experiments"
@@ -188,14 +187,6 @@ func predictStatsConfig(machine core.Machine, ucfg uarch.Config) stats.Config {
 	return scfg
 }
 
-// Analyze computes the trace-analysis bundle the predict pipeline
-// consumes — the IW characteristic and power-law fit (§3) plus the
-// functional trace statistics (§5 step 5) — loading it from the artifact
-// store when one is given and warm. A nil store always computes.
-func Analyze(store *artifact.Store, t *trace.Trace, machine core.Machine, ucfg uarch.Config) (*experiments.AnalysisArtifact, error) {
-	return experiments.ComputeAnalysis(store, t, iw.DefaultWindows(), predictStatsConfig(machine, ucfg))
-}
-
 // Predict runs the complete first-order pipeline for one trace: the IW
 // characteristic and power-law fit (§3), the functional trace statistics
 // (§5 step 5), and the model composition of equation (1) — plus, when
@@ -208,7 +199,7 @@ func Analyze(store *artifact.Store, t *trace.Trace, machine core.Machine, ucfg u
 // content.
 func Predict(t *trace.Trace, machine core.Machine, ucfg uarch.Config,
 	mode core.BranchPenaltyMode, withSim bool, preps *uarch.PrepCache) (PredictRecord, error) {
-	an, err := Analyze(nil, t, machine, ucfg)
+	an, err := experiments.AnalyzeAndStore(nil, t, iw.DefaultWindows(), predictStatsConfig(machine, ucfg))
 	if err != nil {
 		return PredictRecord{}, err
 	}
@@ -228,6 +219,9 @@ func composePredict(bench string, an *experiments.AnalysisArtifact, machine core
 	if err != nil {
 		return PredictRecord{}, err
 	}
+	// The bundle is keyed by content, so registered names with one
+	// content share it; the record names the workload it answers for.
+	inputs.Name = bench
 	est, err := machine.Estimate(inputs, core.Options{BranchMode: mode})
 	if err != nil {
 		return PredictRecord{}, err

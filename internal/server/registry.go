@@ -99,10 +99,6 @@ func (s *Server) handleWorkloadRegister(w *httpfront.Writer, r *http.Request) {
 		httpfront.WriteError(w, registryStatus(err), "%s", err)
 		return
 	}
-	// Drop any suite bundles computed under a previous registration of
-	// this name; content-hashed slot keys make this a correctness
-	// backstop, not the primary staleness defense.
-	s.suite.Forget(name)
 	body, err := EncodeIndented(registrationBody(e))
 	s.finishComputeState(w, body, "", err)
 }
@@ -129,7 +125,6 @@ func (s *Server) handleWorkloadDelete(w *httpfront.Writer, r *http.Request) {
 		httpfront.WriteError(w, registryStatus(err), "%s", err)
 		return
 	}
-	s.suite.Forget(name)
 	body, err := EncodeIndented(WorkloadDeletion{Name: name, Deleted: true})
 	s.finishComputeState(w, body, "", err)
 }

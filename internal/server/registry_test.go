@@ -207,6 +207,37 @@ func TestRegisteredPredictSharesContentKeyedCache(t *testing.T) {
 	}
 }
 
+// TestAliasesShareContentNotNames registers one profile under two
+// names: their predictions share the content-keyed trace and analysis,
+// yet each record names the workload it was asked for, whichever name
+// was computed first.
+func TestAliasesShareContentNotNames(t *testing.T) {
+	for _, seed := range []string{"", `,"seed":7`} {
+		s := testServer(Config{})
+		register(t, s, "first", profileJSON(t, "mcf", "first"), "")
+		register(t, s, "second", profileJSON(t, "mcf", "second"), "")
+		for _, name := range []string{"first", "second"} {
+			rec := post(s, "/v1/predict", fmt.Sprintf(`{"bench":%q%s}`, name, seed))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s%s: %d\n%s", name, seed, rec.Code, rec.Body.String())
+			}
+			var r PredictRecord
+			if err := json.Unmarshal(rec.Body.Bytes(), &r); err != nil {
+				t.Fatal(err)
+			}
+			if r.Bench != name || r.Inputs.Name != name {
+				t.Errorf("%s%s: bench %q, inputs name %q", name, seed, r.Bench, r.Inputs.Name)
+			}
+		}
+		if _, misses, _ := s.cache.Stats(); misses != 2 {
+			t.Errorf("%d response-cache misses, want 2", misses)
+		}
+		if _, analyses := s.suite.Caches(); analyses.Len() != 1 {
+			t.Errorf("two names with one content hold %d analyses, want 1", analyses.Len())
+		}
+	}
+}
+
 // TestReregisterNeverServesStaleBytes is the stale-bytes property test:
 // register, predict, delete, re-register the SAME name with DIFFERENT
 // content — the new prediction must never be the first profile's cached
@@ -392,13 +423,34 @@ func TestRegistryMetricsExposed(t *testing.T) {
 // interrupted request answers 503, and once gzip's profile is back the
 // name answers byte-for-byte what an uninterrupted server does.
 func TestReregisterMidRequestNeverCachesOtherContent(t *testing.T) {
+	mcfWL := profileJSON(t, "mcf", "wl")
+	testMidRequestChange(t, func(s *Server) *httptest.ResponseRecorder {
+		return doReq(s, http.MethodPost, "/v1/workloads/wl", mcfWL, "")
+	})
+}
+
+// TestDeleteMidRequestAnswers503 is the same with the name deleted
+// instead: whichever path notices first, the interrupted request
+// answers the retryable 503, never a 500, and caches nothing.
+func TestDeleteMidRequestAnswers503(t *testing.T) {
+	testMidRequestChange(t, func(s *Server) *httptest.ResponseRecorder {
+		return doReq(s, http.MethodDelete, "/v1/workloads/wl", "", "")
+	})
+}
+
+// testMidRequestChange registers gzip's profile as "wl", runs change
+// inside the computation of a request naming wl (after it was keyed),
+// and checks that the request answers 503 and that, with gzip's profile
+// registered again, the same request answers what a server that was
+// never interrupted does.
+func testMidRequestChange(t *testing.T, change func(*Server) *httptest.ResponseRecorder) {
 	cases := []struct{ name, path, body string }{
 		{"predict", "/v1/predict", `{"bench":"wl"}`},
 		{"predict seed 7", "/v1/predict", `{"bench":"wl","seed":7}`},
 		{"sweep", "/v1/sweep", `{"param":"rob","benches":["wl"],"values":[64,128]}`},
 		{"optimize", "/v1/optimize", `{"workloads":[{"bench":"wl"}],"bounds":{"width":{"min":1,"max":2}},"budget":4}`},
 	}
-	gzipWL, mcfWL := profileJSON(t, "gzip", "wl"), profileJSON(t, "mcf", "wl")
+	gzipWL := profileJSON(t, "gzip", "wl")
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			ref := testServer(Config{})
@@ -411,12 +463,12 @@ func TestReregisterMidRequestNeverCachesOtherContent(t *testing.T) {
 			s := testServer(Config{})
 			register(t, s, "wl", gzipWL, "")
 			// The hook runs inside the cached computation, after the
-			// request was keyed; the first call swaps the content.
+			// request was keyed; the first call changes the registration.
 			var once sync.Once
 			s.panicHook = func(string) {
 				once.Do(func() {
-					if rec := doReq(s, http.MethodPost, "/v1/workloads/wl", mcfWL, ""); rec.Code != http.StatusOK {
-						t.Errorf("re-register mid-request: %d", rec.Code)
+					if rec := change(s); rec.Code != http.StatusOK {
+						t.Errorf("change mid-request: %d", rec.Code)
 					}
 				})
 			}
@@ -428,7 +480,7 @@ func TestReregisterMidRequestNeverCachesOtherContent(t *testing.T) {
 			register(t, s, "wl", gzipWL, "")
 			got := post(s, tc.path, tc.body)
 			if got.Code != http.StatusOK {
-				t.Fatalf("after re-registering gzip: %d\n%s", got.Code, got.Body.String())
+				t.Fatalf("after registering gzip again: %d\n%s", got.Code, got.Body.String())
 			}
 			if got.Body.String() != want.Body.String() {
 				t.Errorf("gzip content answered with another profile's result:\n got %.200s\nwant %.200s", got.Body.String(), want.Body.String())

@@ -22,7 +22,6 @@ import (
 	"fomodel/internal/metrics"
 	"fomodel/internal/registry"
 	"fomodel/internal/reqkey"
-	"fomodel/internal/trace"
 	"fomodel/internal/workload"
 )
 
@@ -41,11 +40,14 @@ type Config struct {
 	MaxInflight int
 	// CacheEntries bounds the response cache (0 = 1024).
 	CacheEntries int
-	// TraceCacheEntries bounds the non-default (n, seed) trace cache;
-	// evicted traces release their prep-cache entries (0 = 64).
+	// TraceCacheEntries bounds the suite's decoded-trace cache, which
+	// holds every trace the daemon reads, the default (n, seed)'s built-in
+	// and registered workloads included; evicted traces release their
+	// prep-cache entries (0 = 64). A bound below the 12 built-ins makes a
+	// full-suite sweep reload traces.
 	TraceCacheEntries int
-	// AnalysisCacheEntries bounds the in-memory analysis-bundle cache
-	// (0 = 128).
+	// AnalysisCacheEntries bounds the suite's analysis-bundle cache,
+	// which serves predicts, sweeps and the warm-up alike (0 = 128).
 	AnalysisCacheEntries int
 	// RequestTimeout is the per-request computation deadline
 	// (0 = 2 minutes).
@@ -87,9 +89,8 @@ func (c Config) withDefaults() Config {
 }
 
 // Server is the fomodeld daemon: HTTP handlers plus the shared state
-// they serve from (the experiment suite with its workload and prep
-// caches, the response, analysis and trace caches, and the metrics
-// counters).
+// they serve from (the experiment suite with its trace, analysis and
+// prep caches, the response cache, and the metrics counters).
 type Server struct {
 	cfg Config
 	// keys are the defaults every request is normalized and keyed
@@ -100,17 +101,9 @@ type Server struct {
 
 	// cache is the canonical-request response cache: finished response
 	// bodies keyed by the canonicalized request. A response hit skips
-	// everything; a miss still reuses the analysis, trace and prep
-	// caches underneath.
+	// everything; a miss still reuses the suite's analysis, trace and
+	// prep caches underneath.
 	cache *flight.Cache[string, []byte]
-	// analysis holds the in-memory analysis bundles keyed by content:
-	// the trace's generation recipe plus the machine configuration
-	// projection.
-	analysis *flight.Cache[string, *experiments.AnalysisArtifact]
-	// traces holds the non-default traces, keyed by content ID (recipe
-	// for built-ins, profile content hash + recipe for registered
-	// workloads). Evicting a trace releases its prep-cache entries.
-	traces *flight.Cache[string, *trace.Trace]
 
 	front    *httpfront.Front
 	inflight metrics.Gauge
@@ -154,22 +147,17 @@ func New(cfg Config, log *slog.Logger) *Server {
 	suite := experiments.NewSuite(cfg.N, cfg.Seed)
 	suite.Workers = cfg.Workers
 	suite.SetStore(cfg.Store)
+	suite.SetCacheEntries(cfg.TraceCacheEntries, cfg.AnalysisCacheEntries)
 	if cfg.Registry == nil {
 		cfg.Registry = registry.New(registry.Config{Store: cfg.Store})
 	}
 	suite.Lookup = cfg.Registry.Snapshot
 	return &Server{
-		cfg:      cfg,
-		keys:     reqkey.Defaults{N: cfg.N, Seed: cfg.Seed, Resolver: cfg.Registry},
-		suite:    suite,
-		start:    time.Now(),
-		cache:    flight.New[string, []byte](cfg.CacheEntries, nil),
-		analysis: flight.New[string, *experiments.AnalysisArtifact](cfg.AnalysisCacheEntries, nil),
-		// The evicted trace is about to become unreachable, so the prep
-		// entries keyed to it could never be hit again.
-		traces: flight.New(cfg.TraceCacheEntries, func(_ string, t *trace.Trace) {
-			suite.Preps().Forget(t)
-		}),
+		cfg:         cfg,
+		keys:        reqkey.Defaults{N: cfg.N, Seed: cfg.Seed, Resolver: cfg.Registry},
+		suite:       suite,
+		start:       time.Now(),
+		cache:       flight.New[string, []byte](cfg.CacheEntries, nil),
 		front:       httpfront.New(log, nil),
 		slots:       make(chan struct{}, cfg.MaxInflight),
 		regRequests: make(map[string]*metrics.Counter),
@@ -296,101 +284,22 @@ func (s *Server) finishComputeState(w *httpfront.Writer, body []byte, cacheState
 	}
 }
 
-// errWorkloadChanged fails a computation whose registered workload was
-// re-registered or deleted after the request was keyed: the content the
-// key names is no longer the content the name resolves to, so there is
-// nothing to compute that the key would describe. It answers 503, which
-// clients retry; the retry is keyed under the current content.
-var errWorkloadChanged = errors.New("workload was re-registered or deleted during the request; retry")
-
 // badRequest marks an error as the request's own mistake, a 400.
 type badRequest struct{ error }
 
 // errorStatus is the HTTP status of a failed request whose error is not
 // a context error: 400 for the request's mistakes, 503 for a workload
-// re-registered under it, and 500 for everything else.
+// re-registered or deleted under it (experiments.ErrWorkloadChanged,
+// which clients retry under the current content), and 500 for
+// everything else.
 func errorStatus(err error) int {
 	switch {
 	case errors.As(err, new(badRequest)):
 		return http.StatusBadRequest
-	case errors.Is(err, errWorkloadChanged):
+	case errors.Is(err, experiments.ErrWorkloadChanged):
 		return http.StatusServiceUnavailable
 	}
 	return http.StatusInternalServerError
-}
-
-// resolvedWorkload is one request's workload identity: the content hash
-// its key names ("" for a built-in) and the content ID derived from it
-// that keys every cache and artifact.
-type resolvedWorkload struct {
-	bench     string
-	n         int
-	seed      uint64
-	content   string
-	contentID string
-}
-
-// resolveWorkload maps a normalized predict request onto its workload
-// identity: built-in names key by the classic recipe ContentID,
-// registered names by the name-free CustomContentID of the content hash
-// Normalize stamped — so two names registered with identical content
-// share traces, analyses, and artifacts, and the computation is always
-// of the content the request was keyed under.
-func resolveWorkload(req PredictRequest) resolvedWorkload {
-	rw := resolvedWorkload{bench: req.Bench, n: req.N, seed: req.Seed, content: req.Content}
-	if req.Content == "" {
-		rw.contentID = workload.ContentID(req.Bench, req.N, req.Seed)
-	} else {
-		rw.contentID = workload.CustomContentID(req.Content, req.N, req.Seed)
-	}
-	return rw
-}
-
-// traceFor returns the resolved workload's trace, sharing the suite's
-// workload bundle when the request uses the server defaults (so predict,
-// sweep, and workload-listing traffic all hit one prep-cache keyspace)
-// and a dedicated single-flight trace cache otherwise. The dedicated
-// cache is a bounded LRU keyed by content ID: evicting a trace also
-// releases the prep-cache entries it pinned, so sweeping many (n, seed)
-// pairs cannot grow the server's footprint without bound. Traces load
-// through the artifact store when one is configured; a trace the
-// dedicated cache generates is written back only when persist is set,
-// which callers set for simulator runs: a model-only request needs the
-// trace once, for its analysis, and the store keeps that analysis
-// instead. The suite's default-seed traces always persist.
-//
-// A registered workload's profile is read, through the suite's Lookup,
-// only to generate a trace. When the profile found, or the suite's
-// trace, is not of rw's content, the name was re-registered since the
-// request was keyed, and traceFor fails with errWorkloadChanged.
-func (s *Server) traceFor(rw resolvedWorkload, persist bool) (*trace.Trace, error) {
-	if s.suiteTrace(rw) {
-		w, err := s.suite.Workload(rw.bench)
-		if err != nil {
-			return nil, err
-		}
-		if w.Trace.ContentID != rw.contentID {
-			return nil, errWorkloadChanged
-		}
-		return w.Trace, nil
-	}
-	t, _, err := s.traces.Do(rw.contentID, func() (*trace.Trace, error) {
-		if rw.content == "" {
-			return experiments.LoadOrGenerateTrace(s.cfg.Store, rw.bench, rw.n, rw.seed, persist)
-		}
-		prof, hash, ok := s.suite.Lookup(rw.bench)
-		if !ok || hash != rw.content {
-			return nil, errWorkloadChanged
-		}
-		return experiments.LoadOrGenerateProfileTrace(s.cfg.Store, prof, rw.n, rw.seed, persist)
-	})
-	return t, err
-}
-
-// suiteTrace reports whether traceFor serves rw from the suite, which
-// it does for the server's default length and seed.
-func (s *Server) suiteTrace(rw resolvedWorkload) bool {
-	return rw.n == s.cfg.N && rw.seed == s.cfg.Seed
 }
 
 // healthzResponse is the /healthz body.
@@ -473,8 +382,9 @@ func (s *Server) handleMetrics(w *httpfront.Writer, r *http.Request) {
 	x.Counter("requests_shed_total", "Requests rejected with 429 by the in-flight limiter.", s.shed.Load())
 
 	writeCacheMetrics(x, "response_cache", "Responses", s.cache)
-	writeCacheMetrics(x, "analysis_cache", "Predict analyses", s.analysis)
-	writeCacheMetrics(x, "trace_cache", "Non-default traces", s.traces)
+	traces, analyses := s.suite.Caches()
+	writeCacheMetrics(x, "analysis_cache", "Analyses", analyses)
+	writeCacheMetrics(x, "trace_cache", "Traces", traces)
 
 	preps := s.suite.Preps()
 	prepHits, prepMisses := preps.Stats()

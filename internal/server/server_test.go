@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -13,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"fomodel/internal/experiments"
 	"fomodel/internal/httpfront"
 	"fomodel/internal/metrics/metricstest"
 )
@@ -158,31 +156,24 @@ func TestPredictCache(t *testing.T) {
 	}
 }
 
-// TestDefaultPredictAnalysesOnce pins that a store-less daemon analyses
-// a default-(n, seed) workload once per predict, not twice: loading the
-// trace computes the suite's bundle, and the analysis cache takes that
-// bundle, which is under the same key, instead of computing it again.
+// TestDefaultPredictAnalysesOnce pins that the daemon has one workload
+// tier: a default-machine predict at the default (n, seed) and the
+// suite's own Workload of the same bench key their analysis by the same
+// content and configuration, so together they compute it once.
 func TestDefaultPredictAnalysesOnce(t *testing.T) {
 	s := testServer(Config{})
 	if rec := post(s, "/v1/predict", `{"bench":"gzip"}`); rec.Code != http.StatusOK {
 		t.Fatalf("status = %d\nbody: %s", rec.Code, rec.Body.String())
 	}
-	if workloads, _ := s.suite.Counters(); workloads != 1 {
-		t.Fatalf("suite computed %d workload bundles, want 1", workloads)
-	}
-	w, err := s.suite.Workload("gzip")
-	if err != nil {
+	if _, err := s.suite.Workload("gzip"); err != nil {
 		t.Fatal(err)
 	}
-	_, key := s.suite.Analysis(w)
-	an, hit, err := s.analysis.Do(key, func() (*experiments.AnalysisArtifact, error) {
-		return nil, errors.New("not cached")
-	})
-	if err != nil || !hit {
-		t.Fatalf("analysis cache has no entry under the suite's key (hit %t, err %v)", hit, err)
+	if analyses, _ := s.suite.Counters(); analyses != 1 {
+		t.Errorf("a predict and Suite.Workload of gzip computed %d analyses, want 1", analyses)
 	}
-	if an.Summary != w.Summary {
-		t.Error("the predict analysed the workload a second time instead of taking the suite's bundle")
+	_, cache := s.suite.Caches()
+	if hits, misses, _ := cache.Stats(); hits != 1 || misses != 1 {
+		t.Errorf("analysis cache: %d hits, %d misses, want 1 and 1", hits, misses)
 	}
 }
 

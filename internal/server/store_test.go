@@ -133,13 +133,14 @@ func TestStoreCorruptionRecomputes(t *testing.T) {
 // entries they pinned.
 func TestTraceCacheBounded(t *testing.T) {
 	s := testServer(Config{N: 8000, TraceCacheEntries: 4})
+	traces, analyses := s.suite.Caches()
 	for seed := uint64(2); seed <= 21; seed++ {
 		body := fmt.Sprintf(`{"bench": "gzip", "n": 2000, "seed": %d, "sim": true}`, seed)
 		rec := post(s, "/v1/predict", body)
 		if rec.Code != http.StatusOK {
 			t.Fatalf("seed %d: status %d: %s", seed, rec.Code, rec.Body.String())
 		}
-		if got := s.traces.Len(); got > 4 {
+		if got := traces.Len(); got > 4 {
 			t.Fatalf("seed %d: trace cache grew to %d entries (cap 4)", seed, got)
 		}
 		if preps := s.suite.Preps().Len(); preps > 5 {
@@ -147,12 +148,35 @@ func TestTraceCacheBounded(t *testing.T) {
 				seed, preps)
 		}
 	}
-	if _, _, evictions := s.traces.Stats(); evictions == 0 {
+	if _, _, evictions := traces.Stats(); evictions == 0 {
 		t.Error("20-seed sweep through a 4-entry cache evicted nothing")
 	}
 	// The sweep's analyses are content-keyed and bounded too.
-	if got := s.analysis.Len(); got > 20 {
+	if got := analyses.Len(); got > 20 {
 		t.Errorf("analysis cache holds %d entries", got)
+	}
+}
+
+// TestRegisteredDefaultTracesBounded pins that the trace bound holds at
+// the default (n, seed) too: registered workloads predicted there with
+// a simulation share the one bounded trace cache, and each evicted
+// trace releases its prep-cache entries, so a caller registering many
+// workloads cannot pin their traces and preps in memory.
+func TestRegisteredDefaultTracesBounded(t *testing.T) {
+	s := testServer(Config{N: 8000, TraceCacheEntries: 4})
+	traces, _ := s.suite.Caches()
+	for i, base := range workload.Names()[:8] {
+		name := fmt.Sprintf("wl%d", i)
+		register(t, s, name, profileJSON(t, base, name), "")
+		if rec := post(s, "/v1/predict", fmt.Sprintf(`{"bench":%q,"sim":true}`, name)); rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", name, rec.Code, rec.Body.String())
+		}
+		if got := traces.Len(); got > 4 {
+			t.Fatalf("%s: trace cache grew to %d entries (cap 4)", name, got)
+		}
+		if preps := s.suite.Preps().Len(); preps > 5 {
+			t.Fatalf("%s: prep cache holds %d classifications: the traces they belong to were never released", name, preps)
+		}
 	}
 }
 
@@ -217,7 +241,7 @@ func TestStoreGobAnalysisRecomputes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	an, err := experiments.ComputeAnalysis(nil, tr, iw.DefaultWindows(), scfg)
+	an, err := experiments.AnalyzeAndStore(nil, tr, iw.DefaultWindows(), scfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -100,12 +100,27 @@ func Names() []string {
 
 // ByName returns the named profile.
 func ByName(name string) (Profile, error) {
-	for i := range builtins {
-		if builtins[i].Name == name {
-			return builtins[i], nil
-		}
+	if i, ok := builtinIndex(name); ok {
+		return builtins[i], nil
 	}
 	return Profile{}, fmt.Errorf("workload: unknown profile %q (known: %v)", name, Names())
+}
+
+// IsBuiltin reports whether name is one of the built-in profiles. It
+// builds no error, so a caller that goes on to resolve a registered
+// name pays nothing for the miss.
+func IsBuiltin(name string) bool {
+	_, ok := builtinIndex(name)
+	return ok
+}
+
+func builtinIndex(name string) (int, bool) {
+	for i := range builtins {
+		if builtins[i].Name == name {
+			return i, true
+		}
+	}
+	return 0, false
 }
 
 // bzip2: compression with moderate ILP, tiny code, modest data misses.
