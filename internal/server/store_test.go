@@ -321,6 +321,24 @@ func TestColdModelPredictWritesOnlyAnalysis(t *testing.T) {
 	}
 }
 
+// TestSimAfterModelOnlyPersistsTrace pins that a simulating predict
+// stores its trace even when a model-only predict of the same content
+// came first: the model-only predict must leave no unpersisted trace in
+// the cache for the simulation to find, or a restarted daemon would
+// regenerate that trace for its next simulation.
+func TestSimAfterModelOnlyPersistsTrace(t *testing.T) {
+	dir := t.TempDir()
+	s := testServer(Config{N: 8000, Store: openTestStore(t, dir)})
+	for _, body := range []string{`{"bench": "gzip", "seed": 7}`, `{"bench": "gzip", "seed": 7, "sim": true}`} {
+		if rec := post(s, "/v1/predict", body); rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", body, rec.Code, rec.Body.String())
+		}
+	}
+	if got := storeKinds(t, dir); got["trace"] != 1 {
+		t.Errorf("artifacts on disk after a model-only then a sim predict = %v, want the trace stored", got)
+	}
+}
+
 // TestStoreWithLegacyProducerLinks opens a store that an older binary
 // filled with "prods" artifacts — the per-trace producer links its
 // simulator kept, in their "FOP1" encoding — and checks that simulating
