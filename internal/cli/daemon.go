@@ -28,7 +28,7 @@ func Fomodeld(ctx context.Context, args []string, out io.Writer) error {
 	parallel := fs.Int("parallel", 0, "sweep worker pool size (0 = GOMAXPROCS)")
 	inflight := fs.Int("max-inflight", 0, "concurrent API requests before 429 shedding (0 = 2×GOMAXPROCS)")
 	cacheEntries := fs.Int("cache", 1024, "response cache capacity in entries")
-	traceEntries := fs.Int("trace-cache", 64, "decoded-trace cache capacity in entries; it bounds every trace, the default (n, seed)'s too, and below 12 a full-suite sweep reloads traces")
+	traceEntries := fs.Int("trace-cache", 64, "decoded-trace cache capacity in entries; it holds the traces read more than once (simulations, sweeps, the warm-up, a second analysis of one content), at any (n, seed), and below 12 a full-suite sweep reloads traces")
 	analysisEntries := fs.Int("analysis-cache", 128, "in-memory analysis bundle cache capacity in entries, shared by predicts, sweeps and the warm-up")
 	reqTimeout := fs.Duration("request-timeout", 2*time.Minute, "per-request computation deadline")
 	drain := fs.Duration("drain", 30*time.Second, "graceful-shutdown drain timeout")

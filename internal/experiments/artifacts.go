@@ -18,8 +18,9 @@ import (
 // pass (IW characteristic, power-law fit, miss statistics) — are read
 // from the store when a valid artifact exists and written back after a
 // fresh computation (a trace only when its caller asks for it to
-// persist). Everything here is content-keyed: a trace by its
-// generation recipe (workload.ContentID), an analysis by the recipe plus
+// persist: Suite.Trace does, a transient analysis trace does not).
+// Everything here is content-keyed: a trace by its generation recipe
+// (workload.ContentID), an analysis by the recipe plus
 // the projection of the analysis configuration that determines its
 // output. A nil store disables persistence and every function degrades
 // to plain computation.

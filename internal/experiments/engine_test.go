@@ -244,8 +244,9 @@ func TestWorkloadErrorsNotRetained(t *testing.T) {
 		if _, err := s.Workload("wl"); !errors.Is(err, ErrWorkloadChanged) {
 			t.Fatalf("call %d: got %v, want ErrWorkloadChanged", i, err)
 		}
-		if computes, _ := s.Counters(); computes != int64(i) {
-			t.Fatalf("call %d: %d analyses computed, want %d (errors are not retained)", i, computes, i)
+		traces, _ := s.Caches()
+		if _, loads, _ := traces.Stats(); loads != int64(i) {
+			t.Fatalf("call %d: %d trace loads, want %d (errors are not retained)", i, loads, i)
 		}
 	}
 }

@@ -63,9 +63,13 @@ type Suite struct {
 	Lookup func(name string) (workload.Profile, string, bool)
 
 	// traces holds decoded traces by content ID; evicting one releases
-	// its prep-cache entries. analyses holds analysis bundles by
-	// AnalysisKey.
+	// its prep-cache entries. It holds only traces that are read more
+	// than once: those a caller of Trace asked for, and those a second
+	// analysis of one content needed. seen holds the content IDs whose
+	// trace an analysis has needed, at the trace cache's capacity.
+	// analyses holds analysis bundles by AnalysisKey.
 	traces   *flight.Cache[string, *trace.Trace]
+	seen     *flight.Cache[string, struct{}]
 	analyses *flight.Cache[string, *AnalysisArtifact]
 	// preps memoizes the simulator's classification pass across configs
 	// (see uarch.PrepCache); multi-config studies share one functional
@@ -140,6 +144,7 @@ func (s *Suite) SetCacheEntries(traces, analyses int) {
 	// The evicted trace is about to become unreachable, so the prep
 	// entries keyed to it could never be hit again.
 	s.traces = flight.New(traces, func(_ string, t *trace.Trace) { s.preps.Forget(t) })
+	s.seen = flight.New[string, struct{}](traces, nil)
 	s.analyses = flight.New[string, *AnalysisArtifact](analyses, nil)
 }
 
@@ -196,11 +201,12 @@ func (s *Suite) Workload(name string) (*Workload, error) {
 		return nil, err
 	}
 	src := Source{Name: name, N: s.N, Seed: s.Seed, Content: content}
-	an, err := s.Analyze(src, s.statsConfig(), true)
+	// The trace first, so that an analysis miss finds it cached.
+	t, err := s.Trace(src)
 	if err != nil {
 		return nil, err
 	}
-	t, err := s.Trace(src, true)
+	an, err := s.Analyze(src, s.statsConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -236,32 +242,42 @@ func (s *Suite) content(name string) (string, error) {
 }
 
 // Trace returns src's trace from the trace cache, loading it from the
-// store or generating it on a miss. A generated trace is written to the
-// store when persist is set; when callers race, the first caller's
-// persist wins. A registered profile is read through Lookup only to
-// generate its trace, and when the name no longer resolves to
-// src.Content, Trace fails with ErrWorkloadChanged.
-func (s *Suite) Trace(src Source, persist bool) (*trace.Trace, error) {
-	t, _, err := s.traces.Do(src.ContentID(), func() (*trace.Trace, error) {
-		if src.Content == "" {
-			return LoadOrGenerateTrace(s.Store, src.Name, src.N, src.Seed, persist)
-		}
-		prof, hash, ok := s.Lookup(src.Name)
-		if !ok || hash != src.Content {
-			return nil, ErrWorkloadChanged
-		}
-		return LoadOrGenerateProfileTrace(s.Store, prof, src.N, src.Seed, persist)
-	})
+// store or generating it on a miss; a generated trace is written to the
+// store. It is the path of every caller that reads the trace itself (to
+// simulate it, say), so each trace it returns stays cached, and stored,
+// for the next such read.
+func (s *Suite) Trace(src Source) (*trace.Trace, error) {
+	t, _, err := s.traces.Do(src.ContentID(), func() (*trace.Trace, error) { return s.loadTrace(src, true) })
 	return t, err
+}
+
+// loadTrace loads src's trace from the store or generates it, writing a
+// generated trace to the store when persist is set. A registered profile
+// is read through Lookup only to generate its trace, and when the name
+// no longer resolves to src.Content, loadTrace fails with
+// ErrWorkloadChanged.
+func (s *Suite) loadTrace(src Source, persist bool) (*trace.Trace, error) {
+	if src.Content == "" {
+		return LoadOrGenerateTrace(s.Store, src.Name, src.N, src.Seed, persist)
+	}
+	prof, hash, ok := s.Lookup(src.Name)
+	if !ok || hash != src.Content {
+		return nil, ErrWorkloadChanged
+	}
+	return LoadOrGenerateProfileTrace(s.Store, prof, src.N, src.Seed, persist)
 }
 
 // Analyze returns src's analysis bundle under scfg from the analysis
 // cache. A miss reads the store first, without materializing the trace
 // (a model-only caller needs the bundle, not the 24-bytes-per-
-// instruction trace), and only then loads the trace through Trace, with
-// persist, and computes and stores the bundle without a second read of
-// the same key.
-func (s *Suite) Analyze(src Source, scfg stats.Config, persist bool) (*AnalysisArtifact, error) {
+// instruction trace), and only then computes the bundle from the trace
+// and stores it, without a second read of the same key. The trace is
+// cached, and persisted, only when it will be read again: a caller that
+// needs it calls Trace first, and the second analysis of one content
+// (another ROB size, say) goes through Trace too. The first analysis of
+// a content uses a cached or in-flight trace when there is one, and
+// otherwise a transient trace that it neither caches nor persists.
+func (s *Suite) Analyze(src Source, scfg stats.Config) (*AnalysisArtifact, error) {
 	id, windows := src.ContentID(), iw.DefaultWindows()
 	an, _, err := s.analyses.Do(AnalysisKey(id, windows, scfg), func() (*AnalysisArtifact, error) {
 		s.workloadComputes.Inc()
@@ -270,13 +286,28 @@ func (s *Suite) Analyze(src Source, scfg stats.Config, persist bool) (*AnalysisA
 		if a, ok := LookupAnalysis(s.Store, id, src.N, windows, scfg); ok {
 			return a, nil
 		}
-		t, err := s.Trace(src, persist)
+		t, err := s.analysisTrace(src)
 		if err != nil {
 			return nil, err
 		}
 		return AnalyzeAndStore(s.Store, t, windows, scfg)
 	})
 	return an, err
+}
+
+// analysisTrace returns the trace an analysis miss computes from: through
+// Trace when an earlier analysis needed this content's trace too, else a
+// cached or in-flight copy, else a transient one. Each call counts one
+// trace-cache hit or miss.
+func (s *Suite) analysisTrace(src Source) (*trace.Trace, error) {
+	id := src.ContentID()
+	if _, again, _ := s.seen.Do(id, func() (struct{}, error) { return struct{}{}, nil }); again {
+		return s.Trace(src)
+	}
+	if t, ok := s.traces.Get(id); ok {
+		return t, nil
+	}
+	return s.loadTrace(src, false)
 }
 
 // statsConfig is the functional-analysis configuration matching the

@@ -21,7 +21,10 @@
 //     from its entry;
 //   - the onEvict hook runs after the lock is released, for LRU
 //     evictions and DeleteFunc removals alike, so it may call back into
-//     the cache.
+//     the cache;
+//   - Get reads an entry, joining one in flight, but never inserts, so
+//     a caller that will not read a value again can use a cached copy
+//     without caching its own.
 package flight
 
 import (
@@ -112,6 +115,29 @@ func (c *Cache[K, V]) Do(key K, compute func() (V, error)) (v V, hit bool, err e
 	close(e.done)
 	c.notify(evicted)
 	return v, false, err
+}
+
+// Get returns the cached value for key without ever inserting one: an
+// entry in flight is joined and its outcome shared, as Do shares it. ok
+// reports a hit: an entry whose computation succeeded. Like Do, Get
+// counts a hit, or a miss when it finds no entry, and refreshes the
+// entry's recency; a joined computation that fails counts as neither.
+func (c *Cache[K, V]) Get(key K) (v V, ok bool) {
+	c.mu.Lock()
+	e, found := c.entries[key]
+	if !found {
+		c.mu.Unlock()
+		c.misses.Inc()
+		return v, false
+	}
+	c.order.MoveToFront(e.elem)
+	c.mu.Unlock()
+	<-e.done
+	if e.err != nil {
+		return v, false
+	}
+	c.hits.Inc()
+	return e.val, true
 }
 
 // safeCompute runs compute, converting a panic into an error.

@@ -300,8 +300,93 @@ func TestDeleteFuncSkipsInflight(t *testing.T) {
 	}
 }
 
+// TestGetJoinsNeverInserts pins Get: it joins an in-flight Do and
+// returns its value, never inserts or evicts an entry, and counts a hit
+// or a miss as Do does; a joined failure counts as neither.
+func TestGetJoinsNeverInserts(t *testing.T) {
+	var evicted []string
+	c := New(1, func(k, _ string) { evicted = append(evicted, k) })
+	if v, ok := c.Get("a"); ok || v != "" {
+		t.Errorf("Get on an empty cache = (%q, %v), want a miss", v, ok)
+	}
+	if c.Len() != 0 {
+		t.Fatalf("len=%d after a missing Get, want 0", c.Len())
+	}
+
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		c.Do("a", func() (string, error) {
+			close(entered)
+			<-release
+			return "a-val", nil
+		})
+	}()
+	<-entered
+	got := make(chan string, 1)
+	go func() {
+		v, ok := c.Get("a")
+		if !ok {
+			t.Error("Get joining a successful computation missed")
+		}
+		got <- v
+	}()
+	close(release)
+	if v := <-got; v != "a-val" {
+		t.Errorf("joined Get = %q, want a-val", v)
+	}
+	<-done
+
+	// A Get of another key at capacity neither inserts nor evicts.
+	if _, ok := c.Get("b"); ok {
+		t.Error("Get of an absent key hit")
+	}
+	if v, ok := c.Get("a"); !ok || v != "a-val" {
+		t.Errorf("Get of a finished entry = (%q, %v), want a-val", v, ok)
+	}
+	if c.Len() != 1 || len(evicted) != 0 {
+		t.Errorf("len=%d, evicted %v: Get inserted or evicted", c.Len(), evicted)
+	}
+
+	// Do's miss on a, Get's misses on the empty cache and on b; Get's
+	// hits on the join and on the finished entry.
+	if hits, misses, _ := c.Stats(); hits != 2 || misses != 3 {
+		t.Errorf("hits=%d misses=%d, want 2/3", hits, misses)
+	}
+
+	// Joining a computation that fails is shared fate, not a hit. (The
+	// Get may also arrive after the failure and miss; either way it
+	// adds no hit.)
+	entered, release = make(chan struct{}), make(chan struct{})
+	done = make(chan struct{})
+	go func() {
+		defer close(done)
+		c.Do("f", func() (string, error) {
+			close(entered)
+			<-release
+			return "", errors.New("failed")
+		})
+	}()
+	<-entered
+	joined := make(chan bool, 1)
+	go func() {
+		_, ok := c.Get("f")
+		joined <- ok
+	}()
+	close(release)
+	if <-joined {
+		t.Error("Get joining a failed computation hit")
+	}
+	<-done
+	if hits, _, _ := c.Stats(); hits != 2 {
+		t.Errorf("hits=%d after a failed join, want 2", hits)
+	}
+}
+
 // TestConcurrentChurn exercises mixed hits, misses, failures, panics,
-// deletions and eviction under -race.
+// Gets, deletions and eviction under -race.
 func TestConcurrentChurn(t *testing.T) {
 	c := New(4, func(k, v string) {
 		if k != v {
@@ -317,6 +402,12 @@ func TestConcurrentChurn(t *testing.T) {
 				key := fmt.Sprintf("k%d", (g+i)%10)
 				if i%23 == 0 {
 					c.DeleteFunc(func(k, _ string) bool { return k == key })
+				}
+				if i%5 == 0 {
+					if v, ok := c.Get(key); ok && v != key {
+						t.Errorf("Get(%s) = %q", key, v)
+						return
+					}
 				}
 				v, _, err := c.Do(key, func() (string, error) {
 					switch {

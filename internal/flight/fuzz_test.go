@@ -14,11 +14,15 @@ import (
 //
 // The first byte sets the capacity (0–4); every following pair of bytes
 // is one operation: the first selects the kind, the second the key.
+// Kinds 4 and 5 are both Get, so that the saved corpus, written when
+// there were four kinds, still decodes to the operations it was saved
+// for.
 func FuzzCache(f *testing.F) {
 	f.Add([]byte{2, 0, 1, 0, 2, 0, 1, 0, 3})
 	f.Add([]byte{1, 1, 0, 2, 0, 0, 1, 3, 0})
 	f.Add([]byte{3, 0, 0, 0, 1, 0, 2, 3, 1, 0, 3, 0, 0})
 	f.Add([]byte{0, 0, 0, 0, 0, 1, 0})
+	f.Add([]byte{2, 0, 1, 0, 2, 4, 1, 0, 3, 4, 1, 5, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -46,10 +50,15 @@ func FuzzCache(f *testing.F) {
 				evictions++
 			}
 		}
+		// touch counts a hit on key and makes it the most recent.
+		touch := func(key int) {
+			hits++
+			recency = slices.Insert(slices.DeleteFunc(recency, func(k int) bool { return k == key }), 0, key)
+		}
 
 		ops := data[1:]
 		for i := 0; i+1 < len(ops); i += 2 {
-			kind, key := ops[i]%4, int(ops[i+1]%8)
+			kind, key := ops[i]%6, int(ops[i+1]%8)
 			fresh := i*8 + key
 			switch kind {
 			case 0, 1, 2: // Do, succeeding, failing or panicking on a miss
@@ -63,8 +72,7 @@ func FuzzCache(f *testing.F) {
 					return fresh, nil
 				})
 				if mv, ok := model[key]; ok {
-					hits++
-					recency = slices.Insert(slices.DeleteFunc(recency, func(k int) bool { return k == key }), 0, key)
+					touch(key)
 					if !hit || err != nil || v != mv {
 						t.Fatalf("op %d: Do(%d) = (%d, %v, %v), want hit %d", i, key, v, hit, err, mv)
 					}
@@ -103,6 +111,20 @@ func FuzzCache(f *testing.F) {
 					evictions++
 					return true
 				})
+			case 4, 5: // Get, which never inserts and so never evicts
+				v, ok := c.Get(key)
+				mv, cached := model[key]
+				if !cached {
+					misses++
+					if ok {
+						t.Fatalf("op %d: Get(%d) = (%d, true) on a miss", i, key, v)
+					}
+					break
+				}
+				touch(key)
+				if !ok || v != mv {
+					t.Fatalf("op %d: Get(%d) = (%d, %v), want hit %d", i, key, v, ok, mv)
+				}
 			}
 			if c.Len() != len(model) {
 				t.Fatalf("op %d: Len() = %d, model holds %d", i, c.Len(), len(model))

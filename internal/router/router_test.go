@@ -418,6 +418,90 @@ func TestEjectionFailsOverStalledOwner(t *testing.T) {
 	}
 }
 
+// TestHungReplicaFailsOver runs the background probe loop over a hung
+// replica, a listener that accepts connections and never reads or
+// writes, and a real daemon. A predict the hung replica owns must be
+// answered by the daemon within ProbeInterval+ProbeTimeout plus a
+// margin, byte-identical to the daemon's direct answer, and /metrics
+// must count the ejection.
+func TestHungReplicaFailsOver(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepted := make(chan []net.Conn, 1)
+	go func() {
+		var conns []net.Conn
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				accepted <- conns
+				return
+			}
+			conns = append(conns, c)
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		for _, c := range <-accepted {
+			c.Close()
+		}
+	})
+	_, daemon := newDaemon(t)
+
+	// The upstream timeout only bounds a regression: the ejection must
+	// fail the attempt over long before it.
+	const interval, timeout = 100 * time.Millisecond, 100 * time.Millisecond
+	hungURL := "http://" + ln.Addr().String()
+	rt, proxy := newProxy(t, Config{
+		Replicas:        []string{hungURL, daemon.URL},
+		ProbeInterval:   interval,
+		ProbeTimeout:    timeout,
+		UpstreamTimeout: 30 * time.Second,
+	})
+	var body string
+	for seed := 1; seed <= 64 && body == ""; seed++ {
+		b := fmt.Sprintf(`{"bench": "gzip", "seed": %d}`, seed)
+		if rt.ring.owner(routeKey(rt, "predict", []byte(b), server.PredictCacheKey)) == 0 {
+			body = b
+		}
+	}
+	if body == "" {
+		t.Fatal("the hung replica owns none of 64 predict keys")
+	}
+	want := readAll(t, post(t, daemon.URL, "/v1/predict", body, nil))
+
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(func() {
+		cancel()
+		rt.Wait()
+	})
+	rt.Start(ctx)
+	start := time.Now()
+	resp := post(t, proxy.URL, "/v1/predict", body, nil)
+	got := readAll(t, resp)
+	elapsed := time.Since(start)
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(got, want) {
+		t.Fatalf("status %d, relayed body differs from the daemon's direct answer:\n got  %s\n want %s",
+			resp.StatusCode, got, want)
+	}
+	if deadline := interval + timeout + 2*time.Second; elapsed > deadline {
+		t.Errorf("answered after %v, want within %v", elapsed, deadline)
+	}
+	metricsBody := string(readAll(t, get(t, proxy.URL, "/metrics")))
+	metricstest.Check(t, metricsBody)
+	var ejections int
+	prefix := fmt.Sprintf("fomodelproxy_replica_ejections_total{replica=%q} ", hungURL)
+	for _, line := range strings.Split(metricsBody, "\n") {
+		if v, ok := strings.CutPrefix(line, prefix); ok {
+			fmt.Sscan(v, &ejections)
+		}
+	}
+	if ejections < 1 {
+		t.Errorf("/metrics counts %d ejections of the hung replica, want at least 1", ejections)
+	}
+}
+
 // shed answers 429 with the given Retry-After and a JSON error body.
 func shed(retryAfter, msg string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {

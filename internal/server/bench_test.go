@@ -73,8 +73,10 @@ func BenchmarkPredictCold(b *testing.B) {
 
 // BenchmarkPredictColdStore measures the cache-cold predict path at the
 // served size: 100000-instruction traces, a fresh seed per iteration,
-// and a store bounded at 256 MiB, so every iteration generates, encodes
-// and stores a trace and runs the full analysis pipeline.
+// and a store bounded at 256 MiB, so every iteration generates a trace,
+// runs the full analysis pipeline, and encodes and stores the analysis
+// (a model-only predict stores no trace; see
+// TestColdModelPredictWritesOnlyAnalysis).
 func BenchmarkPredictColdStore(b *testing.B) {
 	st, err := artifact.Open(b.TempDir(), 256<<20)
 	if err != nil {
@@ -87,6 +89,23 @@ func BenchmarkPredictColdStore(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		benchPost(b, h, "/v1/predict",
 			fmt.Sprintf(`{"bench":%q,"seed":%d}`, benches[i%len(benches)], i+2))
+	}
+}
+
+// BenchmarkPredictColdROBs measures model-only predicts of one fresh
+// content at several ROB sizes, the traffic of a ROB sweep over a trace
+// the warm-up does not cover: each iteration predicts a fresh gzip seed
+// at ROB 96 to 208 in steps of 16, with 100000-instruction traces. Each
+// ROB size is its own analysis of the one trace.
+func BenchmarkPredictColdROBs(b *testing.B) {
+	h := testServer(Config{N: 100000}).Handler()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for rob := 96; rob <= 208; rob += 16 {
+			benchPost(b, h, "/v1/predict",
+				fmt.Sprintf(`{"bench":"gzip","seed":%d,"machine":{"rob":%d}}`, i+2, rob))
+		}
 	}
 }
 

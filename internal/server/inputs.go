@@ -87,11 +87,13 @@ func (s *Server) predict(ctx context.Context, req PredictRequest) ([]byte, bool,
 // cache, then the artifact store *without materializing the trace* (a
 // model-only prediction needs the bundle, not the 24-bytes-per-
 // instruction trace — this is what makes a restarted daemon's first
-// requests fast), and only then its trace cache and the full analysis
-// pipeline. A default-machine predict at the default length and seed
-// has the suite's own analysis key, so it shares the bundle sweeps and
-// the warm-up use. The trace is written to the store only for a
-// request that simulates.
+// requests fast), and only then the full analysis pipeline. A
+// default-machine predict at the default length and seed has the
+// suite's own analysis key, so it shares the bundle sweeps and the
+// warm-up use. A request that simulates reads the trace before the
+// analysis, so the trace is generated once, cached and stored; a
+// model-only request leaves its trace in neither unless another
+// analysis of the same content needs it (see Suite.Analyze).
 func (s *Server) predictRecord(j predictJob) (PredictRecord, error) {
 	req, machine, ucfg := j.req, j.machine, j.ucfg
 	// The content hash Normalize stamped, not a second registry read,
@@ -99,19 +101,17 @@ func (s *Server) predictRecord(j predictJob) (PredictRecord, error) {
 	// content share traces, analyses and artifacts, and the computation
 	// is always of the content the request was keyed under.
 	src := experiments.Source{Name: req.Bench, N: req.N, Seed: req.Seed, Content: req.Content}
-	an, err := s.suite.Analyze(src, predictStatsConfig(machine, ucfg), req.Sim)
-	if err != nil {
-		return PredictRecord{}, err
-	}
 	var simulate func() (*uarch.Result, error)
 	if req.Sim {
-		simulate = func() (*uarch.Result, error) {
-			t, err := s.suite.Trace(src, true)
-			if err != nil {
-				return nil, err
-			}
-			return s.suite.SimulateTrace(t, ucfg)
+		t, err := s.suite.Trace(src)
+		if err != nil {
+			return PredictRecord{}, err
 		}
+		simulate = func() (*uarch.Result, error) { return s.suite.SimulateTrace(t, ucfg) }
+	}
+	an, err := s.suite.Analyze(src, predictStatsConfig(machine, ucfg))
+	if err != nil {
+		return PredictRecord{}, err
 	}
 	return composePredict(req.Bench, an, machine, j.mode, simulate)
 }

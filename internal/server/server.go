@@ -41,9 +41,11 @@ type Config struct {
 	// CacheEntries bounds the response cache (0 = 1024).
 	CacheEntries int
 	// TraceCacheEntries bounds the suite's decoded-trace cache, which
-	// holds every trace the daemon reads, the default (n, seed)'s built-in
-	// and registered workloads included; evicted traces release their
-	// prep-cache entries (0 = 64). A bound below the 12 built-ins makes a
+	// holds the traces the daemon reads more than once: those a
+	// simulation, a sweep or the warm-up reads, and those a second
+	// analysis of one content needs, at any (n, seed); a cold model-only
+	// predict caches none. Evicted traces release their prep-cache
+	// entries (0 = 64). A bound below the 12 built-ins makes a
 	// full-suite sweep reload traces.
 	TraceCacheEntries int
 	// AnalysisCacheEntries bounds the suite's analysis-bundle cache,
