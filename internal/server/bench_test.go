@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -213,4 +214,28 @@ func BenchmarkSweepServed(b *testing.B) {
 		}
 		benchPost(b, h, "/v1/sweep", string(body))
 	}
+}
+
+// BenchmarkOptimize measures one buffered /v1/optimize search over warm
+// analyses and reports the cost of one evaluation (one candidate on one
+// mix workload) as us/eval. The search walks width × window × rob for a
+// two-workload mix; every built-in's analysis is warmed and one search
+// runs before the timer starts, so iterations time the evaluations, not
+// first-touch analysis. Each iteration carries a fresh title, so the
+// search's own response misses the response cache.
+func BenchmarkOptimize(b *testing.B) {
+	s := testServer(Config{N: 20000})
+	if err := s.Warm(context.Background()); err != nil {
+		b.Fatal(err)
+	}
+	h := s.Handler()
+	const spec = `{"title":%q,"workloads":[{"bench":"gzip"},{"bench":"mcf"}],` +
+		`"bounds":{"width":{"min":1,"max":8},"window":{"min":16,"max":96,"step":16},"rob":{"min":64,"max":256,"step":64}},"budget":200}`
+	benchPost(b, h, "/v1/optimize", fmt.Sprintf(spec, "warm"))
+	evals := s.optEvals.Load()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchPost(b, h, "/v1/optimize", fmt.Sprintf(spec, fmt.Sprintf("run %d", i)))
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(int64(b.N)*evals), "us/eval")
 }

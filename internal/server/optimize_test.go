@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -321,4 +322,43 @@ func TestOptimizeMetricsExposed(t *testing.T) {
 	if strings.Contains(body, "fomodeld_optimize_evaluations_total 0\n") {
 		t.Errorf("evaluation counter did not move:\n%s", body)
 	}
+}
+
+// optimizeGoldenSpecs are the searches optimize.golden pins: each axis
+// family, both scalar objectives, a pareto search with a TLB, clustered
+// widths, and a mix with a registered workload ("wl", mcf's profile). In
+// every lattice the cluster count divides each width and window.
+var optimizeGoldenSpecs = []struct{ name, body string }{
+	{"cpi width x window x rob", `{"workloads":[{"bench":"gzip"},{"bench":"mcf","weight":2}],` +
+		`"bounds":{"width":{"min":2,"max":8,"step":2},"window":{"min":16,"max":64,"step":16},"rob":{"min":64,"max":256,"step":64}},` +
+		`"budget":40,"n":20000}`},
+	{"cpi_depth over depth", `{"workloads":[{"bench":"vortex"}],"bounds":{"depth":{"min":2,"max":20}},` +
+		`"objective":"cpi_depth","budget":12,"n":20000}`},
+	{"pareto cpi vs area with a tlb", `{"workloads":[{"bench":"gzip"},{"bench":"twolf"}],` +
+		`"bounds":{"width":{"min":1,"max":8},"rob":{"min":48,"max":256,"step":16}},` +
+		`"objective":"pareto","pareto":["cpi","area"],"budget":30,"tlb":true,"n":20000}`},
+	{"clusters x width", `{"workloads":[{"bench":"gzip"}],` +
+		`"bounds":{"width":{"min":2,"max":8,"step":2},"clusters":{"min":1,"max":2}},"budget":8,"n":20000}`},
+	{"registered workload in the mix", `{"workloads":[{"bench":"wl"},{"bench":"gzip"}],` +
+		`"bounds":{"window":{"min":16,"max":96,"step":16},"rob":{"min":96,"max":192,"step":32}},"budget":16,"n":20000}`},
+}
+
+// TestOptimizeGolden pins the buffered /v1/optimize bodies of
+// optimizeGoldenSpecs byte for byte, so a change to how candidates are
+// evaluated cannot move a CPI, a frontier or an accounting field
+// unnoticed. Regenerate with
+//
+//	go test ./internal/server -run TestOptimizeGolden -update
+func TestOptimizeGolden(t *testing.T) {
+	s := testServer(Config{N: 20000})
+	register(t, s, "wl", profileJSON(t, "mcf", "wl"), "")
+	var sb strings.Builder
+	for _, spec := range optimizeGoldenSpecs {
+		rec := post(s, "/v1/optimize", spec.body)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status = %d\nbody: %s", spec.name, rec.Code, rec.Body.String())
+		}
+		fmt.Fprintf(&sb, "== %s\n%s", spec.name, rec.Body.String())
+	}
+	checkGolden(t, "optimize.golden", sb.String())
 }
