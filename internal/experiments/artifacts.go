@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"fomodel/internal/artifact"
+	"fomodel/internal/core"
 	"fomodel/internal/iw"
 	"fomodel/internal/stats"
 	"fomodel/internal/trace"
@@ -40,6 +41,26 @@ type AnalysisArtifact struct {
 	Points  []iw.Point
 	Law     iw.PowerLaw
 	Summary *stats.Summary
+}
+
+// Estimate is the model half of every prediction (predicts, sweep
+// cells and optimize evaluations all call it): the equation-(1) inputs
+// and CPI stack for machine on this analysis. The long-miss and TLB-miss
+// groupings are regrouped for machine.ROBSize when the summary was taken
+// at another ROB, which gives exactly what a fresh analysis at that ROB
+// does (Summary.WithROB), and the inputs are derived at
+// machine.WindowSize.
+func (a *AnalysisArtifact) Estimate(machine core.Machine, opts core.Options) (core.Inputs, core.Estimate, error) {
+	sum := a.Summary
+	if sum.ROBSize != machine.ROBSize {
+		sum = sum.WithROB(machine.ROBSize)
+	}
+	in, err := core.InputsFromCurve(a.Law, a.Points, machine.WindowSize, sum)
+	if err != nil {
+		return core.Inputs{}, core.Estimate{}, err
+	}
+	est, err := machine.Estimate(in, opts)
+	return in, est, err
 }
 
 // AnalysisKey builds the canonical content key of an analysis artifact:

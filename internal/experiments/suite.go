@@ -110,15 +110,14 @@ func (src Source) ContentID() string {
 	return workload.CustomContentID(src.Content, src.N, src.Seed)
 }
 
-// Workload bundles one benchmark's trace and every derived analysis the
-// experiments consume.
+// Workload bundles one benchmark's trace, its analysis (whose Points,
+// Law, Summary and Estimate are promoted), and the model inputs derived
+// from it for the suite's machine.
 type Workload struct {
-	Name    string
-	Trace   *trace.Trace
-	Points  []iw.Point
-	Law     iw.PowerLaw
-	Summary *stats.Summary
-	Inputs  core.Inputs
+	Name  string
+	Trace *trace.Trace
+	*AnalysisArtifact
+	Inputs core.Inputs
 }
 
 // NewSuite returns a Suite over all twelve benchmarks with the paper's
@@ -214,14 +213,7 @@ func (s *Suite) Workload(name string) (*Workload, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Workload{
-		Name:    name,
-		Trace:   t,
-		Points:  an.Points,
-		Law:     an.Law,
-		Summary: an.Summary,
-		Inputs:  inputs,
-	}, nil
+	return &Workload{Name: name, Trace: t, AnalysisArtifact: an, Inputs: inputs}, nil
 }
 
 // content resolves a workload name: "" for a built-in, the content hash

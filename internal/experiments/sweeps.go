@@ -74,37 +74,24 @@ type SweepSpec struct {
 	Values []int `json:"values"`
 }
 
-// sweepCell computes one (benchmark, value) grid cell's model side and
-// point from the cell's simulation.
-type sweepCell func(s *Suite, w *Workload, v int, sim *uarch.Result) (SweepPoint, error)
-
 // sweepParam is one supported sweep dimension: how a value sets the
-// simulator's configuration, and how a grid cell is computed from the
-// simulation at that value.
+// simulator's configuration, and how it sets the modeled machine.
 type sweepParam struct {
-	set  func(c *uarch.Config, v int)
-	cell sweepCell
+	sim   func(c *uarch.Config, v int)
+	model func(m *core.Machine, v int)
 }
 
-// sweepParams maps each supported parameter to its dimension. The
-// window and ROB cells re-derive the model inputs that depend on the
-// swept size (the measured IW point and the equation-(8) miss grouping
-// respectively); width and depth only move timing-side machine
-// parameters, so the cached workload inputs are reused as-is.
+// sweepParams maps each supported parameter to its dimension. A window
+// that outgrows the ROB bumps the ROB to match, in the simulator and in
+// the model alike.
 var sweepParams = map[string]sweepParam{
-	"window": {setWindow, windowCell},
-	"rob":    {func(c *uarch.Config, v int) { c.ROBSize = v }, robCell},
-	"width":  {func(c *uarch.Config, v int) { c.Width = v }, widthCell},
-	"depth":  {func(c *uarch.Config, v int) { c.FrontEndDepth = v }, depthCell},
-}
-
-// setWindow sets the issue window, bumping the ROB when it would fall
-// below it.
-func setWindow(c *uarch.Config, win int) {
-	c.WindowSize = win
-	if c.ROBSize < win {
-		c.ROBSize = win
-	}
+	"window": {
+		func(c *uarch.Config, v int) { c.WindowSize, c.ROBSize = v, max(c.ROBSize, v) },
+		func(m *core.Machine, v int) { m.WindowSize, m.ROBSize = v, max(m.ROBSize, v) },
+	},
+	"rob":   {func(c *uarch.Config, v int) { c.ROBSize = v }, func(m *core.Machine, v int) { m.ROBSize = v }},
+	"width": {func(c *uarch.Config, v int) { c.Width = v }, func(m *core.Machine, v int) { m.Width = v }},
+	"depth": {func(c *uarch.Config, v int) { c.FrontEndDepth = v }, func(m *core.Machine, v int) { m.FrontEndDepth = v }},
 }
 
 // SweepParams returns the supported sweep parameter names, sorted.
@@ -156,7 +143,7 @@ func (sp SweepSpec) ValidateFor(s *Suite) error {
 			return fmt.Errorf("experiments: sweep value %d < 1", v)
 		}
 		cfg := base
-		param.set(&cfg, v)
+		param.sim(&cfg, v)
 		if err := cfg.Validate(); err != nil {
 			return fmt.Errorf("experiments: sweep %s value %d: %w", sp.Param, v, err)
 		}
@@ -202,11 +189,11 @@ func SweepStream(ctx context.Context, s *Suite, spec SweepSpec, emit func(SweepP
 			return SweepPoint{}, err
 		}
 		v := jobs[i].value
-		sim, err := s.Simulate(w, func(c *uarch.Config) { param.set(c, v) })
+		sim, err := s.Simulate(w, func(c *uarch.Config) { param.sim(c, v) })
 		if err != nil {
 			return SweepPoint{}, err
 		}
-		return param.cell(s, w, v, sim)
+		return sweepCell(s, w, param, v, sim)
 	}, func(_ int, pt SweepPoint) error {
 		res.Points = append(res.Points, pt)
 		if emit != nil {
@@ -239,92 +226,21 @@ func sweepGrid(benches []string, values []int) []sweepJob {
 	return jobs
 }
 
-// windowCell shrinks or grows the issue window, re-deriving the measured
-// steady-state IW point at the new size. When the window outgrows the
-// ROB, the ROB is bumped to match (as setWindow does for the simulator)
-// and the equation-(8) miss grouping is redone for it.
-func windowCell(s *Suite, w *Workload, win int, sim *uarch.Result) (SweepPoint, error) {
-	var zero SweepPoint
+// sweepCell computes one (benchmark, value) grid cell's point: the
+// model on the workload's analysis for the suite's machine with the
+// parameter set (the miss grouping and the measured IW point follow the
+// ROB and window through AnalysisArtifact.Estimate), against the cell's
+// simulation.
+func sweepCell(s *Suite, w *Workload, param sweepParam, v int, sim *uarch.Result) (SweepPoint, error) {
 	m := s.Machine
-	m.WindowSize = win
-	sum := w.Summary
-	if m.ROBSize < win {
-		m.ROBSize = win
-		sum = sum.WithROB(win)
-	}
-	// Re-derive the measured steady point at this window size.
-	in, err := core.InputsFromCurve(w.Law, w.Points, win, sum)
+	param.model(&m, v)
+	_, est, err := w.Estimate(m, modelOptions())
 	if err != nil {
-		return zero, err
-	}
-	est, err := m.Estimate(in, modelOptions())
-	if err != nil {
-		return zero, err
+		return SweepPoint{}, err
 	}
 	return SweepPoint{
 		Bench:    w.Name,
-		Value:    win,
-		SimCPI:   sim.CPI(),
-		ModelCPI: est.CPI,
-		Err:      relErr(est.CPI, sim.CPI()),
-	}, nil
-}
-
-// robCell resizes the reorder buffer, regrouping the recorded miss
-// positions so the equation-(8) long-miss grouping uses the new horizon.
-func robCell(s *Suite, w *Workload, rob int, sim *uarch.Result) (SweepPoint, error) {
-	var zero SweepPoint
-	m := s.Machine
-	m.ROBSize = rob
-	in, err := core.InputsFromCurve(w.Law, w.Points, m.WindowSize, w.Summary.WithROB(rob))
-	if err != nil {
-		return zero, err
-	}
-	est, err := m.Estimate(in, modelOptions())
-	if err != nil {
-		return zero, err
-	}
-	return SweepPoint{
-		Bench:    w.Name,
-		Value:    rob,
-		SimCPI:   sim.CPI(),
-		ModelCPI: est.CPI,
-		Err:      relErr(est.CPI, sim.CPI()),
-	}, nil
-}
-
-// widthCell varies the fetch/dispatch/issue/retire width; the workload
-// inputs are width-independent, so the cached bundle is reused.
-func widthCell(s *Suite, w *Workload, width int, sim *uarch.Result) (SweepPoint, error) {
-	var zero SweepPoint
-	m := s.Machine
-	m.Width = width
-	est, err := m.Estimate(w.Inputs, modelOptions())
-	if err != nil {
-		return zero, err
-	}
-	return SweepPoint{
-		Bench:    w.Name,
-		Value:    width,
-		SimCPI:   sim.CPI(),
-		ModelCPI: est.CPI,
-		Err:      relErr(est.CPI, sim.CPI()),
-	}, nil
-}
-
-// depthCell varies the front-end pipeline depth ΔP, which only moves the
-// branch misprediction penalty.
-func depthCell(s *Suite, w *Workload, depth int, sim *uarch.Result) (SweepPoint, error) {
-	var zero SweepPoint
-	m := s.Machine
-	m.FrontEndDepth = depth
-	est, err := m.Estimate(w.Inputs, modelOptions())
-	if err != nil {
-		return zero, err
-	}
-	return SweepPoint{
-		Bench:    w.Name,
-		Value:    depth,
+		Value:    v,
 		SimCPI:   sim.CPI(),
 		ModelCPI: est.CPI,
 		Err:      relErr(est.CPI, sim.CPI()),

@@ -5,8 +5,8 @@
 // followed by local pattern-search refinement around the incumbent (or
 // the current Pareto frontier), every candidate scored through an
 // evaluator callback the caller supplies. The serving daemon plugs in
-// its /v1/predict compute path, so every evaluation shares the response,
-// analysis, and prep caches with ordinary predict traffic.
+// the model half of its /v1/predict path, run on one cached analysis per
+// mix workload.
 //
 // Determinism is a contract, not an accident: for a fixed spec (seed
 // included) the search visits the same candidates in the same order and
@@ -134,9 +134,13 @@ func (c *Config) setAxis(name string, v int) {
 }
 
 // valid reports whether the candidate is structurally evaluable: the
-// detailed-simulator configuration requires ROB ≥ window (uarch.Config),
-// so lattice points violating it are skipped without consuming budget.
-func (c Config) valid() bool { return c.ROB >= c.Window }
+// detailed-simulator configuration (uarch.Config.Validate) requires
+// ROB ≥ window and a cluster count that divides both the width and the
+// window, so lattice points violating either rule are skipped without
+// consuming budget.
+func (c Config) valid() bool {
+	return c.ROB >= c.Window && c.Width%c.Clusters == 0 && c.Window%c.Clusters == 0
+}
 
 // less orders configs by the canonical axis order; used to restore
 // deterministic evaluation order after the seeded subsample shuffle.
@@ -381,7 +385,8 @@ func (s Spec) Validate(res reqkey.Resolver) error {
 		return fmt.Errorf("optimize: full lattice of %d points exceeds the %d-point limit", total, maxGridSize)
 	}
 	if valid == 0 {
-		return fmt.Errorf("optimize: no valid configuration in bounds (every lattice point has rob < window)")
+		return fmt.Errorf("optimize: no valid configuration in bounds " +
+			"(every lattice point has rob < window or a cluster count that does not divide its width and window)")
 	}
 	if s.Budget < 1 {
 		return fmt.Errorf("optimize: budget %d < 1", s.Budget)
@@ -437,32 +442,46 @@ func (s Spec) normalizedBound(name string) Bound {
 }
 
 // gridCounts returns the full lattice cardinality and the number of
-// structurally valid points on it (rob ≥ window). The valid count is
-// computed analytically per (window, rob) pair, so it stays cheap even
-// at the lattice-size cap.
+// structurally valid points on it (Config.valid). Only the width,
+// window, rob and clusters axes constrain one another, so the valid
+// count is taken over those four, per (window, cluster count) pair,
+// and scaled by the rest; it stays cheap even at the lattice-size cap.
 func (s Spec) gridCounts() (total, valid int64) {
-	others := int64(1)
+	total = 1
 	for _, name := range axisNames {
-		if name == "window" || name == "rob" {
-			continue
-		}
-		others *= int64(s.normalizedBound(name).count())
-		if others > maxGridSize {
-			return others * 4, 1 // over the cap either way; short-circuit
-		}
+		total *= int64(s.normalizedBound(name).count())
 	}
-	wb, rb := s.normalizedBound("window"), s.normalizedBound("rob")
-	var pairs int64
-	for i := 0; i < wb.count(); i++ {
-		w := wb.value(i)
+	if total > maxGridSize {
+		return total, 0
+	}
+	wb, winb, rb, cb := s.normalizedBound("width"), s.normalizedBound("window"),
+		s.normalizedBound("rob"), s.normalizedBound("clusters")
+	// robs[i] counts the rob values no smaller than the i-th window.
+	robs := make([]int64, winb.count())
+	for i := range robs {
 		for j := 0; j < rb.count(); j++ {
-			if rb.value(j) >= w {
-				pairs++
+			if rb.value(j) >= winb.value(i) {
+				robs[i]++
 			}
 		}
 	}
-	total = others * int64(wb.count()) * int64(rb.count())
-	return total, others * pairs
+	var constrained int64
+	for ci := 0; ci < cb.count(); ci++ {
+		c := cb.value(ci)
+		var widths int64
+		for i := 0; i < wb.count(); i++ {
+			if wb.value(i)%c == 0 {
+				widths++
+			}
+		}
+		for i, n := range robs {
+			if winb.value(i)%c == 0 {
+				constrained += widths * n
+			}
+		}
+	}
+	others := total / int64(wb.count()*winb.count()*rb.count()*cb.count())
+	return total, others * constrained
 }
 
 // objectiveNames returns the search's objective column names: one for a

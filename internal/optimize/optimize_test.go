@@ -273,7 +273,10 @@ func TestValidateRejects(t *testing.T) {
 		}, "must differ"},
 		{"no valid configs", func(s *Spec) {
 			s.Bounds = map[string]Bound{"window": {Min: 200, Max: 200}, "rob": {Min: 100, Max: 100}}
-		}, "no valid configuration"},
+		}, "every lattice point has rob < window"},
+		{"no dividing cluster count", func(s *Spec) {
+			s.Bounds = map[string]Bound{"width": {Min: 3, Max: 3}, "clusters": {Min: 2, Max: 2}}
+		}, "a cluster count that does not divide its width and window"},
 	}
 	for _, tc := range cases {
 		spec := base()
@@ -285,34 +288,39 @@ func TestValidateRejects(t *testing.T) {
 	}
 }
 
-// TestInvalidLatticePointsSkipped pins that rob < window lattice points
-// are excluded without consuming budget: the grid size counts only valid
-// points, and every evaluated candidate satisfies the constraint.
+// TestInvalidLatticePointsSkipped pins that lattice points the
+// simulator would reject (rob < window, or a cluster count that does
+// not divide the width or the window) are excluded without consuming
+// budget: the grid size counts only valid points, and every evaluated
+// candidate satisfies both rules.
 func TestInvalidLatticePointsSkipped(t *testing.T) {
-	spec := Spec{
-		Workloads: []WorkloadWeight{{Bench: "gzip"}},
-		Bounds: map[string]Bound{
-			"window": {Min: 32, Max: 64, Step: 32},
-			"rob":    {Min: 32, Max: 64, Step: 32},
-		},
-		Budget: 16,
-	}
-	var bad atomic.Int64
-	eval := func(_ context.Context, cfg Config, _ string) (float64, error) {
-		if cfg.ROB < cfg.Window {
-			bad.Add(1)
+	for _, tc := range []struct {
+		bounds map[string]Bound
+		grid   int
+	}{
+		// 2×2 lattice minus rob < window.
+		{map[string]Bound{"window": {Min: 32, Max: 64, Step: 32}, "rob": {Min: 32, Max: 64, Step: 32}}, 3},
+		// Clusters 1: 8 widths × 2 windows; 2: 4 × 2; 3: 2 widths × window 48.
+		{map[string]Bound{"width": {Min: 1, Max: 8}, "window": {Min: 40, Max: 48, Step: 8}, "clusters": {Min: 1, Max: 3}}, 26},
+	} {
+		spec := Spec{Workloads: []WorkloadWeight{{Bench: "gzip"}}, Bounds: tc.bounds, Budget: 64}
+		var bad atomic.Int64
+		eval := func(_ context.Context, cfg Config, _ string) (float64, error) {
+			if cfg.ROB < cfg.Window || cfg.Width%cfg.Clusters != 0 || cfg.Window%cfg.Clusters != 0 {
+				bad.Add(1)
+			}
+			return 1 / float64(cfg.Width), nil
 		}
-		return 1, nil
-	}
-	res, err := Run(context.Background(), spec, eval, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.GridSize != 3 {
-		t.Errorf("GridSize = %d, want 3 (2×2 lattice minus rob<window)", res.GridSize)
-	}
-	if bad.Load() != 0 {
-		t.Errorf("%d invalid candidates were evaluated", bad.Load())
+		res, err := Run(context.Background(), spec, eval, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.GridSize != tc.grid {
+			t.Errorf("bounds %v: GridSize = %d, want %d", tc.bounds, res.GridSize, tc.grid)
+		}
+		if bad.Load() != 0 {
+			t.Errorf("bounds %v: %d invalid candidates were evaluated", tc.bounds, bad.Load())
+		}
 	}
 }
 
@@ -333,5 +341,39 @@ func TestRenderAndCSV(t *testing.T) {
 	}
 	if lines := strings.Count(csv, "\n"); lines != 1+len(res.Frontier) {
 		t.Errorf("csv has %d lines, want %d", lines, 1+len(res.Frontier))
+	}
+}
+
+// TestGridCountsMatchEnumeration checks gridCounts' valid count against
+// a walk of every lattice point through Config.valid.
+func TestGridCountsMatchEnumeration(t *testing.T) {
+	for _, bounds := range []map[string]Bound{
+		{"width": {Min: 1, Max: 8}, "clusters": {Min: 1, Max: 4}},
+		{"width": {Min: 2, Max: 12, Step: 2}, "window": {Min: 8, Max: 64, Step: 8},
+			"rob": {Min: 16, Max: 96, Step: 16}, "clusters": {Min: 1, Max: 3}, "depth": {Min: 3, Max: 5}},
+		{"window": {Min: 30, Max: 90, Step: 15}, "rob": {Min: 32, Max: 96, Step: 32}, "fetch_buffer": {Min: 0, Max: 4}},
+	} {
+		spec := Spec{Bounds: bounds}
+		total, valid := spec.gridCounts()
+		var n, want int64
+		var walk func(i int, c Config)
+		walk = func(i int, c Config) {
+			if i == len(axisNames) {
+				n++
+				if c.valid() {
+					want++
+				}
+				return
+			}
+			b := spec.normalizedBound(axisNames[i])
+			for k := 0; k < b.count(); k++ {
+				c.setAxis(axisNames[i], b.value(k))
+				walk(i+1, c)
+			}
+		}
+		walk(0, Baseline())
+		if total != n || valid != want {
+			t.Errorf("bounds %v: gridCounts = (%d, %d), enumeration = (%d, %d)", bounds, total, valid, n, want)
+		}
 	}
 }

@@ -210,22 +210,18 @@ func Predict(t *trace.Trace, machine core.Machine, ucfg uarch.Config,
 	return composePredict(t.Name, an, machine, mode, simulate)
 }
 
-// composePredict is the model half of the predict pipeline: the
-// equation-(1) inputs and CPI stack from an analysis bundle, plus the
-// detailed simulator's CPI when simulate is non-nil.
+// composePredict assembles the predict record: the model half
+// (AnalysisArtifact.Estimate) on an analysis bundle, plus the detailed
+// simulator's CPI when simulate is non-nil.
 func composePredict(bench string, an *experiments.AnalysisArtifact, machine core.Machine,
 	mode core.BranchPenaltyMode, simulate func() (*uarch.Result, error)) (PredictRecord, error) {
-	inputs, err := core.InputsFromCurve(an.Law, an.Points, machine.WindowSize, an.Summary)
+	inputs, est, err := an.Estimate(machine, core.Options{BranchMode: mode})
 	if err != nil {
 		return PredictRecord{}, err
 	}
 	// The bundle is keyed by content, so registered names with one
 	// content share it; the record names the workload it answers for.
 	inputs.Name = bench
-	est, err := machine.Estimate(inputs, core.Options{BranchMode: mode})
-	if err != nil {
-		return PredictRecord{}, err
-	}
 	rec := PredictRecord{Bench: bench, Inputs: inputs, Estimate: est}
 	if simulate != nil {
 		r, err := simulate()

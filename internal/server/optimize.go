@@ -2,18 +2,21 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
+	"sync"
 
+	"fomodel/internal/core"
+	"fomodel/internal/experiments"
 	"fomodel/internal/httpfront"
 	"fomodel/internal/optimize"
+	"fomodel/internal/reqkey"
 )
 
 // This file is the daemon's half of the /v1/optimize surface: the
 // design-space search lives in internal/optimize; the daemon supplies
-// the evaluator — the exact /v1/predict compute path, response cache
-// included — plus request validation, cache keying and the optimize
+// the evaluator — the model half of /v1/predict run on one analysis per
+// mix workload — plus request validation, cache keying and the optimize
 // metrics; serveSearch serves the result buffered or streamed.
 
 // OptimizeResponse is the buffered /v1/optimize body: the structured
@@ -41,54 +44,68 @@ type OptimizeTrailer struct {
 	CSV         string           `json:"csv"`
 }
 
-// optimizeMachineSpec projects one candidate onto the predict wire
-// shape. Every searched axis is explicit, so all optimize evaluations
-// live in one fully-specified predict keyspace — two searches (or a
-// search and a later identically-spelled predict) share cache entries.
-// Clusters 1 maps to the unset baseline so unclustered candidates key
-// identically to default-machine predicts with the same overrides.
-func optimizeMachineSpec(cfg optimize.Config, tlb bool) MachineSpec {
-	m := MachineSpec{
-		Width:       cfg.Width,
-		Depth:       cfg.Depth,
-		Window:      cfg.Window,
-		ROB:         cfg.ROB,
-		FetchBuffer: cfg.FetchBuffer,
-		TLB:         tlb,
+// optimizeEval builds the search's evaluator. Each mix workload's
+// content is resolved once, against the registry now, and its analysis
+// is computed once, at the first evaluation that needs it, under the
+// baseline machine's predict statistics configuration plus the spec's
+// TLB; at the daemon's default length and seed that is the analysis the
+// warm-up computes. An evaluation builds the candidate's machine and
+// runs the model on that analysis (AnalysisArtifact.Estimate regroups
+// the misses for the candidate's ROB), so a search adds no predict
+// entries to the response cache and one analysis per workload to the
+// analysis cache.
+func (s *Server) optimizeEval(spec optimize.Spec) (optimize.EvalFunc, error) {
+	base := MachineSpec{TLB: spec.TLB}
+	machine, err := base.Machine()
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Clusters > 1 {
-		m.Clusters = cfg.Clusters
+	ucfg, err := base.SimConfig()
+	if err != nil {
+		return nil, err
 	}
-	return m
-}
-
-// optimizeEval builds the search's evaluator: one candidate × benchmark
-// scored through the daemon's own predict path — response cache,
-// analysis cache, artifact store, prep cache and all. The model CPI is
-// read back from the cached response bytes, so a cache hit and a fresh
-// computation yield the identical float (Go's JSON float round-trip is
-// exact).
-func (s *Server) optimizeEval(spec optimize.Spec) optimize.EvalFunc {
-	return func(ctx context.Context, cfg optimize.Config, bench string) (float64, error) {
-		body, hit, err := s.predict(ctx, PredictRequest{
-			Bench:   bench,
-			N:       spec.N,
-			Seed:    spec.TraceSeed,
-			Machine: optimizeMachineSpec(cfg, spec.TLB),
+	scfg := predictStatsConfig(machine, ucfg)
+	analyses := make(map[string]func() (*experiments.AnalysisArtifact, error), len(spec.Workloads))
+	for _, w := range spec.Workloads {
+		content, err := reqkey.Content(s.keys.Resolver, w.Bench)
+		if err != nil {
+			return nil, err
+		}
+		src := experiments.Source{Name: w.Bench, N: spec.N, Seed: spec.TraceSeed, Content: content}
+		analyses[w.Bench] = sync.OnceValues(func() (*experiments.AnalysisArtifact, error) {
+			return s.suite.Analyze(src, scfg)
 		})
+	}
+	return func(ctx context.Context, cfg optimize.Config, bench string) (float64, error) {
+		if s.panicHook != nil {
+			s.panicHook(bench)
+		}
+		if err := ctx.Err(); err != nil {
+			return 0, err
+		}
+		an, err := analyses[bench]()
+		if err != nil {
+			return 0, err
+		}
+		machine, err := MachineSpec{
+			Width:       cfg.Width,
+			Depth:       cfg.Depth,
+			Window:      cfg.Window,
+			ROB:         cfg.ROB,
+			Clusters:    cfg.Clusters,
+			FetchBuffer: cfg.FetchBuffer,
+			TLB:         spec.TLB,
+		}.Machine()
+		if err != nil {
+			return 0, err
+		}
+		_, est, err := an.Estimate(machine, core.Options{BranchMode: core.BranchMidpoint})
 		if err != nil {
 			return 0, err
 		}
 		s.optEvals.Inc()
-		if hit {
-			s.optEvalHits.Inc()
-		}
-		var rec PredictRecord
-		if err := json.Unmarshal(body, &rec); err != nil {
-			return 0, fmt.Errorf("malformed cached predict body: %w", err)
-		}
-		return rec.Estimate.CPI, nil
-	}
+		return est.CPI, nil
+	}, nil
 }
 
 // normalizeOptimize fills spec's defaults and validates it, returning an
@@ -103,8 +120,8 @@ func (s *Server) normalizeOptimize(spec *optimize.Spec) error {
 	return nil
 }
 
-// Optimize runs one design-space search through the daemon's predict
-// compute path. It is exported so the CLI's local -optimize mode runs
+// Optimize runs one design-space search through the daemon's
+// evaluator. It is exported so the CLI's local -optimize mode runs
 // the very same code an in-process daemon would, which is what makes
 // local and remote outputs byte-identical.
 func (s *Server) Optimize(ctx context.Context, spec optimize.Spec) (*optimize.Result, error) {
@@ -117,7 +134,11 @@ func (s *Server) Optimize(ctx context.Context, spec optimize.Spec) (*optimize.Re
 // runOptimize is Optimize for a spec normalizeOptimize has accepted.
 // emit, when non-nil, receives accepted points in discovery order.
 func (s *Server) runOptimize(ctx context.Context, spec optimize.Spec, emit func(optimize.Point) error) (*optimize.Result, error) {
-	res, err := optimize.Run(ctx, spec, s.optimizeEval(spec), optimize.Options{
+	eval, err := s.optimizeEval(spec)
+	if err != nil {
+		return nil, err
+	}
+	res, err := optimize.Run(ctx, spec, eval, optimize.Options{
 		Workers:  s.cfg.Workers,
 		Emit:     emit,
 		Resolver: s.keys.Resolver,

@@ -34,6 +34,8 @@ func TestOptimizeBadRequests(t *testing.T) {
 			"outside"},
 		{"width above the simulator's bound", `{"workloads":[{"bench":"gzip"}],"bounds":{"width":{"min":60,"max":70}},"budget":4}`,
 			"width bound max 70 above the parameter maximum 64"},
+		{"no cluster count divides the width", `{"workloads":[{"bench":"gzip"}],"bounds":{"width":{"min":3,"max":3},"clusters":{"min":2,"max":2}},"budget":4}`,
+			"a cluster count that does not divide its width and window"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -131,23 +133,70 @@ func TestOptimizeDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestOptimizeSharesPredictCache pins the cache interplay the design
-// demands: optimize evaluations land in the predict response cache, so
-// an identically-spelled /v1/predict afterwards is a hit.
-func TestOptimizeSharesPredictCache(t *testing.T) {
-	s := testServer(Config{})
-	if rec := post(s, "/v1/optimize", optimizeBody); rec.Code != http.StatusOK {
+// TestOptimizeCachesOnlyItsResponse pins what one search leaves in the
+// daemon's caches: on a cold server a ROB-axis search computes one
+// analysis per mix workload, not one per (workload, ROB), adds exactly
+// one response-cache entry, its own, and so does not evict a predict
+// that was a hit before it, even from a response cache far smaller than
+// the search's evaluation count.
+func TestOptimizeCachesOnlyItsResponse(t *testing.T) {
+	s := testServer(Config{CacheEntries: 4})
+	const predict = `{"bench":"gzip"}`
+	post(s, "/v1/predict", predict)
+	if rec := post(s, "/v1/predict", predict); rec.Header().Get("X-Cache") != "hit" {
+		t.Fatalf("second predict X-Cache = %q, want hit", rec.Header().Get("X-Cache"))
+	}
+	analyses, _ := s.suite.Counters()
+	entries := s.cache.Len()
+
+	rec := post(s, "/v1/optimize", `{"workloads":[{"bench":"mcf"},{"bench":"twolf"}],`+
+		`"bounds":{"rob":{"min":48,"max":256,"step":16}},"budget":14}`)
+	if rec.Code != http.StatusOK {
 		t.Fatalf("optimize status = %d\nbody: %s", rec.Code, rec.Body.String())
 	}
-	// Candidate width=4 was on the coarse grid (bounds 1..4, endpoints
-	// included); its evaluation key is the fully-specified predict below.
-	rec := post(s, "/v1/predict",
-		`{"bench":"gzip","machine":{"width":4,"depth":5,"window":48,"rob":128}}`)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("predict status = %d\nbody: %s", rec.Code, rec.Body.String())
+	var resp OptimizeResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
 	}
-	if got := rec.Header().Get("X-Cache"); got != "hit" {
-		t.Errorf("predict after optimize X-Cache = %q, want hit", got)
+	// Every candidate is a distinct ROB size; served as predicts, the
+	// evaluations alone would overflow the 4-entry cache.
+	if resp.Evaluations < 3 {
+		t.Fatalf("only %d evaluations; the search must visit several ROB sizes", resp.Evaluations)
+	}
+	if got, _ := s.suite.Counters(); got-analyses != 2 {
+		t.Errorf("the search computed %d analyses, want 2 (one per mix workload)", got-analyses)
+	}
+	if got := s.cache.Len(); got-entries != 1 {
+		t.Errorf("the search added %d response-cache entries, want 1", got-entries)
+	}
+	if rec := post(s, "/v1/predict", predict); rec.Header().Get("X-Cache") != "hit" {
+		t.Errorf("predict after the search X-Cache = %q, want hit", rec.Header().Get("X-Cache"))
+	}
+}
+
+// TestOptimizeSkipsNonDividingClusters pins that a cluster count that
+// does not divide a candidate's width or window skips that candidate
+// instead of failing the search; bounds with no valid point at all are
+// a TestOptimizeBadRequests case.
+func TestOptimizeSkipsNonDividingClusters(t *testing.T) {
+	for _, tc := range []struct {
+		body string
+		grid int
+	}{
+		{`{"workloads":[{"bench":"gzip"}],"bounds":{"clusters":{"min":1,"max":3}},"budget":6}`, 2},
+		{`{"workloads":[{"bench":"gzip"}],"bounds":{"width":{"min":1,"max":8},"clusters":{"min":1,"max":2}},"budget":12}`, 12},
+	} {
+		rec := post(testServer(Config{}), "/v1/optimize", tc.body)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status = %d, want 200\nbody: %s", tc.body, rec.Code, rec.Body.String())
+		}
+		var resp OptimizeResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.GridSize != tc.grid {
+			t.Errorf("%s: grid_size = %d, want %d", tc.body, resp.GridSize, tc.grid)
+		}
 	}
 }
 
@@ -256,7 +305,7 @@ func TestStreamedOptimizeMatchesBuffered(t *testing.T) {
 // TestStreamedOptimizeMidStreamErrorRow pins the failure after the
 // first row: the 200 is already on the wire, so a live client gets the
 // error as a final {"error": ...} row and no trailer. The fault is
-// injected into the second candidate's evaluation (Server.predict passes
+// injected into the second candidate's evaluation (the evaluator passes
 // the hook the bench name); with one worker the first candidate has been
 // accepted and streamed by then. The error row carries the request's
 // X-Request-ID, as a buffered error body would.
@@ -311,7 +360,6 @@ func TestOptimizeMetricsExposed(t *testing.T) {
 	body := get(s, "/metrics").Body.String()
 	for _, metric := range []string{
 		"fomodeld_optimize_evaluations_total",
-		"fomodeld_optimize_evaluation_cache_hits_total",
 		"fomodeld_optimize_refinement_rounds_total",
 		"fomodeld_optimize_frontier_size 1",
 	} {

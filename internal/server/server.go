@@ -125,11 +125,10 @@ type Server struct {
 	regRequests map[string]*metrics.Counter
 	regHits     map[string]*metrics.Counter
 
-	// Optimize-search instrumentation: candidate evaluations run (and
-	// the share served by the response cache), refinement rounds, and
-	// the most recent completed search's frontier size.
+	// Optimize-search instrumentation: candidate evaluations run,
+	// refinement rounds, and the most recent completed search's frontier
+	// size.
 	optEvals    metrics.Counter
-	optEvalHits metrics.Counter
 	optRounds   metrics.Counter
 	optFrontier metrics.Gauge
 
@@ -396,7 +395,6 @@ func (s *Server) handleMetrics(w *httpfront.Writer, r *http.Request) {
 	x.Gauge("prep_cache_entries", "Classifications currently cached, one per trace and classification config.", int64(preps.Len()))
 
 	x.Counter("optimize_evaluations_total", "Model evaluations (candidate x workload) run by design-space searches.", s.optEvals.Load())
-	x.Counter("optimize_evaluation_cache_hits_total", "Optimize evaluations answered by the response cache.", s.optEvalHits.Load())
 	x.Counter("optimize_refinement_rounds_total", "Refinement rounds run by design-space searches.", s.optRounds.Load())
 	x.Gauge("optimize_frontier_size", "Frontier size of the most recent completed search.", s.optFrontier.Load())
 

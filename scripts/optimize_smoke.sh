@@ -3,7 +3,8 @@
 #
 # Boots a fomodeld daemon and asserts the optimize contract end to end
 # over real sockets: a small-budget search answers with a non-empty
-# frontier while evaluating only a fraction of the grid, the NDJSON
+# frontier while evaluating only a fraction of the grid, computes one
+# analysis per mix workload and caches only its own response, the NDJSON
 # stream carries point rows plus a trailer, the optimize metrics move,
 # and `fomodel -optimize -json` run locally is byte-equal to the same
 # spec served by the daemon (fetched both via -remote and via curl).
@@ -60,6 +61,18 @@ if [ -z "$evals" ] || [ "$evals" -gt 12 ]; then
     exit 1
 fi
 echo "ok: $evals evaluations over a $grid-point grid, frontier non-empty" >&2
+
+echo "== one analysis per workload, one response-cache entry" >&2
+# The daemon booted cold, so the search alone filled its caches: one
+# analysis per mix workload (not one per workload and ROB size), and one
+# response-cache entry, its own (no predict entries that would flush
+# other clients' hot sets).
+curl -fsS "$daemon/metrics" >"$bin/metrics.txt"
+for want in 'fomodeld_workload_analyses_total 2' 'fomodeld_response_cache_entries 1'; do
+    grep -qx "$want" "$bin/metrics.txt" \
+        || { echo "after one search on a cold daemon, want '$want':" >&2; grep -E '^fomodeld_(workload_analyses_total|response_cache_entries) ' "$bin/metrics.txt" >&2; exit 1; }
+done
+echo "ok: 2 analyses and 1 response-cache entry after the first search" >&2
 
 echo "== local/remote byte-equality" >&2
 "$bin/fomodel" -optimize "$bin/spec.json" -json -n "$N" >"$bin/local.json"
