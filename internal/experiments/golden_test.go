@@ -123,3 +123,57 @@ func TestGoldenIWFigures(t *testing.T) {
 		})
 	}
 }
+
+// registryGoldens lists the registry experiments that TestGoldenRegistry
+// locks down on the small suite: every one that the tests above do not.
+var registryGoldens = []string{
+	"fig2", "fig7", "fig9", "fig11", "fig15", "fig16",
+	"ext-fu", "ext-fetchbuf", "ext-tlb", "ext-cluster", "predictors",
+	"statsim", "refine-branch", "seeds", "inorder", "littleslaw",
+}
+
+// goldenExemptions names the registry experiments that have no golden
+// file, with the reason.
+var goldenExemptions = map[string]string{
+	"methods": "its table reports wall-clock times, which differ run to run",
+}
+
+// TestGoldenRegistry renders each experiment of registryGoldens through
+// DefaultRegistry on one small suite and compares it with its golden
+// file, so a change to the model, the simulator or the glue between
+// them shows in rendered bytes.
+func TestGoldenRegistry(t *testing.T) {
+	s := smallSuite()
+	reg := DefaultRegistry()
+	for _, label := range registryGoldens {
+		t.Run(label, func(t *testing.T) {
+			res, err := reg[label](context.Background(), s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			compareGolden(t, label, res.Render())
+		})
+	}
+}
+
+// TestEveryExperimentHasGolden fails when a registry experiment has
+// neither a golden file nor an entry in goldenExemptions, so a new
+// experiment arrives with its rendering pinned.
+func TestEveryExperimentHasGolden(t *testing.T) {
+	reg := DefaultRegistry()
+	for _, label := range reg.Labels() {
+		_, err := os.Stat(filepath.Join("testdata", label+".golden"))
+		_, exempt := goldenExemptions[label]
+		switch {
+		case err == nil && exempt:
+			t.Errorf("%s has a golden file and an exemption", label)
+		case err != nil && !exempt:
+			t.Errorf("%s has no golden file (testdata/%s.golden) and no exemption", label, label)
+		}
+	}
+	for label := range goldenExemptions {
+		if _, ok := reg[label]; !ok {
+			t.Errorf("exemption for %s, which is not in the registry", label)
+		}
+	}
+}
