@@ -17,12 +17,10 @@ import (
 	"time"
 
 	"fomodel/internal/client"
-	"fomodel/internal/core"
-	"fomodel/internal/isa"
+	"fomodel/internal/experiments"
 	"fomodel/internal/iw"
 	"fomodel/internal/optimize"
 	"fomodel/internal/server"
-	"fomodel/internal/stats"
 	"fomodel/internal/trace"
 	"fomodel/internal/uarch"
 	"fomodel/internal/workload"
@@ -83,21 +81,15 @@ func Traceinfo(args []string, out io.Writer) error {
 
 	tw := tabwriter.NewWriter(out, 2, 8, 2, ' ', 0)
 	fmt.Fprintln(tw, "bench\talpha\tbeta\tR2\tL\tbr/instr\tmisp%\tiL1miss/ki\tiL2miss/ki\tdShort/ki\tdLong/ki\toverlap")
+	// The analysis is the baseline machine's, the one every predict on
+	// the paper's machine reads.
+	scfg := uarch.DefaultConfig().Analysis()
 	for _, t := range traces {
-		points, err := iw.Characteristic(t, iw.DefaultWindows(), iw.Options{})
+		an, err := experiments.AnalyzeAndStore(nil, t, iw.DefaultWindows(), scfg)
 		if err != nil {
 			return err
 		}
-		law, err := iw.Fit(points)
-		if err != nil {
-			return err
-		}
-		cfg := stats.DefaultConfig()
-		cfg.Warmup = true
-		sum, err := stats.Analyze(t, cfg)
-		if err != nil {
-			return err
-		}
+		law, sum := an.Law, an.Summary
 		ki := float64(sum.Instructions) / 1000
 		fmt.Fprintf(tw, "%s\t%.2f\t%.2f\t%.3f\t%.2f\t%.3f\t%.1f\t%.2f\t%.2f\t%.2f\t%.2f\t%.2f\n",
 			t.Name, law.Alpha, law.Beta, law.R2, sum.AvgLatency,
@@ -135,11 +127,6 @@ func addMachineFlags(fs *flag.FlagSet) machineFlags {
 	}
 }
 
-// parseFUCounts parses "class=count" pairs.
-func parseFUCounts(s string) ([isa.NumClasses]int, error) {
-	return server.ParseFUCounts(s)
-}
-
 // spec projects the parsed flags onto the shared machine description.
 func (m machineFlags) spec() server.MachineSpec {
 	return server.MachineSpec{
@@ -156,8 +143,6 @@ func (m machineFlags) spec() server.MachineSpec {
 }
 
 func (m machineFlags) simConfig() (uarch.Config, error) { return m.spec().SimConfig() }
-
-func (m machineFlags) machine() (core.Machine, error) { return m.spec().Machine() }
 
 // Fosim implements cmd/fosim: the detailed simulator.
 func Fosim(args []string, out io.Writer) error {
@@ -357,16 +342,11 @@ func Fomodel(ctx context.Context, args []string, out io.Writer) error {
 		return tw.Flush()
 	}
 
-	traces, err := loadWorkloads(*profile, fs.Args(), *n, *seed)
-	if err != nil {
-		return err
-	}
-
-	machine, err := mf.machine()
-	if err != nil {
-		return err
-	}
 	ucfg, err := mf.simConfig()
+	if err != nil {
+		return err
+	}
+	traces, err := loadWorkloads(*profile, fs.Args(), *n, *seed)
 	if err != nil {
 		return err
 	}
@@ -376,7 +356,7 @@ func Fomodel(ctx context.Context, args []string, out io.Writer) error {
 	// answer with the same code, which is what keeps a server response
 	// byte-equivalent in content to this tool's output.
 	for _, t := range traces {
-		record, err := server.Predict(t, machine, ucfg, mode, *sim, nil)
+		record, err := server.Predict(t, ucfg, mode, *sim, nil)
 		if err != nil {
 			return err
 		}

@@ -291,6 +291,23 @@ func TestFosimBadFUFlag(t *testing.T) {
 	}
 }
 
+// TestMachineFlagsRejectNegativeClusters pins that a negative -clusters
+// or -bypass is an error in both tools, not the unified baseline.
+func TestMachineFlagsRejectNegativeClusters(t *testing.T) {
+	for _, args := range [][]string{
+		{"-clusters", "-3", "gzip"},
+		{"-clusters", "1", "-bypass", "-7", "gzip"},
+	} {
+		var out bytes.Buffer
+		if err := Fosim(append([]string{"-n", "2000"}, args...), &out); err == nil || !strings.Contains(err.Error(), "negative") {
+			t.Errorf("fosim %v: error %v, want a negative-value error", args, err)
+		}
+		if err := Fomodel(context.Background(), append([]string{"-n", "2000"}, args...), &out); err == nil || !strings.Contains(err.Error(), "negative") {
+			t.Errorf("fomodel %v: error %v, want a negative-value error", args, err)
+		}
+	}
+}
+
 func TestFomodelExtensionFlags(t *testing.T) {
 	var out bytes.Buffer
 	if err := Fomodel(context.Background(), []string{"-n", "15000", "-clusters", "2", "-tlb",
@@ -299,25 +316,6 @@ func TestFomodelExtensionFlags(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "modelCPI") {
 		t.Fatalf("output incomplete:\n%s", out.String())
-	}
-}
-
-func TestParseFUCounts(t *testing.T) {
-	fu, err := parseFUCounts("mul=1, load=2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fu[2] != 0 { // div unset
-		t.Fatal("unset class non-zero")
-	}
-	empty, err := parseFUCounts("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range empty {
-		if v != 0 {
-			t.Fatal("empty spec set limits")
-		}
 	}
 }
 

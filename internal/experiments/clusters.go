@@ -37,26 +37,19 @@ func ExtensionClusters(s *Suite) (*ClusterResult, error) {
 			return zero, err
 		}
 		k := jobs[i].value
-		sim, err := s.Simulate(w, func(c *uarch.Config) {
+		c, err := s.Compare(w, func(c *uarch.Config) {
 			c.Clusters = k
 			c.BypassLatency = bypass
-		})
-		if err != nil {
-			return zero, err
-		}
-		m := s.Machine
-		m.Clusters = k
-		m.BypassLatency = bypass
-		est, err := m.Estimate(w.Inputs, modelOptions())
+		}, modelOptions())
 		if err != nil {
 			return zero, err
 		}
 		return ClusterPoint{
 			Bench:    w.Name,
 			Clusters: k,
-			SimCPI:   sim.CPI(),
-			ModelCPI: est.CPI,
-			Err:      relErr(est.CPI, sim.CPI()),
+			SimCPI:   c.Sim.CPI(),
+			ModelCPI: c.Estimate.CPI,
+			Err:      c.Err(),
 		}, nil
 	}, func(_ int, pt ClusterPoint) error {
 		res.Points = append(res.Points, pt)

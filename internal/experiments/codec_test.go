@@ -24,7 +24,7 @@ func realArtifacts(tb testing.TB) []*AnalysisArtifact {
 			tb.Fatal(err)
 		}
 		s := NewSuite(4000, 1)
-		scfg := s.statsConfig()
+		scfg := s.Sim.Analysis()
 		if name == "mcf" {
 			scfg.TLB = &tlb
 		}
@@ -221,7 +221,7 @@ func BenchmarkAnalysisArtifactDecode(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	a, err := AnalyzeAndStore(nil, tr, iw.DefaultWindows(), NewSuite(100000, 1).statsConfig())
+	a, err := AnalyzeAndStore(nil, tr, iw.DefaultWindows(), NewSuite(100000, 1).Sim.Analysis())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -4,8 +4,6 @@ import (
 	"context"
 	"strings"
 	"testing"
-
-	"fomodel/internal/core"
 )
 
 // smallSuite keeps the simulator-heavy tests fast: three contrasting
@@ -381,25 +379,6 @@ func TestRegistryRunsEverything(t *testing.T) {
 		if res.Render() == "" {
 			t.Fatalf("%s: empty render", label)
 		}
-	}
-}
-
-func TestEstimateHelper(t *testing.T) {
-	s := smallSuite()
-	w, err := s.Workload("gzip")
-	if err != nil {
-		t.Fatal(err)
-	}
-	est, err := s.Estimate(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if est.CPI <= est.SteadyCPI {
-		t.Fatal("estimate lost its miss-event components")
-	}
-	var zero core.Estimate
-	if est == zero {
-		t.Fatal("zero estimate")
 	}
 }
 

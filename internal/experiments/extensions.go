@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"fomodel/internal/cache"
-	"fomodel/internal/core"
 	"fomodel/internal/isa"
-	"fomodel/internal/stats"
 	"fomodel/internal/uarch"
 )
 
@@ -52,6 +50,12 @@ func (r *ExtensionResult) Render() string { return r.tab().String() }
 // CSV renders the table as comma-separated values.
 func (r *ExtensionResult) CSV() string { return r.tab().CSV() }
 
+// extensionRow is w's row of an extension validation from its
+// comparison at the extension's machine point.
+func extensionRow(w *Workload, c *Comparison) ExtensionRow {
+	return ExtensionRow{Name: w.Name, ModelCPI: c.Estimate.CPI, SimCPI: c.Sim.CPI(), Err: c.Err()}
+}
+
 func (r *ExtensionResult) finish() {
 	for _, row := range r.Rows {
 		r.MeanAbsErr += abs(row.Err)
@@ -88,24 +92,13 @@ func ExtensionFU(s *Suite) (*ExtensionResult, error) {
 	}
 	rows, err := MapWorkloads(s, func(w *Workload) (fuRow, error) {
 		var zero fuRow
-		sim, err := s.Simulate(w, func(c *uarch.Config) { c.FUCounts = fu })
-		if err != nil {
-			return zero, err
-		}
-		m := s.Machine
-		m.FUCounts = fu
-		est, err := m.Estimate(w.Inputs, modelOptions())
+		c, err := s.Compare(w, func(c *uarch.Config) { c.FUCounts = fu }, modelOptions())
 		if err != nil {
 			return zero, err
 		}
 		return fuRow{
-			row: ExtensionRow{
-				Name:     w.Name,
-				ModelCPI: est.CPI,
-				SimCPI:   sim.CPI(),
-				Err:      relErr(est.CPI, sim.CPI()),
-			},
-			note: fmt.Sprintf("effective width for %s: %.2f of %d", w.Name, est.EffectiveWidth, m.Width),
+			row:  extensionRow(w, c),
+			note: fmt.Sprintf("effective width for %s: %.2f of %d", w.Name, c.Estimate.EffectiveWidth, s.Sim.Width),
 		}, nil
 	})
 	if err != nil {
@@ -146,12 +139,6 @@ func ExtensionFetchBuffer(s *Suite) (*FetchBufferResult, error) {
 	}
 	res := &FetchBufferResult{Bench: bench}
 	for _, buf := range []int{0, 8, 16, 32, 64} {
-		sim, err := s.Simulate(w, func(c *uarch.Config) { c.FetchBufferSize = buf })
-		if err != nil {
-			return nil, err
-		}
-		m := s.Machine
-		m.FetchBuffer = buf
 		opts := modelOptions()
 		if buf > 0 {
 			// Only misses whose gap lets fetch rebuild the buffer are
@@ -159,11 +146,11 @@ func ExtensionFetchBuffer(s *Suite) (*FetchBufferResult, error) {
 			// cycle takes roughly 4·B instructions of quiet fetch.
 			opts.FetchBufferCoverage = w.Summary.IsolatedICacheFrac(4 * buf)
 		}
-		est, err := m.Estimate(w.Inputs, opts)
+		c, err := s.Compare(w, func(c *uarch.Config) { c.FetchBufferSize = buf }, opts)
 		if err != nil {
 			return nil, err
 		}
-		res.Points = append(res.Points, FetchBufferPoint{Buffer: buf, SimCPI: sim.CPI(), ModelCPI: est.CPI})
+		res.Points = append(res.Points, FetchBufferPoint{Buffer: buf, SimCPI: c.Sim.CPI(), ModelCPI: c.Estimate.CPI})
 	}
 	return res, nil
 }
@@ -196,36 +183,14 @@ func ExtensionTLB(s *Suite) (*ExtensionResult, error) {
 		Title: fmt.Sprintf("Extension: data TLB (%d entries, %d B pages, %d-cycle walk)",
 			tlbCfg.Entries, tlbCfg.PageBytes, tlbCfg.MissLatency),
 	}
+	// The TLB changes the functional analysis, so Compare re-analyzes
+	// with it and the model sees the TLB miss rates and clustering.
 	rows, err := MapWorkloads(s, func(w *Workload) (ExtensionRow, error) {
-		var zero ExtensionRow
-		sim, err := s.Simulate(w, func(c *uarch.Config) { c.TLB = &tlbCfg })
+		c, err := s.Compare(w, func(c *uarch.Config) { c.TLB = &tlbCfg }, modelOptions())
 		if err != nil {
-			return zero, err
+			return ExtensionRow{}, err
 		}
-		// Re-analyze with the TLB so the model sees miss rates and
-		// clustering.
-		scfg := s.statsConfig()
-		scfg.TLB = &tlbCfg
-		sum, err := stats.Analyze(w.Trace, scfg)
-		if err != nil {
-			return zero, err
-		}
-		in, err := core.InputsFromCurve(w.Law, w.Points, s.Machine.WindowSize, sum)
-		if err != nil {
-			return zero, err
-		}
-		m := s.Machine
-		m.TLBMissLatency = tlbCfg.MissLatency
-		est, err := m.Estimate(in, modelOptions())
-		if err != nil {
-			return zero, err
-		}
-		return ExtensionRow{
-			Name:     w.Name,
-			ModelCPI: est.CPI,
-			SimCPI:   sim.CPI(),
-			Err:      relErr(est.CPI, sim.CPI()),
-		}, nil
+		return extensionRow(w, c), nil
 	})
 	if err != nil {
 		return nil, err

@@ -34,21 +34,16 @@ type Figure15Result struct {
 // suite's worker pool.
 func Figure15(s *Suite) (*Figure15Result, error) {
 	rows, err := MapWorkloads(s, func(w *Workload) (Figure15Row, error) {
-		var zero Figure15Row
-		est, err := s.Machine.Estimate(w.Inputs, modelOptions())
+		c, err := s.Compare(w, nil, modelOptions())
 		if err != nil {
-			return zero, err
-		}
-		sim, err := s.Simulate(w, nil)
-		if err != nil {
-			return zero, err
+			return Figure15Row{}, err
 		}
 		return Figure15Row{
 			Name:     w.Name,
-			ModelCPI: est.CPI,
-			SimCPI:   sim.CPI(),
-			Err:      relErr(est.CPI, sim.CPI()),
-			Estimate: est,
+			ModelCPI: c.Estimate.CPI,
+			SimCPI:   c.Sim.CPI(),
+			Err:      c.Err(),
+			Estimate: c.Estimate,
 		}, nil
 	})
 	if err != nil {

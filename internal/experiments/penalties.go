@@ -33,17 +33,17 @@ func Figure9(s *Suite) (*Figure9Result, error) {
 	rows, err := MapWorkloads(s, func(w *Workload) (Figure9Row, error) {
 		row := Figure9Row{Name: w.Name}
 		for _, depth := range []int{5, 9} {
-			ideal, err := s.Simulate(w, func(c *uarch.Config) {
-				c.FrontEndDepth = depth
-				c.IdealICache, c.IdealDCache, c.IdealPredictor = true, true, true
-			})
+			cfg := s.Sim
+			cfg.FrontEndDepth = depth
+			brOnlyCfg := cfg
+			brOnlyCfg.IdealICache, brOnlyCfg.IdealDCache = true, true
+			idealCfg := brOnlyCfg
+			idealCfg.IdealPredictor = true
+			ideal, err := s.SimulateTrace(w.Trace, idealCfg)
 			if err != nil {
 				return row, err
 			}
-			brOnly, err := s.Simulate(w, func(c *uarch.Config) {
-				c.FrontEndDepth = depth
-				c.IdealICache, c.IdealDCache = true, true
-			})
+			brOnly, err := s.SimulateTrace(w.Trace, brOnlyCfg)
 			if err != nil {
 				return row, err
 			}
@@ -52,8 +52,7 @@ func Figure9(s *Suite) (*Figure9Result, error) {
 				penalty = float64(brOnly.Cycles-ideal.Cycles) / float64(brOnly.Mispredicts)
 			}
 
-			m := s.Machine
-			m.FrontEndDepth = depth
+			m := ModelMachine(cfg)
 			curve := m.Curve(w.Inputs, modelOptions())
 			steady := m.SteadyStateIPC(w.Inputs, modelOptions())
 			isolated := curve.Drain(float64(m.WindowSize), steady) +

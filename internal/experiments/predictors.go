@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"fomodel/internal/core"
 	"fomodel/internal/predictor"
-	"fomodel/internal/stats"
 	"fomodel/internal/uarch"
 )
 
@@ -57,31 +55,19 @@ func PredictorStudy(s *Suite) (*PredictorStudyResult, error) {
 		if err != nil {
 			return zero, err
 		}
-		sim, err := s.Simulate(w, func(c *uarch.Config) { c.Predictor = &spec })
-		if err != nil {
-			return zero, err
-		}
-		scfg := s.statsConfig()
-		scfg.Predictor = &spec
-		sum, err := stats.Analyze(w.Trace, scfg)
-		if err != nil {
-			return zero, err
-		}
-		in, err := core.InputsFromCurve(w.Law, w.Points, s.Machine.WindowSize, sum)
-		if err != nil {
-			return zero, err
-		}
-		est, err := s.Machine.Estimate(in, modelOptions())
+		// The predictor changes the functional analysis, so Compare
+		// re-analyzes with it for the misprediction rate.
+		c, err := s.Compare(w, func(c *uarch.Config) { c.Predictor = &spec }, modelOptions())
 		if err != nil {
 			return zero, err
 		}
 		return PredictorPoint{
 			Predictor:      spec.Kind.String(),
 			Bench:          bench,
-			MispredictRate: sum.MispredictRate(),
-			SimCPI:         sim.CPI(),
-			ModelCPI:       est.CPI,
-			Err:            relErr(est.CPI, sim.CPI()),
+			MispredictRate: c.Analysis.Summary.MispredictRate(),
+			SimCPI:         c.Sim.CPI(),
+			ModelCPI:       c.Estimate.CPI,
+			Err:            c.Err(),
 		}, nil
 	}, func(_ int, pt PredictorPoint) error {
 		res.Points = append(res.Points, pt)

@@ -38,10 +38,11 @@ type Suite struct {
 	Seed uint64
 	// Names lists the benchmarks, in report order.
 	Names []string
-	// Machine is the modeled baseline machine.
+	// Machine is the modeled baseline machine: ModelMachine(Sim), which
+	// NewSuite sets. A caller that changes Sim sets it again.
 	Machine core.Machine
-	// Sim is the baseline simulator configuration; its parameters mirror
-	// Machine.
+	// Sim is the baseline simulator configuration, the one description
+	// of the suite's machine.
 	Sim uarch.Config
 	// Workers bounds the concurrency of the suite's parallel helpers
 	// (MapWorkloads and EachWorkload's cache warm-up). Zero means
@@ -112,12 +113,17 @@ func (src Source) ContentID() string {
 
 // Workload bundles one benchmark's trace, its analysis (whose Points,
 // Law, Summary and Estimate are promoted), and the model inputs derived
-// from it for the suite's machine.
+// from it for the suite's machine. src and scfg name the trace and the
+// analysis configuration, so Compare can tell whether a machine point
+// shares the analysis.
 type Workload struct {
 	Name  string
 	Trace *trace.Trace
 	*AnalysisArtifact
 	Inputs core.Inputs
+
+	src  Source
+	scfg stats.Config
 }
 
 // NewSuite returns a Suite over all twelve benchmarks with the paper's
@@ -125,12 +131,13 @@ type Workload struct {
 // (500k gives stable statistics; the unit tests use less). Its caches
 // hold 64 traces and 128 analyses, the daemon's defaults.
 func NewSuite(n int, seed uint64) *Suite {
+	sim := uarch.DefaultConfig()
 	s := &Suite{
 		N:       n,
 		Seed:    seed,
 		Names:   workload.Names(),
-		Machine: core.DefaultMachine(),
-		Sim:     uarch.DefaultConfig(),
+		Machine: ModelMachine(sim),
+		Sim:     sim,
 		preps:   uarch.NewPrepCache(),
 	}
 	s.SetCacheEntries(64, 128)
@@ -205,7 +212,8 @@ func (s *Suite) Workload(name string) (*Workload, error) {
 	if err != nil {
 		return nil, err
 	}
-	an, err := s.Analyze(src, s.statsConfig())
+	scfg := s.Sim.Analysis()
+	an, err := s.Analyze(src, scfg)
 	if err != nil {
 		return nil, err
 	}
@@ -213,7 +221,7 @@ func (s *Suite) Workload(name string) (*Workload, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Workload{Name: name, Trace: t, AnalysisArtifact: an, Inputs: inputs}, nil
+	return &Workload{Name: name, Trace: t, AnalysisArtifact: an, Inputs: inputs, src: src, scfg: scfg}, nil
 }
 
 // content resolves a workload name: "" for a built-in, the content hash
@@ -302,20 +310,6 @@ func (s *Suite) analysisTrace(src Source) (*trace.Trace, error) {
 	return s.loadTrace(src, false)
 }
 
-// statsConfig is the functional-analysis configuration matching the
-// suite's simulator: its hierarchy, predictor, latencies and warmup,
-// with the model machine's ROB for the miss grouping. Experiments that
-// re-analyze under another predictor or a TLB start from it.
-func (s *Suite) statsConfig() stats.Config {
-	scfg := stats.DefaultConfig()
-	scfg.Hierarchy = s.Sim.Hierarchy
-	scfg.PredictorBits = s.Sim.PredictorBits
-	scfg.Latencies = s.Sim.Latencies
-	scfg.ROBSize = s.Machine.ROBSize
-	scfg.Warmup = s.Sim.Warmup
-	return scfg
-}
-
 // Warm computes any uncached workload analyses concurrently, bounded by
 // Workers. A computation error is not retained: the failing workload
 // computes again, and fails in report order, when it is next requested
@@ -378,12 +372,6 @@ func (s *Suite) Simulate(w *Workload, mutate func(*uarch.Config)) (*uarch.Result
 func (s *Suite) SimulateTrace(t *trace.Trace, cfg uarch.Config) (*uarch.Result, error) {
 	s.simRuns.Inc()
 	return s.preps.Simulate(t, cfg)
-}
-
-// Estimate runs the analytical model on w with the paper's default
-// options.
-func (s *Suite) Estimate(w *Workload) (core.Estimate, error) {
-	return s.Machine.Estimate(w.Inputs, core.Options{})
 }
 
 // Registry maps experiment names ("fig2", "table1", …) to runners that

@@ -21,7 +21,7 @@ func TestFirstAnalysisKeepsNoTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.SetStore(st)
-	if _, err := s.Analyze(cacheSrc, s.statsConfig()); err != nil {
+	if _, err := s.Analyze(cacheSrc, s.Sim.Analysis()); err != nil {
 		t.Fatal(err)
 	}
 	traces, _ := s.Caches()
@@ -53,7 +53,7 @@ func TestSecondAnalysisCachesTrace(t *testing.T) {
 			s.SetStore(st)
 		}
 		traces, _ := s.Caches()
-		scfg := s.statsConfig()
+		scfg := s.Sim.Analysis()
 		for i, step := range []struct {
 			rob          int
 			entries      int
@@ -88,7 +88,7 @@ func TestTraceThenAnalyzeOneMiss(t *testing.T) {
 	if _, err := s.Trace(cacheSrc); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Analyze(cacheSrc, s.statsConfig()); err != nil {
+	if _, err := s.Analyze(cacheSrc, s.Sim.Analysis()); err != nil {
 		t.Fatal(err)
 	}
 	traces, _ := s.Caches()
@@ -110,7 +110,7 @@ func TestTransientTraceChecksRegistration(t *testing.T) {
 	s := NewSuite(cacheSrc.N, 1)
 	s.Lookup = func(string) (workload.Profile, string, bool) { return prof, "other", true }
 	src := Source{Name: "wl", N: cacheSrc.N, Seed: cacheSrc.Seed, Content: "h"}
-	if _, err := s.Analyze(src, s.statsConfig()); !errors.Is(err, ErrWorkloadChanged) {
+	if _, err := s.Analyze(src, s.Sim.Analysis()); !errors.Is(err, ErrWorkloadChanged) {
 		t.Fatalf("Analyze of a re-registered name = %v, want ErrWorkloadChanged", err)
 	}
 	if traces, _ := s.Caches(); traces.Len() != 0 {

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strings"
 
-	"fomodel/internal/core"
 	"fomodel/internal/uarch"
 )
 
@@ -74,24 +73,14 @@ type SweepSpec struct {
 	Values []int `json:"values"`
 }
 
-// sweepParam is one supported sweep dimension: how a value sets the
-// simulator's configuration, and how it sets the modeled machine.
-type sweepParam struct {
-	sim   func(c *uarch.Config, v int)
-	model func(m *core.Machine, v int)
-}
-
-// sweepParams maps each supported parameter to its dimension. A window
-// that outgrows the ROB bumps the ROB to match, in the simulator and in
-// the model alike.
-var sweepParams = map[string]sweepParam{
-	"window": {
-		func(c *uarch.Config, v int) { c.WindowSize, c.ROBSize = v, max(c.ROBSize, v) },
-		func(m *core.Machine, v int) { m.WindowSize, m.ROBSize = v, max(m.ROBSize, v) },
-	},
-	"rob":   {func(c *uarch.Config, v int) { c.ROBSize = v }, func(m *core.Machine, v int) { m.ROBSize = v }},
-	"width": {func(c *uarch.Config, v int) { c.Width = v }, func(m *core.Machine, v int) { m.Width = v }},
-	"depth": {func(c *uarch.Config, v int) { c.FrontEndDepth = v }, func(m *core.Machine, v int) { m.FrontEndDepth = v }},
+// sweepParams maps each supported parameter to how a value sets the
+// simulator's configuration; the model's machine is derived from it
+// (ModelMachine). A window that outgrows the ROB bumps the ROB to match.
+var sweepParams = map[string]func(c *uarch.Config, v int){
+	"window": func(c *uarch.Config, v int) { c.WindowSize, c.ROBSize = v, max(c.ROBSize, v) },
+	"rob":    func(c *uarch.Config, v int) { c.ROBSize = v },
+	"width":  func(c *uarch.Config, v int) { c.Width = v },
+	"depth":  func(c *uarch.Config, v int) { c.FrontEndDepth = v },
 }
 
 // SweepParams returns the supported sweep parameter names, sorted.
@@ -118,7 +107,7 @@ func (sp SweepSpec) Validate() error { return sp.ValidateFor(nil) }
 // A nil s accepts built-ins only and checks against
 // uarch.DefaultConfig.
 func (sp SweepSpec) ValidateFor(s *Suite) error {
-	param, ok := sweepParams[sp.Param]
+	set, ok := sweepParams[sp.Param]
 	if !ok {
 		return fmt.Errorf("experiments: unknown sweep parameter %q (known: %s)",
 			sp.Param, strings.Join(SweepParams(), ", "))
@@ -143,7 +132,7 @@ func (sp SweepSpec) ValidateFor(s *Suite) error {
 			return fmt.Errorf("experiments: sweep value %d < 1", v)
 		}
 		cfg := base
-		param.sim(&cfg, v)
+		set(&cfg, v)
 		if err := cfg.Validate(); err != nil {
 			return fmt.Errorf("experiments: sweep %s value %d: %w", sp.Param, v, err)
 		}
@@ -178,7 +167,7 @@ func SweepStream(ctx context.Context, s *Suite, spec SweepSpec, emit func(SweepP
 			spec.Param, strings.Join(spec.Benches, ", "))
 	}
 	res := &SweepResult{Title: title, Param: spec.Param}
-	param := sweepParams[spec.Param]
+	set := sweepParams[spec.Param]
 	jobs := sweepGrid(spec.Benches, spec.Values)
 	err := RunOrdered(s.workers(), len(jobs), func(i int) (SweepPoint, error) {
 		if err := ctx.Err(); err != nil {
@@ -188,12 +177,15 @@ func SweepStream(ctx context.Context, s *Suite, spec SweepSpec, emit func(SweepP
 		if err != nil {
 			return SweepPoint{}, err
 		}
+		// Every sweep parameter is timing-only, so the cell runs the
+		// model on w's own analysis (the miss grouping and the measured
+		// IW point follow the ROB and window through Compare).
 		v := jobs[i].value
-		sim, err := s.Simulate(w, func(c *uarch.Config) { param.sim(c, v) })
+		c, err := s.Compare(w, func(c *uarch.Config) { set(c, v) }, modelOptions())
 		if err != nil {
 			return SweepPoint{}, err
 		}
-		return sweepCell(s, w, param, v, sim)
+		return SweepPoint{Bench: w.Name, Value: v, SimCPI: c.Sim.CPI(), ModelCPI: c.Estimate.CPI, Err: c.Err()}, nil
 	}, func(_ int, pt SweepPoint) error {
 		res.Points = append(res.Points, pt)
 		if emit != nil {
@@ -224,27 +216,6 @@ func sweepGrid(benches []string, values []int) []sweepJob {
 		}
 	}
 	return jobs
-}
-
-// sweepCell computes one (benchmark, value) grid cell's point: the
-// model on the workload's analysis for the suite's machine with the
-// parameter set (the miss grouping and the measured IW point follow the
-// ROB and window through AnalysisArtifact.Estimate), against the cell's
-// simulation.
-func sweepCell(s *Suite, w *Workload, param sweepParam, v int, sim *uarch.Result) (SweepPoint, error) {
-	m := s.Machine
-	param.model(&m, v)
-	_, est, err := w.Estimate(m, modelOptions())
-	if err != nil {
-		return SweepPoint{}, err
-	}
-	return SweepPoint{
-		Bench:    w.Name,
-		Value:    v,
-		SimCPI:   sim.CPI(),
-		ModelCPI: est.CPI,
-		Err:      relErr(est.CPI, sim.CPI()),
-	}, nil
 }
 
 // WindowSweep validates the steady-state model through the knee of the IW

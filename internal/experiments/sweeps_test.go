@@ -119,7 +119,7 @@ func TestWindowSweepAboveROBRegroups(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		scfg := s.statsConfig()
+		scfg := s.Sim.Analysis()
 		scfg.ROBSize = pt.Value
 		sum, err := stats.Analyze(w.Trace, scfg)
 		if err != nil {

@@ -9,13 +9,13 @@ import (
 	"fomodel/internal/uarch"
 )
 
-// predictJob is a normalized predict request with its validated machine:
-// the model's, the simulator's and the branch-penalty mode.
+// predictJob is a normalized predict request with its validated machine
+// and branch-penalty mode. The machine is the simulator's configuration;
+// the model's machine and the analysis configuration derive from it.
 type predictJob struct {
-	req     PredictRequest
-	machine core.Machine
-	ucfg    uarch.Config
-	mode    core.BranchPenaltyMode
+	req  PredictRequest
+	ucfg uarch.Config
+	mode core.BranchPenaltyMode
 }
 
 // newPredictJob resolves and validates a normalized request's branch
@@ -27,21 +27,17 @@ func newPredictJob(req PredictRequest) (predictJob, error) {
 	if err != nil {
 		return predictJob{}, err
 	}
-	machine, err := req.Machine.Machine()
-	if err != nil {
-		return predictJob{}, err
-	}
 	ucfg, err := req.Machine.SimConfig()
 	if err != nil {
 		return predictJob{}, err
 	}
-	if err := machine.Validate(); err != nil {
+	if err := experiments.ModelMachine(ucfg).Validate(); err != nil {
 		return predictJob{}, err
 	}
 	if err := ucfg.Validate(); err != nil {
 		return predictJob{}, err
 	}
-	return predictJob{req: req, machine: machine, ucfg: ucfg, mode: mode}, nil
+	return predictJob{req: req, ucfg: ucfg, mode: mode}, nil
 }
 
 // predict answers one predict request through the response cache: the
@@ -95,7 +91,7 @@ func (s *Server) predict(ctx context.Context, req PredictRequest) ([]byte, bool,
 // model-only request leaves its trace in neither unless another
 // analysis of the same content needs it (see Suite.Analyze).
 func (s *Server) predictRecord(j predictJob) (PredictRecord, error) {
-	req, machine, ucfg := j.req, j.machine, j.ucfg
+	req, ucfg := j.req, j.ucfg
 	// The content hash Normalize stamped, not a second registry read,
 	// names what is computed: two names registered with identical
 	// content share traces, analyses and artifacts, and the computation
@@ -109,9 +105,9 @@ func (s *Server) predictRecord(j predictJob) (PredictRecord, error) {
 		}
 		simulate = func() (*uarch.Result, error) { return s.suite.SimulateTrace(t, ucfg) }
 	}
-	an, err := s.suite.Analyze(src, predictStatsConfig(machine, ucfg))
+	an, err := s.suite.Analyze(src, ucfg.Analysis())
 	if err != nil {
 		return PredictRecord{}, err
 	}
-	return composePredict(req.Bench, an, machine, j.mode, simulate)
+	return composePredict(req.Bench, an, ucfg, j.mode, simulate)
 }

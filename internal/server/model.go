@@ -20,7 +20,6 @@ import (
 	"fomodel/internal/experiments"
 	"fomodel/internal/isa"
 	"fomodel/internal/iw"
-	"fomodel/internal/stats"
 	"fomodel/internal/trace"
 	"fomodel/internal/uarch"
 )
@@ -71,10 +70,18 @@ func (m MachineSpec) withDefaults() MachineSpec {
 }
 
 // SimConfig builds the detailed-simulator configuration the spec
-// describes.
+// describes: the one machine description the model's machine and the
+// analysis configuration are derived from. A negative cluster count or
+// bypass latency is an error, not the unified baseline.
 func (m MachineSpec) SimConfig() (uarch.Config, error) {
 	m = m.withDefaults()
 	cfg := uarch.DefaultConfig()
+	if m.Clusters < 0 {
+		return cfg, fmt.Errorf("server: negative cluster count %d", m.Clusters)
+	}
+	if m.Bypass < 0 {
+		return cfg, fmt.Errorf("server: negative bypass latency %d", m.Bypass)
+	}
 	cfg.Width = m.Width
 	cfg.FrontEndDepth = m.Depth
 	cfg.WindowSize = m.Window
@@ -96,32 +103,18 @@ func (m MachineSpec) SimConfig() (uarch.Config, error) {
 	return cfg, nil
 }
 
-// Machine builds the analytical-model machine the spec describes.
+// Machine builds the analytical-model machine the spec describes:
+// experiments.ModelMachine of SimConfig.
 func (m MachineSpec) Machine() (core.Machine, error) {
-	m = m.withDefaults()
-	mc := core.DefaultMachine()
-	mc.Width = m.Width
-	mc.FrontEndDepth = m.Depth
-	mc.WindowSize = m.Window
-	mc.ROBSize = m.ROB
-	if m.Clusters > 1 {
-		mc.Clusters = m.Clusters
-		mc.BypassLatency = m.Bypass
-	}
-	mc.FetchBuffer = m.FetchBuffer
-	if m.TLB {
-		mc.TLBMissLatency = cache.DefaultTLB().MissLatency
-	}
-	fu, err := ParseFUCounts(m.FU)
+	cfg, err := m.SimConfig()
 	if err != nil {
-		return mc, err
+		return core.Machine{}, err
 	}
-	mc.FUCounts = fu
-	return mc, nil
+	return experiments.ModelMachine(cfg), nil
 }
 
 // ParseFUCounts parses "class=count" pairs ("mul=1,load=2") into a
-// per-class issue-limit table.
+// per-class issue-limit table. Each class may appear once.
 func ParseFUCounts(s string) ([isa.NumClasses]int, error) {
 	var fu [isa.NumClasses]int
 	if s == "" {
@@ -136,19 +129,26 @@ func ParseFUCounts(s string) ([isa.NumClasses]int, error) {
 		if err != nil || count < 1 {
 			return fu, fmt.Errorf("server: bad FU count in %q", pair)
 		}
-		found := false
-		for c := isa.Class(0); c < isa.NumClasses; c++ {
-			if c.String() == name {
-				fu[c] = count
-				found = true
-				break
-			}
-		}
-		if !found {
+		c, ok := classByName(name)
+		if !ok {
 			return fu, fmt.Errorf("server: unknown instruction class %q", name)
 		}
+		if fu[c] != 0 {
+			return fu, fmt.Errorf("server: FU limit for %s given twice", name)
+		}
+		fu[c] = count
 	}
 	return fu, nil
+}
+
+// classByName resolves an instruction class by its String name.
+func classByName(name string) (isa.Class, bool) {
+	for c := isa.Class(0); c < isa.NumClasses; c++ {
+		if c.String() == name {
+			return c, true
+		}
+	}
+	return 0, false
 }
 
 // ParseBranchMode resolves a branch-penalty mode name.
@@ -175,31 +175,20 @@ type PredictRecord struct {
 	SimCPI   *float64      `json:"sim_cpi,omitempty"`
 }
 
-// predictStatsConfig is the functional-analysis configuration of the
-// predict pipeline: the paper's defaults with warmup, the machine's ROB
-// for the overlap statistics, and the simulator's TLB so the model's TLB
-// inputs stay consistent.
-func predictStatsConfig(machine core.Machine, ucfg uarch.Config) stats.Config {
-	scfg := stats.DefaultConfig()
-	scfg.Warmup = true
-	scfg.ROBSize = machine.ROBSize
-	scfg.TLB = ucfg.TLB
-	return scfg
-}
-
-// Predict runs the complete first-order pipeline for one trace: the IW
-// characteristic and power-law fit (§3), the functional trace statistics
-// (§5 step 5), and the model composition of equation (1) — plus, when
-// withSim is set, a detailed simulator run for the model-error column.
-// Simulator runs go through preps when non-nil, sharing classification
-// passes across configs; a nil preps simulates directly. The CLI's
-// fomodel tool calls it; the daemon resolves the analysis bundle through
-// its own caches instead, and both compose the answer with
-// composePredict, which is what makes their outputs byte-equivalent in
-// content.
-func Predict(t *trace.Trace, machine core.Machine, ucfg uarch.Config,
-	mode core.BranchPenaltyMode, withSim bool, preps *uarch.PrepCache) (PredictRecord, error) {
-	an, err := experiments.AnalyzeAndStore(nil, t, iw.DefaultWindows(), predictStatsConfig(machine, ucfg))
+// Predict runs the complete first-order pipeline for one trace on the
+// machine ucfg describes: the IW characteristic and power-law fit (§3),
+// the functional trace statistics under ucfg.Analysis() (§5 step 5),
+// and the model composition of equation (1) on
+// experiments.ModelMachine(ucfg) — plus, when withSim is set, a detailed
+// simulator run for the model-error column. Simulator runs go through
+// preps when non-nil, sharing classification passes across configs; a
+// nil preps simulates directly. The CLI's fomodel tool calls it; the
+// daemon resolves the analysis bundle through its own caches instead,
+// and both compose the answer with composePredict, which is what makes
+// their outputs byte-equivalent in content.
+func Predict(t *trace.Trace, ucfg uarch.Config, mode core.BranchPenaltyMode,
+	withSim bool, preps *uarch.PrepCache) (PredictRecord, error) {
+	an, err := experiments.AnalyzeAndStore(nil, t, iw.DefaultWindows(), ucfg.Analysis())
 	if err != nil {
 		return PredictRecord{}, err
 	}
@@ -207,15 +196,16 @@ func Predict(t *trace.Trace, machine core.Machine, ucfg uarch.Config,
 	if withSim {
 		simulate = func() (*uarch.Result, error) { return preps.Simulate(t, ucfg) }
 	}
-	return composePredict(t.Name, an, machine, mode, simulate)
+	return composePredict(t.Name, an, ucfg, mode, simulate)
 }
 
 // composePredict assembles the predict record: the model half
-// (AnalysisArtifact.Estimate) on an analysis bundle, plus the detailed
-// simulator's CPI when simulate is non-nil.
-func composePredict(bench string, an *experiments.AnalysisArtifact, machine core.Machine,
+// (AnalysisArtifact.Estimate) on an analysis bundle for the machine
+// ucfg describes, plus the detailed simulator's CPI when simulate is
+// non-nil.
+func composePredict(bench string, an *experiments.AnalysisArtifact, ucfg uarch.Config,
 	mode core.BranchPenaltyMode, simulate func() (*uarch.Result, error)) (PredictRecord, error) {
-	inputs, est, err := an.Estimate(machine, core.Options{BranchMode: mode})
+	inputs, est, err := an.Estimate(experiments.ModelMachine(ucfg), core.Options{BranchMode: mode})
 	if err != nil {
 		return PredictRecord{}, err
 	}

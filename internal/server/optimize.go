@@ -47,24 +47,19 @@ type OptimizeTrailer struct {
 // optimizeEval builds the search's evaluator. Each mix workload's
 // content is resolved once, against the registry now, and its analysis
 // is computed once, at the first evaluation that needs it, under the
-// baseline machine's predict statistics configuration plus the spec's
-// TLB; at the daemon's default length and seed that is the analysis the
-// warm-up computes. An evaluation builds the candidate's machine and
+// analysis configuration (uarch.Config.Analysis) of the baseline machine
+// with the spec's TLB, so at the baseline ROB; at the daemon's default
+// length and seed that is the analysis the warm-up computes. An evaluation builds the candidate's machine and
 // runs the model on that analysis (AnalysisArtifact.Estimate regroups
 // the misses for the candidate's ROB), so a search adds no predict
 // entries to the response cache and one analysis per workload to the
 // analysis cache.
 func (s *Server) optimizeEval(spec optimize.Spec) (optimize.EvalFunc, error) {
-	base := MachineSpec{TLB: spec.TLB}
-	machine, err := base.Machine()
+	ucfg, err := MachineSpec{TLB: spec.TLB}.SimConfig()
 	if err != nil {
 		return nil, err
 	}
-	ucfg, err := base.SimConfig()
-	if err != nil {
-		return nil, err
-	}
-	scfg := predictStatsConfig(machine, ucfg)
+	scfg := ucfg.Analysis()
 	analyses := make(map[string]func() (*experiments.AnalysisArtifact, error), len(spec.Workloads))
 	for _, w := range spec.Workloads {
 		content, err := reqkey.Content(s.keys.Resolver, w.Bench)

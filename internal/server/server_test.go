@@ -69,6 +69,9 @@ func TestPredictBadRequests(t *testing.T) {
 		{"bad branch mode", `{"bench":"gzip","branch_mode":"psychic"}`, "unknown branch mode"},
 		{"bad fu spec", `{"bench":"gzip","machine":{"fu":"bogus=1"}}`, "unknown instruction class"},
 		{"bad machine", `{"bench":"gzip","machine":{"width":-1}}`, "width"},
+		{"negative clusters", `{"bench":"gzip","machine":{"clusters":-3}}`, "negative cluster count"},
+		{"negative bypass", `{"bench":"gzip","machine":{"clusters":1,"bypass":-7}}`, "negative bypass latency"},
+		{"duplicate fu class", `{"bench":"gzip","machine":{"fu":"mul=1,mul=2"}}`, "mul given twice"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

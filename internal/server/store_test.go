@@ -228,15 +228,11 @@ func TestStoreGobAnalysisRecomputes(t *testing.T) {
 		t.Fatalf("storeless: status %d: %s", want.Code, want.Body.String())
 	}
 
-	machine, err := MachineSpec{}.Machine()
-	if err != nil {
-		t.Fatal(err)
-	}
 	ucfg, err := MachineSpec{}.SimConfig()
 	if err != nil {
 		t.Fatal(err)
 	}
-	scfg := predictStatsConfig(machine, ucfg)
+	scfg := ucfg.Analysis()
 	tr, err := workload.Generate("gzip", 8000, 1)
 	if err != nil {
 		t.Fatal(err)

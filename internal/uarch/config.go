@@ -41,6 +41,7 @@ import (
 	"fomodel/internal/cache"
 	"fomodel/internal/isa"
 	"fomodel/internal/predictor"
+	"fomodel/internal/stats"
 )
 
 // Config parameterizes the simulated machine. The zero value is not
@@ -145,6 +146,24 @@ func DefaultConfig() Config {
 		Hierarchy:     cache.DefaultHierarchy(),
 		PredictorBits: 13,
 		Warmup:        true,
+	}
+}
+
+// Analysis projects c onto the functional analysis the model and the
+// classification pass share (stats.Config): the hierarchy, the
+// predictor (its spec, else the gshare bits), the latencies, the ROB
+// for the miss grouping, the TLB and the warm-up. It is the one place a
+// machine becomes an analysis configuration; classificationKey keys on
+// the subset of it that the classification pass reads.
+func (c Config) Analysis() stats.Config {
+	return stats.Config{
+		Hierarchy:     c.Hierarchy,
+		PredictorBits: c.PredictorBits,
+		Predictor:     c.Predictor,
+		Latencies:     c.Latencies,
+		ROBSize:       c.ROBSize,
+		TLB:           c.TLB,
+		Warmup:        c.Warmup,
 	}
 }
 

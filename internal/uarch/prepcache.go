@@ -51,9 +51,9 @@ func (k classKey) artifactKey() string {
 }
 
 // classificationKey keys cfg's classification: the fields of its
-// classification projection that the pass's outcomes depend on.
+// analysis projection that the pass's outcomes depend on.
 func classificationKey(cfg Config) classKey {
-	c := classification(cfg)
+	c := cfg.Analysis()
 	k := classKey{
 		l1i:    c.Hierarchy.L1I,
 		l1d:    c.Hierarchy.L1D,

@@ -28,24 +28,11 @@ func Simulate(t *trace.Trace, cfg Config) (*Result, error) {
 	return run(t, cfg, events)
 }
 
-// Classify runs the functional pass, stats.Classify, under the
-// classification fields of cfg: the same events stats.Analyze counts
-// for the model, so model and simulator agree on miss-event counts.
+// Classify runs the functional pass, stats.Classify, under cfg's
+// analysis configuration: the same events stats.Analyze counts for the
+// model, so model and simulator agree on miss-event counts.
 func Classify(t *trace.Trace, cfg Config) ([]stats.Event, error) {
-	return stats.Classify(t, classification(cfg))
-}
-
-// classification projects cfg onto the stats configuration fields the
-// functional pass reads. classificationKey is derived from it, so the
-// prep cache's key and the pass read the same fields.
-func classification(cfg Config) stats.Config {
-	return stats.Config{
-		Hierarchy:     cfg.Hierarchy,
-		PredictorBits: cfg.PredictorBits,
-		Predictor:     cfg.Predictor,
-		TLB:           cfg.TLB,
-		Warmup:        cfg.Warmup,
-	}
+	return stats.Classify(t, cfg.Analysis())
 }
 
 // SimulateWithEvents runs the timing simulation of t with the given
