@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race lint fuzz-smoke bench-smoke bench-kernel bench-driver loc check
+.PHONY: build vet test race lint fuzz-smoke bench-smoke bench-kernel bench-driver examples loc check
 
 build:
 	$(GO) build ./...
@@ -65,6 +65,14 @@ bench-kernel:
 # and a proxy.
 bench-driver:
 	cd bench && $(GO) vet ./... && $(GO) test -short ./...
+
+# Run every program under examples/ end to end; a non-zero exit from
+# any of them fails the target.
+examples:
+	@for d in examples/*/; do \
+		echo "== go run ./$$d"; \
+		$(GO) run "./$$d" || exit 1; \
+	done
 
 # Non-test .go lines of each package under internal/ and cmd/, then
 # their total: the line count a simplifying change reports before and

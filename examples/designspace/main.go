@@ -19,15 +19,15 @@ import (
 	"time"
 
 	"fomodel/internal/core"
+	"fomodel/internal/experiments"
 	"fomodel/internal/iw"
-	"fomodel/internal/stats"
 	"fomodel/internal/uarch"
 	"fomodel/internal/workload"
 )
 
 type design struct {
-	width, window, depth int
-	ipc, bips            float64
+	cfg       uarch.Config
+	ipc, bips float64
 }
 
 func main() {
@@ -38,17 +38,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	points, err := iw.Characteristic(tr, iw.DefaultWindows(), iw.Options{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	law, err := iw.Fit(points)
-	if err != nil {
-		log.Fatal(err)
-	}
-	scfg := stats.DefaultConfig()
-	scfg.Warmup = true
-	sum, err := stats.Analyze(tr, scfg)
+	// One analysis serves every design: Estimate regroups its long
+	// misses for each design's ROB and derives the inputs at its window.
+	an, err := experiments.AnalyzeAndStore(nil, tr, iw.DefaultWindows(), uarch.DefaultConfig().Analysis())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -62,22 +54,15 @@ func main() {
 	for _, w := range widths {
 		for _, win := range windows {
 			for _, d := range depths {
-				m := core.Machine{
-					Width: w, FrontEndDepth: d,
-					WindowSize: win, ROBSize: 4 * win,
-					ShortMissLatency: 8, LongMissLatency: 200,
-				}
-				in, err := core.InputsFromCurve(law, points, win, sum)
-				if err != nil {
-					log.Fatal(err)
-				}
-				est, err := m.Estimate(in, core.Options{})
+				cfg := uarch.DefaultConfig()
+				cfg.Width, cfg.WindowSize, cfg.ROBSize, cfg.FrontEndDepth = w, win, 4*win, d
+				_, est, err := an.Estimate(experiments.ModelMachine(cfg), core.Options{})
 				if err != nil {
 					log.Fatal(err)
 				}
 				cycPS := core.TotalFrontEndDelayPS/float64(d) + core.FlipFlopOverheadPS
 				designs = append(designs, design{
-					width: w, window: win, depth: d,
+					cfg:  cfg,
 					ipc:  est.IPC(),
 					bips: est.IPC() / cycPS * 1000,
 				})
@@ -93,18 +78,13 @@ func main() {
 	fmt.Println("top 5 by modeled BIPS:")
 	for _, d := range designs[:5] {
 		fmt.Printf("  width %d, window %3d, depth %2d → IPC %.2f, %.2f BIPS\n",
-			d.width, d.window, d.depth, d.ipc, d.bips)
+			d.cfg.Width, d.cfg.WindowSize, d.cfg.FrontEndDepth, d.ipc, d.bips)
 	}
 
 	best := designs[0]
 	fmt.Printf("\nvalidating the winner against the detailed simulator...\n")
-	ucfg := uarch.DefaultConfig()
-	ucfg.Width = best.width
-	ucfg.WindowSize = best.window
-	ucfg.ROBSize = 4 * best.window
-	ucfg.FrontEndDepth = best.depth
 	simStart := time.Now()
-	r, err := uarch.Simulate(tr, ucfg)
+	r, err := uarch.Simulate(tr, best.cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -27,7 +27,15 @@ import (
 	"fomodel/internal/workload"
 )
 
-// Default knobs; see the corresponding Client fields.
+// DefaultRequestTimeout is the per-attempt deadline when
+// Client.RequestTimeout is zero. DefaultMaxRetries, DefaultBaseBackoff
+// and DefaultMaxBackoff are the fixed retry schedule: a 429/503 or a
+// transport error is retried up to DefaultMaxRetries times after the
+// first attempt, the k-th retry waiting a jittered delay drawn from
+// [backoff/2, backoff] where backoff doubles from DefaultBaseBackoff up
+// to DefaultMaxBackoff — unless the server sent Retry-After, which is
+// honored exactly (the server knows its own service time better than
+// the client's guess).
 const (
 	DefaultRequestTimeout = 30 * time.Second
 	DefaultMaxRetries     = 4
@@ -46,22 +54,9 @@ type Client struct {
 	// retry loop); 0 means DefaultRequestTimeout, negative disables it.
 	// Streaming requests are bounded only by the caller's context.
 	RequestTimeout time.Duration
-	// MaxRetries is how many times a 429/503 response is retried after
-	// the first attempt; 0 means DefaultMaxRetries, negative disables
-	// retries.
-	MaxRetries int
 	// Tenant, when non-empty, is sent as the X-Tenant header on every
 	// request; workload registrations are owned per tenant.
 	Tenant string
-	// BaseBackoff and MaxBackoff bound the exponential retry schedule:
-	// the k-th retry waits a jittered delay drawn from
-	// [backoff/2, backoff] where backoff doubles from BaseBackoff up to
-	// MaxBackoff — unless the server sent Retry-After, which is honored
-	// exactly (the server knows its own service time better than the
-	// client's guess). Zero values select the defaults.
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
-
 	// sleep parks between retries; tests replace it to observe the
 	// schedule without waiting it out. nil means a context-aware sleep.
 	sleep func(ctx context.Context, d time.Duration) error
@@ -70,9 +65,10 @@ type Client struct {
 	jitter func(d time.Duration) time.Duration
 }
 
-// New returns a client for the daemon at baseURL with default timeout,
-// retry, and backoff settings; adjust the exported fields before first
-// use to tune them.
+// New returns a client for the daemon at baseURL with the default
+// request timeout; set RequestTimeout, HTTPClient or Tenant before first
+// use to change them. The retry schedule is fixed (see
+// DefaultMaxRetries).
 func New(baseURL string) *Client {
 	return &Client{BaseURL: baseURL}
 }
@@ -122,30 +118,6 @@ func (c *Client) requestTimeout() time.Duration {
 	return c.RequestTimeout
 }
 
-func (c *Client) maxRetries() int {
-	switch {
-	case c.MaxRetries < 0:
-		return 0
-	case c.MaxRetries == 0:
-		return DefaultMaxRetries
-	}
-	return c.MaxRetries
-}
-
-func (c *Client) baseBackoff() time.Duration {
-	if c.BaseBackoff <= 0 {
-		return DefaultBaseBackoff
-	}
-	return c.BaseBackoff
-}
-
-func (c *Client) maxBackoff() time.Duration {
-	if c.MaxBackoff <= 0 {
-		return DefaultMaxBackoff
-	}
-	return c.MaxBackoff
-}
-
 func (c *Client) sleepFn(ctx context.Context, d time.Duration) error {
 	if c.sleep != nil {
 		return c.sleep(ctx, d)
@@ -179,9 +151,9 @@ func retryable(status int) bool {
 // seconds and an HTTP-date. The date form is interpreted relative to
 // the response's own Date header (the server's clock, which produced
 // both) falling back to local time, and — unlike an exact delta, which
-// is honored as sent — is clamped to MaxBackoff, since clock skew can
-// inflate it arbitrarily.
-func (c *Client) retryAfter(resp *http.Response) time.Duration {
+// is honored as sent — is clamped to DefaultMaxBackoff, since clock
+// skew can inflate it arbitrarily.
+func retryAfter(resp *http.Response) time.Duration {
 	h := resp.Header.Get("Retry-After")
 	if h == "" {
 		return 0
@@ -204,10 +176,7 @@ func (c *Client) retryAfter(resp *http.Response) time.Duration {
 	if delay < 0 {
 		return 0
 	}
-	if max := c.maxBackoff(); delay > max {
-		delay = max
-	}
-	return delay
+	return min(delay, DefaultMaxBackoff)
 }
 
 // apiError drains the response and converts its structured error body
@@ -229,17 +198,16 @@ func apiError(resp *http.Response) error {
 // responses are retried per the schedule; non-200 terminal responses
 // become *APIError.
 func (c *Client) do(ctx context.Context, method, path string, body []byte, stream bool) (*http.Response, error) {
-	backoff := c.baseBackoff()
-	retries := c.maxRetries()
+	backoff := DefaultBaseBackoff
 	for attempt := 0; ; attempt++ {
 		resp, err := c.DoRaw(ctx, method, path, body, nil, stream)
 		var delay time.Duration
 		switch {
 		case err != nil:
-			if attempt >= retries {
+			if attempt >= DefaultMaxRetries {
 				return nil, err
 			}
-		case !retryable(resp.StatusCode) || attempt >= retries:
+		case !retryable(resp.StatusCode) || attempt >= DefaultMaxRetries:
 			if resp.StatusCode != http.StatusOK {
 				return nil, apiError(resp) // drains and closes the body
 			}
@@ -247,7 +215,7 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, strea
 		default:
 			// Retryable status with attempts remaining: honor
 			// Retry-After and release this attempt's resources.
-			delay = c.retryAfter(resp)
+			delay = retryAfter(resp)
 			io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
 			resp.Body.Close()
 		}
@@ -257,7 +225,7 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, strea
 		if err := c.sleepFn(ctx, delay); err != nil {
 			return nil, err
 		}
-		backoff = c.nextBackoff(backoff)
+		backoff = min(2*backoff, DefaultMaxBackoff)
 	}
 }
 
@@ -309,15 +277,6 @@ func (c *Client) DoRaw(ctx context.Context, method, path string, body []byte, hd
 	}
 	resp.Body = &cancelingBody{ReadCloser: resp.Body, cancel: cancel}
 	return resp, nil
-}
-
-// nextBackoff doubles the backoff up to the configured ceiling.
-func (c *Client) nextBackoff(backoff time.Duration) time.Duration {
-	backoff *= 2
-	if max := c.maxBackoff(); backoff > max {
-		backoff = max
-	}
-	return backoff
 }
 
 // cancelingBody ties a per-attempt context to the response body's

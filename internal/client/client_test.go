@@ -61,11 +61,11 @@ func TestRetryAfterParsing(t *testing.T) {
 		{"delta seconds", "3", "", 3 * time.Second},
 		{"delta zero", "0", "", 0},
 		{"delta negative", "-2", "", 0},
-		// An exact delta is honored as sent, even beyond MaxBackoff.
+		// An exact delta is honored as sent, even beyond DefaultMaxBackoff.
 		{"delta beyond max backoff", "30", "", 30 * time.Second},
 		{"http date", stamp(base.Add(4 * time.Second)), stamp(base), 4 * time.Second},
 		{"http date in the past", stamp(base.Add(-time.Minute)), stamp(base), 0},
-		// The date form is clamped to MaxBackoff: clock skew can inflate
+		// The date form is clamped to DefaultMaxBackoff: clock skew can inflate
 		// it arbitrarily, unlike a delta.
 		{"http date clamped", stamp(base.Add(time.Hour)), stamp(base), DefaultMaxBackoff},
 		// No Date header: measured against local time, so a far-future
@@ -73,7 +73,6 @@ func TestRetryAfterParsing(t *testing.T) {
 		{"http date without date header", stamp(time.Now().Add(time.Hour)), "", DefaultMaxBackoff},
 		{"garbage", "soon", "", 0},
 	}
-	c := New("http://unused")
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			resp := &http.Response{Header: http.Header{}}
@@ -83,7 +82,7 @@ func TestRetryAfterParsing(t *testing.T) {
 			if tc.date != "" {
 				resp.Header.Set("Date", tc.date)
 			}
-			if got := c.retryAfter(resp); got != tc.want {
+			if got := retryAfter(resp); got != tc.want {
 				t.Errorf("retryAfter(%q, Date %q) = %v, want %v", tc.retryAfter, tc.date, got, tc.want)
 			}
 		})
@@ -157,15 +156,15 @@ func TestRetryHonorsRetryAfter(t *testing.T) {
 }
 
 // TestBackoffScheduleWithoutRetryAfter pins the fallback schedule: with
-// no Retry-After, each delay is a jittered draw from [backoff/2, backoff]
-// with backoff doubling from BaseBackoff and capped at MaxBackoff.
+// no Retry-After, DefaultMaxRetries retries, each delay a jittered draw
+// from [backoff/2, backoff] with backoff doubling from
+// DefaultBaseBackoff and capped at DefaultMaxBackoff.
 func TestBackoffScheduleWithoutRetryAfter(t *testing.T) {
+	var calls atomic.Int32
 	c, delays := testClient(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
 		http.Error(w, `{"error":"saturated"}`, http.StatusTooManyRequests)
 	}))
-	c.MaxRetries = 3
-	c.BaseBackoff = 100 * time.Millisecond
-	c.MaxBackoff = 300 * time.Millisecond
 
 	_, err := c.Workloads(context.Background())
 	var apiErr *APIError
@@ -175,8 +174,11 @@ func TestBackoffScheduleWithoutRetryAfter(t *testing.T) {
 	if !strings.Contains(apiErr.Error(), "saturated") {
 		t.Errorf("error %q should carry the server message", apiErr.Error())
 	}
-	// Ceilings double then cap: 100ms, 200ms, 300ms.
-	ceilings := []time.Duration{100, 200, 300}
+	if calls.Load() != DefaultMaxRetries+1 {
+		t.Errorf("attempts = %d, want %d", calls.Load(), DefaultMaxRetries+1)
+	}
+	// Ceilings double from 200ms: 200ms, 400ms, 800ms, 1.6s.
+	ceilings := []time.Duration{200, 400, 800, 1600}
 	if len(*delays) != len(ceilings) {
 		t.Fatalf("delays = %v, want %d draws", *delays, len(ceilings))
 	}
@@ -206,25 +208,10 @@ func TestNoRetryOnBadRequest(t *testing.T) {
 	}
 }
 
-// TestRetriesDisabled pins MaxRetries < 0: one attempt, no sleeps.
-func TestRetriesDisabled(t *testing.T) {
-	var calls atomic.Int32
-	c, delays := testClient(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		calls.Add(1)
-		http.Error(w, `{"error":"saturated"}`, http.StatusTooManyRequests)
-	}))
-	c.MaxRetries = -1
-	if _, err := c.Workloads(context.Background()); err == nil {
-		t.Fatal("want an error with retries disabled")
-	}
-	if calls.Load() != 1 || len(*delays) != 0 {
-		t.Errorf("attempts = %d, sleeps = %d; want 1 attempt, 0 sleeps", calls.Load(), len(*delays))
-	}
-}
-
 // TestPerRequestDeadline pins the per-attempt timeout: a server slower
-// than RequestTimeout fails the attempt with a deadline error rather
-// than hanging.
+// than RequestTimeout fails each attempt with a deadline error rather
+// than hanging, and the retries (instant under the test's sleep hook)
+// end in that error.
 func TestPerRequestDeadline(t *testing.T) {
 	block := make(chan struct{})
 	defer close(block)
@@ -235,7 +222,6 @@ func TestPerRequestDeadline(t *testing.T) {
 		}
 	}))
 	c.RequestTimeout = 20 * time.Millisecond
-	c.MaxRetries = -1
 	_, err := c.Workloads(context.Background())
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want a deadline error", err)
@@ -373,8 +359,8 @@ func TestSweepStreamServerError(t *testing.T) {
 
 // TestDoRawRelaysTerminalResponse pins the proxying contract: DoRaw
 // makes one attempt and returns a shedding response itself — status,
-// Retry-After, and body intact, with no retry and no sleep even when
-// MaxRetries allows them — so a proxy can spill to another replica or
+// Retry-After, and body intact, with no retry and no sleep although the
+// retry loop would retry it — so a proxy can spill to another replica or
 // relay the daemon's authoritative answer instead of waiting it out.
 func TestDoRawRelaysTerminalResponse(t *testing.T) {
 	var calls atomic.Int32
@@ -383,8 +369,6 @@ func TestDoRawRelaysTerminalResponse(t *testing.T) {
 		w.Header().Set("Retry-After", "1")
 		http.Error(w, `{"error":"server saturated"}`, http.StatusTooManyRequests)
 	}))
-	c.MaxRetries = 2
-
 	resp, err := c.DoRaw(context.Background(), http.MethodGet, "/v1/workloads", nil, nil, false)
 	if err != nil {
 		t.Fatalf("DoRaw: %v", err)

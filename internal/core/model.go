@@ -208,6 +208,11 @@ const (
 	BranchMeasured
 )
 
+// DefaultRampEpsilon is the ramp-up convergence threshold of the model
+// and of the transient figures. 0.05 reproduces the paper's Fig. 8
+// numbers (drain 2.1, ramp-up 2.7 for α=1, β=0.5, ΔP=5, width 4).
+const DefaultRampEpsilon = 0.05
+
 // Options tune secondary model choices; the zero value selects the paper's
 // defaults via (Options).withDefaults.
 type Options struct {
@@ -217,8 +222,7 @@ type Options struct {
 	// BurstLength is n in equation (3), used by BranchBurst.
 	BurstLength int
 	// RampEpsilon ends ramp-up integration once the issue rate reaches
-	// (1−RampEpsilon)·steady. 0.05 reproduces the paper's Fig. 8 numbers
-	// (drain 2.1, ramp-up 2.7 for α=1, β=0.5, ΔP=5, width 4).
+	// (1−RampEpsilon)·steady. Zero means DefaultRampEpsilon.
 	RampEpsilon float64
 	// SmoothSaturation replaces the hard clip min(width, curve) with a
 	// harmonic soft-min — an ablation of the saturation approximation.
@@ -233,7 +237,7 @@ type Options struct {
 
 func (o Options) withDefaults() Options {
 	if o.RampEpsilon == 0 {
-		o.RampEpsilon = 0.05
+		o.RampEpsilon = DefaultRampEpsilon
 	}
 	if o.FetchBufferCoverage == 0 {
 		o.FetchBufferCoverage = 1

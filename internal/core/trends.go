@@ -189,7 +189,7 @@ func OptimalDepthClosedForm(width int) (float64, error) {
 	in := TrendWorkload()
 	curve := IWCurve{Alpha: in.Alpha, Beta: in.Beta, L: in.AvgLatency, Width: float64(width)}
 	steady := float64(width)
-	k := curve.Drain(float64(saturatingWindow(width, in)), steady) + curve.RampUp(steady, 0.05)
+	k := curve.Drain(float64(saturatingWindow(width, in)), steady) + curve.RampUp(steady, DefaultRampEpsilon)
 	c0 := 1 / steady
 	m := in.MispredictsPerInstr
 	return math.Sqrt(TotalFrontEndDelayPS * (c0 + m*k) / (m * FlipFlopOverheadPS)), nil

@@ -136,12 +136,7 @@ func LittlesLaw(s *Suite) (*LittleResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &LittleResult{Rows: rows}
-	for _, r := range res.Rows {
-		res.MeanAbsErr += abs(r.Err)
-	}
-	res.MeanAbsErr /= float64(len(res.Rows))
-	return res, nil
+	return &LittleResult{Rows: rows, MeanAbsErr: meanAbs(rows, func(r LittleRow) float64 { return r.Err })}, nil
 }
 
 // tab builds the result table.

@@ -57,12 +57,7 @@ func extensionRow(w *Workload, c *Comparison) ExtensionRow {
 }
 
 func (r *ExtensionResult) finish() {
-	for _, row := range r.Rows {
-		r.MeanAbsErr += abs(row.Err)
-	}
-	if len(r.Rows) > 0 {
-		r.MeanAbsErr /= float64(len(r.Rows))
-	}
+	r.MeanAbsErr = meanAbs(r.Rows, func(row ExtensionRow) float64 { return row.Err })
 }
 
 // DefaultFUCounts returns the limited functional-unit configuration of

@@ -3,6 +3,8 @@ package experiments
 import (
 	"fmt"
 	"strings"
+
+	"fomodel/internal/core"
 )
 
 // Figure13Result is the paper's Fig. 13: two overlapped long data misses
@@ -33,9 +35,9 @@ func Figure13(s *Suite) (*Figure13Result, error) {
 	occupancy := m.WindowSize / 2
 	const y = 8
 	pair := curve.PairedDCacheTransient(float64(m.WindowSize), m.ROBSize, occupancy,
-		m.LongMissLatency, y, 3, transientEpsilon)
+		m.LongMissLatency, y, 3, core.DefaultRampEpsilon)
 	single := curve.DCacheTransient(float64(m.WindowSize), m.ROBSize, occupancy,
-		m.LongMissLatency, 3, transientEpsilon)
+		m.LongMissLatency, 3, core.DefaultRampEpsilon)
 	return &Figure13Result{
 		PairCycles:     len(pair),
 		IsolatedCycles: len(single),

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"fomodel/internal/core"
 	"fomodel/internal/isa"
 	"fomodel/internal/stats"
 	"fomodel/internal/uarch"
@@ -117,12 +118,11 @@ func Figure7(s *Suite) (*Figure7Result, error) {
 	res.ZeroCycles = bestLen
 
 	// The analytic counterpart.
-	m := s.Machine
-	curve := m.Curve(w.Inputs, modelOptions())
-	steady := m.SteadyStateIPC(w.Inputs, modelOptions())
-	res.AnalyticPenalty = curve.Drain(float64(m.WindowSize), steady) +
-		float64(m.FrontEndDepth) +
-		curve.RampUp(steady, transientEpsilon)
+	est, err := s.Machine.Estimate(w.Inputs, core.Options{BranchMode: core.BranchIsolated})
+	if err != nil {
+		return nil, err
+	}
+	res.AnalyticPenalty = est.BranchPenalty
 	return res, nil
 }
 

@@ -1,9 +1,5 @@
 package experiments
 
-import (
-	"fomodel/internal/uarch"
-)
-
 // Figure2Row is one benchmark of the paper's Fig. 2 (and the §1.1
 // methodology behind it): the five-simulation demonstration that
 // miss-event penalties add almost independently.
@@ -38,27 +34,7 @@ type Figure2Result struct {
 func Figure2(s *Suite) (*Figure2Result, error) {
 	rows, err := MapWorkloads(s, func(w *Workload) (Figure2Row, error) {
 		var zero Figure2Row
-		ideal, err := s.Simulate(w, func(c *uarch.Config) {
-			c.IdealICache, c.IdealDCache, c.IdealPredictor = true, true, true
-		})
-		if err != nil {
-			return zero, err
-		}
-		brOnly, err := s.Simulate(w, func(c *uarch.Config) {
-			c.IdealICache, c.IdealDCache = true, true
-		})
-		if err != nil {
-			return zero, err
-		}
-		icOnly, err := s.Simulate(w, func(c *uarch.Config) {
-			c.IdealDCache, c.IdealPredictor = true, true
-		})
-		if err != nil {
-			return zero, err
-		}
-		dOnly, err := s.Simulate(w, func(c *uarch.Config) {
-			c.IdealICache, c.IdealPredictor = true, true
-		})
+		iso, err := s.Isolate(w, nil, modelOptions(), EventBranch, EventICache, EventDCache)
 		if err != nil {
 			return zero, err
 		}
@@ -68,24 +44,15 @@ func Figure2(s *Suite) (*Figure2Result, error) {
 		}
 
 		n := float64(w.Trace.Len())
-		brPenalty := float64(brOnly.Cycles - ideal.Cycles)
-		icPenalty := float64(icOnly.Cycles - ideal.Cycles)
-		dPenalty := float64(dOnly.Cycles - ideal.Cycles)
-		indepCycles := float64(ideal.Cycles) + brPenalty + icPenalty + dPenalty
+		indepCycles := float64(iso.Ideal.Sim.Cycles) +
+			iso.Penalty(EventBranch) + iso.Penalty(EventICache) + iso.Penalty(EventDCache)
 
 		// Overlap compensation: drop the per-event penalty for the
 		// branch mispredictions and I-cache misses that the combined run
 		// observed under an outstanding long data miss.
-		var perBr, perIC float64
-		if brOnly.Mispredicts > 0 {
-			perBr = brPenalty / float64(brOnly.Mispredicts)
-		}
-		if icMisses := icOnly.ICacheShort + icOnly.ICacheLong; icMisses > 0 {
-			perIC = icPenalty / float64(icMisses)
-		}
 		compCycles := indepCycles -
-			float64(combined.MispredictsOverlapped)*perBr -
-			float64(combined.ICacheOverlapped)*perIC
+			float64(combined.MispredictsOverlapped)*iso.PerEvent(EventBranch) -
+			float64(combined.ICacheOverlapped)*iso.PerEvent(EventICache)
 
 		row := Figure2Row{
 			Name:           w.Name,
@@ -100,14 +67,11 @@ func Figure2(s *Suite) (*Figure2Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Figure2Result{Rows: rows}
-	for _, r := range res.Rows {
-		res.MeanIndependentErr += abs(r.IndependentErr)
-		res.MeanCompensatedErr += abs(r.CompensatedErr)
-	}
-	res.MeanIndependentErr /= float64(len(res.Rows))
-	res.MeanCompensatedErr /= float64(len(res.Rows))
-	return res, nil
+	return &Figure2Result{
+		Rows:               rows,
+		MeanIndependentErr: meanAbs(rows, func(r Figure2Row) float64 { return r.IndependentErr }),
+		MeanCompensatedErr: meanAbs(rows, func(r Figure2Row) float64 { return r.CompensatedErr }),
+	}, nil
 }
 
 // tab builds the result table.
@@ -144,4 +108,17 @@ func abs(v float64) float64 {
 		return -v
 	}
 	return v
+}
+
+// meanAbs is the mean of |err(x)| over xs, summed in order and then
+// divided by the count; 0 for no xs.
+func meanAbs[T any](xs []T, err func(T) float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	sum := 0.0
+	for _, x := range xs {
+		sum += abs(err(x))
+	}
+	return sum / float64(len(xs))
 }

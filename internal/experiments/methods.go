@@ -114,15 +114,9 @@ func MethodologyComparison(s *Suite) (*MethodsResult, error) {
 		res.SampledTime += br.sampledT
 		res.SampledFraction = br.sampledFraction
 	}
-	n := float64(len(res.Rows))
-	for _, r := range res.Rows {
-		res.MeanModelErr += abs(r.ModelErr)
-		res.MeanStatSimErr += abs(r.StatSimErr)
-		res.MeanSampledErr += abs(r.SampledErr)
-	}
-	res.MeanModelErr /= n
-	res.MeanStatSimErr /= n
-	res.MeanSampledErr /= n
+	res.MeanModelErr = meanAbs(res.Rows, func(r MethodsRow) float64 { return r.ModelErr })
+	res.MeanStatSimErr = meanAbs(res.Rows, func(r MethodsRow) float64 { return r.StatSimErr })
+	res.MeanSampledErr = meanAbs(res.Rows, func(r MethodsRow) float64 { return r.SampledErr })
 	return res, nil
 }
 

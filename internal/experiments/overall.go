@@ -49,16 +49,13 @@ func Figure15(s *Suite) (*Figure15Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Figure15Result{Rows: rows}
+	res := &Figure15Result{Rows: rows, MeanAbsErr: meanAbs(rows, func(r Figure15Row) float64 { return r.Err })}
 	for _, r := range res.Rows {
-		e := abs(r.Err)
-		res.MeanAbsErr += e
-		if e > res.MaxAbsErr {
+		if e := abs(r.Err); e > res.MaxAbsErr {
 			res.MaxAbsErr = e
 			res.WorstBench = r.Name
 		}
 	}
-	res.MeanAbsErr /= float64(len(res.Rows))
 	return res, nil
 }
 

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"fomodel/internal/core"
 	"fomodel/internal/uarch"
 )
 
@@ -17,7 +18,8 @@ type Figure9Row struct {
 	SimPenalty5 float64
 	SimPenalty9 float64
 	// ModelIsolated5 / ModelIsolated9 are the model's equation (2)
-	// penalties at the same depths.
+	// penalties at the same depths (Estimate.BranchPenalty under
+	// core.BranchIsolated).
 	ModelIsolated5 float64
 	ModelIsolated9 float64
 }
@@ -33,32 +35,12 @@ func Figure9(s *Suite) (*Figure9Result, error) {
 	rows, err := MapWorkloads(s, func(w *Workload) (Figure9Row, error) {
 		row := Figure9Row{Name: w.Name}
 		for _, depth := range []int{5, 9} {
-			cfg := s.Sim
-			cfg.FrontEndDepth = depth
-			brOnlyCfg := cfg
-			brOnlyCfg.IdealICache, brOnlyCfg.IdealDCache = true, true
-			idealCfg := brOnlyCfg
-			idealCfg.IdealPredictor = true
-			ideal, err := s.SimulateTrace(w.Trace, idealCfg)
+			iso, err := s.Isolate(w, func(c *uarch.Config) { c.FrontEndDepth = depth },
+				core.Options{BranchMode: core.BranchIsolated}, EventBranch)
 			if err != nil {
 				return row, err
 			}
-			brOnly, err := s.SimulateTrace(w.Trace, brOnlyCfg)
-			if err != nil {
-				return row, err
-			}
-			penalty := 0.0
-			if brOnly.Mispredicts > 0 {
-				penalty = float64(brOnly.Cycles-ideal.Cycles) / float64(brOnly.Mispredicts)
-			}
-
-			m := ModelMachine(cfg)
-			curve := m.Curve(w.Inputs, modelOptions())
-			steady := m.SteadyStateIPC(w.Inputs, modelOptions())
-			isolated := curve.Drain(float64(m.WindowSize), steady) +
-				float64(depth) +
-				curve.RampUp(steady, transientEpsilon)
-
+			penalty, isolated := iso.PerEvent(EventBranch), iso.Only[EventBranch].Estimate.BranchPenalty
 			if depth == 5 {
 				row.SimPenalty5, row.ModelIsolated5 = penalty, isolated
 			} else {
@@ -117,25 +99,11 @@ func Figure11(s *Suite) (*Figure11Result, error) {
 	rows, err := MapWorkloads(s, func(w *Workload) (Figure11Row, error) {
 		row := Figure11Row{Name: w.Name}
 		for _, depth := range []int{5, 9} {
-			ideal, err := s.Simulate(w, func(c *uarch.Config) {
-				c.FrontEndDepth = depth
-				c.IdealICache, c.IdealDCache, c.IdealPredictor = true, true, true
-			})
+			iso, err := s.Isolate(w, func(c *uarch.Config) { c.FrontEndDepth = depth }, modelOptions(), EventICache)
 			if err != nil {
 				return row, err
 			}
-			icOnly, err := s.Simulate(w, func(c *uarch.Config) {
-				c.FrontEndDepth = depth
-				c.IdealDCache, c.IdealPredictor = true, true
-			})
-			if err != nil {
-				return row, err
-			}
-			misses := icOnly.ICacheShort + icOnly.ICacheLong
-			penalty := 0.0
-			if misses > 0 {
-				penalty = float64(icOnly.Cycles-ideal.Cycles) / float64(misses)
-			}
+			penalty, misses := iso.PerEvent(EventICache), iso.Count(EventICache)
 			if depth == 5 {
 				row.SimPenalty5, row.Misses5 = penalty, misses
 			} else {
@@ -180,7 +148,7 @@ type Figure14Row struct {
 	// SimPenalty is the measured penalty per long miss (real D-cache,
 	// ideal predictor and I-cache, differenced against all-ideal).
 	SimPenalty float64
-	// ModelPenalty is ΔD × Σ f_LDM(i)/i.
+	// ModelPenalty is ΔD × Σ f_LDM(i)/i (Estimate.DCachePenalty).
 	ModelPenalty float64
 	// IsolatedPenalty is the measured penalty when long misses are
 	// artificially serialized (the paper's isolation experiment).
@@ -198,34 +166,24 @@ type Figure14Result struct {
 func Figure14(s *Suite) (*Figure14Result, error) {
 	rows, err := MapWorkloads(s, func(w *Workload) (Figure14Row, error) {
 		var zero Figure14Row
-		ideal, err := s.Simulate(w, func(c *uarch.Config) {
-			c.IdealICache, c.IdealDCache, c.IdealPredictor = true, true, true
-		})
-		if err != nil {
-			return zero, err
-		}
-		dOnly, err := s.Simulate(w, func(c *uarch.Config) {
-			c.IdealICache, c.IdealPredictor = true, true
-		})
+		iso, err := s.Isolate(w, nil, modelOptions(), EventDCache)
 		if err != nil {
 			return zero, err
 		}
 		serial, err := s.Simulate(w, func(c *uarch.Config) {
-			c.IdealICache, c.IdealPredictor = true, true
+			EventDCache.only(c)
 			c.SerializeLongMisses = true
 		})
 		if err != nil {
 			return zero, err
 		}
-		row := Figure14Row{Name: w.Name, LongMisses: dOnly.DCacheLong}
-		if dOnly.DCacheLong > 0 {
-			row.SimPenalty = float64(dOnly.Cycles-ideal.Cycles) / float64(dOnly.DCacheLong)
-		}
-		if serial.DCacheLong > 0 {
-			row.IsolatedPenalty = float64(serial.Cycles-ideal.Cycles) / float64(serial.DCacheLong)
-		}
-		row.ModelPenalty = float64(s.Machine.LongMissLatency) * w.Inputs.OverlapFactor
-		return row, nil
+		return Figure14Row{
+			Name:            w.Name,
+			SimPenalty:      iso.PerEvent(EventDCache),
+			ModelPenalty:    iso.Only[EventDCache].Estimate.DCachePenalty,
+			IsolatedPenalty: iso.PerEventIn(EventDCache, serial),
+			LongMisses:      iso.Count(EventDCache),
+		}, nil
 	})
 	if err != nil {
 		return nil, err

@@ -31,41 +31,33 @@ type RefinementResult struct {
 func BranchBurstRefinement(s *Suite) (*RefinementResult, error) {
 	rows, err := MapWorkloads(s, func(w *Workload) (RefinementRow, error) {
 		var zero RefinementRow
-		sim, err := s.Simulate(w, nil)
+		c, err := s.Compare(w, nil, core.Options{BranchMode: core.BranchMidpoint})
 		if err != nil {
 			return zero, err
 		}
-		mid, err := s.Machine.Estimate(w.Inputs, core.Options{BranchMode: core.BranchMidpoint})
-		if err != nil {
-			return zero, err
-		}
-		meas, err := s.Machine.Estimate(w.Inputs, core.Options{BranchMode: core.BranchMeasured})
+		_, meas, err := c.Analysis.Estimate(s.Machine, core.Options{BranchMode: core.BranchMeasured})
 		if err != nil {
 			return zero, err
 		}
 		row := RefinementRow{
 			Name:        w.Name,
-			SimCPI:      sim.CPI(),
-			MidpointCPI: mid.CPI,
+			SimCPI:      c.Sim.CPI(),
+			MidpointCPI: c.Estimate.CPI,
 			MeasuredCPI: meas.CPI,
+			MidpointErr: c.Err(),
 			BurstFactor: w.Inputs.BranchBurstFactor,
 		}
-		row.MidpointErr = relErr(row.MidpointCPI, row.SimCPI)
 		row.MeasuredErr = relErr(row.MeasuredCPI, row.SimCPI)
 		return row, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	res := &RefinementResult{Rows: rows}
-	for _, r := range res.Rows {
-		res.MeanMidpointErr += abs(r.MidpointErr)
-		res.MeanMeasuredErr += abs(r.MeasuredErr)
-	}
-	n := float64(len(res.Rows))
-	res.MeanMidpointErr /= n
-	res.MeanMeasuredErr /= n
-	return res, nil
+	return &RefinementResult{
+		Rows:            rows,
+		MeanMidpointErr: meanAbs(rows, func(r RefinementRow) float64 { return r.MidpointErr }),
+		MeanMeasuredErr: meanAbs(rows, func(r RefinementRow) float64 { return r.MeasuredErr }),
+	}, nil
 }
 
 // tab builds the result table.

@@ -34,11 +34,7 @@ type StatSimResult struct {
 func StatSimStudy(s *Suite) (*StatSimResult, error) {
 	rows, err := MapWorkloads(s, func(w *Workload) (StatSimRow, error) {
 		var zero StatSimRow
-		ref, err := s.Simulate(w, nil)
-		if err != nil {
-			return zero, err
-		}
-		est, err := s.Machine.Estimate(w.Inputs, modelOptions())
+		c, err := s.Compare(w, nil, modelOptions())
 		if err != nil {
 			return zero, err
 		}
@@ -48,26 +44,22 @@ func StatSimStudy(s *Suite) (*StatSimResult, error) {
 		}
 		row := StatSimRow{
 			Name:       w.Name,
-			RefCPI:     ref.CPI(),
-			ModelCPI:   est.CPI,
+			RefCPI:     c.Sim.CPI(),
+			ModelCPI:   c.Estimate.CPI,
 			StatSimCPI: ss.CPI(),
+			ModelErr:   c.Err(),
 		}
-		row.ModelErr = relErr(row.ModelCPI, row.RefCPI)
 		row.StatSimErr = relErr(row.StatSimCPI, row.RefCPI)
 		return row, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	res := &StatSimResult{Rows: rows}
-	for _, r := range res.Rows {
-		res.MeanModelErr += abs(r.ModelErr)
-		res.MeanStatSimErr += abs(r.StatSimErr)
-	}
-	n := float64(len(res.Rows))
-	res.MeanModelErr /= n
-	res.MeanStatSimErr /= n
-	return res, nil
+	return &StatSimResult{
+		Rows:           rows,
+		MeanModelErr:   meanAbs(rows, func(r StatSimRow) float64 { return r.ModelErr }),
+		MeanStatSimErr: meanAbs(rows, func(r StatSimRow) float64 { return r.StatSimErr }),
+	}, nil
 }
 
 // tab builds the result table.

@@ -48,12 +48,7 @@ func (r *SweepResult) Render() string { return r.tab().String() }
 func (r *SweepResult) CSV() string { return r.tab().CSV() }
 
 func (r *SweepResult) finish() {
-	for _, p := range r.Points {
-		r.MeanAbsErr += abs(p.Err)
-	}
-	if len(r.Points) > 0 {
-		r.MeanAbsErr /= float64(len(r.Points))
-	}
+	r.MeanAbsErr = meanAbs(r.Points, func(p SweepPoint) float64 { return p.Err })
 }
 
 // SweepSpec describes a design-space sweep over one machine parameter:

@@ -7,10 +7,6 @@ import (
 	"fomodel/internal/core"
 )
 
-// transientEpsilon is the ramp-up convergence threshold used for the
-// transient figures (matches the model default).
-const transientEpsilon = 0.05
-
 // squareLawCurve returns the paper's generic transient curve: α=1, β=0.5,
 // unit latency — "the average for SpecINT2000 benchmarks once non-unit
 // latencies are accounted for" — at the given width.
@@ -37,9 +33,9 @@ func Figure8(s *Suite) (*Figure8Result, error) {
 	curve := squareLawCurve(m.Width)
 	steady := curve.Eval(float64(m.WindowSize))
 	res := &Figure8Result{
-		Points:  curve.BranchTransient(float64(m.WindowSize), m.FrontEndDepth, 3, transientEpsilon),
+		Points:  curve.BranchTransient(float64(m.WindowSize), m.FrontEndDepth, 3, core.DefaultRampEpsilon),
 		Drain:   curve.Drain(float64(m.WindowSize), steady),
-		RampUp:  curve.RampUp(steady, transientEpsilon),
+		RampUp:  curve.RampUp(steady, core.DefaultRampEpsilon),
 		Fill:    float64(m.FrontEndDepth),
 		Machine: m,
 	}
@@ -75,7 +71,7 @@ func Figure10(s *Suite) (*Figure10Result, error) {
 	// as drawn in the paper's schematic.
 	delay := 4 * m.ShortMissLatency
 	return &Figure10Result{
-		Points:    curve.ICacheTransient(float64(m.WindowSize), m.FrontEndDepth, delay, 3, transientEpsilon),
+		Points:    curve.ICacheTransient(float64(m.WindowSize), m.FrontEndDepth, delay, 3, core.DefaultRampEpsilon),
 		MissDelay: delay,
 		Machine:   m,
 	}, nil
@@ -108,7 +104,7 @@ func Figure12(s *Suite) (*Figure12Result, error) {
 	occupancy := m.WindowSize / 2
 	return &Figure12Result{
 		Points: curve.DCacheTransient(float64(m.WindowSize), m.ROBSize, occupancy,
-			m.LongMissLatency, 3, transientEpsilon),
+			m.LongMissLatency, 3, core.DefaultRampEpsilon),
 		MissDelay: m.LongMissLatency,
 		Machine:   m,
 	}, nil
