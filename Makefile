@@ -82,4 +82,4 @@ loc:
 		while read -r pkg files; do printf '%-36s %6d\n' "$$pkg" "$$(cat $$files | wc -l)"; done | \
 		awk '{ print; total += $$2 } END { printf "%-36s %6d\n", "total", total }'
 
-check: build vet lint test race bench-driver
+check: build vet lint test race examples bench-driver

@@ -375,13 +375,11 @@ func fullSuiteWorkloads(b *testing.B, workers int) {
 	for i := 0; i < b.N; i++ {
 		s := experiments.NewSuite(60000, 1)
 		s.Workers = workers
-		if workers > 1 {
-			s.Warm()
-		}
-		for _, name := range s.Names {
-			if _, err := s.Workload(name); err != nil {
-				b.Fatal(err)
-			}
+		_, err := experiments.MapWorkloads(s, s.Names, 1, func(*experiments.Workload, int) (struct{}, error) {
+			return struct{}{}, nil
+		}, nil)
+		if err != nil {
+			b.Fatal(err)
 		}
 	}
 }

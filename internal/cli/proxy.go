@@ -25,7 +25,6 @@ func Fomodelproxy(ctx context.Context, args []string, out io.Writer) error {
 	fs.SetOutput(out)
 	addr := fs.String("addr", "127.0.0.1:8760", "listen address")
 	replicas := fs.String("replicas", "", "comma-separated fomodeld base URLs (required)")
-	loadFactor := fs.Float64("load-factor", 1.25, "bounded-load factor (≤0 disables the bound)")
 	n := fs.Int("n", 500000, "replicas' default dynamic instructions per workload (must match the fleet)")
 	seed := fs.Uint64("seed", 1, "replicas' default workload generation seed (must match the fleet)")
 	probeInterval := fs.Duration("probe-interval", 2*time.Second, "replica /readyz probe period")
@@ -53,7 +52,6 @@ func Fomodelproxy(ctx context.Context, args []string, out io.Writer) error {
 	rt, err := router.New(router.Config{
 		Replicas:        urls,
 		Defaults:        reqkey.Defaults{N: *n, Seed: *seed},
-		LoadFactor:      *loadFactor,
 		ProbeInterval:   *probeInterval,
 		ProbeTimeout:    *probeTimeout,
 		EjectAfter:      *ejectAfter,

@@ -10,9 +10,9 @@ import (
 // TestFomodelproxyRejectsBadReplicasAndRetiredFlags pins the proxy's
 // flag surface: a replica listed twice (trailing slash trimmed) and an
 // empty -replicas are errors before anything listens, and the retired
-// -route and -vnodes flags are unknown. The context is canceled up
-// front, so a proxy that wrongly starts shuts down at once and returns
-// nil instead of serving forever.
+// -route, -vnodes and -load-factor flags are unknown. The context is
+// canceled up front, so a proxy that wrongly starts shuts down at once
+// and returns nil instead of serving forever.
 func TestFomodelproxyRejectsBadReplicasAndRetiredFlags(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -25,6 +25,7 @@ func TestFomodelproxyRejectsBadReplicasAndRetiredFlags(t *testing.T) {
 		{[]string{}, "-replicas requires at least one"},
 		{[]string{"-replicas", "http://127.0.0.1:1", "-route", "hash"}, "flag provided but not defined: -route"},
 		{[]string{"-replicas", "http://127.0.0.1:1", "-vnodes", "64"}, "flag provided but not defined: -vnodes"},
+		{[]string{"-replicas", "http://127.0.0.1:1", "-load-factor", "1.25"}, "flag provided but not defined: -load-factor"},
 	} {
 		err := Fomodelproxy(ctx, append([]string{"-addr", "127.0.0.1:0"}, tc.args...), io.Discard)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {

@@ -130,12 +130,21 @@ func AnalyzeAndStore(store *artifact.Store, t *trace.Trace, windows []int, scfg 
 		return nil, err
 	}
 	a := &AnalysisArtifact{Points: points, Law: law, Summary: sum}
-	if t.ContentID != "" && store != nil {
-		if b, err := a.MarshalBinary(); err == nil {
-			store.Put("analysis", AnalysisKey(t.ContentID, windows, scfg), b)
-		}
+	if t.ContentID != "" {
+		storeAnalysis(store, AnalysisKey(t.ContentID, windows, scfg), a)
 	}
 	return a, nil
+}
+
+// storeAnalysis writes a under key; a nil store, or an artifact that
+// does not marshal, writes nothing.
+func storeAnalysis(store *artifact.Store, key string, a *AnalysisArtifact) {
+	if store == nil {
+		return
+	}
+	if b, err := a.MarshalBinary(); err == nil {
+		store.Put("analysis", key, b)
+	}
 }
 
 // LoadOrGenerateTrace returns the (name, n, seed) trace, reading its

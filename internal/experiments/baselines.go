@@ -29,15 +29,8 @@ type InOrderResult struct {
 // InOrderBaseline runs the comparison over three contrasting benchmarks,
 // fanning them out across the suite's worker pool.
 func InOrderBaseline(s *Suite) (*InOrderResult, error) {
-	benches := []string{"gzip", "mcf", "vpr"}
-	res := &InOrderResult{}
-	err := RunOrdered(s.workers(), len(benches), func(i int) (InOrderRow, error) {
+	rows, err := MapWorkloads(s, []string{"gzip", "mcf", "vpr"}, 1, func(w *Workload, _ int) (InOrderRow, error) {
 		var zero InOrderRow
-		bench := benches[i]
-		w, err := s.Workload(bench)
-		if err != nil {
-			return zero, err
-		}
 		ooo, err := s.Simulate(w, nil)
 		if err != nil {
 			return zero, err
@@ -54,21 +47,18 @@ func InOrderBaseline(s *Suite) (*InOrderResult, error) {
 			return zero, err
 		}
 		row := InOrderRow{
-			Name:            bench,
+			Name:            w.Name,
 			OOOCPI:          ooo.CPI(),
 			InOrderCPI:      inorder.CPI(),
 			InOrderSmallWin: small.CPI(),
 		}
 		row.Slowdown = row.InOrderCPI / row.OOOCPI
 		return row, nil
-	}, func(_ int, row InOrderRow) error {
-		res.Rows = append(res.Rows, row)
-		return nil
-	})
+	}, nil)
 	if err != nil {
 		return nil, err
 	}
-	return res, nil
+	return &InOrderResult{Rows: rows}, nil
 }
 
 // tab builds the result table.
@@ -86,12 +76,6 @@ func (r *InOrderResult) tab() *table {
 	t.addNote("out-of-order phenomenon")
 	return t
 }
-
-// Render prints the table as aligned text.
-func (r *InOrderResult) Render() string { return r.tab().String() }
-
-// CSV renders the table as comma-separated values.
-func (r *InOrderResult) CSV() string { return r.tab().CSV() }
 
 // LittleRow validates the paper's Little's-law step on one benchmark.
 type LittleRow struct {
@@ -115,7 +99,7 @@ type LittleResult struct {
 // window size.
 func LittlesLaw(s *Suite) (*LittleResult, error) {
 	lat := s.Sim.Latencies
-	rows, err := MapWorkloads(s, func(w *Workload) (LittleRow, error) {
+	rows, err := MapWorkloads(s, s.Names, 1, func(w *Workload, _ int) (LittleRow, error) {
 		var zero LittleRow
 		real, err := iw.Characteristic(w.Trace, []int{s.Machine.WindowSize}, iw.Options{Latencies: &lat})
 		if err != nil {
@@ -132,7 +116,7 @@ func LittlesLaw(s *Suite) (*LittleResult, error) {
 		}
 		row.Err = relErr(row.ScaledI1, row.MeasuredIL)
 		return row, nil
-	})
+	}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -152,9 +136,3 @@ func (r *LittleResult) tab() *table {
 	t.addNote("unit-latency power law (exact only when latencies scale uniformly)")
 	return t
 }
-
-// Render prints the table as aligned text.
-func (r *LittleResult) Render() string { return r.tab().String() }
-
-// CSV renders the table as comma-separated values.
-func (r *LittleResult) CSV() string { return r.tab().CSV() }

@@ -28,21 +28,15 @@ type ClusterResult struct {
 // simulator for 1, 2, and 4 clusters on three contrasting benchmarks.
 func ExtensionClusters(s *Suite) (*ClusterResult, error) {
 	const bypass = 1
-	res := &ClusterResult{BypassLatency: bypass}
-	jobs := sweepGrid([]string{"gzip", "vortex", "vpr"}, []int{1, 2, 4})
-	err := RunOrdered(s.workers(), len(jobs), func(i int) (ClusterPoint, error) {
-		var zero ClusterPoint
-		w, err := s.Workload(jobs[i].bench)
-		if err != nil {
-			return zero, err
-		}
-		k := jobs[i].value
+	counts := []int{1, 2, 4}
+	points, err := MapWorkloads(s, []string{"gzip", "vortex", "vpr"}, len(counts), func(w *Workload, v int) (ClusterPoint, error) {
+		k := counts[v]
 		c, err := s.Compare(w, func(c *uarch.Config) {
 			c.Clusters = k
 			c.BypassLatency = bypass
 		}, modelOptions())
 		if err != nil {
-			return zero, err
+			return ClusterPoint{}, err
 		}
 		return ClusterPoint{
 			Bench:    w.Name,
@@ -51,14 +45,11 @@ func ExtensionClusters(s *Suite) (*ClusterResult, error) {
 			ModelCPI: c.Estimate.CPI,
 			Err:      c.Err(),
 		}, nil
-	}, func(_ int, pt ClusterPoint) error {
-		res.Points = append(res.Points, pt)
-		return nil
-	})
+	}, nil)
 	if err != nil {
 		return nil, err
 	}
-	return res, nil
+	return &ClusterResult{Points: points, BypassLatency: bypass}, nil
 }
 
 // tab builds the result table.
@@ -74,9 +65,3 @@ func (r *ClusterResult) tab() *table {
 	t.addNote("expected (K-1)/K cross-cluster penalty into the average latency L")
 	return t
 }
-
-// Render prints the table as aligned text.
-func (r *ClusterResult) Render() string { return r.tab().String() }
-
-// CSV renders the table as comma-separated values.
-func (r *ClusterResult) CSV() string { return r.tab().CSV() }

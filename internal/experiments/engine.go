@@ -135,28 +135,35 @@ func RunOrdered[T any](workers, n int, compute func(int) (T, error), emit func(i
 	return nil
 }
 
-// MapWorkloads computes fn for every benchmark concurrently (bounded by
-// s.Workers) and returns the per-benchmark results in report order, so
-// parallel and sequential runs build identical result slices. fn runs on
-// pool goroutines and must not touch shared mutable state. Like
-// EachWorkload, the first failure in report order wins, wrapped with the
-// benchmark name.
-func MapWorkloads[T any](s *Suite, fn func(*Workload) (T, error)) ([]T, error) {
-	out := make([]T, 0, len(s.Names))
-	err := RunOrdered(s.workers(), len(s.Names), func(i int) (T, error) {
-		name := s.Names[i]
+// MapWorkloads runs fn on every cell of the grid benches × variants,
+// fn(w, v) for each benchmark's workload w and each variant index v in
+// [0, variants), concurrently (bounded by s.Workers), and returns the
+// results in grid order: benchmarks outer, variants inner, so parallel
+// and sequential runs build identical slices. emit, when non-nil,
+// receives each result on the calling goroutine, in grid order, as it
+// becomes available; an emit error stops the grid and is returned as it
+// is. fn runs on pool goroutines and must not touch shared mutable
+// state. The first failure in grid order wins: a benchmark that does
+// not resolve, or an fn error, comes back prefixed with the benchmark's
+// name (a *workloadError, which unwraps to the cause).
+func MapWorkloads[T any](s *Suite, benches []string, variants int, fn func(w *Workload, v int) (T, error), emit func(T) error) ([]T, error) {
+	out := make([]T, 0, len(benches)*variants)
+	err := RunOrdered(s.workers(), len(benches)*variants, func(i int) (T, error) {
+		name := benches[i/variants]
 		w, err := s.Workload(name)
-		if err != nil {
-			var zero T
-			return zero, fmt.Errorf("experiments: %s: %w", name, err)
+		if err == nil {
+			var v T
+			if v, err = fn(w, i%variants); err == nil {
+				return v, nil
+			}
 		}
-		v, err := fn(w)
-		if err != nil {
-			return v, fmt.Errorf("experiments: %s: %w", name, err)
-		}
-		return v, nil
+		var zero T
+		return zero, &workloadError{bench: name, err: err}
 	}, func(_ int, v T) error {
 		out = append(out, v)
+		if emit != nil {
+			return emit(v)
+		}
 		return nil
 	})
 	if err != nil {
@@ -164,6 +171,17 @@ func MapWorkloads[T any](s *Suite, fn func(*Workload) (T, error)) ([]T, error) {
 	}
 	return out, nil
 }
+
+// workloadError is a MapWorkloads cell's failure: the benchmark's
+// workload did not resolve, or fn failed on it.
+type workloadError struct {
+	bench string
+	err   error
+}
+
+func (e *workloadError) Error() string { return fmt.Sprintf("experiments: %s: %v", e.bench, e.err) }
+
+func (e *workloadError) Unwrap() error { return e.err }
 
 // TimingSample is one named wall-time measurement.
 type TimingSample struct {
@@ -242,5 +260,5 @@ func (t *Timings) Render() string {
 	}
 	tab.addNote("totals: %s (concurrent work overlaps, so totals can exceed wall time)",
 		strings.Join(parts, ", "))
-	return tab.String()
+	return tab.Render()
 }

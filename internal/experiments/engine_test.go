@@ -205,24 +205,24 @@ func TestWorkloadSingleFlight(t *testing.T) {
 	}
 }
 
-// TestWarmRepanics pins that Warm stays a pure prefetch for errors but not
-// for bugs: a panic while computing a workload (here from the custom
-// workload lookup) reaches Warm's caller as a *PanicError instead of
-// leaving a silently empty cache entry behind.
-func TestWarmRepanics(t *testing.T) {
-	s := smallSuite()
-	s.Workers = 2
-	s.Names = []string{"gzip", "custom-wl"}
-	s.Lookup = func(name string) (workload.Profile, string, bool) {
-		panic("injected lookup failure")
-	}
-	defer func() {
-		var pe *PanicError
-		if err, _ := recover().(error); !errors.As(err, &pe) || !strings.Contains(pe.Error(), "injected lookup failure") {
-			t.Fatalf("Warm recovered %v, want a *PanicError naming the injected panic", err)
+// TestMapWorkloadsReturnsPanics pins that a panic while resolving a
+// workload (here from the custom workload lookup) reaches MapWorkloads'
+// caller as a *PanicError, at one worker and at several.
+func TestMapWorkloadsReturnsPanics(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		s := smallSuite()
+		s.Workers = workers
+		s.Lookup = func(name string) (workload.Profile, string, bool) {
+			panic("injected lookup failure")
 		}
-	}()
-	s.Warm()
+		_, err := MapWorkloads(s, []string{"gzip", "custom-wl"}, 1, func(*Workload, int) (struct{}, error) {
+			return struct{}{}, nil
+		}, nil)
+		var pe *PanicError
+		if !errors.As(err, &pe) || !strings.Contains(pe.Error(), "injected lookup failure") {
+			t.Fatalf("workers=%d: err = %v, want a *PanicError naming the injected panic", workers, err)
+		}
+	}
 }
 
 // TestWorkloadErrorsNotRetained pins the flight caches' failure policy
@@ -251,40 +251,64 @@ func TestWorkloadErrorsNotRetained(t *testing.T) {
 	}
 }
 
-func TestEachWorkloadWrapsBothErrorPaths(t *testing.T) {
-	// Workload-computation errors carry the benchmark name…
-	s := smallSuite()
-	s.Names = []string{"gzip", "nope"}
-	err := s.EachWorkload(func(*Workload) error { return nil })
-	if err == nil || !strings.Contains(err.Error(), "experiments: nope:") {
-		t.Fatalf("compute error not wrapped with the name: %v", err)
-	}
-	// …and so do errors returned by fn itself.
-	s = smallSuite()
-	errFn := errors.New("fn failed")
-	err = s.EachWorkload(func(w *Workload) error {
-		if w.Name == "mcf" {
-			return errFn
+// TestMapWorkloadsWrapsBothErrorPaths pins MapWorkloads' failures at one
+// worker and at several: a benchmark that does not resolve and an fn
+// error both carry the benchmark's name, while an emit error comes back
+// as it is.
+func TestMapWorkloadsWrapsBothErrorPaths(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		s := smallSuite()
+		s.Workers = workers
+		ok := func(*Workload, int) (struct{}, error) { return struct{}{}, nil }
+		_, err := MapWorkloads(s, []string{"gzip", "nope"}, 2, ok, nil)
+		if err == nil || !strings.HasPrefix(err.Error(), "experiments: nope:") {
+			t.Fatalf("workers=%d: resolve error not wrapped with the name: %v", workers, err)
 		}
-		return nil
-	})
-	if !errors.Is(err, errFn) || !strings.Contains(err.Error(), "experiments: mcf:") {
-		t.Fatalf("fn error not wrapped with the name: %v", err)
+		errFn := errors.New("fn failed")
+		_, err = MapWorkloads(s, s.Names, 2, func(w *Workload, v int) (struct{}, error) {
+			if w.Name == "mcf" && v == 1 {
+				return struct{}{}, errFn
+			}
+			return struct{}{}, nil
+		}, nil)
+		if !errors.Is(err, errFn) || err.Error() != "experiments: mcf: fn failed" {
+			t.Fatalf("workers=%d: fn error not wrapped with the name: %v", workers, err)
+		}
+		errEmit := errors.New("emit failed")
+		_, err = MapWorkloads(s, s.Names, 2, ok, func(struct{}) error { return errEmit })
+		if err != errEmit {
+			t.Fatalf("workers=%d: emit error = %v, want it as it is", workers, err)
+		}
 	}
 }
 
+// TestMapWorkloadsKeepsReportOrder pins the grid order at one worker and
+// at several: results and emits come benchmarks outer, variants inner,
+// and each benchmark's workload is computed once for all its variants.
 func TestMapWorkloadsKeepsReportOrder(t *testing.T) {
-	for _, workers := range []int{1, 8} {
+	for _, workers := range []int{1, 4} {
 		s := smallSuite()
 		s.Workers = workers
-		names, err := MapWorkloads(s, func(w *Workload) (string, error) {
-			return w.Name, nil
+		var want, emitted []string
+		for _, name := range s.Names {
+			for v := 0; v < 3; v++ {
+				want = append(want, fmt.Sprintf("%s/%d", name, v))
+			}
+		}
+		cells, err := MapWorkloads(s, s.Names, 3, func(w *Workload, v int) (string, error) {
+			return fmt.Sprintf("%s/%d", w.Name, v), nil
+		}, func(cell string) error {
+			emitted = append(emitted, cell)
+			return nil
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fmt.Sprint(names) != fmt.Sprint(s.Names) {
-			t.Fatalf("workers=%d: order %v, want %v", workers, names, s.Names)
+		if fmt.Sprint(cells) != fmt.Sprint(want) || fmt.Sprint(emitted) != fmt.Sprint(want) {
+			t.Fatalf("workers=%d: results %v, emitted %v, want %v", workers, cells, emitted, want)
+		}
+		if computes, _ := s.Counters(); computes != int64(len(s.Names)) {
+			t.Fatalf("workers=%d: %d workload computations for %d names", workers, computes, len(s.Names))
 		}
 	}
 }
@@ -304,7 +328,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return f15.Render(), t1.Render()
+		return f15.tab().Render(), t1.tab().Render()
 	}
 	seqF15, seqT1 := render(1)
 	parF15, parT1 := render(8)
@@ -344,18 +368,5 @@ func TestTimingsSortAndRender(t *testing.T) {
 		if !strings.Contains(out, needle) {
 			t.Fatalf("render missing %q:\n%s", needle, out)
 		}
-	}
-}
-
-func TestSuiteWarmPrefetches(t *testing.T) {
-	s := smallSuite()
-	s.Workers = 4
-	s.Warm()
-	if computes, _ := s.Counters(); computes != int64(len(s.Names)) {
-		t.Fatalf("Warm computed %d workloads, want %d", computes, len(s.Names))
-	}
-	s.Warm() // second warm is a no-op against a full cache
-	if computes, _ := s.Counters(); computes != int64(len(s.Names)) {
-		t.Fatalf("second Warm recomputed: %d", computes)
 	}
 }

@@ -60,7 +60,7 @@ func TestFigure2Independence(t *testing.T) {
 			t.Fatalf("non-positive IPC in %+v", r)
 		}
 	}
-	if !strings.Contains(res.Render(), "Figure 2") {
+	if !strings.Contains(res.tab().Render(), "Figure 2") {
 		t.Fatal("render missing title")
 	}
 }
@@ -90,7 +90,7 @@ func TestFigure4And5(t *testing.T) {
 			t.Fatalf("%s W=%d: fit error %v too large", row.Name, row.W, e)
 		}
 	}
-	if !strings.Contains(f4.Render(), "W=64") || !strings.Contains(f5.Render(), "vpr") {
+	if !strings.Contains(f4.tab().Render(), "W=64") || !strings.Contains(f5.tab().Render(), "vpr") {
 		t.Fatal("render incomplete")
 	}
 }
@@ -112,7 +112,7 @@ func TestTable1(t *testing.T) {
 	if _, ok := res.Row("absent"); ok {
 		t.Fatal("phantom row found")
 	}
-	if !strings.Contains(res.Render(), "alpha") {
+	if !strings.Contains(res.tab().Render(), "alpha") {
 		t.Fatal("render incomplete")
 	}
 }
@@ -134,7 +134,7 @@ func TestFigure6Saturation(t *testing.T) {
 			t.Fatalf("width-%d curve diverges from ideal at W=2", width)
 		}
 	}
-	if !strings.Contains(res.Render(), "unlimited") {
+	if !strings.Contains(res.tab().Render(), "unlimited") {
 		t.Fatal("render incomplete")
 	}
 }
@@ -174,7 +174,7 @@ func TestFigure9PenaltyBounds(t *testing.T) {
 			t.Errorf("%s: dP=5 penalty %v implausibly large", row.Name, row.SimPenalty5)
 		}
 	}
-	if !strings.Contains(res.Render(), "model dP=9") {
+	if !strings.Contains(res.tab().Render(), "model dP=9") {
 		t.Fatal("render incomplete")
 	}
 }
@@ -249,7 +249,7 @@ func TestFigure14ModelTracksSim(t *testing.T) {
 				row.Name, row.IsolatedPenalty, isolated)
 		}
 	}
-	if !strings.Contains(res.Render(), "eq.8") {
+	if !strings.Contains(res.tab().Render(), "eq.8") {
 		t.Fatal("render incomplete")
 	}
 }
@@ -270,7 +270,7 @@ func TestFigure15HeadlineAccuracy(t *testing.T) {
 	if res.MaxAbsErr > 0.25 {
 		t.Fatalf("worst CPI error %v on %s", res.MaxAbsErr, res.WorstBench)
 	}
-	if !strings.Contains(res.Render(), "paper 5.8%") {
+	if !strings.Contains(res.tab().Render(), "paper 5.8%") {
 		t.Fatal("render incomplete")
 	}
 }
@@ -296,7 +296,7 @@ func TestFigure16StackStructure(t *testing.T) {
 	if vortex.Estimate.ICacheShortCPI <= mcf.Estimate.ICacheShortCPI {
 		t.Fatal("vortex should have the larger I-cache component")
 	}
-	if !strings.Contains(res.Render(), "D$ share") {
+	if !strings.Contains(res.tab().Render(), "D$ share") {
 		t.Fatal("render incomplete")
 	}
 }
@@ -313,7 +313,7 @@ func TestFigure17TrendShapes(t *testing.T) {
 	if res.Optimal[8].Depth >= res.Optimal[2].Depth {
 		t.Fatal("optimum should move shallower with width")
 	}
-	if !strings.Contains(res.Render(), "optimal depths") {
+	if !strings.Contains(res.tab().Render(), "optimal depths") {
 		t.Fatal("render incomplete")
 	}
 }
@@ -329,7 +329,7 @@ func TestFigure18Quadratic(t *testing.T) {
 			t.Fatalf("width 4→8 requirement ratio %v at f=%v, want ≈4", ratio, res.Fractions[i])
 		}
 	}
-	if !strings.Contains(res.Render(), "width 16") {
+	if !strings.Contains(res.tab().Render(), "width 16") {
 		t.Fatal("render incomplete")
 	}
 }

@@ -44,12 +44,6 @@ func (r *ExtensionResult) tab() *table {
 	return t
 }
 
-// Render prints the table as aligned text.
-func (r *ExtensionResult) Render() string { return r.tab().String() }
-
-// CSV renders the table as comma-separated values.
-func (r *ExtensionResult) CSV() string { return r.tab().CSV() }
-
 // extensionRow is w's row of an extension validation from its
 // comparison at the extension's machine point.
 func extensionRow(w *Workload, c *Comparison) ExtensionRow {
@@ -85,7 +79,7 @@ func ExtensionFU(s *Suite) (*ExtensionResult, error) {
 		row  ExtensionRow
 		note string
 	}
-	rows, err := MapWorkloads(s, func(w *Workload) (fuRow, error) {
+	rows, err := MapWorkloads(s, s.Names, 1, func(w *Workload, _ int) (fuRow, error) {
 		var zero fuRow
 		c, err := s.Compare(w, func(c *uarch.Config) { c.FUCounts = fu }, modelOptions())
 		if err != nil {
@@ -95,7 +89,7 @@ func ExtensionFU(s *Suite) (*ExtensionResult, error) {
 			row:  extensionRow(w, c),
 			note: fmt.Sprintf("effective width for %s: %.2f of %d", w.Name, c.Estimate.EffectiveWidth, s.Sim.Width),
 		}, nil
-	})
+	}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -164,12 +158,6 @@ func (r *FetchBufferResult) tab() *table {
 	return t
 }
 
-// Render prints the table as aligned text.
-func (r *FetchBufferResult) Render() string { return r.tab().String() }
-
-// CSV renders the table as comma-separated values.
-func (r *FetchBufferResult) CSV() string { return r.tab().CSV() }
-
 // ExtensionTLB validates the TLB-miss model (§7 #4): misses behave like
 // long data misses with the page-walk latency and equation-(8) overlap.
 func ExtensionTLB(s *Suite) (*ExtensionResult, error) {
@@ -180,13 +168,13 @@ func ExtensionTLB(s *Suite) (*ExtensionResult, error) {
 	}
 	// The TLB changes the functional analysis, so Compare re-analyzes
 	// with it and the model sees the TLB miss rates and clustering.
-	rows, err := MapWorkloads(s, func(w *Workload) (ExtensionRow, error) {
+	rows, err := MapWorkloads(s, s.Names, 1, func(w *Workload, _ int) (ExtensionRow, error) {
 		c, err := s.Compare(w, func(c *uarch.Config) { c.TLB = &tlbCfg }, modelOptions())
 		if err != nil {
 			return ExtensionRow{}, err
 		}
 		return extensionRow(w, c), nil
-	})
+	}, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -20,7 +20,7 @@ func TestExtensionFU(t *testing.T) {
 	if res.MeanAbsErr > 0.20 {
 		t.Fatalf("FU-limited model error %v", res.MeanAbsErr)
 	}
-	if !strings.Contains(res.Render(), "functional units") {
+	if !strings.Contains(res.tab().Render(), "functional units") {
 		t.Fatal("render incomplete")
 	}
 }
@@ -62,7 +62,7 @@ func TestExtensionFetchBuffer(t *testing.T) {
 			t.Fatalf("model CPI rose with buffer: %+v", res.Points)
 		}
 	}
-	if !strings.Contains(res.Render(), "fetch buffer") {
+	if !strings.Contains(res.tab().Render(), "fetch buffer") {
 		t.Fatal("render incomplete")
 	}
 }
@@ -98,7 +98,7 @@ func TestExtensionTLB(t *testing.T) {
 	if tlbMcf <= baseMcf {
 		t.Fatalf("TLB did not cost mcf anything: %v vs %v", tlbMcf, baseMcf)
 	}
-	if !strings.Contains(res.Render(), "TLB") {
+	if !strings.Contains(res.tab().Render(), "TLB") {
 		t.Fatal("render incomplete")
 	}
 }

@@ -41,25 +41,14 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 //	go test ./internal/experiments -run TestGolden -update
 func TestGoldenAnalyticFigures(t *testing.T) {
 	s := smallSuite() // analytic figures ignore the workloads
-	cases := []struct {
-		name string
-		run  func(*Suite) (Renderable, error)
-	}{
-		{"fig8", func(s *Suite) (Renderable, error) { return Figure8(s) }},
-		{"fig10", func(s *Suite) (Renderable, error) { return Figure10(s) }},
-		{"fig12", func(s *Suite) (Renderable, error) { return Figure12(s) }},
-		{"fig13", func(s *Suite) (Renderable, error) { return Figure13(s) }},
-		{"fig17", func(s *Suite) (Renderable, error) { return Figure17(s) }},
-		{"fig18", func(s *Suite) (Renderable, error) { return Figure18(s) }},
-		{"fig19", func(s *Suite) (Renderable, error) { return Figure19(s) }},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			res, err := tc.run(s)
+	reg := DefaultRegistry()
+	for _, label := range []string{"fig8", "fig10", "fig12", "fig13", "fig17", "fig18", "fig19"} {
+		t.Run(label, func(t *testing.T) {
+			res, err := reg[label](context.Background(), s)
 			if err != nil {
 				t.Fatal(err)
 			}
-			compareGolden(t, tc.name, res.Render())
+			compareGolden(t, label, res.Render())
 		})
 	}
 }
@@ -95,7 +84,7 @@ func TestGoldenFigure14(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	compareGolden(t, "fig14", res.Render())
+	compareGolden(t, "fig14", res.tab().Render())
 }
 
 // TestGoldenIWFigures locks down the IW characteristic figures on the
@@ -104,22 +93,14 @@ func TestGoldenFigure14(t *testing.T) {
 // curves (gcc), so a change to the IW kernel shows in rendered bytes.
 func TestGoldenIWFigures(t *testing.T) {
 	s := smallSuite()
-	cases := []struct {
-		name string
-		run  func(*Suite) (Renderable, error)
-	}{
-		{"fig4", func(s *Suite) (Renderable, error) { return Figure4(s) }},
-		{"table1", func(s *Suite) (Renderable, error) { return Table1(s) }},
-		{"fig5", func(s *Suite) (Renderable, error) { return Figure5(s) }},
-		{"fig6", func(s *Suite) (Renderable, error) { return Figure6(s) }},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			res, err := tc.run(s)
+	reg := DefaultRegistry()
+	for _, label := range []string{"fig4", "table1", "fig5", "fig6"} {
+		t.Run(label, func(t *testing.T) {
+			res, err := reg[label](context.Background(), s)
 			if err != nil {
 				t.Fatal(err)
 			}
-			compareGolden(t, tc.name, res.Render())
+			compareGolden(t, label, res.Render())
 		})
 	}
 }

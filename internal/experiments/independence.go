@@ -32,7 +32,7 @@ type Figure2Result struct {
 // the independence demonstration. The benchmarks fan out across the
 // suite's worker pool.
 func Figure2(s *Suite) (*Figure2Result, error) {
-	rows, err := MapWorkloads(s, func(w *Workload) (Figure2Row, error) {
+	rows, err := MapWorkloads(s, s.Names, 1, func(w *Workload, _ int) (Figure2Row, error) {
 		var zero Figure2Row
 		iso, err := s.Isolate(w, nil, modelOptions(), EventBranch, EventICache, EventDCache)
 		if err != nil {
@@ -63,7 +63,7 @@ func Figure2(s *Suite) (*Figure2Result, error) {
 		row.IndependentErr = relErr(row.IndependentIPC, row.CombinedIPC)
 		row.CompensatedErr = relErr(row.CompensatedIPC, row.CombinedIPC)
 		return row, nil
-	})
+	}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -89,12 +89,6 @@ func (r *Figure2Result) tab() *table {
 		pct(r.MeanIndependentErr), pct(r.MeanCompensatedErr))
 	return t
 }
-
-// Render prints the table as aligned text.
-func (r *Figure2Result) Render() string { return r.tab().String() }
-
-// CSV renders the table as comma-separated values.
-func (r *Figure2Result) CSV() string { return r.tab().CSV() }
 
 func relErr(est, ref float64) float64 {
 	if ref == 0 {

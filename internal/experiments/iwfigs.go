@@ -18,14 +18,14 @@ type Figure4Result struct {
 
 // Figure4 measures the implementation-independent IW curves.
 func Figure4(s *Suite) (*Figure4Result, error) {
-	res := &Figure4Result{Windows: iw.DefaultWindows(), Curves: make(map[string][]iw.Point)}
-	err := s.EachWorkload(func(w *Workload) error {
-		res.Curves[w.Name] = w.Points
-		res.Order = append(res.Order, w.Name)
-		return nil
-	})
+	ws, err := MapWorkloads(s, s.Names, 1, func(w *Workload, _ int) (*Workload, error) { return w, nil }, nil)
 	if err != nil {
 		return nil, err
+	}
+	res := &Figure4Result{Windows: iw.DefaultWindows(), Curves: make(map[string][]iw.Point)}
+	for _, w := range ws {
+		res.Curves[w.Name] = w.Points
+		res.Order = append(res.Order, w.Name)
 	}
 	return res, nil
 }
@@ -49,12 +49,6 @@ func (r *Figure4Result) tab() *table {
 	return t
 }
 
-// Render prints the table as aligned text.
-func (r *Figure4Result) Render() string { return r.tab().String() }
-
-// CSV renders the table as comma-separated values.
-func (r *Figure4Result) CSV() string { return r.tab().CSV() }
-
 // Table1Row is one benchmark of the paper's Table 1: the power-law
 // parameters and average latency.
 type Table1Row struct {
@@ -77,21 +71,19 @@ var PaperTable1Benchmarks = []string{"gzip", "vortex", "vpr"}
 
 // Table1 fits the power laws and reports the model parameters.
 func Table1(s *Suite) (*Table1Result, error) {
-	res := &Table1Result{}
-	err := s.EachWorkload(func(w *Workload) error {
-		res.Rows = append(res.Rows, Table1Row{
+	rows, err := MapWorkloads(s, s.Names, 1, func(w *Workload, _ int) (Table1Row, error) {
+		return Table1Row{
 			Name:       w.Name,
 			Alpha:      w.Law.Alpha,
 			Beta:       w.Law.Beta,
 			R2:         w.Law.R2,
 			AvgLatency: w.Summary.AvgLatency,
-		})
-		return nil
-	})
+		}, nil
+	}, nil)
 	if err != nil {
 		return nil, err
 	}
-	return res, nil
+	return &Table1Result{Rows: rows}, nil
 }
 
 // Row returns the named row, if present.
@@ -116,12 +108,6 @@ func (r *Table1Result) tab() *table {
 	t.addNote("paper's illustrative rows: gzip (1.3, 0.5, 1.5), vortex (1.2, 0.7, 1.6), vpr (1.7, 0.3, 2.2)")
 	return t
 }
-
-// Render prints the table as aligned text.
-func (r *Table1Result) Render() string { return r.tab().String() }
-
-// CSV renders the table as comma-separated values.
-func (r *Table1Result) CSV() string { return r.tab().CSV() }
 
 // Figure5Row compares a measured IW point against the fitted line for one
 // of the paper's three illustrative benchmarks.
@@ -169,12 +155,6 @@ func (r *Figure5Result) tab() *table {
 	}
 	return t
 }
-
-// Render prints the table as aligned text.
-func (r *Figure5Result) Render() string { return r.tab().String() }
-
-// CSV renders the table as comma-separated values.
-func (r *Figure5Result) CSV() string { return r.tab().CSV() }
 
 // Figure6Result holds the width-limited IW curves of the paper's Fig. 6
 // for one benchmark: the ideal curve follows the power law until it
@@ -235,9 +215,3 @@ func (r *Figure6Result) tab() *table {
 	t.addNote("limited curves follow the ideal curve, then saturate at the issue width")
 	return t
 }
-
-// Render prints the table as aligned text.
-func (r *Figure6Result) Render() string { return r.tab().String() }
-
-// CSV renders the table as comma-separated values.
-func (r *Figure6Result) CSV() string { return r.tab().CSV() }

@@ -55,7 +55,7 @@ func MethodologyComparison(s *Suite) (*MethodsResult, error) {
 		refT, modelT, statSimT, sampledT time.Duration
 		sampledFraction                  float64
 	}
-	results, err := MapWorkloads(s, func(w *Workload) (benchResult, error) {
+	results, err := MapWorkloads(s, s.Names, 1, func(w *Workload, _ int) (benchResult, error) {
 		var br benchResult
 		t0 := time.Now()
 		ref, err := s.Simulate(w, nil)
@@ -102,7 +102,7 @@ func MethodologyComparison(s *Suite) (*MethodsResult, error) {
 		br.row.StatSimErr = relErr(br.row.StatSim, br.row.RefCPI)
 		br.row.SampledErr = relErr(br.row.Sampled, br.row.RefCPI)
 		return br, nil
-	})
+	}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -141,9 +141,3 @@ func (r *MethodsResult) tab() *table {
 		r.StatSimTime.Round(time.Millisecond), r.SampledTime.Round(time.Millisecond))
 	return t
 }
-
-// Render prints the table as aligned text.
-func (r *MethodsResult) Render() string { return r.tab().String() }
-
-// CSV renders the table as comma-separated values.
-func (r *MethodsResult) CSV() string { return r.tab().CSV() }

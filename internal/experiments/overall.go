@@ -33,7 +33,7 @@ type Figure15Result struct {
 // following the paper's §5 procedure. The benchmarks fan out across the
 // suite's worker pool.
 func Figure15(s *Suite) (*Figure15Result, error) {
-	rows, err := MapWorkloads(s, func(w *Workload) (Figure15Row, error) {
+	rows, err := MapWorkloads(s, s.Names, 1, func(w *Workload, _ int) (Figure15Row, error) {
 		c, err := s.Compare(w, nil, modelOptions())
 		if err != nil {
 			return Figure15Row{}, err
@@ -45,7 +45,7 @@ func Figure15(s *Suite) (*Figure15Result, error) {
 			Err:      c.Err(),
 			Estimate: c.Estimate,
 		}, nil
-	})
+	}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -72,12 +72,6 @@ func (r *Figure15Result) tab() *table {
 		pct(r.MeanAbsErr), pct(r.MaxAbsErr), r.WorstBench)
 	return t
 }
-
-// Render prints the table as aligned text.
-func (r *Figure15Result) Render() string { return r.tab().String() }
-
-// CSV renders the table as comma-separated values.
-func (r *Figure15Result) CSV() string { return r.tab().CSV() }
 
 // Figure16Result is the paper's Fig. 16 "stack model": the CPI
 // contribution of each miss-event category per benchmark. It reuses the
@@ -113,9 +107,3 @@ func (r *Figure16Result) tab() *table {
 	t.addNote("paper: long data misses are ~70%% of mcf's CPI and ~60%% of twolf's")
 	return t
 }
-
-// Render prints the table as aligned text.
-func (r *Figure16Result) Render() string { return r.tab().String() }
-
-// CSV renders the table as comma-separated values.
-func (r *Figure16Result) CSV() string { return r.tab().CSV() }

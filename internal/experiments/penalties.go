@@ -32,7 +32,7 @@ type Figure9Result struct {
 // Figure9 measures the branch misprediction penalty per benchmark,
 // fanning the benchmarks out across the suite's worker pool.
 func Figure9(s *Suite) (*Figure9Result, error) {
-	rows, err := MapWorkloads(s, func(w *Workload) (Figure9Row, error) {
+	rows, err := MapWorkloads(s, s.Names, 1, func(w *Workload, _ int) (Figure9Row, error) {
 		row := Figure9Row{Name: w.Name}
 		for _, depth := range []int{5, 9} {
 			iso, err := s.Isolate(w, func(c *uarch.Config) { c.FrontEndDepth = depth },
@@ -48,7 +48,7 @@ func Figure9(s *Suite) (*Figure9Result, error) {
 			}
 		}
 		return row, nil
-	})
+	}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -68,12 +68,6 @@ func (r *Figure9Result) tab() *table {
 	t.addNote("paper: penalties exceed the front-end depth — typically 6.4–10 cycles at dP=5 (vpr 14.7)")
 	return t
 }
-
-// Render prints the table as aligned text.
-func (r *Figure9Result) Render() string { return r.tab().String() }
-
-// CSV renders the table as comma-separated values.
-func (r *Figure9Result) CSV() string { return r.tab().CSV() }
 
 // Figure11Row is one benchmark of the paper's Fig. 11: the I-cache miss
 // penalty is ≈ the miss delay and independent of front-end depth.
@@ -96,7 +90,7 @@ type Figure11Result struct {
 // Figure11 measures the I-cache miss penalty per benchmark at front-end
 // depths 5 and 9 (real I-cache, ideal D-cache and predictor).
 func Figure11(s *Suite) (*Figure11Result, error) {
-	rows, err := MapWorkloads(s, func(w *Workload) (Figure11Row, error) {
+	rows, err := MapWorkloads(s, s.Names, 1, func(w *Workload, _ int) (Figure11Row, error) {
 		row := Figure11Row{Name: w.Name}
 		for _, depth := range []int{5, 9} {
 			iso, err := s.Isolate(w, func(c *uarch.Config) { c.FrontEndDepth = depth }, modelOptions(), EventICache)
@@ -111,7 +105,7 @@ func Figure11(s *Suite) (*Figure11Result, error) {
 			}
 		}
 		return row, nil
-	})
+	}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -134,12 +128,6 @@ func (r *Figure11Result) tab() *table {
 	t.addNote("paper: penalty ≈ the L2 miss delay and independent of the front-end depth")
 	return t
 }
-
-// Render prints the table as aligned text.
-func (r *Figure11Result) Render() string { return r.tab().String() }
-
-// CSV renders the table as comma-separated values.
-func (r *Figure11Result) CSV() string { return r.tab().CSV() }
 
 // Figure14Row is one benchmark of the paper's Fig. 14: penalty per long
 // data-cache miss, simulation vs model (equation 8).
@@ -164,7 +152,7 @@ type Figure14Result struct {
 // Figure14 measures the long data miss penalty per benchmark, fanning the
 // benchmarks out across the suite's worker pool.
 func Figure14(s *Suite) (*Figure14Result, error) {
-	rows, err := MapWorkloads(s, func(w *Workload) (Figure14Row, error) {
+	rows, err := MapWorkloads(s, s.Names, 1, func(w *Workload, _ int) (Figure14Row, error) {
 		var zero Figure14Row
 		iso, err := s.Isolate(w, nil, modelOptions(), EventDCache)
 		if err != nil {
@@ -184,7 +172,7 @@ func Figure14(s *Suite) (*Figure14Result, error) {
 			IsolatedPenalty: iso.PerEventIn(EventDCache, serial),
 			LongMisses:      iso.Count(EventDCache),
 		}, nil
-	})
+	}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -204,9 +192,3 @@ func (r *Figure14Result) tab() *table {
 	t.addNote("paper: the model is reasonably close; data-miss overlap is the weakest link")
 	return t
 }
-
-// Render prints the table as aligned text.
-func (r *Figure14Result) Render() string { return r.tab().String() }
-
-// CSV renders the table as comma-separated values.
-func (r *Figure14Result) CSV() string { return r.tab().CSV() }

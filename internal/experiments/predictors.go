@@ -35,48 +35,31 @@ func PredictorStudy(s *Suite) (*PredictorStudyResult, error) {
 		{Kind: predictor.KindBimodal, IndexBits: 13},
 		{Kind: predictor.KindAlwaysTaken},
 	}
-	benches := []string{"gzip", "crafty", "twolf"}
-	type predictorJob struct {
-		bench string
-		spec  predictor.Spec
-	}
-	var jobs []predictorJob
-	for _, bench := range benches {
-		for i := range specs {
-			jobs = append(jobs, predictorJob{bench: bench, spec: specs[i]})
-		}
-	}
-	res := &PredictorStudyResult{MeanAbsErrByPredictor: make(map[string]float64)}
-	counts := make(map[string]int)
-	err := RunOrdered(s.workers(), len(jobs), func(i int) (PredictorPoint, error) {
-		var zero PredictorPoint
-		bench, spec := jobs[i].bench, jobs[i].spec
-		w, err := s.Workload(bench)
-		if err != nil {
-			return zero, err
-		}
+	points, err := MapWorkloads(s, []string{"gzip", "crafty", "twolf"}, len(specs), func(w *Workload, v int) (PredictorPoint, error) {
+		spec := specs[v]
 		// The predictor changes the functional analysis, so Compare
 		// re-analyzes with it for the misprediction rate.
 		c, err := s.Compare(w, func(c *uarch.Config) { c.Predictor = &spec }, modelOptions())
 		if err != nil {
-			return zero, err
+			return PredictorPoint{}, err
 		}
 		return PredictorPoint{
 			Predictor:      spec.Kind.String(),
-			Bench:          bench,
+			Bench:          w.Name,
 			MispredictRate: c.Analysis.Summary.MispredictRate(),
 			SimCPI:         c.Sim.CPI(),
 			ModelCPI:       c.Estimate.CPI,
 			Err:            c.Err(),
 		}, nil
-	}, func(_ int, pt PredictorPoint) error {
-		res.Points = append(res.Points, pt)
-		res.MeanAbsErrByPredictor[pt.Predictor] += abs(pt.Err)
-		counts[pt.Predictor]++
-		return nil
-	})
+	}, nil)
 	if err != nil {
 		return nil, err
+	}
+	res := &PredictorStudyResult{Points: points, MeanAbsErrByPredictor: make(map[string]float64)}
+	counts := make(map[string]int)
+	for _, pt := range points {
+		res.MeanAbsErrByPredictor[pt.Predictor] += abs(pt.Err)
+		counts[pt.Predictor]++
 	}
 	for name, total := range res.MeanAbsErrByPredictor {
 		res.MeanAbsErrByPredictor[name] = total / float64(counts[name])
@@ -100,9 +83,3 @@ func (r *PredictorStudyResult) tab() *table {
 	}
 	return t
 }
-
-// Render prints the table as aligned text.
-func (r *PredictorStudyResult) Render() string { return r.tab().String() }
-
-// CSV renders the table as comma-separated values.
-func (r *PredictorStudyResult) CSV() string { return r.tab().CSV() }

@@ -29,7 +29,7 @@ type RefinementResult struct {
 // BranchBurstRefinement runs the comparison over all benchmarks, fanning
 // them out across the suite's worker pool.
 func BranchBurstRefinement(s *Suite) (*RefinementResult, error) {
-	rows, err := MapWorkloads(s, func(w *Workload) (RefinementRow, error) {
+	rows, err := MapWorkloads(s, s.Names, 1, func(w *Workload, _ int) (RefinementRow, error) {
 		var zero RefinementRow
 		c, err := s.Compare(w, nil, core.Options{BranchMode: core.BranchMidpoint})
 		if err != nil {
@@ -49,7 +49,7 @@ func BranchBurstRefinement(s *Suite) (*RefinementResult, error) {
 		}
 		row.MeasuredErr = relErr(row.MeasuredCPI, row.SimCPI)
 		return row, nil
-	})
+	}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -75,9 +75,3 @@ func (r *RefinementResult) tab() *table {
 	t.addNote("mean |err|: midpoint %s, measured bursts %s", pct(r.MeanMidpointErr), pct(r.MeanMeasuredErr))
 	return t
 }
-
-// Render prints the table as aligned text.
-func (r *RefinementResult) Render() string { return r.tab().String() }
-
-// CSV renders the table as comma-separated values.
-func (r *RefinementResult) CSV() string { return r.tab().CSV() }

@@ -6,7 +6,9 @@ import (
 	"text/tabwriter"
 )
 
-// table renders rows as an aligned text table with a header line.
+// table renders rows as an aligned text table with a header line. It is
+// the Renderable of every experiment whose result builds one table (see
+// Table), and its CSV is what cmd/experiments -csv writes.
 type table struct {
 	title  string
 	header []string
@@ -14,13 +16,22 @@ type table struct {
 	notes  []string
 }
 
+// Tabular is an experiment result that builds one table: every result
+// but the figures that print themselves (Figs. 7, 8, 10, 12, 13, 19).
+type Tabular interface{ tab() *table }
+
+// Table returns r's table, which renders as aligned text (Render) and as
+// CSV.
+func Table(r Tabular) Renderable { return r.tab() }
+
 func (t *table) addRow(cells ...string) { t.rows = append(t.rows, cells) }
 
 func (t *table) addNote(format string, args ...any) {
 	t.notes = append(t.notes, fmt.Sprintf(format, args...))
 }
 
-func (t *table) String() string {
+// Render prints the table as aligned text, with the notes below it.
+func (t *table) Render() string {
 	var sb strings.Builder
 	if t.title != "" {
 		fmt.Fprintf(&sb, "%s\n", t.title)

@@ -75,9 +75,3 @@ func (r *SeedsResult) tab() *table {
 	}
 	return t
 }
-
-// Render prints the table as aligned text.
-func (r *SeedsResult) Render() string { return r.tab().String() }
-
-// CSV renders the table as comma-separated values.
-func (r *SeedsResult) CSV() string { return r.tab().CSV() }

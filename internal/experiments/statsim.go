@@ -32,7 +32,7 @@ type StatSimResult struct {
 // StatSimStudy runs both methodologies across all benchmarks, fanning the
 // benchmarks out across the suite's worker pool.
 func StatSimStudy(s *Suite) (*StatSimResult, error) {
-	rows, err := MapWorkloads(s, func(w *Workload) (StatSimRow, error) {
+	rows, err := MapWorkloads(s, s.Names, 1, func(w *Workload, _ int) (StatSimRow, error) {
 		var zero StatSimRow
 		c, err := s.Compare(w, nil, modelOptions())
 		if err != nil {
@@ -51,7 +51,7 @@ func StatSimStudy(s *Suite) (*StatSimResult, error) {
 		}
 		row.StatSimErr = relErr(row.StatSimCPI, row.RefCPI)
 		return row, nil
-	})
+	}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -78,9 +78,3 @@ func (r *StatSimResult) tab() *table {
 	t.addNote("model achieves statistical-simulation accuracy without running any simulation")
 	return t
 }
-
-// Render prints the table as aligned text.
-func (r *StatSimResult) Render() string { return r.tab().String() }
-
-// CSV renders the table as comma-separated values.
-func (r *StatSimResult) CSV() string { return r.tab().CSV() }

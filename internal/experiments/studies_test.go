@@ -39,7 +39,7 @@ func TestExtensionClusters(t *testing.T) {
 			t.Errorf("%s: model clustering delta %v vs sim %v", bench, modelDelta, simDelta)
 		}
 	}
-	if !strings.Contains(res.Render(), "partitioned") {
+	if !strings.Contains(res.tab().Render(), "partitioned") {
 		t.Fatal("render incomplete")
 	}
 }
@@ -71,7 +71,7 @@ func TestPredictorStudy(t *testing.T) {
 		t.Fatal("a worse predictor must cost CPI in the model")
 	}
 	_ = bimodal
-	if !strings.Contains(res.Render(), "misp/branch") {
+	if !strings.Contains(res.tab().Render(), "misp/branch") {
 		t.Fatal("render incomplete")
 	}
 }
@@ -144,7 +144,7 @@ func TestStatSimStudy(t *testing.T) {
 	if res.MeanModelErr > 0.20 {
 		t.Fatalf("model error %v", res.MeanModelErr)
 	}
-	if !strings.Contains(res.Render(), "stat-sim") {
+	if !strings.Contains(res.tab().Render(), "stat-sim") {
 		t.Fatal("render incomplete")
 	}
 }
@@ -166,7 +166,7 @@ func TestBranchBurstRefinement(t *testing.T) {
 	if res.MeanMeasuredErr > 0.2 || res.MeanMidpointErr > 0.2 {
 		t.Fatalf("errors midpoint %v / measured %v", res.MeanMidpointErr, res.MeanMeasuredErr)
 	}
-	if !strings.Contains(res.Render(), "burst factor") {
+	if !strings.Contains(res.tab().Render(), "burst factor") {
 		t.Fatal("render incomplete")
 	}
 }
@@ -195,7 +195,7 @@ func TestCSVOutputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	csv := res.CSV()
+	csv := res.tab().CSV()
 	if !strings.HasPrefix(csv, "bench,alpha,beta,R2,avg lat\n") {
 		t.Fatalf("CSV header wrong: %q", csv[:40])
 	}
@@ -206,7 +206,7 @@ func TestCSVOutputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(f15.CSV(), "model,simulation") {
+	if !strings.Contains(f15.tab().CSV(), "model,simulation") {
 		t.Fatal("figure 15 CSV missing columns")
 	}
 }
@@ -231,7 +231,7 @@ func TestMethodologyComparison(t *testing.T) {
 	if res.SampledFraction <= 0 || res.SampledFraction > 0.5 {
 		t.Fatalf("sampled fraction %v", res.SampledFraction)
 	}
-	if !strings.Contains(res.Render(), "stat-sim") || !strings.Contains(res.CSV(), "bench,") {
+	if !strings.Contains(res.tab().Render(), "stat-sim") || !strings.Contains(res.tab().CSV(), "bench,") {
 		t.Fatal("render incomplete")
 	}
 }
@@ -254,7 +254,7 @@ func TestSeedRobustness(t *testing.T) {
 	if res.Stddev > 0.05 {
 		t.Fatalf("seed spread %v too wide", res.Stddev)
 	}
-	if !strings.Contains(res.Render(), "mean of means") {
+	if !strings.Contains(res.tab().Render(), "mean of means") {
 		t.Fatal("render incomplete")
 	}
 }
@@ -300,7 +300,7 @@ func TestInOrderBaseline(t *testing.T) {
 			t.Errorf("%s: in-order CPI depends on window: %v vs %v", r.Name, r.InOrderSmallWin, r.InOrderCPI)
 		}
 	}
-	if !strings.Contains(res.Render(), "slowdown") {
+	if !strings.Contains(res.tab().Render(), "slowdown") {
 		t.Fatal("render incomplete")
 	}
 }
@@ -323,7 +323,7 @@ func TestLittlesLaw(t *testing.T) {
 			t.Errorf("%s: I_1/L (%v) unexpectedly below measured (%v)", r.Name, r.ScaledI1, r.MeasuredIL)
 		}
 	}
-	if !strings.Contains(res.Render(), "I_1 / L") {
+	if !strings.Contains(res.tab().Render(), "I_1 / L") {
 		t.Fatal("render incomplete")
 	}
 }

@@ -1,14 +1,14 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (see DESIGN.md §4 for the index). Each experiment is a
-// function returning a typed result with a Render method that prints the
-// same rows or series the paper reports; cmd/experiments exposes them on
-// the command line and bench_test.go exposes them as benchmarks.
+// function returning a typed result that prints the same rows or series
+// the paper reports: most build one table (see Table), and a few figures
+// have their own Render method. cmd/experiments exposes them on the
+// command line and bench_test.go exposes them as benchmarks.
 package experiments
 
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sort"
 	"time"
 
@@ -44,8 +44,7 @@ type Suite struct {
 	// Sim is the baseline simulator configuration, the one description
 	// of the suite's machine.
 	Sim uarch.Config
-	// Workers bounds the concurrency of the suite's parallel helpers
-	// (MapWorkloads and EachWorkload's cache warm-up). Zero means
+	// Workers bounds the concurrency of MapWorkloads. Zero means
 	// DefaultWorkers; one forces sequential execution. Results are
 	// deterministic at any setting.
 	Workers int
@@ -64,13 +63,10 @@ type Suite struct {
 	Lookup func(name string) (workload.Profile, string, bool)
 
 	// traces holds decoded traces by content ID; evicting one releases
-	// its prep-cache entries. It holds only traces that are read more
-	// than once: those a caller of Trace asked for, and those a second
-	// analysis of one content needed. seen holds the content IDs whose
-	// trace an analysis has needed, at the trace cache's capacity.
-	// analyses holds analysis bundles by AnalysisKey.
+	// its prep-cache entries. It holds only the traces a caller of Trace
+	// asked for, which are read more than once. analyses holds analysis
+	// bundles by AnalysisKey.
 	traces   *flight.Cache[string, *trace.Trace]
-	seen     *flight.Cache[string, struct{}]
 	analyses *flight.Cache[string, *AnalysisArtifact]
 	// preps memoizes the simulator's classification pass across configs
 	// (see uarch.PrepCache); multi-config studies share one functional
@@ -150,7 +146,6 @@ func (s *Suite) SetCacheEntries(traces, analyses int) {
 	// The evicted trace is about to become unreachable, so the prep
 	// entries keyed to it could never be hit again.
 	s.traces = flight.New(traces, func(_ string, t *trace.Trace) { s.preps.Forget(t) })
-	s.seen = flight.New[string, struct{}](traces, nil)
 	s.analyses = flight.New[string, *AnalysisArtifact](analyses, nil)
 }
 
@@ -270,86 +265,61 @@ func (s *Suite) loadTrace(src Source, persist bool) (*trace.Trace, error) {
 // Analyze returns src's analysis bundle under scfg from the analysis
 // cache. A miss reads the store first, without materializing the trace
 // (a model-only caller needs the bundle, not the 24-bytes-per-
-// instruction trace), and only then computes the bundle from the trace
-// and stores it, without a second read of the same key. The trace is
-// cached, and persisted, only when it will be read again: a caller that
-// needs it calls Trace first, and the second analysis of one content
-// (another ROB size, say) goes through Trace too. The first analysis of
-// a content uses a cached or in-flight trace when there is one, and
-// otherwise a transient trace that it neither caches nor persists.
+// instruction trace), and only then computes the bundle and stores it,
+// without a second read of the same key. A ROB variant (scfg.ROBSize
+// other than the suite's) reads no trace: it regroups the bundle at the
+// suite's ROB with Summary.WithROB, which gives exactly what a fresh
+// analysis at that ROB does. A miss at the suite's ROB computes from a
+// cached or in-flight trace when there is one, and otherwise from a
+// transient trace that it neither caches nor persists; a caller that
+// reads the trace itself calls Trace first. When the suite's own
+// analysis of the content is cached, a miss under another configuration
+// (a predictor or TLB variant) shares its IW characteristic and fit,
+// which depend only on the trace and the windows, and reruns only the
+// miss statistics.
 func (s *Suite) Analyze(src Source, scfg stats.Config) (*AnalysisArtifact, error) {
 	id, windows := src.ContentID(), iw.DefaultWindows()
-	an, _, err := s.analyses.Do(AnalysisKey(id, windows, scfg), func() (*AnalysisArtifact, error) {
+	key := AnalysisKey(id, windows, scfg)
+	an, _, err := s.analyses.Do(key, func() (*AnalysisArtifact, error) {
 		s.workloadComputes.Inc()
 		start := time.Now()
 		defer func() { s.Timings.Record("workload", src.Name, time.Since(start)) }()
 		if a, ok := LookupAnalysis(s.Store, id, src.N, windows, scfg); ok {
 			return a, nil
 		}
-		t, err := s.analysisTrace(src)
-		if err != nil {
-			return nil, err
+		if rob := scfg.ROBSize; rob != s.Sim.ROBSize {
+			base := scfg
+			base.ROBSize = s.Sim.ROBSize
+			a, err := s.Analyze(src, base)
+			if err != nil {
+				return nil, err
+			}
+			// Stored under its own key, which the store's readers look up.
+			a = &AnalysisArtifact{Points: a.Points, Law: a.Law, Summary: a.Summary.WithROB(rob)}
+			storeAnalysis(s.Store, key, a)
+			return a, nil
+		}
+		t, ok := s.traces.Get(id)
+		if !ok {
+			var err error
+			if t, err = s.loadTrace(src, false); err != nil {
+				return nil, err
+			}
+		}
+		if own := AnalysisKey(id, windows, s.Sim.Analysis()); own != key {
+			if a, ok := s.analyses.Get(own); ok {
+				sum, err := stats.Analyze(t, scfg)
+				if err != nil {
+					return nil, err
+				}
+				a = &AnalysisArtifact{Points: a.Points, Law: a.Law, Summary: sum}
+				storeAnalysis(s.Store, key, a)
+				return a, nil
+			}
 		}
 		return AnalyzeAndStore(s.Store, t, windows, scfg)
 	})
 	return an, err
-}
-
-// analysisTrace returns the trace an analysis miss computes from: through
-// Trace when an earlier analysis needed this content's trace too, else a
-// cached or in-flight copy, else a transient one. Each call counts one
-// trace-cache hit or miss.
-func (s *Suite) analysisTrace(src Source) (*trace.Trace, error) {
-	id := src.ContentID()
-	if _, again, _ := s.seen.Do(id, func() (struct{}, error) { return struct{}{}, nil }); again {
-		return s.Trace(src)
-	}
-	if t, ok := s.traces.Get(id); ok {
-		return t, nil
-	}
-	return s.loadTrace(src, false)
-}
-
-// Warm computes any uncached workload analyses concurrently, bounded by
-// Workers. A computation error is not retained: the failing workload
-// computes again, and fails in report order, when it is next requested
-// — so Warm itself never fails and is safe to use as a pure prefetch.
-// A panic while resolving a workload is a bug and is re-raised, not
-// swallowed; one inside a cache computation arrives as that workload's
-// error.
-func (s *Suite) Warm() {
-	workers := s.workers()
-	if workers <= 1 || len(s.Names) <= 1 {
-		return
-	}
-	// compute returns no error, so RunOrdered fails only when guard has
-	// turned a panic into a *PanicError.
-	if err := RunOrdered(workers, len(s.Names), func(i int) (struct{}, error) {
-		_, _ = s.Workload(s.Names[i])
-		return struct{}{}, nil
-	}, nil); err != nil {
-		panic(err)
-	}
-}
-
-// EachWorkload runs fn for every benchmark, in report order, stopping at
-// the first error. The workload analyses are warmed concurrently (bounded
-// by Workers), but fn always runs sequentially on the calling goroutine,
-// so its side effects need no synchronization and keep report order.
-// Experiments whose per-benchmark work is itself expensive should use
-// MapWorkloads instead, which also fans fn out.
-func (s *Suite) EachWorkload(fn func(*Workload) error) error {
-	s.Warm()
-	for _, name := range s.Names {
-		w, err := s.Workload(name)
-		if err != nil {
-			return fmt.Errorf("experiments: %s: %w", name, err)
-		}
-		if err := fn(w); err != nil {
-			return fmt.Errorf("experiments: %s: %w", name, err)
-		}
-	}
-	return nil
 }
 
 // Simulate runs the detailed simulator on w with the given ideal toggles,
@@ -387,37 +357,49 @@ type Renderable interface {
 // DefaultRegistry returns every experiment keyed by its paper label.
 func DefaultRegistry() Registry {
 	return Registry{
-		"fig2":          func(_ context.Context, s *Suite) (Renderable, error) { return Figure2(s) },
-		"fig4":          func(_ context.Context, s *Suite) (Renderable, error) { return Figure4(s) },
-		"table1":        func(_ context.Context, s *Suite) (Renderable, error) { return Table1(s) },
-		"fig5":          func(_ context.Context, s *Suite) (Renderable, error) { return Figure5(s) },
-		"fig6":          func(_ context.Context, s *Suite) (Renderable, error) { return Figure6(s) },
+		"fig2":          tabled(Figure2),
+		"fig4":          tabled(Figure4),
+		"table1":        tabled(Table1),
+		"fig5":          tabled(Figure5),
+		"fig6":          tabled(Figure6),
 		"fig7":          func(_ context.Context, s *Suite) (Renderable, error) { return Figure7(s) },
 		"fig8":          func(_ context.Context, s *Suite) (Renderable, error) { return Figure8(s) },
-		"fig9":          func(_ context.Context, s *Suite) (Renderable, error) { return Figure9(s) },
+		"fig9":          tabled(Figure9),
 		"fig10":         func(_ context.Context, s *Suite) (Renderable, error) { return Figure10(s) },
-		"fig11":         func(_ context.Context, s *Suite) (Renderable, error) { return Figure11(s) },
+		"fig11":         tabled(Figure11),
 		"fig12":         func(_ context.Context, s *Suite) (Renderable, error) { return Figure12(s) },
 		"fig13":         func(_ context.Context, s *Suite) (Renderable, error) { return Figure13(s) },
-		"fig14":         func(_ context.Context, s *Suite) (Renderable, error) { return Figure14(s) },
-		"fig15":         func(_ context.Context, s *Suite) (Renderable, error) { return Figure15(s) },
-		"fig16":         func(_ context.Context, s *Suite) (Renderable, error) { return Figure16(s) },
-		"fig17":         func(_ context.Context, s *Suite) (Renderable, error) { return Figure17(s) },
-		"fig18":         func(_ context.Context, s *Suite) (Renderable, error) { return Figure18(s) },
+		"fig14":         tabled(Figure14),
+		"fig15":         tabled(Figure15),
+		"fig16":         tabled(Figure16),
+		"fig17":         tabled(Figure17),
+		"fig18":         tabled(Figure18),
 		"fig19":         func(_ context.Context, s *Suite) (Renderable, error) { return Figure19(s) },
-		"ext-fu":        func(_ context.Context, s *Suite) (Renderable, error) { return ExtensionFU(s) },
-		"ext-fetchbuf":  func(_ context.Context, s *Suite) (Renderable, error) { return ExtensionFetchBuffer(s) },
-		"ext-tlb":       func(_ context.Context, s *Suite) (Renderable, error) { return ExtensionTLB(s) },
-		"ext-cluster":   func(_ context.Context, s *Suite) (Renderable, error) { return ExtensionClusters(s) },
-		"predictors":    func(_ context.Context, s *Suite) (Renderable, error) { return PredictorStudy(s) },
+		"ext-fu":        tabled(ExtensionFU),
+		"ext-fetchbuf":  tabled(ExtensionFetchBuffer),
+		"ext-tlb":       tabled(ExtensionTLB),
+		"ext-cluster":   tabled(ExtensionClusters),
+		"predictors":    tabled(PredictorStudy),
 		"sweep-window":  func(ctx context.Context, s *Suite) (Renderable, error) { return WindowSweep(ctx, s) },
 		"sweep-rob":     func(ctx context.Context, s *Suite) (Renderable, error) { return ROBSweep(ctx, s) },
-		"statsim":       func(_ context.Context, s *Suite) (Renderable, error) { return StatSimStudy(s) },
-		"refine-branch": func(_ context.Context, s *Suite) (Renderable, error) { return BranchBurstRefinement(s) },
-		"methods":       func(_ context.Context, s *Suite) (Renderable, error) { return MethodologyComparison(s) },
-		"seeds":         func(_ context.Context, s *Suite) (Renderable, error) { return SeedRobustness(s) },
-		"inorder":       func(_ context.Context, s *Suite) (Renderable, error) { return InOrderBaseline(s) },
-		"littleslaw":    func(_ context.Context, s *Suite) (Renderable, error) { return LittlesLaw(s) },
+		"statsim":       tabled(StatSimStudy),
+		"refine-branch": tabled(BranchBurstRefinement),
+		"methods":       tabled(MethodologyComparison),
+		"seeds":         tabled(SeedRobustness),
+		"inorder":       tabled(InOrderBaseline),
+		"littleslaw":    tabled(LittlesLaw),
+	}
+}
+
+// tabled adapts an experiment whose result builds one table to a
+// registry runner: the runner's Renderable is that table.
+func tabled[R Tabular](run func(*Suite) (R, error)) func(context.Context, *Suite) (Renderable, error) {
+	return func(_ context.Context, s *Suite) (Renderable, error) {
+		r, err := run(s)
+		if err != nil {
+			return nil, err
+		}
+		return r.tab(), nil
 	}
 }
 

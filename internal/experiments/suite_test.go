@@ -1,10 +1,14 @@
 package experiments
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
 	"fomodel/internal/artifact"
+	"fomodel/internal/cache"
+	"fomodel/internal/iw"
+	"fomodel/internal/stats"
 	"fomodel/internal/workload"
 )
 
@@ -37,45 +41,92 @@ func TestFirstAnalysisKeepsNoTrace(t *testing.T) {
 	}
 }
 
-// TestSecondAnalysisCachesTrace pins the second-sight rule: when a
-// second analysis of one content misses (another ROB size here), its
-// trace is read again, so it is cached and, with a store set, persisted;
-// a third analysis then reads the cached trace.
-func TestSecondAnalysisCachesTrace(t *testing.T) {
-	for _, withStore := range []bool{false, true} {
+// freshAnalysis is src's analysis under scfg computed from scratch,
+// marshaled: the bytes every cached or regrouped bundle must match.
+func freshAnalysis(t *testing.T, src Source, scfg stats.Config) []byte {
+	t.Helper()
+	tr, err := LoadOrGenerateTrace(nil, src.Name, src.N, src.Seed, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := AnalyzeAndStore(nil, tr, iw.DefaultWindows(), scfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := a.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestROBVariantsRegroup pins that a ROB variant reads no trace: after
+// the first analysis of a content (at the suite's ROB, 128), the
+// analyses at ROB 96 and 64 regroup it, so the trace cache sees that one
+// miss and stays empty, no trace is stored, and each per-ROB bundle is
+// stored under its own key and equals a fresh analysis at that ROB.
+func TestROBVariantsRegroup(t *testing.T) {
+	s := NewSuite(cacheSrc.N, 1)
+	st, err := artifact.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetStore(st)
+	traces, _ := s.Caches()
+	scfg := s.Sim.Analysis()
+	for _, rob := range []int{128, 96, 64} {
+		scfg.ROBSize = rob
+		a, err := s.Analyze(cacheSrc, scfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hits, misses, _ := traces.Stats(); traces.Len() != 0 || hits != 0 || misses != 1 {
+			t.Errorf("rob %d: trace cache %d entries, %d hits, %d misses; want 0, 0, 1", rob, traces.Len(), hits, misses)
+		}
+		stored, ok := st.Get("analysis", AnalysisKey(cacheSrc.ContentID(), iw.DefaultWindows(), scfg))
+		if !ok {
+			t.Errorf("rob %d: the analysis was not stored under its key", rob)
+		}
+		got, err := a.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := freshAnalysis(t, cacheSrc, scfg); !bytes.Equal(got, want) || !bytes.Equal(stored, want) {
+			t.Errorf("rob %d: the cached or stored bundle differs from a fresh analysis", rob)
+		}
+	}
+	if _, ok := st.Get("trace", cacheSrc.ContentID()); ok {
+		t.Error("a trace was stored")
+	}
+}
+
+// TestVariantSharesOwnIW pins that an analysis under another
+// configuration (a TLB here) shares the IW characteristic of the suite's
+// own analysis when that is cached, and computes it when it is not; the
+// bundle equals a fresh analysis either way.
+func TestVariantSharesOwnIW(t *testing.T) {
+	tlbCfg := cache.DefaultTLB()
+	tlb := NewSuite(cacheSrc.N, 1).Sim.Analysis()
+	tlb.TLB = &tlbCfg
+	want := freshAnalysis(t, cacheSrc, tlb)
+	for _, ownFirst := range []bool{false, true} {
 		s := NewSuite(cacheSrc.N, 1)
-		var st *artifact.Store
-		if withStore {
+		var own *AnalysisArtifact
+		if ownFirst {
 			var err error
-			if st, err = artifact.Open(t.TempDir(), 0); err != nil {
+			if own, err = s.Analyze(cacheSrc, s.Sim.Analysis()); err != nil {
 				t.Fatal(err)
 			}
-			s.SetStore(st)
 		}
-		traces, _ := s.Caches()
-		scfg := s.Sim.Analysis()
-		for i, step := range []struct {
-			rob          int
-			entries      int
-			hits, misses int64
-		}{
-			{128, 0, 0, 1}, // transient
-			{96, 1, 0, 2},  // second sight: loaded and cached
-			{64, 1, 1, 2},  // read from the cache
-		} {
-			scfg.ROBSize = step.rob
-			if _, err := s.Analyze(cacheSrc, scfg); err != nil {
-				t.Fatal(err)
-			}
-			if hits, misses, _ := traces.Stats(); traces.Len() != step.entries || hits != step.hits || misses != step.misses {
-				t.Errorf("store %v, analysis %d: trace cache %d entries, %d hits, %d misses; want %d, %d, %d",
-					withStore, i+1, traces.Len(), hits, misses, step.entries, step.hits, step.misses)
-			}
+		a, err := s.Analyze(cacheSrc, tlb)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if withStore {
-			if _, ok := st.Get("trace", cacheSrc.ContentID()); !ok {
-				t.Error("the trace a second analysis cached was not stored")
-			}
+		if shared := own != nil && &a.Points[0] == &own.Points[0]; shared != ownFirst {
+			t.Errorf("own analysis cached %v: IW points shared %v", ownFirst, shared)
+		}
+		if got, err := a.MarshalBinary(); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("own analysis cached %v: the bundle differs from a fresh analysis (%v)", ownFirst, err)
 		}
 	}
 }

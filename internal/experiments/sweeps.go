@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -42,7 +43,7 @@ func (r *SweepResult) tab() *table {
 }
 
 // Render prints the table as aligned text.
-func (r *SweepResult) Render() string { return r.tab().String() }
+func (r *SweepResult) Render() string { return r.tab().Render() }
 
 // CSV renders the table as comma-separated values.
 func (r *SweepResult) CSV() string { return r.tab().CSV() }
@@ -161,56 +162,33 @@ func SweepStream(ctx context.Context, s *Suite, spec SweepSpec, emit func(SweepP
 		title = fmt.Sprintf("Design-space sweep: %s across %s",
 			spec.Param, strings.Join(spec.Benches, ", "))
 	}
-	res := &SweepResult{Title: title, Param: spec.Param}
 	set := sweepParams[spec.Param]
-	jobs := sweepGrid(spec.Benches, spec.Values)
-	err := RunOrdered(s.workers(), len(jobs), func(i int) (SweepPoint, error) {
+	points, err := MapWorkloads(s, spec.Benches, len(spec.Values), func(w *Workload, i int) (SweepPoint, error) {
 		if err := ctx.Err(); err != nil {
-			return SweepPoint{}, err
-		}
-		w, err := s.Workload(jobs[i].bench)
-		if err != nil {
 			return SweepPoint{}, err
 		}
 		// Every sweep parameter is timing-only, so the cell runs the
 		// model on w's own analysis (the miss grouping and the measured
 		// IW point follow the ROB and window through Compare).
-		v := jobs[i].value
+		v := spec.Values[i]
 		c, err := s.Compare(w, func(c *uarch.Config) { set(c, v) }, modelOptions())
 		if err != nil {
 			return SweepPoint{}, err
 		}
 		return SweepPoint{Bench: w.Name, Value: v, SimCPI: c.Sim.CPI(), ModelCPI: c.Estimate.CPI, Err: c.Err()}, nil
-	}, func(_ int, pt SweepPoint) error {
-		res.Points = append(res.Points, pt)
-		if emit != nil {
-			return emit(pt)
-		}
-		return nil
-	})
+	}, emit)
+	// A sweep fails with its cell's own error, without the benchmark
+	// prefix: the daemon's sweep error bodies carry it as it is.
+	var we *workloadError
+	if errors.As(err, &we) {
+		err = we.err
+	}
 	if err != nil {
 		return nil, err
 	}
+	res := &SweepResult{Title: title, Param: spec.Param, Points: points}
 	res.finish()
 	return res, nil
-}
-
-// sweepJob is one (benchmark, parameter value) cell of a sweep grid.
-type sweepJob struct {
-	bench string
-	value int
-}
-
-// sweepGrid flattens a bench × value grid into the job list fed to
-// RunOrdered, keeping report order (benchmarks outer, values inner).
-func sweepGrid(benches []string, values []int) []sweepJob {
-	jobs := make([]sweepJob, 0, len(benches)*len(values))
-	for _, b := range benches {
-		for _, v := range values {
-			jobs = append(jobs, sweepJob{bench: b, value: v})
-		}
-	}
-	return jobs
 }
 
 // WindowSweep validates the steady-state model through the knee of the IW

@@ -71,12 +71,6 @@ func (r *Figure17Result) tab() *table {
 	return t
 }
 
-// Render prints the table as aligned text.
-func (r *Figure17Result) Render() string { return r.tab().String() }
-
-// CSV renders the table as comma-separated values.
-func (r *Figure17Result) CSV() string { return r.tab().CSV() }
-
 // Figure18Result is the §6.2 issue-width study: the instructions between
 // mispredictions required to spend a given fraction of time within 12.5%%
 // of the issue width.
@@ -132,12 +126,6 @@ func (r *Figure18Result) tab() *table {
 	}
 	return t
 }
-
-// Render prints the table as aligned text.
-func (r *Figure18Result) Render() string { return r.tab().String() }
-
-// CSV renders the table as comma-separated values.
-func (r *Figure18Result) CSV() string { return r.tab().CSV() }
 
 // Figure19Result is the per-cycle issue rate between two mispredictions
 // (the paper's Fig. 19).

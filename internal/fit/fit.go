@@ -1,12 +1,8 @@
-// Package fit provides the small numerical utilities the model needs:
-// ordinary least-squares linear regression (for the log-log power-law fit
-// of the IW characteristic) and basic summary statistics.
+// Package fit provides ordinary least-squares linear regression, which
+// the log-log power-law fit of the IW characteristic uses.
 package fit
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Line is a fitted line y = Slope*x + Intercept with its coefficient of
 // determination.
@@ -50,60 +46,4 @@ func Linear(xs, ys []float64) (Line, error) {
 		line.R2 = sxy * sxy / (sxx * syy)
 	}
 	return line, nil
-}
-
-// Mean returns the arithmetic mean of xs, or 0 for an empty slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// MeanAbsRelError returns the mean of |est-ref|/ref over pairs with a
-// non-zero reference. It is the error metric the paper reports ("average
-// CPI error is 5.8%").
-func MeanAbsRelError(est, ref []float64) (float64, error) {
-	if len(est) != len(ref) {
-		return 0, fmt.Errorf("fit: length mismatch %d vs %d", len(est), len(ref))
-	}
-	var sum float64
-	var n int
-	for i := range est {
-		if ref[i] == 0 {
-			continue
-		}
-		sum += math.Abs(est[i]-ref[i]) / math.Abs(ref[i])
-		n++
-	}
-	if n == 0 {
-		return 0, fmt.Errorf("fit: no non-zero reference values")
-	}
-	return sum / float64(n), nil
-}
-
-// MaxAbsRelError returns the largest |est-ref|/ref over pairs with a
-// non-zero reference, and its index.
-func MaxAbsRelError(est, ref []float64) (float64, int, error) {
-	if len(est) != len(ref) {
-		return 0, 0, fmt.Errorf("fit: length mismatch %d vs %d", len(est), len(ref))
-	}
-	worst, at := -1.0, -1
-	for i := range est {
-		if ref[i] == 0 {
-			continue
-		}
-		e := math.Abs(est[i]-ref[i]) / math.Abs(ref[i])
-		if e > worst {
-			worst, at = e, i
-		}
-	}
-	if at < 0 {
-		return 0, 0, fmt.Errorf("fit: no non-zero reference values")
-	}
-	return worst, at, nil
 }

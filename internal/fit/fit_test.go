@@ -61,41 +61,6 @@ func TestLinearConstantY(t *testing.T) {
 	}
 }
 
-func TestMean(t *testing.T) {
-	if Mean(nil) != 0 {
-		t.Fatal("empty mean not 0")
-	}
-	if got := Mean([]float64{1, 2, 3}); got != 2 {
-		t.Fatalf("mean %v", got)
-	}
-}
-
-func TestMeanAbsRelError(t *testing.T) {
-	got, err := MeanAbsRelError([]float64{1.1, 1.8}, []float64{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-0.1) > 1e-12 {
-		t.Fatalf("error %v, want 0.1", got)
-	}
-	if _, err := MeanAbsRelError([]float64{1}, []float64{1, 2}); err == nil {
-		t.Fatal("length mismatch accepted")
-	}
-	if _, err := MeanAbsRelError([]float64{1}, []float64{0}); err == nil {
-		t.Fatal("all-zero reference accepted")
-	}
-}
-
-func TestMaxAbsRelError(t *testing.T) {
-	worst, at, err := MaxAbsRelError([]float64{1.1, 1.0, 3.0}, []float64{1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if at != 1 || math.Abs(worst-0.5) > 1e-12 {
-		t.Fatalf("worst %v at %d", worst, at)
-	}
-}
-
 func TestLinearPropertyRecoversLine(t *testing.T) {
 	f := func(slope, intercept int8) bool {
 		s, c := float64(slope), float64(intercept)

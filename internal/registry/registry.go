@@ -322,11 +322,6 @@ func (r *Registry) Stats() (registers, deletes, rejects, persistErrors int64) {
 	return r.registers.Load(), r.deletes.Load(), r.rejects.Load(), r.persistErrors.Load()
 }
 
-// Quotas returns the effective per-tenant limits.
-func (r *Registry) Quotas() (maxPerTenant int, maxBytesPerTenant int64) {
-	return r.maxPerTenant, r.maxBytes
-}
-
 // indexFile is the persisted registry index.
 type indexFile struct {
 	Version int          `json:"version"`

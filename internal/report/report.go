@@ -126,13 +126,13 @@ func Generate(s *experiments.Suite) (*Report, error) {
 		vortex.Beta > gzip.Beta && gzip.Beta > vpr.Beta &&
 			vpr.AvgLatency > vortex.AvgLatency && vpr.AvgLatency > gzip.AvgLatency,
 		"beta %.2f / %.2f / %.2f, L(vpr) %.2f", vortex.Beta, gzip.Beta, vpr.Beta, vpr.AvgLatency)
-	section("table1", t1)
+	section("table1", experiments.Table(t1))
 
 	// Figure 2 — miss-event independence.
 	check("fig2", "independent-sum IPC error ≈5% mean; compensation improves it",
 		f2.MeanIndependentErr < 0.08 && f2.MeanCompensatedErr <= f2.MeanIndependentErr,
 		"independent %.1f%%, compensated %.1f%%", 100*f2.MeanIndependentErr, 100*f2.MeanCompensatedErr)
-	section("fig2", f2)
+	section("fig2", experiments.Table(f2))
 
 	// Figure 9 — branch penalty exceeds the pipeline depth.
 	allAbove := true
@@ -143,7 +143,7 @@ func Generate(s *experiments.Suite) (*Report, error) {
 	}
 	check("fig9", "penalty exceeds the front-end depth and grows with it",
 		allAbove, "all %d benchmarks above dP at both depths: %v", len(f9.Rows), allAbove)
-	section("fig9", f9)
+	section("fig9", experiments.Table(f9))
 
 	// Figure 11 — I-cache penalty ≈ miss delay, depth-independent.
 	var num5, num9, den float64
@@ -159,7 +159,7 @@ func Generate(s *experiments.Suite) (*Report, error) {
 	check("fig11", "penalty ≈ the 8-cycle miss delay, independent of depth",
 		within(pen5, 6, 9) && abs(pen5-pen9) < 0.5,
 		"%.2f at dP=5, %.2f at dP=9 (miss-weighted)", pen5, pen9)
-	section("fig11", f11)
+	section("fig11", experiments.Table(f11))
 
 	// Figure 14 — d-miss penalty model tracks simulation.
 	var errSum, errN float64
@@ -172,13 +172,13 @@ func Generate(s *experiments.Suite) (*Report, error) {
 	}
 	check("fig14", "eq. (8) penalty reasonably close to simulation",
 		errSum/errN < 0.25, "mean |err| %.1f%% across %d benchmarks", 100*errSum/errN, int(errN))
-	section("fig14", f14)
+	section("fig14", experiments.Table(f14))
 
 	// Figure 15 — the headline accuracy.
 	check("fig15", "average CPI error 5.8%, worst 13%",
 		f15.MeanAbsErr < 0.10 && f15.MaxAbsErr < 0.20,
 		"average %.1f%%, worst %.1f%% (%s)", 100*f15.MeanAbsErr, 100*f15.MaxAbsErr, f15.WorstBench)
-	section("fig15", f15)
+	section("fig15", experiments.Table(f15))
 
 	// Figure 16 — stack composition.
 	var mcfShare, twolfShare float64
@@ -194,21 +194,21 @@ func Generate(s *experiments.Suite) (*Report, error) {
 	check("fig16", "long d-misses ≈70% of mcf's CPI and ≈60% of twolf's",
 		mcfShare > 0.5 && twolfShare > 0.45,
 		"mcf %.0f%%, twolf %.0f%%", 100*mcfShare, 100*twolfShare)
-	section("fig16", f16)
+	section("fig16", experiments.Table(f16))
 
 	// Figure 17 — optimal pipeline depth.
 	check("fig17", "optimum ≈55 stages at width 3, shallower for wider issue",
 		within(float64(f17.Optimal[3].Depth), 45, 70) && f17.Optimal[8].Depth < f17.Optimal[2].Depth,
 		"optima %d/%d/%d/%d at widths 2/3/4/8",
 		f17.Optimal[2].Depth, f17.Optimal[3].Depth, f17.Optimal[4].Depth, f17.Optimal[8].Depth)
-	section("fig17", f17)
+	section("fig17", experiments.Table(f17))
 
 	// Figure 18 — quadratic prediction requirement.
 	mid := len(f18.Fractions) / 2
 	ratio := f18.Required[8][mid].InstrBetweenMispredicts / f18.Required[4][mid].InstrBetweenMispredicts
 	check("fig18", "doubling the width quadruples the required misprediction distance",
 		within(ratio, 3, 5), "ratio %.1f×", ratio)
-	section("fig18", f18)
+	section("fig18", experiments.Table(f18))
 
 	// Figure 19 — ramp peaks.
 	peak := func(width int) float64 {
@@ -229,13 +229,13 @@ func Generate(s *experiments.Suite) (*Report, error) {
 	check("statsim", "statistical simulation and the model land in a similar accuracy band",
 		ss.MeanStatSimErr < 0.10 && ss.MeanModelErr < 0.10,
 		"model %.1f%%, statistical simulation %.1f%%", 100*ss.MeanModelErr, 100*ss.MeanStatSimErr)
-	section("statsim", ss)
+	section("statsim", experiments.Table(ss))
 
 	// Branch-burst refinement.
 	check("refine-branch", "measured burst statistics improve on the midpoint heuristic (§7 #3)",
 		rb.MeanMeasuredErr <= rb.MeanMidpointErr+0.01,
 		"midpoint %.1f%%, measured %.1f%%", 100*rb.MeanMidpointErr, 100*rb.MeanMeasuredErr)
-	section("refine-branch", rb)
+	section("refine-branch", experiments.Table(rb))
 
 	for _, c := range r.Checks {
 		r.Total++

@@ -44,11 +44,6 @@ type Config struct {
 	// an explicit {"n":500000} and an implicit default land on the same
 	// shard. Zero fields fall back to reqkey.StandardDefaults.
 	Defaults reqkey.Defaults
-	// LoadFactor is the bounded-load factor c: a replica already carrying
-	// more than c×(mean in-flight) is skipped in favor of its ring
-	// successor, trading one request's cache locality for tail latency.
-	// 0 = 1.25; negative disables the bound.
-	LoadFactor float64
 	// EjectAfter is the consecutive-transport-failure count that passively
 	// ejects a replica from rotation (0 = 3); an ejected replica rejoins
 	// only when a /readyz probe succeeds.
@@ -70,11 +65,13 @@ type Config struct {
 // maxIdleConns bounds each replica's keep-alive connection pool.
 const maxIdleConns = 32
 
+// loadFactor is the bounded-load factor c: a replica already carrying
+// more than c×(mean in-flight) is skipped in favor of its ring
+// successor, trading one request's cache locality for tail latency.
+const loadFactor = 1.25
+
 func (c Config) withDefaults() Config {
 	c.Defaults = c.Defaults.WithFallback()
-	if c.LoadFactor == 0 {
-		c.LoadFactor = 1.25
-	}
 	if c.EjectAfter <= 0 {
 		c.EjectAfter = 3
 	}
@@ -332,14 +329,14 @@ func (rt *Router) candidates(key string) []*replica {
 		}
 		return cands
 	}
-	if rt.cfg.LoadFactor > 0 && len(cands) > 1 {
+	if len(cands) > 1 {
 		var total int64
 		for _, rep := range rt.reps {
 			total += rep.inflight.Load()
 		}
 		// Bounded load: capacity = ceil(c × (total+1) / healthy), counting
 		// the request being placed.
-		capacity := int64(math.Ceil(rt.cfg.LoadFactor * float64(total+1) / float64(len(cands))))
+		capacity := int64(math.Ceil(loadFactor * float64(total+1) / float64(len(cands))))
 		for j, rep := range cands {
 			if rep.inflight.Load() < capacity {
 				if j > 0 {

@@ -266,14 +266,12 @@ func TestProxyByteEquality(t *testing.T) {
 
 // TestShardStability pins the cache-aware property itself: each key has
 // one home replica, repeats land there every time, and the keyspace
-// spreads per the ring's own assignment.
+// spreads per the ring's own assignment. The requests go one at a time,
+// so no replica is ever over the bounded-load cap and none is diverted.
 func TestShardStability(t *testing.T) {
 	_, repA := newDaemon(t)
 	_, repB := newDaemon(t)
-	rt, proxy := newProxy(t, Config{
-		Replicas:   []string{repA.URL, repB.URL},
-		LoadFactor: -1, // no bounded-load diversion: pure ring routing
-	})
+	rt, proxy := newProxy(t, Config{Replicas: []string{repA.URL, repB.URL}})
 
 	bodies := make([]string, 0, 16)
 	for _, rob := range []int{48, 96} {

@@ -97,7 +97,8 @@ func BenchmarkPredictColdStore(b *testing.B) {
 // content at several ROB sizes, the traffic of a ROB sweep over a trace
 // the warm-up does not cover: each iteration predicts a fresh gzip seed
 // at ROB 96 to 208 in steps of 16, with 100000-instruction traces. Each
-// ROB size is its own analysis of the one trace.
+// ROB size is its own analysis key: the daemon's ROB (128) is analyzed
+// from a transient trace, and every other ROB regroups that analysis.
 func BenchmarkPredictColdROBs(b *testing.B) {
 	h := testServer(Config{N: 100000}).Handler()
 	b.ReportAllocs()

@@ -327,7 +327,7 @@ type WorkloadsResponse struct {
 
 func (s *Server) handleWorkloads(w *httpfront.Writer, r *http.Request) {
 	body, hit, err := s.cache.Do(WorkloadsCacheKey, func() ([]byte, error) {
-		infos, err := experiments.MapWorkloads(s.suite, func(wl *experiments.Workload) (WorkloadInfo, error) {
+		infos, err := experiments.MapWorkloads(s.suite, s.suite.Names, 1, func(wl *experiments.Workload, _ int) (WorkloadInfo, error) {
 			sum := wl.Summary
 			ki := float64(sum.Instructions) / 1000
 			return WorkloadInfo{
@@ -345,7 +345,7 @@ func (s *Server) handleWorkloads(w *httpfront.Writer, r *http.Request) {
 				DCacheLongPerKI:  float64(sum.DCacheLong) / ki,
 				OverlapFactor:    sum.OverlapFactor(),
 			}, nil
-		})
+		}, nil)
 		if err != nil {
 			return nil, err
 		}

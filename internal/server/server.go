@@ -42,11 +42,11 @@ type Config struct {
 	CacheEntries int
 	// TraceCacheEntries bounds the suite's decoded-trace cache, which
 	// holds the traces the daemon reads more than once: those a
-	// simulation, a sweep or the warm-up reads, and those a second
-	// analysis of one content needs, at any (n, seed); a cold model-only
-	// predict caches none. Evicted traces release their prep-cache
-	// entries (0 = 64). A bound below the 12 built-ins makes a
-	// full-suite sweep reload traces.
+	// simulation, a sweep or the warm-up reads, at any (n, seed). A cold
+	// model-only predict caches none, and a predict at another ROB size
+	// regroups the analysis without reading a trace. Evicted traces
+	// release their prep-cache entries (0 = 64). A bound below the 12
+	// built-ins makes a full-suite sweep reload traces.
 	TraceCacheEntries int
 	// AnalysisCacheEntries bounds the suite's analysis-bundle cache,
 	// which serves predicts, sweeps and the warm-up alike (0 = 128).
