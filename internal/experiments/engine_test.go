@@ -313,6 +313,23 @@ func TestMapWorkloadsKeepsReportOrder(t *testing.T) {
 	}
 }
 
+// TestMapWorkloadsPrefetches pins MapWorkloads as a prefetch: a pass
+// with a no-op fn computes each workload once, and a second pass is a
+// no-op against the full cache.
+func TestMapWorkloadsPrefetches(t *testing.T) {
+	s := smallSuite()
+	s.Workers = 4
+	noop := func(*Workload, int) (struct{}, error) { return struct{}{}, nil }
+	for pass := 1; pass <= 2; pass++ {
+		if _, err := MapWorkloads(s, s.Names, 1, noop, nil); err != nil {
+			t.Fatal(err)
+		}
+		if computes, _ := s.Counters(); computes != int64(len(s.Names)) {
+			t.Fatalf("pass %d: %d workload computations for %d names", pass, computes, len(s.Names))
+		}
+	}
+}
+
 // TestParallelMatchesSequential is the engine's determinism contract:
 // rendering an experiment with one worker and with many must produce
 // byte-identical output on fresh suites.
