@@ -56,7 +56,7 @@ func InOrderBaseline(s *Suite) (*InOrderResult, error) {
 		return row, nil
 	}, nil)
 	if err != nil {
-		return nil, err
+		return nil, unprefixed(err)
 	}
 	return &InOrderResult{Rows: rows}, nil
 }

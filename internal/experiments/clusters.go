@@ -47,7 +47,7 @@ func ExtensionClusters(s *Suite) (*ClusterResult, error) {
 		}, nil
 	}, nil)
 	if err != nil {
-		return nil, err
+		return nil, unprefixed(err)
 	}
 	return &ClusterResult{Points: points, BypassLatency: bypass}, nil
 }

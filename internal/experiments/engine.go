@@ -147,8 +147,22 @@ func RunOrdered[T any](workers, n int, compute func(int) (T, error), emit func(i
 // not resolve, or an fn error, comes back prefixed with the benchmark's
 // name (a *workloadError, which unwraps to the cause).
 func MapWorkloads[T any](s *Suite, benches []string, variants int, fn func(w *Workload, v int) (T, error), emit func(T) error) ([]T, error) {
+	return mapGrid(nil, s, benches, variants, fn, emit)
+}
+
+// mapGrid is MapWorkloads with a stop check (a context's Err, say) that
+// each cell runs, when it is non-nil, before it resolves its workload: a
+// cell fails with the check's error as it is, so a cancelled grid
+// generates and analyses no more traces.
+func mapGrid[T any](stop func() error, s *Suite, benches []string, variants int, fn func(w *Workload, v int) (T, error), emit func(T) error) ([]T, error) {
 	out := make([]T, 0, len(benches)*variants)
 	err := RunOrdered(s.workers(), len(benches)*variants, func(i int) (T, error) {
+		var zero T
+		if stop != nil {
+			if err := stop(); err != nil {
+				return zero, err
+			}
+		}
 		name := benches[i/variants]
 		w, err := s.Workload(name)
 		if err == nil {
@@ -157,7 +171,6 @@ func MapWorkloads[T any](s *Suite, benches []string, variants int, fn func(w *Wo
 				return v, nil
 			}
 		}
-		var zero T
 		return zero, &workloadError{bench: name, err: err}
 	}, func(_ int, v T) error {
 		out = append(out, v)
@@ -182,6 +195,17 @@ type workloadError struct {
 func (e *workloadError) Error() string { return fmt.Sprintf("experiments: %s: %v", e.bench, e.err) }
 
 func (e *workloadError) Unwrap() error { return e.err }
+
+// unprefixed strips the benchmark prefix from a MapWorkloads failure,
+// for the grids whose errors never carried it: the sweeps, whose error
+// bodies the daemon serves, and the in-order, cluster and predictor
+// studies.
+func unprefixed(err error) error {
+	if we, ok := err.(*workloadError); ok {
+		return we.err
+	}
+	return err
+}
 
 // TimingSample is one named wall-time measurement.
 type TimingSample struct {

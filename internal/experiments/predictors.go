@@ -53,7 +53,7 @@ func PredictorStudy(s *Suite) (*PredictorStudyResult, error) {
 		}, nil
 	}, nil)
 	if err != nil {
-		return nil, err
+		return nil, unprefixed(err)
 	}
 	res := &PredictorStudyResult{Points: points, MeanAbsErrByPredictor: make(map[string]float64)}
 	counts := make(map[string]int)

@@ -272,54 +272,47 @@ func (s *Suite) loadTrace(src Source, persist bool) (*trace.Trace, error) {
 // analysis at that ROB does. A miss at the suite's ROB computes from a
 // cached or in-flight trace when there is one, and otherwise from a
 // transient trace that it neither caches nor persists; a caller that
-// reads the trace itself calls Trace first. When the suite's own
-// analysis of the content is cached, a miss under another configuration
-// (a predictor or TLB variant) shares its IW characteristic and fit,
-// which depend only on the trace and the windows, and reruns only the
-// miss statistics.
+// reads the trace itself calls Trace first.
 func (s *Suite) Analyze(src Source, scfg stats.Config) (*AnalysisArtifact, error) {
-	id, windows := src.ContentID(), iw.DefaultWindows()
-	key := AnalysisKey(id, windows, scfg)
-	an, _, err := s.analyses.Do(key, func() (*AnalysisArtifact, error) {
+	an, _, err := s.analyses.Do(AnalysisKey(src.ContentID(), iw.DefaultWindows(), scfg), func() (*AnalysisArtifact, error) {
 		s.workloadComputes.Inc()
 		start := time.Now()
 		defer func() { s.Timings.Record("workload", src.Name, time.Since(start)) }()
-		if a, ok := LookupAnalysis(s.Store, id, src.N, windows, scfg); ok {
-			return a, nil
-		}
-		if rob := scfg.ROBSize; rob != s.Sim.ROBSize {
-			base := scfg
-			base.ROBSize = s.Sim.ROBSize
-			a, err := s.Analyze(src, base)
-			if err != nil {
-				return nil, err
-			}
-			// Stored under its own key, which the store's readers look up.
-			a = &AnalysisArtifact{Points: a.Points, Law: a.Law, Summary: a.Summary.WithROB(rob)}
-			storeAnalysis(s.Store, key, a)
-			return a, nil
-		}
-		t, ok := s.traces.Get(id)
-		if !ok {
-			var err error
-			if t, err = s.loadTrace(src, false); err != nil {
-				return nil, err
-			}
-		}
-		if own := AnalysisKey(id, windows, s.Sim.Analysis()); own != key {
-			if a, ok := s.analyses.Get(own); ok {
-				sum, err := stats.Analyze(t, scfg)
-				if err != nil {
-					return nil, err
-				}
-				a = &AnalysisArtifact{Points: a.Points, Law: a.Law, Summary: sum}
-				storeAnalysis(s.Store, key, a)
-				return a, nil
-			}
-		}
-		return AnalyzeAndStore(s.Store, t, windows, scfg)
+		return s.computeAnalysis(src, scfg)
 	})
 	return an, err
+}
+
+// computeAnalysis is an analysis-cache miss: the store's copy, a
+// regroup of the bundle at the suite's ROB, or a fresh analysis.
+func (s *Suite) computeAnalysis(src Source, scfg stats.Config) (*AnalysisArtifact, error) {
+	id, windows := src.ContentID(), iw.DefaultWindows()
+	if a, ok := LookupAnalysis(s.Store, id, src.N, windows, scfg); ok {
+		return a, nil
+	}
+	if rob := scfg.ROBSize; rob != s.Sim.ROBSize {
+		base := scfg
+		base.ROBSize = s.Sim.ROBSize
+		// The cache's counters count the request, not this lookup.
+		a, err := s.analyses.DoUncounted(AnalysisKey(id, windows, base), func() (*AnalysisArtifact, error) {
+			return s.computeAnalysis(src, base)
+		})
+		if err != nil {
+			return nil, err
+		}
+		// Stored under its own key, which the store's readers look up.
+		a = &AnalysisArtifact{Points: a.Points, Law: a.Law, Summary: a.Summary.WithROB(rob)}
+		storeAnalysis(s.Store, AnalysisKey(id, windows, scfg), a)
+		return a, nil
+	}
+	t, ok := s.traces.Get(id)
+	if !ok {
+		var err error
+		if t, err = s.loadTrace(src, false); err != nil {
+			return nil, err
+		}
+	}
+	return AnalyzeAndStore(s.Store, t, windows, scfg)
 }
 
 // Simulate runs the detailed simulator on w with the given ideal toggles,

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"fomodel/internal/artifact"
-	"fomodel/internal/cache"
 	"fomodel/internal/iw"
 	"fomodel/internal/stats"
 	"fomodel/internal/workload"
@@ -64,7 +63,8 @@ func freshAnalysis(t *testing.T, src Source, scfg stats.Config) []byte {
 // the first analysis of a content (at the suite's ROB, 128), the
 // analyses at ROB 96 and 64 regroup it, so the trace cache sees that one
 // miss and stays empty, no trace is stored, and each per-ROB bundle is
-// stored under its own key and equals a fresh analysis at that ROB.
+// stored under its own key and equals a fresh analysis at that ROB. The
+// analysis cache's counters and Counters see one lookup per request.
 func TestROBVariantsRegroup(t *testing.T) {
 	s := NewSuite(cacheSrc.N, 1)
 	st, err := artifact.Open(t.TempDir(), 0)
@@ -72,9 +72,9 @@ func TestROBVariantsRegroup(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.SetStore(st)
-	traces, _ := s.Caches()
+	traces, analyses := s.Caches()
 	scfg := s.Sim.Analysis()
-	for _, rob := range []int{128, 96, 64} {
+	for i, rob := range []int{128, 96, 64} {
 		scfg.ROBSize = rob
 		a, err := s.Analyze(cacheSrc, scfg)
 		if err != nil {
@@ -82,6 +82,11 @@ func TestROBVariantsRegroup(t *testing.T) {
 		}
 		if hits, misses, _ := traces.Stats(); traces.Len() != 0 || hits != 0 || misses != 1 {
 			t.Errorf("rob %d: trace cache %d entries, %d hits, %d misses; want 0, 0, 1", rob, traces.Len(), hits, misses)
+		}
+		// The regroup's lookup of the ROB-128 bundle is not counted.
+		hits, misses, _ := analyses.Stats()
+		if workloads, _ := s.Counters(); hits != 0 || misses != int64(i+1) || workloads != misses {
+			t.Errorf("rob %d: analysis cache %d hits, %d misses, %d workload analyses; want 0, %d, %d", rob, hits, misses, workloads, i+1, i+1)
 		}
 		stored, ok := st.Get("analysis", AnalysisKey(cacheSrc.ContentID(), iw.DefaultWindows(), scfg))
 		if !ok {
@@ -98,36 +103,20 @@ func TestROBVariantsRegroup(t *testing.T) {
 	if _, ok := st.Get("trace", cacheSrc.ContentID()); ok {
 		t.Error("a trace was stored")
 	}
-}
 
-// TestVariantSharesOwnIW pins that an analysis under another
-// configuration (a TLB here) shares the IW characteristic of the suite's
-// own analysis when that is cached, and computes it when it is not; the
-// bundle equals a fresh analysis either way.
-func TestVariantSharesOwnIW(t *testing.T) {
-	tlbCfg := cache.DefaultTLB()
-	tlb := NewSuite(cacheSrc.N, 1).Sim.Analysis()
-	tlb.TLB = &tlbCfg
-	want := freshAnalysis(t, cacheSrc, tlb)
-	for _, ownFirst := range []bool{false, true} {
-		s := NewSuite(cacheSrc.N, 1)
-		var own *AnalysisArtifact
-		if ownFirst {
-			var err error
-			if own, err = s.Analyze(cacheSrc, s.Sim.Analysis()); err != nil {
-				t.Fatal(err)
-			}
-		}
-		a, err := s.Analyze(cacheSrc, tlb)
-		if err != nil {
+	// A variant first computes the ROB-128 bundle, and a later request
+	// for it hits.
+	s = NewSuite(cacheSrc.N, 1)
+	_, analyses = s.Caches()
+	for _, rob := range []int{96, 128} {
+		scfg.ROBSize = rob
+		if _, err := s.Analyze(cacheSrc, scfg); err != nil {
 			t.Fatal(err)
 		}
-		if shared := own != nil && &a.Points[0] == &own.Points[0]; shared != ownFirst {
-			t.Errorf("own analysis cached %v: IW points shared %v", ownFirst, shared)
-		}
-		if got, err := a.MarshalBinary(); err != nil || !bytes.Equal(got, want) {
-			t.Errorf("own analysis cached %v: the bundle differs from a fresh analysis (%v)", ownFirst, err)
-		}
+	}
+	hits, misses, _ := analyses.Stats()
+	if workloads, _ := s.Counters(); hits != 1 || misses != 1 || workloads != 1 {
+		t.Errorf("ROB 96 then 128: analysis cache %d hits, %d misses, %d workload analyses; want 1, 1, 1", hits, misses, workloads)
 	}
 }
 

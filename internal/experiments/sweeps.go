@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -163,10 +162,7 @@ func SweepStream(ctx context.Context, s *Suite, spec SweepSpec, emit func(SweepP
 			spec.Param, strings.Join(spec.Benches, ", "))
 	}
 	set := sweepParams[spec.Param]
-	points, err := MapWorkloads(s, spec.Benches, len(spec.Values), func(w *Workload, i int) (SweepPoint, error) {
-		if err := ctx.Err(); err != nil {
-			return SweepPoint{}, err
-		}
+	points, err := mapGrid(ctx.Err, s, spec.Benches, len(spec.Values), func(w *Workload, i int) (SweepPoint, error) {
 		// Every sweep parameter is timing-only, so the cell runs the
 		// model on w's own analysis (the miss grouping and the measured
 		// IW point follow the ROB and window through Compare).
@@ -177,14 +173,8 @@ func SweepStream(ctx context.Context, s *Suite, spec SweepSpec, emit func(SweepP
 		}
 		return SweepPoint{Bench: w.Name, Value: v, SimCPI: c.Sim.CPI(), ModelCPI: c.Estimate.CPI, Err: c.Err()}, nil
 	}, emit)
-	// A sweep fails with its cell's own error, without the benchmark
-	// prefix: the daemon's sweep error bodies carry it as it is.
-	var we *workloadError
-	if errors.As(err, &we) {
-		err = we.err
-	}
 	if err != nil {
-		return nil, err
+		return nil, unprefixed(err)
 	}
 	res := &SweepResult{Title: title, Param: spec.Param, Points: points}
 	res.finish()

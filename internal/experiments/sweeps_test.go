@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"strings"
 	"testing"
 
@@ -58,19 +57,54 @@ func TestSweepParamsDeterministic(t *testing.T) {
 
 // TestSweepCanceled is the serving daemon's client-disconnect guarantee
 // at the engine level: a canceled context stops the sweep before any grid
-// cell computes.
+// cell resolves its workload, at one worker and at several, and the
+// sweep fails with the context's error as it is.
 func TestSweepCanceled(t *testing.T) {
-	s := smallSuite()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err := Sweep(ctx, s, SweepSpec{
-		Param: "width", Benches: []string{"gzip", "mcf"}, Values: []int{2, 4, 8},
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	for _, workers := range []int{1, 4} {
+		s := smallSuite()
+		s.Workers = workers
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		_, err := Sweep(ctx, s, SweepSpec{
+			Param: "width", Benches: []string{"gzip", "mcf"}, Values: []int{2, 4, 8},
+		})
+		if err != context.Canceled {
+			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
+		}
+		if workloads, sims := s.Counters(); workloads != 0 || sims != 0 {
+			t.Fatalf("workers=%d: canceled sweep still ran %d workload analyses and %d simulations", workers, workloads, sims)
+		}
+		if traces, _ := s.Caches(); traces.Len() != 0 {
+			t.Fatalf("workers=%d: canceled sweep still loaded %d traces", workers, traces.Len())
+		}
 	}
-	if _, sims := s.Counters(); sims != 0 {
-		t.Fatalf("canceled sweep still ran %d simulations", sims)
+}
+
+// TestGridStudyErrorText pins which grid studies name the benchmark in a
+// failure: the in-order, cluster and predictor studies and the sweeps
+// return the cause as it is, a per-benchmark figure prefixes it.
+func TestGridStudyErrorText(t *testing.T) {
+	s := NewSuite(0, 1)
+	s.Names = []string{"gzip"}
+	const cause = "workload gzip: trace length 0 must be positive"
+	studies := map[string]func() error{
+		"inorder":     func() error { _, err := InOrderBaseline(s); return err },
+		"ext-cluster": func() error { _, err := ExtensionClusters(s); return err },
+		"predictors":  func() error { _, err := PredictorStudy(s); return err },
+		"sweep": func() error {
+			_, err := Sweep(context.Background(), s, SweepSpec{Param: "width", Benches: []string{"gzip"}, Values: []int{2}})
+			return err
+		},
+		"table1": func() error { _, err := Table1(s); return err },
+	}
+	for name, run := range studies {
+		want := cause
+		if name == "table1" {
+			want = "experiments: gzip: " + cause
+		}
+		if err := run(); err == nil || err.Error() != want {
+			t.Errorf("%s: err = %v, want %q", name, err, want)
+		}
 	}
 }
 

@@ -24,7 +24,9 @@
 //     the cache;
 //   - Get reads an entry, joining one in flight, but never inserts, so
 //     a caller that will not read a value again can use a cached copy
-//     without caching its own.
+//     without caching its own;
+//   - DoUncounted is Do that leaves the hit and miss counters alone,
+//     for a lookup the cache's owner makes on behalf of another one.
 package flight
 
 import (
@@ -80,6 +82,18 @@ func New[K comparable, V any](capacity int, onEvict func(K, V)) *Cache[K, V] {
 // came from an entry whose computation succeeded without this call
 // running it. A panic in compute is returned as an error.
 func (c *Cache[K, V]) Do(key K, compute func() (V, error)) (v V, hit bool, err error) {
+	return c.do(key, compute, true)
+}
+
+// DoUncounted is Do without touching the hit and miss counters: for a
+// cache's owner filling one entry while computing another, so the
+// counters still count one lookup per outside request.
+func (c *Cache[K, V]) DoUncounted(key K, compute func() (V, error)) (V, error) {
+	v, _, err := c.do(key, compute, false)
+	return v, err
+}
+
+func (c *Cache[K, V]) do(key K, compute func() (V, error), count bool) (v V, hit bool, err error) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
 		c.order.MoveToFront(e.elem)
@@ -88,7 +102,9 @@ func (c *Cache[K, V]) Do(key K, compute func() (V, error)) (v V, hit bool, err e
 		if e.err != nil {
 			return e.val, false, e.err
 		}
-		c.hits.Inc()
+		if count {
+			c.hits.Inc()
+		}
 		return e.val, true, nil
 	}
 	e := &entry[K, V]{key: key, done: make(chan struct{})}
@@ -98,7 +114,9 @@ func (c *Cache[K, V]) Do(key K, compute func() (V, error)) (v V, hit bool, err e
 	c.mu.Unlock()
 	c.notify(evicted)
 
-	c.misses.Inc()
+	if count {
+		c.misses.Inc()
+	}
 	v, err = safeCompute(compute)
 
 	// Decide the entry's fate under the lock before waking waiters: once

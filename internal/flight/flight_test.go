@@ -385,6 +385,29 @@ func TestGetJoinsNeverInserts(t *testing.T) {
 	}
 }
 
+// TestDoUncountedLeavesCounters pins that DoUncounted fills and reads
+// entries as Do does, computing once, while the hit and miss counters
+// see only Do and Get.
+func TestDoUncountedLeavesCounters(t *testing.T) {
+	c := New[string, string](2, nil)
+	computes := 0
+	compute := func() (string, error) { computes++; return "a-val", nil }
+	for i := 0; i < 2; i++ {
+		if v, err := c.DoUncounted("a", compute); err != nil || v != "a-val" {
+			t.Fatalf("DoUncounted #%d = (%q, %v), want a-val", i, v, err)
+		}
+	}
+	if hits, misses, _ := c.Stats(); computes != 1 || hits != 0 || misses != 0 {
+		t.Errorf("after two DoUncounted: %d computes, %d hits, %d misses; want 1, 0, 0", computes, hits, misses)
+	}
+	if v, hit, err := c.Do("a", compute); !hit || err != nil || v != "a-val" {
+		t.Errorf("Do after DoUncounted = (%q, %v, %v), want a cached hit", v, hit, err)
+	}
+	if hits, misses, _ := c.Stats(); computes != 1 || hits != 1 || misses != 0 {
+		t.Errorf("after a Do: %d computes, %d hits, %d misses; want 1, 1, 0", computes, hits, misses)
+	}
+}
+
 // TestConcurrentChurn exercises mixed hits, misses, failures, panics,
 // Gets, deletions and eviction under -race.
 func TestConcurrentChurn(t *testing.T) {
